@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .chart_core import MetricSpec, Point, ScalarField, VectorField
+from .chart_core import MetricSpec, Point, ScalarField, VectorField, gradient_vector
 from .comparison_suite import RadialModel
 from .warped_products import (
     EuclideanFiber,
@@ -108,11 +108,6 @@ def split_sin_torus(n: int = 3, periods=(2.0 * math.pi, 4.0 * math.pi)) -> Split
         fiber=TorusFiber(dim=n - 1, periods=tuple(periods)),
         name=f"split{n} sin fiber=torus",
     )
-
-
-def fiber_density(value, grad, hess) -> ScalarField:
-    """Scalar field on fiber coordinates with analytic partials."""
-    return ScalarField(value=value, grad=grad, hess=hess)
 
 
 def bounded_fiber_density(amplitude: float = 0.2) -> ScalarField:
@@ -223,12 +218,7 @@ def nongradient_example(n: int = 4, einstein_constant: float = 1.0,
 def gradient_as_vector_field(spec: MetricSpec, f: ScalarField) -> VectorField:
     """The metric gradient of f packaged as a vector field (components
     g^{ij} d_j f)."""
-    from .chart_core import inverse_metric, scalar_gradient
-
-    def value(p: Point) -> np.ndarray:
-        return inverse_metric(spec, p) @ scalar_gradient(spec, f, p)
-
-    return VectorField(value=value)
+    return VectorField(value=lambda p: gradient_vector(spec, f, p))
 
 
 def radial_log_model(n: int = 3) -> RadialModel:

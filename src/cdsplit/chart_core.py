@@ -121,15 +121,19 @@ DensitySpec = Union[ScalarField, VectorField]
 # domain guards and finite differences
 # ---------------------------------------------------------------------------
 
+def in_domain(spec: MetricSpec, p: Point, radius: np.ndarray | float = 0.0) -> bool:
+    """Whether the box p +- radius lies inside spec.domain (always, without one)."""
+    if spec.domain is None:
+        return True
+    lo, hi = spec.domain[:, 0], spec.domain[:, 1]
+    return not (np.any(p - radius < lo) or np.any(p + radius > hi))
+
+
 def check_domain(spec: MetricSpec, p: Point, radius: np.ndarray | float = 0.0) -> None:
     """Raise ChartDomain unless the box p +- radius lies inside spec.domain."""
-    if spec.domain is None:
-        return
-    r = np.broadcast_to(np.asarray(radius, dtype=float), p.shape)
-    lo, hi = spec.domain[:, 0], spec.domain[:, 1]
-    if np.any(p - r < lo) or np.any(p + r > hi):
+    if not in_domain(spec, p, radius):
         raise ChartDomain(
-            f"stencil around {p} (radius {np.max(r):.3g}) leaves chart domain of "
+            f"stencil around {p} (radius {np.max(radius):.3g}) leaves chart domain of "
             f"{spec.name or 'metric'}"
         )
 

@@ -7,7 +7,7 @@ Subcommands: curvature, verify-cd, threshold, riccati, geodesic, compare,
 bochner, suite.  Exit codes: 0 = all checks pass, 1 = violation found,
 2 = usage or parse error.  Given the same manifest and seed the written
 reports are byte-identical across runs (no timestamps, 17-significant-digit
-floats, LF line endings).  CDSPLIT_THREADS caps grid parallelism.
+floats, LF line endings).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import hashlib
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -37,14 +36,16 @@ from .geodesic_flow import (
     normalize_velocity,
     write_trace_csv,
 )
-from .manifest import ManifoldManifest, build_geometry, grid_center, parse_manifest
-from .warped_products import (
-    SphereFiber,
-    riccati_obstruction,
-    split_cd_threshold,
-    twisted_ricci_analytic,
+from .manifest import (
+    ManifoldManifest,
+    build_geometry,
+    cd_grid,
+    grid_center,
+    parse_manifest,
+    sample_points,
 )
-from .weighted_curvature import GridSpec, box_grid, cd_verify, generalized_ricci, split_grid
+from .warped_products import riccati_obstruction, split_cd_threshold, twisted_ricci_analytic
+from .weighted_curvature import cd_verify, generalized_ricci
 
 TOOL = "cdsplit"
 
@@ -111,84 +112,13 @@ class Reporter:
 
 
 # ---------------------------------------------------------------------------
-# grids
-# ---------------------------------------------------------------------------
-
-def _cd_grid(manifest: ManifoldManifest, geo) -> GridSpec:
-    g = manifest.grid
-    if manifest.kind == "radial_model":
-        cmp_block = manifest.extras.get("compare", {})
-        lo = cmp_block.get("rho_min", 0.1)
-        hi = cmp_block.get("rho_max", 10.0)
-        count = cmp_block.get("count", 100)
-        return geo["model"].cd_grid(np.linspace(lo, hi, count))
-    if manifest.kind == "split":
-        return split_grid(geo["split"], r_range=(g["r_min"], g["r_max"]),
-                          r_count=g["r_count"], fiber_count=g["fiber_count"])
-    if manifest.kind == "twisted":
-        fiber = geo["twisted"].fiber
-        box = np.asarray(fiber.safe_box, dtype=float)
-        if g["y_min"] is not None and g["y_max"] is not None:
-            box = np.array([[g["y_min"], g["y_max"]]] * fiber.dim)
-        inset = 0.02 * (box[:, 1] - box[:, 0])
-        bounds = np.vstack([[g["r_min"], g["r_max"]],
-                            np.stack([box[:, 0] + inset, box[:, 1] - inset], axis=-1)])
-        counts = [g["r_count"]] + [g["fiber_count"]] * fiber.dim
-        return box_grid(bounds, counts)
-    # general chart: r range plus shared y bounds (default [-3, 3])
-    y_lo = g["y_min"] if g["y_min"] is not None else -3.0
-    y_hi = g["y_max"] if g["y_max"] is not None else 3.0
-    bounds = np.vstack([[g["r_min"], g["r_max"]],
-                        [[y_lo, y_hi]] * (manifest.dim - 1)])
-    counts = [g["r_count"]] + [g["fiber_count"]] * (manifest.dim - 1)
-    return box_grid(bounds, counts)
-
-
-def _sample_points(manifest: ManifoldManifest, geo, count: int, seed: int,
-                   r_limit: float | None = None) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    g = manifest.grid
-    pts = np.empty((count, manifest.dim))
-    if manifest.kind == "radial_model":
-        cmp_block = manifest.extras.get("compare", {})
-        lo, hi = cmp_block.get("rho_min", 0.1), cmp_block.get("rho_max", 10.0)
-        if r_limit is not None:
-            hi = min(hi, r_limit)
-        pts[:] = 0.0
-        pts[:, 0] = rng.uniform(lo, hi, count)
-        return pts
-    r_lo, r_hi = g["r_min"], g["r_max"]
-    if r_limit is not None:
-        r_lo, r_hi = max(r_lo, -r_limit), min(r_hi, r_limit)
-    pts[:, 0] = rng.uniform(r_lo, r_hi, count)
-    if manifest.kind in ("split", "twisted"):
-        fiber = geo["split"].fiber if manifest.kind == "split" else geo["twisted"].fiber
-        box = np.asarray(fiber.safe_box, dtype=float)
-        pad = 0.1 * (box[:, 1] - box[:, 0])
-        lo, hi = box[:, 0] + pad, box[:, 1] - pad
-        if r_limit is not None and isinstance(fiber, SphereFiber):
-            # stay where the stereographic chart is well conditioned: beyond
-            # |y| = R the chart stretch amplifies finite-difference truncation
-            R = math.sqrt(fiber.radius_sq)
-            lo, hi = np.maximum(lo, -R), np.minimum(hi, R)
-        for j in range(manifest.dim - 1):
-            pts[:, 1 + j] = rng.uniform(lo[j], hi[j], count)
-    else:
-        y_lo = g["y_min"] if g["y_min"] is not None else -3.0
-        y_hi = g["y_max"] if g["y_max"] is not None else 3.0
-        for j in range(manifest.dim - 1):
-            pts[:, 1 + j] = rng.uniform(y_lo, y_hi, count)
-    return pts
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_curvature(manifest, geo, rep: Reporter) -> int:
     spec = geo["spec"]
     pts = np.vstack([grid_center(manifest)[None, :],
-                     _sample_points(manifest, geo, 8, rep.seed)])
+                     sample_points(manifest, 8, rep.seed)])
     closed_form = geo.get("twisted") or (geo["split"].as_twisted() if "split" in geo else None)
     n = manifest.dim
     cols = ["point_" + c for c in spec.coords()]
@@ -222,7 +152,7 @@ def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
     if not manifest.cd:
         print("verify-cd needs a [cd] block in the manifest", file=sys.stderr)
         return 2
-    grid = _cd_grid(manifest, geo)
+    grid = cd_grid(manifest, geo)
     report = cd_verify(geo["spec"], geo["density"], manifest.cd["lambda"],
                        manifest.cd["N"], grid, tol=manifest.numeric["tol_cd"])
     n_label = "inf" if math.isinf(report.N) else f"{report.N:g}"
@@ -327,7 +257,7 @@ def _cmd_compare(manifest, geo, rep: Reporter) -> int:
     if "model" not in geo:
         print("compare applies to radial_model manifests only", file=sys.stderr)
         return 2
-    params = manifest.extras.get("compare", {"rho_min": 0.1, "rho_max": 10.0, "count": 100})
+    params = manifest.extras["compare"]
     rho = np.linspace(params["rho_min"], params["rho_max"], params["count"])
     try:
         samples = radial_comparison_check(geo["model"], rho)
@@ -368,7 +298,7 @@ def _cmd_bochner(manifest, geo, rep: Reporter) -> int:
     rng = np.random.default_rng(rep.seed)
     # coordinate-scaled steps budget the 1e-4 tolerance for desk-scale
     # coordinates, so sampling stays inside |r| <= 3
-    pts = _sample_points(manifest, geo, count, rep.seed + 1, r_limit=3.0)
+    pts = sample_points(manifest, count, rep.seed + 1, r_limit=3.0)
     rows = []
     worst = 0.0
     for p in pts:
@@ -495,13 +425,6 @@ def main(argv=None) -> None:
     parser.add_argument("--grid-override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a [grid] or [numeric] entry")
     ns = parser.parse_args(argv)
-    if "CDSPLIT_THREADS" in os.environ:
-        # validated here so a typo fails fast rather than silently serializing
-        try:
-            int(os.environ["CDSPLIT_THREADS"])
-        except ValueError:
-            print("CDSPLIT_THREADS must be an integer", file=sys.stderr)
-            sys.exit(2)
     sys.exit(run(ns.subcommand, ns.manifest, ns.out, ns.seed, ns.grid_override))
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 from scipy.integrate import simpson
@@ -32,22 +32,22 @@ from .chart_core import (
     MetricSpec,
     Point,
     ScalarField,
-    VectorField,
     as_point,
+    as_scalar_field,
     first_partials,
     grad_norm_squared,
     gradient_vector,
     hessian_scalar,
     inverse_metric,
-    lie_derivative_metric,
     metric_at,
-    ricci_numeric,
     scalar_gradient,
     weighted_laplacian,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
-from .warped_products import SplitSpaceSpec
-from .weighted_curvature import GridSpec, cd_verify
+from .weighted_curvature import GridSpec, cd_verify, generalized_ricci, inset_box, sample_box
+
+if TYPE_CHECKING:
+    from .warped_products import SplitSpaceSpec
 
 
 # ---------------------------------------------------------------------------
@@ -212,14 +212,6 @@ def _weighted_lap_field(spec: MetricSpec, density: DensitySpec, h: ScalarField) 
     return ScalarField(value=lambda q: weighted_laplacian(spec, density, h, q))
 
 
-def _ricci_infinity(spec: MetricSpec, density: DensitySpec, p: Point) -> np.ndarray:
-    if isinstance(density, ScalarField):
-        return ricci_numeric(spec, p) + hessian_scalar(spec, density, p)
-    if isinstance(density, VectorField):
-        return ricci_numeric(spec, p) + 0.5 * lie_derivative_metric(spec, density, p)
-    raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
-
-
 def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> float:
     """|LHS - RHS| of the weighted Bochner identity at p:
 
@@ -230,8 +222,6 @@ def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> flo
     variant).  Derived fields are differenced at the coarse step to keep the
     third-derivative noise inside the 1e-4 budget.
     """
-    from .chart_core import as_scalar_field
-
     h = as_scalar_field(h)
     p = as_point(p, spec.dim)
     coarse = spec.fd.h3
@@ -244,7 +234,7 @@ def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> flo
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))
 
     gradv = gradient_vector(spec, h, p)
-    ric_term = float(gradv @ _ricci_infinity(spec, density, p) @ gradv)
+    ric_term = float(gradv @ generalized_ricci(spec, density, math.inf, p) @ gradv)
 
     q_field = _weighted_lap_field(spec, density, h)
     steps = spec.fd.scaled(p, coarse)
@@ -266,8 +256,6 @@ def bochner_inequality_margin(spec: MetricSpec, density: DensitySpec, K: float, 
     cd_verify).  Raises NotDistanceFunction unless |grad h| = 1 within 1e-6.
     Only scalar densities carry a pointwise potential e^{f/m}.
     """
-    from .chart_core import as_scalar_field
-
     if not isinstance(density, ScalarField):
         raise TypeError("the inequality margin needs a scalar density")
     if not 1 <= m <= spec.dim:
@@ -363,19 +351,12 @@ def _r_coordinate_field(n: int, sign: float = 1.0) -> ScalarField:
 def rigidity_check(split: SplitSpaceSpec, points=None, n_points: int = 50,
                    seed: int = 0, r_range=(-5.0, 5.0)) -> RigidityReport:
     """Verify the split-space rigidity identities at sampled points."""
-    from .weighted_curvature import generalized_ricci
-
     spec = split.metric_spec()
     density = split.density()
     n = split.n
     if points is None:
-        rng = np.random.default_rng(seed)
-        box = split.fiber.safe_box
-        inset = 0.05 * (box[:, 1] - box[:, 0])
-        pts = np.empty((n_points, n))
-        pts[:, 0] = rng.uniform(r_range[0], r_range[1], n_points)
-        for j in range(n - 1):
-            pts[:, 1 + j] = rng.uniform(box[j, 0] + inset[j], box[j, 1] - inset[j], n_points)
+        bounds = np.vstack([r_range, inset_box(split.fiber.safe_box, 0.05)])
+        pts = sample_box(bounds, n_points, seed)
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
 

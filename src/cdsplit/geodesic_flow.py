@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -25,11 +26,14 @@ from .chart_core import (
     VectorField,
     as_point,
     gamma_evaluator,
+    in_domain,
     metric_at,
     scalar_gradient,
 )
-from .errors import EmptyTrace, NonFinite, StepOverflow
-from .warped_products import SplitSpaceSpec
+from .errors import CdsplitError, EmptyTrace, NonFinite, StepOverflow
+
+if TYPE_CHECKING:
+    from .warped_products import SplitSpaceSpec
 
 VELOCITY_GUARD = 1e8
 
@@ -68,11 +72,18 @@ def normalize_velocity(spec: MetricSpec, p: Point, v) -> np.ndarray:
     return v / s
 
 
-def _in_domain(spec: MetricSpec, x: np.ndarray, margin: np.ndarray) -> bool:
-    if spec.domain is None:
-        return True
-    lo, hi = spec.domain[:, 0], spec.domain[:, 1]
-    return bool(np.all(x - margin >= lo) and np.all(x + margin <= hi))
+def rk4_step(acc, x, u, dt: float):
+    """One classical RK4 step of the second-order system x' = u, u' = acc(x, u);
+    returns the new (x, u)."""
+    k1x, k1u = u, acc(x, u)
+    x2, u2 = x + 0.5 * dt * k1x, u + 0.5 * dt * k1u
+    k2x, k2u = u2, acc(x2, u2)
+    x3, u3 = x + 0.5 * dt * k2x, u + 0.5 * dt * k2u
+    k3x, k3u = u3, acc(x3, u3)
+    x4, u4 = x + dt * k3x, u + dt * k3u
+    k4x, k4u = u4, acc(x4, u4)
+    return (x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
 
 
 def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> GeodesicTrace:
@@ -103,31 +114,21 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
     x, u = p0.copy(), v0.copy()
     truncated = False
     k_end = nsteps
-    from .errors import CdsplitError
-
     for k in range(nsteps):
         try:
-            k1x, k1u = u, acc(x, u)
-            x2, u2 = x + 0.5 * dt * k1x, u + 0.5 * dt * k1u
-            k2x, k2u = u2, acc(x2, u2)
-            x3, u3 = x + 0.5 * dt * k2x, u + 0.5 * dt * k2u
-            k3x, k3u = u3, acc(x3, u3)
-            x4, u4 = x + dt * k3x, u + dt * k3u
-            k4x, k4u = u4, acc(x4, u4)
+            x_new, u_new = rk4_step(acc, x, u, dt)
         except (CdsplitError, ValueError, np.linalg.LinAlgError):
             # a stage left the chart: treat as domain exit when the last
             # accepted point already sits at the boundary margin, else re-raise
-            if not _in_domain(spec, x, 2.0 * margin):
+            if not in_domain(spec, x, 2.0 * margin):
                 truncated, k_end = True, k
                 break
             raise
-        x_new = x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        u_new = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
         if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
             raise NonFinite(f"geodesic state non-finite at t = {(k + 1) * dt:.6g}")
         if float(np.max(np.abs(u_new))) >= VELOCITY_GUARD:
             raise StepOverflow(f"geodesic velocity guard exceeded at t = {(k + 1) * dt:.6g}")
-        if not _in_domain(spec, x_new, margin):
+        if not in_domain(spec, x_new, margin):
             truncated, k_end = True, k
             break
         x, u = x_new, u_new

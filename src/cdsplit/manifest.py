@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .chart_core import MetricSpec, ScalarField, VectorField
+from .chart_core import FDSteps, MetricSpec, ScalarField, VectorField, metric_at
 from .comparison_suite import RadialModel
 from .errors import ParseError, ValidationError
 from .warped_products import (
@@ -29,6 +29,7 @@ from .warped_products import (
     TorusFiber,
     TwistedProductSpec,
 )
+from .weighted_curvature import GridSpec, box_grid, inset_box, product_grid, sample_box, split_grid
 
 # ---------------------------------------------------------------------------
 # expression grammar
@@ -583,7 +584,7 @@ def parse_manifest(path) -> ManifoldManifest:
             "y0p": _float_value(sections, "riccati", "y0p", 0.0),
             "t_max": _float_value(sections, "riccati", "t_max", 3.0),
         }
-    if "compare" in sections:
+    if "compare" in sections or kind == "radial_model":
         extras["compare"] = {
             "rho_min": _float_value(sections, "compare", "rho_min", 0.1),
             "rho_max": _float_value(sections, "compare", "rho_max", 10.0),
@@ -674,26 +675,75 @@ def _parse_metric(sections, dim, variables):
 
 
 # ---------------------------------------------------------------------------
-# manifest -> geometry objects
+# manifest -> grids, sample points and geometry objects
 # ---------------------------------------------------------------------------
 
+def fiber_box(manifest: ManifoldManifest) -> np.ndarray:
+    """Fiber coordinate bounds, one (lo, hi) row per fiber axis:
+    [y_min, y_max] when both are set, else the fiber's safe box, which is
+    [-3, 3] per axis on general charts."""
+    g = manifest.grid
+    if g["y_min"] is not None and g["y_max"] is not None:
+        return np.array([[g["y_min"], g["y_max"]]] * (manifest.dim - 1))
+    if "fiber" in manifest.blocks:
+        return np.asarray(manifest.blocks["fiber"].safe_box, dtype=float)
+    return np.array([[-3.0, 3.0]] * (manifest.dim - 1))
+
+
 def grid_center(manifest: ManifoldManifest) -> np.ndarray:
-    r_mid = 0.5 * (manifest.grid["r_min"] + manifest.grid["r_max"])
     if manifest.kind == "radial_model":
-        cmp_block = manifest.extras.get("compare", {"rho_min": 0.1, "rho_max": 10.0})
-        mid = 0.5 * (cmp_block["rho_min"] + cmp_block["rho_max"])
+        cmp_block = manifest.extras["compare"]
         out = np.zeros(manifest.dim)
-        out[0] = mid
+        out[0] = 0.5 * (cmp_block["rho_min"] + cmp_block["rho_max"])
         return out
-    if manifest.kind in ("split", "twisted"):
-        fiber = manifest.blocks["fiber"]
-        box = fiber.safe_box
-        return np.concatenate([[r_mid], 0.5 * (box[:, 0] + box[:, 1])])
-    y_lo = manifest.grid["y_min"] if manifest.grid["y_min"] is not None else -3.0
-    y_hi = manifest.grid["y_max"] if manifest.grid["y_max"] is not None else 3.0
-    out = np.full(manifest.dim, 0.5 * (y_lo + y_hi))
-    out[0] = r_mid
-    return out
+    box = fiber_box(manifest)
+    r_mid = 0.5 * (manifest.grid["r_min"] + manifest.grid["r_max"])
+    return np.concatenate([[r_mid], 0.5 * (box[:, 0] + box[:, 1])])
+
+
+def cd_grid(manifest: ManifoldManifest, geo) -> GridSpec:
+    """The verify-cd grid: the [compare] radii on radial models, else r_count
+    radii times fiber_count points per axis of the fiber box, inset 2% on
+    product charts."""
+    g = manifest.grid
+    if manifest.kind == "radial_model":
+        cmp_block = manifest.extras["compare"]
+        rho = np.linspace(cmp_block["rho_min"], cmp_block["rho_max"], cmp_block["count"])
+        return geo["model"].cd_grid(rho)
+    r_range = (g["r_min"], g["r_max"])
+    box = fiber_box(manifest)
+    if manifest.kind == "split":
+        return split_grid(geo["split"], r_range, g["r_count"], g["fiber_count"], box)
+    if manifest.kind == "twisted":
+        return product_grid(r_range, box, g["r_count"], g["fiber_count"])
+    return box_grid(np.vstack([r_range, box]),
+                    [g["r_count"]] + [g["fiber_count"]] * (manifest.dim - 1))
+
+
+def sample_points(manifest: ManifoldManifest, count: int, seed: int,
+                  r_limit: float | None = None) -> np.ndarray:
+    """Seeded uniform points: rho on the radial ray for radial models, else r
+    in the grid range times the fiber box, inset 10% on product charts.
+    ``r_limit`` clips r (or rho) to |r| <= r_limit."""
+    if manifest.kind == "radial_model":
+        cmp_block = manifest.extras["compare"]
+        hi = cmp_block["rho_max"] if r_limit is None else min(cmp_block["rho_max"], r_limit)
+        # a zero-width box keeps the other coordinates at 0, on the ray rho * e_1
+        bounds = [[cmp_block["rho_min"], hi]] + [[0.0, 0.0]] * (manifest.dim - 1)
+        return sample_box(bounds, count, seed)
+    r_lo, r_hi = manifest.grid["r_min"], manifest.grid["r_max"]
+    if r_limit is not None:
+        r_lo, r_hi = max(r_lo, -r_limit), min(r_hi, r_limit)
+    box = fiber_box(manifest)
+    fiber = manifest.blocks.get("fiber")
+    if fiber is not None:
+        box = inset_box(box, 0.1)
+        if r_limit is not None and isinstance(fiber, SphereFiber):
+            # stay where the stereographic chart is well conditioned: beyond
+            # |y| = R the chart stretch amplifies finite-difference truncation
+            R = math.sqrt(fiber.radius_sq)
+            box = np.clip(box, -R, R)
+    return sample_box(np.vstack([[r_lo, r_hi], box]), count, seed)
 
 
 def _density_field(manifest: ManifoldManifest):
@@ -718,10 +768,6 @@ def build_geometry(manifest: ManifoldManifest):
     'model' (RadialModel).  The [numeric] fd overrides are threaded into
     every realized MetricSpec.
     """
-    import dataclasses
-
-    from .chart_core import FDSteps
-
     fd = FDSteps(h1=manifest.numeric["fd1"], h2=manifest.numeric["fd2"],
                  h3=manifest.numeric["fd3"])
     out = {}
@@ -758,7 +804,7 @@ def build_geometry(manifest: ManifoldManifest):
                             df=lambda rho: df(rho), d2f=lambda rho: d2f(rho),
                             name=manifest.name)
         out["model"] = model
-        out["spec"] = dataclasses.replace(model.metric_spec(), fd=fd)
+        out["spec"] = replace(model.metric_spec(), fd=fd)
         out["density"] = model.density()
     else:  # general
         entries = manifest.blocks["metric"]
@@ -798,8 +844,6 @@ def _trial_evaluate(manifest: ManifoldManifest) -> None:
     try:
         geo = build_geometry(manifest)
         if "spec" in geo:
-            from .chart_core import metric_at
-
             g = metric_at(geo["spec"], center)
             vals = np.linalg.eigvalsh(g)
             if vals[0] <= 0:

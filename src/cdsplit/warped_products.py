@@ -25,15 +25,19 @@ from .chart_core import (
     Point,
     ScalarField,
     as_point,
+    christoffel,
     first_partials,
     metric_at,
+    metric_partials_at,
     ricci_numeric,
+    second_partials,
 )
 from .errors import DivergentThreshold, NonFinite, StepOverflow
+from .geodesic_flow import VELOCITY_GUARD, rk4_step
+from .weighted_curvature import _check_N, generalized_ricci
 
 GOLDEN_WIDTH = 1e-10
 BLOW_UP_THRESHOLD = -50.0
-VELOCITY_GUARD = 1e8
 EXP_CAP = 500.0  # caps exponents inside the obstruction ODE so stages stay finite
 
 
@@ -188,13 +192,9 @@ class CustomFiber:
         return metric_at(self.spec, as_point(y, self.dim))
 
     def partials(self, y: np.ndarray) -> np.ndarray:
-        from .chart_core import metric_partials_at
-
         return metric_partials_at(self.spec, as_point(y, self.dim))
 
     def christoffel(self, y: np.ndarray) -> np.ndarray:
-        from .chart_core import christoffel
-
         return christoffel(self.spec, as_point(y, self.dim))
 
     def ricci(self, y: np.ndarray) -> np.ndarray:
@@ -390,8 +390,6 @@ def _psi_derivatives(spec: TwistedProductSpec, p: Point):
     if psi.hess is not None:
         hess = np.asarray(psi.hess(p), dtype=float)
     else:
-        from .chart_core import second_partials
-
         steps = spec.fd.scaled(p, spec.fd.h2)
         hess = second_partials(lambda q: float(psi.value(q)), p, steps)
     return grad, hess
@@ -568,7 +566,7 @@ class RiccatiReport:
 
 def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: float,
                            threshold: float, guard: float):
-    def acc(y: float) -> float:
+    def acc(y: float, v: float) -> float:
         return -a * math.exp(min(-2.0 * y, EXP_CAP))
 
     ts, ys, vs = [0.0], [y0], [y0p]
@@ -576,12 +574,7 @@ def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: fl
     nsteps = int(round(t_max / dt))
     hit = None
     for k in range(nsteps):
-        k1y, k1v = v, acc(y)
-        k2y, k2v = v + 0.5 * dt * k1v, acc(y + 0.5 * dt * k1y)
-        k3y, k3v = v + 0.5 * dt * k2v, acc(y + 0.5 * dt * k2y)
-        k4y, k4v = v + dt * k3v, acc(y + dt * k3y)
-        y = y + (dt / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        y, v = rk4_step(acc, y, v, dt)
         t = (k + 1) * dt
         if not (math.isfinite(y) and math.isfinite(v)):
             raise StepOverflow(f"non-finite ODE state at t = {t:.6g}")
@@ -641,13 +634,8 @@ def radial_identity_N(split: SplitSpaceSpec, N: float, r: float) -> tuple[float,
     ``((N-1)/((n-1)(n-N))) phi'(r)^2`` and the numeric value is the (r, r)
     component of the generalized Ricci tensor computed by finite differences.
     """
-    from .weighted_curvature import generalized_ricci
-
     n = split.n
-    if N == n:
-        from .errors import DimensionClash
-
-        raise DimensionClash(f"N = n = {n} leaves the N - n denominator zero")
+    _check_N(N, n)
     dphi = split.dphi(r)
     if math.isinf(N):
         analytic = -dphi ** 2 / (n - 1)

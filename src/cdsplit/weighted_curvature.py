@@ -16,9 +16,8 @@ violation was found at the sampled points; it is never a proof.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.linalg
@@ -31,13 +30,16 @@ from .chart_core import (
     VectorField,
     as_point,
     hessian_scalar,
+    inverse_metric,
     lie_derivative_metric,
     metric_at,
     ricci_numeric,
     scalar_gradient,
 )
 from .errors import DimensionClash, EmptyGrid, SingularMetric
-from .warped_products import SplitSpaceSpec
+
+if TYPE_CHECKING:
+    from .warped_products import SplitSpaceSpec
 
 TOL_CD = 1e-7
 
@@ -123,18 +125,38 @@ def box_grid(bounds, counts, description: str | None = None) -> GridSpec:
     return GridSpec(points=pts, description=description)
 
 
-def split_grid(split: SplitSpaceSpec, r_range=(-10.0, 10.0), r_count: int = 201,
-               fiber_count: int = 9) -> GridSpec:
-    """Default sampling grid on a split space: uniform in r, uniform box on
-    the fiber inset 2% from the safe box so stencils stay interior."""
-    box = np.asarray(split.fiber.safe_box, dtype=float)
-    inset = 0.02 * (box[:, 1] - box[:, 0])
-    fiber_bounds = np.stack([box[:, 0] + inset, box[:, 1] - inset], axis=-1)
+def inset_box(box, frac: float) -> np.ndarray:
+    """Shrink each (lo, hi) row of an (m, 2) box by frac of its width at both ends."""
+    box = np.asarray(box, dtype=float)
+    inset = frac * (box[:, 1] - box[:, 0])
+    return np.stack([box[:, 0] + inset, box[:, 1] - inset], axis=-1)
+
+
+def sample_box(bounds, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded uniform points in an (n, 2) box, drawn axis by axis."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.uniform(lo, hi, count) for lo, hi in np.asarray(bounds, dtype=float)],
+                    axis=-1)
+
+
+def product_grid(r_range, fiber_box, r_count: int, fiber_count: int,
+                 description: str | None = None) -> GridSpec:
+    """Grid on a product chart: uniform in r, uniform on the fiber box inset
+    2% so stencils stay interior."""
+    fiber_bounds = inset_box(fiber_box, 0.02)
     bounds = np.vstack([np.asarray(r_range, dtype=float), fiber_bounds])
-    counts = [r_count] + [fiber_count] * split.fiber.dim
+    counts = [r_count] + [fiber_count] * fiber_bounds.shape[0]
+    return box_grid(bounds, counts, description)
+
+
+def split_grid(split: SplitSpaceSpec, r_range=(-10.0, 10.0), r_count: int = 201,
+               fiber_count: int = 9, fiber_box=None) -> GridSpec:
+    """Default sampling grid on a split space: a product grid over the
+    fiber's safe box, or over ``fiber_box`` when given."""
+    box = split.fiber.safe_box if fiber_box is None else fiber_box
     desc = (f"r in [{r_range[0]:g},{r_range[1]:g}] x {r_count}, fiber box "
             f"{fiber_count} per axis (2% inset)")
-    return GridSpec(points=box_grid(bounds, counts).points, description=desc)
+    return product_grid(r_range, box, r_count, fiber_count, desc)
 
 
 @dataclass(frozen=True)
@@ -159,37 +181,20 @@ class CDReport:
     caveat: str = CD_CAVEAT
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("CDSPLIT_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
               grid: GridSpec, tol: float = TOL_CD) -> CDReport:
     """Evaluate the minimum relative eigenvalue of Ric^N - lambda g over the
-    grid.  Deterministic given the grid; grid evaluation may be parallel
-    (CDSPLIT_THREADS) but results merge in grid order."""
+    grid, point by point in grid order; deterministic given the grid."""
     _check_N(N, spec.dim)
     pts = grid.points
     if pts.shape[0] == 0:
         raise EmptyGrid("cd_verify needs a nonempty grid")
 
-    def one(i: int) -> float:
-        p = pts[i]
+    def one(p: Point) -> float:
         form = generalized_ricci(spec, density, N, p) - lam * metric_at(spec, p)
         return min_relative_eigenvalue(form, metric_at(spec, p))
 
-    nthreads = _thread_count()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            mins = np.fromiter(pool.map(one, range(pts.shape[0])), dtype=float,
-                               count=pts.shape[0])
-    else:
-        mins = np.fromiter((one(i) for i in range(pts.shape[0])), dtype=float,
-                           count=pts.shape[0])
+    mins = np.fromiter((one(p) for p in pts), dtype=float, count=pts.shape[0])
 
     k = int(np.argmin(mins))
     mn = float(mins[k])
@@ -229,8 +234,6 @@ def weighted_mean_curvature(split: SplitSpaceSpec, r0: float,
         grad=lambda q: np.eye(n)[0],
         hess=lambda q: np.zeros((n, n)),
     )
-    from .chart_core import inverse_metric
-
     H = float(np.sum(inverse_metric(spec, p) * hessian_scalar(spec, r_field, p)))
     if isinstance(density, ScalarField):
         drift = float(scalar_gradient(spec, density, p)[0])

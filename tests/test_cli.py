@@ -133,6 +133,17 @@ class TestExitCodes:
         text = (tmp_path / "out" / "cd_report.txt").read_text()
         assert "x 41" in text
 
+    def test_split_fiber_range_override(self, tmp_path):
+        man = make_split(tmp_path, THRESHOLD + 0.01)
+        overrides = ["r_count=11", "fiber_count=3", "y_min=-1", "y_max=1"]
+        assert run("verify-cd", man, tmp_path / "out", grid_overrides=overrides) == 0
+        lines = (tmp_path / "out" / "cd_samples.csv").read_text().splitlines()
+        header, *rows = [l for l in lines if not l.startswith("#")]
+        assert header.split(",")[1:3] == ["point_y1", "point_y2"]
+        assert len(rows) == 11 * 3 * 3
+        for row in rows:
+            assert all(-1.0 <= float(y) <= 1.0 for y in row.split(",")[1:3]), row
+
     def test_bad_override_exit_2(self, tmp_path):
         man = make_split(tmp_path, 1.0)
         assert run("verify-cd", man, tmp_path / "out",
