@@ -233,10 +233,6 @@ def radial_log_model(n: int = 3) -> RadialModel:
     )
 
 
-def radial_model_from_callables(n: int, f, df, d2f, name: str = "radial model") -> RadialModel:
-    return RadialModel(n=n, f=f, df=df, d2f=d2f, name=name)
-
-
 def unweighted_model(n: int = 3) -> RadialModel:
     """Flat R^n with vanishing density (classical comparison, zero slack)."""
     return RadialModel(n=n, f=lambda rho: 0.0, df=lambda rho: 0.0,

@@ -5,7 +5,9 @@
 
 Subcommands: curvature, verify-cd, threshold, riccati, geodesic, compare,
 bochner, suite.  Exit codes: 0 = all checks pass, 1 = violation found,
-2 = usage or parse error.  Given the same manifest and seed the written
+2 = usage or parse error.  ``--grid-override`` sets a [grid] or [numeric]
+key; ``parse_manifest`` applies it before validation, so it gets the same
+checks as a value in the file.  Given the same manifest and seed the written
 reports are byte-identical across runs (no timestamps, 17-significant-digit
 floats, LF line endings).
 """
@@ -13,7 +15,6 @@ floats, LF line endings).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import math
 import sys
@@ -195,8 +196,7 @@ def _cmd_threshold(manifest, geo, rep: Reporter) -> int:
 
 
 def _cmd_riccati(manifest, geo, rep: Reporter) -> int:
-    params = manifest.extras.get("riccati",
-                                 {"a": 1.0, "y0": 0.0, "y0p": 0.0, "t_max": 3.0})
+    params = manifest.extras["riccati"]
     out = riccati_obstruction(params["a"], params["y0"], params["y0p"],
                               params["t_max"], dt=manifest.numeric["dt"])
     body = [
@@ -218,21 +218,18 @@ def _cmd_riccati(manifest, geo, rep: Reporter) -> int:
 
 def _cmd_geodesic(manifest, geo, rep: Reporter) -> int:
     spec = geo["spec"]
-    params = manifest.extras.get("geodesic")
-    if params is None:
+    params = manifest.extras["geodesic"]
+    if "start" in params:
+        p0, v_seed = params["start"], params["velocity"]
+    else:
         p0 = grid_center(manifest)
         v_seed = np.zeros(manifest.dim)
         v_seed[0] = 1.0
-        T = 10.0
-    else:
-        p0 = params["start"]
-        v_seed = params["velocity"]
-        T = params["T"]
     if manifest.kind == "radial_model" and float(np.linalg.norm(p0)) < 1e-12:
         p0 = p0.copy()
         p0[0] = 0.1  # keep clear of the density's radial singularity at the origin
     v0 = normalize_velocity(spec, p0, v_seed)
-    trace = geodesic_integrate(spec, p0, v0, T=T, dt=manifest.numeric["dt"])
+    trace = geodesic_integrate(spec, p0, v0, T=params["T"], dt=manifest.numeric["dt"])
     clairaut = None
     clairaut_drift = None
     if "split" in geo:
@@ -294,7 +291,7 @@ def _random_cubic_field(rng, dim: int, scale: float = 0.5) -> ScalarField:
 
 
 def _cmd_bochner(manifest, geo, rep: Reporter) -> int:
-    count = manifest.extras.get("bochner", {}).get("points", 20)
+    count = manifest.extras["bochner"]["points"]
     rng = np.random.default_rng(rep.seed)
     # coordinate-scaled steps budget the 1e-4 tolerance for desk-scale
     # coordinates, so sampling stays inside |r| <= 3
@@ -320,6 +317,8 @@ def _cmd_suite(manifest, geo, rep: Reporter) -> int:
     def run_step(name, fn):
         try:
             code = fn(manifest, geo, rep)
+        except ValidationError:
+            raise  # a usage error, which run() reports with exit 2
         except CdsplitError as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             code = 1
@@ -369,28 +368,6 @@ _COMMANDS = {
 }
 
 
-def _apply_overrides(manifest: ManifoldManifest, overrides) -> ManifoldManifest:
-    grid = dict(manifest.grid)
-    numeric = dict(manifest.numeric)
-    for item in overrides or ():
-        if "=" not in item:
-            raise ValidationError("grid overrides look like key=value", key=item)
-        key, _, value = item.partition("=")
-        key = key.strip()
-        try:
-            num = float(value)
-        except ValueError as exc:
-            raise ValidationError(f"override value {value!r} is not numeric",
-                                  key=key) from exc
-        if key in grid:
-            grid[key] = int(num) if key.endswith("count") else num
-        elif key in numeric:
-            numeric[key] = num
-        else:
-            raise ValidationError("unknown override key", key=key)
-    return dataclasses.replace(manifest, grid=grid, numeric=numeric)
-
-
 def run(subcommand: str, manifest_path, out_dir=None, seed: int = 42,
         grid_overrides=()) -> int:
     """Programmatic entry point mirroring the command line; returns the exit
@@ -399,8 +376,7 @@ def run(subcommand: str, manifest_path, out_dir=None, seed: int = 42,
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
     try:
-        manifest = parse_manifest(manifest_path)
-        manifest = _apply_overrides(manifest, grid_overrides)
+        manifest = parse_manifest(manifest_path, grid_overrides)
         geo = build_geometry(manifest)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -411,7 +387,7 @@ def run(subcommand: str, manifest_path, out_dir=None, seed: int = 42,
         return _COMMANDS[subcommand](manifest, geo, rep)
     except CdsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ValidationError) else 1
 
 
 def main(argv=None) -> None:

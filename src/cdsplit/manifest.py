@@ -7,8 +7,8 @@ parentheses, the variables r and y1..y_{n-1}, the functions sin cos exp log
 sqrt cosh sinh, numeric literals).  Expressions are differentiated
 symbolically, so manifest-built geometries carry analytic partials.
 
-Unknown sections or keys are rejected; every expression is trial-evaluated
-at the grid center during validation.
+Unknown sections or keys are rejected, numbers must meet ``_NUMBERS``, and
+every expression is trial-evaluated at the grid center during validation.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field as dc_field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -368,21 +369,69 @@ def _read_sections(text: str) -> dict[str, dict[str, tuple[str, int]]]:
 
 KINDS = ("general", "split", "twisted", "radial_model")
 
+
+class _Number(NamedTuple):
+    """A numeric manifest key: its default (None when unset) and lower bound."""
+
+    default: float | int | None
+    bound: str = ""      # "> x" or ">= x"; empty when unbounded
+    whole: bool = False  # whole numbers only
+
+
+# Every numeric manifest key, read by ``_numbers``.  All values must be finite.
+_NUMBERS = {
+    "manifold": {"dim": _Number(None, ">= 2", whole=True)},
+    "fiber": {"einstein_constant": _Number(None, "> 0"), "box": _Number(None, "> 0")},
+    "grid": {
+        "r_min": _Number(-10.0),
+        "r_max": _Number(10.0),
+        "r_count": _Number(201, ">= 2", whole=True),
+        "fiber_count": _Number(9, ">= 1", whole=True),
+        "y_min": _Number(None),
+        "y_max": _Number(None),
+    },
+    "numeric": {
+        "dt": _Number(1e-3, "> 0"),
+        "tol_cd": _Number(1e-7, ">= 0"),
+        "fd1": _Number(1e-5, "> 0"),
+        "fd2": _Number(1e-4, "> 0"),
+        "fd3": _Number(1e-3, "> 0"),
+    },
+    "cd": {"lambda": _Number(0.0)},
+    "geodesic": {"T": _Number(10.0, "> 0")},
+    "riccati": {
+        "a": _Number(1.0, "> 0"),
+        "y0": _Number(0.0),
+        "y0p": _Number(0.0),
+        "t_max": _Number(3.0, "> 0"),
+    },
+    "compare": {
+        "rho_min": _Number(0.1, "> 0"),
+        "rho_max": _Number(10.0),
+        "count": _Number(100, ">= 1", whole=True),
+    },
+    "bochner": {"points": _Number(20, ">= 1", whole=True)},
+}
+
+# (section, low key, high key): low must be below high when both are set
+_ORDERED = (("grid", "r_min", "r_max"), ("grid", "y_min", "y_max"),
+            ("compare", "rho_min", "rho_max"))
+
 _SECTION_KEYS = {
-    "manifold": {"name", "kind", "dim"},
+    "manifold": {"name", "kind", *_NUMBERS["manifold"]},
     "phi": {"expr"},
     "psi": {"expr"},
     "f_L": {"expr"},
-    "fiber": {"type", "einstein_constant", "periods", "box"},
+    "fiber": {"type", "periods", *_NUMBERS["fiber"]},
     "density": None,  # f or X1..Xn, checked dynamically
     "metric": None,   # gij entries, checked dynamically
-    "grid": {"r_min", "r_max", "r_count", "fiber_count", "y_min", "y_max"},
-    "numeric": {"dt", "tol_cd", "fd1", "fd2", "fd3"},
-    "cd": {"lambda", "N"},
-    "geodesic": {"start", "velocity", "T"},
-    "riccati": {"a", "y0", "y0p", "t_max"},
-    "compare": {"rho_min", "rho_max", "count"},
-    "bochner": {"points"},
+    "grid": set(_NUMBERS["grid"]),
+    "numeric": set(_NUMBERS["numeric"]),
+    "cd": {"N", *_NUMBERS["cd"]},
+    "geodesic": {"start", "velocity", *_NUMBERS["geodesic"]},
+    "riccati": set(_NUMBERS["riccati"]),
+    "compare": set(_NUMBERS["compare"]),
+    "bochner": set(_NUMBERS["bochner"]),
 }
 
 _KIND_REQUIRED = {
@@ -415,65 +464,77 @@ class ManifoldManifest:
     source_text: str = ""
 
 
-def _float_value(sections, section, key, default=None, required=False):
-    sec = sections.get(section, {})
-    if key not in sec:
-        if required:
-            raise ValidationError("missing required key", key=f"[{section}] {key}")
-        return default
-    text, lineno = sec[key]
+def _number(text: str, key: str) -> float:
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ValidationError(f"expected a number, got {text!r}",
-                              key=f"[{section}] {key}") from exc
+        value = float(text)
+    except ValueError:
+        raise ValidationError(f"expected a number, got {text!r}", key=key) from None
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {text!r}", key=key)
+    return value
 
 
-def _int_value(sections, section, key, default=None, required=False):
-    v = _float_value(sections, section, key, default=default, required=required)
-    if v is None:
-        return None
-    if v != int(v):
-        raise ValidationError(f"expected an integer, got {v!r}", key=f"[{section}] {key}")
-    return int(v)
+def _numbers(sections, section) -> dict:
+    """The ``_NUMBERS`` keys of one section: parsed, checked against their
+    bounds, and set to their defaults where absent."""
+    values = {}
+    for key, spec in _NUMBERS[section].items():
+        if key not in sections.get(section, {}):
+            values[key] = spec.default
+            continue
+        name = f"[{section}] {key}"
+        text = sections[section][key][0]
+        value = _number(text, name)
+        if spec.whole:
+            if value != int(value):
+                raise ValidationError(f"expected a whole number, got {text!r}", key=name)
+            value = int(value)
+        if spec.bound:
+            op, low = spec.bound.split()
+            if not (value > float(low) if op == ">" else value >= float(low)):
+                raise ValidationError(f"must be {spec.bound}, got {text!r}", key=name)
+        values[key] = value
+    return values
 
 
-def _float_list(sections, section, key, required=False):
-    sec = sections.get(section, {})
-    if key not in sec:
-        if required:
-            raise ValidationError("missing required key", key=f"[{section}] {key}")
-        return None
-    text, lineno = sec[key]
-    try:
-        return [float(part) for part in text.split(",")]
-    except ValueError as exc:
-        raise ValidationError(f"expected comma-separated numbers, got {text!r}",
-                              key=f"[{section}] {key}") from exc
+def _float_list(sections, section, key):
+    if key not in sections[section]:
+        raise ValidationError("missing required key", key=f"[{section}] {key}")
+    return [_number(part.strip(), f"[{section}] {key}")
+            for part in sections[section][key][0].split(",")]
 
 
-def parse_manifest(path) -> ManifoldManifest:
-    """Read, parse, and validate a manifest file (strict keys, trial
-    evaluation of every expression at the grid center)."""
+def parse_manifest(path, overrides=()) -> ManifoldManifest:
+    """Read, parse, and validate a manifest file (strict keys, bounded finite
+    numbers, trial evaluation of every expression at the grid center).
+
+    ``overrides`` are ``key=value`` strings for ``[grid]`` and ``[numeric]``
+    keys.  They replace the file's entries before validation, so they get
+    the same checks."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     sections = _read_sections(text)
+    for item in overrides:
+        key, eq, value = (part.strip() for part in item.partition("="))
+        section = next((s for s in ("grid", "numeric") if key in _NUMBERS[s]), None)
+        if not eq or section is None:
+            raise ValidationError("overrides take the form key=value, with a [grid] "
+                                  "or [numeric] key", key=item)
+        sections.setdefault(section, {})[key] = (value, 0)
 
     if "manifold" not in sections:
         raise ValidationError("missing required section", key="[manifold]")
     man = sections["manifold"]
-    for key in man:
-        if key not in _SECTION_KEYS["manifold"]:
-            raise ValidationError("unknown key", key=f"[manifold] {key}")
     if "kind" not in man:
         raise ValidationError("missing required key", key="[manifold] kind")
     kind = man["kind"][0]
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}",
                               key="[manifold] kind")
-    dim = _int_value(sections, "manifold", "dim", required=True)
-    if dim < 2:
-        raise ValidationError("dimension must be at least 2", key="[manifold] dim")
+    nums = {sec: _numbers(sections, sec) for sec in _NUMBERS}
+    dim = nums["manifold"]["dim"]
+    if dim is None:
+        raise ValidationError("missing required key", key="[manifold] dim")
     name = man.get("name", (f"unnamed-{kind}", 0))[0]
 
     # strict section and key checking
@@ -484,18 +545,13 @@ def parse_manifest(path) -> ManifoldManifest:
         if sec_name not in _SECTION_KEYS:
             raise ValidationError("unknown section", key=f"[{sec_name}]")
         allowed = _SECTION_KEYS[sec_name]
-        if allowed is None:
-            if sec_name == "density":
-                ok = {"f"} | set(vec_names)
-            else:  # metric
-                ok = {f"g{i + 1}{j + 1}" for i in range(dim) for j in range(dim)}
-            for key in content:
-                if key not in ok:
-                    raise ValidationError("unknown key", key=f"[{sec_name}] {key}")
-        else:
-            for key in content:
-                if key not in allowed:
-                    raise ValidationError("unknown key", key=f"[{sec_name}] {key}")
+        if sec_name == "density":
+            allowed = {"f"} | set(vec_names)
+        elif sec_name == "metric":
+            allowed = {f"g{i + 1}{j + 1}" for i in range(dim) for j in range(dim)}
+        for key in content:
+            if key not in allowed:
+                raise ValidationError("unknown key", key=f"[{sec_name}] {key}")
 
     for sec_name in _KIND_REQUIRED[kind]:
         if sec_name not in sections:
@@ -506,43 +562,23 @@ def parse_manifest(path) -> ManifoldManifest:
             raise ValidationError(f"kind {kind!r} does not accept section [{sec_name}]",
                                   key=f"[{sec_name}]")
 
-    # numeric and grid blocks
-    grid = {
-        "r_min": _float_value(sections, "grid", "r_min", -10.0),
-        "r_max": _float_value(sections, "grid", "r_max", 10.0),
-        "r_count": _int_value(sections, "grid", "r_count", 201),
-        "fiber_count": _int_value(sections, "grid", "fiber_count", 9),
-        "y_min": _float_value(sections, "grid", "y_min", None),
-        "y_max": _float_value(sections, "grid", "y_max", None),
-    }
-    if grid["r_min"] >= grid["r_max"]:
-        raise ValidationError("r_min must be below r_max", key="[grid] r_min")
-    numeric = {
-        "dt": _float_value(sections, "numeric", "dt", 1e-3),
-        "tol_cd": _float_value(sections, "numeric", "tol_cd", 1e-7),
-        "fd1": _float_value(sections, "numeric", "fd1", 1e-5),
-        "fd2": _float_value(sections, "numeric", "fd2", 1e-4),
-        "fd3": _float_value(sections, "numeric", "fd3", 1e-3),
-    }
+    for sec_name, low, high in _ORDERED:
+        lo, hi = nums[sec_name][low], nums[sec_name][high]
+        if lo is not None and hi is not None and lo >= hi:
+            raise ValidationError(f"{low} must be below {high}", key=f"[{sec_name}] {low}")
+    grid, numeric = nums["grid"], nums["numeric"]
 
     cd = {}
     if "cd" in sections:
-        lam = _float_value(sections, "cd", "lambda", 0.0)
         n_text = sections["cd"].get("N", ("1", 0))[0]
-        if n_text in ("inf", "+inf", "infinity"):
-            N = math.inf
-        else:
-            try:
-                N = float(n_text)
-            except ValueError as exc:
-                raise ValidationError(f"expected a number or 'inf', got {n_text!r}",
-                                      key="[cd] N") from exc
+        infinite = n_text.lower().lstrip("+") in ("inf", "infinity")
+        N = math.inf if infinite else _number(n_text, "[cd] N")
         if N == dim:
             raise ValidationError(
                 f"N = {n_text} equals the manifold dimension: the generalized-Ricci "
                 f"denominator N - n vanishes there, so the condition is undefined",
                 key="[cd] N")
-        cd = {"lambda": lam, "N": N}
+        cd = {"lambda": nums["cd"]["lambda"], "N": N}
 
     # expression blocks
     blocks: dict = {}
@@ -552,11 +588,11 @@ def parse_manifest(path) -> ManifoldManifest:
         if "f_L" in sections:
             expr_text, lineno = _require_expr(sections, "f_L")
             blocks["f_L"] = compile_expression(expr_text, y_names, lineno)
-        blocks["fiber"] = _parse_fiber(sections, fiber_dim)
+        blocks["fiber"] = _parse_fiber(sections, fiber_dim, nums["fiber"])
     elif kind == "twisted":
         expr_text, lineno = _require_expr(sections, "psi")
         blocks["psi"] = compile_expression(expr_text, ("r",) + y_names, lineno)
-        blocks["fiber"] = _parse_fiber(sections, fiber_dim)
+        blocks["fiber"] = _parse_fiber(sections, fiber_dim, nums["fiber"])
         if "density" in sections:
             blocks["density"] = _parse_density(sections, dim, ("r",) + y_names, vec_names)
     elif kind == "radial_model":
@@ -568,30 +604,21 @@ def parse_manifest(path) -> ManifoldManifest:
         blocks["metric"] = _parse_metric(sections, dim, ("r",) + y_names)
         blocks["density"] = _parse_density(sections, dim, ("r",) + y_names, vec_names)
 
-    extras = {}
+    if "fiber" in blocks and grid["y_min"] is not None and grid["y_max"] is not None:
+        box = blocks["fiber"].safe_box
+        low, high = box[:, 0].max(), box[:, 1].min()
+        if grid["y_min"] < low or grid["y_max"] > high:
+            raise ValidationError(f"[y_min, y_max] must lie inside the fiber's safe box "
+                                  f"[{low:g}, {high:g}]", key="[grid] y_min")
+
+    extras = {sec: nums[sec] for sec in ("geodesic", "riccati", "compare", "bochner")}
     if "geodesic" in sections:
-        start = _float_list(sections, "geodesic", "start", required=True)
-        velocity = _float_list(sections, "geodesic", "velocity", required=True)
+        start = _float_list(sections, "geodesic", "start")
+        velocity = _float_list(sections, "geodesic", "velocity")
         if len(start) != dim or len(velocity) != dim:
             raise ValidationError(f"start and velocity need {dim} components",
                                   key="[geodesic] start")
-        extras["geodesic"] = {"start": np.array(start), "velocity": np.array(velocity),
-                              "T": _float_value(sections, "geodesic", "T", 10.0)}
-    if "riccati" in sections:
-        extras["riccati"] = {
-            "a": _float_value(sections, "riccati", "a", 1.0),
-            "y0": _float_value(sections, "riccati", "y0", 0.0),
-            "y0p": _float_value(sections, "riccati", "y0p", 0.0),
-            "t_max": _float_value(sections, "riccati", "t_max", 3.0),
-        }
-    if "compare" in sections or kind == "radial_model":
-        extras["compare"] = {
-            "rho_min": _float_value(sections, "compare", "rho_min", 0.1),
-            "rho_max": _float_value(sections, "compare", "rho_max", 10.0),
-            "count": _int_value(sections, "compare", "count", 100),
-        }
-    if "bochner" in sections:
-        extras["bochner"] = {"points": _int_value(sections, "bochner", "points", 20)}
+        extras["geodesic"].update(start=np.array(start), velocity=np.array(velocity))
 
     manifest = ManifoldManifest(name=name, kind=kind, dim=dim, blocks=blocks, grid=grid,
                                 numeric=numeric, cd=cd, extras=extras, source_text=text)
@@ -606,32 +633,29 @@ def _require_expr(sections, sec_name):
     return sec["expr"]
 
 
-def _parse_fiber(sections, fiber_dim):
+def _parse_fiber(sections, fiber_dim, numbers):
     if "fiber" not in sections:
         raise ValidationError("missing required section", key="[fiber]")
     sec = sections["fiber"]
     if "type" not in sec:
         raise ValidationError("missing required key", key="[fiber] type")
     ftype = sec["type"][0]
-    box = _float_value(sections, "fiber", "box", None)
+    box = {} if numbers["box"] is None else {"box": numbers["box"]}  # else the type's default
     if ftype == "euclidean":
         if "einstein_constant" in sec or "periods" in sec:
             raise ValidationError("euclidean fibers take no curvature keys",
                                   key="[fiber] type")
-        return EuclideanFiber(dim=fiber_dim, box=box if box is not None else 10.0)
+        return EuclideanFiber(dim=fiber_dim, **box)
     if ftype == "sphere":
-        lam = _float_value(sections, "fiber", "einstein_constant", required=True)
-        if lam <= 0:
-            raise ValidationError("einstein_constant must be positive",
-                                  key="[fiber] einstein_constant")
-        return SphereFiber(dim=fiber_dim, einstein_constant=lam,
-                           box=box if box is not None else 3.0)
+        lam = numbers["einstein_constant"]
+        if lam is None:
+            raise ValidationError("missing required key", key="[fiber] einstein_constant")
+        return SphereFiber(dim=fiber_dim, einstein_constant=lam, **box)
     if ftype == "torus":
-        periods = _float_list(sections, "fiber", "periods", required=True)
+        periods = _float_list(sections, "fiber", "periods")
         if len(periods) != fiber_dim:
             raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
-        return TorusFiber(dim=fiber_dim, periods=tuple(periods),
-                          box=box if box is not None else 10.0)
+        return TorusFiber(dim=fiber_dim, periods=tuple(periods), **box)
     raise ValidationError(f"unknown fiber type {ftype!r}", key="[fiber] type")
 
 
@@ -724,17 +748,20 @@ def sample_points(manifest: ManifoldManifest, count: int, seed: int,
                   r_limit: float | None = None) -> np.ndarray:
     """Seeded uniform points: rho on the radial ray for radial models, else r
     in the grid range times the fiber box, inset 10% on product charts.
-    ``r_limit`` clips r (or rho) to |r| <= r_limit."""
+    ``r_limit`` clips r (or rho) to |r| <= r_limit, which must leave a range."""
     if manifest.kind == "radial_model":
         cmp_block = manifest.extras["compare"]
-        hi = cmp_block["rho_max"] if r_limit is None else min(cmp_block["rho_max"], r_limit)
+        key, r_lo, r_hi = "[compare] rho_min", cmp_block["rho_min"], cmp_block["rho_max"]
         # a zero-width box keeps the other coordinates at 0, on the ray rho * e_1
-        bounds = [[cmp_block["rho_min"], hi]] + [[0.0, 0.0]] * (manifest.dim - 1)
-        return sample_box(bounds, count, seed)
-    r_lo, r_hi = manifest.grid["r_min"], manifest.grid["r_max"]
+        box = np.zeros((manifest.dim - 1, 2))
+    else:
+        key, r_lo, r_hi = "[grid] r_min", manifest.grid["r_min"], manifest.grid["r_max"]
+        box = fiber_box(manifest)
     if r_limit is not None:
         r_lo, r_hi = max(r_lo, -r_limit), min(r_hi, r_limit)
-    box = fiber_box(manifest)
+        if r_lo >= r_hi:
+            raise ValidationError(f"the sampled range is empty: it is clipped to "
+                                  f"|r| <= {r_limit:g}", key=key)
     fiber = manifest.blocks.get("fiber")
     if fiber is not None:
         box = inset_box(box, 0.1)

@@ -1,6 +1,7 @@
 """Subcommand dispatch, exit codes, report determinism."""
 
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -149,6 +150,75 @@ class TestExitCodes:
         assert run("verify-cd", man, tmp_path / "out",
                    grid_overrides=["r_count=a lot"]) == 2
         assert run("verify-cd", man, tmp_path / "out", grid_overrides=["zoom=2"]) == 2
+
+
+def with_entries(text, section, entries):
+    """Manifest text with ``entries`` set in ``[section]``.  Keys are assumed
+    unique across the sections of ``text``."""
+    for key, value in entries.items():
+        line = f"{key} = {value}"
+        if re.search(rf"^{key} =", text, flags=re.M):
+            text = re.sub(rf"^{key} =.*$", line, text, flags=re.M)
+        elif f"[{section}]\n" in text:
+            text = text.replace(f"[{section}]\n", f"[{section}]\n{line}\n")
+        else:
+            text += f"\n[{section}]\n{line}\n"
+    return text
+
+
+# (manifest, subcommand, section, entries): each is a usage error, which
+# exits 2 whether written in the manifest or given with --grid-override
+BAD_NUMBERS = [
+    ("split", "verify-cd", "grid", {"r_count": "0"}),
+    ("split", "threshold", "grid", {"r_count": "2.7"}),
+    ("split", "verify-cd", "grid", {"fiber_count": "0"}),
+    ("split", "threshold", "grid", {"r_min": "5", "r_max": "-5"}),
+    ("split", "verify-cd", "grid", {"y_min": "1", "y_max": "-1"}),
+    ("split", "threshold", "grid", {"r_max": "inf"}),
+    ("split", "riccati", "numeric", {"dt": "0"}),
+    ("split", "riccati", "numeric", {"dt": "nan"}),
+    ("split", "geodesic", "numeric", {"dt": "-1e-3"}),
+    ("split", "verify-cd", "numeric", {"fd1": "0"}),
+    ("split", "verify-cd", "numeric", {"tol_cd": "-1"}),
+    ("split", "geodesic", "geodesic", {"T": "-1"}),
+    ("split", "riccati", "riccati", {"a": "-1"}),
+    ("split", "riccati", "riccati", {"t_max": "0"}),
+    ("split", "bochner", "bochner", {"points": "0"}),
+    ("radial_log", "compare", "compare", {"rho_min": "0"}),
+    ("radial_log", "compare", "compare", {"rho_min": "5", "rho_max": "1"}),
+    ("radial_log", "compare", "compare", {"count": "0"}),
+    ("twisted_flat", "verify-cd", "grid", {"y_min": "-5", "y_max": "5"}),
+    ("polar_general", "bochner", "grid", {"r_min": "4", "r_max": "6"}),
+]
+
+
+def _bad_number_cases():
+    for source, subcommand, section, entries in BAD_NUMBERS:
+        label = f"{source}-{subcommand}-" + "-".join(f"{k}={v}" for k, v in entries.items())
+        yield pytest.param(source, subcommand, section, entries, "text", id=label + "-text")
+        if section in ("grid", "numeric"):
+            yield pytest.param(source, subcommand, section, entries, "override",
+                               id=label + "-override")
+
+
+@pytest.mark.parametrize("source, subcommand, section, entries, form", _bad_number_cases())
+def test_bad_number_exit_2(tmp_path, capsys, source, subcommand, section, entries, form):
+    if source == "split":
+        text = SPLIT_FAST.format(lam=THRESHOLD + 0.01)
+    else:
+        text = (MANIFESTS / f"{source}.cdm").read_text()
+    overrides = []
+    if form == "text":
+        text = with_entries(text, section, entries)
+    else:
+        overrides = [f"{k}={v}" for k, v in entries.items()]
+    path = tmp_path / "m.cdm"
+    path.write_text(text)
+    code = run(subcommand, path, tmp_path / "out", grid_overrides=overrides)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
 
 
 class TestSuite:

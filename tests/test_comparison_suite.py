@@ -8,6 +8,7 @@ import pytest
 from cdsplit import catalog
 from cdsplit.chart_core import ScalarField, VectorField
 from cdsplit.comparison_suite import (
+    RadialModel,
     bochner_inequality_margin,
     bochner_residual,
     comparison_bound,
@@ -88,8 +89,8 @@ class TestRadialComparison:
             v_prev = s.v_integral
 
     def test_violating_model_refused(self):
-        model = catalog.radial_model_from_callables(
-            3, f=lambda rho: -rho ** 2, df=lambda rho: -2.0 * rho,
+        model = RadialModel(
+            n=3, f=lambda rho: -rho ** 2, df=lambda rho: -2.0 * rho,
             d2f=lambda rho: -2.0, name="concave density")
         with pytest.raises(CDViolation):
             radial_comparison_check(model, np.linspace(0.1, 3.0, 10))

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdsplit.errors import ParseError, ValidationError
 from cdsplit.manifest import (
@@ -239,3 +240,41 @@ class TestShippedManifests:
         a = christoffel(geo["spec"], p)
         b = christoffel(catalog.polar_plane(), p)
         assert np.max(np.abs(a - b)) < 1e-12
+
+
+OVERRIDE_KEYS = ("r_min", "r_max", "r_count", "fiber_count", "y_min", "y_max",
+                 "dt", "tol_cd", "fd1", "fd2", "fd3")
+
+
+@pytest.fixture(scope="module")
+def minimal_split_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("overrides") / "m.cdm"
+    path.write_text(MINIMAL_SPLIT)
+    return path
+
+
+# floats() also draws nan, +-inf, negatives and non-integers, but rarely
+# enough that the special values are drawn explicitly too; the small
+# integers make valid counts likely
+NUMBER_TEXT = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf]),
+                        st.integers(-2, 300)).map(str)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(OVERRIDE_KEYS), NUMBER_TEXT), max_size=6))
+def test_overrides_meet_bounds_or_raise(minimal_split_path, overrides):
+    try:
+        man = parse_manifest(minimal_split_path, [f"{k}={v}" for k, v in overrides])
+    except ValidationError:
+        return
+    g, num = man.grid, man.numeric
+    for key, text in dict(overrides).items():
+        assert (g if key in g else num)[key] == float(text)
+    assert all(v is None or math.isfinite(v) for v in [*g.values(), *num.values()])
+    assert isinstance(g["r_count"], int) and g["r_count"] >= 2
+    assert isinstance(g["fiber_count"], int) and g["fiber_count"] >= 1
+    assert g["r_min"] < g["r_max"]
+    if g["y_min"] is not None and g["y_max"] is not None:
+        assert -3.0 <= g["y_min"] < g["y_max"] <= 3.0  # inside the sphere fiber's box
+    assert min(num["dt"], num["fd1"], num["fd2"], num["fd3"]) > 0
+    assert num["tol_cd"] >= 0
