@@ -18,13 +18,31 @@ Conventions
   ``h2 * max(1, |x_k|)``, and derivatives of derived fields (third-order
   content) ``h3 * max(1, |x_k|)``.
 
+Evaluation path
+---------------
+``PointGeometry`` holds the metric data at one point (``g``, its Cholesky
+factor, the inverse metric, the partials ``D``), each evaluated on first use
+and then shared by the tensors built there; the public per-point functions
+are thin wrappers over it.  ``ricci_numeric`` takes the Christoffel symbols
+at its 2n+1 stencil points from one ``np.linalg.solve`` over the stack of
+metrics (``_gamma_stack``), and ``gamma_evaluator`` is the batch-of-one case
+of the same function.  Error messages name their point, but format it only
+when they are raised.
+
+Results are bit-identical to evaluating every tensor on its own.  That is
+why manifest expressions are evaluated with ``math`` on one point at a time
+and not with numpy ufuncs, which round differently on some inputs: the
+minimum of the shipped sphere grid is a four-way exact tie a few ulps below
+its neighbours, so any change in rounding can move the reported witness.
+
 Everything here is a pure function of immutable specs and is safe to call
-concurrently.
+concurrently; a ``PointGeometry`` belongs to the one call that made it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
@@ -138,9 +156,12 @@ def check_domain(spec: MetricSpec, p: Point, radius: np.ndarray | float = 0.0) -
         )
 
 
-def _finite(x, what: str):
+def _finite(x, what: str, p):
+    """Return x, or raise NonFinite naming ``what`` at ``p``.  The point is
+    formatted only when the error is raised: formatting an array costs more
+    than the check itself."""
     if not np.all(np.isfinite(x)):
-        raise NonFinite(f"non-finite values in {what}")
+        raise NonFinite(f"non-finite values in {what} at {p}")
     return x
 
 
@@ -195,27 +216,15 @@ def metric_at(spec: MetricSpec, p: Point) -> np.ndarray:
     g = np.asarray(spec.g(p), dtype=float)
     if g.shape != (spec.dim, spec.dim):
         raise ValueError(f"metric returned shape {g.shape}, expected ({spec.dim}, {spec.dim})")
-    _finite(g, f"metric at {p}")
+    _finite(g, "metric", p)
     if np.max(np.abs(g - g.T)) > SYMMETRY_TOL:
         raise ValueError(f"metric at {p} is not symmetric to {SYMMETRY_TOL:g}")
     return 0.5 * (g + g.T)
 
 
-def metric_cholesky(spec: MetricSpec, p: Point):
-    g = metric_at(spec, p)
-    try:
-        return cho_factor(g, lower=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
-        raise SingularMetric(f"metric at {p} is not positive definite") from exc
-    except Exception as exc:
-        raise SingularMetric(f"metric at {p} is not positive definite: {exc}") from exc
-
-
 def inverse_metric(spec: MetricSpec, p: Point) -> np.ndarray:
     """Inverse metric components via Cholesky; SingularMetric on failure."""
-    c = metric_cholesky(spec, p)
-    ginv = cho_solve(c, np.eye(spec.dim))
-    return 0.5 * (ginv + ginv.T)
+    return PointGeometry(spec, p).ginv
 
 
 def metric_partials_at(spec: MetricSpec, p: Point) -> np.ndarray:
@@ -225,11 +234,11 @@ def metric_partials_at(spec: MetricSpec, p: Point) -> np.ndarray:
         D = np.asarray(spec.partials(p), dtype=float)
         if D.shape != (spec.dim,) * 3:
             raise ValueError(f"metric partials returned shape {D.shape}")
-        return _finite(D, f"metric partials at {p}")
+        return _finite(D, "metric partials", p)
     steps = spec.fd.scaled(p, spec.fd.h1)
     check_domain(spec, p, steps)
     D = first_partials(lambda q: metric_at(spec, q), p, steps)
-    return _finite(D, f"finite-difference metric partials at {p}")
+    return _finite(D, "finite-difference metric partials", p)
 
 
 def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
@@ -242,9 +251,150 @@ def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
     return float(np.max(np.abs(fd - spec.partials(p))))
 
 
+class PointGeometry:
+    """The metric data at one chart point, shared by the tensors built there.
+
+    ``g`` (validated and symmetrized), its Cholesky factor ``chol``, the
+    inverse ``ginv`` and the partials ``D`` are each evaluated on first use
+    and then reused.  A first use happens exactly where a tensor evaluated
+    on its own would evaluate the item, so sharing changes neither the
+    values nor which error is raised first.
+    """
+
+    def __init__(self, spec: MetricSpec, p: Point):
+        self.spec = spec
+        self.p = as_point(p, spec.dim)
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        return metric_at(self.spec, self.p)
+
+    @cached_property
+    def chol(self):
+        try:
+            return cho_factor(self.g, lower=True)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - scipy raises its own
+            raise SingularMetric(f"metric at {self.p} is not positive definite") from exc
+        except Exception as exc:
+            raise SingularMetric(f"metric at {self.p} is not positive definite: {exc}") from exc
+
+    @cached_property
+    def ginv(self) -> np.ndarray:
+        ginv = cho_solve(self.chol, np.eye(self.spec.dim))
+        return 0.5 * (ginv + ginv.T)
+
+    @cached_property
+    def D(self) -> np.ndarray:
+        return metric_partials_at(self.spec, self.p)
+
+    def christoffel(self) -> np.ndarray:
+        ginv = self.ginv
+        D = self.D
+        M = np.transpose(D, (2, 0, 1)) + np.transpose(D, (2, 1, 0)) - D
+        return 0.5 * np.einsum("kl,lij->kij", ginv, M)
+
+    def ricci(self) -> np.ndarray:
+        spec, p, n = self.spec, self.p, self.spec.dim
+        steps = spec.fd.scaled(p, spec.fd.h1 if spec.partials is not None else spec.fd.h2)
+        inner = spec.fd.scaled(p, spec.fd.h1) if spec.partials is None else 0.0
+        check_domain(spec, p, 2.0 * steps + 2.0 * np.asarray(inner))
+        self.chol  # positivity gate, once per point; christoffel reuses the factor
+        # rows: p, then p + h_d e_d and p - h_d e_d for each axis d
+        stencil = np.repeat(p[None, :], 2 * n + 1, axis=0)
+        for d in range(n):
+            stencil[2 * d + 1, d] += steps[d]
+            stencil[2 * d + 2, d] -= steps[d]
+        gammas = _gamma_stack(spec, stencil)
+        G = gammas[0]
+        dG = (gammas[1::2] - gammas[2::2]) / (2.0 * steps)[:, None, None, None]
+        t1 = np.einsum("mmvs->sv", dG)
+        t2 = np.einsum("vmms->sv", dG)
+        t3 = np.einsum("mml,lvs->sv", G, G)
+        t4 = np.einsum("mvl,lms->sv", G, G)
+        ric = t1 - t2 + t3 - t4
+        _finite(ric, "Ricci tensor", p)
+        return 0.5 * (ric + ric.T)
+
+    def hessian(self, f, step: float | None = None) -> np.ndarray:
+        spec, p = self.spec, self.p
+        f = as_scalar_field(f)
+        base = step if step is not None else spec.fd.h2
+        if f.hess is not None:
+            raw = np.asarray(f.hess(p), dtype=float)
+        elif f.grad is not None:
+            steps = spec.fd.scaled(p, spec.fd.h1 if step is None else step)
+            check_domain(spec, p, steps)
+            J = first_partials(lambda q: np.asarray(f.grad(q), dtype=float), p, steps)
+            raw = 0.5 * (J + J.T)
+        else:
+            steps = spec.fd.scaled(p, base)
+            check_domain(spec, p, 2.0 * steps)
+            raw = second_partials(lambda q: float(f.value(q)), p, steps)
+        df = scalar_gradient(spec, f, p, step=base if f.grad is None else None)
+        G = self.christoffel()
+        H = raw - np.einsum("kij,k->ij", G, df)
+        _finite(H, "Hessian", p)
+        return 0.5 * (H + H.T)
+
+    def lie_derivative(self, X: VectorField) -> np.ndarray:
+        spec, p = self.spec, self.p
+        g = self.g
+        D = self.D
+        Xv = _finite(np.asarray(X.value(p), dtype=float), "vector field", p)
+        if X.jacobian is not None:
+            J = np.asarray(X.jacobian(p), dtype=float)
+        else:
+            steps = spec.fd.scaled(p, spec.fd.h1)
+            check_domain(spec, p, steps)
+            J = first_partials(lambda q: np.asarray(X.value(q), dtype=float), p, steps).T
+        _finite(J, "vector field Jacobian", p)
+        out = np.einsum("k,kij->ij", Xv, D) + g.T @ J + (g.T @ J).T
+        return 0.5 * (out + out.T)
+
+
 # ---------------------------------------------------------------------------
 # connection and curvature
 # ---------------------------------------------------------------------------
+
+def _gamma_stack(spec: MetricSpec, pts: np.ndarray) -> np.ndarray:
+    """Christoffel symbols at each row of ``pts``, shape (k, n, n, n).
+
+    The raw components g(q) and partials D(q) of every row go through one
+    ``np.linalg.solve`` over the (k, n, n) stack.  numpy runs the same LAPACK
+    call on each matrix of a stack, so every slice is bit-identical to a
+    solve at that point alone.  When the solve fails or gives a non-finite
+    result, the first failing row is named, as a point-by-point sweep would
+    name it.  All rows are evaluated before any is solved, so an exception
+    from ``spec.g`` or ``spec.partials`` at a later row wins over a failed
+    solve at an earlier one.
+    """
+    k, n = pts.shape
+    g_fn, part_fn, fd = spec.g, spec.partials, spec.fd
+    gs = np.empty((k, n, n))
+    D = np.empty((k, n, n, n))
+    for i, q in enumerate(pts):
+        gs[i] = g_fn(q)
+        if part_fn is not None:
+            D[i] = part_fn(q)
+        else:
+            D[i] = first_partials(lambda x: np.asarray(g_fn(x), dtype=float), q,
+                                  fd.scaled(q, fd.h1))
+    M = (np.transpose(D, (0, 3, 1, 2)) + np.transpose(D, (0, 3, 2, 1)) - D).reshape(k, n, n * n)
+    try:
+        out = 0.5 * np.linalg.solve(gs, M)
+        ok = bool(np.all(np.isfinite(out)))
+    except np.linalg.LinAlgError:
+        ok = False
+    if not ok:
+        for q, g, m in zip(pts, gs, M):
+            try:
+                sol = 0.5 * np.linalg.solve(g, m)
+            except np.linalg.LinAlgError as exc:
+                raise SingularMetric(f"metric at {q} is not invertible") from exc
+            if not np.all(np.isfinite(sol)):
+                raise NonFinite(f"Christoffel symbols at {q}")
+    return out.reshape(k, n, n, n)
+
 
 def gamma_evaluator(spec: MetricSpec):
     """Christoffel closure for hot loops (integrators, stencil sweeps).
@@ -252,26 +402,9 @@ def gamma_evaluator(spec: MetricSpec):
     Skips the per-call point validation and Cholesky positivity check of
     ``christoffel``; callers validate the metric once at their entry point.
     """
-    n = spec.dim
-    g_fn = spec.g
-    part_fn = spec.partials
-    fd = spec.fd
 
     def gamma(p: Point) -> np.ndarray:
-        g = np.asarray(g_fn(p), dtype=float)
-        if part_fn is not None:
-            D = np.asarray(part_fn(p), dtype=float)
-        else:
-            steps = fd.scaled(p, fd.h1)
-            D = first_partials(lambda q: np.asarray(g_fn(q), dtype=float), p, steps)
-        M = np.transpose(D, (2, 0, 1)) + np.transpose(D, (2, 1, 0)) - D
-        try:
-            out = 0.5 * np.linalg.solve(g, M.reshape(n, n * n)).reshape(n, n, n)
-        except np.linalg.LinAlgError as exc:
-            raise SingularMetric(f"metric at {p} is not invertible") from exc
-        if not np.all(np.isfinite(out)):
-            raise NonFinite(f"Christoffel symbols at {p}")
-        return out
+        return _gamma_stack(spec, p[None, :])[0]
 
     return gamma
 
@@ -283,11 +416,7 @@ def christoffel(spec: MetricSpec, p: Point) -> np.ndarray:
     the lower pair.  Raises SingularMetric if g(p) is not invertible and
     NonFinite if any derivative evaluation is NaN/Inf.
     """
-    p = as_point(p, spec.dim)
-    ginv = inverse_metric(spec, p)
-    D = metric_partials_at(spec, p)
-    M = np.transpose(D, (2, 0, 1)) + np.transpose(D, (2, 1, 0)) - D
-    return 0.5 * np.einsum("kl,lij->kij", ginv, M)
+    return PointGeometry(spec, p).christoffel()
 
 
 def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
@@ -295,34 +424,13 @@ def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
 
     Builds R^l_ijk from Gamma and its central-difference derivatives and
     contracts; the result is symmetrized to remove finite-difference noise.
-    The step for the outer Gamma derivative depends on how Gamma is obtained:
-    analytic metric partials give a clean Gamma, so the finer first-derivative
-    step minimizes truncation; finite-differenced Gamma carries noise that the
-    coarser second-derivative step must absorb.
+    The Christoffel symbols at p and at its 2n stencil neighbours come from
+    one stacked solve.  The step for the outer Gamma derivative depends on
+    how Gamma is obtained: analytic metric partials give a clean Gamma, so
+    the finer first-derivative step minimizes truncation; finite-differenced
+    Gamma carries noise that the coarser second-derivative step must absorb.
     """
-    p = as_point(p, spec.dim)
-    n = spec.dim
-    steps = spec.fd.scaled(p, spec.fd.h1 if spec.partials is not None else spec.fd.h2)
-    inner = spec.fd.scaled(p, spec.fd.h1) if spec.partials is None else 0.0
-    check_domain(spec, p, 2.0 * steps + 2.0 * np.asarray(inner))
-    metric_cholesky(spec, p)  # positivity gate once per point
-    gamma = gamma_evaluator(spec)
-    G = gamma(p)
-    dG = np.empty((n, n, n, n))
-    for d in range(n):
-        h = steps[d]
-        pp = p.copy()
-        pm = p.copy()
-        pp[d] += h
-        pm[d] -= h
-        dG[d] = (gamma(pp) - gamma(pm)) / (2.0 * h)
-    t1 = np.einsum("mmvs->sv", dG)
-    t2 = np.einsum("vmms->sv", dG)
-    t3 = np.einsum("mml,lvs->sv", G, G)
-    t4 = np.einsum("mvl,lms->sv", G, G)
-    ric = t1 - t2 + t3 - t4
-    _finite(ric, f"Ricci tensor at {p}")
-    return 0.5 * (ric + ric.T)
+    return PointGeometry(spec, p).ricci()
 
 
 # ---------------------------------------------------------------------------
@@ -342,11 +450,11 @@ def scalar_gradient(spec: MetricSpec, f, p: Point, *, step: float | None = None)
     f = as_scalar_field(f)
     p = as_point(p, spec.dim)
     if f.grad is not None:
-        return _finite(np.asarray(f.grad(p), dtype=float), f"gradient at {p}")
+        return _finite(np.asarray(f.grad(p), dtype=float), "gradient", p)
     steps = spec.fd.scaled(p, step if step is not None else spec.fd.h1)
     check_domain(spec, p, steps)
     g = first_partials(lambda q: float(f.value(q)), p, steps)
-    return _finite(g, f"finite-difference gradient at {p}")
+    return _finite(g, "finite-difference gradient", p)
 
 
 def gradient_vector(spec: MetricSpec, f, p: Point) -> np.ndarray:
@@ -361,42 +469,12 @@ def hessian_scalar(spec: MetricSpec, f, p: Point, *, step: float | None = None) 
     central differences of an analytic gradient when only that is supplied,
     and from 5-point/cross stencils of the values otherwise.
     """
-    f = as_scalar_field(f)
-    p = as_point(p, spec.dim)
-    base = step if step is not None else spec.fd.h2
-    if f.hess is not None:
-        raw = np.asarray(f.hess(p), dtype=float)
-    elif f.grad is not None:
-        steps = spec.fd.scaled(p, spec.fd.h1 if step is None else step)
-        check_domain(spec, p, steps)
-        J = first_partials(lambda q: np.asarray(f.grad(q), dtype=float), p, steps)
-        raw = 0.5 * (J + J.T)
-    else:
-        steps = spec.fd.scaled(p, base)
-        check_domain(spec, p, 2.0 * steps)
-        raw = second_partials(lambda q: float(f.value(q)), p, steps)
-    df = scalar_gradient(spec, f, p, step=base if f.grad is None else None)
-    G = christoffel(spec, p)
-    H = raw - np.einsum("kij,k->ij", G, df)
-    _finite(H, f"Hessian at {p}")
-    return 0.5 * (H + H.T)
+    return PointGeometry(spec, p).hessian(f, step)
 
 
 def lie_derivative_metric(spec: MetricSpec, X: VectorField, p: Point) -> np.ndarray:
     """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
-    p = as_point(p, spec.dim)
-    g = metric_at(spec, p)
-    D = metric_partials_at(spec, p)
-    Xv = _finite(np.asarray(X.value(p), dtype=float), f"vector field at {p}")
-    if X.jacobian is not None:
-        J = np.asarray(X.jacobian(p), dtype=float)
-    else:
-        steps = spec.fd.scaled(p, spec.fd.h1)
-        check_domain(spec, p, steps)
-        J = first_partials(lambda q: np.asarray(X.value(q), dtype=float), p, steps).T
-    _finite(J, f"vector field Jacobian at {p}")
-    out = np.einsum("k,kij->ij", Xv, D) + g.T @ J + (g.T @ J).T
-    return 0.5 * (out + out.T)
+    return PointGeometry(spec, p).lie_derivative(X)
 
 
 def weighted_laplacian(spec: MetricSpec, density: DensitySpec, h, p: Point,

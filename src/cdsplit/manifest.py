@@ -5,7 +5,10 @@ Format: ``[section]`` headers with ``key = value`` lines; ``#`` starts a
 comment.  Scalar expressions use a minimal arithmetic grammar (+ - * / ^,
 parentheses, the variables r and y1..y_{n-1}, the functions sin cos exp log
 sqrt cosh sinh, numeric literals).  Expressions are differentiated
-symbolically, so manifest-built geometries carry analytic partials.
+symbolically, so manifest-built geometries carry analytic partials.  Each
+expression is compiled once into nested closures over ``math`` and evaluated
+one point at a time through ``eval_ast``; numpy ufuncs would round some
+results differently (see ``chart_core``).
 
 Unknown sections or keys are rejected, numbers must meet ``_NUMBERS``, and
 every expression is trial-evaluated at the grid center during validation.
@@ -14,9 +17,11 @@ every expression is trial-evaluated at the grid center during validation.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass, field as dc_field, replace
-from typing import NamedTuple
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +49,15 @@ _FUNCTIONS = {
     "sqrt": math.sqrt,
     "cosh": math.cosh,
     "sinh": math.sinh,
+}
+
+# the binary operators, shared by compiled expressions and constant folding
+_BINARY = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
 }
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -150,29 +164,35 @@ def parse_expression(text: str, variables, line: int = 1):
     return _Parser(_tokenize(text, line), frozenset(variables), line).parse()
 
 
-def eval_ast(ast, env) -> float:
+def _compile(ast, variables):
+    """Compile an AST into nested closures over ``math`` and ``_BINARY``.
+
+    The closure takes the variable values as a sequence, in the order of
+    ``variables``.  It evaluates left operands first and keeps the values'
+    own types, so it rounds exactly as the arithmetic written out would.
+    """
     op = ast[0]
     if op == "num":
-        return ast[1]
+        v = ast[1]
+        return lambda env: v
     if op == "var":
-        return env[ast[1]]
+        i = variables.index(ast[1])
+        return lambda env: env[i]
     if op == "neg":
-        return -eval_ast(ast[1], env)
+        a = _compile(ast[1], variables)
+        return lambda env: -a(env)
     if op == "call":
-        return _FUNCTIONS[ast[1]](eval_ast(ast[2], env))
-    a = eval_ast(ast[1], env)
-    b = eval_ast(ast[2], env)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    if op == "/":
-        return a / b
-    if op == "^":
-        return a ** b
-    raise AssertionError(f"unhandled node {op!r}")
+        fn, a = _FUNCTIONS[ast[1]], _compile(ast[2], variables)
+        return lambda env: fn(a(env))
+    fn = _BINARY[op]
+    a, b = _compile(ast[1], variables), _compile(ast[2], variables)
+    return lambda env: fn(a(env), b(env))
+
+
+def eval_ast(expr: "Expression", values) -> float:
+    """Evaluate a compiled expression at ``values``, one per variable in
+    order.  Every manifest expression is evaluated through this one call."""
+    return expr.code(values)
 
 
 def _num(v):
@@ -203,7 +223,7 @@ def simplify(ast):
         return ("call", ast[1], a)
     a, b = simplify(ast[1]), simplify(ast[2])
     if _is_num(a) and _is_num(b):
-        return _num(eval_ast((op, a, b), {}))
+        return _num(_BINARY[op](a[1], b[1]))
     if op == "+":
         if _is_num(a, 0.0):
             return b
@@ -286,14 +306,19 @@ def diff(ast, var: str):
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression with its variable list and cached derivatives."""
+    """A parsed expression with its variable list, compiled once."""
 
     text: str
     ast: tuple
     variables: tuple[str, ...]
 
+    @cached_property
+    def code(self) -> Callable:
+        """The AST compiled into closures, on first evaluation."""
+        return _compile(self.ast, self.variables)
+
     def __call__(self, *values) -> float:
-        return eval_ast(self.ast, dict(zip(self.variables, values)))
+        return eval_ast(self, values)
 
     def derivative(self, var: str) -> "Expression":
         return Expression(text=f"d/d{var}({self.text})", ast=simplify(diff(self.ast, var)),
@@ -310,22 +335,19 @@ def expression_scalar_field(expr: Expression) -> ScalarField:
     names = expr.variables
     grads = [expr.derivative(v) for v in names]
     hesses = [[grads[i].derivative(v) for v in names] for i in range(len(names))]
+    n = len(names)
 
     def value(p):
-        env = dict(zip(names, p))
-        return eval_ast(expr.ast, env)
+        return eval_ast(expr, p)
 
     def grad(p):
-        env = dict(zip(names, p))
-        return np.array([eval_ast(g.ast, env) for g in grads])
+        return np.array([eval_ast(g, p) for g in grads])
 
     def hess(p):
-        env = dict(zip(names, p))
-        n = len(names)
         out = np.empty((n, n))
         for i in range(n):
             for j in range(n):
-                out[i, j] = eval_ast(hesses[i][j].ast, env)
+                out[i, j] = eval_ast(hesses[i][j], p)
         return 0.5 * (out + out.T)
 
     return ScalarField(value=value, grad=grad, hess=hess)
@@ -567,6 +589,9 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         if lo is not None and hi is not None and lo >= hi:
             raise ValidationError(f"{low} must be below {high}", key=f"[{sec_name}] {low}")
     grid, numeric = nums["grid"], nums["numeric"]
+    if (grid["y_min"] is None) != (grid["y_max"] is None):
+        lone = "y_min" if grid["y_max"] is None else "y_max"
+        raise ValidationError("y_min and y_max must be set together", key=f"[grid] {lone}")
 
     cd = {}
     if "cd" in sections:
@@ -604,7 +629,7 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         blocks["metric"] = _parse_metric(sections, dim, ("r",) + y_names)
         blocks["density"] = _parse_density(sections, dim, ("r",) + y_names, vec_names)
 
-    if "fiber" in blocks and grid["y_min"] is not None and grid["y_max"] is not None:
+    if "fiber" in blocks and grid["y_min"] is not None:
         box = blocks["fiber"].safe_box
         low, high = box[:, 0].max(), box[:, 1].min()
         if grid["y_min"] < low or grid["y_max"] > high:
@@ -704,10 +729,10 @@ def _parse_metric(sections, dim, variables):
 
 def fiber_box(manifest: ManifoldManifest) -> np.ndarray:
     """Fiber coordinate bounds, one (lo, hi) row per fiber axis:
-    [y_min, y_max] when both are set, else the fiber's safe box, which is
-    [-3, 3] per axis on general charts."""
+    [y_min, y_max] when set (``parse_manifest`` sets both or neither), else
+    the fiber's safe box, which is [-3, 3] per axis on general charts."""
     g = manifest.grid
-    if g["y_min"] is not None and g["y_max"] is not None:
+    if g["y_min"] is not None:
         return np.array([[g["y_min"], g["y_max"]]] * (manifest.dim - 1))
     if "fiber" in manifest.blocks:
         return np.asarray(manifest.blocks["fiber"].safe_box, dtype=float)
@@ -778,11 +803,9 @@ def _density_field(manifest: ManifoldManifest):
     if kind == "gradient":
         return expression_scalar_field(payload)
     comps = payload
-    names = comps[0].variables
 
     def value(p):
-        env = dict(zip(names, p))
-        return np.array([eval_ast(c.ast, env) for c in comps])
+        return np.array([eval_ast(c, p) for c in comps])
 
     return VectorField(value=value)
 
@@ -805,10 +828,9 @@ def build_geometry(manifest: ManifoldManifest):
         f_L = None
         if "f_L" in manifest.blocks:
             f_L = expression_scalar_field(manifest.blocks["f_L"])
-        split = SplitSpaceSpec(
-            n=manifest.dim,
-            phi=lambda r: phi(r), dphi=lambda r: dphi(r), d2phi=lambda r: d2phi(r),
-            fiber=manifest.blocks["fiber"], f_L=f_L, name=manifest.name, fd=fd)
+        split = SplitSpaceSpec(n=manifest.dim, phi=phi, dphi=dphi, d2phi=d2phi,
+                               fiber=manifest.blocks["fiber"], f_L=f_L, name=manifest.name,
+                               fd=fd)
         out["split"] = split
         out["spec"] = split.metric_spec()
         out["density"] = split.density()
@@ -827,9 +849,7 @@ def build_geometry(manifest: ManifoldManifest):
         f_expr = manifest.blocks["density"][1]
         df = f_expr.derivative("r")
         d2f = df.derivative("r")
-        model = RadialModel(n=manifest.dim, f=lambda rho: f_expr(rho),
-                            df=lambda rho: df(rho), d2f=lambda rho: d2f(rho),
-                            name=manifest.name)
+        model = RadialModel(n=manifest.dim, f=f_expr, df=df, d2f=d2f, name=manifest.name)
         out["model"] = model
         out["spec"] = replace(model.metric_spec(), fd=fd)
         out["density"] = model.density()
@@ -843,19 +863,16 @@ def build_geometry(manifest: ManifoldManifest):
         }
 
         def g(p):
-            env = dict(zip(names, p))
             out_m = np.empty((dim, dim))
             for (i, j), e in entries.items():
-                out_m[i, j] = out_m[j, i] = eval_ast(e.ast, env)
+                out_m[i, j] = out_m[j, i] = eval_ast(e, p)
             return out_m
 
         def partials(p):
-            env = dict(zip(names, p))
             D = np.empty((dim, dim, dim))
             for (i, j), exprs in partial_tables.items():
                 for k in range(dim):
-                    v = eval_ast(exprs[k].ast, env)
-                    D[k, i, j] = D[k, j, i] = v
+                    D[k, i, j] = D[k, j, i] = eval_ast(exprs[k], p)
             return D
 
         out["spec"] = MetricSpec(dim=dim, g=g, partials=partials, name=manifest.name,

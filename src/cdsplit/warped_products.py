@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Union
 
 import numpy as np
@@ -45,6 +46,14 @@ EXP_CAP = 500.0  # caps exponents inside the obstruction ODE so stages stay fini
 # fibers
 # ---------------------------------------------------------------------------
 
+@cache
+def _identity(m: int) -> np.ndarray:
+    """The m x m identity, built once and read-only so that calls can share it."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True)
 class EuclideanFiber:
     """Flat R^m fiber in Cartesian coordinates."""
@@ -53,7 +62,7 @@ class EuclideanFiber:
     box: float = 10.0
 
     def metric(self, y: np.ndarray) -> np.ndarray:
-        return np.eye(self.dim)
+        return _identity(self.dim)
 
     def partials(self, y: np.ndarray) -> np.ndarray:
         return np.zeros((self.dim,) * 3)
@@ -100,15 +109,12 @@ class SphereFiber:
         return 4.0 * self.radius_sq ** 2 / (s * s)
 
     def metric(self, y: np.ndarray) -> np.ndarray:
-        return self._conf(y) * np.eye(self.dim)
+        return self._conf(y) * _identity(self.dim)
 
     def partials(self, y: np.ndarray) -> np.ndarray:
         s = self.radius_sq + float(y @ y)
         dc = -16.0 * self.radius_sq ** 2 * np.asarray(y) / s ** 3
-        D = np.zeros((self.dim,) * 3)
-        for k in range(self.dim):
-            D[k] = dc[k] * np.eye(self.dim)
-        return D
+        return dc[:, None, None] * _identity(self.dim)
 
     def christoffel(self, y: np.ndarray) -> np.ndarray:
         # conformal metric e^{2u} delta with u_k = -2 y_k / (R^2 + |y|^2)
@@ -116,7 +122,7 @@ class SphereFiber:
         u = -2.0 * np.asarray(y) / s
         m = self.dim
         G = np.zeros((m, m, m))
-        eye = np.eye(m)
+        eye = _identity(m)
         for a in range(m):
             G[a] = np.outer(eye[a], u) + np.outer(u, eye[a]) - u[a] * eye
         return G

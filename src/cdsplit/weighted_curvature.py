@@ -26,14 +26,12 @@ from .chart_core import (
     DensitySpec,
     MetricSpec,
     Point,
+    PointGeometry,
     ScalarField,
     VectorField,
-    as_point,
     hessian_scalar,
     inverse_metric,
-    lie_derivative_metric,
     metric_at,
-    ricci_numeric,
     scalar_gradient,
 )
 from .errors import DimensionClash, EmptyGrid, SingularMetric
@@ -53,36 +51,47 @@ def _check_N(N: float, n: int) -> None:
         raise DimensionClash(f"N = n = {n} leaves the N - n denominator zero")
 
 
+def _gradient_form(at: PointGeometry, f, N: float) -> np.ndarray:
+    out = at.ricci() + at.hessian(f)
+    if not math.isinf(N):
+        df = scalar_gradient(at.spec, f, at.p)
+        out = out - np.outer(df, df) / (N - at.spec.dim)
+    return out
+
+
+def _vector_form(at: PointGeometry, X: VectorField, N: float) -> np.ndarray:
+    out = at.ricci() + 0.5 * at.lie_derivative(X)
+    if not math.isinf(N):
+        Xb = at.g @ np.asarray(X.value(at.p), dtype=float)
+        out = out - np.outer(Xb, Xb) / (N - at.spec.dim)
+    return out
+
+
+def _generalized_ricci_at(at: PointGeometry, density: DensitySpec, N: float) -> np.ndarray:
+    if isinstance(density, ScalarField):
+        return _gradient_form(at, density, N)
+    if isinstance(density, VectorField):
+        return _vector_form(at, density, N)
+    raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
+
+
 def generalized_ricci_gradient(spec: MetricSpec, f, N: float, p: Point) -> np.ndarray:
     """Ric + Hess f - df (x) df / (N - n) in chart components (N = inf drops
     the last term)."""
     _check_N(N, spec.dim)
-    p = as_point(p, spec.dim)
-    out = ricci_numeric(spec, p) + hessian_scalar(spec, f, p)
-    if not math.isinf(N):
-        df = scalar_gradient(spec, f, p)
-        out = out - np.outer(df, df) / (N - spec.dim)
-    return out
+    return _gradient_form(PointGeometry(spec, p), f, N)
 
 
 def generalized_ricci_vector(spec: MetricSpec, X: VectorField, N: float, p: Point) -> np.ndarray:
     """Ric + (1/2) L_X g - Xb (x) Xb / (N - n) with Xb_i = g_ij X^j."""
     _check_N(N, spec.dim)
-    p = as_point(p, spec.dim)
-    out = ricci_numeric(spec, p) + 0.5 * lie_derivative_metric(spec, X, p)
-    if not math.isinf(N):
-        Xb = metric_at(spec, p) @ np.asarray(X.value(p), dtype=float)
-        out = out - np.outer(Xb, Xb) / (N - spec.dim)
-    return out
+    return _vector_form(PointGeometry(spec, p), X, N)
 
 
 def generalized_ricci(spec: MetricSpec, density: DensitySpec, N: float, p: Point) -> np.ndarray:
     """Dispatch on the density variant (scalar potential vs vector field)."""
-    if isinstance(density, ScalarField):
-        return generalized_ricci_gradient(spec, density, N, p)
-    if isinstance(density, VectorField):
-        return generalized_ricci_vector(spec, density, N, p)
-    raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
+    _check_N(N, spec.dim)
+    return _generalized_ricci_at(PointGeometry(spec, p), density, N)
 
 
 def min_relative_eigenvalue(form: np.ndarray, metric: np.ndarray) -> float:
@@ -191,8 +200,9 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
         raise EmptyGrid("cd_verify needs a nonempty grid")
 
     def one(p: Point) -> float:
-        form = generalized_ricci(spec, density, N, p) - lam * metric_at(spec, p)
-        return min_relative_eigenvalue(form, metric_at(spec, p))
+        at = PointGeometry(spec, p)
+        form = _generalized_ricci_at(at, density, N) - lam * at.g
+        return min_relative_eigenvalue(form, at.g)
 
     mins = np.fromiter((one(p) for p in pts), dtype=float, count=pts.shape[0])
 

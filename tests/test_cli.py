@@ -189,6 +189,10 @@ BAD_NUMBERS = [
     ("radial_log", "compare", "compare", {"count": "0"}),
     ("twisted_flat", "verify-cd", "grid", {"y_min": "-5", "y_max": "5"}),
     ("polar_general", "bochner", "grid", {"r_min": "4", "r_max": "6"}),
+    # y_min and y_max are set together or not at all
+    ("split", "verify-cd", "grid", {"y_min": "-1"}),
+    ("twisted_flat", "verify-cd", "grid", {"y_min": "2.5"}),
+    ("twisted_flat", "geodesic", "grid", {"y_max": "1"}),
 ]
 
 
