@@ -371,6 +371,7 @@ class BlockGeometry:
     def __init__(self, spec: MetricSpec, pts):
         self.spec = spec
         self.pts = _as_points(pts, spec.dim)
+        self._evaluated = {}
 
     @classmethod
     def at(cls, spec: MetricSpec, p: Point) -> "BlockGeometry":
@@ -463,9 +464,16 @@ class BlockGeometry:
         evaluated and checked as one stack."""
         f = as_scalar_field(f)
         if f.grad is not None:
-            grads = np.array([f.grad(p) for p in self.pts], dtype=float)
-            return _finite_rows(grads, "gradient", self.pts)
+            return self.evaluated(f.grad, "gradient")
         return np.array([scalar_gradient(self.spec, f, p, step=step) for p in self.pts])
+
+    def evaluated(self, fn, what: str) -> np.ndarray:
+        """``fn`` at each point, stacked and checked finite; the first call
+        for a callable evaluates it, later calls reuse the rows."""
+        if fn not in self._evaluated:
+            rows = np.array([fn(p) for p in self.pts], dtype=float)
+            self._evaluated[fn] = _finite_rows(rows, what, self.pts)
+        return self._evaluated[fn]
 
     def hessian(self, f, step: float | None = None) -> np.ndarray:
         spec, pts = self.spec, self.pts
@@ -494,7 +502,7 @@ class BlockGeometry:
         spec, pts = self.spec, self.pts
         g = self.g
         D = self.D
-        Xv = _finite_rows(np.array([X.value(p) for p in pts], dtype=float), "vector field", pts)
+        Xv = self.evaluated(X.value, "vector field")
         J = np.empty((len(pts), spec.dim, spec.dim))
         for i, p in enumerate(pts):
             if X.jacobian is not None:

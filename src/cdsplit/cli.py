@@ -4,10 +4,12 @@
             [--grid-override key=value ...]
 
 Subcommands: curvature, verify-cd, threshold, riccati, geodesic, compare,
-bochner, suite.  Exit codes: 0 = all checks pass, 1 = violation found,
-2 = usage or parse error.  ``--grid-override`` sets a [grid] or [numeric]
-key; ``parse_manifest`` applies it before validation, so it gets the same
-checks as a value in the file.  Given the same manifest and seed the written
+bochner, suite.  Exit codes: 0 = all checks pass, 1 = violation found or a
+numerical error, 2 = usage or parse error, such as any manifest that
+``parse_manifest`` rejects; an error is one ``error:`` line.
+``--grid-override`` sets a [grid] or [numeric] key; ``parse_manifest``
+applies it before validation and builds the geometry the subcommands get
+from ``build_geometry``.  Given the same manifest and seed the written
 reports are byte-identical across runs (no timestamps, 17-significant-digit
 floats, LF line endings).
 """

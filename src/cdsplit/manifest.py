@@ -1,5 +1,5 @@
 """Manifest files: a strict line-oriented format describing a manifold,
-its density, and the numeric blocks the report suites need.
+its density, and the numeric settings the report suites need.
 
 Format: ``[section]`` headers with ``key = value`` lines; ``#`` starts a
 comment.  Scalar expressions use a minimal arithmetic grammar (+ - * / ^,
@@ -7,11 +7,15 @@ parentheses, the variables r and y1..y_{n-1}, the functions sin cos exp log
 sqrt cosh sinh, numeric literals).  Expressions are differentiated
 symbolically, so manifest-built geometries carry analytic partials.  Each
 expression is compiled once into nested closures over ``math`` and evaluated
-one point at a time through ``eval_ast``; numpy ufuncs would round some
-results differently (see ``chart_core``).
+one point at a time through ``eval_ast``, and ``expression_array`` evaluates
+the gradients, Hessians, vector densities and metrics built from several;
+numpy ufuncs would round some results differently.
 
-Unknown sections or keys are rejected, numbers must meet ``_NUMBERS``, and
-every expression is trial-evaluated at the grid center during validation.
+``parse_manifest`` rejects unknown sections or keys and numbers outside
+``_NUMBERS``, builds the geometry of the manifest's kind once
+(``build_geometry`` returns it) and evaluates it at the grid center.  An
+expression, and each derivative taken of it, nests at most ``MAX_DEPTH``
+levels; a derivative has at most ``MAX_DERIVATIVE_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -40,6 +45,12 @@ from .weighted_curvature import GridSpec, box_grid, inset_box, product_grid, sam
 # ---------------------------------------------------------------------------
 # expression grammar
 # ---------------------------------------------------------------------------
+
+#: Deepest nesting allowed in an expression or in any derivative of it.
+MAX_DEPTH = 100
+#: Most nodes allowed in a symbolic derivative.
+MAX_DERIVATIVE_NODES = 10_000
+_TOO_DEEP = f"nests deeper than {MAX_DEPTH} levels"
 
 _FUNCTIONS = {
     "sin": math.sin,
@@ -89,7 +100,8 @@ def _tokenize(text: str, line: int):
 
 
 class _Parser:
-    """Pratt parser for the scalar expression grammar."""
+    """Pratt parser for the scalar expression grammar.  It recurses at most
+    ``MAX_DEPTH`` levels (parentheses, calls, signs, right operands)."""
 
     _BINDING = {"+": (1, 2), "-": (1, 2), "*": (3, 4), "/": (3, 4), "^": (8, 7)}
 
@@ -98,6 +110,7 @@ class _Parser:
         self.i = 0
         self.variables = variables
         self.line = line
+        self.level = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -110,6 +123,11 @@ class _Parser:
     def fail(self, msg, col):
         raise ParseError(msg, line=self.line, column=col)
 
+    def expect(self, op, msg):
+        kind, val, col = self.next()
+        if (kind, val) != ("op", op):
+            self.fail(msg, col)
+
     def parse(self):
         ast = self.expr(0)
         kind, val, col = self.peek()
@@ -118,28 +136,24 @@ class _Parser:
         return ast
 
     def expr(self, min_bp):
+        self.level += 1
+        if self.level > MAX_DEPTH:
+            raise ValidationError(f"expression {_TOO_DEEP}")
         kind, val, col = self.next()
         if kind == "num":
             lhs = ("num", val)
         elif kind == "ident":
             if val in _FUNCTIONS:
-                k2, v2, c2 = self.next()
-                if (k2, v2) != ("op", "("):
-                    self.fail(f"function {val!r} needs parenthesized argument", c2)
-                arg = self.expr(0)
-                k3, v3, c3 = self.next()
-                if (k3, v3) != ("op", ")"):
-                    self.fail("missing closing parenthesis", c3)
-                lhs = ("call", val, arg)
+                self.expect("(", f"function {val!r} needs parenthesized argument")
+                lhs = ("call", val, self.expr(0))
+                self.expect(")", "missing closing parenthesis")
             elif val in self.variables:
                 lhs = ("var", val)
             else:
                 self.fail(f"unknown name {val!r} (variables: {sorted(self.variables)})", col)
         elif (kind, val) == ("op", "("):
             lhs = self.expr(0)
-            k2, v2, c2 = self.next()
-            if (k2, v2) != ("op", ")"):
-                self.fail("missing closing parenthesis", c2)
+            self.expect(")", "missing closing parenthesis")
         elif (kind, val) == ("op", "-"):
             lhs = ("neg", self.expr(6))
         elif (kind, val) == ("op", "+"):
@@ -156,12 +170,8 @@ class _Parser:
             self.next()
             rhs = self.expr(rbp)
             lhs = (val, lhs, rhs)
+        self.level -= 1
         return lhs
-
-
-def parse_expression(text: str, variables, line: int = 1):
-    """Parse an expression into an AST over the given variable names."""
-    return _Parser(_tokenize(text, line), frozenset(variables), line).parse()
 
 
 def _compile(ast, variables):
@@ -207,101 +217,111 @@ def _is_num(ast, v=None):
     return ast[0] == "num" and (v is None or ast[1] == v)
 
 
+def _folded(fn, *args):
+    """The number node of fn(*args), for constant folding.  A constant part
+    with no real value (1/0, log(0), (0-1)^0.5) is a ValidationError."""
+    try:
+        return _num(fn(*args))
+    except (ArithmeticError, ValueError, TypeError) as exc:
+        raise ValidationError(f"a constant part has no real value ({exc})") from None
+
+
+def _node(op, *args):
+    """The node ``(op, *args)`` over simplified operands, simplified at its
+    top: constants folded, and the identities of 0 and 1 applied."""
+    if op == "neg":
+        (a,) = args
+        return _num(-a[1]) if _is_num(a) else ("neg", a)
+    if op == "call":
+        name, a = args
+        return _folded(_FUNCTIONS[name], a[1]) if _is_num(a) else ("call", name, a)
+    a, b = args
+    if _is_num(a) and _is_num(b):
+        return _folded(_BINARY[op], a[1], b[1])
+    if op == "+" and _is_num(a, 0.0):
+        return b
+    if op in "+-" and _is_num(b, 0.0):
+        return a
+    if op == "-" and _is_num(a, 0.0):
+        return _node("neg", b)
+    if op in "*/" and _is_num(a, 0.0) or op == "*" and _is_num(b, 0.0):
+        return _ZERO
+    if op == "*" and _is_num(a, 1.0):
+        return b
+    if op in "*/^" and _is_num(b, 1.0):
+        return a
+    if op == "^" and _is_num(b, 0.0):
+        return _ONE
+    return (op, a, b)
+
+
 def simplify(ast):
     op = ast[0]
     if op in ("num", "var"):
         return ast
-    if op == "neg":
-        a = simplify(ast[1])
-        if _is_num(a):
-            return _num(-a[1])
-        return ("neg", a)
     if op == "call":
-        a = simplify(ast[2])
-        if _is_num(a):
-            return _num(_FUNCTIONS[ast[1]](a[1]))
-        return ("call", ast[1], a)
-    a, b = simplify(ast[1]), simplify(ast[2])
-    if _is_num(a) and _is_num(b):
-        return _num(_BINARY[op](a[1], b[1]))
-    if op == "+":
-        if _is_num(a, 0.0):
-            return b
-        if _is_num(b, 0.0):
-            return a
-    elif op == "-":
-        if _is_num(b, 0.0):
-            return a
-        if _is_num(a, 0.0):
-            return simplify(("neg", b))
-    elif op == "*":
-        if _is_num(a, 0.0) or _is_num(b, 0.0):
-            return _ZERO
-        if _is_num(a, 1.0):
-            return b
-        if _is_num(b, 1.0):
-            return a
-    elif op == "/":
-        if _is_num(a, 0.0):
-            return _ZERO
-        if _is_num(b, 1.0):
-            return a
-    elif op == "^":
-        if _is_num(b, 1.0):
-            return a
-        if _is_num(b, 0.0):
-            return _ONE
-    return (op, a, b)
+        return _node("call", ast[1], simplify(ast[2]))
+    return _node(op, *(simplify(a) for a in ast[1:]))
+
+
+# d/da of each function at its argument a
+_OUTER = {
+    "sin": lambda a: _node("call", "cos", a),
+    "cos": lambda a: _node("neg", _node("call", "sin", a)),
+    "exp": lambda a: _node("call", "exp", a),
+    "log": lambda a: _node("/", _ONE, a),
+    "sqrt": lambda a: _node("/", _num(0.5), _node("call", "sqrt", a)),
+    "cosh": lambda a: _node("call", "sinh", a),
+    "sinh": lambda a: _node("call", "cosh", a),
+}
 
 
 def diff(ast, var: str):
-    """Symbolic derivative of the AST with respect to ``var``."""
+    """Symbolic derivative of a simplified AST with respect to ``var``,
+    itself simplified.  Each node is built once by ``_node`` over operands
+    that are already simplified, so the work is linear in the size of
+    ``ast``; subtrees of ``ast`` are shared, not copied."""
     op = ast[0]
     if op == "num":
         return _ZERO
     if op == "var":
         return _ONE if ast[1] == var else _ZERO
     if op == "neg":
-        return simplify(("neg", diff(ast[1], var)))
+        return _node("neg", diff(ast[1], var))
     if op == "call":
-        fn, arg = ast[1], ast[2]
-        da = diff(arg, var)
-        if fn == "sin":
-            outer = ("call", "cos", arg)
-        elif fn == "cos":
-            outer = ("neg", ("call", "sin", arg))
-        elif fn == "exp":
-            outer = ("call", "exp", arg)
-        elif fn == "log":
-            outer = ("/", _ONE, arg)
-        elif fn == "sqrt":
-            outer = ("/", _num(0.5), ("call", "sqrt", arg))
-        elif fn == "cosh":
-            outer = ("call", "sinh", arg)
-        elif fn == "sinh":
-            outer = ("call", "cosh", arg)
-        else:  # pragma: no cover
-            raise AssertionError(fn)
-        return simplify(("*", outer, da))
+        return _node("*", _OUTER[ast[1]](ast[2]), diff(ast[2], var))
     a, b = ast[1], ast[2]
     da, db = diff(a, var), diff(b, var)
     if op == "+":
-        return simplify(("+", da, db))
+        return _node("+", da, db)
     if op == "-":
-        return simplify(("-", da, db))
+        return _node("-", da, db)
     if op == "*":
-        return simplify(("+", ("*", da, b), ("*", a, db)))
+        return _node("+", _node("*", da, b), _node("*", a, db))
     if op == "/":
-        return simplify(("/", ("-", ("*", da, b), ("*", a, db)), ("^", b, _num(2.0))))
+        return _node("/", _node("-", _node("*", da, b), _node("*", a, db)),
+                     _node("^", b, _num(2.0)))
     if op == "^":
         if _is_num(b):
-            return simplify(("*", ("*", b, ("^", a, _num(b[1] - 1.0))), da))
+            return _node("*", _node("*", b, _node("^", a, _num(b[1] - 1.0))), da)
         if _is_num(a):
-            return simplify(("*", ("*", ("^", a, b), ("call", "log", a)), db))
+            return _node("*", _node("*", _node("^", a, b), _node("call", "log", a)), db)
         # general a^b = exp(b log a)
-        inner = ("+", ("*", db, ("call", "log", a)), ("/", ("*", b, da), a))
-        return simplify(("*", ("^", a, b), inner))
+        inner = _node("+", _node("*", db, _node("call", "log", a)),
+                      _node("/", _node("*", b, da), a))
+        return _node("*", _node("^", a, b), inner)
     raise AssertionError(f"unhandled node {op!r}")
+
+
+def _extent(ast, most=math.inf) -> tuple[int, int]:
+    """Node count and depth of the tree ``ast`` spells out, a shared subtree
+    counted at each use; the walk stops once the count passes ``most``."""
+    nodes, depth, stack = 0, 0, [(ast, 1)]
+    while stack and nodes <= most:
+        node, d = stack.pop()
+        nodes, depth = nodes + 1, max(depth, d)
+        stack.extend((child, d + 1) for child in node[1:] if type(child) is tuple)
+    return nodes, depth
 
 
 @dataclass(frozen=True)
@@ -321,36 +341,55 @@ class Expression:
         return eval_ast(self, values)
 
     def derivative(self, var: str) -> "Expression":
-        return Expression(text=f"d/d{var}({self.text})", ast=simplify(diff(self.ast, var)),
-                          variables=self.variables)
+        """The partial derivative in ``var``.  A derivative deeper than
+        ``MAX_DEPTH`` or larger than ``MAX_DERIVATIVE_NODES`` nodes is a
+        ValidationError."""
+        ast = diff(self.ast, var)
+        nodes, depth = _extent(ast, MAX_DERIVATIVE_NODES)
+        if depth > MAX_DEPTH:
+            raise ValidationError(f"a symbolic derivative {_TOO_DEEP}")
+        if nodes > MAX_DERIVATIVE_NODES:
+            raise ValidationError(f"a symbolic derivative has more than "
+                                  f"{MAX_DERIVATIVE_NODES} nodes")
+        return Expression(text=f"d/d{var}({self.text})", ast=ast, variables=self.variables)
 
 
 def compile_expression(text: str, variables, line: int = 1) -> Expression:
-    ast = simplify(parse_expression(text, variables, line))
-    return Expression(text=text.strip(), ast=ast, variables=tuple(variables))
+    ast = _Parser(_tokenize(text, line), frozenset(variables), line).parse()
+    if _extent(ast)[1] > MAX_DEPTH:  # a long left-associative chain
+        raise ValidationError(f"expression {_TOO_DEEP}")
+    return Expression(text=text.strip(), ast=simplify(ast), variables=tuple(variables))
+
+
+def expression_array(exprs) -> Callable[[np.ndarray], np.ndarray]:
+    """The function ``p -> array`` of the values at p of ``exprs``, a nested
+    list of Expressions, in the list's shape.  Entries with the same AST
+    share one ``eval_ast`` call per evaluation: they have the same value bit
+    for bit."""
+    grid = np.array(exprs, dtype=object)
+    slots: dict = {}
+    index = [slots.setdefault((e.ast, e.variables), len(slots)) for e in grid.flat]
+    distinct = [grid.flat[index.index(k)] for k in range(len(slots))]
+    if grid.ndim == 1 and len(distinct) == len(index):
+        return lambda p: np.array([eval_ast(e, p) for e in distinct])
+    take = np.reshape(index, grid.shape)
+    return lambda p: np.array([eval_ast(e, p) for e in distinct])[take]
 
 
 def expression_scalar_field(expr: Expression) -> ScalarField:
     """ScalarField over the expression's variables with analytic partials."""
     names = expr.variables
     grads = [expr.derivative(v) for v in names]
-    hesses = [[grads[i].derivative(v) for v in names] for i in range(len(names))]
-    n = len(names)
+    hess_values = expression_array([[g.derivative(v) for v in names] for g in grads])
 
     def value(p):
         return eval_ast(expr, p)
 
-    def grad(p):
-        return np.array([eval_ast(g, p) for g in grads])
-
     def hess(p):
-        out = np.empty((n, n))
-        for i in range(n):
-            for j in range(n):
-                out[i, j] = eval_ast(hesses[i][j], p)
+        out = hess_values(p)
         return 0.5 * (out + out.T)
 
-    return ScalarField(value=value, grad=grad, hess=hess)
+    return ScalarField(value=value, grad=expression_array(grads), hess=hess)
 
 
 # ---------------------------------------------------------------------------
@@ -456,29 +495,23 @@ _SECTION_KEYS = {
     "bochner": set(_NUMBERS["bochner"]),
 }
 
-_KIND_REQUIRED = {
-    "split": ("phi", "fiber"),
-    "twisted": ("psi", "fiber"),
-    "radial_model": ("density",),
-    "general": ("metric", "density"),
-}
-
-_KIND_FORBIDDEN = {
-    "split": ("psi", "metric", "density"),
-    "twisted": ("phi", "metric"),
-    "radial_model": ("phi", "psi", "fiber", "metric"),
-    "general": ("phi", "psi", "fiber"),
+# the geometry sections each kind reads, (required, optional); it rejects the others
+_KIND_SECTIONS = {
+    "split": (("phi", "fiber"), ("f_L",)),
+    "twisted": (("psi", "fiber"), ("density",)),
+    "radial_model": (("density",), ()),
+    "general": (("metric", "density"), ()),
 }
 
 
 @dataclass(frozen=True)
 class ManifoldManifest:
-    """Validated manifest: kind, dimension, expression blocks, numeric knobs."""
+    """Validated manifest: kind, dimension, built geometry, numeric knobs."""
 
     name: str
     kind: str
     dim: int
-    blocks: dict = dc_field(default_factory=dict)      # parsed expressions per block
+    geometry: dict = dc_field(default_factory=dict)    # what build_geometry returns
     grid: dict = dc_field(default_factory=dict)
     numeric: dict = dc_field(default_factory=dict)
     cd: dict = dc_field(default_factory=dict)
@@ -528,7 +561,8 @@ def _float_list(sections, section, key):
 
 def parse_manifest(path, overrides=()) -> ManifoldManifest:
     """Read, parse, and validate a manifest file (strict keys, bounded finite
-    numbers, trial evaluation of every expression at the grid center).
+    numbers, expression limits), build its geometry, and evaluate it at the
+    grid center.
 
     ``overrides`` are ``key=value`` strings for ``[grid]`` and ``[numeric]``
     keys.  They replace the file's entries before validation, so they get
@@ -560,27 +594,24 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
     name = man.get("name", (f"unnamed-{kind}", 0))[0]
 
     # strict section and key checking
-    fiber_dim = dim - 1
-    y_names = tuple(f"y{i + 1}" for i in range(fiber_dim))
-    vec_names = tuple(f"X{i + 1}" for i in range(dim))
     for sec_name, content in sections.items():
         if sec_name not in _SECTION_KEYS:
             raise ValidationError("unknown section", key=f"[{sec_name}]")
         allowed = _SECTION_KEYS[sec_name]
         if sec_name == "density":
-            allowed = {"f"} | set(vec_names)
+            allowed = {"f"} | {f"X{i + 1}" for i in range(dim)}
         elif sec_name == "metric":
             allowed = {f"g{i + 1}{j + 1}" for i in range(dim) for j in range(dim)}
         for key in content:
             if key not in allowed:
                 raise ValidationError("unknown key", key=f"[{sec_name}] {key}")
 
-    for sec_name in _KIND_REQUIRED[kind]:
-        if sec_name not in sections:
+    required, optional = _KIND_SECTIONS[kind]
+    for sec_name in ("phi", "psi", "f_L", "fiber", "metric", "density"):
+        if sec_name in required and sec_name not in sections:
             raise ValidationError(f"kind {kind!r} requires section [{sec_name}]",
                                   key=f"[{sec_name}]")
-    for sec_name in _KIND_FORBIDDEN[kind]:
-        if sec_name in sections:
+        if sec_name in sections and sec_name not in required + optional:
             raise ValidationError(f"kind {kind!r} does not accept section [{sec_name}]",
                                   key=f"[{sec_name}]")
 
@@ -605,32 +636,12 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
                 key="[cd] N")
         cd = {"lambda": nums["cd"]["lambda"], "N": N}
 
-    # expression blocks
-    blocks: dict = {}
-    if kind == "split":
-        expr_text, lineno = _require_expr(sections, "phi")
-        blocks["phi"] = compile_expression(expr_text, ("r",), lineno)
-        if "f_L" in sections:
-            expr_text, lineno = _require_expr(sections, "f_L")
-            blocks["f_L"] = compile_expression(expr_text, y_names, lineno)
-        blocks["fiber"] = _parse_fiber(sections, fiber_dim, nums["fiber"])
-    elif kind == "twisted":
-        expr_text, lineno = _require_expr(sections, "psi")
-        blocks["psi"] = compile_expression(expr_text, ("r",) + y_names, lineno)
-        blocks["fiber"] = _parse_fiber(sections, fiber_dim, nums["fiber"])
-        if "density" in sections:
-            blocks["density"] = _parse_density(sections, dim, ("r",) + y_names, vec_names)
-    elif kind == "radial_model":
-        blocks["density"] = _parse_density(sections, dim, ("r",), vec_names)
-        if blocks["density"][0] != "gradient":
-            raise ValidationError("radial models need a scalar density f",
-                                  key="[density] f")
-    else:  # general
-        blocks["metric"] = _parse_metric(sections, dim, ("r",) + y_names)
-        blocks["density"] = _parse_density(sections, dim, ("r",) + y_names, vec_names)
+    fd = FDSteps(h1=numeric["fd1"], h2=numeric["fd2"], h3=numeric["fd3"])
+    geometry = _build(kind, sections, dim, name, nums["fiber"], fd)
 
-    if "fiber" in blocks and grid["y_min"] is not None:
-        box = blocks["fiber"].safe_box
+    fiber = _fiber(geometry)
+    if fiber is not None and grid["y_min"] is not None:
+        box = fiber.safe_box
         low, high = box[:, 0].max(), box[:, 1].min()
         if grid["y_min"] < low or grid["y_max"] > high:
             raise ValidationError(f"[y_min, y_max] must lie inside the fiber's safe box "
@@ -643,88 +654,173 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         if len(start) != dim or len(velocity) != dim:
             raise ValidationError(f"start and velocity need {dim} components",
                                   key="[geodesic] start")
+        if sum(v * v for v in velocity) == 0.0:
+            raise ValidationError("a zero velocity has no direction to follow",
+                                  key="[geodesic] velocity")
         extras["geodesic"].update(start=np.array(start), velocity=np.array(velocity))
 
-    manifest = ManifoldManifest(name=name, kind=kind, dim=dim, blocks=blocks, grid=grid,
+    manifest = ManifoldManifest(name=name, kind=kind, dim=dim, geometry=geometry, grid=grid,
                                 numeric=numeric, cd=cd, extras=extras, source_text=text)
     _trial_evaluate(manifest)
     return manifest
 
 
-def _require_expr(sections, sec_name):
-    sec = sections[sec_name]
-    if "expr" not in sec:
-        raise ValidationError("missing required key", key=f"[{sec_name}] expr")
-    return sec["expr"]
+# ---------------------------------------------------------------------------
+# manifest sections -> geometry objects
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def _naming(key: str):
+    """Re-raise a ValidationError that names no key, or a constructor's
+    ValueError, as a ValidationError naming ``key``."""
+    try:
+        yield
+    except ValidationError as exc:
+        if exc.key is not None:
+            raise
+        raise ValidationError(str(exc), key=key) from None
+    except ValueError as exc:
+        raise ValidationError(str(exc), key=key) from None
+
+
+def _compiled(sections, section, key, variables, build=lambda e: e):
+    """``build`` of the compiled expression ``[section] key``.  An expression
+    limit or constant-folding failure, in compiling or in the derivatives
+    ``build`` takes, is a ValidationError naming the key."""
+    if key not in sections[section]:
+        raise ValidationError("missing required key", key=f"[{section}] {key}")
+    text, lineno = sections[section][key]
+    with _naming(f"[{section}] {key}"):
+        return build(compile_expression(text, variables, lineno))
+
+
+def _with_r_derivatives(e: Expression):
+    d = e.derivative("r")
+    return e, d, d.derivative("r")
+
+
+def _build(kind, sections, dim, name, fiber_numbers, fd) -> dict:
+    """The toolkit objects of one manifest kind: 'spec' (MetricSpec) and
+    'density', plus 'split' (SplitSpaceSpec), 'twisted' (TwistedProductSpec)
+    or 'model' (RadialModel).  ``fd`` is threaded into every MetricSpec."""
+    names = ("r",) + tuple(f"y{i + 1}" for i in range(dim - 1))
+    if kind == "split":
+        phi, dphi, d2phi = _compiled(sections, "phi", "expr", ("r",), _with_r_derivatives)
+        f_L = (_compiled(sections, "f_L", "expr", names[1:], expression_scalar_field)
+               if "f_L" in sections else None)
+        split = SplitSpaceSpec(n=dim, phi=phi, dphi=dphi, d2phi=d2phi,
+                               fiber=_parse_fiber(sections, dim - 1, fiber_numbers),
+                               f_L=f_L, name=name, fd=fd)
+        return {"split": split, "spec": split.metric_spec(), "density": split.density()}
+    if kind == "twisted":
+        psi = _compiled(sections, "psi", "expr", names, expression_scalar_field)
+        twisted = TwistedProductSpec(n=dim, psi=psi,
+                                     fiber=_parse_fiber(sections, dim - 1, fiber_numbers),
+                                     name=name, fd=fd)
+        # the twist potential is the natural density of this chart
+        density = _density(sections, names) if "density" in sections else psi
+        return {"twisted": twisted, "spec": twisted.metric_spec(), "density": density}
+    if kind == "radial_model":
+        if "f" not in sections["density"] or len(sections["density"]) > 1:
+            raise ValidationError("radial models take a scalar density f alone",
+                                  key="[density] f")
+        f, df, d2f = _compiled(sections, "density", "f", ("r",), _with_r_derivatives)
+        model = RadialModel(n=dim, f=f, df=df, d2f=d2f, name=name)
+        return {"model": model, "spec": replace(model.metric_spec(), fd=fd),
+                "density": model.density()}
+    return {"spec": _general_metric(sections, dim, names, name, fd),
+            "density": _density(sections, names)}
+
+
+def _fiber(geometry: dict):
+    """The fiber of a split or twisted geometry, else None."""
+    return getattr(geometry.get("split") or geometry.get("twisted"), "fiber", None)
 
 
 def _parse_fiber(sections, fiber_dim, numbers):
-    if "fiber" not in sections:
-        raise ValidationError("missing required section", key="[fiber]")
     sec = sections["fiber"]
     if "type" not in sec:
         raise ValidationError("missing required key", key="[fiber] type")
     ftype = sec["type"][0]
     box = {} if numbers["box"] is None else {"box": numbers["box"]}  # else the type's default
-    if ftype == "euclidean":
-        if "einstein_constant" in sec or "periods" in sec:
-            raise ValidationError("euclidean fibers take no curvature keys",
-                                  key="[fiber] type")
-        return EuclideanFiber(dim=fiber_dim, **box)
-    if ftype == "sphere":
-        lam = numbers["einstein_constant"]
-        if lam is None:
-            raise ValidationError("missing required key", key="[fiber] einstein_constant")
-        return SphereFiber(dim=fiber_dim, einstein_constant=lam, **box)
-    if ftype == "torus":
-        periods = _float_list(sections, "fiber", "periods")
-        if len(periods) != fiber_dim:
-            raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
-        return TorusFiber(dim=fiber_dim, periods=tuple(periods), **box)
+    with _naming("[fiber]"):
+        if ftype == "euclidean":
+            if "einstein_constant" in sec or "periods" in sec:
+                raise ValidationError("euclidean fibers take no curvature keys",
+                                      key="[fiber] type")
+            return EuclideanFiber(dim=fiber_dim, **box)
+        if ftype == "sphere":
+            lam = numbers["einstein_constant"]
+            if lam is None:
+                raise ValidationError("missing required key", key="[fiber] einstein_constant")
+            return SphereFiber(dim=fiber_dim, einstein_constant=lam, **box)
+        if ftype == "torus":
+            periods = _float_list(sections, "fiber", "periods")
+            if len(periods) != fiber_dim:
+                raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
+            return TorusFiber(dim=fiber_dim, periods=tuple(periods), **box)
     raise ValidationError(f"unknown fiber type {ftype!r}", key="[fiber] type")
 
 
-def _parse_density(sections, dim, scalar_vars, vec_names):
-    sec = sections.get("density")
-    if sec is None:
-        raise ValidationError("missing required section", key="[density]")
+def _density(sections, variables):
+    """[density] as a field: f with analytic partials, or the vector X1..Xn."""
+    sec = sections["density"]
     if "f" in sec:
-        if any(v in sec for v in vec_names):
+        if len(sec) > 1:
             raise ValidationError("give either f or vector components, not both",
                                   key="[density] f")
-        text, lineno = sec["f"]
-        return ("gradient", compile_expression(text, scalar_vars, lineno))
-    comps = []
-    for v in vec_names:
-        if v not in sec:
-            raise ValidationError(f"vector densities need all of {vec_names}",
-                                  key=f"[density] {v}")
-        text, lineno = sec[v]
-        comps.append(compile_expression(text, scalar_vars, lineno))
-    return ("vector", tuple(comps))
+        return _compiled(sections, "density", "f", variables, expression_scalar_field)
+    return VectorField(value=expression_array(
+        [_compiled(sections, "density", f"X{i + 1}", variables) for i in range(len(variables))]))
 
 
-def _parse_metric(sections, dim, variables):
-    sec = sections.get("metric")
-    if sec is None:
-        raise ValidationError("missing required section", key="[metric]")
+def _general_metric(sections, dim, names, name, fd) -> MetricSpec:
+    """[metric] as a MetricSpec whose g and partials evaluate the entries
+    g_ij (i <= j; g_ji may stand in for g_ij) and their derivatives."""
+    sec = sections["metric"]
     entries = {}
     for i in range(dim):
         for j in range(i, dim):
-            key = f"g{i + 1}{j + 1}"
-            alt = f"g{j + 1}{i + 1}"
-            if key in sec:
-                text, lineno = sec[key]
-            elif alt in sec:
-                text, lineno = sec[alt]
-            else:
-                raise ValidationError("missing metric entry", key=f"[metric] {key}")
-            entries[(i, j)] = compile_expression(text, variables, lineno)
-    return entries
+            key = next((k for k in (f"g{i + 1}{j + 1}", f"g{j + 1}{i + 1}") if k in sec), None)
+            if key is None:
+                raise ValidationError("missing metric entry", key=f"[metric] g{i + 1}{j + 1}")
+            entries[i, j] = _compiled(sections, "metric", key, names,
+                                      lambda e: (e, [e.derivative(v) for v in names]))
+    upper = [[entries[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]
+    return MetricSpec(
+        dim=dim, name=name, coord_names=names, fd=fd,
+        g=expression_array([[e for e, _ in row] for row in upper]),
+        partials=expression_array([[[partials[k] for _, partials in row] for row in upper]
+                                   for k in range(dim)]))
+
+
+def build_geometry(manifest: ManifoldManifest) -> dict:
+    """The toolkit objects ``parse_manifest`` built (see ``_build``); every
+    call returns the same objects."""
+    return manifest.geometry
+
+
+def _trial_evaluate(manifest: ManifoldManifest) -> None:
+    """Evaluate the built metric and density at the grid center; reject
+    non-finite results and structurally bad metrics early."""
+    center = grid_center(manifest)
+    try:
+        if np.linalg.eigvalsh(metric_at(manifest.geometry["spec"], center))[0] <= 0:
+            raise ValidationError(
+                f"metric is not positive definite at the grid center {center}",
+                key="[metric]")
+        if not np.all(np.isfinite(manifest.geometry["density"].value(center))):
+            raise ValidationError(f"density evaluates non-finite at {center}",
+                                  key="[density]")
+    except ValidationError:
+        raise
+    except Exception as exc:
+        raise ValidationError(f"trial evaluation at grid center failed: {exc}",
+                              key="[manifold]") from exc
 
 
 # ---------------------------------------------------------------------------
-# manifest -> grids, sample points and geometry objects
+# manifest -> grids and sample points
 # ---------------------------------------------------------------------------
 
 def fiber_box(manifest: ManifoldManifest) -> np.ndarray:
@@ -734,8 +830,9 @@ def fiber_box(manifest: ManifoldManifest) -> np.ndarray:
     g = manifest.grid
     if g["y_min"] is not None:
         return np.array([[g["y_min"], g["y_max"]]] * (manifest.dim - 1))
-    if "fiber" in manifest.blocks:
-        return np.asarray(manifest.blocks["fiber"].safe_box, dtype=float)
+    fiber = _fiber(manifest.geometry)
+    if fiber is not None:
+        return np.asarray(fiber.safe_box, dtype=float)
     return np.array([[-3.0, 3.0]] * (manifest.dim - 1))
 
 
@@ -787,7 +884,7 @@ def sample_points(manifest: ManifoldManifest, count: int, seed: int,
         if r_lo >= r_hi:
             raise ValidationError(f"the sampled range is empty: it is clipped to "
                                   f"|r| <= {r_limit:g}", key=key)
-    fiber = manifest.blocks.get("fiber")
+    fiber = _fiber(manifest.geometry)
     if fiber is not None:
         box = inset_box(box, 0.1)
         if r_limit is not None and isinstance(fiber, SphereFiber):
@@ -796,116 +893,3 @@ def sample_points(manifest: ManifoldManifest, count: int, seed: int,
             R = math.sqrt(fiber.radius_sq)
             box = np.clip(box, -R, R)
     return sample_box(np.vstack([[r_lo, r_hi], box]), count, seed)
-
-
-def _density_field(manifest: ManifoldManifest):
-    kind, payload = manifest.blocks["density"]
-    if kind == "gradient":
-        return expression_scalar_field(payload)
-    comps = payload
-
-    def value(p):
-        return np.array([eval_ast(c, p) for c in comps])
-
-    return VectorField(value=value)
-
-
-def build_geometry(manifest: ManifoldManifest):
-    """Realize the manifest as toolkit objects.
-
-    Returns a dict with keys among: 'spec' (MetricSpec), 'density',
-    'split' (SplitSpaceSpec), 'twisted' (TwistedProductSpec),
-    'model' (RadialModel).  The [numeric] fd overrides are threaded into
-    every realized MetricSpec.
-    """
-    fd = FDSteps(h1=manifest.numeric["fd1"], h2=manifest.numeric["fd2"],
-                 h3=manifest.numeric["fd3"])
-    out = {}
-    if manifest.kind == "split":
-        phi = manifest.blocks["phi"]
-        dphi = phi.derivative("r")
-        d2phi = dphi.derivative("r")
-        f_L = None
-        if "f_L" in manifest.blocks:
-            f_L = expression_scalar_field(manifest.blocks["f_L"])
-        split = SplitSpaceSpec(n=manifest.dim, phi=phi, dphi=dphi, d2phi=d2phi,
-                               fiber=manifest.blocks["fiber"], f_L=f_L, name=manifest.name,
-                               fd=fd)
-        out["split"] = split
-        out["spec"] = split.metric_spec()
-        out["density"] = split.density()
-    elif manifest.kind == "twisted":
-        psi_field = expression_scalar_field(manifest.blocks["psi"])
-        twisted = TwistedProductSpec(n=manifest.dim, psi=psi_field,
-                                     fiber=manifest.blocks["fiber"], name=manifest.name,
-                                     fd=fd)
-        out["twisted"] = twisted
-        out["spec"] = twisted.metric_spec()
-        if "density" in manifest.blocks:
-            out["density"] = _density_field(manifest)
-        else:
-            out["density"] = psi_field  # the natural potential for this chart
-    elif manifest.kind == "radial_model":
-        f_expr = manifest.blocks["density"][1]
-        df = f_expr.derivative("r")
-        d2f = df.derivative("r")
-        model = RadialModel(n=manifest.dim, f=f_expr, df=df, d2f=d2f, name=manifest.name)
-        out["model"] = model
-        out["spec"] = replace(model.metric_spec(), fd=fd)
-        out["density"] = model.density()
-    else:  # general
-        entries = manifest.blocks["metric"]
-        dim = manifest.dim
-        names = ("r",) + tuple(f"y{i + 1}" for i in range(dim - 1))
-        partial_tables = {
-            (i, j): [entries[(i, j)].derivative(v) for v in names]
-            for (i, j) in entries
-        }
-
-        def g(p):
-            out_m = np.empty((dim, dim))
-            for (i, j), e in entries.items():
-                out_m[i, j] = out_m[j, i] = eval_ast(e, p)
-            return out_m
-
-        def partials(p):
-            D = np.empty((dim, dim, dim))
-            for (i, j), exprs in partial_tables.items():
-                for k in range(dim):
-                    D[k, i, j] = D[k, j, i] = eval_ast(exprs[k], p)
-            return D
-
-        out["spec"] = MetricSpec(dim=dim, g=g, partials=partials, name=manifest.name,
-                                 coord_names=names, fd=fd)
-        out["density"] = _density_field(manifest)
-    return out
-
-
-def _trial_evaluate(manifest: ManifoldManifest) -> None:
-    """Evaluate every expression block at the grid center; reject non-finite
-    results and structurally bad metrics early."""
-    center = grid_center(manifest)
-    try:
-        geo = build_geometry(manifest)
-        if "spec" in geo:
-            g = metric_at(geo["spec"], center)
-            vals = np.linalg.eigvalsh(g)
-            if vals[0] <= 0:
-                raise ValidationError(
-                    f"metric is not positive definite at the grid center {center}",
-                    key="[metric]")
-        density = geo.get("density")
-        if isinstance(density, ScalarField):
-            v = density.value(center)
-        elif isinstance(density, VectorField):
-            v = float(np.linalg.norm(density.value(center)))
-        else:
-            v = 0.0
-        if not np.isfinite(v):
-            raise ValidationError(f"density evaluates non-finite at {center}",
-                                  key="[density]")
-    except (ValidationError, ParseError):
-        raise
-    except Exception as exc:
-        raise ValidationError(f"trial evaluation at grid center failed: {exc}",
-                              key="[manifold]") from exc

@@ -66,8 +66,7 @@ def _gradient_form(at: BlockGeometry, f, N: float) -> np.ndarray:
 def _vector_form(at: BlockGeometry, X: VectorField, N: float) -> np.ndarray:
     out = at.ricci() + 0.5 * at.lie_derivative(X)
     if not math.isinf(N):
-        Xv = np.array([X.value(p) for p in at.pts], dtype=float)
-        Xb = (at.g @ Xv[:, :, None])[:, :, 0]
+        Xb = (at.g @ at.evaluated(X.value, "vector field")[:, :, None])[:, :, 0]
         out = out - Xb[:, :, None] * Xb[:, None, :] / (N - at.spec.dim)
     return out
 
@@ -102,12 +101,15 @@ def generalized_ricci(spec: MetricSpec, density: DensitySpec, N: float, p: Point
 def min_relative_eigenvalue(form: np.ndarray, metric: np.ndarray) -> float:
     """Smallest mu with form v = mu metric v; `form >= lam * metric` iff
     the return value is >= lam.  Solved by the symmetric-definite
-    generalized eigensolver (Cholesky reduction inside LAPACK)."""
+    generalized eigensolver (Cholesky reduction inside LAPACK); non-finite
+    input raises SingularMetric, as in ``_min_relative_eigenvalues``."""
     form = np.asarray(form, dtype=float)
     metric = np.asarray(metric, dtype=float)
+    a, b = 0.5 * (form + form.T), 0.5 * (metric + metric.T)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
+        raise SingularMetric("non-finite generalized eigenproblem")
     try:
-        vals = scipy.linalg.eigh(0.5 * (form + form.T), 0.5 * (metric + metric.T),
-                                 eigvals_only=True)
+        vals = scipy.linalg.eigh(a, b, eigvals_only=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise SingularMetric(f"metric factor not positive definite: {exc}") from exc
     return float(vals[0])

@@ -193,12 +193,31 @@ BAD_NUMBERS = [
     ("split", "verify-cd", "grid", {"y_min": "-1"}),
     ("twisted_flat", "verify-cd", "grid", {"y_min": "2.5"}),
     ("twisted_flat", "geodesic", "grid", {"y_max": "1"}),
+    # expression limits: nesting deeper than MAX_DEPTH, in the text or in a
+    # symbolic derivative, and derivatives larger than MAX_DERIVATIVE_NODES
+    ("split", "verify-cd", "phi", {"expr": "(" * 1200 + "r" + ")" * 1200}),
+    ("split", "verify-cd", "phi", {"expr": "-" * 1200 + "r"}),
+    ("split", "verify-cd", "phi", {"expr": "^".join(["r"] * 1200)}),
+    ("split", "verify-cd", "phi", {"expr": "+".join(["r"] * 5000)}),
+    ("split", "verify-cd", "phi", {"expr": "sin(" * 100 + "r" + ")" * 100}),
+    ("twisted_flat", "verify-cd", "psi", {"expr": "*".join(["cos(y1)"] * 40)}),
+    ("twisted_flat", "verify-cd", "psi", {"expr": "*".join(["cos(y1)"] * 80)}),
+    # a constant part with no real value
+    ("split", "verify-cd", "phi", {"expr": "sin(r) + 1/0"}),
+    # a sphere fiber of dimension 1
+    ("split", "verify-cd", "manifold", {"dim": "2", "start": "0, 0.4", "velocity": "1, 0.5"}),
+    ("split", "geodesic", "geodesic", {"velocity": "0, 0, 0"}),
 ]
+
+
+def _label(value):
+    return value if len(value) <= 24 else f"{value[:12]}...({len(value)} chars)"
 
 
 def _bad_number_cases():
     for source, subcommand, section, entries in BAD_NUMBERS:
-        label = f"{source}-{subcommand}-" + "-".join(f"{k}={v}" for k, v in entries.items())
+        label = f"{source}-{subcommand}-" + "-".join(f"{k}={_label(v)}"
+                                                     for k, v in entries.items())
         yield pytest.param(source, subcommand, section, entries, "text", id=label + "-text")
         if section in ("grid", "numeric"):
             yield pytest.param(source, subcommand, section, entries, "override",
@@ -285,3 +304,16 @@ class TestDeterminism:
         strip = lambda p: [l for l in (p / "bochner.csv").read_text().splitlines()
                            if not l.startswith("#")]
         assert strip(a) != strip(b)
+
+
+def test_overflowing_lambda_is_one_error_line(tmp_path, capsys):
+    # symmetrizing form - lambda * g overflows to -inf: the block pass and then
+    # the point-by-point re-run, which reports numpy's warning, refuse the
+    # non-finite eigenproblem with SingularMetric
+    path = tmp_path / "m.cdm"
+    text = (MANIFESTS / "twisted_flat.cdm").read_text()
+    path.write_text(with_entries(text, "cd", {"lambda": "1e308"}))
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run("verify-cd", path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite generalized eigenproblem\n"

@@ -11,7 +11,14 @@ import numpy as np
 import pytest
 
 from cdsplit import catalog, weighted_curvature
-from cdsplit.chart_core import MetricSpec, ScalarField, metric_at, ricci_numeric
+from cdsplit.chart_core import (
+    MetricSpec,
+    ScalarField,
+    VectorField,
+    first_partials,
+    metric_at,
+    ricci_numeric,
+)
 from cdsplit.errors import NonFinite, SingularMetric
 from cdsplit.geodesic_flow import geodesic_integrate, normalize_velocity
 from cdsplit.manifest import build_geometry, cd_grid, parse_manifest
@@ -239,3 +246,32 @@ def test_block_warnings_come_from_the_pointwise_rerun(monkeypatch):
         cd_verify(spec, ScalarField.constant(0.0), 0.0, math.inf,
                   GridSpec(_box_points([[-1, 1], [-1, 1]]), "pole"))
     assert seen == []
+
+
+def _counted(fn, calls):
+    def counted(p):
+        calls.append(p)
+        return fn(p)
+
+    return counted
+
+
+@pytest.mark.parametrize("N", [1.0, math.inf])
+def test_density_evaluated_once_per_point(N):
+    # the covariant Hessian and the (N - n) term share one evaluation of an
+    # analytic gradient; the Lie derivative and the (N - n) term share one
+    # evaluation of a vector density
+    split = catalog.split_sin_sphere(0.6)
+    f, grads = split.density(), []
+    density = ScalarField(value=f.value, grad=_counted(f.grad, grads), hess=f.hess)
+    grid = split_grid(split, (-2.0, 2.0), 3, 3)
+    cd_verify(split.metric_spec(), density, 0.0, N, grid)
+    assert len(grads) == len(grid.points) == 27
+
+    twisted, X = catalog.nongradient_example()
+    values = []
+    jacobian = lambda p: first_partials(X.value, p, np.full(p.size, 1e-5)).T
+    field = VectorField(value=_counted(X.value, values), jacobian=jacobian)
+    spec, _, points = _vector_spec()
+    cd_verify(spec, field, 0.0, N, GridSpec(points, "vector"))
+    assert len(values) == len(points)

@@ -1,5 +1,6 @@
 """Expression grammar and strict manifest parsing."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -7,13 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdsplit import manifest as manifest_module
 from cdsplit.errors import ParseError, ValidationError
 from cdsplit.manifest import (
+    MAX_DEPTH,
+    MAX_DERIVATIVE_NODES,
     build_geometry,
     compile_expression,
     expression_scalar_field,
     grid_center,
     parse_manifest,
+    simplify,
 )
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
@@ -107,8 +112,8 @@ class TestManifestParsing:
         man = parse_manifest(write_manifest(tmp_path, MINIMAL_SPLIT))
         assert man.kind == "split"
         assert man.dim == 3
-        assert man.blocks["phi"](math.pi / 2) == pytest.approx(1.0)
         geo = build_geometry(man)
+        assert geo["split"].phi(math.pi / 2) == pytest.approx(1.0)
         assert geo["split"].fiber.einstein_constant == 0.2
 
     def test_N_equal_dimension_rejected(self, tmp_path):
@@ -220,6 +225,87 @@ X2 = r
         assert geo["spec"].fd.h1 == 2e-5
         assert geo["spec"].fd.h2 == 3e-4
         assert geo["split"].fd.h3 == 4e-3
+
+
+def _expression_text(depth):
+    """Random expression text over r and y1, at most ``depth`` levels deep."""
+    leaf = st.sampled_from(["r", "y1", "0", "1", "2", "0.5", "3.25"])
+    if depth == 0:
+        return leaf
+    inner = _expression_text(depth - 1)
+    return st.one_of(
+        leaf,
+        st.tuples(st.sampled_from(sorted(manifest_module._FUNCTIONS)), inner)
+        .map(lambda t: f"{t[0]}({t[1]})"),
+        inner.map(lambda a: f"-({a})"),
+        st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_expression_text(5))
+def test_derivatives_come_out_simplified(text):
+    # diff builds every node simplified at its top over simplified operands,
+    # so a full simplify pass, which the derivative no longer takes, would
+    # leave its result unchanged
+    try:
+        e = compile_expression(text, ("r", "y1"))
+        for v in ("r", "y1"):
+            d = e.derivative(v)
+            assert simplify(d.ast) == d.ast
+            for w in ("r", "y1"):
+                dd = d.derivative(w)
+                assert simplify(dd.ast) == dd.ast
+    except ValidationError:
+        pass  # a constant part with no real value, such as 1/0
+
+
+class TestLimits:
+    def test_depth_limit_is_exact(self):
+        compile_expression("sin(" * (MAX_DEPTH - 1) + "r" + ")" * (MAX_DEPTH - 1), ("r",))
+        with pytest.raises(ValidationError, match="nests deeper"):
+            compile_expression("sin(" * MAX_DEPTH + "r" + ")" * MAX_DEPTH, ("r",))
+        with pytest.raises(ValidationError, match="nests deeper"):
+            compile_expression("+".join(["r"] * (MAX_DEPTH + 1)), ("r",))
+
+    def test_large_derivative_rejected(self):
+        e = compile_expression("*".join(["cos(r)"] * 40), ("r",))
+        d = e.derivative("r")
+        with pytest.raises(ValidationError, match=f"more than {MAX_DERIVATIVE_NODES} nodes"):
+            d.derivative("r")
+
+    def test_rejection_names_the_key(self, tmp_path):
+        text = MINIMAL_SPLIT.replace("[f_L]\nexpr = 0", "[f_L]\nexpr = " + "*".join(["cos(y1)"] * 40))
+        with pytest.raises(ValidationError) as exc:
+            parse_manifest(write_manifest(tmp_path, text))
+        assert exc.value.key == "[f_L] expr"
+
+
+class TestBuiltGeometry:
+    def test_built_once(self, tmp_path):
+        man = parse_manifest(write_manifest(tmp_path, MINIMAL_SPLIT))
+        assert "blocks" not in {f.name for f in dataclasses.fields(man)}
+        assert build_geometry(man)["spec"] is build_geometry(man)["spec"]
+        assert build_geometry(man) is build_geometry(man)
+
+    def test_equal_entries_evaluated_once(self, monkeypatch):
+        geo = build_geometry(parse_manifest(MANIFESTS / "polar_general.cdm"))
+        p = np.array([2.0, 0.5])
+        calls = []
+        original = manifest_module.eval_ast
+        monkeypatch.setattr(manifest_module, "eval_ast",
+                            lambda e, q: calls.append(e.ast) or original(e, q))
+        assert geo["spec"].g(p).tolist() == [[1.0, 0.0], [0.0, 4.0]]
+        assert len(calls) == 3  # g11, g12 (for g21 too) and g22
+        calls.clear()
+        D = geo["spec"].partials(p)
+        assert D[0].tolist() == [[0.0, 0.0], [0.0, 4.0]] and not D[1].any()
+        assert sorted(calls) == sorted([("num", 0.0), ("*", ("num", 2.0), ("var", "r"))])
+
+    def test_f_L_only_on_split_spaces(self, tmp_path):
+        text = (MANIFESTS / "twisted_flat.cdm").read_text() + "\n[f_L]\nexpr = y1\n"
+        with pytest.raises(ValidationError, match="does not accept"):
+            parse_manifest(write_manifest(tmp_path, text))
 
 
 class TestShippedManifests:

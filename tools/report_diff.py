@@ -1,29 +1,37 @@
-"""Write every shipped report of this checkout into one directory.
+"""Compare every shipped report of this checkout with those of a base revision.
 
-    python3 tools/report_diff.py OUT_DIR
+    python3 tools/report_diff.py BASE OUT_DIR
 
-Runs all 8 subcommands on the 4 shipped manifests at ``--seed 42``, plus
-``bochner`` on ``sphere_example`` at ``--seed 54`` (the one seed whose
+BASE is any git revision of this repository.  The script exports it with
+``git archive`` into a temporary directory, then runs the same ``RUNS`` on
+that tree and on this checkout, each with its own ``src`` and
+``manifests``, into ``OUT_DIR/base`` and ``OUT_DIR/change``.  It prints
+each file that is missing on one side or whose bytes differ, and exits 1 if
+any file differs, 0 if none does, and 2 on a usage error.  OUT_DIR must be
+new or empty.
+
+``RUNS`` are all 8 subcommands on the 4 shipped manifests at ``--seed 42``,
+plus ``bochner`` on ``sphere_example`` at ``--seed 54`` (the one seed whose
 residual exceeds the Bochner tolerance), plus ``verify-cd`` on
 ``sphere_example`` and ``twisted_flat`` with ``--grid-override`` grids at
 block edges of ``cd_verify``, which walks a grid in blocks of 256 points: a
 grid smaller than one block (27 and 18 points), and one whose first block
 ends inside a fiber slice (405 points, 81 per slice; 275 points, 25 per
 slice).  Each run gets its own subdirectory
-``OUT_DIR/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
-report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``;
-OUT_DIR must be new or empty.  The package is imported from this
-checkout's ``src``, so running the script from two checkouts and comparing
-the outputs with ``diff -r`` shows every byte by which their reports
-differ.  The runs are serial and take a few minutes, most of it in
+``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
+report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
+The runs are serial and take a few minutes per side, most of it in
 ``verify-cd`` and ``suite`` on ``sphere_example``.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
+import tarfile
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,31 +50,58 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("verify-cd", man, 42, overrides) for man, overrides in BLOCK_EDGES])
 
 
-def main(argv=None) -> int:
-    args = sys.argv[1:] if argv is None else argv
-    if len(args) != 1:
-        print("usage: python3 tools/report_diff.py OUT_DIR", file=sys.stderr)
-        return 2
-    out = Path(args[0]).resolve()
-    if out.exists() and any(out.iterdir()):
-        # stale reports from an earlier run would hide a file a run no longer writes
-        print(f"{out} is not empty; give a new directory", file=sys.stderr)
-        return 2
-    out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def write_reports(tree: Path, out: Path) -> None:
+    """Run every entry of RUNS with the package and manifests of ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for sub, man, seed, overrides in RUNS:
         run_dir = out / "_".join((sub, man, str(seed)) + overrides)
-        run_dir.mkdir(exist_ok=True)
+        run_dir.mkdir(parents=True)
         proc = subprocess.run(
             [sys.executable, "-m", "cdsplit.cli", sub, "--manifest", f"manifests/{man}.cdm",
              "--out", str(run_dir), "--seed", str(seed)]
             + [arg for o in overrides for arg in ("--grid-override", o)],
-            cwd=ROOT, env=env, capture_output=True, text=True)
+            cwd=tree, env=env, capture_output=True, text=True)
         (run_dir / "stdout.txt").write_text(proc.stdout)
         (run_dir / "stderr.txt").write_text(proc.stderr)
         (run_dir / "exit_code.txt").write_text(f"{proc.returncode}\n")
-        print(f"{run_dir.name}: exit {proc.returncode}", flush=True)
-    return 0
+        print(f"{out.name}/{run_dir.name}: exit {proc.returncode}", flush=True)
+
+
+def differing(a: Path, b: Path) -> tuple[list[str], int]:
+    """The relative paths of files missing under a or b or differing in
+    bytes, and the number of distinct paths compared."""
+    files = [{p.relative_to(root) for p in root.rglob("*") if p.is_file()} for root in (a, b)]
+    paths = files[0] | files[1]
+    diffs = [p for p in paths if not (p in files[0] and p in files[1])
+             or (a / p).read_bytes() != (b / p).read_bytes()]
+    return sorted(str(p) for p in diffs), len(paths)
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/report_diff.py BASE OUT_DIR", file=sys.stderr)
+        return 2
+    base, out = args[0], Path(args[1]).resolve()
+    if out.exists() and any(out.iterdir()):
+        # stale reports from an earlier run would hide a file a run no longer writes
+        print(f"{out} is not empty; give a new directory", file=sys.stderr)
+        return 2
+    archive = subprocess.run(["git", "archive", "--format=tar", base], cwd=ROOT,
+                             capture_output=True)
+    if archive.returncode != 0:
+        print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+            tar.extractall(tmp, filter="data")
+        write_reports(Path(tmp), out / "base")
+    write_reports(ROOT, out / "change")
+    diffs, total = differing(out / "base", out / "change")
+    for path in diffs:
+        print(f"differs: {path}")
+    print(f"{len(diffs)} of {total} files differ between {base} and this checkout")
+    return 1 if diffs else 0
 
 
 if __name__ == "__main__":
