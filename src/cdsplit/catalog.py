@@ -9,12 +9,14 @@ import numpy as np
 
 from .chart_core import MetricSpec, Point, ScalarField, VectorField, gradient_vector
 from .comparison_suite import RadialModel
+from .manifest import compile_expression, expression_scalar_field
 from .warped_products import (
     EuclideanFiber,
     SphereFiber,
     SplitSpaceSpec,
     TorusFiber,
     TwistedProductSpec,
+    product_coords,
 )
 
 
@@ -52,122 +54,63 @@ def sphere_chart(dim: int = 2, einstein_constant: float = 1.0) -> MetricSpec:
     )
 
 
+def _field(text: str, variables) -> ScalarField:
+    """The scalar field of expression ``text`` over ``variables``, with its
+    partials derived symbolically, as for a manifest expression."""
+    return expression_scalar_field(compile_expression(text, variables))
+
+
+def _split(n: int, phi: str, fiber, name: str,
+           f_L: ScalarField | None = None) -> SplitSpaceSpec:
+    """The split space of the profile expression ``phi`` in r over ``fiber``."""
+    return SplitSpaceSpec(n=n, phi=_field(phi, product_coords(n)), fiber=fiber, f_L=f_L,
+                          name=name)
+
+
 def hyperbolic_split(n: int = 3) -> SplitSpaceSpec:
     """Hyperbolic space of curvature -1 as the warped chart
     dr^2 + e^{2r} (flat fiber); phi = (n-1) r."""
-    return SplitSpaceSpec(n=n, phi=lambda r: (n - 1.0) * r, dphi=lambda r: n - 1.0,
-                          d2phi=lambda r: 0.0, fiber=EuclideanFiber(n - 1),
-                          name=f"hyperbolic{n}")
+    return _split(n, f"{n - 1.0!r} * r", EuclideanFiber(n - 1), f"hyperbolic{n}")
 
 
 def split_sin_euclidean(n: int = 2, amplitude: float = 0.5) -> SplitSpaceSpec:
     """Split space with phi = amplitude * sin r over a flat fiber."""
-    return SplitSpaceSpec(
-        n=n,
-        phi=lambda r: amplitude * math.sin(r),
-        dphi=lambda r: amplitude * math.cos(r),
-        d2phi=lambda r: -amplitude * math.sin(r),
-        fiber=EuclideanFiber(n - 1),
-        name=f"split{n} sin fiber=flat",
-    )
+    return _split(n, f"{float(amplitude)!r} * sin(r)", EuclideanFiber(n - 1),
+                  f"split{n} sin fiber=flat")
 
 
 def split_sin_sphere(einstein_constant: float, n: int = 3,
                      f_L: ScalarField | None = None) -> SplitSpaceSpec:
     """Split space phi = sin r over a round-sphere fiber."""
-    return SplitSpaceSpec(
-        n=n,
-        phi=math.sin,
-        dphi=math.cos,
-        d2phi=lambda r: -math.sin(r),
-        fiber=SphereFiber(dim=n - 1, einstein_constant=einstein_constant),
-        f_L=f_L,
-        name=f"split{n} sin fiber=sphere({einstein_constant:g})",
-    )
+    return _split(n, "sin(r)", SphereFiber(dim=n - 1, einstein_constant=einstein_constant),
+                  f"split{n} sin fiber=sphere({einstein_constant:g})", f_L)
 
 
 def split_cos_sphere_4d(einstein_constant: float = 1.0) -> SplitSpaceSpec:
     """Four-dimensional split space phi = cos r over a round 3-sphere fiber."""
-    return SplitSpaceSpec(
-        n=4,
-        phi=math.cos,
-        dphi=lambda r: -math.sin(r),
-        d2phi=lambda r: -math.cos(r),
-        fiber=SphereFiber(dim=3, einstein_constant=einstein_constant),
-        name=f"split4 cos fiber=sphere({einstein_constant:g})",
-    )
+    return _split(4, "cos(r)", SphereFiber(dim=3, einstein_constant=einstein_constant),
+                  f"split4 cos fiber=sphere({einstein_constant:g})")
 
 
 def split_sin_torus(n: int = 3, periods=(2.0 * math.pi, 4.0 * math.pi)) -> SplitSpaceSpec:
     """Split space phi = sin r over a flat torus fiber."""
-    return SplitSpaceSpec(
-        n=n,
-        phi=math.sin,
-        dphi=math.cos,
-        d2phi=lambda r: -math.sin(r),
-        fiber=TorusFiber(dim=n - 1, periods=tuple(periods)),
-        name=f"split{n} sin fiber=torus",
-    )
+    return _split(n, "sin(r)", TorusFiber(dim=n - 1, periods=tuple(periods)),
+                  f"split{n} sin fiber=torus")
 
 
 def bounded_fiber_density(amplitude: float = 0.2) -> ScalarField:
-    """A smooth bounded fiber density a * sin(y1) * cos(y2) with partials."""
-    a = amplitude
-
-    def value(y: np.ndarray) -> float:
-        return a * math.sin(y[0]) * math.cos(y[1])
-
-    def grad(y: np.ndarray) -> np.ndarray:
-        out = np.zeros(y.size)
-        out[0] = a * math.cos(y[0]) * math.cos(y[1])
-        out[1] = -a * math.sin(y[0]) * math.sin(y[1])
-        return out
-
-    def hess(y: np.ndarray) -> np.ndarray:
-        out = np.zeros((y.size, y.size))
-        out[0, 0] = -a * math.sin(y[0]) * math.cos(y[1])
-        out[1, 1] = -a * math.sin(y[0]) * math.cos(y[1])
-        out[0, 1] = out[1, 0] = -a * math.cos(y[0]) * math.sin(y[1])
-        return out
-
-    return ScalarField(value=value, grad=grad, hess=hess)
+    """A smooth bounded density a * sin(y1) * cos(y2) on a two-dimensional
+    fiber, with partials."""
+    return _field(f"{float(amplitude)!r} * sin(y1) * cos(y2)", ("y1", "y2"))
 
 
 def twisted_example(n: int = 3, amplitude: float = 0.3) -> TwistedProductSpec:
     """A genuinely twisted chart: psi = a sin(r) cos(y1) + (a/2) cos(y1) sin(y2)
     over a flat fiber (y2 term dropped when the fiber is one-dimensional)."""
-    a = amplitude
-    has_y2 = n >= 3
-
-    def value(p: Point) -> float:
-        out = a * math.sin(p[0]) * math.cos(p[1])
-        if has_y2:
-            out += 0.5 * a * math.cos(p[1]) * math.sin(p[2])
-        return out
-
-    def grad(p: Point) -> np.ndarray:
-        out = np.zeros(n)
-        out[0] = a * math.cos(p[0]) * math.cos(p[1])
-        out[1] = -a * math.sin(p[0]) * math.sin(p[1])
-        if has_y2:
-            out[1] += -0.5 * a * math.sin(p[1]) * math.sin(p[2])
-            out[2] = 0.5 * a * math.cos(p[1]) * math.cos(p[2])
-        return out
-
-    def hess(p: Point) -> np.ndarray:
-        out = np.zeros((n, n))
-        out[0, 0] = -a * math.sin(p[0]) * math.cos(p[1])
-        out[0, 1] = out[1, 0] = -a * math.cos(p[0]) * math.sin(p[1])
-        out[1, 1] = -a * math.sin(p[0]) * math.cos(p[1])
-        if has_y2:
-            out[1, 1] += -0.5 * a * math.cos(p[1]) * math.sin(p[2])
-            out[1, 2] = out[2, 1] = -0.5 * a * math.sin(p[1]) * math.cos(p[2])
-            out[2, 2] = -0.5 * a * math.cos(p[1]) * math.sin(p[2])
-        return out
-
-    psi = ScalarField(value=value, grad=grad, hess=hess)
-    return TwistedProductSpec(n=n, psi=psi, fiber=EuclideanFiber(n - 1),
-                              name=f"twisted{n} a={amplitude:g}")
+    a = float(amplitude)
+    text = f"{a!r} * sin(r) * cos(y1)" + (f" + {0.5 * a!r} * cos(y1) * sin(y2)" if n >= 3 else "")
+    return TwistedProductSpec(n=n, psi=_field(text, product_coords(n)),
+                              fiber=EuclideanFiber(n - 1), name=f"twisted{n} a={amplitude:g}")
 
 
 def nongradient_example(n: int = 4, einstein_constant: float = 1.0,
@@ -179,33 +122,15 @@ def nongradient_example(n: int = 4, einstein_constant: float = 1.0,
     fiber, so X = phi_r d/dr * 2/(n-1) + grad(phi) * (n-3)/(n-1) is not a
     gradient field.  Returns (TwistedProductSpec, VectorField).
     """
-    a = amplitude
     fiber = SphereFiber(dim=n - 1, einstein_constant=einstein_constant)
-
-    def value(p: Point) -> float:
-        return a * math.sin(p[0]) * math.cos(p[1])
-
-    def grad(p: Point) -> np.ndarray:
-        out = np.zeros(n)
-        out[0] = a * math.cos(p[0]) * math.cos(p[1])
-        out[1] = -a * math.sin(p[0]) * math.sin(p[1])
-        return out
-
-    def hess(p: Point) -> np.ndarray:
-        out = np.zeros((n, n))
-        out[0, 0] = -a * math.sin(p[0]) * math.cos(p[1])
-        out[0, 1] = out[1, 0] = -a * math.cos(p[0]) * math.sin(p[1])
-        out[1, 1] = -a * math.sin(p[0]) * math.cos(p[1])
-        return out
-
-    psi = ScalarField(value=value, grad=grad, hess=hess)
+    psi = _field(f"{float(amplitude)!r} * sin(r) * cos(y1)", product_coords(n))
     spec = TwistedProductSpec(n=n, psi=psi, fiber=fiber, name=f"warped-sphere{n} twist")
 
     c = 1.0 / (n - 1)
 
     def X_value(p: Point) -> np.ndarray:
-        dpsi = grad(p)
-        w = math.exp(2.0 * c * value(p))
+        dpsi = psi.grad(p)
+        w = math.exp(2.0 * c * psi.value(p))
         hinv = np.linalg.inv(fiber.metric(p[1:]))
         out = np.zeros(n)
         out[0] = dpsi[0]  # 2c phi_r + (n-3)c phi_r

@@ -148,6 +148,14 @@ class ScalarField:
         )
 
 
+def r_coordinate_field(n: int, sign: float = 1.0) -> ScalarField:
+    """``sign`` times the first coordinate of an n-dimensional chart (the
+    r of a product chart), with its constant partials."""
+    e0 = np.eye(n)[0]
+    return ScalarField(value=lambda q: sign * q[0], grad=lambda q: sign * e0,
+                       hess=lambda q: np.zeros((n, n)))
+
+
 @dataclass(frozen=True)
 class VectorField:
     """A vector field by components ``X^i``; ``jacobian(p)[i, j] = d_j X^i``."""

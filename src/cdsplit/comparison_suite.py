@@ -40,6 +40,7 @@ from .chart_core import (
     hessian_scalar,
     inverse_metric,
     metric_at,
+    r_coordinate_field,
     scalar_gradient,
     weighted_laplacian,
 )
@@ -342,12 +343,6 @@ class RigidityReport:
                 and self.busemann_pair_dev <= tol_lap)
 
 
-def _r_coordinate_field(n: int, sign: float = 1.0) -> ScalarField:
-    e0 = np.eye(n)[0]
-    return ScalarField(value=lambda q: sign * q[0], grad=lambda q: sign * e0,
-                       hess=lambda q: np.zeros((n, n)))
-
-
 def rigidity_check(split: SplitSpaceSpec, points=None, n_points: int = 50,
                    seed: int = 0, r_range=(-5.0, 5.0)) -> RigidityReport:
     """Verify the split-space rigidity identities at sampled points."""
@@ -360,8 +355,8 @@ def rigidity_check(split: SplitSpaceSpec, points=None, n_points: int = 50,
     else:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
 
-    r_plus = _r_coordinate_field(n, 1.0)
-    r_minus = _r_coordinate_field(n, -1.0)
+    r_plus = r_coordinate_field(n, 1.0)
+    r_minus = r_coordinate_field(n, -1.0)
     grad_dev = lap_dev = hess_dev = ric_dev = buse_dev = 0.0
     for p in pts:
         grad_dev = max(grad_dev, abs(math.sqrt(grad_norm_squared(spec, r_plus, p)) - 1.0))

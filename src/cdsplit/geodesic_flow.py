@@ -152,16 +152,15 @@ class ClairautReport:
 
 
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
-    """Evaluate warp(r)^4 * g_L(fiber velocity, fiber velocity) along the trace."""
+    """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace."""
     if len(trace) == 0:
         raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
     vals = np.empty(len(trace))
     for i in range(len(trace)):
-        r = trace.positions[i, 0]
-        y = trace.positions[i, 1:]
+        p = trace.positions[i]
         uy = trace.velocities[i, 1:]
-        gL = split.fiber.metric(y)
-        vals[i] = split.warp(r) ** 4 * float(uy @ gL @ uy)
+        gL = split.fiber.metric(p[1:])
+        vals[i] = split.warp(p) ** 4 * float(uy @ gL @ uy)
     c0 = float(vals[0])
     dev = float(np.max(np.abs(vals - c0)))
     drift = dev / abs(c0) if abs(c0) > 1e-14 else dev

@@ -8,14 +8,21 @@ sqrt cosh sinh, numeric literals).  Expressions are differentiated
 symbolically, so manifest-built geometries carry analytic partials.  Each
 expression is compiled once into nested closures over ``math`` and evaluated
 one point at a time through ``eval_ast``, and ``expression_array`` evaluates
-the gradients, Hessians, vector densities and metrics built from several;
-numpy ufuncs would round some results differently.
+the gradients, Hessians, vector densities and metrics built from several,
+with their constant entries filled in once; numpy ufuncs would round some
+results differently.  ``expression_scalar_field`` is the one way an
+analytic scalar field is built, from a manifest or in ``catalog``.  A split
+space's ``[phi]`` is compiled over r alone, so a fiber variable in it is a
+parse error, and becomes a field on the chart point (r, y) whose partials in
+y are the constant 0.
 
-``parse_manifest`` rejects unknown sections or keys and numbers outside
-``_NUMBERS``, builds the geometry of the manifest's kind once
-(``build_geometry`` returns it) and evaluates it at the grid center.  An
-expression, and each derivative taken of it, nests at most ``MAX_DEPTH``
-levels; a derivative has at most ``MAX_DERIVATIVE_NODES`` nodes.
+``parse_manifest`` rejects unknown sections or keys, numbers outside
+``_NUMBERS``, a metric entry given as both g_ij and g_ji, and a geodesic
+start outside the chart's domain.  It builds the geometry of the manifest's
+kind once (``build_geometry`` returns it) and evaluates it at the grid
+center.  An expression, and each derivative taken of it, nests at most
+``MAX_DEPTH`` levels; a derivative has at most ``MAX_DERIVATIVE_NODES``
+nodes.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chart_core import FDSteps, MetricSpec, ScalarField, VectorField, metric_at
+from .chart_core import FDSteps, MetricSpec, ScalarField, VectorField, in_domain, metric_at
 from .comparison_suite import RadialModel
 from .errors import ParseError, ValidationError
 from .warped_products import (
@@ -39,6 +46,7 @@ from .warped_products import (
     SplitSpaceSpec,
     TorusFiber,
     TwistedProductSpec,
+    product_coords,
 )
 from .weighted_curvature import GridSpec, box_grid, inset_box, product_grid, sample_box, split_grid
 
@@ -363,33 +371,55 @@ def compile_expression(text: str, variables, line: int = 1) -> Expression:
 
 def expression_array(exprs) -> Callable[[np.ndarray], np.ndarray]:
     """The function ``p -> array`` of the values at p of ``exprs``, a nested
-    list of Expressions, in the list's shape.  Entries with the same AST
-    share one ``eval_ast`` call per evaluation: they have the same value bit
-    for bit."""
+    list of Expressions, in the list's shape.  Constant entries (number
+    ASTs) are filled into a template once, when the function is built; the
+    other entries are evaluated through ``eval_ast``, and entries with the
+    same AST share one call per evaluation: they have the same value bit for
+    bit."""
     grid = np.array(exprs, dtype=object)
-    slots: dict = {}
-    index = [slots.setdefault((e.ast, e.variables), len(slots)) for e in grid.flat]
-    distinct = [grid.flat[index.index(k)] for k in range(len(slots))]
-    if grid.ndim == 1 and len(distinct) == len(index):
+    template = np.zeros(grid.shape)
+    shared: dict = {}  # (ast, variables) -> (expression, indices of its entries)
+    for i in np.ndindex(grid.shape):
+        e = grid[i]
+        if e.ast[0] == "num":
+            template[i] = e.ast[1]
+            continue
+        where = shared.setdefault((e.ast, e.variables), (e, []))[1]
+        where.append(i if grid.ndim > 1 else i[0])  # an int sets a 1-d entry faster
+    entries = list(shared.values())
+    if grid.ndim == 1 and len(entries) == grid.size:
+        # every entry evaluated, once: building the list is cheaper
+        distinct = [e for e, _ in entries]
         return lambda p: np.array([eval_ast(e, p) for e in distinct])
-    take = np.reshape(index, grid.shape)
-    return lambda p: np.array([eval_ast(e, p) for e in distinct])[take]
+
+    def fill(p):
+        out = template.copy()
+        for e, where in entries:
+            value = eval_ast(e, p)
+            for i in where:
+                out[i] = value
+        return out
+
+    return fill
 
 
 def expression_scalar_field(expr: Expression) -> ScalarField:
-    """ScalarField over the expression's variables with analytic partials."""
+    """ScalarField over the expression's variables with analytic partials.
+    A mixed second partial whose two orders of differentiation give
+    different ASTs is their mean ``0.5 * (a + b)``, one expression for both
+    entries: the numeric symmetrization, done symbolically."""
     names = expr.variables
     grads = [expr.derivative(v) for v in names]
-    hess_values = expression_array([[g.derivative(v) for v in names] for g in grads])
-
-    def value(p):
-        return eval_ast(expr, p)
-
-    def hess(p):
-        out = hess_values(p)
-        return 0.5 * (out + out.T)
-
-    return ScalarField(value=value, grad=expression_array(grads), hess=hess)
+    second = [[g.derivative(v) for v in names] for g in grads]
+    for i in range(len(names)):
+        for j in range(i):
+            a, b = second[i][j], second[j][i]
+            if repr(a.ast) != repr(b.ast):  # repr tells 0.0 from -0.0
+                second[i][j] = second[j][i] = replace(
+                    a, text=f"0.5 * (({a.text}) + ({b.text}))",
+                    ast=_node("*", _num(0.5), _node("+", a.ast, b.ast)))
+    return ScalarField(value=lambda p: eval_ast(expr, p), grad=expression_array(grads),
+                       hess=expression_array(second))
 
 
 # ---------------------------------------------------------------------------
@@ -657,6 +687,8 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         if sum(v * v for v in velocity) == 0.0:
             raise ValidationError("a zero velocity has no direction to follow",
                                   key="[geodesic] velocity")
+        if not in_domain(geometry["spec"], np.array(start)):
+            raise ValidationError("lies outside the chart's domain", key="[geodesic] start")
         extras["geodesic"].update(start=np.array(start), velocity=np.array(velocity))
 
     manifest = ManifoldManifest(name=name, kind=kind, dim=dim, geometry=geometry, grid=grid,
@@ -703,12 +735,15 @@ def _build(kind, sections, dim, name, fiber_numbers, fd) -> dict:
     """The toolkit objects of one manifest kind: 'spec' (MetricSpec) and
     'density', plus 'split' (SplitSpaceSpec), 'twisted' (TwistedProductSpec)
     or 'model' (RadialModel).  ``fd`` is threaded into every MetricSpec."""
-    names = ("r",) + tuple(f"y{i + 1}" for i in range(dim - 1))
+    names = product_coords(dim)
     if kind == "split":
-        phi, dphi, d2phi = _compiled(sections, "phi", "expr", ("r",), _with_r_derivatives)
+        # compiled over r alone, so that a fiber variable is a parse error,
+        # then read as a field on the chart point (r, y)
+        phi = _compiled(sections, "phi", "expr", ("r",),
+                        lambda e: expression_scalar_field(replace(e, variables=names)))
         f_L = (_compiled(sections, "f_L", "expr", names[1:], expression_scalar_field)
                if "f_L" in sections else None)
-        split = SplitSpaceSpec(n=dim, phi=phi, dphi=dphi, d2phi=d2phi,
+        split = SplitSpaceSpec(n=dim, phi=phi,
                                fiber=_parse_fiber(sections, dim - 1, fiber_numbers),
                                f_L=f_L, name=name, fd=fd)
         return {"split": split, "spec": split.metric_spec(), "density": split.density()}
@@ -776,14 +811,19 @@ def _density(sections, variables):
 
 def _general_metric(sections, dim, names, name, fd) -> MetricSpec:
     """[metric] as a MetricSpec whose g and partials evaluate the entries
-    g_ij (i <= j; g_ji may stand in for g_ij) and their derivatives."""
+    g_ij (i <= j; g_ji may stand in for g_ij, but not be given beside it)
+    and their derivatives."""
     sec = sections["metric"]
     entries = {}
     for i in range(dim):
         for j in range(i, dim):
-            key = next((k for k in (f"g{i + 1}{j + 1}", f"g{j + 1}{i + 1}") if k in sec), None)
-            if key is None:
-                raise ValidationError("missing metric entry", key=f"[metric] g{i + 1}{j + 1}")
+            key, twin = f"g{i + 1}{j + 1}", f"g{j + 1}{i + 1}"
+            if i != j and key in sec and twin in sec:
+                raise ValidationError(f"the metric is symmetric: give {key} or {twin}, "
+                                      f"not both", key=f"[metric] {twin}")
+            if key not in sec and twin not in sec:
+                raise ValidationError("missing metric entry", key=f"[metric] {key}")
+            key = key if key in sec else twin
             entries[i, j] = _compiled(sections, "metric", key, names,
                                       lambda e: (e, [e.derivative(v) for v in names]))
     upper = [[entries[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]

@@ -249,6 +249,11 @@ FiberSpec = Union[EuclideanFiber, SphereFiber, TorusFiber, CustomFiber]
 # product specs
 # ---------------------------------------------------------------------------
 
+def product_coords(n: int) -> tuple[str, ...]:
+    """The coordinate names (r, y1, ..., y_{n-1}) of an n-dimensional product chart."""
+    return ("r",) + tuple(f"y{i + 1}" for i in range(n - 1))
+
+
 def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
                          fd: FDSteps) -> MetricSpec:
     c = 1.0 / (n - 1)
@@ -293,8 +298,7 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
 
     domain = np.vstack([np.array([[-np.inf, np.inf]]), fiber.safe_box])
     return MetricSpec(dim=n, g=g, partials=partials, domain=domain, name=name,
-                      coord_names=("r",) + tuple(f"y{i + 1}" for i in range(n - 1)), fd=fd,
-                      rows=rows)
+                      coord_names=product_coords(n), fd=fd, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -323,14 +327,14 @@ class TwistedProductSpec:
 class SplitSpaceSpec:
     """Warped product dr^2 + e^{2 phi(r)/(n-1)} g_L with density phi(r) + f_L(y).
 
-    ``phi``, ``dphi``, ``d2phi`` are callables of the single variable r.
-    ``f_L`` (optional) is a scalar field on the fiber coordinates.
+    ``phi`` is a scalar field on the chart point (r, y) that depends on r
+    alone: the twist potential of a twisted product whose potential splits
+    off the fiber.  ``f_L`` (optional) is a scalar field on the fiber
+    coordinates.
     """
 
     n: int
-    phi: Callable[[float], float]
-    dphi: Callable[[float], float]
-    d2phi: Callable[[float], float]
+    phi: ScalarField
     fiber: FiberSpec
     f_L: ScalarField | None = None
     name: str = ""
@@ -341,55 +345,38 @@ class SplitSpaceSpec:
             raise ValueError(f"fiber dimension {self.fiber.dim} != n-1 = {self.n - 1}")
 
     def as_twisted(self) -> TwistedProductSpec:
-        n = self.n
-
-        def grad(p: Point) -> np.ndarray:
-            out = np.zeros(n)
-            out[0] = self.dphi(p[0])
-            return out
-
-        def hess(p: Point) -> np.ndarray:
-            out = np.zeros((n, n))
-            out[0, 0] = self.d2phi(p[0])
-            return out
-
-        psi = ScalarField(value=lambda p: self.phi(p[0]), grad=grad, hess=hess)
-        return TwistedProductSpec(n=n, psi=psi, fiber=self.fiber, name=self.name, fd=self.fd)
+        return TwistedProductSpec(n=self.n, psi=self.phi, fiber=self.fiber, name=self.name,
+                                  fd=self.fd)
 
     def metric_spec(self) -> MetricSpec:
         return self.as_twisted().metric_spec()
 
-    def warp(self, r: float) -> float:
-        """Warping factor u(r) = e^{phi(r)/(n-1)}."""
-        return math.exp(self.phi(r) / (self.n - 1))
+    def warp(self, p: Point) -> float:
+        """Warping factor u = e^{phi/(n-1)} at the chart point p."""
+        return math.exp(self.phi.value(p) / (self.n - 1))
 
     def density(self) -> ScalarField:
-        """The split density f(r, y) = phi(r) + f_L(y) with analytic partials."""
-        n = self.n
-        fL = self.f_L
+        """The split density f(r, y) = phi(r) + f_L(y): ``phi`` itself when
+        there is no fiber density."""
+        phi, fL = self.phi, self.f_L
+        if fL is None:
+            return phi
 
         def value(p: Point) -> float:
-            out = self.phi(p[0])
-            if fL is not None:
-                out += float(fL.value(p[1:]))
-            return out
+            return phi.value(p) + float(fL.value(p[1:]))
 
         def grad(p: Point) -> np.ndarray:
-            out = np.zeros(n)
-            out[0] = self.dphi(p[0])
-            if fL is not None and fL.grad is not None:
-                out[1:] = fL.grad(p[1:])
+            out = np.array(phi.grad(p), dtype=float)
+            out[1:] = fL.grad(p[1:])
             return out
 
         def hess(p: Point) -> np.ndarray:
-            out = np.zeros((n, n))
-            out[0, 0] = self.d2phi(p[0])
-            if fL is not None and fL.hess is not None:
-                out[1:, 1:] = fL.hess(p[1:])
+            out = np.array(phi.hess(p), dtype=float)
+            out[1:, 1:] = fL.hess(p[1:])
             return out
 
-        has_grad = fL is None or fL.grad is not None
-        has_hess = fL is None or fL.hess is not None
+        has_grad = phi.grad is not None and fL.grad is not None
+        has_hess = phi.hess is not None and fL.hess is not None
         return ScalarField(value=value, grad=grad if has_grad else None,
                            hess=hess if has_hess else None)
 
@@ -408,21 +395,6 @@ class SplitSpaceSpec:
 
     def lap_f_r_at(self, p: Point) -> float:
         return 0.0
-
-
-def validate_split(split: SplitSpaceSpec, r_samples=np.linspace(-5.0, 5.0, 21)) -> float:
-    """Check |dphi - FD(phi)| relative error over sample radii; returns the max."""
-    worst = 0.0
-    h = 1e-6
-    for r in r_samples:
-        hr = h * max(1.0, abs(r))
-        fd = (split.phi(r + hr) - split.phi(r - hr)) / (2.0 * hr)
-        d = split.dphi(r)
-        err = abs(fd - d) / max(1.0, abs(d))
-        worst = max(worst, err)
-    if worst > 1e-6:
-        raise ValueError(f"phi derivative callables inconsistent with phi (error {worst:.3g})")
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -543,11 +515,13 @@ def split_cd_threshold(split: SplitSpaceSpec, r_range: tuple[float, float],
     a, b = float(r_range[0]), float(r_range[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError(f"invalid range {r_range}")
-    n = split.n
+    n, phi = split.n, split.phi
+    p = np.concatenate([[0.0], split.fiber_basepoint()])
 
     def q(r: float) -> float:
+        p[0] = r
         try:
-            val = split.d2phi(r) * math.exp(2.0 * split.phi(r) / (n - 1)) / (n - 1)
+            val = phi.hess(p)[0, 0] * math.exp(2.0 * phi.value(p) / (n - 1)) / (n - 1)
         except OverflowError as exc:
             raise NonFinite(f"threshold objective overflows at r = {r}") from exc
         if not math.isfinite(val):
@@ -685,11 +659,11 @@ def radial_identity_N(split: SplitSpaceSpec, N: float, r: float) -> tuple[float,
     """
     n = split.n
     _check_N(N, n)
-    dphi = split.dphi(r)
+    p = np.concatenate([[r], split.fiber_basepoint()])
+    dphi = split.phi.grad(p)[0]
     if math.isinf(N):
         analytic = -dphi ** 2 / (n - 1)
     else:
         analytic = (N - 1.0) / ((n - 1.0) * (n - N)) * dphi ** 2
-    p = np.concatenate([[r], split.fiber_basepoint()])
     form = generalized_ricci(split.metric_spec(), split.density(), N, p)
     return float(analytic), float(form[0, 0])

@@ -33,6 +33,7 @@ from .chart_core import (
     hessian_scalar,
     inverse_metric,
     metric_at,
+    r_coordinate_field,
     scalar_gradient,
 )
 from .errors import DimensionClash, EmptyGrid, SingularMetric
@@ -285,14 +286,9 @@ def weighted_mean_curvature(split: SplitSpaceSpec, r0: float,
     y = split.fiber_basepoint() if fiber_point is None else np.asarray(fiber_point, float)
     p = np.concatenate([[float(r0)], y])
     spec = split.metric_spec()
-    n = split.n
     if density is None:
         density = split.density()
-    r_field = ScalarField(
-        value=lambda q: q[0],
-        grad=lambda q: np.eye(n)[0],
-        hess=lambda q: np.zeros((n, n)),
-    )
+    r_field = r_coordinate_field(split.n)
     H = float(np.sum(inverse_metric(spec, p) * hessian_scalar(spec, r_field, p)))
     if isinstance(density, ScalarField):
         drift = float(scalar_gradient(spec, density, p)[0])

@@ -207,6 +207,10 @@ BAD_NUMBERS = [
     # a sphere fiber of dimension 1
     ("split", "verify-cd", "manifold", {"dim": "2", "start": "0, 0.4", "velocity": "1, 0.5"}),
     ("split", "geodesic", "geodesic", {"velocity": "0, 0, 0"}),
+    # a geodesic start outside the chart's domain: the sphere fiber's box is [-3, 3]
+    ("split", "geodesic", "geodesic", {"start": "0.0, 5.0, 5.0"}),
+    # a metric entry given twice, as g12 and as g21
+    ("polar_general", "curvature", "metric", {"g21": "5"}),
 ]
 
 

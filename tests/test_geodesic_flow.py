@@ -17,6 +17,7 @@ from cdsplit.geodesic_flow import (
     sample_unit_directions,
     write_trace_csv,
 )
+from cdsplit.manifest import compile_expression, expression_scalar_field
 
 
 class TestIntegrator:
@@ -106,9 +107,8 @@ class TestClairaut:
         split_like = catalog.split_sin_euclidean(2, amplitude=0.0)
         import cdsplit.warped_products as wp
 
-        split = wp.SplitSpaceSpec(n=2, phi=math.log, dphi=lambda r: 1.0 / r,
-                                  d2phi=lambda r: -1.0 / r ** 2,
-                                  fiber=wp.EuclideanFiber(1),
+        phi = expression_scalar_field(compile_expression("log(r)", ("r", "y1")))
+        split = wp.SplitSpaceSpec(n=2, phi=phi, fiber=wp.EuclideanFiber(1),
                                   name="polar via log warp")
         spec = split.metric_spec()
         # domain guard: keep r positive by starting outward

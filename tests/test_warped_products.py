@@ -1,13 +1,29 @@
 """Product-chart curvature, the CD(0,1) threshold, and the obstruction ODE."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cdsplit import catalog
 from cdsplit.chart_core import MetricSpec, ScalarField, metric_at, ricci_numeric
-from cdsplit.errors import DimensionClash, DivergentThreshold, NonFinite, StepOverflow
+from cdsplit.errors import (
+    DimensionClash,
+    DivergentThreshold,
+    NonFinite,
+    ParseError,
+    StepOverflow,
+    ValidationError,
+)
+from cdsplit.manifest import (
+    build_geometry,
+    compile_expression,
+    expression_scalar_field,
+    parse_manifest,
+)
 from cdsplit.warped_products import (
     CustomFiber,
     EuclideanFiber,
@@ -16,13 +32,18 @@ from cdsplit.warped_products import (
     TorusFiber,
     TwistedProductSpec,
     mixed_partial_residual,
+    product_coords,
     radial_identity_N,
     riccati_obstruction,
     sphere_example_lambda,
     split_cd_threshold,
     twisted_ricci_analytic,
-    validate_split,
 )
+
+
+def phi_field(text, n=3):
+    """A split profile as a manifest builds it: a chart field of r alone."""
+    return expression_scalar_field(compile_expression(text, product_coords(n)))
 
 
 def brute_force_sin_threshold():
@@ -73,8 +94,7 @@ class TestFibers:
 
     def test_fiber_dimension_must_match(self):
         with pytest.raises(ValueError):
-            SplitSpaceSpec(n=3, phi=math.sin, dphi=math.cos,
-                           d2phi=lambda r: -math.sin(r), fiber=EuclideanFiber(3))
+            SplitSpaceSpec(n=3, phi=phi_field("sin(r)"), fiber=EuclideanFiber(3))
 
 
 def _product_charts():
@@ -161,8 +181,7 @@ class TestTwistedRicci:
 
 class TestSplitThreshold:
     def test_constant_phi_zero(self):
-        split = SplitSpaceSpec(n=3, phi=lambda r: 1.5, dphi=lambda r: 0.0,
-                               d2phi=lambda r: 0.0, fiber=EuclideanFiber(2))
+        split = SplitSpaceSpec(n=3, phi=phi_field("1.5"), fiber=EuclideanFiber(2))
         rep = split_cd_threshold(split, (-10.0, 10.0))
         assert rep.value == pytest.approx(0.0, abs=1e-15)
         assert not rep.diverged
@@ -177,8 +196,7 @@ class TestSplitThreshold:
         assert not rep.diverged
 
     def test_cos_profile_same_supremum(self):
-        split = SplitSpaceSpec(n=3, phi=math.cos, dphi=lambda r: -math.sin(r),
-                               d2phi=lambda r: -math.cos(r),
+        split = SplitSpaceSpec(n=3, phi=phi_field("cos(r)"),
                                fiber=SphereFiber(2, einstein_constant=1.0))
         rep = split_cd_threshold(split, (-10.0, 10.0))
         assert rep.value == pytest.approx(0.5 * math.exp(-1.0), abs=1e-6)
@@ -190,8 +208,7 @@ class TestSplitThreshold:
         assert abs(a.value - b.value) < 1e-6
 
     def test_convex_profile_flags_divergence(self):
-        split = SplitSpaceSpec(n=3, phi=lambda r: r * r, dphi=lambda r: 2.0 * r,
-                               d2phi=lambda r: 2.0, fiber=SphereFiber(2, 1.0))
+        split = SplitSpaceSpec(n=3, phi=phi_field("r * r"), fiber=SphereFiber(2, 1.0))
         rep = split_cd_threshold(split, (0.0, 10.0))
         assert rep.diverged
         assert rep.value == pytest.approx(math.exp(100.0), rel=1e-6)
@@ -199,8 +216,7 @@ class TestSplitThreshold:
             sphere_example_lambda(split, (0.0, 10.0))
 
     def test_overflowing_profile_raises(self):
-        split = SplitSpaceSpec(n=3, phi=lambda r: r * r, dphi=lambda r: 2.0 * r,
-                               d2phi=lambda r: 2.0, fiber=SphereFiber(2, 1.0))
+        split = SplitSpaceSpec(n=3, phi=phi_field("r * r"), fiber=SphereFiber(2, 1.0))
         with pytest.raises(NonFinite):
             split_cd_threshold(split, (0.0, 40.0))
 
@@ -212,8 +228,7 @@ class TestSplitThreshold:
         assert sphere_example_lambda(
             catalog.split_sin_sphere(1.0), (-10.0, 10.0)
         ) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-6)
-        flat_phi = SplitSpaceSpec(n=3, phi=lambda r: 0.0, dphi=lambda r: 0.0,
-                                  d2phi=lambda r: 0.0, fiber=SphereFiber(2, 1.0))
+        flat_phi = SplitSpaceSpec(n=3, phi=phi_field("0"), fiber=SphereFiber(2, 1.0))
         assert sphere_example_lambda(flat_phi, (-10.0, 10.0)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -279,15 +294,13 @@ class TestRadialIdentity:
 
     def test_unit_slope_coefficient(self):
         # phi' = 1, n = 3, N = 0: coefficient (N-1)/((n-1)(n-N)) = -1/6
-        split = SplitSpaceSpec(n=3, phi=lambda r: r, dphi=lambda r: 1.0,
-                               d2phi=lambda r: 0.0, fiber=EuclideanFiber(2))
+        split = SplitSpaceSpec(n=3, phi=phi_field("r"), fiber=EuclideanFiber(2))
         ana, num = radial_identity_N(split, 0.0, 0.4)
         assert ana == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert num == pytest.approx(-1.0 / 6.0, abs=1e-6)
 
     def test_constant_phi_zero_for_all_N(self):
-        split = SplitSpaceSpec(n=3, phi=lambda r: 2.0, dphi=lambda r: 0.0,
-                               d2phi=lambda r: 0.0, fiber=SphereFiber(2, 1.0))
+        split = SplitSpaceSpec(n=3, phi=phi_field("2"), fiber=SphereFiber(2, 1.0))
         for N in (-5.0, 0.0, 0.5, 1.0, math.inf):
             ana, num = radial_identity_N(split, N, 0.9)
             assert ana == 0.0
@@ -307,17 +320,6 @@ class TestRadialIdentity:
             radial_identity_N(catalog.split_sin_sphere(0.4), 3.0, 1.0)
 
 
-class TestSplitValidation:
-    def test_validate_split_accepts_consistent_profiles(self):
-        assert validate_split(catalog.split_sin_sphere(0.5)) < 1e-6
-
-    def test_validate_split_rejects_wrong_derivative(self):
-        bad = SplitSpaceSpec(n=3, phi=math.sin, dphi=lambda r: 2.0 * math.cos(r),
-                             d2phi=lambda r: -math.sin(r), fiber=EuclideanFiber(2))
-        with pytest.raises(ValueError):
-            validate_split(bad)
-
-
 class TestMixedPartialResidual:
     def test_splitting_twist_has_no_mixed_partials(self):
         tw = catalog.split_sin_sphere(0.5, f_L=catalog.bounded_fiber_density()).as_twisted()
@@ -330,3 +332,114 @@ class TestMixedPartialResidual:
         tw = catalog.twisted_example(3)
         pts = np.array([[0.7, 0.5, 0.1]])
         assert mixed_partial_residual(tw, pts) > 1e-2
+
+
+# ---------------------------------------------------------------------------
+# the chart field phi against the phi/dphi/d2phi closures it replaced
+# ---------------------------------------------------------------------------
+
+_CONSTANT = st.floats(-2.0, 2.0, allow_nan=False).map(lambda c: f"({c!r})")
+R_PROFILES = st.recursive(
+    st.one_of(st.just("r"), _CONSTANT),
+    lambda inner: st.one_of(
+        st.builds("sin({})".format, inner),
+        st.builds("cos({})".format, inner),
+        st.builds("exp({})".format, inner),
+        st.builds("({} + {})".format, inner, inner),
+        st.builds("({} * {})".format, inner, inner),
+        st.builds("({} ^ {})".format, inner, st.sampled_from(["2", "3", "0.5", "r"])),
+        st.builds("(r ^ {})".format, _CONSTANT),
+    ),
+    max_leaves=6,
+)
+
+
+def _oracle_twist(phi: str, n: int):
+    """The twist potential SplitSpaceSpec.as_twisted built from the callables
+    phi, dphi and d2phi of one variable before phi became a chart field."""
+    e = compile_expression(phi, ("r",))
+    d = e.derivative("r")
+    d2 = d.derivative("r")
+
+    def grad(p):
+        out = np.zeros(n)
+        out[0] = d(p[0])
+        return out
+
+    def hess(p):
+        out = np.zeros((n, n))
+        out[0, 0] = d2(p[0])
+        return out
+
+    return ScalarField(value=lambda p: e(p[0]), grad=grad, hess=hess)
+
+
+def _oracle_density(psi: ScalarField, f_L, n: int) -> ScalarField:
+    """The split density built the same way, phi + f_L."""
+    if f_L is None:
+        return psi
+
+    def value(p):
+        return psi.value(p) + float(f_L.value(p[1:]))
+
+    def grad(p):
+        out = psi.grad(p)
+        out[1:] = f_L.grad(p[1:])
+        return out
+
+    def hess(p):
+        out = psi.hess(p)
+        out[1:, 1:] = f_L.hess(p[1:])
+        return out
+
+    return ScalarField(value=value, grad=grad, hess=hess)
+
+
+def _bits(fn, *args):
+    """What ``fn(*args)`` gives, bit for bit: dtype, shape and bytes of each
+    array returned, or the class of the exception raised."""
+    try:
+        out = fn(*args)
+    except Exception as exc:  # the oracle must fail the same way
+        return type(exc)
+    if hasattr(out, "r_at"):
+        return out.value.hex(), out.r_at.hex(), out.diverged
+    arrays = map(np.asarray, out if isinstance(out, tuple) else (out,))
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+@settings(max_examples=100, deadline=None)
+@given(R_PROFILES, st.sampled_from([None, "0.2 * sin(y1) * cos(y2)", "0.1 * y1^2 - y2"]),
+       st.sampled_from(["euclidean", "sphere"]),
+       st.lists(st.tuples(st.floats(0.25, 3.0), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=4))
+def test_phi_field_matches_the_closures_it_replaced(phi, f_L, fiber, points):
+    text = (f"[manifold]\nkind = split\ndim = 3\n[phi]\nexpr = {phi}\n"
+            f"[fiber]\ntype = {fiber}\n"
+            + ("einstein_constant = 0.5\n" if fiber == "sphere" else "box = 3\n")
+            + "[grid]\nr_min = 0.5\nr_max = 2.5\n"
+            + (f"[f_L]\nexpr = {f_L}\n" if f_L else ""))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "drawn.cdm"
+        path.write_text(text)
+        try:
+            geo = build_geometry(parse_manifest(path))
+        except (ParseError, ValidationError):
+            assume(False)  # a profile with no finite value at the grid center
+    split = geo["split"]
+    assert split.as_twisted().psi is split.phi
+    assert (split.density() is split.phi) == (f_L is None)
+
+    psi = _oracle_twist(phi, 3)
+    oracle = SplitSpaceSpec(n=3, phi=psi, fiber=split.fiber, f_L=split.f_L)
+    spec, oracle_spec = split.metric_spec(), TwistedProductSpec(3, psi, split.fiber).metric_spec()
+    density, oracle_density = geo["density"], _oracle_density(psi, split.f_L, 3)
+    pts = np.array(points)
+    assert _bits(spec.rows, pts) == _bits(oracle_spec.rows, pts)
+    for p in pts:
+        for a, b in ((spec.g, oracle_spec.g), (spec.partials, oracle_spec.partials),
+                     (density.value, oracle_density.value), (density.grad, oracle_density.grad),
+                     (density.hess, oracle_density.hess)):
+            assert _bits(a, p) == _bits(b, p)
+    assert (_bits(split_cd_threshold, split, (0.5, 2.5), 41)
+            == _bits(split_cd_threshold, oracle, (0.5, 2.5), 41))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cdsplit import catalog
 from cdsplit.chart_core import MetricSpec, ScalarField, VectorField, ricci_numeric
 from cdsplit.errors import DimensionClash, EmptyGrid, SingularMetric
+from cdsplit.manifest import compile_expression, expression_scalar_field
 from cdsplit.weighted_curvature import (
     GridSpec,
     box_grid,
@@ -260,9 +261,9 @@ def split_and_points(draw):
         fiber = SphereFiber(dim=2, einstein_constant=draw(st.floats(0.2, 2.0)))
     else:
         fiber = EuclideanFiber(dim=2, box=3.0)
-    split = SplitSpaceSpec(n=3, phi=lambda r: a * math.sin(b * r),
-                           dphi=lambda r: a * b * math.cos(b * r),
-                           d2phi=lambda r: -a * b * b * math.sin(b * r), fiber=fiber)
+    phi = expression_scalar_field(compile_expression(f"{a!r} * sin({b!r} * r)",
+                                                     ("r", "y1", "y2")))
+    split = SplitSpaceSpec(n=3, phi=phi, fiber=fiber)
     coord = st.floats(-2.0, 2.0)
     points = np.array([[draw(st.floats(-3.0, 3.0)), draw(coord), draw(coord)] for _ in range(3)])
     return split, points

@@ -17,7 +17,11 @@ residual exceeds the Bochner tolerance), plus ``verify-cd`` on
 block edges of ``cd_verify``, which walks a grid in blocks of 256 points: a
 grid smaller than one block (27 and 18 points), and one whose first block
 ends inside a fiber slice (405 points, 81 per slice; 275 points, 25 per
-slice).  Each run gets its own subdirectory
+slice).  Last come ``curvature``, ``threshold``, ``geodesic``, ``bochner``
+and a 21 x 3 x 3 ``verify-cd`` on ``F_L_MANIFEST``, a split space with an
+``[f_L]`` section, the one split-density path no shipped manifest reaches;
+its text is written once into OUT_DIR, so both trees run the same file.
+Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
 The runs are serial and take a few minutes per side, most of it in
@@ -44,20 +48,53 @@ BLOCK_EDGES = [
     ("twisted_flat", ("r_count=2", "fiber_count=3")),
     ("twisted_flat", ("r_count=11",)),
 ]
+F_L_NAME = "sphere_f_L"
+F_L_MANIFEST = """\
+[manifold]
+name = sphere-f_L
+kind = split
+dim = 3
+
+[phi]
+expr = sin(r)
+
+[f_L]
+expr = 0.1 * sin(y1) * cos(y2)
+
+[fiber]
+type = sphere
+einstein_constant = 0.5
+
+[cd]
+lambda = 0.0
+N = 1
+
+[geodesic]
+start = 0.0, 0.4, 0.2
+velocity = 1.0, 0.5, -0.3
+T = 2.0
+
+[bochner]
+points = 6
+"""
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
-        + [("verify-cd", man, 42, overrides) for man, overrides in BLOCK_EDGES])
+        + [("verify-cd", man, 42, overrides) for man, overrides in BLOCK_EDGES]
+        + [(sub, F_L_NAME, 42, ()) for sub in ("curvature", "threshold", "geodesic", "bochner")]
+        + [("verify-cd", F_L_NAME, 42, ("r_count=21", "fiber_count=3"))])
 
 
-def write_reports(tree: Path, out: Path) -> None:
-    """Run every entry of RUNS with the package and manifests of ``tree``."""
+def write_reports(tree: Path, out: Path, f_L_manifest: Path) -> None:
+    """Run every entry of RUNS with the package and manifests of ``tree``;
+    ``f_L_manifest`` holds ``F_L_MANIFEST``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for sub, man, seed, overrides in RUNS:
         run_dir = out / "_".join((sub, man, str(seed)) + overrides)
         run_dir.mkdir(parents=True)
+        manifest = str(f_L_manifest) if man == F_L_NAME else f"manifests/{man}.cdm"
         proc = subprocess.run(
-            [sys.executable, "-m", "cdsplit.cli", sub, "--manifest", f"manifests/{man}.cdm",
+            [sys.executable, "-m", "cdsplit.cli", sub, "--manifest", manifest,
              "--out", str(run_dir), "--seed", str(seed)]
             + [arg for o in overrides for arg in ("--grid-override", o)],
             cwd=tree, env=env, capture_output=True, text=True)
@@ -92,11 +129,14 @@ def main(argv=None) -> int:
     if archive.returncode != 0:
         print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
         return 2
+    out.mkdir(parents=True, exist_ok=True)
+    f_L_manifest = out / f"{F_L_NAME}.cdm"
+    f_L_manifest.write_text(F_L_MANIFEST)
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
-        write_reports(Path(tmp), out / "base")
-    write_reports(ROOT, out / "change")
+        write_reports(Path(tmp), out / "base", f_L_manifest)
+    write_reports(ROOT, out / "change", f_L_manifest)
     diffs, total = differing(out / "base", out / "change")
     for path in diffs:
         print(f"differs: {path}")
