@@ -28,11 +28,21 @@ Ricci tensor evaluates all 2n+1 stencil rows of every point of a block as
 one row array: ``g`` and ``D`` come from the chart's stacked row function
 when it has one (``MetricSpec.rows``), the Christoffel symbols from one
 ``np.linalg.solve`` over the stack (``_christoffel_rows``), and the centre
-point's ``g`` and ``D`` are its stencil row 0.  ``gamma_evaluator`` is the
-one-row case of the same solve.  Cholesky factors and inverses are direct
-LAPACK ``potrf``/``potrs`` calls, one per point, with the arguments
-``scipy.linalg.cho_factor``/``cho_solve`` pass.  Error messages name their
-point, but format it only when they are raised.
+point's ``g`` and ``D`` are its stencil row 0.  Cholesky factors and
+inverses are direct LAPACK ``potrf``/``potrs`` calls, one per point, with the
+arguments ``scipy.linalg.cho_factor``/``cho_solve`` pass.  Error messages
+name their point, but format it only when they are raised.
+
+``gamma_evaluator``, the Christoffel closure of an RK4 stage, is the
+one-point case: ``g`` and ``partials`` at the point and one direct LAPACK
+``gesv`` call, the solve ``np.linalg.solve`` runs on each matrix of the
+stack, so it is bit-equal to that point's row of ``_christoffel_rows``.  A
+singular or non-finite solve is re-run through ``_christoffel_rows``, which
+raises its error.  ``in_blocks`` walks samples in blocks of
+``BLOCK_POINTS`` and re-runs a failing block sample by sample; ``cd_verify``
+and the geodesic post-passes evaluate through it.  ``simpson`` and
+``cumulative_simpson`` are the composite Simpson rules of
+``scipy.integrate``, with its operations in its order.
 
 Results are bit-identical to evaluating every tensor at one point on its
 own.  Only elementwise array operations, the stacked solve, einsum
@@ -55,13 +65,17 @@ from functools import cached_property
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf as _potrf, dpotrs as _potrs
+from scipy.linalg.lapack import dgesv as _gesv, dpotrf as _potrf, dpotrs as _potrs
 
 from .errors import ChartDomain, NonFinite, SingularMetric
 
 Point = np.ndarray
 
 SYMMETRY_TOL = 1e-12
+
+#: Points (or samples) per stacked pass: enough to spread the fixed cost of a
+#: pass, few enough that a block's stacks stay small.
+BLOCK_POINTS = 256
 
 
 def as_point(coords, dim: int | None = None) -> Point:
@@ -321,7 +335,7 @@ def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
 
 def _stacked(spec: MetricSpec, k: int) -> bool:
     """Whether k rows go through the chart's stacked row function.  A single
-    row, as in an RK4 stage, goes through ``g`` and ``partials``, which cost
+    row, as at a lone point, goes through ``g`` and ``partials``, which cost
     less than the stacked function's fixed overhead."""
     return spec.rows is not None and k > 1
 
@@ -350,13 +364,40 @@ def _metric_rows(spec: MetricSpec, pts: np.ndarray):
 
 
 def _lowered(D: np.ndarray) -> np.ndarray:
-    """M[b, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from D[b, k, i, j] = d_k g_ij."""
+    """M[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from D[..., k, i, j] = d_k g_ij."""
+    if D.ndim == 3:
+        return np.transpose(D, (2, 0, 1)) + np.transpose(D, (2, 1, 0)) - D
     return np.transpose(D, (0, 3, 1, 2)) + np.transpose(D, (0, 3, 2, 1)) - D
 
 
 # ---------------------------------------------------------------------------
 # block geometry
 # ---------------------------------------------------------------------------
+
+def in_blocks(count: int, size: int, stacked, one) -> np.ndarray:
+    """The values of samples 0 .. count-1, evaluated in blocks of ``size``.
+
+    ``stacked(s)`` returns the values of the samples in slice ``s`` in one
+    stacked pass.  When anything in a block fails, the block is evaluated
+    again by ``one(i)``, one sample at a time and in order, so the first
+    failing sample raises the error, and emits the numpy warnings, it does on
+    its own.  Floating-point conditions the caller has numpy report become
+    errors in a stacked pass, so their warnings come from that re-run.
+    """
+    reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    out = np.empty(count)
+    for start in range(0, count, size):
+        s = slice(start, min(start + size, count))
+        try:
+            with np.errstate(**reported):
+                out[s] = stacked(s)
+        except Exception:
+            # a stacked pass meets the samples' callables in another order
+            # than a sample-by-sample walk, so any failure, from a check or
+            # from a spec itself, is left to the re-run to raise
+            out[s] = [one(i) for i in range(s.start, s.stop)]
+    return out
+
 
 class BlockGeometry:
     """The metric data at a block of chart points, shared by the tensors built there.
@@ -561,11 +602,23 @@ def gamma_evaluator(spec: MetricSpec):
 
     Skips the per-call point validation and Cholesky positivity check of
     ``christoffel``; callers validate the metric once at their entry point.
+    Each call evaluates ``g`` and the partials at its one point and solves
+    with one LAPACK ``gesv`` call, the one ``np.linalg.solve`` makes, so the
+    result is bit-equal to the point's row of ``_christoffel_rows``.  A
+    singular or non-finite solve is re-run through ``_christoffel_rows``,
+    which raises its error.
     """
+    n = spec.dim
+    g_fn, part_fn = spec.g, spec.partials
 
     def gamma(p: Point) -> np.ndarray:
-        q = p[None, :]
-        return _christoffel_rows(q, *_metric_rows(spec, q))[0]
+        g = g_fn(p)
+        D = part_fn(p) if part_fn is not None else _raw_partials(spec, p)
+        x, info = _gesv(g, _lowered(D).reshape(n, n * n))[2:]
+        out = 0.5 * x
+        if info != 0 or not np.isfinite(out).all():
+            return _christoffel_rows(p[None], g[None], D[None])[0]
+        return out.reshape(n, n, n)
 
     return gamma
 
@@ -668,3 +721,85 @@ def grad_norm_squared(spec: MetricSpec, f, p: Point) -> float:
     """|grad f|^2_g = g^{ij} d_i f d_j f."""
     df = scalar_gradient(spec, f, p)
     return float(df @ inverse_metric(spec, p) @ df)
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+# ---------------------------------------------------------------------------
+# The composite Simpson rules of scipy.integrate (1.17.1) for 1-d samples at
+# given abscissae, with its elementwise operations in its order, so results
+# are bit-equal to ``simpson(y, x=x)`` and
+# ``cumulative_simpson(y, x=x, initial=0.0)``.
+
+def _simpson_pairs(y: np.ndarray, h: np.ndarray, stop: int):
+    """Simpson's rule over the interval pairs of y[:stop + 2] with spacings h."""
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
+    tmp = hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1),
+                                            where=h0divh1 != 0))
+        + y[1:stop + 1:2] * (hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum),
+                                                   where=hprod != 0))
+        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(tmp)
+
+
+def simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Integral of the samples y at the points x by the composite Simpson
+    rule; an even count of samples ends with Cartwright's correction for the
+    last interval, two samples with the trapezoid."""
+    N = len(y)
+    if N % 2 == 1:
+        return _simpson_pairs(y, np.diff(x), N - 2)
+    if N == 2:
+        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+    result = _simpson_pairs(y, np.diff(x), N - 3)
+    diffs = np.float64(np.diff(x))
+    h0, h1 = np.squeeze(diffs[-2:-1]), np.squeeze(diffs[-1:])
+    den = 6 * (h1 + h0)
+    alpha = np.true_divide(2 * h1 ** 2 + 3 * h0 * h1, den, out=np.zeros_like(den),
+                           where=den != 0)
+    den = 6 * h0
+    beta = np.true_divide(h1 ** 2 + 3.0 * h0 * h1, den, out=np.zeros_like(den),
+                          where=den != 0)
+    den = 6 * h0 * (h0 + h1)
+    eta = np.true_divide(1 * h1 ** 3, den, out=np.zeros_like(den), where=den != 0)
+    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return result + 0.0
+
+
+def _simpson_first_halves(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """The integral over the first interval of each consecutive pair, from
+    the parabola through its three samples (unequal spacings dx)."""
+    x21, x32 = dx[:-1], dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
+
+
+def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running integral of the samples y at the strictly increasing points x,
+    from 0 at x[0]: Simpson's 1/3 rule on each interval, the cumulative
+    trapezoid for fewer than three samples."""
+    dx = np.diff(x)
+    if len(y) < 3:
+        res = np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
+    else:
+        if np.any(dx <= 0):
+            raise ValueError("Input x must be strictly increasing.")
+        first = _simpson_first_halves(y, dx)
+        second = np.flip(_simpson_first_halves(np.flip(y), np.flip(dx)))
+        sub = np.empty(len(y) - 1)
+        sub[:-1:2] = first[::2]
+        sub[1::2] = second[::2]
+        sub[-1] = second[-1]
+        res = np.cumsum(sub)
+    res += 0.0  # scipy adds its initial value, which turns -0.0 into 0.0
+    return np.concatenate((np.zeros(1), res))

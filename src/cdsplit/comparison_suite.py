@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .chart_core import (
     DensitySpec,
@@ -42,6 +41,7 @@ from .chart_core import (
     metric_at,
     r_coordinate_field,
     scalar_gradient,
+    simpson,
     weighted_laplacian,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
@@ -81,7 +81,7 @@ def comparison_bound(f_samples, n: int, r: float) -> float:
     mask = ts <= r + 1e-12
     ts, fs = ts[mask], fs[mask]
     integrand = np.exp(-2.0 * (fs - fs[-1]) / (n - 1))
-    integral = float(simpson(integrand, x=ts))
+    integral = float(simpson(integrand, ts))
     return (n - 1) / integral
 
 
@@ -195,7 +195,7 @@ def radial_comparison_check(model: RadialModel, rho_grid, quad_points: int = 401
                 f"numeric weighted Laplacian {num:.9g} disagrees with the "
                 f"closed form {lap:.9g} at rho = {rho:.6g}")
         integrand = np.exp(-2.0 * fs / (model.n - 1))
-        v_int = float(simpson(integrand, x=ts))
+        v_int = float(simpson(integrand, ts))
         samples.append(ComparisonSample(r=float(rho), lap_f_r=lap, bound=bound,
                                         slack=bound - lap, v_integral=v_int))
     return samples

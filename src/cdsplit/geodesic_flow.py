@@ -6,6 +6,13 @@ On warped products the quantity warp^4 * |fiber velocity|^2 is conserved
 along geodesics and serves as its own oracle; the density line integral
 f_gamma(t) = int g(gamma', X) ds is accumulated with Simpson quadrature on
 the RK4 grid to match the integrator order.
+
+Each RK4 stage evaluates its Christoffel symbols at one point
+(``gamma_evaluator``).  The passes over a finished trace (speed drift,
+f_gamma, the conserved quantity, the fiber projection length) evaluate the
+metric, density gradient or fiber metric of ``BLOCK_POINTS`` samples as one
+stack (``in_blocks``), then reduce each sample on its own, so every value is
+bit-equal to the sample-by-sample code that re-runs a failing block.
 """
 
 from __future__ import annotations
@@ -16,16 +23,19 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .chart_core import (
+    BLOCK_POINTS,
+    BlockGeometry,
     DensitySpec,
     MetricSpec,
     Point,
     ScalarField,
     VectorField,
     as_point,
+    cumulative_simpson,
     gamma_evaluator,
+    in_blocks,
     in_domain,
     metric_at,
     scalar_gradient,
@@ -60,8 +70,13 @@ class GeodesicTrace:
         return self.ts.size
 
 
+def _norm(G: np.ndarray, v: np.ndarray) -> float:
+    """The length of v in the bilinear form G."""
+    return math.sqrt(max(0.0, float(v @ G @ v)))
+
+
 def speed_in_metric(spec: MetricSpec, p: Point, v: np.ndarray) -> float:
-    return float(math.sqrt(max(0.0, float(v @ metric_at(spec, p) @ v))))
+    return _norm(metric_at(spec, p), v)
 
 
 def normalize_velocity(spec: MetricSpec, p: Point, v) -> np.ndarray:
@@ -135,7 +150,11 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
         xs[k + 1], us[k + 1] = x, u
     xs, us = xs[: k_end + 1], us[: k_end + 1]
     ts = dt * np.arange(k_end + 1)
-    drift = max(abs(speed_in_metric(spec, xs[i], us[i]) - 1.0) for i in range(k_end + 1))
+    speeds = in_blocks(
+        k_end + 1, BLOCK_POINTS,
+        lambda s: [_norm(G, v) for G, v in zip(BlockGeometry(spec, xs[s]).g, us[s])],
+        lambda i: speed_in_metric(spec, xs[i], us[i]))
+    drift = np.max(np.abs(speeds - 1.0))
     return GeodesicTrace(spec=spec, ts=ts, positions=xs, velocities=us,
                          speed_drift=float(drift), truncated=truncated)
 
@@ -151,16 +170,25 @@ class ClairautReport:
     max_drift: float  # relative to the initial value, absolute when it vanishes
 
 
+def _fiber_pass(split: SplitSpaceSpec, trace: GeodesicTrace, value) -> np.ndarray:
+    """``value(p, fiber velocity, fiber metric)`` at every sample of the trace,
+    with the fiber metric of each block from ``fiber.rows``."""
+    P, UY = trace.positions, trace.velocities[:, 1:]
+    fiber = split.fiber
+
+    def stacked(s: slice) -> list[float]:
+        return [value(p, uy, h) for p, uy, h in zip(P[s], UY[s], fiber.rows(P[s, 1:])[0])]
+
+    return in_blocks(len(trace), BLOCK_POINTS, stacked,
+                     lambda i: value(P[i], UY[i], fiber.metric(P[i, 1:])))
+
+
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
     """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace."""
     if len(trace) == 0:
         raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
-    vals = np.empty(len(trace))
-    for i in range(len(trace)):
-        p = trace.positions[i]
-        uy = trace.velocities[i, 1:]
-        gL = split.fiber.metric(p[1:])
-        vals[i] = split.warp(p) ** 4 * float(uy @ gL @ uy)
+    vals = _fiber_pass(split, trace,
+                       lambda p, uy, gL: split.warp(p) ** 4 * float(uy @ gL @ uy))
     c0 = float(vals[0])
     dev = float(np.max(np.abs(vals - c0)))
     drift = dev / abs(c0) if abs(c0) > 1e-14 else dev
@@ -176,15 +204,8 @@ def fiber_projection_length(split: SplitSpaceSpec, trace: GeodesicTrace) -> floa
     """
     if len(trace) == 0:
         raise EmptyTrace("cannot measure the projection of an empty trace")
-    speeds = np.empty(len(trace))
-    for i in range(len(trace)):
-        y = trace.positions[i, 1:]
-        uy = trace.velocities[i, 1:]
-        gL = split.fiber.metric(y)
-        speeds[i] = math.sqrt(max(0.0, float(uy @ gL @ uy)))
-    if len(trace) == 1:
-        return 0.0
-    return float(cumulative_simpson(speeds, x=trace.ts, initial=0.0)[-1])
+    speeds = _fiber_pass(split, trace, lambda p, uy, gL: _norm(gL, uy))
+    return float(cumulative_simpson(speeds, trace.ts)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +217,30 @@ def _density_pairing(spec: MetricSpec, density: DensitySpec, p: Point, u: np.nda
     scalar one."""
     if isinstance(density, ScalarField):
         return float(u @ scalar_gradient(spec, density, p))
-    if isinstance(density, VectorField):
-        return float(u @ metric_at(spec, p) @ np.asarray(density.value(p), dtype=float))
-    raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
+    return float(u @ metric_at(spec, p) @ np.asarray(density.value(p), dtype=float))
+
+
+def _density_pairings(spec: MetricSpec, density: DensitySpec, P: np.ndarray,
+                      U: np.ndarray) -> list[float]:
+    """``_density_pairing`` at each sample of a block, from one BlockGeometry."""
+    at = BlockGeometry(spec, P)
+    if isinstance(density, ScalarField):
+        return [float(u @ df) for u, df in zip(U, at.gradient(density))]
+    X = at.evaluated(density.value, "vector field")
+    return [float(u @ g @ x) for u, g, x in zip(U, at.g, X)]
 
 
 def f_along_geodesic(density: DensitySpec, trace: GeodesicTrace) -> np.ndarray:
     """Cumulative f_gamma(t) = int_0^t g(gamma', X) ds on the trace grid."""
     if len(trace) == 0:
         raise EmptyTrace("cannot integrate a density along an empty trace")
-    integrand = np.array([
-        _density_pairing(trace.spec, density, trace.positions[i], trace.velocities[i])
-        for i in range(len(trace))
-    ])
-    if len(trace) == 1:
-        return np.zeros(1)
-    return cumulative_simpson(integrand, x=trace.ts, initial=0.0)
+    if not isinstance(density, (ScalarField, VectorField)):
+        raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
+    spec, P, U = trace.spec, trace.positions, trace.velocities
+    integrand = in_blocks(len(trace), BLOCK_POINTS,
+                          lambda s: _density_pairings(spec, density, P[s], U[s]),
+                          lambda i: _density_pairing(spec, density, P[i], U[i]))
+    return cumulative_simpson(integrand, trace.ts)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +300,7 @@ def completeness_diagnostic(spec: MetricSpec, density: DensitySpec, y,
         trace = geodesic_integrate(spec, y, v0, R_max, dt)
         fg = f_along_geodesic(density, trace)
         weight = np.exp(-2.0 * fg / (spec.dim - 1))
-        if len(trace) < 2:
-            I = np.zeros(len(trace))
-        else:
-            I = cumulative_simpson(weight, x=trace.ts, initial=0.0)
+        I = cumulative_simpson(weight, trace.ts)
         truncated[k] = trace.truncated
         for j, i in enumerate(idx):
             if i < len(trace):

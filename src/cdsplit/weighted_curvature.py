@@ -24,6 +24,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dsygvd as _sygvd
 
 from .chart_core import (
+    BLOCK_POINTS,
     BlockGeometry,
     DensitySpec,
     MetricSpec,
@@ -31,6 +32,7 @@ from .chart_core import (
     ScalarField,
     VectorField,
     hessian_scalar,
+    in_blocks,
     inverse_metric,
     metric_at,
     r_coordinate_field,
@@ -43,12 +45,12 @@ if TYPE_CHECKING:
 
 TOL_CD = 1e-7
 
-#: Grid points that ``cd_verify`` evaluates in one stacked pass.
-BLOCK_POINTS = 256
-
 CD_CAVEAT = ("no violation found at sampled grid points; sampling is chart-local "
              "and does not certify the condition globally, and no completeness "
              "claim is made for the underlying metric")
+CD_FAIL_CAVEAT = ("violation found at the witness grid point, up to finite-difference "
+                  "error; sampling is chart-local, and the sampled minimum is not "
+                  "certified to be the global one")
 
 
 def _check_N(N: float, n: int) -> None:
@@ -201,7 +203,8 @@ class CDReport:
 
     ``passed`` is the boolean verdict (min eigenvalue >= -tol); ``verdict``
     refines it to 'pass' / 'boundary' / 'fail', with 'boundary' when the
-    minimum sits within tol of zero.
+    minimum sits within tol of zero.  ``caveat`` states what the verdict does
+    and does not establish.
     """
 
     verdict: str
@@ -214,7 +217,10 @@ class CDReport:
     eigenvalues: np.ndarray
     grid_spec: str
     tol: float
-    caveat: str = CD_CAVEAT
+
+    @property
+    def caveat(self) -> str:
+        return CD_FAIL_CAVEAT if self.verdict == "fail" else CD_CAVEAT
 
 
 def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
@@ -222,39 +228,29 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
     """Evaluate the minimum relative eigenvalue of Ric^N - lambda g over the
     grid; deterministic given the grid.
 
-    The grid is walked in blocks of ``BLOCK_POINTS`` points, each evaluated
-    in one stacked pass (``BlockGeometry``) whose every value is bit-equal to
-    evaluating its points one at a time.  When anything in a block fails, the
-    block is evaluated again one point at a time, in grid order, so the first
-    failing point raises the error, and emits the numpy warnings, it does on
-    its own.
+    The grid is walked in blocks of ``BLOCK_POINTS`` points (``in_blocks``),
+    each evaluated in one stacked pass (``BlockGeometry``) whose every value
+    is bit-equal to evaluating its points one at a time.  When anything in a
+    block fails, the block is evaluated again one point at a time, in grid
+    order, so the first failing point raises the error, and emits the numpy
+    warnings, it does on its own.
     """
     _check_N(N, spec.dim)
     pts = grid.points
     if pts.shape[0] == 0:
         raise EmptyGrid("cd_verify needs a nonempty grid")
 
-    def one(p: Point) -> float:
-        at = BlockGeometry.at(spec, p)
+    def stacked(s: slice) -> np.ndarray:
+        at = BlockGeometry(spec, pts[s])
+        forms = _generalized_ricci_at(at, density, N) - lam * at.g
+        return _min_relative_eigenvalues(forms, at.g)
+
+    def one(i: int) -> float:
+        at = BlockGeometry.at(spec, pts[i])
         form = _generalized_ricci_at(at, density, N)[0] - lam * at.g[0]
         return min_relative_eigenvalue(form, at.g[0])
 
-    # floating-point conditions the caller has numpy report become errors in
-    # a stacked pass, so their warnings come from the point-by-point re-run
-    reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-    mins = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], BLOCK_POINTS):
-        block = pts[start:start + BLOCK_POINTS]
-        try:
-            with np.errstate(**reported):
-                at = BlockGeometry(spec, block)
-                forms = _generalized_ricci_at(at, density, N) - lam * at.g
-                mins[start:start + len(block)] = _min_relative_eigenvalues(forms, at.g)
-        except Exception:
-            # a stacked pass meets the points' callables in another order than
-            # a point-by-point walk, so any failure, from a check or from the
-            # spec itself, is left to the re-run to raise
-            mins[start:start + len(block)] = [one(p) for p in block]
+    mins = in_blocks(pts.shape[0], BLOCK_POINTS, stacked, one)
 
     k = int(np.argmin(mins))
     mn = float(mins[k])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from cdsplit import catalog
 from cdsplit.chart_core import (
@@ -13,6 +14,7 @@ from cdsplit.chart_core import (
     VectorField,
     as_point,
     christoffel,
+    cumulative_simpson,
     grad_norm_squared,
     hessian_scalar,
     inverse_metric,
@@ -21,6 +23,7 @@ from cdsplit.chart_core import (
     partials_discrepancy,
     ricci_numeric,
     scalar_gradient,
+    simpson,
     weighted_laplacian,
 )
 from cdsplit.errors import ChartDomain, NonFinite, SingularMetric
@@ -319,3 +322,23 @@ class TestInvariantsAndGuards:
             ga = scalar_gradient(spec, f, p)
             gn = scalar_gradient(spec, f_bare, p)
             assert np.max(np.abs(ga - gn)) / max(1.0, np.max(np.abs(ga))) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# quadrature: the local Simpson rules against scipy.integrate, bit for bit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("spacing", ["uniform", "nonuniform"])
+@pytest.mark.parametrize("n", [*range(1, 10), 257])
+def test_simpson_rules_match_scipy_bit_for_bit(n, spacing):
+    rng = np.random.default_rng(1000 + n)
+    if spacing == "uniform":
+        x = 1e-3 * np.arange(n)  # the RK4 time grid of a trace
+    else:
+        x = np.cumsum(rng.uniform(0.05, 1.0, n)) - 0.5
+    # random samples, and all -0.0, whose integrals are signed zeros
+    for y in (rng.standard_normal(n), np.full(n, -0.0)):
+        expected = scipy.integrate.simpson(y, x=x)
+        assert np.float64(simpson(y, x)).tobytes() == np.float64(expected).tobytes()
+        expected = scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)
+        assert cumulative_simpson(y, x).tobytes() == expected.tobytes()

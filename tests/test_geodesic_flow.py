@@ -1,23 +1,41 @@
 """Geodesic integration, conserved quantities, density line integrals."""
 
+import dataclasses
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
+from hypothesis import example, given, settings, strategies as st
 
 from cdsplit import catalog
-from cdsplit.chart_core import ScalarField, VectorField
-from cdsplit.errors import EmptyTrace
+from cdsplit.chart_core import (
+    MetricSpec,
+    ScalarField,
+    VectorField,
+    _christoffel_rows,
+    _metric_rows,
+    gamma_evaluator,
+    metric_at,
+    scalar_gradient,
+)
+from cdsplit.errors import EmptyTrace, NonFinite
 from cdsplit.geodesic_flow import (
+    GeodesicTrace,
     clairaut_constant,
     completeness_diagnostic,
     f_along_geodesic,
+    fiber_projection_length,
     geodesic_integrate,
     normalize_velocity,
     sample_unit_directions,
     write_trace_csv,
 )
-from cdsplit.manifest import compile_expression, expression_scalar_field
+from cdsplit.manifest import compile_expression, expression_scalar_field, parse_manifest
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
 
 class TestIntegrator:
@@ -315,3 +333,175 @@ class TestTraceExport:
         assert float(row[1]) == pytest.approx(0.0)
         # 17 significant digits round-trip
         assert float(lines[3].split(",")[1]) == trace.positions[1, 0]
+
+
+# ---------------------------------------------------------------------------
+# the one-point Christoffel stage against the stacked solve, and the stacked
+# post-passes against sample-by-sample oracles
+# ---------------------------------------------------------------------------
+
+def _fd_chart():
+    # a curved chart without analytic partials
+    def g(q):
+        off = 0.05 * q[0] * q[1]
+        return np.array([[1.0 + 0.1 * math.sin(q[0] + q[1]), off],
+                         [off, 2.0 + 0.1 * math.cos(q[0])]])
+
+    return MetricSpec(dim=2, g=g, name="fd")
+
+
+STAGE_CHARTS = {
+    "split": catalog.split_sin_sphere(0.5).metric_spec(),
+    "split-torus": catalog.split_sin_torus(3).metric_spec(),
+    "twisted": catalog.twisted_example().metric_spec(),
+    "general": parse_manifest(MANIFESTS / "polar_general.cdm").geometry["spec"],
+    "fd-partials": _fd_chart(),
+}
+
+
+def _outcome(fn):
+    """fn()'s result as bytes, or the class and message of what it raised."""
+    try:
+        out = fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.shape, out.tobytes()
+
+
+def _stacked_gamma(spec, p):
+    return _christoffel_rows(p[None], *_metric_rows(spec, p[None]))[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(STAGE_CHARTS)),
+       st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=3, max_size=3))
+@example("general", [0.0, 1.0, 0.0])  # r = 0, where the polar g is singular
+def test_stage_matches_stacked_solve(name, coords):
+    spec = STAGE_CHARTS[name]
+    p = np.array(coords[:spec.dim])
+    expected = _outcome(lambda: _stacked_gamma(spec, p))
+    assert _outcome(lambda: gamma_evaluator(spec)(p)) == expected
+
+
+@pytest.mark.parametrize("bad", [
+    np.zeros((2, 2)),
+    np.diag([1.0, np.nan]),
+    np.array([[np.inf, np.inf], [1.0, 1.0]]),
+], ids=["singular", "nan", "inf"])
+def test_stage_errors_match_stacked_solve(bad):
+    spec = MetricSpec(dim=2, g=lambda q: bad, partials=lambda q: np.ones((2, 2, 2)))
+    p = np.array([0.5, -0.25])
+    with pytest.raises(Exception) as stacked:
+        _stacked_gamma(spec, p)
+    with pytest.raises(type(stacked.value), match=f"^{re.escape(str(stacked.value))}$"):
+        gamma_evaluator(spec)(p)
+
+
+def _drift_oracle(trace):
+    return max(abs(math.sqrt(max(0.0, float(v @ metric_at(trace.spec, p) @ v))) - 1.0)
+               for p, v in zip(trace.positions, trace.velocities))
+
+
+def _cumulative_oracle(values, ts):
+    if len(values) == 1:
+        return np.zeros(1)
+    return scipy.integrate.cumulative_simpson(np.array(values), x=ts, initial=0.0)
+
+
+def _f_gamma_oracle(density, trace):
+    spec, vals = trace.spec, []
+    for p, u in zip(trace.positions, trace.velocities):
+        if isinstance(density, ScalarField):
+            vals.append(float(u @ scalar_gradient(spec, density, p)))
+        else:
+            X = np.asarray(density.value(p), dtype=float)
+            vals.append(float(u @ metric_at(spec, p) @ X))
+    return _cumulative_oracle(vals, trace.ts)
+
+
+def _fiber_oracles(split, trace):
+    """Per-sample Clairaut values and the fiber projection length."""
+    clairaut, speeds = [], []
+    for p, u in zip(trace.positions, trace.velocities):
+        uy = u[1:]
+        gL = split.fiber.metric(p[1:])
+        clairaut.append(split.warp(p) ** 4 * float(uy @ gL @ uy))
+        speeds.append(math.sqrt(max(0.0, float(uy @ gL @ uy))))
+    return np.array(clairaut), float(_cumulative_oracle(speeds, trace.ts)[-1])
+
+
+def _trace(spec, p0, v_seed, samples):
+    v0 = normalize_velocity(spec, np.array(p0), np.array(v_seed))
+    trace = geodesic_integrate(spec, np.array(p0), v0, T=(samples - 1) * 1e-3, dt=1e-3)
+    assert len(trace) == samples and not trace.truncated
+    return trace
+
+
+def _post_pass_cases():
+    sphere = catalog.split_sin_sphere(0.5, f_L=catalog.bounded_fiber_density())
+    torus = catalog.split_sin_torus(3)
+    twisted, X = catalog.nongradient_example()
+    polar = parse_manifest(MANIFESTS / "polar_general.cdm").geometry
+    return {
+        "split-sphere": (sphere.metric_spec(), sphere.density(), sphere, [0.1, 0.3, -0.2]),
+        "split-torus": (torus.metric_spec(), torus.density(), torus, [0.2, 0.5, 1.0]),
+        "vector": (twisted.metric_spec(), X, None, [0.1, 0.2, -0.1, 0.3]),
+        "general": (polar["spec"], polar["density"], None, [1.0, 0.0]),
+    }
+
+
+POST_PASS_CASES = _post_pass_cases()
+
+
+@pytest.mark.parametrize("samples", [1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("case", sorted(POST_PASS_CASES))
+def test_post_passes_match_per_sample_oracles(case, samples):
+    spec, density, split, p0 = POST_PASS_CASES[case]
+    v_seed = [1.0, 0.7, -0.4, 0.2][:spec.dim]
+    trace = _trace(spec, p0, v_seed, samples)
+    assert trace.speed_drift == _drift_oracle(trace)
+    f_gamma = f_along_geodesic(density, trace)
+    assert f_gamma.tobytes() == _f_gamma_oracle(density, trace).tobytes()
+    if split is not None:
+        clairaut, length = _fiber_oracles(split, trace)
+        assert clairaut_constant(split, trace).values.tobytes() == clairaut.tobytes()
+        assert fiber_projection_length(split, trace) == length
+
+
+def test_failing_block_is_rerun_sample_by_sample():
+    # a stacked row function that fails leaves every block of the drift pass
+    # to the per-sample metric
+    split = catalog.split_sin_sphere(0.5)
+    spec = split.metric_spec()
+
+    def broken_rows(pts):
+        raise ZeroDivisionError("stacked rows fail")
+
+    broken = dataclasses.replace(spec, rows=broken_rows)
+    trace = _trace(spec, [0.0, 0.4, 0.2], [1.0, 0.5, -0.3], 300)
+    again = geodesic_integrate(broken, trace.positions[0], trace.velocities[0], T=0.299)
+    assert again.positions.tobytes() == trace.positions.tobytes()
+    assert again.speed_drift == trace.speed_drift == _drift_oracle(trace)
+
+
+def test_first_failing_sample_raises_as_per_sample():
+    # the metric is NaN at sample 3 and the vector density raises at sample 7:
+    # a stacked pass meets the density first, a sample-by-sample walk the
+    # metric, and the walk's error is the one raised
+    positions = np.column_stack([np.linspace(0.0, 1.0, 300), np.zeros(300)])
+    p3, p7 = positions[3], positions[7]
+
+    def g(q):
+        return np.full((2, 2), np.nan) if np.array_equal(q, p3) else np.eye(2)
+
+    def value(q):
+        if np.array_equal(q, p7):
+            raise ValueError("planted")
+        return np.array([1.0, 0.0])
+
+    spec = MetricSpec(dim=2, g=g, partials=lambda q: np.zeros((2, 2, 2)), name="planted")
+    velocities = np.tile([1.0, 0.0], (300, 1))
+    trace = GeodesicTrace(spec=spec, ts=np.linspace(0.0, 1.0, 300), positions=positions,
+                          velocities=velocities, speed_drift=0.0)
+    with pytest.raises(NonFinite, match=re.escape(f"non-finite values in metric at {p3}")):
+        f_along_geodesic(VectorField(value=value), trace)

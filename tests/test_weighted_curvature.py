@@ -207,6 +207,17 @@ class TestCDVerify:
                         box_grid([[-1, 1], [-1, 1]], [3, 3]))
         assert "not" in rep.caveat and "sampl" in rep.caveat
 
+    def test_caveat_follows_verdict(self):
+        # flat R^2 with f = 0: Ric^N = 0, so lambda = 0 sits on the boundary
+        # and lambda = 1 fails everywhere
+        spec, f = catalog.flat(2), ScalarField.constant(0.0)
+        grid = box_grid([[-1, 1], [-1, 1]], [3, 3])
+        boundary = cd_verify(spec, f, 0.0, math.inf, grid)
+        fail = cd_verify(spec, f, 1.0, math.inf, grid)
+        assert boundary.verdict == "boundary" and boundary.caveat.startswith("no violation found")
+        assert fail.verdict == "fail" and "no violation" not in fail.caveat
+        assert fail.caveat.startswith("violation found at the witness")
+
     def test_report_grid_description(self):
         split = catalog.split_sin_sphere(0.4)
         grid = split_grid(split, r_range=(-2, 2), r_count=11, fiber_count=3)

@@ -17,10 +17,14 @@ residual exceeds the Bochner tolerance), plus ``verify-cd`` on
 block edges of ``cd_verify``, which walks a grid in blocks of 256 points: a
 grid smaller than one block (27 and 18 points), and one whose first block
 ends inside a fiber slice (405 points, 81 per slice; 275 points, 25 per
-slice).  Last come ``curvature``, ``threshold``, ``geodesic``, ``bochner``
+slice).  Then come ``curvature``, ``threshold``, ``geodesic``, ``bochner``
 and a 21 x 3 x 3 ``verify-cd`` on ``F_L_MANIFEST``, a split space with an
-``[f_L]`` section, the one split-density path no shipped manifest reaches;
-its text is written once into OUT_DIR, so both trees run the same file.
+``[f_L]`` section, the one split-density path no shipped manifest reaches.
+Last come two ``geodesic`` runs whose post-passes walk their trace in blocks
+of 256 samples: on ``EXIT_MANIFEST`` the trace leaves the sphere fiber's
+safe box and is truncated after 619 samples, and on ``EDGE_MANIFEST`` it has
+exactly 257 samples.  The text of each of these manifests is written once
+into OUT_DIR, so both trees run the same file.
 Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
@@ -77,22 +81,65 @@ T = 2.0
 [bochner]
 points = 6
 """
+EXIT_MANIFEST = """\
+[manifold]
+name = sphere-exit
+kind = split
+dim = 3
+
+[phi]
+expr = sin(r)
+
+[fiber]
+type = sphere
+einstein_constant = 0.5
+
+[geodesic]
+start = 0.0, 2.0, 0.0
+velocity = 0.2, 1.0, 0.3
+T = 2.0
+"""
+EDGE_MANIFEST = """\
+[manifold]
+name = torus-block-edge
+kind = split
+dim = 3
+
+[phi]
+expr = 0.5 * sin(r)
+
+[f_L]
+expr = 0.2 * sin(y1) * cos(y2)
+
+[fiber]
+type = torus
+periods = 6.283185307179586, 12.566370614359172
+
+[geodesic]
+start = 0.0, 0.5, 1.0
+velocity = 1.0, 0.7, -0.4
+T = 0.256
+"""
+# manifests written into OUT_DIR, by the name their runs use
+WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
+           "torus_block_edge": EDGE_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
         + [("verify-cd", man, 42, overrides) for man, overrides in BLOCK_EDGES]
         + [(sub, F_L_NAME, 42, ()) for sub in ("curvature", "threshold", "geodesic", "bochner")]
-        + [("verify-cd", F_L_NAME, 42, ("r_count=21", "fiber_count=3"))])
+        + [("verify-cd", F_L_NAME, 42, ("r_count=21", "fiber_count=3"))]
+        + [("geodesic", "sphere_exit", 42, ()), ("geodesic", "torus_block_edge", 42, ())])
 
 
-def write_reports(tree: Path, out: Path, f_L_manifest: Path) -> None:
+def write_reports(tree: Path, out: Path, written: Path) -> None:
     """Run every entry of RUNS with the package and manifests of ``tree``;
-    ``f_L_manifest`` holds ``F_L_MANIFEST``."""
+    the directory ``written`` holds the ``WRITTEN`` manifests."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     for sub, man, seed, overrides in RUNS:
         run_dir = out / "_".join((sub, man, str(seed)) + overrides)
         run_dir.mkdir(parents=True)
-        manifest = str(f_L_manifest) if man == F_L_NAME else f"manifests/{man}.cdm"
+        manifest = str(written / f"{man}.cdm") if man in WRITTEN else f"manifests/{man}.cdm"
         proc = subprocess.run(
             [sys.executable, "-m", "cdsplit.cli", sub, "--manifest", manifest,
              "--out", str(run_dir), "--seed", str(seed)]
@@ -130,13 +177,13 @@ def main(argv=None) -> int:
         print(archive.stderr.decode(errors="replace").strip(), file=sys.stderr)
         return 2
     out.mkdir(parents=True, exist_ok=True)
-    f_L_manifest = out / f"{F_L_NAME}.cdm"
-    f_L_manifest.write_text(F_L_MANIFEST)
+    for name, text in WRITTEN.items():
+        (out / f"{name}.cdm").write_text(text)
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
             tar.extractall(tmp, filter="data")
-        write_reports(Path(tmp), out / "base", f_L_manifest)
-    write_reports(ROOT, out / "change", f_L_manifest)
+        write_reports(Path(tmp), out / "base", out)
+    write_reports(ROOT, out / "change", out)
     diffs, total = differing(out / "base", out / "change")
     for path in diffs:
         print(f"differs: {path}")
