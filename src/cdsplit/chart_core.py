@@ -39,8 +39,9 @@ one-point case: ``g`` and ``partials`` at the point and one direct LAPACK
 stack, so it is bit-equal to that point's row of ``_christoffel_rows``.  A
 singular or non-finite solve is re-run through ``_christoffel_rows``, which
 raises its error.  ``in_blocks`` walks samples in blocks of
-``BLOCK_POINTS`` and re-runs a failing block sample by sample; ``cd_verify``
-and the geodesic post-passes evaluate through it.  ``simpson`` and
+``BLOCK_POINTS`` and re-runs a failing block through the same stacked pass,
+one sample at a time, as blocks of one; ``cd_verify`` and the geodesic
+post-passes evaluate through it and have no per-sample code.  ``simpson`` and
 ``cumulative_simpson`` are the composite Simpson rules of
 ``scipy.integrate``, with its operations in its order.
 
@@ -366,23 +367,25 @@ def _metric_rows(spec: MetricSpec, pts: np.ndarray):
 def _lowered(D: np.ndarray) -> np.ndarray:
     """M[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from D[..., k, i, j] = d_k g_ij."""
     if D.ndim == 3:
-        return np.transpose(D, (2, 0, 1)) + np.transpose(D, (2, 1, 0)) - D
-    return np.transpose(D, (0, 3, 1, 2)) + np.transpose(D, (0, 3, 2, 1)) - D
+        return D.transpose(2, 0, 1) + D.transpose(2, 1, 0) - D
+    return D.transpose(0, 3, 1, 2) + D.transpose(0, 3, 2, 1) - D
 
 
 # ---------------------------------------------------------------------------
 # block geometry
 # ---------------------------------------------------------------------------
 
-def in_blocks(count: int, size: int, stacked, one) -> np.ndarray:
+def in_blocks(count: int, size: int, stacked) -> np.ndarray:
     """The values of samples 0 .. count-1, evaluated in blocks of ``size``.
 
     ``stacked(s)`` returns the values of the samples in slice ``s`` in one
     stacked pass.  When anything in a block fails, the block is evaluated
-    again by ``one(i)``, one sample at a time and in order, so the first
-    failing sample raises the error, and emits the numpy warnings, it does on
-    its own.  Floating-point conditions the caller has numpy report become
-    errors in a stacked pass, so their warnings come from that re-run.
+    again by ``stacked(slice(i, i + 1))``, one sample at a time and in order;
+    a block of one runs its evaluations and checks as the sample on its own
+    always has (``BlockGeometry``), so the first failing sample raises the
+    error, and emits the numpy warnings, it does alone.  Floating-point
+    conditions the caller has numpy report become errors in a stacked pass,
+    so their warnings come from that re-run.
     """
     reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
     out = np.empty(count)
@@ -395,7 +398,8 @@ def in_blocks(count: int, size: int, stacked, one) -> np.ndarray:
             # a stacked pass meets the samples' callables in another order
             # than a sample-by-sample walk, so any failure, from a check or
             # from a spec itself, is left to the re-run to raise
-            out[s] = [one(i) for i in range(s.start, s.stop)]
+            for i in range(s.start, s.stop):
+                out[i:i + 1] = stacked(slice(i, i + 1))
     return out
 
 

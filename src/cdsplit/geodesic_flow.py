@@ -12,7 +12,10 @@ Each RK4 stage evaluates its Christoffel symbols at one point
 f_gamma, the conserved quantity, the fiber projection length) evaluate the
 metric, density gradient or fiber metric of ``BLOCK_POINTS`` samples as one
 stack (``in_blocks``), then reduce each sample on its own, so every value is
-bit-equal to the sample-by-sample code that re-runs a failing block.
+bit-equal to evaluating the sample alone.  A failing block is run again
+through the same pass one sample at a time, so the first failing sample
+raises its own error; a non-finite vector density is an error, never a
+NaN f_gamma.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from .chart_core import (
     in_blocks,
     in_domain,
     metric_at,
-    scalar_gradient,
 )
 from .errors import CdsplitError, EmptyTrace, NonFinite, StepOverflow
 
@@ -152,8 +154,7 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
     ts = dt * np.arange(k_end + 1)
     speeds = in_blocks(
         k_end + 1, BLOCK_POINTS,
-        lambda s: [_norm(G, v) for G, v in zip(BlockGeometry(spec, xs[s]).g, us[s])],
-        lambda i: speed_in_metric(spec, xs[i], us[i]))
+        lambda s: [_norm(G, v) for G, v in zip(BlockGeometry(spec, xs[s]).g, us[s])])
     drift = np.max(np.abs(speeds - 1.0))
     return GeodesicTrace(spec=spec, ts=ts, positions=xs, velocities=us,
                          speed_drift=float(drift), truncated=truncated)
@@ -174,13 +175,8 @@ def _fiber_pass(split: SplitSpaceSpec, trace: GeodesicTrace, value) -> np.ndarra
     """``value(p, fiber velocity, fiber metric)`` at every sample of the trace,
     with the fiber metric of each block from ``fiber.rows``."""
     P, UY = trace.positions, trace.velocities[:, 1:]
-    fiber = split.fiber
-
-    def stacked(s: slice) -> list[float]:
-        return [value(p, uy, h) for p, uy, h in zip(P[s], UY[s], fiber.rows(P[s, 1:])[0])]
-
-    return in_blocks(len(trace), BLOCK_POINTS, stacked,
-                     lambda i: value(P[i], UY[i], fiber.metric(P[i, 1:])))
+    return in_blocks(len(trace), BLOCK_POINTS, lambda s: [
+        value(p, uy, h) for p, uy, h in zip(P[s], UY[s], split.fiber.rows(P[s, 1:])[0])])
 
 
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
@@ -212,22 +208,17 @@ def fiber_projection_length(split: SplitSpaceSpec, trace: GeodesicTrace) -> floa
 # density line integrals
 # ---------------------------------------------------------------------------
 
-def _density_pairing(spec: MetricSpec, density: DensitySpec, p: Point, u: np.ndarray) -> float:
-    """g(gamma', X) for a vector density, g(gamma', grad f) = df(gamma') for a
-    scalar one."""
-    if isinstance(density, ScalarField):
-        return float(u @ scalar_gradient(spec, density, p))
-    return float(u @ metric_at(spec, p) @ np.asarray(density.value(p), dtype=float))
-
-
 def _density_pairings(spec: MetricSpec, density: DensitySpec, P: np.ndarray,
                       U: np.ndarray) -> list[float]:
-    """``_density_pairing`` at each sample of a block, from one BlockGeometry."""
+    """g(gamma', X) for a vector density, g(gamma', grad f) = df(gamma') for a
+    scalar one, at each sample of a block, from one BlockGeometry; the metric
+    is checked before the vector density."""
     at = BlockGeometry(spec, P)
     if isinstance(density, ScalarField):
         return [float(u @ df) for u, df in zip(U, at.gradient(density))]
+    G = at.g
     X = at.evaluated(density.value, "vector field")
-    return [float(u @ g @ x) for u, g, x in zip(U, at.g, X)]
+    return [float(u @ g @ x) for u, g, x in zip(U, G, X)]
 
 
 def f_along_geodesic(density: DensitySpec, trace: GeodesicTrace) -> np.ndarray:
@@ -238,8 +229,7 @@ def f_along_geodesic(density: DensitySpec, trace: GeodesicTrace) -> np.ndarray:
         raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
     spec, P, U = trace.spec, trace.positions, trace.velocities
     integrand = in_blocks(len(trace), BLOCK_POINTS,
-                          lambda s: _density_pairings(spec, density, P[s], U[s]),
-                          lambda i: _density_pairing(spec, density, P[i], U[i]))
+                          lambda s: _density_pairings(spec, density, P[s], U[s]))
     return cumulative_simpson(integrand, trace.ts)
 
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 from scipy.linalg.lapack import dsygvd as _sygvd
 
 from .chart_core import (
@@ -103,36 +102,33 @@ def generalized_ricci(spec: MetricSpec, density: DensitySpec, N: float, p: Point
 
 def min_relative_eigenvalue(form: np.ndarray, metric: np.ndarray) -> float:
     """Smallest mu with form v = mu metric v; `form >= lam * metric` iff
-    the return value is >= lam.  Solved by the symmetric-definite
-    generalized eigensolver (Cholesky reduction inside LAPACK); non-finite
-    input raises SingularMetric, as in ``_min_relative_eigenvalues``."""
+    the return value is >= lam.  The pair is a stack of one for
+    ``_min_relative_eigenvalues``, with its errors."""
     form = np.asarray(form, dtype=float)
     metric = np.asarray(metric, dtype=float)
-    a, b = 0.5 * (form + form.T), 0.5 * (metric + metric.T)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise SingularMetric("non-finite generalized eigenproblem")
-    try:
-        vals = scipy.linalg.eigh(a, b, eigvals_only=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
-        raise SingularMetric(f"metric factor not positive definite: {exc}") from exc
-    return float(vals[0])
+    return float(_min_relative_eigenvalues(form[None], metric[None])[0])
 
 
 def _min_relative_eigenvalues(forms: np.ndarray, metrics: np.ndarray) -> np.ndarray:
-    """``min_relative_eigenvalue`` of each (form, metric) pair of two stacks,
-    by the LAPACK call and arguments ``scipy.linalg.eigh`` uses, without its
-    wrapper.  Any failure raises SingularMetric without detail; callers that
-    need the per-point message call ``min_relative_eigenvalue``."""
+    """The smallest relative eigenvalue of each (form, metric) pair of two
+    stacks, from the symmetric-definite generalized eigensolver (Cholesky
+    reduction inside LAPACK), called directly with the arguments
+    ``scipy.linalg.eigh`` passes it.  Non-finite input, a metric LAPACK
+    cannot factor and a solve that does not converge raise SingularMetric."""
     a = 0.5 * (forms + forms.swapaxes(1, 2))
     b = 0.5 * (metrics + metrics.swapaxes(1, 2))
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SingularMetric("non-finite generalized eigenproblem")
+    n = a.shape[-1]
     out = np.empty(len(a))
     for i in range(len(a)):
         w, _, info = _sygvd(a[i], b[i], itype=1, jobz="N", uplo="L",
                             overwrite_a=0, overwrite_b=0)
+        if info > n:
+            raise SingularMetric(
+                f"metric factor not positive definite: leading minor of order {info - n}")
         if info != 0:
-            raise SingularMetric("generalized eigenproblem failed")
+            raise SingularMetric(f"generalized eigensolve did not converge (LAPACK info {info})")
         out[i] = w[0]
     return out
 
@@ -231,9 +227,9 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
     The grid is walked in blocks of ``BLOCK_POINTS`` points (``in_blocks``),
     each evaluated in one stacked pass (``BlockGeometry``) whose every value
     is bit-equal to evaluating its points one at a time.  When anything in a
-    block fails, the block is evaluated again one point at a time, in grid
-    order, so the first failing point raises the error, and emits the numpy
-    warnings, it does on its own.
+    block fails, the same pass runs again on each point of the block in grid
+    order, as a block of one, so the first failing point raises the error,
+    and emits the numpy warnings, it does on its own.
     """
     _check_N(N, spec.dim)
     pts = grid.points
@@ -245,12 +241,7 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
         forms = _generalized_ricci_at(at, density, N) - lam * at.g
         return _min_relative_eigenvalues(forms, at.g)
 
-    def one(i: int) -> float:
-        at = BlockGeometry.at(spec, pts[i])
-        form = _generalized_ricci_at(at, density, N)[0] - lam * at.g[0]
-        return min_relative_eigenvalue(form, at.g[0])
-
-    mins = in_blocks(pts.shape[0], BLOCK_POINTS, stacked, one)
+    mins = in_blocks(pts.shape[0], BLOCK_POINTS, stacked)
 
     k = int(np.argmin(mins))
     mn = float(mins[k])

@@ -321,3 +321,36 @@ def test_overflowing_lambda_is_one_error_line(tmp_path, capsys):
         assert run("verify-cd", path, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == "error: non-finite generalized eigenproblem\n"
+
+
+OVERFLOWING_DENSITY = """
+[manifold]
+name = flat-overflowing-density
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = 1
+
+[density]
+X1 = 1e308 * exp(r)
+X2 = 0
+
+[geodesic]
+start = 0, 0
+velocity = 1, 0
+T = 1
+"""
+
+
+def test_overflowing_vector_density_is_one_error_line(tmp_path, capsys):
+    # X1 overflows to inf from r = 0.587 on: f_gamma is refused there, not
+    # written as a column of NaN
+    path = tmp_path / "m.cdm"
+    path.write_text(OVERFLOWING_DENSITY)
+    assert run("geodesic", path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == "error: non-finite values in vector field at [0.587 0.   ]\n"
+    assert not (tmp_path / "out" / "geodesic.csv").exists()

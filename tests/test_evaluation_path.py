@@ -9,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cdsplit import catalog, weighted_curvature
 from cdsplit.chart_core import (
+    BlockGeometry,
     MetricSpec,
     ScalarField,
     VectorField,
@@ -28,7 +30,6 @@ from cdsplit.weighted_curvature import (
     box_grid,
     cd_verify,
     generalized_ricci,
-    min_relative_eigenvalue,
     product_grid,
     split_grid,
 )
@@ -116,23 +117,32 @@ def test_first_failing_stencil_point_named():
 
 def _pointwise(spec, density, lam, N, points):
     """Minimum relative eigenvalues one point at a time, through the public
-    per-point functions."""
+    per-point functions and scipy's own generalized eigensolver."""
     out = []
     for p in points:
         form = generalized_ricci(spec, density, N, p)
         g = metric_at(spec, p)
-        out.append(min_relative_eigenvalue(form - lam * g, g))
+        form = form - lam * g
+        out.append(scipy.linalg.eigh(0.5 * (form + form.T), 0.5 * (g + g.T),
+                                     eigvals_only=True)[0])
     return np.array(out)
 
 
 def _block_walk(monkeypatch, spec, density, lam, N, grid):
-    """cd_verify, asserting that no block fell back to the per-point path."""
-    per_point_solves = []
+    """cd_verify, asserting that it built one BlockGeometry per block and
+    re-ran none of them point by point."""
+    sizes = []
+
+    class Recorded(BlockGeometry):
+        def __init__(self, spec, pts):
+            super().__init__(spec, pts)
+            sizes.append(len(self.pts))
+
     with monkeypatch.context() as patch:
-        patch.setattr(weighted_curvature, "min_relative_eigenvalue",
-                      lambda *args: per_point_solves.append(args))
+        patch.setattr(weighted_curvature, "BlockGeometry", Recorded)
         report = cd_verify(spec, density, lam, N, grid)
-    assert per_point_solves == []
+    count, size = len(grid.points), weighted_curvature.BLOCK_POINTS
+    assert sizes == [min(size, count - start) for start in range(0, count, size)]
     return report
 
 

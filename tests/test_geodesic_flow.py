@@ -505,3 +505,22 @@ def test_first_failing_sample_raises_as_per_sample():
                           velocities=velocities, speed_drift=0.0)
     with pytest.raises(NonFinite, match=re.escape(f"non-finite values in metric at {p3}")):
         f_along_geodesic(VectorField(value=value), trace)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_non_finite_vector_density_raises_at_its_sample(bad):
+    # the density is bad at sample 270 only, in the second block of 256: the
+    # failing block's re-run names that sample instead of integrating it
+    positions = np.column_stack([np.linspace(0.0, 1.0, 300), np.zeros(300)])
+    p270 = positions[270]
+
+    def value(q):
+        return np.array([bad, 0.0]) if np.array_equal(q, p270) else np.array([1.0, 0.0])
+
+    spec = MetricSpec(dim=2, g=lambda q: np.eye(2), partials=lambda q: np.zeros((2, 2, 2)),
+                      name="flat")
+    trace = GeodesicTrace(spec=spec, ts=np.linspace(0.0, 1.0, 300), positions=positions,
+                          velocities=np.tile([1.0, 0.0], (300, 1)), speed_drift=0.0)
+    message = f"non-finite values in vector field at {p270}"
+    with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+        f_along_geodesic(VectorField(value=value), trace)

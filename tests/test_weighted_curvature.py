@@ -123,7 +123,8 @@ class TestMinRelativeEigenvalue:
                                        np.diag([2.0, 2.0])) == pytest.approx(2.0)
 
     def test_non_definite_metric_raises(self):
-        with pytest.raises(SingularMetric):
+        with pytest.raises(SingularMetric, match="^metric factor not positive definite: "
+                                                 "leading minor of order 2$"):
             min_relative_eigenvalue(np.eye(2), np.diag([1.0, -1.0]))
 
     def test_threshold_characterization(self):

@@ -23,8 +23,15 @@ and a 21 x 3 x 3 ``verify-cd`` on ``F_L_MANIFEST``, a split space with an
 Last come two ``geodesic`` runs whose post-passes walk their trace in blocks
 of 256 samples: on ``EXIT_MANIFEST`` the trace leaves the sphere fiber's
 safe box and is truncated after 619 samples, and on ``EDGE_MANIFEST`` it has
-exactly 257 samples.  The text of each of these manifests is written once
-into OUT_DIR, so both trees run the same file.
+exactly 257 samples.  Two runs fail inside a block and so reach the
+re-run of that block one sample at a time: ``verify-cd`` on
+``SINGULAR_MANIFEST``, whose metric is singular at grid point 270, in the
+second block of 256, and ``geodesic`` on ``OVERFLOW_MANIFEST``, whose vector
+density overflows to inf at sample 587 of the trace.  Up to revision
+96b3224 the second exits 0 with a NaN f_gamma column; since then it exits 1,
+so its files are expected to differ against such a base.  The text of each
+of these manifests is written once into OUT_DIR, so both trees run the same
+file.
 Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
@@ -120,16 +127,65 @@ start = 0.0, 0.5, 1.0
 velocity = 1.0, 0.7, -0.4
 T = 0.256
 """
+SINGULAR_MANIFEST = """\
+[manifold]
+name = plane-degenerating
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = 3 - r
+
+[density]
+f = 0
+
+[grid]
+r_min = 0.0
+r_max = 4.0
+r_count = 41
+y_min = -2.0
+y_max = 2.0
+fiber_count = 9
+
+[cd]
+lambda = 0
+N = inf
+"""
+OVERFLOW_MANIFEST = """\
+[manifold]
+name = flat-overflowing-density
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = 1
+
+[density]
+X1 = 1e308 * exp(r)
+X2 = 0
+
+[geodesic]
+start = 0, 0
+velocity = 1, 0
+T = 1
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
-           "torus_block_edge": EDGE_MANIFEST}
+           "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
+           "flat_overflowing_density": OVERFLOW_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
         + [("verify-cd", man, 42, overrides) for man, overrides in BLOCK_EDGES]
         + [(sub, F_L_NAME, 42, ()) for sub in ("curvature", "threshold", "geodesic", "bochner")]
         + [("verify-cd", F_L_NAME, 42, ("r_count=21", "fiber_count=3"))]
-        + [("geodesic", "sphere_exit", 42, ()), ("geodesic", "torus_block_edge", 42, ())])
+        + [("geodesic", "sphere_exit", 42, ()), ("geodesic", "torus_block_edge", 42, ())]
+        + [("verify-cd", "plane_degenerating", 42, ()),
+           ("geodesic", "flat_overflowing_density", 42, ())])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
