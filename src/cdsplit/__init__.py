@@ -35,7 +35,6 @@ from .geodesic_flow import (
     write_trace_csv,
 )
 from .warped_products import (
-    CustomFiber,
     EuclideanFiber,
     RiccatiReport,
     SphereFiber,

@@ -2,9 +2,11 @@
 
 All geometry lives in a single coordinate chart: a metric is a callable
 returning the symmetric matrix of components ``g_ij(p)`` at a chart point,
-and every derived object (Christoffel symbols, Ricci tensor, Hessians, Lie
-derivatives, weighted Laplacians) is computed from it by central finite
-differences, or from user-supplied analytic partials when available.
+together with a callable returning its analytic partials.  The Christoffel
+symbols come from these two; the Ricci tensor differences the Christoffel
+symbols, and Hessians, Lie derivatives and weighted Laplacians difference
+whatever a field does not supply in closed form, all by central finite
+differences.
 
 Conventions
 -----------
@@ -14,9 +16,10 @@ Conventions
 * Metric partials are stored derivative-index first:
   ``D[k, i, j] = d g_ij / d x^k``.
 * Finite-difference steps scale with the coordinate magnitude:
-  first derivatives use ``h1 * max(1, |x_k|)``, plain second derivatives
-  ``h2 * max(1, |x_k|)``, and derivatives of derived fields (third-order
-  content) ``h3 * max(1, |x_k|)``.
+  first derivatives (of the Christoffel symbols for Ricci, of a field's
+  values or gradient) use ``h1 * max(1, |x_k|)``, plain second derivatives
+  of a field's values ``h2 * max(1, |x_k|)``, and derivatives of derived
+  fields (third-order content) ``h3 * max(1, |x_k|)``.
 
 Evaluation path
 ---------------
@@ -26,7 +29,8 @@ first use and then shared by the tensors built there, all with a leading
 batch axis.  The public per-point functions are its block of one.  The
 Ricci tensor evaluates all 2n+1 stencil rows of every point of a block as
 one row array: ``g`` and ``D`` come from the chart's stacked row function
-when it has one (``MetricSpec.rows``), the Christoffel symbols from one
+when it has one (``MetricSpec.rows``) and from ``g`` and ``partials`` row by
+row otherwise, the Christoffel symbols from one
 ``np.linalg.solve`` over the stack (``_christoffel_rows``), and the centre
 point's ``g`` and ``D`` are its stencil row 0.  Cholesky factors and
 inverses are direct LAPACK ``potrf``/``potrs`` calls, one per point, with the
@@ -116,12 +120,13 @@ class FDSteps:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A chart metric: dimension, component callable, optional extras.
+    """A chart metric: dimension, components, analytic partials, optional extras.
 
-    ``partials`` (when given) must return ``D[k, i, j] = d_k g_ij`` and is
-    used instead of finite differences.  ``domain`` is an ``(n, 2)`` array of
-    closed coordinate bounds; stencil points outside it raise ChartDomain.
-    ``rows`` (optional, with ``partials``) maps a (k, n) array of points to
+    ``partials`` returns ``D[k, i, j] = d_k g_ij``; every chart carries them
+    (manifests by symbolic differentiation), and ``partials_discrepancy``
+    checks them against central differences of ``g``.  ``domain`` is an
+    ``(n, 2)`` array of closed coordinate bounds; stencil points outside it
+    raise ChartDomain.  ``rows`` (optional) maps a (k, n) array of points to
     the raw ``g`` and ``D`` at every row, (k, n, n) and (k, n, n, n), bit for
     bit what ``g`` and ``partials`` return row by row, so that stencils are
     evaluated in one call.
@@ -129,7 +134,7 @@ class MetricSpec:
 
     dim: int
     g: Callable[[Point], np.ndarray]
-    partials: Callable[[Point], np.ndarray] | None = None
+    partials: Callable[[Point], np.ndarray]
     domain: np.ndarray | None = None
     name: str = ""
     coord_names: tuple[str, ...] | None = None
@@ -173,10 +178,10 @@ def r_coordinate_field(n: int, sign: float = 1.0) -> ScalarField:
 
 @dataclass(frozen=True)
 class VectorField:
-    """A vector field by components ``X^i``; ``jacobian(p)[i, j] = d_j X^i``."""
+    """A vector field by components ``X^i``; its Jacobian is central
+    differences of the components."""
 
     value: Callable[[Point], np.ndarray]
-    jacobian: Callable[[Point], np.ndarray] | None = None
 
 
 #: A density is either a scalar potential (gradient variant) or a vector field.
@@ -311,23 +316,16 @@ def inverse_metric(spec: MetricSpec, p: Point) -> np.ndarray:
 
 
 def metric_partials_at(spec: MetricSpec, p: Point) -> np.ndarray:
-    """D[k, i, j] = d_k g_ij, analytic when supplied, else central differences."""
+    """D[k, i, j] = d_k g_ij from the chart's analytic partials, checked."""
     p = as_point(p, spec.dim)
-    if spec.partials is not None:
-        D = np.asarray(spec.partials(p), dtype=float)
-        if D.shape != (spec.dim,) * 3:
-            raise ValueError(f"metric partials returned shape {D.shape}")
-        return _finite(D, "metric partials", p)
-    steps = spec.fd.scaled(p, spec.fd.h1)
-    check_domain(spec, p, steps)
-    D = first_partials(lambda q: metric_at(spec, q), p, steps)
-    return _finite(D, "finite-difference metric partials", p)
+    D = np.asarray(spec.partials(p), dtype=float)
+    if D.shape != (spec.dim,) * 3:
+        raise ValueError(f"metric partials returned shape {D.shape}")
+    return _finite(D, "metric partials", p)
 
 
 def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
     """Debug check: max |analytic - finite difference| over metric partials."""
-    if spec.partials is None:
-        return 0.0
     p = as_point(p, spec.dim)
     steps = spec.fd.scaled(p, spec.fd.h1)
     fd = first_partials(lambda q: metric_at(spec, q), p, steps)
@@ -341,17 +339,9 @@ def _stacked(spec: MetricSpec, k: int) -> bool:
     return spec.rows is not None and k > 1
 
 
-def _raw_partials(spec: MetricSpec, q: Point) -> np.ndarray:
-    if spec.partials is not None:
-        return spec.partials(q)
-    steps = spec.fd.scaled(q, spec.fd.h1)
-    return first_partials(lambda x: np.asarray(spec.g(x), dtype=float), q, steps)
-
-
 def _metric_rows(spec: MetricSpec, pts: np.ndarray):
     """Raw g and partials D at each row of ``pts``: (k, n, n) and (k, n, n, n),
-    in one call of the chart's stacked row function, or row by row, with
-    central differences of g where the chart has no analytic partials."""
+    in one call of the chart's stacked row function, or row by row."""
     if _stacked(spec, len(pts)):
         return spec.rows(pts)
     k, n = pts.shape
@@ -360,7 +350,7 @@ def _metric_rows(spec: MetricSpec, pts: np.ndarray):
     D = np.empty((k, n, n, n))
     for i, q in enumerate(pts):
         gs[i] = g_fn(q)
-        D[i] = part_fn(q) if part_fn is not None else _raw_partials(spec, q)
+        D[i] = part_fn(q)
     return gs, D
 
 
@@ -482,16 +472,14 @@ class BlockGeometry:
     def ricci(self) -> np.ndarray:
         spec, pts = self.spec, self.pts
         B, n = pts.shape
-        fd = spec.fd
-        steps = fd.scaled(pts, fd.h1 if spec.partials is not None else fd.h2)
-        inner = fd.scaled(pts, fd.h1) if spec.partials is None else 0.0
-        _check_domains(spec, pts, 2.0 * steps + 2.0 * np.asarray(inner))
+        steps = spec.fd.scaled(pts, spec.fd.h1)
+        _check_domains(spec, pts, 2.0 * steps)
         self.chol  # positivity gate, once per point; christoffel reuses the factor
         g0, D0 = self._raw
         if D0 is None:
             D0 = np.empty((B, n, n, n))
             for i, q in enumerate(pts):
-                D0[i] = _raw_partials(spec, q)
+                D0[i] = spec.partials(q)
         # stencil rows per point: p, then p + h_d e_d and p - h_d e_d for each axis d
         stencil = np.repeat(pts[:, None, :], 2 * n + 1, axis=1)
         for d in range(n):
@@ -558,12 +546,9 @@ class BlockGeometry:
         Xv = self.evaluated(X.value, "vector field")
         J = np.empty((len(pts), spec.dim, spec.dim))
         for i, p in enumerate(pts):
-            if X.jacobian is not None:
-                J[i] = X.jacobian(p)
-            else:
-                steps = spec.fd.scaled(p, spec.fd.h1)
-                check_domain(spec, p, steps)
-                J[i] = first_partials(lambda q: np.asarray(X.value(q), dtype=float), p, steps).T
+            steps = spec.fd.scaled(p, spec.fd.h1)
+            check_domain(spec, p, steps)
+            J[i] = first_partials(lambda q: np.asarray(X.value(q), dtype=float), p, steps).T
         _finite_rows(J, "vector field Jacobian", pts)
         gJ = g.swapaxes(1, 2) @ J
         out = np.einsum("bk,bkij->bij", Xv, D) + gJ + gJ.swapaxes(1, 2)
@@ -617,7 +602,7 @@ def gamma_evaluator(spec: MetricSpec):
 
     def gamma(p: Point) -> np.ndarray:
         g = g_fn(p)
-        D = part_fn(p) if part_fn is not None else _raw_partials(spec, p)
+        D = part_fn(p)
         x, info = _gesv(g, _lowered(D).reshape(n, n * n))[2:]
         out = 0.5 * x
         if info != 0 or not np.isfinite(out).all():
@@ -643,10 +628,9 @@ def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
     Builds R^l_ijk from Gamma and its central-difference derivatives and
     contracts; the result is symmetrized to remove finite-difference noise.
     The Christoffel symbols at p and at its 2n stencil neighbours come from
-    one stacked solve.  The step for the outer Gamma derivative depends on
-    how Gamma is obtained: analytic metric partials give a clean Gamma, so
-    the finer first-derivative step minimizes truncation; finite-differenced
-    Gamma carries noise that the coarser second-derivative step must absorb.
+    one stacked solve of the chart's analytic partials, so they carry no
+    differencing noise, and the derivative takes the first-derivative step
+    h1, which keeps its truncation error small.
     """
     return BlockGeometry.at(spec, p).ricci()[0]
 

@@ -6,7 +6,8 @@
 Subcommands: curvature, verify-cd, threshold, riccati, geodesic, compare,
 bochner, suite.  Exit codes: 0 = all checks pass, 1 = violation found or a
 numerical error, 2 = usage or parse error, such as any manifest that
-``parse_manifest`` rejects; an error is one ``error:`` line.
+``parse_manifest`` rejects; an error is one ``error:`` line, and a warning
+(numpy's floating-point warnings among them) one ``warning:`` line.
 ``--grid-override`` sets a [grid] or [numeric] key; ``parse_manifest``
 applies it before validation and builds the geometry the subcommands get
 from ``build_geometry``.  Given the same manifest and seed the written
@@ -20,6 +21,7 @@ import argparse
 import hashlib
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -370,10 +372,22 @@ _COMMANDS = {
 }
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as ``warning: <Category>: <message>``, without the
+    source file and line that the default format names."""
+    print(f"warning: {category.__name__}: {message}", file=sys.stderr)
+
+
 def run(subcommand: str, manifest_path, out_dir=None, seed: int = 42,
         grid_overrides=()) -> int:
     """Programmatic entry point mirroring the command line; returns the exit
     code (0 pass, 1 violation, 2 usage/parse error)."""
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        return _run(subcommand, manifest_path, out_dir, seed, grid_overrides)
+
+
+def _run(subcommand: str, manifest_path, out_dir, seed: int, grid_overrides) -> int:
     if subcommand not in _COMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2

@@ -50,6 +50,17 @@ from .weighted_curvature import GridSpec, cd_verify, generalized_ricci, inset_bo
 if TYPE_CHECKING:
     from .warped_products import SplitSpaceSpec
 
+#: Samples of the quadrature behind each comparison bound of a radial model.
+QUAD_POINTS = 401
+#: Relative tolerance of the closed-form weighted Laplacian of a radial
+#: model against the chart machinery.
+CROSS_CHECK_TOL = 1e-6
+#: Rigidity tolerances: the weighted Laplacian of r and of -r, the Hessian
+#: proportionality, and the radial generalized Ricci at N = 1.
+RIGIDITY_TOL_LAP = 1e-6
+RIGIDITY_TOL_HESS = 1e-5
+RIGIDITY_TOL_RIC = 1e-6
+
 
 # ---------------------------------------------------------------------------
 # comparison bound
@@ -166,8 +177,7 @@ def radial_lap_f_numeric(model: RadialModel, rho: float) -> float:
     return weighted_laplacian(model.metric_spec(), model.density(), model.r_field(), p)
 
 
-def radial_comparison_check(model: RadialModel, rho_grid, quad_points: int = 401,
-                            verify_cd: bool = True, cross_check_tol: float = 1e-6):
+def radial_comparison_check(model: RadialModel, rho_grid):
     """ComparisonSamples over the radii: analytic weighted Laplacian of the
     distance function vs the comparison bound.
 
@@ -175,22 +185,20 @@ def radial_comparison_check(model: RadialModel, rho_grid, quad_points: int = 401
     each analytic Laplacian is cross-checked against the chart machinery.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
-    if verify_cd:
-        rep = cd_verify(model.metric_spec(), model.density(), 0.0, 1.0,
-                        model.cd_grid(rho_grid))
-        if not rep.passed:
-            raise CDViolation(
-                f"model is not CD(0,1) on the grid: min eigenvalue "
-                f"{rep.min_eigenvalue:.6g} at {rep.witness}")
+    rep = cd_verify(model.metric_spec(), model.density(), 0.0, 1.0, model.cd_grid(rho_grid))
+    if not rep.passed:
+        raise CDViolation(
+            f"model is not CD(0,1) on the grid: min eigenvalue "
+            f"{rep.min_eigenvalue:.6g} at {rep.witness}")
     samples = []
     for rho in rho_grid:
-        ts = np.linspace(0.0, rho, quad_points)
+        ts = np.linspace(0.0, rho, QUAD_POINTS)
         fs = np.array([model.f(t) for t in ts])
         ts_f = np.stack([ts, fs], axis=-1)
         bound = comparison_bound(ts_f, model.n, float(rho))
         lap = model.lap_f_r(float(rho))
         num = radial_lap_f_numeric(model, float(rho))
-        if abs(num - lap) > cross_check_tol * max(1.0, abs(lap)):
+        if abs(num - lap) > CROSS_CHECK_TOL * max(1.0, abs(lap)):
             raise CDViolation(
                 f"numeric weighted Laplacian {num:.9g} disagrees with the "
                 f"closed form {lap:.9g} at rho = {rho:.6g}")
@@ -335,12 +343,11 @@ class RigidityReport:
     busemann_pair_dev: float
     points: np.ndarray
 
-    def passes(self, tol_lap: float = 1e-6, tol_hess: float = 1e-5,
-               tol_ric: float = 1e-6) -> bool:
-        return (self.grad_norm_dev <= 1e-9 and self.lap_f_r_dev <= tol_lap
-                and self.hess_proportionality_dev <= tol_hess
-                and self.radial_ricci_dev <= tol_ric
-                and self.busemann_pair_dev <= tol_lap)
+    def passes(self) -> bool:
+        return (self.grad_norm_dev <= 1e-9 and self.lap_f_r_dev <= RIGIDITY_TOL_LAP
+                and self.hess_proportionality_dev <= RIGIDITY_TOL_HESS
+                and self.radial_ricci_dev <= RIGIDITY_TOL_RIC
+                and self.busemann_pair_dev <= RIGIDITY_TOL_LAP)
 
 
 def rigidity_check(split: SplitSpaceSpec, points=None, n_points: int = 50,

@@ -14,8 +14,8 @@ metric, density gradient or fiber metric of ``BLOCK_POINTS`` samples as one
 stack (``in_blocks``), then reduce each sample on its own, so every value is
 bit-equal to evaluating the sample alone.  A failing block is run again
 through the same pass one sample at a time, so the first failing sample
-raises its own error; a non-finite vector density is an error, never a
-NaN f_gamma.
+raises its own error; a non-finite vector density, or an f_gamma beyond the
+float range, is an error, never a NaN or inf f_gamma.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .chart_core import (
     Point,
     ScalarField,
     VectorField,
+    _finite_rows,
     as_point,
     cumulative_simpson,
     gamma_evaluator,
@@ -222,7 +223,10 @@ def _density_pairings(spec: MetricSpec, density: DensitySpec, P: np.ndarray,
 
 
 def f_along_geodesic(density: DensitySpec, trace: GeodesicTrace) -> np.ndarray:
-    """Cumulative f_gamma(t) = int_0^t g(gamma', X) ds on the trace grid."""
+    """Cumulative f_gamma(t) = int_0^t g(gamma', X) ds on the trace grid.
+
+    An integral beyond the float range raises NonFinite naming the first
+    sample where f_gamma is not finite."""
     if len(trace) == 0:
         raise EmptyTrace("cannot integrate a density along an empty trace")
     if not isinstance(density, (ScalarField, VectorField)):
@@ -230,7 +234,7 @@ def f_along_geodesic(density: DensitySpec, trace: GeodesicTrace) -> np.ndarray:
     spec, P, U = trace.spec, trace.positions, trace.velocities
     integrand = in_blocks(len(trace), BLOCK_POINTS,
                           lambda s: _density_pairings(spec, density, P[s], U[s]))
-    return cumulative_simpson(integrand, trace.ts)
+    return _finite_rows(cumulative_simpson(integrand, trace.ts), "f_gamma", P)
 
 
 # ---------------------------------------------------------------------------

@@ -20,19 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .chart_core import (
-    FDSteps,
-    MetricSpec,
-    Point,
-    ScalarField,
-    as_point,
-    christoffel,
-    first_partials,
-    metric_at,
-    metric_partials_at,
-    ricci_numeric,
-    second_partials,
-)
+from .chart_core import FDSteps, MetricSpec, Point, ScalarField, as_point
 from .errors import DivergentThreshold, NonFinite, StepOverflow
 from .geodesic_flow import VELOCITY_GUARD, rk4_step
 from .weighted_curvature import _check_N, generalized_ricci
@@ -205,44 +193,7 @@ class TorusFiber:
         return float(math.sqrt(float(d * d @ self._diag())))
 
 
-@dataclass(frozen=True)
-class CustomFiber:
-    """Fiber backed by an arbitrary chart MetricSpec (derivatives may be FD)."""
-
-    spec: MetricSpec
-
-    @property
-    def dim(self) -> int:
-        return self.spec.dim
-
-    def metric(self, y: np.ndarray) -> np.ndarray:
-        return metric_at(self.spec, as_point(y, self.dim))
-
-    def partials(self, y: np.ndarray) -> np.ndarray:
-        return metric_partials_at(self.spec, as_point(y, self.dim))
-
-    def rows(self, Y: np.ndarray):
-        """``metric`` and ``partials`` at each row of Y, stacked."""
-        return (np.stack([self.metric(y) for y in Y]),
-                np.stack([self.partials(y) for y in Y]))
-
-    def christoffel(self, y: np.ndarray) -> np.ndarray:
-        return christoffel(self.spec, as_point(y, self.dim))
-
-    def ricci(self, y: np.ndarray) -> np.ndarray:
-        return ricci_numeric(self.spec, as_point(y, self.dim))
-
-    @property
-    def safe_box(self) -> np.ndarray:
-        if self.spec.domain is not None:
-            return self.spec.domain
-        return np.array([[-10.0, 10.0]] * self.dim)
-
-    def distance(self, y1, y2):  # chart distance unavailable in general
-        return None
-
-
-FiberSpec = Union[EuclideanFiber, SphereFiber, TorusFiber, CustomFiber]
+FiberSpec = Union[EuclideanFiber, SphereFiber, TorusFiber]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +203,12 @@ FiberSpec = Union[EuclideanFiber, SphereFiber, TorusFiber, CustomFiber]
 def product_coords(n: int) -> tuple[str, ...]:
     """The coordinate names (r, y1, ..., y_{n-1}) of an n-dimensional product chart."""
     return ("r",) + tuple(f"y{i + 1}" for i in range(n - 1))
+
+
+def _require_partials(field: ScalarField, what: str) -> None:
+    """Raise ValueError unless ``field`` carries its gradient and Hessian."""
+    if field.grad is None or field.hess is None:
+        raise ValueError(f"{what} needs an analytic gradient and Hessian")
 
 
 def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
@@ -266,35 +223,33 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
         out[1:, 1:] = w * fiber.metric(y)
         return out
 
-    partials = rows = None
-    if psi.grad is not None:
-        def partials(p: Point) -> np.ndarray:
-            y = p[1:]
-            w = math.exp(2.0 * c * float(psi.value(p)))
-            h = fiber.metric(y)
-            dpsi = np.asarray(psi.grad(p), dtype=float)
-            dh = fiber.partials(y)
-            D = np.zeros((n, n, n))
-            D[0, 1:, 1:] = 2.0 * c * dpsi[0] * w * h
-            for k in range(n - 1):
-                D[1 + k, 1:, 1:] = 2.0 * c * dpsi[1 + k] * w * h + w * dh[k]
-            return D
+    def partials(p: Point) -> np.ndarray:
+        y = p[1:]
+        w = math.exp(2.0 * c * float(psi.value(p)))
+        h = fiber.metric(y)
+        dpsi = np.asarray(psi.grad(p), dtype=float)
+        dh = fiber.partials(y)
+        D = np.zeros((n, n, n))
+        D[0, 1:, 1:] = 2.0 * c * dpsi[0] * w * h
+        for k in range(n - 1):
+            D[1 + k, 1:, 1:] = 2.0 * c * dpsi[1 + k] * w * h + w * dh[k]
+        return D
 
-        def rows(pts: np.ndarray):
-            # g and partials at every row: psi, its gradient, the warp and the
-            # fiber metric once per row, with the same scalar calls; g and D
-            # are then built by broadcasting
-            k = len(pts)
-            w = np.array([math.exp(2.0 * c * float(psi.value(q))) for q in pts])
-            dpsi = np.array([psi.grad(q) for q in pts], dtype=float)
-            h, dh = fiber.rows(pts[:, 1:])
-            G = np.zeros((k, n, n))
-            G[:, 0, 0] = 1.0
-            G[:, 1:, 1:] = w[:, None, None] * h
-            D = np.zeros((k, n, n, n))
-            D[:, :, 1:, 1:] = (2.0 * c * dpsi * w[:, None])[:, :, None, None] * h[:, None]
-            D[:, 1:, 1:, 1:] += w[:, None, None, None] * dh
-            return G, D
+    def rows(pts: np.ndarray):
+        # g and partials at every row: psi, its gradient, the warp and the
+        # fiber metric once per row, with the same scalar calls; g and D
+        # are then built by broadcasting
+        k = len(pts)
+        w = np.array([math.exp(2.0 * c * float(psi.value(q))) for q in pts])
+        dpsi = np.array([psi.grad(q) for q in pts], dtype=float)
+        h, dh = fiber.rows(pts[:, 1:])
+        G = np.zeros((k, n, n))
+        G[:, 0, 0] = 1.0
+        G[:, 1:, 1:] = w[:, None, None] * h
+        D = np.zeros((k, n, n, n))
+        D[:, :, 1:, 1:] = (2.0 * c * dpsi * w[:, None])[:, :, None, None] * h[:, None]
+        D[:, 1:, 1:, 1:] += w[:, None, None, None] * dh
+        return G, D
 
     domain = np.vstack([np.array([[-np.inf, np.inf]]), fiber.safe_box])
     return MetricSpec(dim=n, g=g, partials=partials, domain=domain, name=name,
@@ -314,6 +269,7 @@ class TwistedProductSpec:
     def __post_init__(self):
         if self.fiber.dim != self.n - 1:
             raise ValueError(f"fiber dimension {self.fiber.dim} != n-1 = {self.n - 1}")
+        _require_partials(self.psi, "psi")
 
     def metric_spec(self) -> MetricSpec:
         return _product_metric_spec(self.n, self.psi, self.fiber, self.name, self.fd)
@@ -330,7 +286,7 @@ class SplitSpaceSpec:
     ``phi`` is a scalar field on the chart point (r, y) that depends on r
     alone: the twist potential of a twisted product whose potential splits
     off the fiber.  ``f_L`` (optional) is a scalar field on the fiber
-    coordinates.
+    coordinates.  Both carry their analytic gradient and Hessian.
     """
 
     n: int
@@ -343,6 +299,9 @@ class SplitSpaceSpec:
     def __post_init__(self):
         if self.fiber.dim != self.n - 1:
             raise ValueError(f"fiber dimension {self.fiber.dim} != n-1 = {self.n - 1}")
+        _require_partials(self.phi, "phi")
+        if self.f_L is not None:
+            _require_partials(self.f_L, "f_L")
 
     def as_twisted(self) -> TwistedProductSpec:
         return TwistedProductSpec(n=self.n, psi=self.phi, fiber=self.fiber, name=self.name,
@@ -375,10 +334,7 @@ class SplitSpaceSpec:
             out[1:, 1:] = fL.hess(p[1:])
             return out
 
-        has_grad = phi.grad is not None and fL.grad is not None
-        has_hess = phi.hess is not None and fL.hess is not None
-        return ScalarField(value=value, grad=grad if has_grad else None,
-                           hess=hess if has_hess else None)
+        return ScalarField(value=value, grad=grad, hess=hess)
 
     def fiber_basepoint(self) -> np.ndarray:
         box = self.fiber.safe_box
@@ -401,21 +357,6 @@ class SplitSpaceSpec:
 # closed-form Ricci tensor
 # ---------------------------------------------------------------------------
 
-def _psi_derivatives(spec: TwistedProductSpec, p: Point):
-    psi = spec.psi
-    if psi.grad is not None:
-        grad = np.asarray(psi.grad(p), dtype=float)
-    else:
-        steps = spec.fd.scaled(p, spec.fd.h1)
-        grad = first_partials(lambda q: float(psi.value(q)), p, steps)
-    if psi.hess is not None:
-        hess = np.asarray(psi.hess(p), dtype=float)
-    else:
-        steps = spec.fd.scaled(p, spec.fd.h2)
-        hess = second_partials(lambda q: float(psi.value(q)), p, steps)
-    return grad, hess
-
-
 def twisted_ricci_analytic(spec: TwistedProductSpec, p: Point) -> np.ndarray:
     """Closed-form Ricci tensor of dr^2 + e^{2 psi/(n-1)} h_L in (r, y) coordinates.
 
@@ -436,7 +377,8 @@ def twisted_ricci_analytic(spec: TwistedProductSpec, p: Point) -> np.ndarray:
     hinv = np.linalg.inv(h)
     GL = fiber.christoffel(y)
     ricL = fiber.ricci(y)
-    grad, hess = _psi_derivatives(spec, p)
+    grad = np.asarray(spec.psi.grad(p), dtype=float)
+    hess = np.asarray(spec.psi.hess(p), dtype=float)
     w = math.exp(2.0 * c * float(spec.psi.value(p)))
 
     gy = grad[1:]
@@ -467,7 +409,7 @@ def mixed_partial_residual(spec: TwistedProductSpec, points) -> float:
     worst = 0.0
     for p in points:
         p = as_point(p, spec.n)
-        _, hess = _psi_derivatives(spec, p)
+        hess = np.asarray(spec.psi.hess(p), dtype=float)
         worst = max(worst, float(np.max(np.abs(hess[0, 1:]))))
     return worst
 
@@ -587,8 +529,7 @@ class RiccatiReport:
     threshold_used: float
 
 
-def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: float,
-                           threshold: float, guard: float):
+def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: float):
     def acc(y: float, v: float) -> float:
         return -a * math.exp(min(-2.0 * y, EXP_CAP))
 
@@ -604,20 +545,19 @@ def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: fl
         ts.append(t)
         ys.append(y)
         vs.append(v)
-        if y <= threshold:
+        if y <= BLOW_UP_THRESHOLD:
             # event happened inside the last step: report the bracket midpoint
             hit = t - 0.5 * dt
             break
-        if v >= guard:
-            raise StepOverflow(f"velocity guard {guard:.3g} exceeded at t = {t:.6g}")
-        # a velocity below -guard cannot recover (y'' < 0 throughout), so keep
-        # stepping: the next step lands below the detection threshold
+        if v >= VELOCITY_GUARD:
+            raise StepOverflow(f"velocity guard {VELOCITY_GUARD:.3g} exceeded at t = {t:.6g}")
+        # a velocity below -VELOCITY_GUARD cannot recover (y'' < 0 throughout),
+        # so keep stepping: the next step lands below the detection threshold
     return np.array(ts), np.array(ys), np.array(vs), hit
 
 
 def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
-                        dt: float = 1e-3, threshold: float = BLOW_UP_THRESHOLD,
-                        guard: float = VELOCITY_GUARD) -> RiccatiReport:
+                        dt: float = 1e-3) -> RiccatiReport:
     """Integrate y'' = -a e^{-2y} with fixed-step RK4 in both time directions.
 
     Concavity forces every solution on all of R to reach -infinity at some
@@ -629,8 +569,8 @@ def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
         raise ValueError("a must be positive")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    tf, yf, vf, hit_f = _integrate_obstruction(a, y0, y0p, t_max, dt, threshold, guard)
-    tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt, threshold, guard)
+    tf, yf, vf, hit_f = _integrate_obstruction(a, y0, y0p, t_max, dt)
+    tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt)
 
     ts = np.concatenate([-tb[::-1][:-1], tf])
     ys = np.concatenate([yb[::-1][:-1], yf])
@@ -643,7 +583,7 @@ def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
     else:
         blow_time = None
     return RiccatiReport(blow_up=blow_time is not None, blow_up_time=blow_time,
-                         ts=ts, ys=ys, yps=yps, threshold_used=threshold)
+                         ts=ts, ys=ys, yps=yps, threshold_used=BLOW_UP_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

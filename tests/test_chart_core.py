@@ -71,19 +71,9 @@ class TestChristoffel:
             assert G[0, 1, 1] == pytest.approx(-math.exp(2.0 * r), rel=1e-12)
             assert G[1, 0, 1] == pytest.approx(1.0, rel=1e-12)
 
-    def test_lower_index_symmetry_with_fd_partials(self):
-        # no analytic partials: finite differences must still give Gamma^k_ij = Gamma^k_ji
-        spec = MetricSpec(dim=2, g=lambda p: np.array(
-            [[1.0 + 0.1 * math.sin(p[0] + p[1]), 0.05 * p[0] * p[1]],
-             [0.05 * p[0] * p[1], 2.0 + 0.1 * math.cos(p[0])]]))
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            p = rng.uniform(-2, 2, 2)
-            G = christoffel(spec, p)
-            assert np.max(np.abs(G - np.transpose(G, (0, 2, 1)))) <= 1e-9
-
     def test_singular_metric_raises(self):
-        spec = MetricSpec(dim=2, g=lambda p: np.diag([1.0, 0.0]))
+        spec = MetricSpec(dim=2, g=lambda p: np.diag([1.0, 0.0]),
+                          partials=lambda p: np.zeros((2, 2, 2)))
         with pytest.raises(SingularMetric):
             christoffel(spec, np.zeros(2))
 
@@ -277,9 +267,14 @@ class TestInvariantsAndGuards:
         assert d < 1e-7
 
     def test_metric_symmetry_enforced(self):
-        spec = MetricSpec(dim=2, g=lambda p: np.array([[1.0, 1e-6], [0.0, 1.0]]))
+        spec = MetricSpec(dim=2, g=lambda p: np.array([[1.0, 1e-6], [0.0, 1.0]]),
+                          partials=lambda p: np.zeros((2, 2, 2)))
         with pytest.raises(ValueError):
             metric_at(spec, np.zeros(2))
+
+    def test_metric_partials_required(self):
+        with pytest.raises(TypeError, match="partials"):
+            MetricSpec(dim=2, g=lambda p: np.eye(2))
 
     def test_point_length_checked(self):
         with pytest.raises(ValueError):

@@ -312,15 +312,15 @@ class TestDeterminism:
 
 def test_overflowing_lambda_is_one_error_line(tmp_path, capsys):
     # symmetrizing form - lambda * g overflows to -inf: the block pass and then
-    # the point-by-point re-run, which reports numpy's warning, refuse the
-    # non-finite eigenproblem with SingularMetric
+    # the point-by-point re-run, which reports numpy's warning as one line,
+    # refuse the non-finite eigenproblem with SingularMetric
     path = tmp_path / "m.cdm"
     text = (MANIFESTS / "twisted_flat.cdm").read_text()
     path.write_text(with_entries(text, "cd", {"lambda": "1e308"}))
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert run("verify-cd", path, tmp_path / "out") == 1
+    assert run("verify-cd", path, tmp_path / "out") == 1
     err = capsys.readouterr().err
-    assert err == "error: non-finite generalized eigenproblem\n"
+    assert err == ("warning: RuntimeWarning: overflow encountered in add\n"
+                   "error: non-finite generalized eigenproblem\n")
 
 
 OVERFLOWING_DENSITY = """
@@ -353,4 +353,18 @@ def test_overflowing_vector_density_is_one_error_line(tmp_path, capsys):
     assert run("geodesic", path, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == "error: non-finite values in vector field at [0.587 0.   ]\n"
+    assert not (tmp_path / "out" / "geodesic.csv").exists()
+
+
+def test_overflowing_f_gamma_is_one_error_line(tmp_path, capsys):
+    # X1 = 1e308 is finite everywhere, but Simpson's rule overflows on it from
+    # the first interval on: f_gamma is refused at its first non-finite
+    # sample, and numpy's warning is one line that names no source file
+    path = tmp_path / "m.cdm"
+    path.write_text(OVERFLOWING_DENSITY.replace("1e308 * exp(r)", "1e308"))
+    assert run("geodesic", path, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == ("warning: RuntimeWarning: overflow encountered in multiply\n"
+                   "error: non-finite values in f_gamma at [0.001 0.   ]\n")
+    assert ".py:" not in err
     assert not (tmp_path / "out" / "geodesic.csv").exists()

@@ -340,22 +340,11 @@ class TestTraceExport:
 # post-passes against sample-by-sample oracles
 # ---------------------------------------------------------------------------
 
-def _fd_chart():
-    # a curved chart without analytic partials
-    def g(q):
-        off = 0.05 * q[0] * q[1]
-        return np.array([[1.0 + 0.1 * math.sin(q[0] + q[1]), off],
-                         [off, 2.0 + 0.1 * math.cos(q[0])]])
-
-    return MetricSpec(dim=2, g=g, name="fd")
-
-
 STAGE_CHARTS = {
     "split": catalog.split_sin_sphere(0.5).metric_spec(),
     "split-torus": catalog.split_sin_torus(3).metric_spec(),
     "twisted": catalog.twisted_example().metric_spec(),
     "general": parse_manifest(MANIFESTS / "polar_general.cdm").geometry["spec"],
-    "fd-partials": _fd_chart(),
 }
 
 

@@ -1,5 +1,6 @@
 """Product-chart curvature, the CD(0,1) threshold, and the obstruction ODE."""
 
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -25,7 +26,6 @@ from cdsplit.manifest import (
     parse_manifest,
 )
 from cdsplit.warped_products import (
-    CustomFiber,
     EuclideanFiber,
     SphereFiber,
     SplitSpaceSpec,
@@ -96,19 +96,30 @@ class TestFibers:
         with pytest.raises(ValueError):
             SplitSpaceSpec(n=3, phi=phi_field("sin(r)"), fiber=EuclideanFiber(3))
 
+    @pytest.mark.parametrize("missing", ["grad", "hess"])
+    @pytest.mark.parametrize("role", ["psi", "phi", "f_L"])
+    def test_potentials_need_analytic_partials(self, role, missing):
+        field = ScalarField.constant(0.0)
+        bare = dataclasses.replace(field, **{missing: None})
+        fiber = EuclideanFiber(2)
+        with pytest.raises(ValueError, match=f"^{role} needs an analytic gradient and Hessian$"):
+            if role == "psi":
+                TwistedProductSpec(n=3, psi=bare, fiber=fiber)
+            elif role == "phi":
+                SplitSpaceSpec(n=3, phi=bare, fiber=fiber)
+            else:
+                SplitSpaceSpec(n=3, phi=field, fiber=fiber, f_L=bare)
+
 
 def _product_charts():
-    custom = CustomFiber(MetricSpec(dim=2, g=lambda y: np.diag([1.0, 1.0 + 0.1 * y[0] ** 2]),
-                                    domain=np.array([[-3.0, 3.0]] * 2)))
     return [catalog.split_sin_sphere(0.3).metric_spec(),
             catalog.split_cos_sphere_4d().metric_spec(),
             catalog.split_sin_torus().metric_spec(),
             catalog.twisted_example().metric_spec(),
-            catalog.nongradient_example()[0].metric_spec(),
-            TwistedProductSpec(n=3, psi=catalog.twisted_example().psi, fiber=custom).metric_spec()]
+            catalog.nongradient_example()[0].metric_spec()]
 
 
-@pytest.mark.parametrize("spec", _product_charts(), ids=lambda s: s.name or "custom fiber")
+@pytest.mark.parametrize("spec", _product_charts(), ids=lambda s: s.name)
 def test_stacked_rows_are_g_and_partials_bit_for_bit(spec):
     # numpy's exp and power round differently from math's on a few percent
     # of inputs, so 400 rows catch a ufunc slipped into the row function
@@ -166,17 +177,6 @@ class TestTwistedRicci:
                 b = ricci_numeric(spec, p)
                 rel = np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(a)))
                 assert rel < 1e-5, f"{tw.name} at {p}: rel err {rel}"
-
-    def test_custom_fiber_falls_back_to_numeric(self):
-        inner = catalog.sphere_chart(2, einstein_constant=1.0)
-        tw = TwistedProductSpec(n=3, psi=ScalarField.constant(0.0),
-                                fiber=CustomFiber(inner))
-        p = np.array([0.0, 0.3, -0.2])
-        ric = twisted_ricci_analytic(tw, p)
-        g = metric_at(tw.metric_spec(), p)
-        # product of a line with a unit sphere: fiber block Einstein, radial zero
-        assert abs(ric[0, 0]) < 1e-7
-        assert np.max(np.abs(ric[1:, 1:] - g[1:, 1:])) < 1e-5
 
 
 class TestSplitThreshold:

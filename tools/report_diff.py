@@ -29,9 +29,13 @@ re-run of that block one sample at a time: ``verify-cd`` on
 second block of 256, and ``geodesic`` on ``OVERFLOW_MANIFEST``, whose vector
 density overflows to inf at sample 587 of the trace.  Up to revision
 96b3224 the second exits 0 with a NaN f_gamma column; since then it exits 1,
-so its files are expected to differ against such a base.  The text of each
-of these manifests is written once into OUT_DIR, so both trees run the same
-file.
+so its files are expected to differ against such a base.  Last,
+``geodesic`` on ``OVERFLOW_INTEGRAL_MANIFEST``, whose vector density is a
+finite 1e308 but whose f_gamma integral overflows: up to revision dcb74b2
+it exits 0 with an inf f_gamma column and numpy warnings that name the
+source file of the tree; since then it exits 1 with one ``warning:`` line
+per warning and one ``error:`` line.  The text of each of these manifests is
+written once into OUT_DIR, so both trees run the same file.
 Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
@@ -173,10 +177,31 @@ start = 0, 0
 velocity = 1, 0
 T = 1
 """
+OVERFLOW_INTEGRAL_MANIFEST = """\
+[manifold]
+name = flat-overflowing-integral
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = 1
+
+[density]
+X1 = 1e308
+X2 = 0
+
+[geodesic]
+start = 0, 0
+velocity = 1, 0
+T = 1
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
-           "flat_overflowing_density": OVERFLOW_MANIFEST}
+           "flat_overflowing_density": OVERFLOW_MANIFEST,
+           "flat_overflowing_integral": OVERFLOW_INTEGRAL_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -185,7 +210,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("verify-cd", F_L_NAME, 42, ("r_count=21", "fiber_count=3"))]
         + [("geodesic", "sphere_exit", 42, ()), ("geodesic", "torus_block_edge", 42, ())]
         + [("verify-cd", "plane_degenerating", 42, ()),
-           ("geodesic", "flat_overflowing_density", 42, ())])
+           ("geodesic", "flat_overflowing_density", 42, ()),
+           ("geodesic", "flat_overflowing_integral", 42, ())])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
