@@ -35,11 +35,10 @@ from .geodesic_flow import (
     write_trace_csv,
 )
 from .warped_products import (
-    EuclideanFiber,
+    FlatFiber,
     RiccatiReport,
     SphereFiber,
     SplitSpaceSpec,
-    TorusFiber,
     TwistedProductSpec,
     radial_identity_N,
     riccati_obstruction,

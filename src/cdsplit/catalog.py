@@ -11,10 +11,9 @@ from .chart_core import MetricSpec, Point, ScalarField, VectorField, gradient_ve
 from .comparison_suite import RadialModel
 from .manifest import compile_expression, expression_scalar_field
 from .warped_products import (
-    EuclideanFiber,
+    FlatFiber,
     SphereFiber,
     SplitSpaceSpec,
-    TorusFiber,
     TwistedProductSpec,
     product_coords,
 )
@@ -70,12 +69,12 @@ def _split(n: int, phi: str, fiber, name: str,
 def hyperbolic_split(n: int = 3) -> SplitSpaceSpec:
     """Hyperbolic space of curvature -1 as the warped chart
     dr^2 + e^{2r} (flat fiber); phi = (n-1) r."""
-    return _split(n, f"{n - 1.0!r} * r", EuclideanFiber(n - 1), f"hyperbolic{n}")
+    return _split(n, f"{n - 1.0!r} * r", FlatFiber(n - 1), f"hyperbolic{n}")
 
 
 def split_sin_euclidean(n: int = 2, amplitude: float = 0.5) -> SplitSpaceSpec:
     """Split space with phi = amplitude * sin r over a flat fiber."""
-    return _split(n, f"{float(amplitude)!r} * sin(r)", EuclideanFiber(n - 1),
+    return _split(n, f"{float(amplitude)!r} * sin(r)", FlatFiber(n - 1),
                   f"split{n} sin fiber=flat")
 
 
@@ -94,7 +93,7 @@ def split_cos_sphere_4d(einstein_constant: float = 1.0) -> SplitSpaceSpec:
 
 def split_sin_torus(n: int = 3, periods=(2.0 * math.pi, 4.0 * math.pi)) -> SplitSpaceSpec:
     """Split space phi = sin r over a flat torus fiber."""
-    return _split(n, "sin(r)", TorusFiber(dim=n - 1, periods=tuple(periods)),
+    return _split(n, "sin(r)", FlatFiber(dim=n - 1, periods=periods),
                   f"split{n} sin fiber=torus")
 
 
@@ -110,7 +109,7 @@ def twisted_example(n: int = 3, amplitude: float = 0.3) -> TwistedProductSpec:
     a = float(amplitude)
     text = f"{a!r} * sin(r) * cos(y1)" + (f" + {0.5 * a!r} * cos(y1) * sin(y2)" if n >= 3 else "")
     return TwistedProductSpec(n=n, psi=_field(text, product_coords(n)),
-                              fiber=EuclideanFiber(n - 1), name=f"twisted{n} a={amplitude:g}")
+                              fiber=FlatFiber(n - 1), name=f"twisted{n} a={amplitude:g}")
 
 
 def nongradient_example(n: int = 4, einstein_constant: float = 1.0,

@@ -473,7 +473,7 @@ class BlockGeometry:
         spec, pts = self.spec, self.pts
         B, n = pts.shape
         steps = spec.fd.scaled(pts, spec.fd.h1)
-        _check_domains(spec, pts, 2.0 * steps)
+        _check_domains(spec, pts, steps)
         self.chol  # positivity gate, once per point; christoffel reuses the factor
         g0, D0 = self._raw
         if D0 is None:

@@ -10,11 +10,14 @@ expression is compiled once into nested closures over ``math`` and evaluated
 one point at a time through ``eval_ast``, and ``expression_array`` evaluates
 the gradients, Hessians, vector densities and metrics built from several,
 with their constant entries filled in once; numpy ufuncs would round some
-results differently.  ``expression_scalar_field`` is the one way an
-analytic scalar field is built, from a manifest or in ``catalog``.  A split
-space's ``[phi]`` is compiled over r alone, so a fiber variable in it is a
-parse error, and becomes a field on the chart point (r, y) whose partials in
-y are the constant 0.
+results differently.  A value with no real result at a point (``sqrt(-1)``,
+``exp(1000)``) is NonFinite, naming the expression and the point.
+``expression_scalar_field`` is the one way an analytic scalar field is
+built, from a manifest or in ``catalog``.  A split space's ``[phi]`` is
+compiled over r alone, so a fiber variable in it is a parse error, and
+becomes a field on the chart point (r, y) whose partials in y are the
+constant 0.  A ``[fiber]`` of type ``euclidean`` or ``torus`` is a
+``FlatFiber``, one of type ``sphere`` a ``SphereFiber``.
 
 ``parse_manifest`` rejects unknown sections or keys, numbers outside
 ``_NUMBERS``, a metric entry given as both g_ij and g_ji, and a geodesic
@@ -39,12 +42,11 @@ import numpy as np
 
 from .chart_core import FDSteps, MetricSpec, ScalarField, VectorField, in_domain, metric_at
 from .comparison_suite import RadialModel
-from .errors import ParseError, ValidationError
+from .errors import NonFinite, ParseError, ValidationError
 from .warped_products import (
-    EuclideanFiber,
+    FlatFiber,
     SphereFiber,
     SplitSpaceSpec,
-    TorusFiber,
     TwistedProductSpec,
     product_coords,
 )
@@ -209,8 +211,15 @@ def _compile(ast, variables):
 
 def eval_ast(expr: "Expression", values) -> float:
     """Evaluate a compiled expression at ``values``, one per variable in
-    order.  Every manifest expression is evaluated through this one call."""
-    return expr.code(values)
+    order.  Every manifest expression is evaluated through this one call.
+    A value with no finite real result (``sqrt`` or ``log`` of a negative
+    number, ``exp`` beyond the float range, a Python float divided by 0) is
+    NonFinite, naming the expression and the point."""
+    try:
+        return expr.code(values)
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        at = ", ".join(f"{v} = {float(x)!r}" for v, x in zip(expr.variables, values))
+        raise NonFinite(f"{expr.text} has no finite real value at {at} ({exc})") from None
 
 
 def _num(v):
@@ -378,13 +387,14 @@ def expression_array(exprs) -> Callable[[np.ndarray], np.ndarray]:
     bit."""
     grid = np.array(exprs, dtype=object)
     template = np.zeros(grid.shape)
-    shared: dict = {}  # (ast, variables) -> (expression, indices of its entries)
+    shared: dict = {}  # (repr(ast), variables) -> (expression, indices of its entries)
     for i in np.ndindex(grid.shape):
         e = grid[i]
         if e.ast[0] == "num":
             template[i] = e.ast[1]
             continue
-        where = shared.setdefault((e.ast, e.variables), (e, []))[1]
+        # repr tells 0.0 from -0.0, which compare equal in the AST tuples
+        where = shared.setdefault((repr(e.ast), e.variables), (e, []))[1]
         where.append(i if grid.ndim > 1 else i[0])  # an int sets a 1-d entry faster
     entries = list(shared.values())
     if grid.ndim == 1 and len(entries) == grid.size:
@@ -783,7 +793,7 @@ def _parse_fiber(sections, fiber_dim, numbers):
             if "einstein_constant" in sec or "periods" in sec:
                 raise ValidationError("euclidean fibers take no curvature keys",
                                       key="[fiber] type")
-            return EuclideanFiber(dim=fiber_dim, **box)
+            return FlatFiber(dim=fiber_dim, **box)
         if ftype == "sphere":
             lam = numbers["einstein_constant"]
             if lam is None:
@@ -793,7 +803,7 @@ def _parse_fiber(sections, fiber_dim, numbers):
             periods = _float_list(sections, "fiber", "periods")
             if len(periods) != fiber_dim:
                 raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
-            return TorusFiber(dim=fiber_dim, periods=tuple(periods), **box)
+            return FlatFiber(dim=fiber_dim, periods=periods, **box)
     raise ValidationError(f"unknown fiber type {ftype!r}", key="[fiber] type")
 
 

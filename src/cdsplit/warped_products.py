@@ -3,7 +3,9 @@
 The metrics handled here live on R x L in coordinates (r, y) and have the
 form ``dr^2 + e^{2 psi/(n-1)} h_L`` for a fiber metric ``h_L`` on L.  When
 ``psi`` depends only on r the metric is a warped product; a *split space*
-additionally carries the density ``f = phi(r) + f_L(y)``.
+additionally carries the density ``f = phi(r) + f_L(y)``.  The fiber is
+flat (``FlatFiber``: R^m, or a flat torus when given its periods) or a
+round sphere (``SphereFiber``).
 
 The module provides the closed-form Ricci tensor of such charts, the
 supremum criterion deciding when a split space satisfies the CD(0,1)
@@ -42,23 +44,41 @@ def _identity(m: int) -> np.ndarray:
     return eye
 
 
+@cache
+def _flat_metric(periods: tuple[float, ...]) -> np.ndarray:
+    """diag((L_i / 2pi)^2) for the periods L_i, built once and read-only."""
+    g = np.diag([(L / (2.0 * math.pi)) ** 2 for L in periods])
+    g.flags.writeable = False
+    return g
+
+
 @dataclass(frozen=True)
-class EuclideanFiber:
-    """Flat R^m fiber in Cartesian coordinates."""
+class FlatFiber:
+    """Flat fiber: R^m in Cartesian coordinates, or a flat torus in angle
+    coordinates.  Axis i has period L_i and metric coefficient
+    g_ii = (L_i/2pi)^2; the default period 2pi makes the metric the identity,
+    bit for bit."""
 
     dim: int
+    periods: tuple[float, ...] | None = None
     box: float = 10.0
 
+    def __post_init__(self):
+        periods = (2.0 * math.pi,) * self.dim if self.periods is None else tuple(self.periods)
+        if len(periods) != self.dim:
+            raise ValueError("one period per fiber dimension required")
+        object.__setattr__(self, "periods", periods)
+
     def metric(self, y: np.ndarray) -> np.ndarray:
-        return _identity(self.dim)
+        return _flat_metric(self.periods)
 
     def partials(self, y: np.ndarray) -> np.ndarray:
         return np.zeros((self.dim,) * 3)
 
     def rows(self, Y: np.ndarray):
         """``metric`` and ``partials`` at each row of Y, stacked."""
-        m = self.dim
-        return np.broadcast_to(_identity(m), (len(Y), m, m)), np.zeros((len(Y), m, m, m))
+        m, k = self.dim, len(Y)
+        return np.broadcast_to(_flat_metric(self.periods), (k, m, m)), np.zeros((k, m, m, m))
 
     def christoffel(self, y: np.ndarray) -> np.ndarray:
         return np.zeros((self.dim,) * 3)
@@ -71,7 +91,8 @@ class EuclideanFiber:
         return np.array([[-self.box, self.box]] * self.dim)
 
     def distance(self, y1: np.ndarray, y2: np.ndarray) -> float:
-        return float(np.linalg.norm(np.asarray(y2) - np.asarray(y1)))
+        d = np.asarray(y2) - np.asarray(y1)
+        return math.sqrt(float(d * d @ np.diagonal(_flat_metric(self.periods))))
 
 
 @dataclass(frozen=True)
@@ -152,48 +173,7 @@ class SphereFiber:
         return R * math.acos(min(1.0, max(-1.0, cosang)))
 
 
-@dataclass(frozen=True)
-class TorusFiber:
-    """Flat torus with angle coordinates; period L_i gives g_ii = (L_i/2pi)^2."""
-
-    dim: int
-    periods: tuple[float, ...]
-    box: float = 10.0
-
-    def __post_init__(self):
-        if len(self.periods) != self.dim:
-            raise ValueError("one period per fiber dimension required")
-
-    def _diag(self) -> np.ndarray:
-        return np.array([(L / (2.0 * math.pi)) ** 2 for L in self.periods])
-
-    def metric(self, y: np.ndarray) -> np.ndarray:
-        return np.diag(self._diag())
-
-    def partials(self, y: np.ndarray) -> np.ndarray:
-        return np.zeros((self.dim,) * 3)
-
-    def rows(self, Y: np.ndarray):
-        """``metric`` and ``partials`` at each row of Y, stacked."""
-        m = self.dim
-        return np.broadcast_to(np.diag(self._diag()), (len(Y), m, m)), np.zeros((len(Y), m, m, m))
-
-    def christoffel(self, y: np.ndarray) -> np.ndarray:
-        return np.zeros((self.dim,) * 3)
-
-    def ricci(self, y: np.ndarray) -> np.ndarray:
-        return np.zeros((self.dim, self.dim))
-
-    @property
-    def safe_box(self) -> np.ndarray:
-        return np.array([[-self.box, self.box]] * self.dim)
-
-    def distance(self, y1: np.ndarray, y2: np.ndarray) -> float:
-        d = np.asarray(y2) - np.asarray(y1)
-        return float(math.sqrt(float(d * d @ self._diag())))
-
-
-FiberSpec = Union[EuclideanFiber, SphereFiber, TorusFiber]
+FiberSpec = Union[FlatFiber, SphereFiber]
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +253,6 @@ class TwistedProductSpec:
 
     def metric_spec(self) -> MetricSpec:
         return _product_metric_spec(self.n, self.psi, self.fiber, self.name, self.fd)
-
-    def warp(self, p: Point) -> float:
-        """Conformal factor e^{2 psi/(n-1)} in front of the fiber metric."""
-        return math.exp(2.0 * float(self.psi.value(p)) / (self.n - 1))
 
 
 @dataclass(frozen=True)

@@ -261,6 +261,13 @@ class TestInvariantsAndGuards:
         with pytest.raises(ChartDomain):
             ricci_numeric(spec, np.array([0.5, 0.0]))  # stencil dips below r_min
 
+    def test_ricci_domain_radius_is_the_stencil_step(self):
+        # the stencil reaches p +- h1 (1e-5 here) and no farther
+        spec = catalog.polar_plane(r_min=0.5)
+        assert np.all(np.isfinite(ricci_numeric(spec, np.array([0.5 + 1.5e-5, 0.0]))))
+        with pytest.raises(ChartDomain, match=r"\(radius 1e-05\)"):
+            ricci_numeric(spec, np.array([0.5 + 0.5e-5, 0.0]))
+
     def test_partials_discrepancy_small(self):
         spec = catalog.split_sin_sphere(0.25).metric_spec()
         d = partials_discrepancy(spec, np.array([0.9, 0.5, -0.1]))

@@ -368,3 +368,76 @@ def test_overflowing_f_gamma_is_one_error_line(tmp_path, capsys):
                    "error: non-finite values in f_gamma at [0.001 0.   ]\n")
     assert ".py:" not in err
     assert not (tmp_path / "out" / "geodesic.csv").exists()
+
+
+SQRT_DENSITY = """
+[manifold]
+name = flat-sqrt-density
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = 1
+
+[density]
+f = sqrt(r)
+
+[grid]
+r_min = -1
+r_max = 3
+
+[cd]
+lambda = 0
+N = inf
+"""
+SQRT_ERRORS = {
+    "verify-cd": "d/dr(d/dr(sqrt(r))) has no finite real value at r = -1.0, y1 = -3.0 "
+                 "(math domain error)",
+    "curvature": "d/dr(d/dr(sqrt(r))) has no finite real value at r = -0.6232906084494019, "
+                 "y1 = 0.8631907204839875 (math domain error)",
+    "bochner": "d/dr(sqrt(r)) has no finite real value at r = -0.8248987054440136, "
+               "y1 = 2.6707600809047314 (math domain error)",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(SQRT_ERRORS))
+def test_expression_without_real_value_is_one_error_line(tmp_path, capsys, subcommand):
+    # sqrt(r) has no real value on the half of the grid where r < 0
+    path = tmp_path / "m.cdm"
+    path.write_text(SQRT_DENSITY)
+    assert run(subcommand, path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == f"error: {SQRT_ERRORS[subcommand]}\n"
+
+
+def test_suite_reports_each_failing_step_once(tmp_path, capsys):
+    path = tmp_path / "m.cdm"
+    path.write_text(SQRT_DENSITY)
+    assert run("suite", path, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "".join(f"{step}: error: {SQRT_ERRORS[step]}\n"
+                                   for step in ("curvature", "verify-cd", "bochner"))
+    assert captured.out.endswith("suite: FAIL\n")
+
+
+def test_geodesic_into_a_log_pole_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "m.cdm"
+    path.write_text(SQRT_DENSITY.replace("g22 = 1", "g22 = log(r)")
+                    .replace("sqrt(r)", "0").replace("r_min = -1", "r_min = 1")
+                    + "\n[geodesic]\nstart = 2, 0\nvelocity = -1, 0\n")
+    assert run("geodesic", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "error: log(r) has no finite real value at r = -0.0004999999998907471, y1 = 0.0 "
+        "(math domain error)\n")
+    assert not (tmp_path / "out" / "geodesic.csv").exists()
+
+
+def test_overflowing_expression_is_one_error_line(tmp_path, capsys):
+    path = tmp_path / "m.cdm"
+    path.write_text(SQRT_DENSITY.replace("sqrt(r)", "exp(exp(r))")
+                    .replace("r_min = -1", "r_min = 1").replace("r_max = 3", "r_max = 8"))
+    assert run("verify-cd", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "error: d/dr(d/dr(exp(exp(r)))) has no finite real value at r = 6.565, y1 = -3.0 "
+        "(math range error)\n")

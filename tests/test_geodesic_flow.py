@@ -126,7 +126,7 @@ class TestClairaut:
         import cdsplit.warped_products as wp
 
         phi = expression_scalar_field(compile_expression("log(r)", ("r", "y1")))
-        split = wp.SplitSpaceSpec(n=2, phi=phi, fiber=wp.EuclideanFiber(1),
+        split = wp.SplitSpaceSpec(n=2, phi=phi, fiber=wp.FlatFiber(1),
                                   name="polar via log warp")
         spec = split.metric_spec()
         # domain guard: keep r positive by starting outward

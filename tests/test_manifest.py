@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdsplit import manifest as manifest_module
-from cdsplit.errors import ParseError, ValidationError
+from cdsplit.errors import NonFinite, ParseError, ValidationError
 from cdsplit.manifest import (
     MAX_DEPTH,
     MAX_DERIVATIVE_NODES,
     build_geometry,
     compile_expression,
+    expression_array,
     expression_scalar_field,
     grid_center,
     parse_manifest,
@@ -302,10 +304,77 @@ class TestBuiltGeometry:
         assert D[0].tolist() == [[0.0, 0.0], [0.0, 4.0]] and not D[1].any()
         assert calls == [("*", ("num", 2.0), ("var", "r"))]  # the zero partials are constants
 
+    def test_signed_zeros_are_not_shared(self):
+        # 0.0 == -0.0, so equal AST tuples do not mean equal values
+        e1 = compile_expression("1/(r/0)", ("r",))
+        e2 = compile_expression("1/(r/-0)", ("r",))
+        p = np.array([1.0])
+        with np.errstate(divide="ignore"):
+            alone = expression_array([e2])(p)
+            both = expression_array([e1, e2])(p)
+        assert repr(alone.tolist()) == "[-0.0]"
+        assert repr(both.tolist()) == "[0.0, -0.0]"
+
+    @pytest.mark.parametrize(("text", "values", "message"), [
+        ("sqrt(r)", (-1.0, 0.5), "sqrt(r) has no finite real value at r = -1.0, y1 = 0.5 "
+                                 "(math domain error)"),
+        ("log(r * y1)", (2.0, 0.0), "log(r * y1) has no finite real value at r = 2.0, "
+                                    "y1 = 0.0 (math domain error)"),
+        ("exp(exp(r))", (7.0, 0.0), "exp(exp(r)) has no finite real value at r = 7.0, "
+                                    "y1 = 0.0 (math range error)"),
+        ("1 / r", (0.0, 0.0), "1 / r has no finite real value at r = 0.0, y1 = 0.0 "
+                              "(float division by zero)"),
+    ], ids=["sqrt", "log", "exp", "division"])
+    def test_no_real_value_is_non_finite(self, text, values, message):
+        e = compile_expression(text, ("r", "y1"))
+        with pytest.raises(NonFinite) as exc:
+            e(*values)
+        assert str(exc.value) == message
+
+    def test_no_real_value_in_an_array_is_non_finite(self):
+        names = ("r", "y1")
+        e = compile_expression("sqrt(r)", names)
+        fill = expression_array([[e, compile_expression("r", names)], [e.derivative("r"), e]])
+        message = "sqrt(r) has no finite real value at r = -0.25, y1 = 1.0 (math domain error)"
+        with pytest.raises(NonFinite, match="^" + re.escape(message) + "$"):
+            fill(np.array([-0.25, 1.0]))
+
     def test_f_L_only_on_split_spaces(self, tmp_path):
         text = (MANIFESTS / "twisted_flat.cdm").read_text() + "\n[f_L]\nexpr = y1\n"
         with pytest.raises(ValidationError, match="does not accept"):
             parse_manifest(write_manifest(tmp_path, text))
+
+
+def _split_over(fiber_lines):
+    return MINIMAL_SPLIT.replace("type = sphere\neinstein_constant = 0.2", fiber_lines)
+
+
+@pytest.mark.parametrize(("fiber_lines", "diagonal", "box"), [
+    ("type = euclidean", [1.0, 1.0], 10.0),
+    ("type = euclidean\nbox = 2", [1.0, 1.0], 2.0),
+    ("type = torus\nperiods = 6.283185307179586, 12.566370614359172", [1.0, 4.0], 10.0),
+])
+def test_flat_fiber_types(tmp_path, fiber_lines, diagonal, box):
+    man = parse_manifest(write_manifest(tmp_path, _split_over(fiber_lines)))
+    fiber = build_geometry(man)["split"].fiber
+    assert fiber.metric(np.zeros(2)).tolist() == np.diag(diagonal).tolist()
+    assert fiber.safe_box.tolist() == [[-box, box]] * 2
+
+
+@pytest.mark.parametrize(("fiber_lines", "message"), [
+    ("type = euclidean\neinstein_constant = 1",
+     "[fiber] type: euclidean fibers take no curvature keys"),
+    ("type = euclidean\nperiods = 1, 1", "[fiber] type: euclidean fibers take no curvature keys"),
+    ("type = torus", "[fiber] periods: missing required key"),
+    ("type = torus\nperiods = 1", "[fiber] periods: need 2 periods"),
+    ("type = torus\nperiods = 1, inf", "[fiber] periods: expected a finite number, got 'inf'"),
+    ("type = torus\nperiods = 1, 1\nbox = 0", "[fiber] box: must be > 0, got '0'"),
+    ("type = flat", "[fiber] type: unknown fiber type 'flat'"),
+])
+def test_flat_fiber_errors(tmp_path, fiber_lines, message):
+    with pytest.raises(ValidationError) as exc:
+        parse_manifest(write_manifest(tmp_path, _split_over(fiber_lines)))
+    assert str(exc.value) == message
 
 
 class TestShippedManifests:

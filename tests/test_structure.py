@@ -1,12 +1,18 @@
 """Package structure: every import sits at module level, so the import graph
-is visible at the top of each module and cannot hide a cycle."""
+is visible at the top of each module and cannot hide a cycle; and every
+function the benchmark's tracer patches by name exists."""
 
 import ast
+import functools
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cdsplit"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cdsplit"
+PERFBENCH = ROOT / "perfbench"
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -18,3 +24,20 @@ def test_no_function_local_imports(path):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not local, "function-local imports: " + ", ".join(local)
+
+
+def test_traced_functions_resolve():
+    # perfbench/tracer.py patches each SpanPoint of perfbench/metrics.py by
+    # module and dotted name, so a renamed or deleted function breaks --trace 1
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        spans = importlib.import_module("metrics").SPANS
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    missing = []
+    for point in spans:
+        try:
+            functools.reduce(getattr, point.attr.split("."), importlib.import_module(point.module))
+        except (ImportError, AttributeError):
+            missing.append(f"{point.module}:{point.attr}")
+    assert spans and not missing, "traced functions not found: " + ", ".join(missing)

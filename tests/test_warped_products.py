@@ -26,10 +26,9 @@ from cdsplit.manifest import (
     parse_manifest,
 )
 from cdsplit.warped_products import (
-    EuclideanFiber,
+    FlatFiber,
     SphereFiber,
     SplitSpaceSpec,
-    TorusFiber,
     TwistedProductSpec,
     mixed_partial_residual,
     product_coords,
@@ -88,20 +87,33 @@ class TestFibers:
             SphereFiber(dim=1, einstein_constant=1.0)
 
     def test_torus_metric(self):
-        fiber = TorusFiber(dim=2, periods=(2 * math.pi, 4 * math.pi))
+        fiber = FlatFiber(dim=2, periods=(2 * math.pi, 4 * math.pi))
         assert np.allclose(fiber.metric(np.zeros(2)), np.diag([1.0, 4.0]))
         assert fiber.distance(np.zeros(2), np.array([1.0, 1.0])) == pytest.approx(math.sqrt(5.0))
 
+    def test_flat_fiber_default_is_the_identity(self):
+        fiber = FlatFiber(3)
+        assert fiber.periods == (2 * math.pi,) * 3 and fiber.box == 10.0
+        g = fiber.metric(np.zeros(3))
+        assert g.tobytes() == np.eye(3).tobytes() and not g.flags.writeable
+        G, D = fiber.rows(np.zeros((4, 3)))
+        assert G.tobytes() == np.stack([np.eye(3)] * 4).tobytes() and not D.any()
+        assert fiber.distance(np.zeros(3), np.array([1.0, 2.0, -2.0])) == 3.0
+
+    def test_flat_fiber_needs_one_period_per_axis(self):
+        with pytest.raises(ValueError, match="^one period per fiber dimension required$"):
+            FlatFiber(dim=2, periods=(1.0,))
+
     def test_fiber_dimension_must_match(self):
         with pytest.raises(ValueError):
-            SplitSpaceSpec(n=3, phi=phi_field("sin(r)"), fiber=EuclideanFiber(3))
+            SplitSpaceSpec(n=3, phi=phi_field("sin(r)"), fiber=FlatFiber(3))
 
     @pytest.mark.parametrize("missing", ["grad", "hess"])
     @pytest.mark.parametrize("role", ["psi", "phi", "f_L"])
     def test_potentials_need_analytic_partials(self, role, missing):
         field = ScalarField.constant(0.0)
         bare = dataclasses.replace(field, **{missing: None})
-        fiber = EuclideanFiber(2)
+        fiber = FlatFiber(2)
         with pytest.raises(ValueError, match=f"^{role} needs an analytic gradient and Hessian$"):
             if role == "psi":
                 TwistedProductSpec(n=3, psi=bare, fiber=fiber)
@@ -134,7 +146,7 @@ def test_stacked_rows_are_g_and_partials_bit_for_bit(spec):
 class TestTwistedRicci:
     def test_constant_twist_flat_fiber_is_flat(self):
         spec = TwistedProductSpec(n=3, psi=ScalarField.constant(0.7),
-                                  fiber=EuclideanFiber(2))
+                                  fiber=FlatFiber(2))
         ric = twisted_ricci_analytic(spec, np.array([0.3, 1.0, -1.0]))
         assert np.max(np.abs(ric)) < 1e-14
 
@@ -156,7 +168,7 @@ class TestTwistedRicci:
             grad=lambda p: np.array([1.0 / p[0], 0.0]),
             hess=lambda p: np.array([[-1.0 / p[0] ** 2, 0.0], [0.0, 0.0]]),
         )
-        tw = TwistedProductSpec(n=2, psi=psi, fiber=EuclideanFiber(1))
+        tw = TwistedProductSpec(n=2, psi=psi, fiber=FlatFiber(1))
         for r in (0.5, 1.0, 2.7):
             ric = twisted_ricci_analytic(tw, np.array([r, 0.3]))
             assert np.max(np.abs(ric)) < 1e-12
@@ -181,7 +193,7 @@ class TestTwistedRicci:
 
 class TestSplitThreshold:
     def test_constant_phi_zero(self):
-        split = SplitSpaceSpec(n=3, phi=phi_field("1.5"), fiber=EuclideanFiber(2))
+        split = SplitSpaceSpec(n=3, phi=phi_field("1.5"), fiber=FlatFiber(2))
         rep = split_cd_threshold(split, (-10.0, 10.0))
         assert rep.value == pytest.approx(0.0, abs=1e-15)
         assert not rep.diverged
@@ -294,7 +306,7 @@ class TestRadialIdentity:
 
     def test_unit_slope_coefficient(self):
         # phi' = 1, n = 3, N = 0: coefficient (N-1)/((n-1)(n-N)) = -1/6
-        split = SplitSpaceSpec(n=3, phi=phi_field("r"), fiber=EuclideanFiber(2))
+        split = SplitSpaceSpec(n=3, phi=phi_field("r"), fiber=FlatFiber(2))
         ana, num = radial_identity_N(split, 0.0, 0.4)
         assert ana == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert num == pytest.approx(-1.0 / 6.0, abs=1e-6)

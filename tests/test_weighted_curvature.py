@@ -21,7 +21,7 @@ from cdsplit.weighted_curvature import (
     split_grid,
     weighted_mean_curvature,
 )
-from cdsplit.warped_products import EuclideanFiber, SphereFiber, SplitSpaceSpec
+from cdsplit.warped_products import FlatFiber, SphereFiber, SplitSpaceSpec
 
 
 def random_smooth_density(rng, dim):
@@ -272,7 +272,7 @@ def split_and_points(draw):
     if draw(st.booleans()):
         fiber = SphereFiber(dim=2, einstein_constant=draw(st.floats(0.2, 2.0)))
     else:
-        fiber = EuclideanFiber(dim=2, box=3.0)
+        fiber = FlatFiber(dim=2, box=3.0)
     phi = expression_scalar_field(compile_expression(f"{a!r} * sin({b!r} * r)",
                                                      ("r", "y1", "y2")))
     split = SplitSpaceSpec(n=3, phi=phi, fiber=fiber)

@@ -34,8 +34,12 @@ so its files are expected to differ against such a base.  Last,
 finite 1e308 but whose f_gamma integral overflows: up to revision dcb74b2
 it exits 0 with an inf f_gamma column and numpy warnings that name the
 source file of the tree; since then it exits 1 with one ``warning:`` line
-per warning and one ``error:`` line.  The text of each of these manifests is
-written once into OUT_DIR, so both trees run the same file.
+per warning and one ``error:`` line.  Finally, ``verify-cd`` on
+``SQRT_MANIFEST``, whose density ``sqrt(r)`` has no real value where
+r < 0: up to revision fda542d it ends in a ``math domain error``
+traceback; since then it exits 1 with one ``error:`` line naming the
+expression and the point.  The text of each of these manifests is written
+once into OUT_DIR, so both trees run the same file.
 Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
@@ -197,11 +201,34 @@ start = 0, 0
 velocity = 1, 0
 T = 1
 """
+SQRT_MANIFEST = """\
+[manifold]
+name = flat-sqrt-density
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = 1
+
+[density]
+f = sqrt(r)
+
+[grid]
+r_min = -1
+r_max = 3
+
+[cd]
+lambda = 0
+N = inf
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
            "flat_overflowing_density": OVERFLOW_MANIFEST,
-           "flat_overflowing_integral": OVERFLOW_INTEGRAL_MANIFEST}
+           "flat_overflowing_integral": OVERFLOW_INTEGRAL_MANIFEST,
+           "flat_sqrt_density": SQRT_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -211,7 +238,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("geodesic", "sphere_exit", 42, ()), ("geodesic", "torus_block_edge", 42, ())]
         + [("verify-cd", "plane_degenerating", 42, ()),
            ("geodesic", "flat_overflowing_density", 42, ()),
-           ("geodesic", "flat_overflowing_integral", 42, ())])
+           ("geodesic", "flat_overflowing_integral", 42, ()),
+           ("verify-cd", "flat_sqrt_density", 42, ())])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
