@@ -52,12 +52,13 @@ post-passes evaluate through it and have no per-sample code.  ``simpson`` and
 Results are bit-identical to evaluating every tensor at one point on its
 own.  Only elementwise array operations, the stacked solve, einsum
 contractions with a batch axis and stacked matrix products (the same BLAS
-call per matrix) run across points; manifest expressions, fiber scalars,
-reductions within a row and LAPACK factorizations are called once per
-point, with ``math`` and not numpy ufuncs, which round differently on some
-inputs.  The minimum of the shipped sphere grid is a four-way exact
-tie a few ulps below its neighbours, so any change in rounding can move the
-reported witness.
+call per matrix) run across points.  A manifest expression's block form
+(``field_rows``) is made of such operations, with its function calls and
+powers per element; fiber scalars, reductions within a row and LAPACK
+factorizations are called once per point, with ``math`` and not numpy
+ufuncs, which round differently on some inputs.  The minimum of the shipped
+sphere grid is a four-way exact tie a few ulps below its neighbours, so any
+change in rounding can move the reported witness.
 
 Everything here is a pure function of immutable specs and is safe to call
 concurrently; a ``BlockGeometry`` belongs to the one call that made it.
@@ -354,6 +355,15 @@ def _metric_rows(spec: MetricSpec, pts: np.ndarray):
     return gs, D
 
 
+def field_rows(fn, pts: np.ndarray) -> np.ndarray:
+    """``fn`` at each row of ``pts``, stacked: in one call of ``fn.rows``
+    when the callable has one (a manifest expression's), else row by row."""
+    rows = getattr(fn, "rows", None)
+    if rows is not None:
+        return rows(pts)
+    return np.array([fn(p) for p in pts], dtype=float)
+
+
 def _lowered(D: np.ndarray) -> np.ndarray:
     """M[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from D[..., k, i, j] = d_k g_ij."""
     if D.ndim == 3:
@@ -404,9 +414,10 @@ class BlockGeometry:
 
     Only elementwise array operations, the stacked ``np.linalg.solve``,
     einsum contractions with a batch axis and stacked matrix products run
-    across points; manifest expressions, fiber scalars and LAPACK
-    factorizations are called once per point, so every slice is
-    bit-identical to the same tensor built at that point alone.  A failed check names a point of the block that fails it.
+    across points, with manifest expressions in their block form; fiber
+    scalars and LAPACK factorizations are called once per point, so every
+    slice is bit-identical to the same tensor built at that point alone.
+    A failed check names a point of the block that fails it.
     In a block of one, evaluations and checks run in the order a point
     evaluated on its own has always run them, with the same messages.
     """
@@ -512,8 +523,7 @@ class BlockGeometry:
         """``fn`` at each point, stacked and checked finite; the first call
         for a callable evaluates it, later calls reuse the rows."""
         if fn not in self._evaluated:
-            rows = np.array([fn(p) for p in self.pts], dtype=float)
-            self._evaluated[fn] = _finite_rows(rows, what, self.pts)
+            self._evaluated[fn] = _finite_rows(field_rows(fn, self.pts), what, self.pts)
         return self._evaluated[fn]
 
     def hessian(self, f, step: float | None = None) -> np.ndarray:
@@ -521,19 +531,20 @@ class BlockGeometry:
         fd = spec.fd
         f = as_scalar_field(f)
         base = step if step is not None else fd.h2
-        raw = np.empty((len(pts), spec.dim, spec.dim))
-        for i, p in enumerate(pts):
-            if f.hess is not None:
-                raw[i] = f.hess(p)
-            elif f.grad is not None:
-                steps = fd.scaled(p, fd.h1 if step is None else step)
-                check_domain(spec, p, steps)
-                J = first_partials(lambda q: np.asarray(f.grad(q), dtype=float), p, steps)
-                raw[i] = 0.5 * (J + J.T)
-            else:
-                steps = fd.scaled(p, base)
-                check_domain(spec, p, 2.0 * steps)
-                raw[i] = second_partials(lambda q: float(f.value(q)), p, steps)
+        if f.hess is not None:
+            raw = field_rows(f.hess, pts)
+        else:
+            raw = np.empty((len(pts), spec.dim, spec.dim))
+            for i, p in enumerate(pts):
+                if f.grad is not None:
+                    steps = fd.scaled(p, fd.h1 if step is None else step)
+                    check_domain(spec, p, steps)
+                    J = first_partials(lambda q: np.asarray(f.grad(q), dtype=float), p, steps)
+                    raw[i] = 0.5 * (J + J.T)
+                else:
+                    steps = fd.scaled(p, base)
+                    check_domain(spec, p, 2.0 * steps)
+                    raw[i] = second_partials(lambda q: float(f.value(q)), p, steps)
         df = self.gradient(f, step=base if f.grad is None else None)
         H = raw - np.einsum("bkij,bk->bij", self.christoffel(), df)
         _finite_rows(H, "Hessian", pts)

@@ -15,7 +15,9 @@ stack (``in_blocks``), then reduce each sample on its own, so every value is
 bit-equal to evaluating the sample alone.  A failing block is run again
 through the same pass one sample at a time, so the first failing sample
 raises its own error; a non-finite vector density, or an f_gamma beyond the
-float range, is an error, never a NaN or inf f_gamma.
+float range, is an error, never a NaN or inf f_gamma.  The speed-drift pass
+takes each sample's metric through the Cholesky positivity gate, so a trace
+that runs into an indefinite metric is an error too, never a pass.
 """
 
 from __future__ import annotations
@@ -90,6 +92,15 @@ def normalize_velocity(spec: MetricSpec, p: Point, v) -> np.ndarray:
     return v / s
 
 
+def _speeds(spec: MetricSpec, X: np.ndarray, U: np.ndarray) -> list[float]:
+    """The length of each velocity in the metric at its sample, from one
+    BlockGeometry whose positivity gate (``chol``) passes at every sample."""
+    at = BlockGeometry(spec, X)
+    G = at.g
+    at.chol
+    return [_norm(g, u) for g, u in zip(G, U)]
+
+
 def rk4_step(acc, x, u, dt: float):
     """One classical RK4 step of the second-order system x' = u, u' = acc(x, u);
     returns the new (x, u)."""
@@ -153,9 +164,7 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
         xs[k + 1], us[k + 1] = x, u
     xs, us = xs[: k_end + 1], us[: k_end + 1]
     ts = dt * np.arange(k_end + 1)
-    speeds = in_blocks(
-        k_end + 1, BLOCK_POINTS,
-        lambda s: [_norm(G, v) for G, v in zip(BlockGeometry(spec, xs[s]).g, us[s])])
+    speeds = in_blocks(k_end + 1, BLOCK_POINTS, lambda s: _speeds(spec, xs[s], us[s]))
     drift = np.max(np.abs(speeds - 1.0))
     return GeodesicTrace(spec=spec, ts=ts, positions=xs, velocities=us,
                          speed_drift=float(drift), truncated=truncated)

@@ -5,13 +5,25 @@ Format: ``[section]`` headers with ``key = value`` lines; ``#`` starts a
 comment.  Scalar expressions use a minimal arithmetic grammar (+ - * / ^,
 parentheses, the variables r and y1..y_{n-1}, the functions sin cos exp log
 sqrt cosh sinh, numeric literals).  Expressions are differentiated
-symbolically, so manifest-built geometries carry analytic partials.  Each
-expression is compiled once into nested closures over ``math`` and evaluated
-one point at a time through ``eval_ast``, and ``expression_array`` evaluates
-the gradients, Hessians, vector densities and metrics built from several,
-with their constant entries filled in once; numpy ufuncs would round some
-results differently.  A value with no real result at a point (``sqrt(-1)``,
-``exp(1000)``) is NonFinite, naming the expression and the point.
+symbolically, so manifest-built geometries carry analytic partials.
+
+An Expression, and an ``ExpressionArray`` of several (the gradients,
+Hessians, vector densities and metrics), is evaluated by Python source
+generated from its AST and compiled once, on first use, in two forms.  The
+point form evaluates one point through ``eval_ast``; it computes one
+temporary per node, equal subtrees once, in the left-first order of a walk
+of each tree, and fills constant entries from a template.  The block form,
+``ExpressionArray.rows``, evaluates a (k, n) array of points: ``+ - * /``
+and negation are numpy array operations, while every function call and
+every ``^`` runs per element through the point form's scalar call, because
+numpy's ufuncs round some results differently from ``math`` and ``**``.
+A block that raises, or that gives a non-finite value, is evaluated again
+row by row through the point form, and a single row always is, so each row
+rounds, warns and fails as it does alone.  The generated source holds only
+temporaries, the constants as names, variables read by index and the names
+of ``_FUNCTIONS``; no manifest text reaches it.  A value with no real
+result at a point (``sqrt(-1)``, ``exp(1000)``, ``(-1)^0.5``) is NonFinite,
+naming the expression and the point.
 ``expression_scalar_field`` is the one way an analytic scalar field is
 built, from a manifest or in ``catalog``.  A split space's ``[phi]`` is
 compiled over r alone, so a fiber variable in it is a parse error, and
@@ -36,6 +48,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field, replace
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,7 +85,7 @@ _FUNCTIONS = {
     "sinh": math.sinh,
 }
 
-# the binary operators, shared by compiled expressions and constant folding
+# the binary operators of constant folding
 _BINARY = {
     "+": operator.add,
     "-": operator.sub,
@@ -184,42 +197,128 @@ class _Parser:
         return lhs
 
 
-def _compile(ast, variables):
-    """Compile an AST into nested closures over ``math`` and ``_BINARY``.
-
-    The closure takes the variable values as a sequence, in the order of
-    ``variables``.  It evaluates left operands first and keeps the values'
-    own types, so it rounds exactly as the arithmetic written out would.
-    """
-    op = ast[0]
-    if op == "num":
-        v = ast[1]
-        return lambda env: v
-    if op == "var":
-        i = variables.index(ast[1])
-        return lambda env: env[i]
-    if op == "neg":
-        a = _compile(ast[1], variables)
-        return lambda env: -a(env)
-    if op == "call":
-        fn, a = _FUNCTIONS[ast[1]], _compile(ast[2], variables)
-        return lambda env: fn(a(env))
-    fn = _BINARY[op]
-    a, b = _compile(ast[1], variables), _compile(ast[2], variables)
-    return lambda env: fn(a(env), b(env))
-
-
-def eval_ast(expr: "Expression", values) -> float:
-    """Evaluate a compiled expression at ``values``, one per variable in
-    order.  Every manifest expression is evaluated through this one call.
-    A value with no finite real result (``sqrt`` or ``log`` of a negative
-    number, ``exp`` beyond the float range, a Python float divided by 0) is
-    NonFinite, naming the expression and the point."""
+def eval_ast(expr: "Expression | ExpressionArray", values):
+    """Evaluate the point form of an Expression, or of an ExpressionArray, at
+    ``values``, one per variable in order.  Every manifest expression
+    evaluated at one point goes through this one call.  A value with no
+    finite real result (``sqrt`` or ``log`` of a negative number, ``exp``
+    beyond the float range, a Python float divided by 0, a negative number
+    to a fractional power) is NonFinite, naming the expression (the first
+    entry of an array that fails) and the point."""
     try:
         return expr.code(values)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
+        if isinstance(expr, ExpressionArray):
+            expr, exc = expr.failing(values)
         at = ", ".join(f"{v} = {float(x)!r}" for v, x in zip(expr.variables, values))
         raise NonFinite(f"{expr.text} has no finite real value at {at} ({exc})") from None
+
+
+def _power(a, b):
+    """``a ** b`` in the point form.  On Python floats, ``**`` returns a
+    complex number for a negative base and a fractional exponent, which has
+    no real value."""
+    x = a ** b
+    if type(x) is complex:
+        raise ValueError("a negative number to a fractional power is complex")
+    return x
+
+
+def _per_element(fn):
+    """``fn`` on each element of its array operands (a constant operand is
+    repeated), one scalar call per element, as a float array.  A complex
+    result makes ``np.fromiter`` raise."""
+
+    def each(*args):
+        n = next(len(a) for a in args if type(a) is np.ndarray)
+        columns = [a.tolist() if type(a) is np.ndarray else repeat(a, n) for a in args]
+        return np.fromiter(map(fn, *columns), float, n)
+
+    return each
+
+
+# The names that generated source calls, one namespace per form.  Every
+# generated function runs in it, on line 1, so Python's warning registry
+# shows a numpy warning once per text, whichever expression raised it.
+_POINT_NAMES = {"__name__": __name__, "array": np.array, "power": _power, **_FUNCTIONS}
+_BLOCK_NAMES = {"__name__": __name__, "power": _per_element(operator.pow),
+                **{name: _per_element(fn) for name, fn in _FUNCTIONS.items()}}
+
+
+class _Source:
+    """Generated source that computes AST values, one temporary per node, in
+    the left-first order in which a walk of each tree evaluates them.
+
+    Equal subtrees (by ``repr``, which tells 0.0 from -0.0) share the
+    temporary computed where the walk first meets them.  Only AST nodes
+    reach the source: constants are bound as the names ``c<i>``, variables
+    are read by index from the argument ``arg``, and calls name
+    ``_FUNCTIONS`` entries, or ``power`` for ``^``."""
+
+    def __init__(self, variables, arg: str):
+        self.variables = variables
+        self.arg = arg
+        self.load = "env[{}]" if arg == "env" else "P[:, {}]"
+        self.lines: list[str] = []
+        self.constants: list[float] = []
+        self.names: dict = {}  # node key -> name
+        self.seen: dict = {}   # id(node) -> name, for subtrees shared between trees
+
+    def name(self, node) -> str:
+        """The name holding the value of ``node``; its statement is emitted,
+        after its operands', on first use."""
+        done = self.seen.get(id(node))
+        if done is not None:
+            return done
+        op = node[0]
+        if op == "num":
+            key = (op, repr(node[1]))
+        elif op == "var":
+            key = node
+        elif op == "call":
+            key = (op, node[1], self.name(node[2]))
+        else:
+            key = (op, *(self.name(a) for a in node[1:]))
+        name = self.names.get(key)
+        if name is None:
+            name = self.names[key] = self._emit(node, key)
+        self.seen[id(node)] = name
+        return name
+
+    def _emit(self, node, key) -> str:
+        op = node[0]
+        if op == "num":
+            self.constants.append(node[1])
+            return f"c{len(self.constants) - 1}"
+        if op == "var":
+            i = self.variables.index(node[1])
+            self.lines.append(f"v{i} = {self.load.format(i)}")
+            return f"v{i}"
+        if op == "neg":
+            value = f"-{key[1]}"
+        elif op == "call" and key[1] in _FUNCTIONS:
+            value = f"{key[1]}({key[2]})"
+        elif op == "^":
+            value = f"power({key[1]}, {key[2]})"
+        elif op in ("+", "-", "*", "/"):
+            value = f"{key[1]} {op} {key[2]}"
+        else:
+            raise AssertionError(f"unhandled node {key[:2]!r}")
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"{name} = {value}")
+        return name
+
+    def function(self, tail: list[str], namespace: dict, bound=()) -> Callable:
+        """The function of ``arg`` that runs the statements, then ``tail``,
+        compiled once, all on one line.  Constants, and the ``bound``
+        (name, value) pairs, are default arguments."""
+        values = dict(bound, **{f"c{i}": c for i, c in enumerate(self.constants)})
+        params = "".join(f", {name}={name}" for name in values)
+        source = f"def f({self.arg}{params}): {'; '.join(self.lines + tail)}\n"
+        exec(compile(source, "<manifest expression>", "exec"), namespace, values)
+        fn = values["f"]
+        fn.source = source
+        return fn
 
 
 def _num(v):
@@ -343,7 +442,8 @@ def _extent(ast, most=math.inf) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Expression:
-    """A parsed expression with its variable list, compiled once."""
+    """A parsed expression with its variable list; its point form is
+    generated on first evaluation."""
 
     text: str
     ast: tuple
@@ -351,8 +451,8 @@ class Expression:
 
     @cached_property
     def code(self) -> Callable:
-        """The AST compiled into closures, on first evaluation."""
-        return _compile(self.ast, self.variables)
+        """The point form, ``values -> value``, generated on first use."""
+        return ExpressionArray(self).code
 
     def __call__(self, *values) -> float:
         return eval_ast(self, values)
@@ -378,39 +478,98 @@ def compile_expression(text: str, variables, line: int = 1) -> Expression:
     return Expression(text=text.strip(), ast=simplify(ast), variables=tuple(variables))
 
 
-def expression_array(exprs) -> Callable[[np.ndarray], np.ndarray]:
-    """The function ``p -> array`` of the values at p of ``exprs``, a nested
-    list of Expressions, in the list's shape.  Constant entries (number
-    ASTs) are filled into a template once, when the function is built; the
-    other entries are evaluated through ``eval_ast``, and entries with the
-    same AST share one call per evaluation: they have the same value bit for
-    bit."""
-    grid = np.array(exprs, dtype=object)
-    template = np.zeros(grid.shape)
-    shared: dict = {}  # (repr(ast), variables) -> (expression, indices of its entries)
-    for i in np.ndindex(grid.shape):
-        e = grid[i]
-        if e.ast[0] == "num":
-            template[i] = e.ast[1]
-            continue
-        # repr tells 0.0 from -0.0, which compare equal in the AST tuples
-        where = shared.setdefault((repr(e.ast), e.variables), (e, []))[1]
-        where.append(i if grid.ndim > 1 else i[0])  # an int sets a 1-d entry faster
-    entries = list(shared.values())
-    if grid.ndim == 1 and len(entries) == grid.size:
-        # every entry evaluated, once: building the list is cheaper
-        distinct = [e for e, _ in entries]
-        return lambda p: np.array([eval_ast(e, p) for e in distinct])
+class ExpressionArray:
+    """The values of a nested list of Expressions over the same variables,
+    in the list's shape: ``p -> array``, or ``p -> value`` for a single
+    Expression (shape ()).
 
-    def fill(p):
-        out = template.copy()
-        for e, where in entries:
-            value = eval_ast(e, p)
-            for i in where:
-                out[i] = value
-        return out
+    Calling it evaluates the point form through ``eval_ast``; ``rows(P)``
+    evaluates a (k, n) array of points at once.  Both forms are generated
+    on first use.  Constant entries (number ASTs) are filled in from a
+    template, and entries with the same AST (by ``repr``) are evaluated
+    once: they have the same value bit for bit."""
 
-    return fill
+    def __init__(self, exprs):
+        grid = np.array(exprs, dtype=object)
+        self.shape = grid.shape
+        self.flat = flat = list(grid.flat)
+        self.template = np.zeros(self.shape)
+        shared: dict = {}  # repr(ast) -> (expression, flat indices of its entries)
+        for k, e in enumerate(flat):
+            if e.ast[0] == "num":
+                self.template.flat[k] = e.ast[1]
+            else:
+                # repr tells 0.0 from -0.0, which compare equal in the AST tuples
+                shared.setdefault(repr(e.ast), (e, []))[1].append(k)
+        self.entries = [e for e, _ in shared.values()]
+        self.slots = [where for _, where in shared.values()]
+        self.variables = flat[0].variables
+        if any(e.variables != self.variables for e in flat):
+            raise ValueError("the entries of an expression array need the same variables")
+
+    @cached_property
+    def code(self) -> Callable:
+        """The point form, ``p -> array`` (``p -> value`` at shape ()).  A
+        1-d array is built from its entries, a larger one from a copy of the
+        template with the other entries filled in."""
+        src = _Source(self.variables, "env")
+        if len(self.shape) < 2:
+            names = [src.name(e.ast) for e in self.flat]
+            result = names[0] if not self.shape else f"array([{', '.join(names)}])"
+            return src.function([f"return {result}"], _POINT_NAMES)
+        fills = [f"out[{', '.join(map(str, np.unravel_index(k, self.shape)))}] = "
+                 f"{src.name(e.ast)}" for e, slots in zip(self.entries, self.slots) for k in slots]
+        return src.function(["out = template.copy()", *fills, "return out"], _POINT_NAMES,
+                            [("template", self.template)])
+
+    @cached_property
+    def block(self) -> Callable:
+        """The block form, ``P -> [column of each distinct entry]`` for a
+        (B, n) array P."""
+        src = _Source(self.variables, "P")
+        names = [src.name(e.ast) for e in self.entries]
+        return src.function([f"return [{', '.join(names)}]"], _BLOCK_NAMES)
+
+    def __call__(self, p):
+        return eval_ast(self, p)
+
+    def failing(self, values):
+        """The first distinct entry whose point form raises at ``values``,
+        with its exception."""
+        for e in self.entries:
+            try:
+                e.code(values)
+            except (ValueError, OverflowError, ZeroDivisionError) as exc:
+                return e, exc
+        raise AssertionError("no entry fails on its own")
+
+    def rows(self, P) -> np.ndarray:
+        """The values at each row of the (k, n) array P, shape (k, *shape),
+        bit for bit the point form's row by row.
+
+        The block form runs with numpy's floating-point conditions raising
+        (underflow only when it is reported, as the point form's numpy
+        scalars report it).  On any exception, and on any non-finite value,
+        every row is evaluated again through the point form, in order, so
+        the first failing row raises, and warns, as it does alone.  A single
+        row always goes through the point form."""
+        P = np.asarray(P, dtype=float)
+        k = len(P)
+        if k > 1:
+            raising = {c: "raise" for c, mode in np.geterr().items()
+                       if c != "under" or mode != "ignore"}
+            try:
+                with np.errstate(**raising):
+                    columns = self.block(P)
+                out = np.empty((k, self.template.size))
+                out[:] = self.template.ravel()
+                for column, slots in zip(columns, self.slots):
+                    out[:, slots] = column[:, None]
+                if np.isfinite(out).all():
+                    return out.reshape((k, *self.shape))
+            except (ArithmeticError, ValueError, TypeError):
+                pass
+        return np.array([eval_ast(self, p) for p in P])
 
 
 def expression_scalar_field(expr: Expression) -> ScalarField:
@@ -428,8 +587,8 @@ def expression_scalar_field(expr: Expression) -> ScalarField:
                 second[i][j] = second[j][i] = replace(
                     a, text=f"0.5 * (({a.text}) + ({b.text}))",
                     ast=_node("*", _num(0.5), _node("+", a.ast, b.ast)))
-    return ScalarField(value=lambda p: eval_ast(expr, p), grad=expression_array(grads),
-                       hess=expression_array(second))
+    return ScalarField(value=ExpressionArray(expr), grad=ExpressionArray(grads),
+                       hess=ExpressionArray(second))
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +974,7 @@ def _density(sections, variables):
             raise ValidationError("give either f or vector components, not both",
                                   key="[density] f")
         return _compiled(sections, "density", "f", variables, expression_scalar_field)
-    return VectorField(value=expression_array(
+    return VectorField(value=ExpressionArray(
         [_compiled(sections, "density", f"X{i + 1}", variables) for i in range(len(variables))]))
 
 
@@ -837,11 +996,11 @@ def _general_metric(sections, dim, names, name, fd) -> MetricSpec:
             entries[i, j] = _compiled(sections, "metric", key, names,
                                       lambda e: (e, [e.derivative(v) for v in names]))
     upper = [[entries[min(i, j), max(i, j)] for j in range(dim)] for i in range(dim)]
-    return MetricSpec(
-        dim=dim, name=name, coord_names=names, fd=fd,
-        g=expression_array([[e for e, _ in row] for row in upper]),
-        partials=expression_array([[[partials[k] for _, partials in row] for row in upper]
-                                   for k in range(dim)]))
+    g = ExpressionArray([[e for e, _ in row] for row in upper])
+    partials = ExpressionArray([[[dg[k] for _, dg in row] for row in upper]
+                                for k in range(dim)])
+    return MetricSpec(dim=dim, name=name, coord_names=names, fd=fd, g=g, partials=partials,
+                      rows=lambda P: (g.rows(P), partials.rows(P)))
 
 
 def build_geometry(manifest: ManifoldManifest) -> dict:

@@ -22,7 +22,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .chart_core import FDSteps, MetricSpec, Point, ScalarField, as_point
+from .chart_core import FDSteps, MetricSpec, Point, ScalarField, as_point, field_rows
 from .errors import DivergentThreshold, NonFinite, StepOverflow
 from .geodesic_flow import VELOCITY_GUARD, rk4_step
 from .weighted_curvature import _check_N, generalized_ricci
@@ -216,12 +216,13 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
         return D
 
     def rows(pts: np.ndarray):
-        # g and partials at every row: psi, its gradient, the warp and the
+        # g and partials at every row: psi and its gradient stacked (through
+        # their block forms when they have them), then the warp and the
         # fiber metric once per row, with the same scalar calls; g and D
         # are then built by broadcasting
         k = len(pts)
-        w = np.array([math.exp(2.0 * c * float(psi.value(q))) for q in pts])
-        dpsi = np.array([psi.grad(q) for q in pts], dtype=float)
+        w = np.array([math.exp(2.0 * c * v) for v in field_rows(psi.value, pts).tolist()])
+        dpsi = field_rows(psi.grad, pts)
         h, dh = fiber.rows(pts[:, 1:])
         G = np.zeros((k, n, n))
         G[:, 0, 0] = 1.0

@@ -441,3 +441,27 @@ def test_overflowing_expression_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: d/dr(d/dr(exp(exp(r)))) has no finite real value at r = 6.565, y1 = -3.0 "
         "(math range error)\n")
+
+
+def test_complex_power_is_one_error_line(tmp_path, capsys):
+    # (r - 5)^0.5 is complex where r < 5; its imaginary part was dropped
+    # with two ComplexWarning lines, and the run passed
+    path = tmp_path / "m.cdm"
+    path.write_text((MANIFESTS / "radial_log.cdm").read_text()
+                    .replace("f = log(1 + r^2)", "f = (r - 5)^0.5"))
+    assert run("curvature", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "error: d/dr(d/dr((r - 5)^0.5)) has no finite real value at r = 4.444896553545318 "
+        "(a negative number to a fractional power is complex)\n")
+
+
+def test_geodesic_into_an_indefinite_metric_is_one_error_line(tmp_path, capsys):
+    # g22 = r - 1 is negative where r < 1: the speed-drift pass refuses the
+    # first such sample, where it reported a pass with drift 0
+    path = tmp_path / "m.cdm"
+    path.write_text(SQRT_DENSITY.replace("g22 = 1", "g22 = r - 1")
+                    .replace("sqrt(r)", "0").replace("r_min = -1", "r_min = 1.5")
+                    + "\n[geodesic]\nstart = 2, 0\nvelocity = -1, 0\nT = 1.5\n")
+    assert run("geodesic", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: metric at [0.999 0.   ] is not positive definite\n"
+    assert not (tmp_path / "out" / "geodesic.csv").exists()

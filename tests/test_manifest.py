@@ -16,7 +16,7 @@ from cdsplit.manifest import (
     MAX_DERIVATIVE_NODES,
     build_geometry,
     compile_expression,
-    expression_array,
+    ExpressionArray,
     expression_scalar_field,
     grid_center,
     parse_manifest,
@@ -295,14 +295,23 @@ class TestBuiltGeometry:
         p = np.array([2.0, 0.5])
         calls = []
         original = manifest_module.eval_ast
+        # one point-form call per array, which evaluates its distinct entries
         monkeypatch.setattr(manifest_module, "eval_ast",
-                            lambda e, q: calls.append(e.ast) or original(e, q))
+                            lambda e, q: calls.append([x.ast for x in e.entries])
+                            or original(e, q))
         assert geo["spec"].g(p).tolist() == [[1.0, 0.0], [0.0, 4.0]]
-        assert len(calls) == 1  # g22: g11 and g12 (for g21 too) are constants, filled once
+        # g22 alone: g11 and g12 (for g21 too) are constants, filled once
+        assert calls == [[("^", ("var", "r"), ("num", 2.0))]]
+        assert geo["spec"].g.code.source.count("power(") == 1
         calls.clear()
         D = geo["spec"].partials(p)
         assert D[0].tolist() == [[0.0, 0.0], [0.0, 4.0]] and not D[1].any()
-        assert calls == [("*", ("num", 2.0), ("var", "r"))]  # the zero partials are constants
+        assert calls == [[("*", ("num", 2.0), ("var", "r"))]]  # the zero partials are constants
+        # equal entries share one statement in both forms
+        e = compile_expression("sin(r) * y1", ("r", "y1"))
+        both = ExpressionArray([[e, e], [e, e.derivative("r")]])
+        for source in (both.code.source, both.block.source):
+            assert source.count("sin(") == 1 and source.count("cos(") == 1
 
     def test_signed_zeros_are_not_shared(self):
         # 0.0 == -0.0, so equal AST tuples do not mean equal values
@@ -310,8 +319,8 @@ class TestBuiltGeometry:
         e2 = compile_expression("1/(r/-0)", ("r",))
         p = np.array([1.0])
         with np.errstate(divide="ignore"):
-            alone = expression_array([e2])(p)
-            both = expression_array([e1, e2])(p)
+            alone = ExpressionArray([e2])(p)
+            both = ExpressionArray([e1, e2])(p)
         assert repr(alone.tolist()) == "[-0.0]"
         assert repr(both.tolist()) == "[0.0, -0.0]"
 
@@ -334,7 +343,7 @@ class TestBuiltGeometry:
     def test_no_real_value_in_an_array_is_non_finite(self):
         names = ("r", "y1")
         e = compile_expression("sqrt(r)", names)
-        fill = expression_array([[e, compile_expression("r", names)], [e.derivative("r"), e]])
+        fill = ExpressionArray([[e, compile_expression("r", names)], [e.derivative("r"), e]])
         message = "sqrt(r) has no finite real value at r = -0.25, y1 = 1.0 (math domain error)"
         with pytest.raises(NonFinite, match="^" + re.escape(message) + "$"):
             fill(np.array([-0.25, 1.0]))

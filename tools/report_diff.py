@@ -38,7 +38,16 @@ per warning and one ``error:`` line.  Finally, ``verify-cd`` on
 ``SQRT_MANIFEST``, whose density ``sqrt(r)`` has no real value where
 r < 0: up to revision fda542d it ends in a ``math domain error``
 traceback; since then it exits 1 with one ``error:`` line naming the
-expression and the point.  The text of each of these manifests is written
+expression and the point.  Then ``verify-cd`` (525 points, so a block edge
+inside the grid) and ``geodesic`` on ``TWISTED_ALL_MANIFEST``, whose twist
+potential calls all seven functions and raises to constant and variable
+powers.  Last, two runs that exit 0 up to revision 318367e and exit 1 with
+one ``error:`` line since: ``curvature`` on ``COMPLEX_POWER_MANIFEST``,
+whose density ``(r - 5)^0.5`` has a complex value where r < 5 (it printed
+two ``ComplexWarning`` lines and dropped the imaginary part), and
+``geodesic`` on ``INDEFINITE_MANIFEST``, whose trace runs into r < 1, where
+the metric is indefinite (it reported a pass with speed drift 0).
+The text of each of these manifests is written
 once into OUT_DIR, so both trees run the same file.
 Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -223,12 +232,85 @@ r_max = 3
 lambda = 0
 N = inf
 """
+TWISTED_ALL_MANIFEST = """\
+[manifold]
+name = twisted-all-functions
+kind = twisted
+dim = 3
+
+[psi]
+expr = 0.2*sinh(r/4)*cos(y1) + 0.1*sqrt(2 + y2^2) + 0.05*log(1 + r^2)*exp(-y1^2) + 0.1*(1 + y2^2)^0.3 + 0.05*cosh(y1/3)*(2 + sin(r))^(0.1*y2)
+
+[fiber]
+type = euclidean
+box = 2.0
+
+[grid]
+r_min = -3
+r_max = 3
+r_count = 21
+fiber_count = 5
+
+[cd]
+lambda = -3
+N = 1
+
+[geodesic]
+start = 0, 0.2, -0.1
+velocity = 1, 0.3, 0.2
+T = 2
+"""
+COMPLEX_POWER_MANIFEST = """\
+[manifold]
+name = radial-complex-power
+kind = radial_model
+dim = 3
+
+[density]
+f = (r - 5)^0.5
+
+[cd]
+lambda = 0.0
+N = 1
+
+[compare]
+rho_min = 0.1
+rho_max = 10.0
+count = 100
+
+[bochner]
+points = 10
+"""
+INDEFINITE_MANIFEST = """\
+[manifold]
+name = plane-indefinite
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = r - 1
+
+[density]
+f = 0
+
+[grid]
+r_min = 1.5
+
+[geodesic]
+start = 2, 0
+velocity = -1, 0
+T = 1.5
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
            "flat_overflowing_density": OVERFLOW_MANIFEST,
            "flat_overflowing_integral": OVERFLOW_INTEGRAL_MANIFEST,
-           "flat_sqrt_density": SQRT_MANIFEST}
+           "flat_sqrt_density": SQRT_MANIFEST, "twisted_all_functions": TWISTED_ALL_MANIFEST,
+           "radial_complex_power": COMPLEX_POWER_MANIFEST,
+           "plane_indefinite": INDEFINITE_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -239,7 +321,10 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("verify-cd", "plane_degenerating", 42, ()),
            ("geodesic", "flat_overflowing_density", 42, ()),
            ("geodesic", "flat_overflowing_integral", 42, ()),
-           ("verify-cd", "flat_sqrt_density", 42, ())])
+           ("verify-cd", "flat_sqrt_density", 42, ())]
+        + [(sub, "twisted_all_functions", 42, ()) for sub in ("verify-cd", "geodesic")]
+        + [("curvature", "radial_complex_power", 42, ()),
+           ("geodesic", "plane_indefinite", 42, ())])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
