@@ -52,8 +52,6 @@ from .weighted_curvature import (
     box_grid,
     cd_verify,
     generalized_ricci,
-    generalized_ricci_gradient,
-    generalized_ricci_vector,
     min_relative_eigenvalue,
     split_grid,
     weighted_mean_curvature,

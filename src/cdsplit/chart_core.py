@@ -17,18 +17,22 @@ Conventions
   ``D[k, i, j] = d g_ij / d x^k``.
 * Finite-difference steps scale with the coordinate magnitude:
   first derivatives (of the Christoffel symbols for Ricci, of a field's
-  values or gradient) use ``h1 * max(1, |x_k|)``, plain second derivatives
+  values) use ``h1 * max(1, |x_k|)``, plain second derivatives
   of a field's values ``h2 * max(1, |x_k|)``, and derivatives of derived
   fields (third-order content) ``h3 * max(1, |x_k|)``.
 
 Evaluation path
 ---------------
-``BlockGeometry`` holds the metric data at a block of points (``g``, its
-Cholesky factor, the inverse metric, the partials ``D``), each evaluated on
-first use and then shared by the tensors built there, all with a leading
-batch axis.  The public per-point functions are its block of one.  The
-Ricci tensor evaluates all 2n+1 stencil rows of every point of a block as
-one row array: ``g`` and ``D`` come from the chart's stacked row function
+``BlockGeometry`` is the one implementation of the chart calculus.  At a
+block of points it holds the metric data (``g``, its Cholesky factor, the
+inverse metric, the partials ``D``), the Christoffel symbols, the Ricci
+tensor and the gradient of each field (analytic, or differenced from its
+values), each evaluated on first use and then shared by the Hessians, Lie
+derivatives and weighted Laplacians built there, all with a leading batch
+axis.  The public per-point functions are its block of one, and a check
+that needs several quantities at a point takes them all from one geometry.
+The Ricci tensor evaluates all 2n+1 stencil rows of every point of a block
+as one row array: ``g`` and ``D`` come from the chart's stacked row function
 when it has one (``MetricSpec.rows``) and from ``g`` and ``partials`` row by
 row otherwise, the Christoffel symbols from one
 ``np.linalg.solve`` over the stack (``_christoffel_rows``), and the centre
@@ -286,13 +290,6 @@ def second_partials(fn: Callable[[Point], float], p: Point, steps: np.ndarray) -
 # metric evaluation
 # ---------------------------------------------------------------------------
 
-def _raw_metric(spec: MetricSpec, p: Point) -> np.ndarray:
-    g = np.asarray(spec.g(p), dtype=float)
-    if g.shape != (spec.dim, spec.dim):
-        raise ValueError(f"metric returned shape {g.shape}, expected ({spec.dim}, {spec.dim})")
-    return g
-
-
 def _checked_metric(raw: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Validate raw metric components at each point (finite, symmetric to
     1e-12 componentwise) and symmetrize them; a failing point is named."""
@@ -307,22 +304,12 @@ def _checked_metric(raw: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def metric_at(spec: MetricSpec, p: Point) -> np.ndarray:
     """Evaluate and validate g(p): finite, symmetric to 1e-12 componentwise."""
-    p = as_point(p, spec.dim)
-    return _checked_metric(_raw_metric(spec, p)[None], p[None])[0]
+    return BlockGeometry.at(spec, p).g[0]
 
 
 def inverse_metric(spec: MetricSpec, p: Point) -> np.ndarray:
     """Inverse metric components via Cholesky; SingularMetric on failure."""
     return BlockGeometry.at(spec, p).ginv[0]
-
-
-def metric_partials_at(spec: MetricSpec, p: Point) -> np.ndarray:
-    """D[k, i, j] = d_k g_ij from the chart's analytic partials, checked."""
-    p = as_point(p, spec.dim)
-    D = np.asarray(spec.partials(p), dtype=float)
-    if D.shape != (spec.dim,) * 3:
-        raise ValueError(f"metric partials returned shape {D.shape}")
-    return _finite(D, "metric partials", p)
 
 
 def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
@@ -404,19 +391,22 @@ def in_blocks(count: int, size: int, stacked) -> np.ndarray:
 
 
 class BlockGeometry:
-    """The metric data at a block of chart points, shared by the tensors built there.
+    """The chart calculus at a block of chart points, shared by the tensors built there.
 
     ``pts`` is a (B, n) array of chart points.  ``g`` (validated and
-    symmetrized), its Cholesky factor ``chol``, the inverse ``ginv`` and the
-    partials ``D`` are each evaluated on first use and then reused; every
-    tensor carries a leading axis of length B.  ``BlockGeometry.at(spec, p)``
-    is the block of one behind the per-point functions of this module.
+    symmetrized), its Cholesky factor ``chol``, the inverse ``ginv``, the
+    partials ``D``, the Christoffel symbols, the Ricci tensor and the
+    gradient of each field are each evaluated on first use and then reused;
+    every tensor carries a leading axis of length B.
+    ``BlockGeometry.at(spec, p)`` is the block of one behind the per-point
+    functions of this module.
 
     Only elementwise array operations, the stacked ``np.linalg.solve``,
     einsum contractions with a batch axis and stacked matrix products run
     across points, with manifest expressions in their block form; fiber
-    scalars and LAPACK factorizations are called once per point, so every
-    slice is bit-identical to the same tensor built at that point alone.
+    scalars, reductions within a point and LAPACK factorizations are called
+    once per point, so every slice is bit-identical to the same tensor built
+    at that point alone.
     A failed check names a point of the block that fails it.
     In a block of one, evaluations and checks run in the order a point
     evaluated on its own has always run them, with the same messages.
@@ -435,9 +425,16 @@ class BlockGeometry:
     def _raw(self):
         # raw g at the points, with raw D when the stacked row function gives
         # both; these are row 0 of every Ricci stencil
-        if _stacked(self.spec, len(self.pts)):
-            return self.spec.rows(self.pts)
-        return np.stack([_raw_metric(self.spec, p) for p in self.pts]), None
+        spec, n = self.spec, self.spec.dim
+        if _stacked(spec, len(self.pts)):
+            return spec.rows(self.pts)
+        gs = []
+        for p in self.pts:
+            g = np.asarray(spec.g(p), dtype=float)
+            if g.shape != (n, n):
+                raise ValueError(f"metric returned shape {g.shape}, expected ({n}, {n})")
+            gs.append(g)
+        return np.stack(gs), None
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -473,13 +470,23 @@ class BlockGeometry:
 
     @cached_property
     def D(self) -> np.ndarray:
-        if _stacked(self.spec, len(self.pts)):
-            return _finite_rows(self._raw[1], "metric partials", self.pts)
-        return np.stack([metric_partials_at(self.spec, p) for p in self.pts])
+        """The analytic partials ``D[b, k, i, j] = d_k g_ij``, checked finite."""
+        spec, pts = self.spec, self.pts
+        if _stacked(spec, len(pts)):
+            return _finite_rows(self._raw[1], "metric partials", pts)
+        out = np.empty((len(pts),) + (spec.dim,) * 3)
+        for i, p in enumerate(pts):
+            D = np.asarray(spec.partials(p), dtype=float)
+            if D.shape != out.shape[1:]:
+                raise ValueError(f"metric partials returned shape {D.shape}")
+            out[i] = _finite(D, "metric partials", p)
+        return out
 
+    @cached_property
     def christoffel(self) -> np.ndarray:
         return 0.5 * np.einsum("bkl,blij->bkij", self.ginv, _lowered(self.D))
 
+    @cached_property
     def ricci(self) -> np.ndarray:
         spec, pts = self.spec, self.pts
         B, n = pts.shape
@@ -511,20 +518,42 @@ class BlockGeometry:
         ric = _finite_rows(t1 - t2 + t3 - t4, "Ricci tensor", pts)
         return 0.5 * (ric + ric.swapaxes(1, 2))
 
-    def gradient(self, f, step: float | None = None) -> np.ndarray:
-        """``scalar_gradient`` at each point; an analytic gradient is
-        evaluated and checked as one stack."""
-        f = as_scalar_field(f)
-        if f.grad is not None:
-            return self.evaluated(f.grad, "gradient")
-        return np.array([scalar_gradient(self.spec, f, p, step=step) for p in self.pts])
-
     def evaluated(self, fn, what: str) -> np.ndarray:
         """``fn`` at each point, stacked and checked finite; the first call
         for a callable evaluates it, later calls reuse the rows."""
         if fn not in self._evaluated:
             self._evaluated[fn] = _finite_rows(field_rows(fn, self.pts), what, self.pts)
         return self._evaluated[fn]
+
+    def gradient(self, f, step: float | None = None) -> np.ndarray:
+        """Coordinate partials d_i f at each point: the analytic gradient as
+        one stack, else central differences of the values at base ``step``
+        (default ``h1``); once per field and step."""
+        f = as_scalar_field(f)
+        if f.grad is not None:
+            return self.evaluated(f.grad, "gradient")
+        spec = self.spec
+        base = step if step is not None else spec.fd.h1
+        key = (f.value, base)
+        if key not in self._evaluated:
+            out = np.empty(self.pts.shape)
+            for i, p in enumerate(self.pts):
+                steps = spec.fd.scaled(p, base)
+                check_domain(spec, p, steps)
+                out[i] = _finite(first_partials(lambda q: float(f.value(q)), p, steps),
+                                 "finite-difference gradient", p)
+            self._evaluated[key] = out
+        return self._evaluated[key]
+
+    def gradient_vector(self, f) -> np.ndarray:
+        """The metric gradient (nabla f)^i = g^{ij} d_j f at each point."""
+        ginv = self.ginv
+        return np.array([gi @ df for gi, df in zip(ginv, self.gradient(f))])
+
+    def grad_norm_squared(self, f) -> np.ndarray:
+        """|grad f|^2_g = g^{ij} d_i f d_j f at each point."""
+        df = self.gradient(f)
+        return np.array([float(d @ gi @ d) for d, gi in zip(df, self.ginv)])
 
     def hessian(self, f, step: float | None = None) -> np.ndarray:
         spec, pts = self.spec, self.pts
@@ -536,19 +565,34 @@ class BlockGeometry:
         else:
             raw = np.empty((len(pts), spec.dim, spec.dim))
             for i, p in enumerate(pts):
-                if f.grad is not None:
-                    steps = fd.scaled(p, fd.h1 if step is None else step)
-                    check_domain(spec, p, steps)
-                    J = first_partials(lambda q: np.asarray(f.grad(q), dtype=float), p, steps)
-                    raw[i] = 0.5 * (J + J.T)
-                else:
-                    steps = fd.scaled(p, base)
-                    check_domain(spec, p, 2.0 * steps)
-                    raw[i] = second_partials(lambda q: float(f.value(q)), p, steps)
+                steps = fd.scaled(p, base)
+                check_domain(spec, p, 2.0 * steps)
+                raw[i] = second_partials(lambda q: float(f.value(q)), p, steps)
         df = self.gradient(f, step=base if f.grad is None else None)
-        H = raw - np.einsum("bkij,bk->bij", self.christoffel(), df)
+        H = raw - np.einsum("bkij,bk->bij", self.christoffel, df)
         _finite_rows(H, "Hessian", pts)
         return 0.5 * (H + H.swapaxes(1, 2))
+
+    def weighted_laplacian(self, density: DensitySpec, h, step: float | None = None) -> np.ndarray:
+        """``weighted_laplacian`` at each point; ``step`` is the base step of
+        whatever of h is differenced."""
+        pts = self.pts
+        ginv = self.ginv
+        H = self.hessian(h, step)
+        lap = [float(np.sum(gi * Hi)) for gi, Hi in zip(ginv, H)]
+        dh = self.gradient(h, step)
+        if isinstance(density, ScalarField):
+            df = self.gradient(density)
+            drift = [float(a @ gi @ b) for a, gi, b in zip(df, ginv, dh)]
+        elif isinstance(density, VectorField):
+            drift = [float(np.asarray(density.value(p), dtype=float) @ b)
+                     for p, b in zip(pts, dh)]
+        else:
+            raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
+        out = np.array([a - b for a, b in zip(lap, drift)])
+        if not np.isfinite(out).all():
+            raise NonFinite(f"weighted Laplacian at {pts[int(np.argmin(np.isfinite(out)))]}")
+        return out
 
     def lie_derivative(self, X: VectorField) -> np.ndarray:
         spec, pts = self.spec, self.pts
@@ -630,7 +674,7 @@ def christoffel(spec: MetricSpec, p: Point) -> np.ndarray:
     the lower pair.  Raises SingularMetric if g(p) is not invertible and
     NonFinite if any derivative evaluation is NaN/Inf.
     """
-    return BlockGeometry.at(spec, p).christoffel()[0]
+    return BlockGeometry.at(spec, p).christoffel[0]
 
 
 def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
@@ -643,7 +687,7 @@ def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
     differencing noise, and the derivative takes the first-derivative step
     h1, which keeps its truncation error small.
     """
-    return BlockGeometry.at(spec, p).ricci()[0]
+    return BlockGeometry.at(spec, p).ricci[0]
 
 
 # ---------------------------------------------------------------------------
@@ -660,27 +704,19 @@ def as_scalar_field(f) -> ScalarField:
 
 def scalar_gradient(spec: MetricSpec, f, p: Point, *, step: float | None = None) -> np.ndarray:
     """Coordinate partials d_i f at p (analytic when the field carries them)."""
-    f = as_scalar_field(f)
-    p = as_point(p, spec.dim)
-    if f.grad is not None:
-        return _finite(np.asarray(f.grad(p), dtype=float), "gradient", p)
-    steps = spec.fd.scaled(p, step if step is not None else spec.fd.h1)
-    check_domain(spec, p, steps)
-    g = first_partials(lambda q: float(f.value(q)), p, steps)
-    return _finite(g, "finite-difference gradient", p)
+    return BlockGeometry.at(spec, p).gradient(f, step)[0]
 
 
 def gradient_vector(spec: MetricSpec, f, p: Point) -> np.ndarray:
     """Metric gradient (nabla f)^i = g^{ij} d_j f."""
-    return inverse_metric(spec, p) @ scalar_gradient(spec, f, p)
+    return BlockGeometry.at(spec, p).gradient_vector(f)[0]
 
 
 def hessian_scalar(spec: MetricSpec, f, p: Point, *, step: float | None = None) -> np.ndarray:
     """Covariant Hessian (Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f.
 
-    Raw second partials come from the analytic Hessian when supplied, from
-    central differences of an analytic gradient when only that is supplied,
-    and from 5-point/cross stencils of the values otherwise.
+    Raw second partials come from the analytic Hessian when supplied, and
+    from 5-point/cross stencils of the values otherwise.
     """
     return BlockGeometry.at(spec, p).hessian(f, step)[0]
 
@@ -697,29 +733,12 @@ def weighted_laplacian(spec: MetricSpec, density: DensitySpec, h, p: Point,
     For a scalar density f the drift is g(grad f, grad h); for a vector
     density X it is the directional derivative X(h).
     """
-    p = as_point(p, spec.dim)
-    ginv = inverse_metric(spec, p)
-    H = hessian_scalar(spec, h, p, step=step)
-    lap = float(np.sum(ginv * H))
-    dh = scalar_gradient(spec, h, p, step=step)
-    if isinstance(density, ScalarField):
-        df = scalar_gradient(spec, density, p)
-        drift = float(df @ ginv @ dh)
-    elif isinstance(density, VectorField):
-        Xv = np.asarray(density.value(p), dtype=float)
-        drift = float(Xv @ dh)
-    else:
-        raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
-    out = lap - drift
-    if not np.isfinite(out):
-        raise NonFinite(f"weighted Laplacian at {p}")
-    return out
+    return float(BlockGeometry.at(spec, p).weighted_laplacian(density, h, step)[0])
 
 
 def grad_norm_squared(spec: MetricSpec, f, p: Point) -> float:
     """|grad f|^2_g = g^{ij} d_i f d_j f."""
-    df = scalar_gradient(spec, f, p)
-    return float(df @ inverse_metric(spec, p) @ df)
+    return float(BlockGeometry.at(spec, p).grad_norm_squared(f)[0])
 
 
 # ---------------------------------------------------------------------------

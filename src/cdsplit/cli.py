@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chart_core import ScalarField, ricci_numeric
+from .chart_core import BlockGeometry, ScalarField
 from .comparison_suite import (
     bochner_residual,
     radial_comparison_check,
@@ -39,6 +39,7 @@ from .geodesic_flow import (
     f_along_geodesic,
     geodesic_integrate,
     normalize_velocity,
+    write_csv,
     write_trace_csv,
 )
 from .manifest import (
@@ -50,7 +51,7 @@ from .manifest import (
     sample_points,
 )
 from .warped_products import riccati_obstruction, split_cd_threshold, twisted_ricci_analytic
-from .weighted_curvature import cd_verify, generalized_ricci
+from .weighted_curvature import cd_verify, generalized_ricci_at
 
 TOOL = "cdsplit"
 
@@ -97,13 +98,7 @@ class Reporter:
 
     def write_csv(self, name: str, columns, rows, extra_header=()) -> Path:
         path = self.out / name
-        with open(path, "w", newline="\n") as fh:
-            for line in self.header(extra_header):
-                fh.write(f"# {line}\n")
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) if isinstance(v, (int, float, np.floating))
-                                  else str(v) for v in row) + "\n")
+        write_csv(path, self.header(extra_header), columns, rows)
         return path
 
     def write_text(self, name: str, body_lines, extra_header=()) -> Path:
@@ -135,14 +130,15 @@ def _cmd_curvature(manifest, geo, rep: Reporter) -> int:
     rows = []
     agreement = 0.0
     for p in pts:
-        ric = ricci_numeric(spec, p)
+        at = BlockGeometry.at(spec, p)
+        ric = at.ricci[0]
         row = list(p) + [ric[i, j] for i in range(n) for j in range(i, n)]
         if closed_form is not None:
             diff = float(np.max(np.abs(ric - twisted_ricci_analytic(closed_form, p))))
             agreement = max(agreement, diff / max(1.0, float(np.max(np.abs(ric)))))
             row.append(diff)
         if manifest.cd:
-            form = generalized_ricci(spec, geo["density"], manifest.cd["N"], p)
+            form = generalized_ricci_at(at, geo["density"], manifest.cd["N"])[0]
             row += [form[i, j] for i in range(n) for j in range(i, n)]
         rows.append(row)
     rep.write_csv("curvature.csv", cols, rows)

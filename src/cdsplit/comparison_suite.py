@@ -27,25 +27,22 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from .chart_core import (
+    BLOCK_POINTS,
+    BlockGeometry,
     DensitySpec,
     MetricSpec,
     Point,
     ScalarField,
-    as_point,
     as_scalar_field,
     first_partials,
     grad_norm_squared,
-    gradient_vector,
-    hessian_scalar,
-    inverse_metric,
-    metric_at,
+    in_blocks,
     r_coordinate_field,
-    scalar_gradient,
     simpson,
     weighted_laplacian,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
-from .weighted_curvature import GridSpec, cd_verify, generalized_ricci, inset_box, sample_box
+from .weighted_curvature import GridSpec, cd_verify, generalized_ricci_at, inset_box, sample_box
 
 if TYPE_CHECKING:
     from .warped_products import SplitSpaceSpec
@@ -169,35 +166,34 @@ class RadialModel:
         return self.lap_f_r(float(np.linalg.norm(p)))
 
 
-def radial_lap_f_numeric(model: RadialModel, rho: float) -> float:
-    """Cross-check: weighted Laplacian of the distance function by the chart
-    machinery at the point rho * e_1."""
-    p = np.zeros(model.n)
-    p[0] = rho
-    return weighted_laplacian(model.metric_spec(), model.density(), model.r_field(), p)
-
-
 def radial_comparison_check(model: RadialModel, rho_grid):
     """ComparisonSamples over the radii: analytic weighted Laplacian of the
     distance function vs the comparison bound.
 
     Refuses (CDViolation) when cd_verify fails CD(0,1) on the radial grid;
-    each analytic Laplacian is cross-checked against the chart machinery.
+    each analytic Laplacian is cross-checked against the chart machinery at
+    rho * e_1, all radii walked once in blocks (``in_blocks``).
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
-    rep = cd_verify(model.metric_spec(), model.density(), 0.0, 1.0, model.cd_grid(rho_grid))
+    spec, density, grid = model.metric_spec(), model.density(), model.cd_grid(rho_grid)
+    rep = cd_verify(spec, density, 0.0, 1.0, grid)
     if not rep.passed:
         raise CDViolation(
             f"model is not CD(0,1) on the grid: min eigenvalue "
             f"{rep.min_eigenvalue:.6g} at {rep.witness}")
+    r_field = model.r_field()
+
+    def stacked(s: slice) -> np.ndarray:
+        return BlockGeometry(spec, grid.points[s]).weighted_laplacian(density, r_field)
+
+    nums = in_blocks(len(rho_grid), BLOCK_POINTS, stacked)
     samples = []
-    for rho in rho_grid:
+    for rho, num in zip(rho_grid, nums):
         ts = np.linspace(0.0, rho, QUAD_POINTS)
         fs = np.array([model.f(t) for t in ts])
         ts_f = np.stack([ts, fs], axis=-1)
         bound = comparison_bound(ts_f, model.n, float(rho))
         lap = model.lap_f_r(float(rho))
-        num = radial_lap_f_numeric(model, float(rho))
         if abs(num - lap) > CROSS_CHECK_TOL * max(1.0, abs(lap)):
             raise CDViolation(
                 f"numeric weighted Laplacian {num:.9g} disagrees with the "
@@ -232,18 +228,18 @@ def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> flo
     third-derivative noise inside the 1e-4 budget.
     """
     h = as_scalar_field(h)
-    p = as_point(p, spec.dim)
+    at = BlockGeometry.at(spec, p)
+    p = at.pts[0]
     coarse = spec.fd.h3
 
-    s_field = _grad_norm_sq_field(spec, h)
-    lhs = 0.5 * weighted_laplacian(spec, density, s_field, p, step=coarse)
+    lhs = 0.5 * float(at.weighted_laplacian(density, _grad_norm_sq_field(spec, h), coarse)[0])
 
-    H = hessian_scalar(spec, h, p)
-    ginv = inverse_metric(spec, p)
+    H = at.hessian(h)[0]
+    ginv = at.ginv[0]
     hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))
 
-    gradv = gradient_vector(spec, h, p)
-    ric_term = float(gradv @ generalized_ricci(spec, density, math.inf, p) @ gradv)
+    gradv = at.gradient_vector(h)[0]
+    ric_term = float(gradv @ generalized_ricci_at(at, density, math.inf)[0] @ gradv)
 
     q_field = _weighted_lap_field(spec, density, h)
     steps = spec.fd.scaled(p, coarse)
@@ -270,8 +266,9 @@ def bochner_inequality_margin(spec: MetricSpec, density: DensitySpec, K: float, 
     if not 1 <= m <= spec.dim:
         raise ValueError(f"m must lie in 1..{spec.dim}, got {m}")
     h = as_scalar_field(r_field)
-    p = as_point(p, spec.dim)
-    gn = math.sqrt(grad_norm_squared(spec, h, p))
+    at = BlockGeometry.at(spec, p)
+    p = at.pts[0]
+    gn = math.sqrt(at.grad_norm_squared(h)[0])
     if abs(gn - 1.0) > 1e-6:
         raise NotDistanceFunction(f"|grad h| = {gn:.9g} at {p}, expected 1 within 1e-6")
     coarse = spec.fd.h3
@@ -280,15 +277,15 @@ def bochner_inequality_margin(spec: MetricSpec, density: DensitySpec, K: float, 
         return math.exp(2.0 * float(density.value(q)) / m)
 
     s_field = _grad_norm_sq_field(spec, h)
-    lhs = 0.5 * v2(p) * weighted_laplacian(spec, density, s_field, p, step=coarse)
+    lhs = 0.5 * v2(p) * float(at.weighted_laplacian(density, s_field, coarse)[0])
 
-    lap_f_h = weighted_laplacian(spec, density, h, p)
+    lap_f_h = float(at.weighted_laplacian(density, h)[0])
     rhs = v2(p) * (lap_f_h ** 2 / m + K * gn ** 2)
 
     q_field = ScalarField(value=lambda x: v2(x) * weighted_laplacian(spec, density, h, x))
     steps = spec.fd.scaled(p, coarse)
     dq = first_partials(lambda x: float(q_field.value(x)), p, steps)
-    rhs += float(gradient_vector(spec, h, p) @ dq)
+    rhs += float(at.gradient_vector(h)[0] @ dq)
     return lhs - rhs
 
 
@@ -366,22 +363,22 @@ def rigidity_check(split: SplitSpaceSpec, points=None, n_points: int = 50,
     r_minus = r_coordinate_field(n, -1.0)
     grad_dev = lap_dev = hess_dev = ric_dev = buse_dev = 0.0
     for p in pts:
-        grad_dev = max(grad_dev, abs(math.sqrt(grad_norm_squared(spec, r_plus, p)) - 1.0))
-        lap_p = weighted_laplacian(spec, density, r_plus, p)
-        lap_m = weighted_laplacian(spec, density, r_minus, p)
+        at = BlockGeometry.at(spec, p)
+        grad_dev = max(grad_dev, abs(math.sqrt(at.grad_norm_squared(r_plus)[0]) - 1.0))
+        lap_p = float(at.weighted_laplacian(density, r_plus)[0])
+        lap_m = float(at.weighted_laplacian(density, r_minus)[0])
         lap_dev = max(lap_dev, abs(lap_p))
         buse_dev = max(buse_dev, abs(lap_p), abs(lap_m))
 
-        H = hessian_scalar(spec, r_plus, p)
-        g = metric_at(spec, p)
-        g_slice = g.copy()
+        H = at.hessian(r_plus)[0]
+        g_slice = at.g[0].copy()
         g_slice[0, :] = 0.0
         g_slice[:, 0] = 0.0
-        df = scalar_gradient(spec, density, p)
+        df = at.gradient(density)[0]
         coeff = float(df[0]) / (n - 1)  # g(grad f, grad r) = d_r f in this chart
         hess_dev = max(hess_dev, float(np.max(np.abs(H - coeff * g_slice))))
 
-        ric1 = generalized_ricci(spec, density, 1.0, p)
+        ric1 = generalized_ricci_at(at, density, 1.0)[0]
         ric_dev = max(ric_dev, abs(float(ric1[0, 0])))
     return RigidityReport(grad_norm_dev=grad_dev, lap_f_r_dev=lap_dev,
                           hess_proportionality_dev=hess_dev, radial_ricci_dev=ric_dev,

@@ -22,7 +22,6 @@ that runs into an indefinite metric is an error too, never a pass.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -318,25 +317,25 @@ def completeness_diagnostic(spec: MetricSpec, density: DensitySpec, y,
 # CSV export
 # ---------------------------------------------------------------------------
 
+def write_csv(path, header_lines, columns, rows) -> None:
+    """Write a report CSV: each header line as ``# line``, the column names,
+    then each row of numbers at 17 significant digits; LF line endings."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w", newline="\n") as fh:
+        fh.writelines(f"# {h}\n" for h in header_lines)
+        fh.write(",".join(columns) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
+
+
 def write_trace_csv(trace: GeodesicTrace, path, clairaut: np.ndarray | None = None,
                     f_gamma: np.ndarray | None = None, header_lines=()) -> None:
     """Write a trace as CSV: t, coords, velocities, then the optional
-    conserved-quantity and f_gamma columns; 17 significant digits, LF endings."""
+    conserved-quantity and f_gamma columns."""
     names = trace.spec.coords()
     cols = ["t", *names, *(f"v_{c}" for c in names)]
-    if clairaut is not None:
-        cols.append("clairaut")
-    if f_gamma is not None:
-        cols.append("f_gamma")
-    with open(path, "w", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for i in range(len(trace)):
-            row = [trace.ts[i], *trace.positions[i], *trace.velocities[i]]
-            if clairaut is not None:
-                row.append(clairaut[i])
-            if f_gamma is not None:
-                row.append(f_gamma[i])
-            writer.writerow(f"{v:.17g}" for v in row)
+    data = [trace.ts, trace.positions, trace.velocities]
+    for name, values in (("clairaut", clairaut), ("f_gamma", f_gamma)):
+        if values is not None:
+            cols.append(name)
+            data.append(values)
+    write_csv(path, header_lines, cols, (row.tolist() for row in np.column_stack(data)))

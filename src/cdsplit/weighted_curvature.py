@@ -30,12 +30,8 @@ from .chart_core import (
     Point,
     ScalarField,
     VectorField,
-    hessian_scalar,
     in_blocks,
-    inverse_metric,
-    metric_at,
     r_coordinate_field,
-    scalar_gradient,
 )
 from .errors import DimensionClash, EmptyGrid, SingularMetric
 
@@ -58,7 +54,7 @@ def _check_N(N: float, n: int) -> None:
 
 
 def _gradient_form(at: BlockGeometry, f, N: float) -> np.ndarray:
-    out = at.ricci() + at.hessian(f)
+    out = at.ricci + at.hessian(f)
     if not math.isinf(N):
         df = at.gradient(f)
         out = out - df[:, :, None] * df[:, None, :] / (N - at.spec.dim)
@@ -66,14 +62,19 @@ def _gradient_form(at: BlockGeometry, f, N: float) -> np.ndarray:
 
 
 def _vector_form(at: BlockGeometry, X: VectorField, N: float) -> np.ndarray:
-    out = at.ricci() + 0.5 * at.lie_derivative(X)
+    out = at.ricci + 0.5 * at.lie_derivative(X)
     if not math.isinf(N):
         Xb = (at.g @ at.evaluated(X.value, "vector field")[:, :, None])[:, :, 0]
         out = out - Xb[:, :, None] * Xb[:, None, :] / (N - at.spec.dim)
     return out
 
 
-def _generalized_ricci_at(at: BlockGeometry, density: DensitySpec, N: float) -> np.ndarray:
+def generalized_ricci_at(at: BlockGeometry, density: DensitySpec, N: float) -> np.ndarray:
+    """The generalized Ricci tensor at each point of ``at``, from its shared
+    Ricci tensor and metric data: Ric + Hess f - df (x) df / (N - n) for a
+    scalar density f, Ric + (1/2) L_X g - Xb (x) Xb / (N - n) with
+    Xb_i = g_ij X^j for a vector density X (N = inf drops the last term)."""
+    _check_N(N, at.spec.dim)
     if isinstance(density, ScalarField):
         return _gradient_form(at, density, N)
     if isinstance(density, VectorField):
@@ -81,23 +82,9 @@ def _generalized_ricci_at(at: BlockGeometry, density: DensitySpec, N: float) -> 
     raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
 
 
-def generalized_ricci_gradient(spec: MetricSpec, f, N: float, p: Point) -> np.ndarray:
-    """Ric + Hess f - df (x) df / (N - n) in chart components (N = inf drops
-    the last term)."""
-    _check_N(N, spec.dim)
-    return _gradient_form(BlockGeometry.at(spec, p), f, N)[0]
-
-
-def generalized_ricci_vector(spec: MetricSpec, X: VectorField, N: float, p: Point) -> np.ndarray:
-    """Ric + (1/2) L_X g - Xb (x) Xb / (N - n) with Xb_i = g_ij X^j."""
-    _check_N(N, spec.dim)
-    return _vector_form(BlockGeometry.at(spec, p), X, N)[0]
-
-
 def generalized_ricci(spec: MetricSpec, density: DensitySpec, N: float, p: Point) -> np.ndarray:
     """Dispatch on the density variant (scalar potential vs vector field)."""
-    _check_N(N, spec.dim)
-    return _generalized_ricci_at(BlockGeometry.at(spec, p), density, N)[0]
+    return generalized_ricci_at(BlockGeometry.at(spec, p), density, N)[0]
 
 
 def min_relative_eigenvalue(form: np.ndarray, metric: np.ndarray) -> float:
@@ -238,7 +225,7 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
 
     def stacked(s: slice) -> np.ndarray:
         at = BlockGeometry(spec, pts[s])
-        forms = _generalized_ricci_at(at, density, N) - lam * at.g
+        forms = generalized_ricci_at(at, density, N) - lam * at.g
         return _min_relative_eigenvalues(forms, at.g)
 
     mins = in_blocks(pts.shape[0], BLOCK_POINTS, stacked)
@@ -275,12 +262,12 @@ def weighted_mean_curvature(split: SplitSpaceSpec, r0: float,
     spec = split.metric_spec()
     if density is None:
         density = split.density()
-    r_field = r_coordinate_field(split.n)
-    H = float(np.sum(inverse_metric(spec, p) * hessian_scalar(spec, r_field, p)))
+    at = BlockGeometry.at(spec, p)
+    H = float(np.sum(at.ginv[0] * at.hessian(r_coordinate_field(split.n))[0]))
     if isinstance(density, ScalarField):
-        drift = float(scalar_gradient(spec, density, p)[0])
+        drift = float(at.gradient(density)[0, 0])
     else:
         # g(X, nu) with nu = d/dr: the radial covariant component of X
-        Xv = np.asarray(density.value(p), dtype=float)
-        drift = float((metric_at(spec, p) @ Xv)[0])
+        Xv = np.asarray(density.value(at.pts[0]), dtype=float)
+        drift = float((at.g[0] @ Xv)[0])
     return H - drift

@@ -30,8 +30,7 @@ from cdsplit.warped_products import (
 )
 from cdsplit.weighted_curvature import (
     cd_verify,
-    generalized_ricci_gradient,
-    generalized_ricci_vector,
+    generalized_ricci,
     split_grid,
 )
 
@@ -210,7 +209,7 @@ def test_criterion_08_nongradient_example():
     worst_row = 0.0
     for _ in range(50):
         p = np.concatenate([[rng.uniform(-3, 3)], rng.uniform(-2.0, 2.0, 3)])
-        form = generalized_ricci_vector(mspec, X, 1.0, p)
+        form = generalized_ricci(mspec, X, 1.0, p)
         worst_row = max(worst_row, float(np.max(np.abs(form[0, :]))))
 
     # gradient reduction: vector form with X = grad f matches the scalar form
@@ -222,8 +221,8 @@ def test_criterion_08_nongradient_example():
     for N in (-5.0, 0.5, 1.0, math.inf):
         for _ in range(5):
             p = np.concatenate([[rng.uniform(-2, 2)], rng.uniform(-1.2, 1.2, 2)])
-            d = np.max(np.abs(generalized_ricci_vector(sspec, Xf, N, p)
-                              - generalized_ricci_gradient(sspec, f, N, p)))
+            d = np.max(np.abs(generalized_ricci(sspec, Xf, N, p)
+                              - generalized_ricci(sspec, f, N, p)))
             worst_red = max(worst_red, float(d))
     ok = worst_row <= 1e-5 and worst_red <= 1e-5
     report(8, "non-gradient density: radial rows vanish and gradient reduction holds",

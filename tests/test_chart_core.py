@@ -145,19 +145,6 @@ class TestHessian:
         H2 = hessian_scalar(spec, f_bare, p)
         assert np.max(np.abs(H1 - H2)) < 1e-6
 
-    def test_gradient_only_field_differentiates_gradient(self):
-        spec = catalog.flat(2)
-        f = ScalarField(value=lambda p: math.sin(p[0]) * math.cos(p[1]),
-                        grad=lambda p: np.array([math.cos(p[0]) * math.cos(p[1]),
-                                                 -math.sin(p[0]) * math.sin(p[1])]))
-        p = np.array([0.7, -0.4])
-        H = hessian_scalar(spec, f, p)
-        want = np.array([
-            [-math.sin(0.7) * math.cos(-0.4), -math.cos(0.7) * math.sin(-0.4)],
-            [-math.cos(0.7) * math.sin(-0.4), -math.sin(0.7) * math.cos(-0.4)],
-        ])
-        assert np.max(np.abs(H - want)) < 1e-9
-
     def test_linear_function_flat_chart_zero(self):
         spec = catalog.flat(3)
         a = np.array([0.3, -1.0, 2.0])
@@ -298,7 +285,7 @@ class TestInvariantsAndGuards:
         assert q.tolist() == [0.8, 0.3, -0.2]
         assert at.pts.tolist() == [[0.8, 0.3, -0.2]]
         fresh = BlockGeometry.at(spec, [0.8, 0.3, -0.2])
-        assert np.array_equal(at.ricci(), fresh.ricci())
+        assert np.array_equal(at.ricci, fresh.ricci)
         assert np.array_equal(at.g, fresh.g)
 
     def test_gradient_norm(self):

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from cdsplit import catalog
-from cdsplit.chart_core import ScalarField, VectorField
+from cdsplit.chart_core import ScalarField, VectorField, weighted_laplacian
 from cdsplit.comparison_suite import (
     RadialModel,
     bochner_inequality_margin,
     bochner_residual,
     comparison_bound,
     radial_comparison_check,
-    radial_lap_f_numeric,
     riccati_comparison_trace,
     rigidity_check,
 )
@@ -97,8 +96,10 @@ class TestRadialComparison:
 
     def test_numeric_cross_check(self):
         model = catalog.radial_log_model(3)
+        spec, density, r_field = model.metric_spec(), model.density(), model.r_field()
         for rho in (0.1, 1.0, 7.5):
-            assert radial_lap_f_numeric(model, rho) == pytest.approx(
+            p = np.array([rho, 0.0, 0.0])
+            assert weighted_laplacian(spec, density, r_field, p) == pytest.approx(
                 model.lap_f_r(rho), abs=1e-6)
 
 

@@ -1,7 +1,9 @@
 """The evaluation path: exact sphere witness, no error text on success,
-failing stencil points still named, and the block walk of ``cd_verify``
-bit-equal to evaluating its points one at a time."""
+failing stencil points still named, the block walk of ``cd_verify``
+bit-equal to evaluating its points one at a time, and checks that take
+every quantity at a point from one geometry."""
 
+import dataclasses
 import math
 import re
 import warnings
@@ -11,18 +13,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cdsplit import catalog, weighted_curvature
+from cdsplit import catalog, chart_core, weighted_curvature
 from cdsplit.chart_core import (
     BlockGeometry,
     MetricSpec,
     ScalarField,
     VectorField,
     metric_at,
+    r_coordinate_field,
     ricci_numeric,
+    weighted_laplacian,
 )
+from cdsplit.cli import run
+from cdsplit.comparison_suite import bochner_residual, rigidity_check
 from cdsplit.errors import NonFinite, SingularMetric
 from cdsplit.geodesic_flow import geodesic_integrate, normalize_velocity
 from cdsplit.manifest import build_geometry, cd_grid, parse_manifest
+from cdsplit.warped_products import SplitSpaceSpec
 from cdsplit.weighted_curvature import (
     BLOCK_POINTS,
     GridSpec,
@@ -297,3 +304,73 @@ def test_density_evaluated_once_per_point(N):
     cd_verify(spec, field, 0.0, N, GridSpec(points, "vector"))
     at_points = [p for p in values if (p == points).all(axis=1).any()]
     assert len(at_points) == len(points)
+
+
+# ---------------------------------------------------------------------------
+# one geometry per point: the consumers of the chart calculus
+# ---------------------------------------------------------------------------
+
+Q = np.array([0.5, 0.2, -0.4])
+
+
+def _counted_split(monkeypatch):
+    """``split_sin_sphere(0.3)`` and its metric spec, whose ``g`` records the
+    point of each call; the split's ``metric_spec`` returns that spec."""
+    split = catalog.split_sin_sphere(0.3)
+    spec, calls = split.metric_spec(), []
+    counted = dataclasses.replace(spec, g=_counted(spec.g, calls))
+    monkeypatch.setattr(SplitSpaceSpec, "metric_spec", lambda self: counted)
+    return split, counted, calls
+
+
+def _at_Q(calls):
+    return sum(np.array_equal(q, Q) for q in calls)
+
+
+def test_weighted_laplacian_evaluates_the_metric_once(monkeypatch):
+    split, spec, calls = _counted_split(monkeypatch)
+    assert abs(weighted_laplacian(spec, split.density(), r_coordinate_field(3), Q)) < 1e-10
+    assert _at_Q(calls) == 1
+
+
+def test_rigidity_point_evaluates_the_metric_once(monkeypatch):
+    split, _, calls = _counted_split(monkeypatch)
+    assert rigidity_check(split, points=[Q]).passes()
+    assert _at_Q(calls) == 1
+
+
+def test_bochner_residual_evaluates_the_metric_at_most_twice(monkeypatch):
+    # once for the geometry at Q, once for |grad h|^2 at the centre of the
+    # stencil that differences it
+    split, spec, calls = _counted_split(monkeypatch)
+    h = ScalarField(value=lambda q: float(q @ q) + q[0] * q[1],
+                    grad=lambda q: 2.0 * q + np.array([q[1], q[0], 0.0]),
+                    hess=lambda q: 2.0 * np.eye(3) + np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+    assert bochner_residual(spec, split.density(), h, Q) < 1e-4
+    assert _at_Q(calls) <= 2
+
+
+def test_curvature_builds_one_ricci_stencil_per_point(monkeypatch, tmp_path):
+    # the numeric Ricci tensor and the generalized Ricci tensor of each
+    # curvature dump share one stencil of 2n + 1 = 7 rows
+    stencils = []
+    solve = chart_core._christoffel_rows
+
+    def counted(pts, gs, D):
+        stencils.append(len(pts))
+        return solve(pts, gs, D)
+
+    monkeypatch.setattr(chart_core, "_christoffel_rows", counted)
+    assert run("curvature", MANIFESTS / "sphere_example.cdm", tmp_path) == 0
+    assert stencils == [7] * 9
+
+
+@pytest.mark.parametrize("build", [_fd_spec, _vector_spec], ids=["fd-partials", "vector"])
+def test_block_weighted_laplacian_matches_pointwise(build):
+    # the walk radial_comparison_check takes: each row of a block is the
+    # point's own weighted Laplacian, bit for bit
+    spec, density, points = build()
+    h = ScalarField(value=lambda q: math.sin(q[0]) + q[-1] ** 2)
+    block = BlockGeometry(spec, points).weighted_laplacian(density, h)
+    expected = np.array([weighted_laplacian(spec, density, h, p) for p in points])
+    assert block.tobytes() == expected.tobytes()

@@ -15,8 +15,6 @@ from cdsplit.weighted_curvature import (
     box_grid,
     cd_verify,
     generalized_ricci,
-    generalized_ricci_gradient,
-    generalized_ricci_vector,
     min_relative_eigenvalue,
     split_grid,
     weighted_mean_curvature,
@@ -44,7 +42,7 @@ class TestGeneralizedRicci:
 
         ric = ricci_numeric(spec, p)
         for N in (-2.0, 0.5, math.inf):
-            out = generalized_ricci_gradient(spec, ScalarField.constant(5.0), N, p)
+            out = generalized_ricci(spec, ScalarField.constant(5.0), N, p)
             assert np.max(np.abs(out - ric)) < 1e-12
 
     def test_gaussian_density_identity_form(self):
@@ -52,23 +50,22 @@ class TestGeneralizedRicci:
         spec = catalog.flat(2)
         f = ScalarField(value=lambda p: 0.5 * float(p @ p), grad=lambda p: p.copy(),
                         hess=lambda p: np.eye(2))
-        out = generalized_ricci_gradient(spec, f, math.inf, np.array([0.7, -0.1]))
+        out = generalized_ricci(spec, f, math.inf, np.array([0.7, -0.1]))
         assert np.max(np.abs(out - np.eye(2))) < 1e-10
 
     def test_split_space_radial_vanishing_at_one(self):
         split = catalog.split_sin_sphere(0.4)
-        out = generalized_ricci_gradient(split.metric_spec(), split.density(), 1.0,
-                                         np.array([0.9, 0.1, 0.2]))
+        out = generalized_ricci(split.metric_spec(), split.density(), 1.0,
+                                np.array([0.9, 0.1, 0.2]))
         assert abs(out[0, 0]) < 1e-7
         assert np.max(np.abs(out[0, 1:])) < 1e-7
 
     def test_dimension_clash(self):
         spec = catalog.flat(3)
         with pytest.raises(DimensionClash):
-            generalized_ricci_gradient(spec, ScalarField.constant(0.0), 3.0, np.zeros(3))
+            generalized_ricci(spec, ScalarField.constant(0.0), 3.0, np.zeros(3))
         with pytest.raises(DimensionClash):
-            generalized_ricci_vector(spec, VectorField(value=lambda p: np.zeros(3)), 3,
-                                     np.zeros(3))
+            generalized_ricci(spec, VectorField(value=lambda p: np.zeros(3)), 3, np.zeros(3))
 
     def test_monotone_in_N_below_n(self):
         rng = np.random.default_rng(8)
@@ -77,7 +74,7 @@ class TestGeneralizedRicci:
         for _ in range(5):
             p = rng.uniform(-1.5, 1.5, 3)
             w = rng.uniform(-1, 1, 3)
-            vals = [float(w @ generalized_ricci_gradient(spec, f, N, p) @ w)
+            vals = [float(w @ generalized_ricci(spec, f, N, p) @ w)
                     for N in (-5.0, 0.0, 0.5, 1.0)]
             assert all(vals[i] <= vals[i + 1] + 1e-12 for i in range(len(vals) - 1))
 
@@ -91,14 +88,14 @@ class TestGeneralizedRicci:
             for N in (-5.0, 0.0, 0.5, 1.0, math.inf):
                 for _ in range(3):
                     p = rng.uniform(-1.2, 1.2, 3)
-                    a = generalized_ricci_gradient(spec, f, N, p)
-                    b = generalized_ricci_vector(spec, X, N, p)
+                    a = generalized_ricci(spec, f, N, p)
+                    b = generalized_ricci(spec, X, N, p)
                     assert np.max(np.abs(a - b)) <= 1e-5
 
     def test_killing_field_flat_space_zero(self):
         spec = catalog.flat(2)
         X = VectorField(value=lambda p: np.array([-p[1], p[0]]))
-        out = generalized_ricci_vector(spec, X, math.inf, np.array([0.8, 0.4]))
+        out = generalized_ricci(spec, X, math.inf, np.array([0.8, 0.4]))
         assert np.max(np.abs(out)) < 1e-9
 
     def test_nongradient_example_radial_rows_vanish(self):
@@ -107,7 +104,7 @@ class TestGeneralizedRicci:
         rng = np.random.default_rng(4)
         for _ in range(10):
             p = np.concatenate([[rng.uniform(-3, 3)], rng.uniform(-2.5, 2.5, 3)])
-            out = generalized_ricci_vector(mspec, X, 1.0, p)
+            out = generalized_ricci(mspec, X, 1.0, p)
             assert np.max(np.abs(out[0, :])) <= 1e-5
 
 

@@ -17,39 +17,29 @@ residual exceeds the Bochner tolerance), plus ``verify-cd`` on
 block edges of ``cd_verify``, which walks a grid in blocks of 256 points: a
 grid smaller than one block (27 and 18 points), and one whose first block
 ends inside a fiber slice (405 points, 81 per slice; 275 points, 25 per
-slice).  Then come ``curvature``, ``threshold``, ``geodesic``, ``bochner``
-and a 21 x 3 x 3 ``verify-cd`` on ``F_L_MANIFEST``, a split space with an
-``[f_L]`` section, the one split-density path no shipped manifest reaches.
-Last come two ``geodesic`` runs whose post-passes walk their trace in blocks
-of 256 samples: on ``EXIT_MANIFEST`` the trace leaves the sphere fiber's
-safe box and is truncated after 619 samples, and on ``EDGE_MANIFEST`` it has
-exactly 257 samples.  Two runs fail inside a block and so reach the
-re-run of that block one sample at a time: ``verify-cd`` on
-``SINGULAR_MANIFEST``, whose metric is singular at grid point 270, in the
-second block of 256, and ``geodesic`` on ``OVERFLOW_MANIFEST``, whose vector
-density overflows to inf at sample 587 of the trace.  Up to revision
-96b3224 the second exits 0 with a NaN f_gamma column; since then it exits 1,
-so its files are expected to differ against such a base.  Last,
+slice).  Then come ``curvature``, ``threshold``, ``geodesic``, ``bochner``,
+and a 21 x 3 x 3 ``verify-cd`` and ``suite`` on ``F_L_MANIFEST``, a split
+space with an ``[f_L]`` section, the one split-density path no shipped
+manifest reaches; its ``suite`` is the one run whose rigidity check meets a
+fiber density.  Then two ``geodesic`` runs whose post-passes walk their
+trace in blocks of 256 samples: on ``EXIT_MANIFEST`` the trace leaves the
+sphere fiber's safe box and is truncated after 619 samples, and on
+``EDGE_MANIFEST`` it has exactly 257 samples.  Two runs fail inside a block
+and so reach the re-run of that block one sample at a time: ``verify-cd``
+on ``SINGULAR_MANIFEST``, whose metric is singular at grid point 270, in
+the second block of 256, and ``geodesic`` on ``OVERFLOW_MANIFEST``, whose
+vector density overflows to inf at sample 587 of the trace.  Then
 ``geodesic`` on ``OVERFLOW_INTEGRAL_MANIFEST``, whose vector density is a
-finite 1e308 but whose f_gamma integral overflows: up to revision dcb74b2
-it exits 0 with an inf f_gamma column and numpy warnings that name the
-source file of the tree; since then it exits 1 with one ``warning:`` line
-per warning and one ``error:`` line.  Finally, ``verify-cd`` on
+finite 1e308 but whose f_gamma integral overflows, and ``verify-cd`` on
 ``SQRT_MANIFEST``, whose density ``sqrt(r)`` has no real value where
-r < 0: up to revision fda542d it ends in a ``math domain error``
-traceback; since then it exits 1 with one ``error:`` line naming the
-expression and the point.  Then ``verify-cd`` (525 points, so a block edge
-inside the grid) and ``geodesic`` on ``TWISTED_ALL_MANIFEST``, whose twist
-potential calls all seven functions and raises to constant and variable
-powers.  Last, two runs that exit 0 up to revision 318367e and exit 1 with
-one ``error:`` line since: ``curvature`` on ``COMPLEX_POWER_MANIFEST``,
-whose density ``(r - 5)^0.5`` has a complex value where r < 5 (it printed
-two ``ComplexWarning`` lines and dropped the imaginary part), and
-``geodesic`` on ``INDEFINITE_MANIFEST``, whose trace runs into r < 1, where
-the metric is indefinite (it reported a pass with speed drift 0).
-The text of each of these manifests is written
-once into OUT_DIR, so both trees run the same file.
-Each run gets its own subdirectory
+r < 0.  Then ``verify-cd`` (525 points, so a block edge inside the grid)
+and ``geodesic`` on ``TWISTED_ALL_MANIFEST``, whose twist potential calls
+all seven functions and raises to constant and variable powers.  Last,
+``curvature`` on ``COMPLEX_POWER_MANIFEST``, whose density ``(r - 5)^0.5``
+has a complex value where r < 5, and ``geodesic`` on
+``INDEFINITE_MANIFEST``, whose trace runs into r < 1, where the metric is
+indefinite.  The text of each of these manifests is written once into
+OUT_DIR, so both trees run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
 The runs are serial and take a few minutes per side, most of it in
@@ -316,7 +306,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
         + [("verify-cd", man, 42, overrides) for man, overrides in BLOCK_EDGES]
         + [(sub, F_L_NAME, 42, ()) for sub in ("curvature", "threshold", "geodesic", "bochner")]
-        + [("verify-cd", F_L_NAME, 42, ("r_count=21", "fiber_count=3"))]
+        + [(sub, F_L_NAME, 42, ("r_count=21", "fiber_count=3"))
+           for sub in ("verify-cd", "suite")]
         + [("geodesic", "sphere_exit", 42, ()), ("geodesic", "torus_block_edge", 42, ())]
         + [("verify-cd", "plane_degenerating", 42, ()),
            ("geodesic", "flat_overflowing_density", 42, ()),
