@@ -20,26 +20,30 @@ Conventions
   values) use ``h1 * max(1, |x_k|)``, plain second derivatives
   of a field's values ``h2 * max(1, |x_k|)``, and derivatives of derived
   fields (third-order content) ``h3 * max(1, |x_k|)``.
+* Every difference quotient is taken over a block of points:
+  ``stencil_rows`` gives all their stencil rows, ``stencil_values`` a
+  field's values there in one ``field_rows`` call, and ``first_difference``
+  and ``second_difference`` the derivatives, with the operations, in the
+  order, of the quotients at one point.
 
 Evaluation path
 ---------------
 ``BlockGeometry`` is the one implementation of the chart calculus.  At a
 block of points it holds the metric data (``g``, its Cholesky factor, the
 inverse metric, the partials ``D``), the Christoffel symbols, the Ricci
-tensor and the gradient of each field (analytic, or differenced from its
-values), each evaluated on first use and then shared by the Hessians, Lie
-derivatives and weighted Laplacians built there, all with a leading batch
-axis.  The public per-point functions are its block of one, and a check
-that needs several quantities at a point takes them all from one geometry.
-The Ricci tensor evaluates all 2n+1 stencil rows of every point of a block
-as one row array: ``g`` and ``D`` come from the chart's stacked row function
-when it has one (``MetricSpec.rows``) and from ``g`` and ``partials`` row by
-row otherwise, the Christoffel symbols from one
-``np.linalg.solve`` over the stack (``_christoffel_rows``), and the centre
-point's ``g`` and ``D`` are its stencil row 0.  Cholesky factors and
-inverses are direct LAPACK ``potrf``/``potrs`` calls, one per point, with the
-arguments ``scipy.linalg.cho_factor``/``cho_solve`` pass.  Error messages
-name their point, but format it only when they are raised.
+tensor and the gradient of each field, each evaluated on first use and then
+shared by the Hessians, Lie derivatives and weighted Laplacians built there,
+all with a leading batch axis.  The public per-point functions are its
+block of one.  The Ricci tensor takes ``g`` and ``D`` at the 2n+1 stencil
+rows of every point from the chart's stacked row function
+(``MetricSpec.rows``), or row by row, with the point's own ``g`` and ``D``
+as row 0, and the Christoffel symbols from one ``np.linalg.solve`` over the
+stack (``_christoffel_rows``).  A field derived from the calculus
+(``geometry_field``, such as |grad h|^2) evaluates its stencil rows as one
+``BlockGeometry``.  Cholesky factors and inverses are direct LAPACK
+``potrf``/``potrs`` calls, one per point, with the arguments
+``scipy.linalg.cho_factor``/``cho_solve`` pass.  Error messages name their
+point, but format it only when they are raised.
 
 ``gamma_evaluator``, the Christoffel closure of an RK4 stage, is the
 one-point case: ``g`` and ``partials`` at the point and one direct LAPACK
@@ -48,21 +52,21 @@ stack, so it is bit-equal to that point's row of ``_christoffel_rows``.  A
 singular or non-finite solve is re-run through ``_christoffel_rows``, which
 raises its error.  ``in_blocks`` walks samples in blocks of
 ``BLOCK_POINTS`` and re-runs a failing block through the same stacked pass,
-one sample at a time, as blocks of one; ``cd_verify`` and the geodesic
-post-passes evaluate through it and have no per-sample code.  ``simpson`` and
-``cumulative_simpson`` are the composite Simpson rules of
-``scipy.integrate``, with its operations in its order.
+one sample at a time, as blocks of one; ``cd_verify``, the geodesic
+post-passes and ``geometry_field`` evaluate through it and have no
+per-sample code.  ``simpson`` and ``cumulative_simpson`` are the composite
+Simpson rules of ``scipy.integrate``, with its operations in its order.
 
 Results are bit-identical to evaluating every tensor at one point on its
 own.  Only elementwise array operations, the stacked solve, einsum
 contractions with a batch axis and stacked matrix products (the same BLAS
-call per matrix) run across points.  A manifest expression's block form
-(``field_rows``) is made of such operations, with its function calls and
-powers per element; fiber scalars, reductions within a row and LAPACK
-factorizations are called once per point, with ``math`` and not numpy
-ufuncs, which round differently on some inputs.  The minimum of the shipped
-sphere grid is a four-way exact tie a few ulps below its neighbours, so any
-change in rounding can move the reported witness.
+call per matrix) run across points, and a manifest expression's block form
+is made of such operations, with its calls and powers per element.  Fiber
+scalars, reductions within a row and LAPACK factorizations run once per
+point, with ``math`` and not numpy ufuncs, which round differently on some
+inputs.  The minimum of the shipped sphere grid is a four-way exact tie a
+few ulps below its neighbours, so any change in rounding can move the
+reported witness.
 
 Everything here is a pure function of immutable specs and is safe to call
 concurrently; a ``BlockGeometry`` belongs to the one call that made it.
@@ -205,84 +209,83 @@ def in_domain(spec: MetricSpec, p: Point, radius: np.ndarray | float = 0.0) -> b
     return not (np.any(p - radius < lo) or np.any(p + radius > hi))
 
 
-def check_domain(spec: MetricSpec, p: Point, radius: np.ndarray | float = 0.0) -> None:
-    """Raise ChartDomain unless the box p +- radius lies inside spec.domain."""
-    if not in_domain(spec, p, radius):
-        raise ChartDomain(
-            f"stencil around {p} (radius {np.max(radius):.3g}) leaves chart domain of "
-            f"{spec.name or 'metric'}"
-        )
-
-
-def _finite(x, what: str, p):
-    """Return x, or raise NonFinite naming ``what`` at ``p``.  The point is
-    formatted only when the error is raised: formatting an array costs more
-    than the check itself."""
-    if not np.all(np.isfinite(x)):
-        raise NonFinite(f"non-finite values in {what} at {p}")
-    return x
-
-
 def _finite_rows(x, what: str, pts):
     """Return x, or raise NonFinite naming the first point whose slice of x
-    is not finite."""
+    is not finite.  The point is formatted only when the error is raised:
+    formatting an array costs more than the check itself."""
     if not np.isfinite(x).all():
-        ok = np.isfinite(x).reshape(len(x), -1).all(axis=1)
-        i = int(np.argmin(ok))
-        _finite(x[i], what, pts[i])
+        i = int(np.argmin(np.isfinite(x).reshape(len(x), -1).all(axis=1)))
+        raise NonFinite(f"non-finite values in {what} at {pts[i]}")
     return x
 
 
 def _check_domains(spec: MetricSpec, pts: np.ndarray, radius: np.ndarray) -> None:
-    """check_domain at each row of pts with its row of radius; the first
-    point whose box leaves the domain is named."""
+    """Raise ChartDomain, naming the first row p of pts whose box p +- radius
+    (its row of radius) leaves spec.domain."""
     if spec.domain is None:
         return
     lo, hi = spec.domain[:, 0], spec.domain[:, 1]
     out = np.any(pts - radius < lo, axis=1) | np.any(pts + radius > hi, axis=1)
     if out.any():
         i = int(np.argmax(out))
-        check_domain(spec, pts[i], radius[i])
+        raise ChartDomain(f"stencil around {pts[i]} (radius {np.max(radius[i]):.3g}) "
+                          f"leaves chart domain of {spec.name or 'metric'}")
 
 
-def first_partials(fn: Callable[[Point], np.ndarray], p: Point, steps: np.ndarray) -> np.ndarray:
-    """Central differences d_k fn(p); output shape (n, *shape(fn))."""
-    cols = []
-    for k in range(p.size):
-        h = steps[k]
-        pp = p.copy()
-        pm = p.copy()
-        pp[k] += h
-        pm[k] -= h
-        cols.append((np.asarray(fn(pp), dtype=float) - np.asarray(fn(pm), dtype=float)) / (2.0 * h))
-    return np.stack(cols)
+#: (s, t, weight) of the cross rows p + s h_d e_d + t h_e e_e, axes d < e
+_CROSS = ((1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0), (-1.0, -1.0, 1.0))
 
 
-def second_partials(fn: Callable[[Point], float], p: Point, steps: np.ndarray) -> np.ndarray:
-    """Raw second partials d_i d_j fn: 5-point stencils on the diagonal,
-    4-point cross stencils off it."""
-    n = p.size
-    out = np.empty((n, n))
-    f0 = float(fn(p))
-    for i in range(n):
-        h = steps[i]
-        vals = []
-        for s in (-2.0, -1.0, 1.0, 2.0):
-            q = p.copy()
-            q[i] += s * h
-            vals.append(float(fn(q)))
-        fm2, fm1, fp1, fp2 = vals
-        out[i, i] = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-    for i in range(n):
-        for j in range(i + 1, n):
-            hi, hj = steps[i], steps[j]
-            acc = 0.0
-            for si, sj, w in ((1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)):
-                q = p.copy()
-                q[i] += si * hi
-                q[j] += sj * hj
-                acc += w * float(fn(q))
-            out[i, j] = out[j, i] = acc / (4.0 * hi * hj)
+def stencil_rows(pts: np.ndarray, steps: np.ndarray, order: int) -> np.ndarray:
+    """The stencil rows (B, m, n) around each row p of ``pts``, with its row
+    h of ``steps``: p + h_d e_d, p - h_d e_d per axis d for first order; p,
+    then p + s h_d e_d for s = -2, -1, 1, 2 per axis, then the ``_CROSS``
+    rows per pair of axes for second order.  Only moved coordinates change."""
+    B, n = pts.shape
+    if order == 1:
+        moves = [[(d, s)] for d in range(n) for s in (1.0, -1.0)]
+    else:
+        moves = ([[]] + [[(d, s)] for d in range(n) for s in (-2.0, -1.0, 1.0, 2.0)]
+                 + [[(d, s), (e, t)] for d in range(n) for e in range(d + 1, n)
+                    for s, t, _ in _CROSS])
+    rows = np.repeat(pts[:, None, :], len(moves), axis=1)
+    for r, move in enumerate(moves):
+        for d, s in move:
+            rows[:, r, d] += s * steps[:, d]
+    return rows
+
+
+def stencil_values(fn, pts: np.ndarray, steps: np.ndarray, order: int) -> np.ndarray:
+    """``fn`` at the ``stencil_rows``, in one ``field_rows`` call: (B, m, ...)."""
+    rows = stencil_rows(pts, steps, order)
+    B, m, n = rows.shape
+    F = field_rows(fn, rows.reshape(B * m, n))
+    return F.reshape((B, m) + F.shape[1:])
+
+
+def first_difference(F: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """d_d of a field from its values F (B, 2n, ...) at first-order stencil
+    rows: (F(p + h_d e_d) - F(p - h_d e_d)) / (2 h_d), shape (B, n, ...)."""
+    h = steps.reshape(steps.shape + (1,) * (F.ndim - 2))
+    return (F[:, 0::2] - F[:, 1::2]) / (2.0 * h)
+
+
+def second_difference(F: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Raw second partials d_d d_e (B, n, n) from a scalar field's values F
+    (B, m) at second-order stencil rows: the 5-point rule on the diagonal,
+    the cross rows' weighted sum from 0.0 over 4 h_d h_e off it."""
+    B, n = steps.shape
+    fm2, fm1, fp1, fp2 = F[:, 1:1 + 4 * n].reshape(B, n, 4).transpose(2, 0, 1)
+    out = np.empty((B, n, n))
+    d = np.arange(n)
+    out[:, d, d] = ((-fp2 + 16.0 * fp1 - 30.0 * F[:, :1] + 16.0 * fm1 - fm2)
+                    / (12.0 * steps * steps))
+    i, j = np.triu_indices(n, 1)
+    cross = F[:, 1 + 4 * n:].reshape(B, len(i), 4)
+    acc = 0.0
+    for k, (_, _, w) in enumerate(_CROSS):
+        acc = acc + w * cross[:, :, k]
+    out[:, i, j] = out[:, j, i] = acc / (4.0 * steps[:, i] * steps[:, j])
     return out
 
 
@@ -314,10 +317,11 @@ def inverse_metric(spec: MetricSpec, p: Point) -> np.ndarray:
 
 def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
     """Debug check: max |analytic - finite difference| over metric partials."""
-    p = as_point(p, spec.dim)
-    steps = spec.fd.scaled(p, spec.fd.h1)
-    fd = first_partials(lambda q: metric_at(spec, q), p, steps)
-    return float(np.max(np.abs(fd - spec.partials(p))))
+    pts = as_point(p, spec.dim)[None]
+    steps = spec.fd.scaled(pts, spec.fd.h1)
+    metric = geometry_field(spec, lambda at: at.g)
+    fd = first_difference(stencil_values(metric, pts, steps, 1), steps)[0]
+    return float(np.max(np.abs(fd - spec.partials(pts[0]))))
 
 
 def _stacked(spec: MetricSpec, k: int) -> bool:
@@ -365,29 +369,43 @@ def _lowered(D: np.ndarray) -> np.ndarray:
 def in_blocks(count: int, size: int, stacked) -> np.ndarray:
     """The values of samples 0 .. count-1, evaluated in blocks of ``size``.
 
-    ``stacked(s)`` returns the values of the samples in slice ``s`` in one
-    stacked pass.  When anything in a block fails, the block is evaluated
-    again by ``stacked(slice(i, i + 1))``, one sample at a time and in order;
-    a block of one runs its evaluations and checks as the sample on its own
-    always has (``BlockGeometry``), so the first failing sample raises the
-    error, and emits the numpy warnings, it does alone.  Floating-point
-    conditions the caller has numpy report become errors in a stacked pass,
-    so their warnings come from that re-run.
+    ``stacked(s)`` returns the values of the samples in slice ``s``, one
+    entry per sample, in one stacked pass.  When anything in a block fails,
+    it is evaluated again by ``stacked(slice(i, i + 1))``, one sample at a
+    time and in order, as blocks of one (``BlockGeometry``), so the first
+    failing sample raises the error, and emits the numpy warnings, it does
+    alone.  Floating-point conditions the caller has numpy report become
+    errors in a stacked pass, so their warnings come from that re-run.
     """
     reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-    out = np.empty(count)
+    blocks = []
     for start in range(0, count, size):
         s = slice(start, min(start + size, count))
         try:
             with np.errstate(**reported):
-                out[s] = stacked(s)
+                blocks.append(stacked(s))
         except Exception:
             # a stacked pass meets the samples' callables in another order
             # than a sample-by-sample walk, so any failure, from a check or
             # from a spec itself, is left to the re-run to raise
-            for i in range(s.start, s.stop):
-                out[i:i + 1] = stacked(slice(i, i + 1))
-    return out
+            blocks += [stacked(slice(i, i + 1)) for i in range(s.start, s.stop)]
+    return np.concatenate(blocks)
+
+
+def geometry_field(spec: MetricSpec, of) -> Callable[[Point], np.ndarray]:
+    """The field with values ``of(geometry)`` at a ``BlockGeometry``'s points,
+    such as |grad h|^2.  ``rows(P)`` evaluates P as one geometry, re-run one
+    row at a time when it fails (``in_blocks``), so the first failing row
+    raises, and warns, as that point alone."""
+
+    def rows(P: np.ndarray) -> np.ndarray:
+        return in_blocks(len(P), len(P), lambda s: of(BlockGeometry(spec, P[s])))
+
+    def value(p: Point) -> np.ndarray:
+        return rows(as_point(p, spec.dim)[None])[0]
+
+    value.rows = rows
+    return value
 
 
 class BlockGeometry:
@@ -399,17 +417,11 @@ class BlockGeometry:
     gradient of each field are each evaluated on first use and then reused;
     every tensor carries a leading axis of length B.
     ``BlockGeometry.at(spec, p)`` is the block of one behind the per-point
-    functions of this module.
-
-    Only elementwise array operations, the stacked ``np.linalg.solve``,
-    einsum contractions with a batch axis and stacked matrix products run
-    across points, with manifest expressions in their block form; fiber
-    scalars, reductions within a point and LAPACK factorizations are called
-    once per point, so every slice is bit-identical to the same tensor built
-    at that point alone.
-    A failed check names a point of the block that fails it.
-    In a block of one, evaluations and checks run in the order a point
-    evaluated on its own has always run them, with the same messages.
+    functions of this module.  Every slice is bit-identical to the same
+    tensor built at that point alone (see the module docstring).  A failed
+    check names a point of the block that fails it; in a block of one,
+    evaluations and checks run in the order, and with the messages, of a
+    point evaluated on its own.
     """
 
     def __init__(self, spec: MetricSpec, pts):
@@ -424,17 +436,14 @@ class BlockGeometry:
     @cached_property
     def _raw(self):
         # raw g at the points, with raw D when the stacked row function gives
-        # both; these are row 0 of every Ricci stencil
+        # both; g is row 0 of every Ricci stencil, and D is checked as ``D``
         spec, n = self.spec, self.spec.dim
         if _stacked(spec, len(self.pts)):
             return spec.rows(self.pts)
-        gs = []
-        for p in self.pts:
-            g = np.asarray(spec.g(p), dtype=float)
-            if g.shape != (n, n):
-                raise ValueError(f"metric returned shape {g.shape}, expected ({n}, {n})")
-            gs.append(g)
-        return np.stack(gs), None
+        gs = field_rows(spec.g, self.pts)
+        if gs.shape[1:] != (n, n):
+            raise ValueError(f"metric returned shape {gs.shape[1:]}, expected ({n}, {n})")
+        return gs, None
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -472,15 +481,10 @@ class BlockGeometry:
     def D(self) -> np.ndarray:
         """The analytic partials ``D[b, k, i, j] = d_k g_ij``, checked finite."""
         spec, pts = self.spec, self.pts
-        if _stacked(spec, len(pts)):
-            return _finite_rows(self._raw[1], "metric partials", pts)
-        out = np.empty((len(pts),) + (spec.dim,) * 3)
-        for i, p in enumerate(pts):
-            D = np.asarray(spec.partials(p), dtype=float)
-            if D.shape != out.shape[1:]:
-                raise ValueError(f"metric partials returned shape {D.shape}")
-            out[i] = _finite(D, "metric partials", p)
-        return out
+        D = self._raw[1] if _stacked(spec, len(pts)) else field_rows(spec.partials, pts)
+        if D.shape[1:] != (spec.dim,) * 3:
+            raise ValueError(f"metric partials returned shape {D.shape[1:]}")
+        return _finite_rows(D, "metric partials", pts)
 
     @cached_property
     def christoffel(self) -> np.ndarray:
@@ -493,24 +497,18 @@ class BlockGeometry:
         steps = spec.fd.scaled(pts, spec.fd.h1)
         _check_domains(spec, pts, steps)
         self.chol  # positivity gate, once per point; christoffel reuses the factor
-        g0, D0 = self._raw
-        if D0 is None:
-            D0 = np.empty((B, n, n, n))
-            for i, q in enumerate(pts):
-                D0[i] = spec.partials(q)
-        # stencil rows per point: p, then p + h_d e_d and p - h_d e_d for each axis d
-        stencil = np.repeat(pts[:, None, :], 2 * n + 1, axis=1)
-        for d in range(n):
-            stencil[:, 2 * d + 1, d] += steps[:, d]
-            stencil[:, 2 * d + 2, d] -= steps[:, d]
-        g1, D1 = _metric_rows(spec, stencil[:, 1:].reshape(B * 2 * n, n))
+        g0, D0 = self._raw[0], self.D
+        # stencil rows per point: p, then its first-order stencil
+        rows = stencil_rows(pts, steps, 1)
+        g1, D1 = _metric_rows(spec, rows.reshape(B * 2 * n, n))
+        stencil = np.concatenate([pts[:, None], rows], axis=1)
         gs = np.concatenate([g0[:, None], g1.reshape(B, 2 * n, n, n)], axis=1)
         Ds = np.concatenate([D0[:, None], D1.reshape(B, 2 * n, n, n, n)], axis=1)
         k = B * (2 * n + 1)
         gammas = _christoffel_rows(stencil.reshape(k, n), gs.reshape(k, n, n),
                                    Ds.reshape(k, n, n, n)).reshape(B, 2 * n + 1, n, n, n)
         G = gammas[:, 0]
-        dG = (gammas[:, 1::2] - gammas[:, 2::2]) / (2.0 * steps)[:, :, None, None, None]
+        dG = first_difference(gammas[:, 1:], steps)
         t1 = np.einsum("bmmvs->bsv", dG)
         t2 = np.einsum("bvmms->bsv", dG)
         t3 = np.einsum("bmml,blvs->bsv", G, G)
@@ -532,17 +530,14 @@ class BlockGeometry:
         f = as_scalar_field(f)
         if f.grad is not None:
             return self.evaluated(f.grad, "gradient")
-        spec = self.spec
+        spec, pts = self.spec, self.pts
         base = step if step is not None else spec.fd.h1
         key = (f.value, base)
         if key not in self._evaluated:
-            out = np.empty(self.pts.shape)
-            for i, p in enumerate(self.pts):
-                steps = spec.fd.scaled(p, base)
-                check_domain(spec, p, steps)
-                out[i] = _finite(first_partials(lambda q: float(f.value(q)), p, steps),
-                                 "finite-difference gradient", p)
-            self._evaluated[key] = out
+            steps = spec.fd.scaled(pts, base)
+            _check_domains(spec, pts, steps)
+            dF = first_difference(stencil_values(f.value, pts, steps, 1), steps)
+            self._evaluated[key] = _finite_rows(dF, "finite-difference gradient", pts)
         return self._evaluated[key]
 
     def gradient_vector(self, f) -> np.ndarray:
@@ -563,11 +558,9 @@ class BlockGeometry:
         if f.hess is not None:
             raw = field_rows(f.hess, pts)
         else:
-            raw = np.empty((len(pts), spec.dim, spec.dim))
-            for i, p in enumerate(pts):
-                steps = fd.scaled(p, base)
-                check_domain(spec, p, 2.0 * steps)
-                raw[i] = second_partials(lambda q: float(f.value(q)), p, steps)
+            steps = fd.scaled(pts, base)
+            _check_domains(spec, pts, 2.0 * steps)
+            raw = second_difference(stencil_values(f.value, pts, steps, 2), steps)
         df = self.gradient(f, step=base if f.grad is None else None)
         H = raw - np.einsum("bkij,bk->bij", self.christoffel, df)
         _finite_rows(H, "Hessian", pts)
@@ -599,11 +592,12 @@ class BlockGeometry:
         g = self.g
         D = self.D
         Xv = self.evaluated(X.value, "vector field")
-        J = np.empty((len(pts), spec.dim, spec.dim))
-        for i, p in enumerate(pts):
-            steps = spec.fd.scaled(p, spec.fd.h1)
-            check_domain(spec, p, steps)
-            J[i] = first_partials(lambda q: np.asarray(X.value(q), dtype=float), p, steps).T
+        steps = spec.fd.scaled(pts, spec.fd.h1)
+        _check_domains(spec, pts, steps)
+        # J[b, i, d] = d_d X^i, C-contiguous as the per-point J was, so the
+        # stacked product below multiplies the same memory layout
+        J = np.ascontiguousarray(
+            first_difference(stencil_values(X.value, pts, steps, 1), steps).swapaxes(1, 2))
         _finite_rows(J, "vector field Jacobian", pts)
         gJ = g.swapaxes(1, 2) @ J
         out = np.einsum("bk,bkij->bij", Xv, D) + gJ + gJ.swapaxes(1, 2)
@@ -678,15 +672,11 @@ def christoffel(spec: MetricSpec, p: Point) -> np.ndarray:
 
 
 def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
-    """Ricci tensor in chart components by finite-differencing Christoffels.
-
-    Builds R^l_ijk from Gamma and its central-difference derivatives and
-    contracts; the result is symmetrized to remove finite-difference noise.
-    The Christoffel symbols at p and at its 2n stencil neighbours come from
-    one stacked solve of the chart's analytic partials, so they carry no
+    """Ricci tensor in chart components by finite-differencing Christoffels;
+    the result is symmetrized to remove finite-difference noise.  The
+    Christoffel symbols come from the analytic partials, so they carry no
     differencing noise, and the derivative takes the first-derivative step
-    h1, which keeps its truncation error small.
-    """
+    h1, which keeps its truncation error small."""
     return BlockGeometry.at(spec, p).ricci[0]
 
 
@@ -713,11 +703,8 @@ def gradient_vector(spec: MetricSpec, f, p: Point) -> np.ndarray:
 
 
 def hessian_scalar(spec: MetricSpec, f, p: Point, *, step: float | None = None) -> np.ndarray:
-    """Covariant Hessian (Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f.
-
-    Raw second partials come from the analytic Hessian when supplied, and
-    from 5-point/cross stencils of the values otherwise.
-    """
+    """Covariant Hessian (Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, with the
+    analytic raw partials when supplied, else ``second_difference``."""
     return BlockGeometry.at(spec, p).hessian(f, step)[0]
 
 

@@ -12,6 +12,9 @@ bound; the scalar lambda = v^2 * (weighted Laplacian of r) then obeys the
 comparison ODE inequality lambda' <= -lambda^2 / (v^2 (n-1)) along radial
 geodesics.
 
+The Bochner checks difference derived fields (|grad h|^2, Lap_f h), each
+stencil's rows evaluated as one ``BlockGeometry`` (``geometry_field``).
+
 Distance functions are supplied analytically (radial models, split-space r);
 no boundary-value solving happens here.  Sub-level barrier arguments have no
 pointwise numerical analogue, so only the smooth split-space case of the
@@ -34,12 +37,13 @@ from .chart_core import (
     Point,
     ScalarField,
     as_scalar_field,
-    first_partials,
-    grad_norm_squared,
+    field_rows,
+    first_difference,
+    geometry_field,
     in_blocks,
     r_coordinate_field,
     simpson,
-    weighted_laplacian,
+    stencil_values,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
 from .weighted_curvature import GridSpec, cd_verify, generalized_ricci_at, inset_box, sample_box
@@ -172,7 +176,8 @@ def radial_comparison_check(model: RadialModel, rho_grid):
 
     Refuses (CDViolation) when cd_verify fails CD(0,1) on the radial grid;
     each analytic Laplacian is cross-checked against the chart machinery at
-    rho * e_1, all radii walked once in blocks (``in_blocks``).
+    rho * e_1, all radii walked once in blocks (``in_blocks``); f is taken
+    at every radius's quadrature samples in one ``field_rows`` call.
     """
     rho_grid = np.asarray(rho_grid, dtype=float)
     spec, density, grid = model.metric_spec(), model.density(), model.cd_grid(rho_grid)
@@ -187,10 +192,10 @@ def radial_comparison_check(model: RadialModel, rho_grid):
         return BlockGeometry(spec, grid.points[s]).weighted_laplacian(density, r_field)
 
     nums = in_blocks(len(rho_grid), BLOCK_POINTS, stacked)
+    quad_ts = np.linspace(0.0, rho_grid, QUAD_POINTS, axis=1)
+    quad_fs = field_rows(model.f, quad_ts.ravel()).reshape(quad_ts.shape)
     samples = []
-    for rho, num in zip(rho_grid, nums):
-        ts = np.linspace(0.0, rho, QUAD_POINTS)
-        fs = np.array([model.f(t) for t in ts])
+    for rho, num, ts, fs in zip(rho_grid, nums, quad_ts, quad_fs):
         ts_f = np.stack([ts, fs], axis=-1)
         bound = comparison_bound(ts_f, model.n, float(rho))
         lap = model.lap_f_r(float(rho))
@@ -209,12 +214,18 @@ def radial_comparison_check(model: RadialModel, rho_grid):
 # Bochner identity and inequality
 # ---------------------------------------------------------------------------
 
-def _grad_norm_sq_field(spec: MetricSpec, h: ScalarField) -> ScalarField:
-    return ScalarField(value=lambda q: grad_norm_squared(spec, h, q))
+def _coarse_lap_f_grad_sq(at: BlockGeometry, density: DensitySpec, h: ScalarField) -> float:
+    """Lap_f |grad h|^2 at the point of ``at``, differenced at step h3."""
+    grad_sq = geometry_field(at.spec, lambda g: g.grad_norm_squared(h))
+    return float(at.weighted_laplacian(density, grad_sq, at.spec.fd.h3)[0])
 
 
-def _weighted_lap_field(spec: MetricSpec, density: DensitySpec, h: ScalarField) -> ScalarField:
-    return ScalarField(value=lambda q: weighted_laplacian(spec, density, h, q))
+def _coarse_gradient(at: BlockGeometry, of) -> np.ndarray:
+    """The partials at the point of ``at``, differenced at step h3, of the
+    ``geometry_field`` of ``of``."""
+    steps = at.spec.fd.scaled(at.pts, at.spec.fd.h3)
+    field = geometry_field(at.spec, of)
+    return first_difference(stencil_values(field, at.pts, steps, 1), steps)[0]
 
 
 def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> float:
@@ -229,10 +240,7 @@ def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> flo
     """
     h = as_scalar_field(h)
     at = BlockGeometry.at(spec, p)
-    p = at.pts[0]
-    coarse = spec.fd.h3
-
-    lhs = 0.5 * float(at.weighted_laplacian(density, _grad_norm_sq_field(spec, h), coarse)[0])
+    lhs = 0.5 * _coarse_lap_f_grad_sq(at, density, h)
 
     H = at.hessian(h)[0]
     ginv = at.ginv[0]
@@ -241,9 +249,7 @@ def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> flo
     gradv = at.gradient_vector(h)[0]
     ric_term = float(gradv @ generalized_ricci_at(at, density, math.inf)[0] @ gradv)
 
-    q_field = _weighted_lap_field(spec, density, h)
-    steps = spec.fd.scaled(p, coarse)
-    dq = first_partials(lambda x: float(q_field.value(x)), p, steps)
+    dq = _coarse_gradient(at, lambda g: g.weighted_laplacian(density, h))
     last = float(gradv @ dq)
 
     return abs(lhs - (hess_sq + ric_term + last))
@@ -271,20 +277,17 @@ def bochner_inequality_margin(spec: MetricSpec, density: DensitySpec, K: float, 
     gn = math.sqrt(at.grad_norm_squared(h)[0])
     if abs(gn - 1.0) > 1e-6:
         raise NotDistanceFunction(f"|grad h| = {gn:.9g} at {p}, expected 1 within 1e-6")
-    coarse = spec.fd.h3
 
     def v2(q: Point) -> float:
         return math.exp(2.0 * float(density.value(q)) / m)
 
-    s_field = _grad_norm_sq_field(spec, h)
-    lhs = 0.5 * v2(p) * float(at.weighted_laplacian(density, s_field, coarse)[0])
+    lhs = 0.5 * v2(p) * _coarse_lap_f_grad_sq(at, density, h)
 
     lap_f_h = float(at.weighted_laplacian(density, h)[0])
     rhs = v2(p) * (lap_f_h ** 2 / m + K * gn ** 2)
 
-    q_field = ScalarField(value=lambda x: v2(x) * weighted_laplacian(spec, density, h, x))
-    steps = spec.fd.scaled(p, coarse)
-    dq = first_partials(lambda x: float(q_field.value(x)), p, steps)
+    dq = _coarse_gradient(
+        at, lambda g: np.array([v2(x) for x in g.pts]) * g.weighted_laplacian(density, h))
     rhs += float(at.gradient_vector(h)[0] @ dq)
     return lhs - rhs
 

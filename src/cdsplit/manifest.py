@@ -450,12 +450,20 @@ class Expression:
     variables: tuple[str, ...]
 
     @cached_property
+    def array(self) -> "ExpressionArray":
+        return ExpressionArray(self)
+
+    @cached_property
     def code(self) -> Callable:
         """The point form, ``values -> value``, generated on first use."""
-        return ExpressionArray(self).code
+        return self.array.code
 
     def __call__(self, *values) -> float:
         return eval_ast(self, values)
+
+    def rows(self, P) -> np.ndarray:
+        """``ExpressionArray.rows``; a 1-d P holds one variable's values."""
+        return self.array.rows(np.reshape(P, (len(P), -1)))
 
     def derivative(self, var: str) -> "Expression":
         """The partial derivative in ``var``.  A derivative deeper than

@@ -1,7 +1,8 @@
 """The evaluation path: exact sphere witness, no error text on success,
 failing stencil points still named, the block walk of ``cd_verify``
-bit-equal to evaluating its points one at a time, and checks that take
-every quantity at a point from one geometry."""
+bit-equal to evaluating its points one at a time, checks that take every
+quantity at a point from one geometry, and difference quotients taken over
+a block of stencil rows."""
 
 import dataclasses
 import math
@@ -25,7 +26,7 @@ from cdsplit.chart_core import (
     weighted_laplacian,
 )
 from cdsplit.cli import run
-from cdsplit.comparison_suite import bochner_residual, rigidity_check
+from cdsplit.comparison_suite import bochner_inequality_margin, bochner_residual, rigidity_check
 from cdsplit.errors import NonFinite, SingularMetric
 from cdsplit.geodesic_flow import geodesic_integrate, normalize_velocity
 from cdsplit.manifest import build_geometry, cd_grid, parse_manifest
@@ -313,12 +314,13 @@ def test_density_evaluated_once_per_point(N):
 Q = np.array([0.5, 0.2, -0.4])
 
 
-def _counted_split(monkeypatch):
-    """``split_sin_sphere(0.3)`` and its metric spec, whose ``g`` records the
-    point of each call; the split's ``metric_spec`` returns that spec."""
+def _counted_split(monkeypatch, attr="g"):
+    """``split_sin_sphere(0.3)`` and its metric spec, whose ``attr`` (``g``
+    or ``partials``) records the point of each call; the split's
+    ``metric_spec`` returns that spec."""
     split = catalog.split_sin_sphere(0.3)
     spec, calls = split.metric_spec(), []
-    counted = dataclasses.replace(spec, g=_counted(spec.g, calls))
+    counted = dataclasses.replace(spec, **{attr: _counted(getattr(spec, attr), calls)})
     monkeypatch.setattr(SplitSpaceSpec, "metric_spec", lambda self: counted)
     return split, counted, calls
 
@@ -339,15 +341,50 @@ def test_rigidity_point_evaluates_the_metric_once(monkeypatch):
     assert _at_Q(calls) == 1
 
 
+H_FIELD = ScalarField(value=lambda q: float(q @ q) + q[0] * q[1],
+                      grad=lambda q: 2.0 * q + np.array([q[1], q[0], 0.0]),
+                      hess=lambda q: 2.0 * np.eye(3) + np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
+
+
 def test_bochner_residual_evaluates_the_metric_at_most_twice(monkeypatch):
-    # once for the geometry at Q, once for |grad h|^2 at the centre of the
-    # stencil that differences it
+    # once for the geometry at Q; the stencil rows of |grad h|^2, Q among
+    # them, are one geometry, which takes g from the stacked row function
     split, spec, calls = _counted_split(monkeypatch)
-    h = ScalarField(value=lambda q: float(q @ q) + q[0] * q[1],
-                    grad=lambda q: 2.0 * q + np.array([q[1], q[0], 0.0]),
-                    hess=lambda q: 2.0 * np.eye(3) + np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]]))
-    assert bochner_residual(spec, split.density(), h, Q) < 1e-4
+    assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
     assert _at_Q(calls) <= 2
+
+
+@pytest.mark.parametrize("check", ["rigidity", "bochner"])
+def test_ricci_reuses_the_partials_at_the_point(monkeypatch, check):
+    # the Ricci stencil's row 0 is the geometry's own D, not a second call
+    split, spec, calls = _counted_split(monkeypatch, "partials")
+    if check == "rigidity":
+        assert rigidity_check(split, points=[Q]).passes()
+    else:
+        assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
+    assert _at_Q(calls) == 1
+
+
+@pytest.mark.parametrize("check", ["residual", "margin"])
+def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
+    # the point's geometry, then one per stencil of a derived field: the
+    # second- and first-order stencils of |grad h|^2 (its Hessian and
+    # gradient) and the first-order stencil of (v^2) Lap_f h
+    built = []
+    init = BlockGeometry.__init__
+
+    def counted(self, spec, pts):
+        built.append(len(pts))
+        init(self, spec, pts)
+
+    monkeypatch.setattr(BlockGeometry, "__init__", counted)
+    split = catalog.split_sin_sphere(0.3)
+    spec, density = split.metric_spec(), split.density()
+    if check == "residual":
+        assert bochner_residual(spec, density, H_FIELD, Q) < 1e-4
+    else:
+        bochner_inequality_margin(spec, density, 0.0, 1, r_coordinate_field(3), Q)
+    assert built == [1, 25, 6, 6]
 
 
 def test_curvature_builds_one_ricci_stencil_per_point(monkeypatch, tmp_path):
@@ -374,3 +411,89 @@ def test_block_weighted_laplacian_matches_pointwise(build):
     block = BlockGeometry(spec, points).weighted_laplacian(density, h)
     expected = np.array([weighted_laplacian(spec, density, h, p) for p in points])
     assert block.tobytes() == expected.tobytes()
+
+
+VECTOR_MANIFEST = """\
+[manifold]
+name = polar-vector-density
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = r^2
+
+[density]
+X1 = 0.3 * r - 0.2 * sin(y1)
+X2 = 0.5 * cos(y1) / r
+
+[grid]
+r_min = 0.5
+r_max = 3.0
+"""
+
+
+def _manifest_vector_spec(tmp_path):
+    # a vector density in its block form (ExpressionArray.rows)
+    path = tmp_path / "vector.cdm"
+    path.write_text(VECTOR_MANIFEST)
+    geo = build_geometry(parse_manifest(path))
+    return geo["spec"], geo["density"], box_grid([[0.5, 3.0], [-1.0, 1.0]], [4, 3]).points
+
+
+@pytest.mark.parametrize("build", ["fd-partials", "vector", "manifest-vector"])
+def test_block_stencils_match_points(build, tmp_path):
+    # value-only gradients and Hessians and vector-field Jacobians at a
+    # block of 7 points are each point's block of one, bit for bit
+    spec, density, points = (_manifest_vector_spec(tmp_path) if build == "manifest-vector"
+                             else {"fd-partials": _fd_spec, "vector": _vector_spec}[build]())
+    points = points[:7]
+
+    def per_point(quantity):
+        return np.stack([quantity(BlockGeometry.at(spec, p))[0] for p in points])
+
+    if isinstance(density, VectorField):
+        quantities = [lambda at: at.lie_derivative(density)]
+    else:
+        quantities = [lambda at: at.gradient(density),
+                      lambda at: at.gradient(density, step=spec.fd.h3),
+                      lambda at: at.hessian(density)]
+    for quantity in quantities:
+        block = quantity(BlockGeometry(spec, points))
+        assert block.shape[0] == 7
+        assert block.tobytes() == per_point(quantity).tobytes()
+
+
+@pytest.mark.parametrize("plants,row", [
+    (("singular", "raise"), 4),
+    (("raise",), 5),
+], ids=["first-of-two", "raise"])
+def test_failing_stencil_row_named_as_pointwise(plants, row):
+    # the second-order stencil of |grad h|^2 around p has rows p, then
+    # p + s h e_1 for s = -2, -1, 1, 2 (rows 1-4), then the same on e_2 (rows
+    # 5-8); the metric is singular at row 4 and raises at row 5.  The rows'
+    # one geometry fails at row 5, which reads g after row 4; re-run row by
+    # row, the first failing row is named as a point-by-point walk names it
+    p = np.array([0.3, -0.2])
+    h = 1e-3
+
+    def g(q):
+        if "singular" in plants and q[0] > p[0] + 1.5 * h:
+            return np.diag([1.0, 0.0])
+        if "raise" in plants and q[1] < p[1] - 1.5 * h:
+            raise ZeroDivisionError("planted")
+        return np.eye(2)
+
+    spec = MetricSpec(dim=2, g=g, partials=lambda q: np.zeros((2, 2, 2)), name="planted")
+    q = p.copy()
+    if row == 4:
+        q[0] += 2.0 * h
+        message = f"metric at {q} is not positive definite"
+    else:
+        q[1] -= 2.0 * h
+        message = f"metric at {q} is not positive definite: planted"
+    field = ScalarField(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
+                        hess=lambda x: 2.0 * np.eye(2))
+    with pytest.raises(SingularMetric, match=f"^{re.escape(message)}$"):
+        bochner_residual(spec, ScalarField.constant(0.0), field, p)

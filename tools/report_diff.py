@@ -38,8 +38,12 @@ all seven functions and raises to constant and variable powers.  Last,
 ``curvature`` on ``COMPLEX_POWER_MANIFEST``, whose density ``(r - 5)^0.5``
 has a complex value where r < 5, and ``geodesic`` on
 ``INDEFINITE_MANIFEST``, whose trace runs into r < 1, where the metric is
-indefinite.  The text of each of these manifests is written once into
-OUT_DIR, so both trees run the same file.  Each run gets its own subdirectory
+indefinite.  Then ``curvature``, ``verify-cd`` and ``bochner`` on
+``VECTOR_MANIFEST``, a ``general`` chart whose density is a vector field
+X1, X2 that is not a gradient: the runs that difference a vector density's
+Jacobian and take the Bochner stencils of a vector density.  The text of
+each of these manifests is written once into OUT_DIR, so both trees run the
+same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
 The runs are serial and take a few minutes per side, most of it in
@@ -293,6 +297,36 @@ start = 2, 0
 velocity = -1, 0
 T = 1.5
 """
+VECTOR_MANIFEST = """\
+[manifold]
+name = polar-vector-density
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = r^2
+
+[density]
+X1 = 0.3 * r - 0.2 * sin(y1)
+X2 = 0.5 * cos(y1) / r
+
+[grid]
+r_min = 0.5
+r_max = 3.0
+r_count = 11
+y_min = -1.0
+y_max = 1.0
+fiber_count = 5
+
+[cd]
+lambda = -1
+N = inf
+
+[bochner]
+points = 6
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
@@ -300,7 +334,7 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "flat_overflowing_integral": OVERFLOW_INTEGRAL_MANIFEST,
            "flat_sqrt_density": SQRT_MANIFEST, "twisted_all_functions": TWISTED_ALL_MANIFEST,
            "radial_complex_power": COMPLEX_POWER_MANIFEST,
-           "plane_indefinite": INDEFINITE_MANIFEST}
+           "plane_indefinite": INDEFINITE_MANIFEST, "polar_vector_density": VECTOR_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -315,7 +349,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
            ("verify-cd", "flat_sqrt_density", 42, ())]
         + [(sub, "twisted_all_functions", 42, ()) for sub in ("verify-cd", "geodesic")]
         + [("curvature", "radial_complex_power", 42, ()),
-           ("geodesic", "plane_indefinite", 42, ())])
+           ("geodesic", "plane_indefinite", 42, ())]
+        + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
