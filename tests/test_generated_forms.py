@@ -45,13 +45,13 @@ def closures(ast, variables):
 
 
 def oracle(fns, env):
-    """The closures' values at env, or None where one raises or is complex:
-    there the expression has no real value."""
+    """The closures' values at env, or None where one raises or is complex
+    (a Python or a numpy complex): there the expression has no real value."""
     try:
         values = [fn(env) for fn in fns]
     except (ArithmeticError, ValueError, TypeError):
         return None
-    return None if any(type(v) is complex for v in values) else values
+    return None if any(isinstance(v, complex) for v in values) else values
 
 
 def bits(x) -> bytes:
@@ -115,6 +115,7 @@ def _check_rows(arr, fns, P):
 @example(["exp(r) * y1"], [(1.0, 2.0, 0.0), (710.0, 0.5, 0.0)], 256, 0)
 @example(["sin(r) ^ 0.5 + y2"], [(1.0, 2.0, 0.0), (-1.0, 0.5, 0.0)], 255, 0)
 @example(["1 / (r / (-0))", "y1 ^ r"], [(1.0, -0.0, 0.0), (0.0, -2.0, 0.5)], 2, 0)
+@example(["(r + (cos(r) ^ 0.5))"], [(0.0, 0.0, 0.0)], 2, 0)
 def test_both_forms_match_the_closure_oracle(texts, rows, size, seed):
     exprs = _compiled(texts)
     # seeded points, with the drawn rows (special values) spread among them
