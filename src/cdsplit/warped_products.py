@@ -131,13 +131,17 @@ class SphereFiber:
         return dc[:, None, None] * _identity(self.dim)
 
     def rows(self, Y: np.ndarray):
-        """``metric`` and ``partials`` at each row of Y, stacked.  |y|^2 and
-        its powers are taken row by row, with the scalar calls of ``_conf``
-        and ``partials``."""
+        """``metric`` and ``partials`` at each row of Y, stacked, bit for bit.
+
+        |y|^2 of every row is one ``np.vecdot``, which reaches the BLAS dot
+        product that ``y @ y`` calls on a single row; a row sum, an einsum or
+        ``y1*y1 + y2*y2`` rounds differently, as that dot product fuses its
+        multiply-adds.  ``s * s`` is elementwise; ``s ** 3`` stays one Python
+        power per row, as ``np.power`` rounds differently on some inputs."""
         R2 = self.radius_sq
-        s = [R2 + float(y @ y) for y in Y]
-        conf = 4.0 * R2 ** 2 / np.array([si * si for si in s])
-        dc = -16.0 * R2 ** 2 * Y / np.array([si ** 3 for si in s])[:, None]
+        s = R2 + np.vecdot(Y, Y)
+        conf = 4.0 * R2 ** 2 / (s * s)
+        dc = -16.0 * R2 ** 2 * Y / np.array([si ** 3 for si in s.tolist()])[:, None]
         eye = _identity(self.dim)
         return conf[:, None, None] * eye, dc[:, :, None, None] * eye
 

@@ -1,10 +1,12 @@
 """Chart calculus against hand-computed and classical values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.linalg.lapack import dpotrf
 
 from cdsplit import catalog
 from cdsplit.chart_core import (
@@ -311,6 +313,42 @@ class TestInvariantsAndGuards:
             ga = scalar_gradient(spec, f, p)
             gn = scalar_gradient(spec, f_bare, p)
             assert np.max(np.abs(ga - gn)) / max(1.0, np.max(np.abs(ga))) < 1e-6
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_block_cholesky_is_potrf_at_each_point_bit_for_bit(n):
+    # random SPD metrics, one per point, with condition numbers up to and at
+    # 1e12; the factor is the lower triangle
+    rng = np.random.default_rng(500 + n)
+    k = 400
+    Q = np.linalg.qr(rng.standard_normal((k, n, n)))[0]
+    cond = np.concatenate([10.0 ** rng.uniform(0.0, 12.0, k - 40), np.full(40, 1e12)])
+    ev = cond[:, None] ** np.linspace(0.0, 1.0, n) * rng.uniform(1e-2, 1e2, (k, 1))
+    A = (Q * ev[:, None, :]) @ Q.swapaxes(1, 2)
+    mats = 0.5 * (A + A.swapaxes(1, 2))
+    spec = MetricSpec(dim=n, g=lambda q: mats[int(q[0])],
+                      partials=lambda q: np.zeros((n, n, n)), name="spd")
+    P = np.zeros((k, n))
+    P[:, 0] = np.arange(k)
+    at = BlockGeometry(spec, P)
+    assert at.g.tobytes() == mats.tobytes()
+    for a, c in zip(mats, at.chol):
+        expected, info = dpotrf(a, lower=1, clean=0, overwrite_a=0)
+        assert info == 0
+        assert np.tril(c).tobytes() == np.tril(expected).tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_block_cholesky_names_the_first_point_not_positive_definite(n):
+    # point 0 is positive definite, points 1 and 2 are not
+    mats = [np.eye(n), np.diag([1.0] * (n - 1) + [-1.0]), np.zeros((n, n))]
+    spec = MetricSpec(dim=n, g=lambda q: mats[int(q[0])],
+                      partials=lambda q: np.zeros((n, n, n)), name="planted")
+    P = np.zeros((3, n))
+    P[:, 0] = np.arange(3)
+    message = f"metric at {P[1]} is not positive definite"
+    with pytest.raises(SingularMetric, match=f"^{re.escape(message)}$"):
+        BlockGeometry(spec, P).chol
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cdsplit import catalog, chart_core, weighted_curvature
+from cdsplit import catalog, chart_core, comparison_suite, manifest, weighted_curvature
 from cdsplit.chart_core import (
     BlockGeometry,
     MetricSpec,
@@ -210,7 +210,7 @@ def test_block_walk_matches_pointwise(monkeypatch, build, N):
 
 def _planted(plants):
     """Flat R^2 whose metric is bad at the grid points of ``plants``, a list
-    of (kind, point): 'singular', 'nan' or 'raise' at the point itself,
+    of (kind, point): 'singular', 'indefinite', 'nan' or 'raise' at the point itself,
     'stencil' (singular) at the Ricci stencil rows right beside it."""
     def g(q):
         for kind, target in plants:
@@ -219,6 +219,8 @@ def _planted(plants):
                 return np.zeros((2, 2))
             if kind == "singular" and at_target:
                 return np.diag([1.0, 0.0])
+            if kind == "indefinite" and at_target:
+                return np.diag([1.0, -1.0])
             if kind == "nan" and at_target:
                 return np.full((2, 2), np.nan)
             if kind == "raise" and at_target:
@@ -232,6 +234,9 @@ def _planted(plants):
 # is the one a point-by-point walk has always raised
 @pytest.mark.parametrize("plants,message", [
     ([("singular", 6)], "metric at [-0.5 -0.5] is not positive definite"),
+    # the second point of its block: the block's one Cholesky call fails,
+    # and the per-point calls name the point
+    ([("indefinite", 5)], "metric at [-0.5 -1. ] is not positive definite"),
     ([("nan", 6)], "metric at [-0.5 -0.5] is not positive definite: "
                    "non-finite values in metric at [-0.5 -0.5]"),
     ([("stencil", 6)], "metric at [-0.49999 -0.5    ] is not invertible"),
@@ -241,7 +246,7 @@ def _planted(plants):
      "metric at [-0.49999 -1.     ] is not invertible"),
     ([("raise", 7), ("nan", 6)], "metric at [-0.5 -0.5] is not positive definite: "
                                  "non-finite values in metric at [-0.5 -0.5]"),
-], ids=["singular", "nan", "stencil", "three-in-one-block", "raise-after-nan"])
+], ids=["singular", "indefinite", "nan", "stencil", "three-in-one-block", "raise-after-nan"])
 def test_failure_in_second_block_raises_as_pointwise(monkeypatch, plants, message):
     monkeypatch.setattr(weighted_curvature, "BLOCK_POINTS", 4)
     points = _box_points([[-1, 1], [-1, 1]])[:11]
@@ -339,6 +344,29 @@ def test_rigidity_point_evaluates_the_metric_once(monkeypatch):
     split, _, calls = _counted_split(monkeypatch)
     assert rigidity_check(split, points=[Q]).passes()
     assert _at_Q(calls) == 1
+
+
+def test_rigidity_builds_one_geometry_per_block(monkeypatch):
+    # one in_blocks walk over the 40 points, in blocks of 16, whose maxima
+    # are bit-equal to the maxima of the points checked one at a time
+    split = catalog.split_sin_sphere(0.3)
+    singles = [rigidity_check(split, points=[p])
+               for p in rigidity_check(split, n_points=40).points]
+    built = []
+    init = BlockGeometry.__init__
+
+    def counted(self, spec, pts):
+        built.append(len(pts))
+        init(self, spec, pts)
+
+    monkeypatch.setattr(BlockGeometry, "__init__", counted)
+    monkeypatch.setattr(comparison_suite, "BLOCK_POINTS", 16)
+    report = rigidity_check(split, n_points=40)
+    assert built == [16, 16, 8]
+    for name in ("grad_norm_dev", "lap_f_r_dev", "hess_proportionality_dev",
+                 "radial_ricci_dev", "busemann_pair_dev"):
+        assert getattr(report, name) == max(getattr(one, name) for one in singles)
+    assert report.passes()
 
 
 H_FIELD = ScalarField(value=lambda q: float(q @ q) + q[0] * q[1],
@@ -440,6 +468,26 @@ def _manifest_vector_spec(tmp_path):
     path.write_text(VECTOR_MANIFEST)
     geo = build_geometry(parse_manifest(path))
     return geo["spec"], geo["density"], box_grid([[0.5, 3.0], [-1.0, 1.0]], [4, 3]).points
+
+
+def test_bochner_residual_evaluates_a_vector_density_point_form_once(monkeypatch, tmp_path):
+    # the point form runs once, at the point's geometry, whose Lie derivative
+    # reuses that row; the stencil rows of the Jacobian and of Lap_f h go
+    # through the block form, one call per stencil
+    spec, density, _ = _manifest_vector_spec(tmp_path)
+    calls = []
+    eval_ast = manifest.eval_ast
+
+    def counted(expr, values):
+        if expr is density.value:
+            calls.append(values)
+        return eval_ast(expr, values)
+
+    monkeypatch.setattr(manifest, "eval_ast", counted)
+    h = ScalarField(value=lambda q: float(q @ q), grad=lambda q: 2.0 * q,
+                    hess=lambda q: 2.0 * np.eye(2))
+    assert bochner_residual(spec, density, h, np.array([1.3, 0.2])) < 1e-4
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("build", ["fd-partials", "vector", "manifest-vector"])

@@ -126,6 +126,7 @@ class TestFibers:
 def _product_charts():
     return [catalog.split_sin_sphere(0.3).metric_spec(),
             catalog.split_cos_sphere_4d().metric_spec(),
+            catalog.split_sin_sphere(0.3, n=5).metric_spec(),
             catalog.split_sin_torus().metric_spec(),
             catalog.twisted_example().metric_spec(),
             catalog.nongradient_example()[0].metric_spec()]
