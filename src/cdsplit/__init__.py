@@ -13,6 +13,7 @@ from .chart_core import (
     inverse_metric,
     lie_derivative_metric,
     metric_at,
+    point_jet,
     ricci_numeric,
     weighted_laplacian,
 )

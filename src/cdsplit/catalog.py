@@ -7,7 +7,15 @@ import math
 
 import numpy as np
 
-from .chart_core import MetricSpec, Point, ScalarField, VectorField, gradient_vector
+from .chart_core import (
+    MetricSpec,
+    Point,
+    ScalarField,
+    VectorField,
+    flat_jet,
+    gradient_vector,
+    point_jet,
+)
 from .comparison_suite import RadialModel
 from .manifest import compile_expression, expression_scalar_field
 from .warped_products import (
@@ -21,8 +29,7 @@ from .warped_products import (
 
 def flat(dim: int) -> MetricSpec:
     """Euclidean R^n in Cartesian coordinates."""
-    return MetricSpec(dim=dim, g=lambda p: np.eye(dim),
-                      partials=lambda p: np.zeros((dim, dim, dim)), name=f"flat{dim}")
+    return MetricSpec(dim=dim, jet=flat_jet(dim), name=f"flat{dim}")
 
 
 def polar_plane(r_min: float = 0.05) -> MetricSpec:
@@ -37,7 +44,7 @@ def polar_plane(r_min: float = 0.05) -> MetricSpec:
         return D
 
     domain = np.array([[r_min, np.inf], [-np.inf, np.inf]])
-    return MetricSpec(dim=2, g=g, partials=partials, domain=domain,
+    return MetricSpec(dim=2, jet=point_jet(g, partials), domain=domain,
                       name="polar plane", coord_names=("r", "theta"))
 
 
@@ -46,8 +53,7 @@ def sphere_chart(dim: int = 2, einstein_constant: float = 1.0) -> MetricSpec:
     fiber = SphereFiber(dim=dim, einstein_constant=einstein_constant)
     return MetricSpec(
         dim=dim,
-        g=lambda p: fiber.metric(p),
-        partials=lambda p: fiber.partials(p),
+        jet=point_jet(fiber.metric, fiber.partials),
         domain=fiber.safe_box,
         name=f"sphere{dim} (Einstein constant {einstein_constant:g})",
     )

@@ -1,12 +1,12 @@
 """Chart-based numerical tensor calculus.
 
-All geometry lives in a single coordinate chart: a metric is a callable
-returning the symmetric matrix of components ``g_ij(p)`` at a chart point,
-together with a callable returning its analytic partials.  The Christoffel
-symbols come from these two; the Ricci tensor differences the Christoffel
-symbols, and Hessians, Lie derivatives and weighted Laplacians difference
-whatever a field does not supply in closed form, all by central finite
-differences.
+All geometry lives in a single coordinate chart: a metric is its jet, one
+callable that returns, at each row of a block of chart points, the
+symmetric matrix of components ``g_ij`` and, at order 1, their analytic
+partials (``MetricSpec.jet``).  The Christoffel symbols come from these
+two; the Ricci tensor differences the Christoffel symbols, and Hessians,
+Lie derivatives and weighted Laplacians difference whatever a field does
+not supply in closed form, all by central finite differences.
 
 Conventions
 -----------
@@ -34,13 +34,30 @@ inverse metric, the partials ``D``), the Christoffel symbols, the Ricci
 tensor and the gradient of each field, each evaluated on first use and then
 shared by the Hessians, Lie derivatives and weighted Laplacians built there,
 all with a leading batch axis.  The public per-point functions are its
-block of one.  The Ricci tensor takes ``g`` and ``D`` at the 2n+1 stencil
-rows of every point from the chart's stacked row function
-(``MetricSpec.rows``), or row by row, with the point's own ``g`` and ``D``
-as row 0, and the Christoffel symbols from one ``np.linalg.solve`` over the
-stack (``_christoffel_rows``).  A field derived from the calculus
-(``geometry_field``, such as |grad h|^2) evaluates its stencil rows as one
-``BlockGeometry``.  The Cholesky factors of a block are one
+block of one.  A geometry takes ``g`` and ``D`` from one jet call of order
+1, or ``g`` alone from one call of order 0 where its caller needs nothing
+else (``metric_at``, ``inverse_metric``, the geodesic speed-drift and
+vector-density passes).  The Ricci tensor takes ``g`` and ``D`` at the 2n
+first-order stencil rows of every point from one more jet call, with the
+point's own ``g`` and ``D`` as row 0, and the Christoffel symbols from one
+``np.linalg.solve`` over the stack (``_christoffel_rows``).  A field derived
+from the calculus (``geometry_field``, such as |grad h|^2) evaluates its
+stencil rows as one ``BlockGeometry``; a value-only Hessian's gradient at
+the same step reads the +-h rows of its own stencil.
+
+A jet selects its path by the number of rows.  A single row goes through
+the chart's point formulas, and more rows through its stacked forms (a
+product chart's ``field_rows`` of psi and fiber ``jet``, a manifest's
+``ExpressionArray.rows``), because the fixed cost of a stacked call exceeds
+the point formulas at one row.  On 2 shared Xeon vCPUs (Python 3.11.7,
+numpy 2.4.6), a one-row stacked call of g and D cost 28.1 us on a product
+chart over a sphere fiber, 25.4 us on ``twisted_flat.cdm`` and 5.9 us on
+``polar_general.cdm``, where separate point formulas for g and for the
+partials cost 23.0, 15.6 and 2.3 us together, and the one-row jet 20.3,
+13.5 and 2.8 us.  ``cd_verify`` and the stencils evaluate blocks, and the
+RK4 stage one row; on a product chart the one-row jet evaluates psi, the
+warp and the fiber metric once for both g and D.  The Cholesky factors of
+a block are one
 ``np.linalg.cholesky`` call up to dimension 4, and otherwise, or when that
 call fails, one direct LAPACK ``potrf`` call per point; inverses are one
 ``potrs`` call per point, with the arguments
@@ -48,7 +65,7 @@ call fails, one direct LAPACK ``potrf`` call per point; inverses are one
 point, but format it only when they are raised.
 
 ``gamma_evaluator``, the Christoffel closure of an RK4 stage, is the
-one-point case: ``g`` and ``partials`` at the point and one direct LAPACK
+one-point case: one jet call of order 1 at the point and one direct LAPACK
 ``gesv`` call, the solve ``np.linalg.solve`` runs on each matrix of the
 stack, so it is bit-equal to that point's row of ``_christoffel_rows``.  A
 singular or non-finite solve is re-run through ``_christoffel_rows``, which
@@ -66,7 +83,7 @@ call per matrix) run across points, and a manifest expression's block form
 is made of such operations, with its calls and powers per element.  Two
 more stacked calls run across points, each measured bit-equal to its
 per-point call: a sphere fiber's |y|^2 (one ``np.vecdot``, the BLAS dot
-product of one row; ``SphereFiber.rows``) and the Cholesky factorization up
+product of one row; ``SphereFiber.jet``) and the Cholesky factorization up
 to dimension 4 (``BlockGeometry.chol``).  Other fiber scalars, reductions
 within a row and the other LAPACK calls run once per point, with ``math``
 and not numpy ufuncs, which round differently on some inputs.  The minimum
@@ -134,26 +151,27 @@ class FDSteps:
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """A chart metric: dimension, components, analytic partials, optional extras.
+    """A chart metric: dimension, its jet, optional extras.
 
-    ``partials`` returns ``D[k, i, j] = d_k g_ij``; every chart carries them
-    (manifests by symbolic differentiation), and ``partials_discrepancy``
-    checks them against central differences of ``g``.  ``domain`` is an
-    ``(n, 2)`` array of closed coordinate bounds; stencil points outside it
-    raise ChartDomain.  ``rows`` (optional) maps a (k, n) array of points to
-    the raw ``g`` and ``D`` at every row, (k, n, n) and (k, n, n, n), bit for
-    bit what ``g`` and ``partials`` return row by row, so that stencils are
-    evaluated in one call.
+    ``jet(P, order)`` maps a (k, n) array of points to the raw metric
+    components at every row, ``(g,)`` for order 0 and ``(g, D)`` for order
+    1, with g of shape (k, n, n) and the analytic partials
+    ``D[b, k, i, j] = d_k g_ij`` of shape (k, n, n, n).  Every chart carries
+    its partials (manifests by symbolic differentiation), and
+    ``partials_discrepancy`` checks them against central differences of g.
+    A row of a block is bit for bit the jet of that row alone, and the g of
+    order 0 is bit for bit the g of order 1.  A chart given by point
+    formulas lifts them with ``point_jet``.  ``domain`` is an ``(n, 2)``
+    array of closed coordinate bounds; stencil points outside it raise
+    ChartDomain.
     """
 
     dim: int
-    g: Callable[[Point], np.ndarray]
-    partials: Callable[[Point], np.ndarray]
+    jet: Callable[[np.ndarray, int], tuple[np.ndarray, ...]]
     domain: np.ndarray | None = None
     name: str = ""
     coord_names: tuple[str, ...] | None = None
     fd: FDSteps = field(default_factory=FDSteps)
-    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def coords(self) -> tuple[str, ...]:
         if self.coord_names is not None:
@@ -206,12 +224,18 @@ DensitySpec = Union[ScalarField, VectorField]
 # domain guards and finite differences
 # ---------------------------------------------------------------------------
 
-def in_domain(spec: MetricSpec, p: Point, radius: np.ndarray | float = 0.0) -> bool:
-    """Whether the box p +- radius lies inside spec.domain (always, without one)."""
+def in_domain(spec: MetricSpec, p, radius=0.0) -> bool:
+    """Whether the box p +- radius lies inside spec.domain (always, without
+    one).  ``radius`` is a number or one per coordinate; the coordinates are
+    compared as Python floats, one at a time, which an RK4 step's guards
+    read from one ``tolist()`` of its state."""
     if spec.domain is None:
         return True
-    lo, hi = spec.domain[:, 0], spec.domain[:, 1]
-    return not (np.any(p - radius < lo) or np.any(p + radius > hi))
+    p = p.tolist() if isinstance(p, np.ndarray) else p
+    if not isinstance(radius, list):
+        radius = np.broadcast_to(radius, len(p)).tolist()
+    return not any(x - r < lo or x + r > hi
+                   for x, r, (lo, hi) in zip(p, radius, spec.domain.tolist()))
 
 
 def _finite_rows(x, what: str, pts):
@@ -312,12 +336,12 @@ def _checked_metric(raw: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 def metric_at(spec: MetricSpec, p: Point) -> np.ndarray:
     """Evaluate and validate g(p): finite, symmetric to 1e-12 componentwise."""
-    return BlockGeometry.at(spec, p).g[0]
+    return BlockGeometry(spec, as_point(p, spec.dim)[None], order=0).g[0]
 
 
 def inverse_metric(spec: MetricSpec, p: Point) -> np.ndarray:
     """Inverse metric components via Cholesky; SingularMetric on failure."""
-    return BlockGeometry.at(spec, p).ginv[0]
+    return BlockGeometry(spec, as_point(p, spec.dim)[None], order=0).ginv[0]
 
 
 def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
@@ -326,29 +350,38 @@ def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
     steps = spec.fd.scaled(pts, spec.fd.h1)
     metric = geometry_field(spec, lambda at: at.g)
     fd = first_difference(stencil_values(metric, pts, steps, 1), steps)[0]
-    return float(np.max(np.abs(fd - spec.partials(pts[0]))))
+    return float(np.max(np.abs(fd - spec.jet(pts, 1)[1][0])))
 
 
-def _stacked(spec: MetricSpec, k: int) -> bool:
-    """Whether k rows go through the chart's stacked row function.  A single
-    row, as at a lone point, goes through ``g`` and ``partials``, which cost
-    less than the stacked function's fixed overhead."""
-    return spec.rows is not None and k > 1
+def flat_jet(n: int):
+    """The ``MetricSpec.jet`` of Cartesian coordinates on R^n: the identity
+    and zero partials at every row.  A single row returns the same two
+    read-only arrays at every call."""
+    eye, zeros = np.eye(n)[None], np.zeros((1, n, n, n))
+    eye.flags.writeable = zeros.flags.writeable = False
+
+    def jet(P: np.ndarray, order: int):
+        k = len(P)
+        gs = eye if k == 1 else np.repeat(eye, k, axis=0)
+        return (gs,) if order == 0 else (gs, zeros if k == 1 else np.zeros((k, n, n, n)))
+
+    return jet
 
 
-def _metric_rows(spec: MetricSpec, pts: np.ndarray):
-    """Raw g and partials D at each row of ``pts``: (k, n, n) and (k, n, n, n),
-    in one call of the chart's stacked row function, or row by row."""
-    if _stacked(spec, len(pts)):
-        return spec.rows(pts)
-    k, n = pts.shape
-    g_fn, part_fn = spec.g, spec.partials
-    gs = np.empty((k, n, n))
-    D = np.empty((k, n, n, n))
-    for i, q in enumerate(pts):
-        gs[i] = g_fn(q)
-        D[i] = part_fn(q)
-    return gs, D
+def point_jet(g: Callable[[Point], np.ndarray], partials: Callable[[Point], np.ndarray]):
+    """The ``MetricSpec.jet`` of a chart given by formulas for ``g`` and its
+    ``partials`` at a point.  A single row is their point calls; more rows
+    are ``field_rows`` of each, in one call of its block form when it has
+    one (a manifest's ``ExpressionArray.rows``), else row by row."""
+
+    def jet(P: np.ndarray, order: int):
+        if len(P) == 1:
+            gs = np.asarray(g(P[0]), dtype=float)[None]
+            return (gs,) if order == 0 else (gs, np.asarray(partials(P[0]), dtype=float)[None])
+        gs = field_rows(g, P)
+        return (gs,) if order == 0 else (gs, field_rows(partials, P))
+
+    return jet
 
 
 def field_rows(fn, pts: np.ndarray) -> np.ndarray:
@@ -420,18 +453,21 @@ class BlockGeometry:
     symmetrized), its Cholesky factor ``chol``, the inverse ``ginv``, the
     partials ``D``, the Christoffel symbols, the Ricci tensor and the
     gradient of each field are each evaluated on first use and then reused;
-    every tensor carries a leading axis of length B.
-    ``BlockGeometry.at(spec, p)`` is the block of one behind the per-point
-    functions of this module.  Every slice is bit-identical to the same
-    tensor built at that point alone (see the module docstring).  A failed
-    check names a point of the block that fails it; in a block of one,
-    evaluations and checks run in the order, and with the messages, of a
-    point evaluated on its own.
+    every tensor carries a leading axis of length B.  The metric comes from
+    one call of the chart's jet, of order ``order``: 1 gives g and D
+    together, and 0, for a caller that needs only g, leaves D to a second
+    call if it is asked for.  ``BlockGeometry.at(spec, p)`` is the block of
+    one behind the per-point functions of this module.  Every slice is
+    bit-identical to the same tensor built at that point alone (see the
+    module docstring).  A failed check names a point of the block that fails
+    it; in a block of one, checks run in the order, and with the messages,
+    of a point evaluated on its own.
     """
 
-    def __init__(self, spec: MetricSpec, pts):
+    def __init__(self, spec: MetricSpec, pts, order: int = 1):
         self.spec = spec
         self.pts = _as_points(pts, spec.dim)
+        self.order = order
         self._evaluated = {}
 
     @classmethod
@@ -439,20 +475,23 @@ class BlockGeometry:
         return cls(spec, as_point(p, spec.dim)[None, :])
 
     @cached_property
-    def _raw(self):
-        # raw g at the points, with raw D when the stacked row function gives
-        # both; g is row 0 of every Ricci stencil, and D is checked as ``D``
-        spec, n = self.spec, self.spec.dim
-        if _stacked(spec, len(self.pts)):
-            return spec.rows(self.pts)
-        gs = field_rows(spec.g, self.pts)
-        if gs.shape[1:] != (n, n):
-            raise ValueError(f"metric returned shape {gs.shape[1:]}, expected ({n}, {n})")
-        return gs, None
+    def _jet(self) -> tuple[np.ndarray, ...]:
+        # the raw jet at the points; g is row 0 of every Ricci stencil.  When
+        # the order-1 jet raises, the metric alone is evaluated here and ``D``
+        # asks again, so that g's checks and the positivity gate run first
+        if self.order == 1:
+            try:
+                return self.spec.jet(self.pts, 1)
+            except Exception:
+                pass
+        return self.spec.jet(self.pts, 0)
 
     @cached_property
     def g(self) -> np.ndarray:
-        return _checked_metric(self._raw[0], self.pts)
+        gs, n = self._jet[0], self.spec.dim
+        if gs.shape[1:] != (n, n):
+            raise ValueError(f"metric returned shape {gs.shape[1:]}, expected ({n}, {n})")
+        return _checked_metric(gs, self.pts)
 
     @cached_property
     def chol(self) -> np.ndarray:
@@ -502,7 +541,7 @@ class BlockGeometry:
     def D(self) -> np.ndarray:
         """The analytic partials ``D[b, k, i, j] = d_k g_ij``, checked finite."""
         spec, pts = self.spec, self.pts
-        D = self._raw[1] if _stacked(spec, len(pts)) else field_rows(spec.partials, pts)
+        D = (self._jet if len(self._jet) > 1 else spec.jet(pts, 1))[1]
         if D.shape[1:] != (spec.dim,) * 3:
             raise ValueError(f"metric partials returned shape {D.shape[1:]}")
         return _finite_rows(D, "metric partials", pts)
@@ -518,10 +557,10 @@ class BlockGeometry:
         steps = spec.fd.scaled(pts, spec.fd.h1)
         _check_domains(spec, pts, steps)
         self.chol  # positivity gate, once per point; christoffel reuses the factor
-        g0, D0 = self._raw[0], self.D
+        g0, D0 = self._jet[0], self.D
         # stencil rows per point: p, then its first-order stencil
         rows = stencil_rows(pts, steps, 1)
-        g1, D1 = _metric_rows(spec, rows.reshape(B * 2 * n, n))
+        g1, D1 = spec.jet(rows.reshape(B * 2 * n, n), 1)
         stencil = np.concatenate([pts[:, None], rows], axis=1)
         gs = np.concatenate([g0[:, None], g1.reshape(B, 2 * n, n, n)], axis=1)
         Ds = np.concatenate([D0[:, None], D1.reshape(B, 2 * n, n, n, n)], axis=1)
@@ -581,7 +620,16 @@ class BlockGeometry:
         else:
             steps = fd.scaled(pts, base)
             _check_domains(spec, pts, 2.0 * steps)
-            raw = second_difference(stencil_values(f.value, pts, steps, 2), steps)
+            F = stencil_values(f.value, pts, steps, 2)
+            raw = second_difference(F, steps)
+            if f.grad is None and (f.value, base) not in self._evaluated:
+                # the gradient at the same step differences the p +- h_d e_d
+                # rows of this stencil (s = 1 and -1 of each axis), the rows
+                # a first-order stencil would evaluate again
+                B, n = pts.shape
+                pm = F[:, 1:1 + 4 * n].reshape(B, n, 4)[:, :, [2, 1]].reshape(B, 2 * n)
+                self._evaluated[f.value, base] = _finite_rows(
+                    first_difference(pm, steps), "finite-difference gradient", pts)
         df = self.gradient(f, step=base if f.grad is None else None)
         H = raw - np.einsum("bkij,bk->bij", self.christoffel, df)
         _finite_rows(H, "Hessian", pts)
@@ -661,22 +709,22 @@ def gamma_evaluator(spec: MetricSpec):
 
     Skips the per-call point validation and Cholesky positivity check of
     ``christoffel``; callers validate the metric once at their entry point.
-    Each call evaluates ``g`` and the partials at its one point and solves
-    with one LAPACK ``gesv`` call, the one ``np.linalg.solve`` makes, so the
-    result is bit-equal to the point's row of ``_christoffel_rows``.  A
-    singular or non-finite solve is re-run through ``_christoffel_rows``,
-    which raises its error.
+    Each call evaluates the chart's jet of order 1 at its one point, in one
+    call, and solves with one LAPACK ``gesv`` call, the one
+    ``np.linalg.solve`` makes, so the result is bit-equal to the point's row
+    of ``_christoffel_rows``.  A singular or non-finite solve is re-run
+    through ``_christoffel_rows``, which raises its error.
     """
     n = spec.dim
-    g_fn, part_fn = spec.g, spec.partials
+    jet = spec.jet
 
     def gamma(p: Point) -> np.ndarray:
-        g = g_fn(p)
-        D = part_fn(p)
-        x, info = _gesv(g, _lowered(D).reshape(n, n * n))[2:]
+        P = p[None]
+        gs, D = jet(P, 1)
+        x, info = _gesv(gs[0], _lowered(D[0]).reshape(n, n * n))[2:]
         out = 0.5 * x
         if info != 0 or not np.isfinite(out).all():
-            return _christoffel_rows(p[None], g[None], D[None])[0]
+            return _christoffel_rows(P, gs, D)[0]
         return out.reshape(n, n, n)
 
     return gamma

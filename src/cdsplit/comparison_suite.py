@@ -39,6 +39,7 @@ from .chart_core import (
     as_scalar_field,
     field_rows,
     first_difference,
+    flat_jet,
     geometry_field,
     in_blocks,
     r_coordinate_field,
@@ -117,8 +118,7 @@ class RadialModel:
 
     def metric_spec(self) -> MetricSpec:
         n = self.n
-        return MetricSpec(dim=n, g=lambda p: np.eye(n),
-                          partials=lambda p: np.zeros((n, n, n)), name=self.name)
+        return MetricSpec(dim=n, jet=flat_jet(n), name=self.name)
 
     def density(self) -> ScalarField:
         def value(p: Point) -> float:

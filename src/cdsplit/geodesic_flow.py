@@ -8,11 +8,15 @@ f_gamma(t) = int g(gamma', X) ds is accumulated with Simpson quadrature on
 the RK4 grid to match the integrator order.
 
 Each RK4 stage evaluates its Christoffel symbols at one point
-(``gamma_evaluator``).  The passes over a finished trace (speed drift,
+(``gamma_evaluator``), from one call of the chart's jet of order 1, which
+takes the chart's point formulas at a single row.  After each step, the
+finite check, the velocity guard and the domain margin test read the new
+state as Python floats.  The passes over a finished trace (speed drift,
 f_gamma, the conserved quantity, the fiber projection length) evaluate the
-metric, density gradient or fiber metric of ``BLOCK_POINTS`` samples as one
-stack (``in_blocks``), then reduce each sample on its own, so every value is
-bit-equal to evaluating the sample alone.  A failing block is run again
+metric (a jet of order 0), density gradient or fiber metric of
+``BLOCK_POINTS`` samples as one stack (``in_blocks``), then reduce each
+sample on its own, so every value is bit-equal to evaluating the sample
+alone.  A failing block is run again
 through the same pass one sample at a time, so the first failing sample
 raises its own error; a non-finite vector density, or an f_gamma beyond the
 float range, is an error, never a NaN or inf f_gamma.  The speed-drift pass
@@ -93,8 +97,9 @@ def normalize_velocity(spec: MetricSpec, p: Point, v) -> np.ndarray:
 
 def _speeds(spec: MetricSpec, X: np.ndarray, U: np.ndarray) -> list[float]:
     """The length of each velocity in the metric at its sample, from one
-    BlockGeometry whose positivity gate (``chol``) passes at every sample."""
-    at = BlockGeometry(spec, X)
+    BlockGeometry of order 0 whose positivity gate (``chol``) passes at every
+    sample."""
+    at = BlockGeometry(spec, X, order=0)
     G = at.g
     at.chol
     return [_norm(g, u) for g, u in zip(G, U)]
@@ -128,7 +133,7 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
     if abs(s0 - 1.0) > 1e-10:
         raise ValueError(f"initial velocity has g-norm {s0!r}, expected 1 within 1e-10")
 
-    margin = spec.fd.scaled(p0, 4.0 * spec.fd.h2)
+    margin = spec.fd.scaled(p0, 4.0 * spec.fd.h2).tolist()
     metric_at(spec, p0)  # validates symmetry/finiteness once up front
     gamma = gamma_evaluator(spec)
 
@@ -148,15 +153,18 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
         except (CdsplitError, ValueError, np.linalg.LinAlgError):
             # a stage left the chart: treat as domain exit when the last
             # accepted point already sits at the boundary margin, else re-raise
-            if not in_domain(spec, x, 2.0 * margin):
+            if not in_domain(spec, x, [2.0 * m for m in margin]):
                 truncated, k_end = True, k
                 break
             raise
-        if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(u_new))):
+        # the guards compare Python floats, which cost less per step than
+        # numpy reductions over a few coordinates
+        xl, ul = x_new.tolist(), u_new.tolist()
+        if not all(map(math.isfinite, xl + ul)):
             raise NonFinite(f"geodesic state non-finite at t = {(k + 1) * dt:.6g}")
-        if float(np.max(np.abs(u_new))) >= VELOCITY_GUARD:
+        if max(map(abs, ul)) >= VELOCITY_GUARD:
             raise StepOverflow(f"geodesic velocity guard exceeded at t = {(k + 1) * dt:.6g}")
-        if not in_domain(spec, x_new, margin):
+        if not in_domain(spec, xl, margin):
             truncated, k_end = True, k
             break
         x, u = x_new, u_new
@@ -182,10 +190,10 @@ class ClairautReport:
 
 def _fiber_pass(split: SplitSpaceSpec, trace: GeodesicTrace, value) -> np.ndarray:
     """``value(p, fiber velocity, fiber metric)`` at every sample of the trace,
-    with the fiber metric of each block from ``fiber.rows``."""
+    with the fiber metric of each block from the fiber's jet of order 0."""
     P, UY = trace.positions, trace.velocities[:, 1:]
     return in_blocks(len(trace), BLOCK_POINTS, lambda s: [
-        value(p, uy, h) for p, uy, h in zip(P[s], UY[s], split.fiber.rows(P[s, 1:])[0])])
+        value(p, uy, h) for p, uy, h in zip(P[s], UY[s], split.fiber.jet(P[s, 1:], 0)[0])])
 
 
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
@@ -220,9 +228,9 @@ def fiber_projection_length(split: SplitSpaceSpec, trace: GeodesicTrace) -> floa
 def _density_pairings(spec: MetricSpec, density: DensitySpec, P: np.ndarray,
                       U: np.ndarray) -> list[float]:
     """g(gamma', X) for a vector density, g(gamma', grad f) = df(gamma') for a
-    scalar one, at each sample of a block, from one BlockGeometry; the metric
-    is checked before the vector density."""
-    at = BlockGeometry(spec, P)
+    scalar one, at each sample of a block, from one BlockGeometry of order 0;
+    the metric is checked before the vector density."""
+    at = BlockGeometry(spec, P, order=0)
     if isinstance(density, ScalarField):
         return [float(u @ df) for u, df in zip(U, at.gradient(density))]
     G = at.g

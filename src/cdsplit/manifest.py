@@ -53,7 +53,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .chart_core import FDSteps, MetricSpec, ScalarField, VectorField, in_domain, metric_at
+from .chart_core import (
+    FDSteps,
+    MetricSpec,
+    ScalarField,
+    VectorField,
+    in_domain,
+    metric_at,
+    point_jet,
+)
 from .comparison_suite import RadialModel
 from .errors import NonFinite, ParseError, ValidationError
 from .warped_products import (
@@ -987,9 +995,10 @@ def _density(sections, variables):
 
 
 def _general_metric(sections, dim, names, name, fd) -> MetricSpec:
-    """[metric] as a MetricSpec whose g and partials evaluate the entries
-    g_ij (i <= j; g_ji may stand in for g_ij, but not be given beside it)
-    and their derivatives."""
+    """[metric] as a MetricSpec whose jet evaluates the entries g_ij (i <= j;
+    g_ji may stand in for g_ij, but not be given beside it) and their
+    derivatives: a single row in their point form, more in their block
+    form."""
     sec = sections["metric"]
     entries = {}
     for i in range(dim):
@@ -1007,8 +1016,7 @@ def _general_metric(sections, dim, names, name, fd) -> MetricSpec:
     g = ExpressionArray([[e for e, _ in row] for row in upper])
     partials = ExpressionArray([[[dg[k] for _, dg in row] for row in upper]
                                 for k in range(dim)])
-    return MetricSpec(dim=dim, name=name, coord_names=names, fd=fd, g=g, partials=partials,
-                      rows=lambda P: (g.rows(P), partials.rows(P)))
+    return MetricSpec(dim=dim, name=name, coord_names=names, fd=fd, jet=point_jet(g, partials))
 
 
 def build_geometry(manifest: ManifoldManifest) -> dict:

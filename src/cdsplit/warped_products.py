@@ -75,10 +75,11 @@ class FlatFiber:
     def partials(self, y: np.ndarray) -> np.ndarray:
         return np.zeros((self.dim,) * 3)
 
-    def rows(self, Y: np.ndarray):
-        """``metric`` and ``partials`` at each row of Y, stacked."""
+    def jet(self, Y: np.ndarray, order: int):
+        """``metric``, and for order 1 ``partials``, at each row of Y, stacked."""
         m, k = self.dim, len(Y)
-        return np.broadcast_to(_flat_metric(self.periods), (k, m, m)), np.zeros((k, m, m, m))
+        h = np.broadcast_to(_flat_metric(self.periods), (k, m, m))
+        return (h,) if order == 0 else (h, np.zeros((k, m, m, m)))
 
     def christoffel(self, y: np.ndarray) -> np.ndarray:
         return np.zeros((self.dim,) * 3)
@@ -130,8 +131,9 @@ class SphereFiber:
         dc = -16.0 * self.radius_sq ** 2 * np.asarray(y) / s ** 3
         return dc[:, None, None] * _identity(self.dim)
 
-    def rows(self, Y: np.ndarray):
-        """``metric`` and ``partials`` at each row of Y, stacked, bit for bit.
+    def jet(self, Y: np.ndarray, order: int):
+        """``metric``, and for order 1 ``partials``, at each row of Y,
+        stacked, bit for bit.
 
         |y|^2 of every row is one ``np.vecdot``, which reaches the BLAS dot
         product that ``y @ y`` calls on a single row; a row sum, an einsum or
@@ -141,9 +143,12 @@ class SphereFiber:
         R2 = self.radius_sq
         s = R2 + np.vecdot(Y, Y)
         conf = 4.0 * R2 ** 2 / (s * s)
-        dc = -16.0 * R2 ** 2 * Y / np.array([si ** 3 for si in s.tolist()])[:, None]
         eye = _identity(self.dim)
-        return conf[:, None, None] * eye, dc[:, :, None, None] * eye
+        h = conf[:, None, None] * eye
+        if order == 0:
+            return (h,)
+        dc = -16.0 * R2 ** 2 * Y / np.array([si ** 3 for si in s.tolist()])[:, None]
+        return h, dc[:, :, None, None] * eye
 
     def christoffel(self, y: np.ndarray) -> np.ndarray:
         # conformal metric e^{2u} delta with u_k = -2 y_k / (R^2 + |y|^2)
@@ -199,46 +204,46 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
                          fd: FDSteps) -> MetricSpec:
     c = 1.0 / (n - 1)
 
-    def g(p: Point) -> np.ndarray:
-        y = p[1:]
-        w = math.exp(2.0 * c * float(psi.value(p)))
-        out = np.zeros((n, n))
-        out[0, 0] = 1.0
-        out[1:, 1:] = w * fiber.metric(y)
-        return out
-
-    def partials(p: Point) -> np.ndarray:
+    def point(p: Point, order: int):
+        # one row: psi, the warp and the fiber metric once, through the
+        # point forms, which cost less than a stacked call at one row
         y = p[1:]
         w = math.exp(2.0 * c * float(psi.value(p)))
         h = fiber.metric(y)
+        G = np.zeros((1, n, n))
+        G[0, 0, 0] = 1.0
+        G[0, 1:, 1:] = w * h
+        if order == 0:
+            return (G,)
         dpsi = np.asarray(psi.grad(p), dtype=float)
-        dh = fiber.partials(y)
-        D = np.zeros((n, n, n))
-        D[0, 1:, 1:] = 2.0 * c * dpsi[0] * w * h
-        for k in range(n - 1):
-            D[1 + k, 1:, 1:] = 2.0 * c * dpsi[1 + k] * w * h + w * dh[k]
-        return D
+        D = np.zeros((1, n, n, n))
+        D[0, :, 1:, 1:] = (2.0 * c * dpsi * w)[:, None, None] * h
+        D[0, 1:, 1:, 1:] += w * fiber.partials(y)
+        return G, D
 
-    def rows(pts: np.ndarray):
-        # g and partials at every row: psi and its gradient stacked (through
-        # their block forms when they have them), then the warp and the
-        # fiber metric once per row, with the same scalar calls; g and D
-        # are then built by broadcasting
-        k = len(pts)
-        w = np.array([math.exp(2.0 * c * v) for v in field_rows(psi.value, pts).tolist()])
-        dpsi = field_rows(psi.grad, pts)
-        h, dh = fiber.rows(pts[:, 1:])
+    def jet(P: np.ndarray, order: int):
+        if len(P) == 1:
+            return point(P[0], order)
+        # psi (and its gradient) stacked, through their block forms when
+        # they have them, then the warp once per row with the same scalar
+        # call and the fiber's stacked jet; g and D are built by broadcasting
+        k = len(P)
+        w = np.array([math.exp(2.0 * c * v) for v in field_rows(psi.value, P).tolist()])
+        dpsi = field_rows(psi.grad, P) if order else None
+        h, *dh = fiber.jet(P[:, 1:], order)
         G = np.zeros((k, n, n))
         G[:, 0, 0] = 1.0
         G[:, 1:, 1:] = w[:, None, None] * h
+        if order == 0:
+            return (G,)
         D = np.zeros((k, n, n, n))
         D[:, :, 1:, 1:] = (2.0 * c * dpsi * w[:, None])[:, :, None, None] * h[:, None]
-        D[:, 1:, 1:, 1:] += w[:, None, None, None] * dh
+        D[:, 1:, 1:, 1:] += w[:, None, None, None] * dh[0]
         return G, D
 
     domain = np.vstack([np.array([[-np.inf, np.inf]]), fiber.safe_box])
-    return MetricSpec(dim=n, g=g, partials=partials, domain=domain, name=name,
-                      coord_names=product_coords(n), fd=fd, rows=rows)
+    return MetricSpec(dim=n, jet=jet, domain=domain, name=name,
+                      coord_names=product_coords(n), fd=fd)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from cdsplit.chart_core import (
     lie_derivative_metric,
     metric_at,
     partials_discrepancy,
+    point_jet,
     ricci_numeric,
     scalar_gradient,
     simpson,
@@ -67,17 +68,31 @@ class TestChristoffel:
             D[0, 1, 1] = 2.0 * math.exp(2.0 * p[0])
             return D
 
-        spec = MetricSpec(dim=2, g=g, partials=partials)
+        spec = MetricSpec(dim=2, jet=point_jet(g, partials))
         for r in (-0.5, 0.0, 1.3):
             G = christoffel(spec, np.array([r, 0.2]))
             assert G[0, 1, 1] == pytest.approx(-math.exp(2.0 * r), rel=1e-12)
             assert G[1, 0, 1] == pytest.approx(1.0, rel=1e-12)
 
     def test_singular_metric_raises(self):
-        spec = MetricSpec(dim=2, g=lambda p: np.diag([1.0, 0.0]),
-                          partials=lambda p: np.zeros((2, 2, 2)))
+        spec = MetricSpec(dim=2, jet=point_jet(lambda p: np.diag([1.0, 0.0]),
+                                               lambda p: np.zeros((2, 2, 2))))
         with pytest.raises(SingularMetric):
             christoffel(spec, np.zeros(2))
+
+    def test_partials_that_raise_come_after_the_metric_checks(self):
+        # where the metric is not positive definite, the positivity gate
+        # names the point, as it did when g was evaluated before the
+        # partials; where it is, the partials' own error is raised
+        def partials(p):
+            raise ZeroDivisionError("planted")
+
+        spec = MetricSpec(dim=2, jet=point_jet(lambda p: np.diag([1.0, p[0]]), partials))
+        message = f"metric at {np.array([-1.0, 0.0])} is not positive definite"
+        with pytest.raises(SingularMetric, match=f"^{re.escape(message)}$"):
+            christoffel(spec, np.array([-1.0, 0.0]))
+        with pytest.raises(ZeroDivisionError, match="^planted$"):
+            christoffel(spec, np.array([1.0, 0.0]))
 
     def test_nonfinite_point_rejected(self):
         spec = catalog.flat(2)
@@ -263,14 +278,16 @@ class TestInvariantsAndGuards:
         assert d < 1e-7
 
     def test_metric_symmetry_enforced(self):
-        spec = MetricSpec(dim=2, g=lambda p: np.array([[1.0, 1e-6], [0.0, 1.0]]),
-                          partials=lambda p: np.zeros((2, 2, 2)))
+        spec = MetricSpec(dim=2, jet=point_jet(lambda p: np.array([[1.0, 1e-6], [0.0, 1.0]]),
+                                               lambda p: np.zeros((2, 2, 2))))
         with pytest.raises(ValueError):
             metric_at(spec, np.zeros(2))
 
     def test_metric_partials_required(self):
+        with pytest.raises(TypeError, match="jet"):
+            MetricSpec(dim=2)
         with pytest.raises(TypeError, match="partials"):
-            MetricSpec(dim=2, g=lambda p: np.eye(2))
+            point_jet(lambda p: np.eye(2))
 
     def test_point_length_checked(self):
         with pytest.raises(ValueError):
@@ -326,8 +343,8 @@ def test_block_cholesky_is_potrf_at_each_point_bit_for_bit(n):
     ev = cond[:, None] ** np.linspace(0.0, 1.0, n) * rng.uniform(1e-2, 1e2, (k, 1))
     A = (Q * ev[:, None, :]) @ Q.swapaxes(1, 2)
     mats = 0.5 * (A + A.swapaxes(1, 2))
-    spec = MetricSpec(dim=n, g=lambda q: mats[int(q[0])],
-                      partials=lambda q: np.zeros((n, n, n)), name="spd")
+    spec = MetricSpec(dim=n, jet=point_jet(lambda q: mats[int(q[0])],
+                                           lambda q: np.zeros((n, n, n))), name="spd")
     P = np.zeros((k, n))
     P[:, 0] = np.arange(k)
     at = BlockGeometry(spec, P)
@@ -342,8 +359,8 @@ def test_block_cholesky_is_potrf_at_each_point_bit_for_bit(n):
 def test_block_cholesky_names_the_first_point_not_positive_definite(n):
     # point 0 is positive definite, points 1 and 2 are not
     mats = [np.eye(n), np.diag([1.0] * (n - 1) + [-1.0]), np.zeros((n, n))]
-    spec = MetricSpec(dim=n, g=lambda q: mats[int(q[0])],
-                      partials=lambda q: np.zeros((n, n, n)), name="planted")
+    spec = MetricSpec(dim=n, jet=point_jet(lambda q: mats[int(q[0])],
+                                           lambda q: np.zeros((n, n, n))), name="planted")
     P = np.zeros((3, n))
     P[:, 0] = np.arange(3)
     message = f"metric at {P[1]} is not positive definite"

@@ -21,6 +21,7 @@ from cdsplit.chart_core import (
     ScalarField,
     VectorField,
     metric_at,
+    point_jet,
     r_coordinate_field,
     ricci_numeric,
     weighted_laplacian,
@@ -91,7 +92,7 @@ def _flat_failing(bad_metric):
         bad = bad_metric(q)
         return np.eye(2) if bad is None else bad
 
-    return MetricSpec(dim=2, g=g, partials=lambda q: np.zeros((2, 2, 2)), name="failing")
+    return MetricSpec(dim=2, jet=point_jet(g, lambda q: np.zeros((2, 2, 2))), name="failing")
 
 
 # stencil of ricci_numeric at p = (1, 0): steps 1e-5 (analytic partials)
@@ -187,7 +188,7 @@ def _fd_spec():
                          [[c, 0.05 * q[0]], [0.05 * q[0], 0.0]]])
 
     density = ScalarField(value=lambda q: 0.3 * math.sin(q[0]) * math.cos(q[1]))
-    return (MetricSpec(dim=2, g=g, partials=partials, name="fd"), density,
+    return (MetricSpec(dim=2, jet=point_jet(g, partials), name="fd"), density,
             _box_points([[-1, 1], [-1, 1]]))
 
 
@@ -227,7 +228,7 @@ def _planted(plants):
                 raise ZeroDivisionError("planted")
         return np.eye(2)
 
-    return MetricSpec(dim=2, g=g, partials=lambda q: np.zeros((2, 2, 2)), name="planted")
+    return MetricSpec(dim=2, jet=point_jet(g, lambda q: np.zeros((2, 2, 2))), name="planted")
 
 
 # points 5, 6 and 7 are (-0.5, -1), (-0.5, -0.5) and (-0.5, 0); each message
@@ -273,7 +274,7 @@ def test_block_warnings_come_from_the_pointwise_rerun(monkeypatch):
         D[0, 1, 1] = -1.0 / (q[0] - np.float64(0.5)) ** 2
         return D
 
-    spec = MetricSpec(dim=2, g=g, partials=partials, name="pole")
+    spec = MetricSpec(dim=2, jet=point_jet(g, partials), name="pole")
     with np.errstate(all="warn"), warnings.catch_warnings(record=True) as seen, pytest.raises(
             SingularMetric, match=re.escape("metric at [-0.5 -1. ] is not positive definite")):
         warnings.simplefilter("always")
@@ -319,13 +320,20 @@ def test_density_evaluated_once_per_point(N):
 Q = np.array([0.5, 0.2, -0.4])
 
 
-def _counted_split(monkeypatch, attr="g"):
-    """``split_sin_sphere(0.3)`` and its metric spec, whose ``attr`` (``g``
-    or ``partials``) records the point of each call; the split's
+def _counted_split(monkeypatch, order=0):
+    """``split_sin_sphere(0.3)`` and its metric spec, whose jet records each
+    row of every call of at least ``order``: with 0 each evaluation of the
+    metric, with 1 each evaluation of its partials.  The split's
     ``metric_spec`` returns that spec."""
     split = catalog.split_sin_sphere(0.3)
     spec, calls = split.metric_spec(), []
-    counted = dataclasses.replace(spec, **{attr: _counted(getattr(spec, attr), calls)})
+
+    def jet(P, k):
+        if k >= order:
+            calls.extend(P)
+        return spec.jet(P, k)
+
+    counted = dataclasses.replace(spec, jet=jet)
     monkeypatch.setattr(SplitSpaceSpec, "metric_spec", lambda self: counted)
     return split, counted, calls
 
@@ -375,29 +383,31 @@ H_FIELD = ScalarField(value=lambda q: float(q @ q) + q[0] * q[1],
 
 
 def test_bochner_residual_evaluates_the_metric_at_most_twice(monkeypatch):
-    # once for the geometry at Q; the stencil rows of |grad h|^2, Q among
-    # them, are one geometry, which takes g from the stacked row function
+    # once for the geometry at Q, and once in the stencil rows of
+    # |grad h|^2, Q among them, which are one geometry
     split, spec, calls = _counted_split(monkeypatch)
     assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
-    assert _at_Q(calls) <= 2
+    assert _at_Q(calls) == 2
 
 
 @pytest.mark.parametrize("check", ["rigidity", "bochner"])
 def test_ricci_reuses_the_partials_at_the_point(monkeypatch, check):
-    # the Ricci stencil's row 0 is the geometry's own D, not a second call
-    split, spec, calls = _counted_split(monkeypatch, "partials")
+    # the Ricci stencil's row 0 is the geometry's own D, not a second call:
+    # the partials at Q are evaluated once per geometry that holds Q, the
+    # point's own and, for bochner, the stencil rows of |grad h|^2
+    split, spec, calls = _counted_split(monkeypatch, order=1)
     if check == "rigidity":
         assert rigidity_check(split, points=[Q]).passes()
     else:
         assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
-    assert _at_Q(calls) == 1
+    assert _at_Q(calls) == {"rigidity": 1, "bochner": 2}[check]
 
 
 @pytest.mark.parametrize("check", ["residual", "margin"])
 def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
     # the point's geometry, then one per stencil of a derived field: the
-    # second- and first-order stencils of |grad h|^2 (its Hessian and
-    # gradient) and the first-order stencil of (v^2) Lap_f h
+    # second-order stencil of |grad h|^2, whose +-h rows also give its
+    # gradient, and the first-order stencil of (v^2) Lap_f h
     built = []
     init = BlockGeometry.__init__
 
@@ -412,7 +422,24 @@ def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
         assert bochner_residual(spec, density, H_FIELD, Q) < 1e-4
     else:
         bochner_inequality_margin(spec, density, 0.0, 1, r_coordinate_field(3), Q)
-    assert built == [1, 25, 6, 6]
+    assert built == [1, 25, 6]
+
+
+def test_bochner_evaluates_each_derived_field_row_once(monkeypatch):
+    # |grad h|^2 is a value-only field: its Hessian's second-order stencil
+    # holds 25 rows on a 3-dimensional chart, and the gradient at the same
+    # step reads its +-h rows instead of evaluating them again
+    rows = []
+    grad_norm_squared = BlockGeometry.grad_norm_squared
+
+    def counted(self, f):
+        rows.extend(map(tuple, self.pts.tolist()))
+        return grad_norm_squared(self, f)
+
+    monkeypatch.setattr(BlockGeometry, "grad_norm_squared", counted)
+    split = catalog.split_sin_sphere(0.3)
+    assert bochner_residual(split.metric_spec(), split.density(), H_FIELD, Q) < 1e-4
+    assert len(rows) == len(set(rows)) == 25
 
 
 def test_curvature_builds_one_ricci_stencil_per_point(monkeypatch, tmp_path):
@@ -533,7 +560,7 @@ def test_failing_stencil_row_named_as_pointwise(plants, row):
             raise ZeroDivisionError("planted")
         return np.eye(2)
 
-    spec = MetricSpec(dim=2, g=g, partials=lambda q: np.zeros((2, 2, 2)), name="planted")
+    spec = MetricSpec(dim=2, jet=point_jet(g, lambda q: np.zeros((2, 2, 2))), name="planted")
     q = p.copy()
     if row == 4:
         q[0] += 2.0 * h

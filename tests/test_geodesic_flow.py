@@ -16,12 +16,12 @@ from cdsplit.chart_core import (
     ScalarField,
     VectorField,
     _christoffel_rows,
-    _metric_rows,
     gamma_evaluator,
     metric_at,
+    point_jet,
     scalar_gradient,
 )
-from cdsplit.errors import EmptyTrace, NonFinite
+from cdsplit.errors import EmptyTrace, NonFinite, StepOverflow
 from cdsplit.geodesic_flow import (
     GeodesicTrace,
     clairaut_constant,
@@ -34,6 +34,7 @@ from cdsplit.geodesic_flow import (
     write_trace_csv,
 )
 from cdsplit.manifest import compile_expression, expression_scalar_field, parse_manifest
+from cdsplit.warped_products import SphereFiber, TwistedProductSpec
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -358,7 +359,7 @@ def _outcome(fn):
 
 
 def _stacked_gamma(spec, p):
-    return _christoffel_rows(p[None], *_metric_rows(spec, p[None]))[0]
+    return _christoffel_rows(p[None], *spec.jet(p[None], 1))[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -378,12 +379,74 @@ def test_stage_matches_stacked_solve(name, coords):
     np.array([[np.inf, np.inf], [1.0, 1.0]]),
 ], ids=["singular", "nan", "inf"])
 def test_stage_errors_match_stacked_solve(bad):
-    spec = MetricSpec(dim=2, g=lambda q: bad, partials=lambda q: np.ones((2, 2, 2)))
+    spec = MetricSpec(dim=2, jet=point_jet(lambda q: bad, lambda q: np.ones((2, 2, 2))))
     p = np.array([0.5, -0.25])
     with pytest.raises(Exception) as stacked:
         _stacked_gamma(spec, p)
     with pytest.raises(type(stacked.value), match=f"^{re.escape(str(stacked.value))}$"):
         gamma_evaluator(spec)(p)
+
+
+def test_stage_evaluates_the_metric_once():
+    # an RK4 stage is one jet call of order 1 at its point, which evaluates
+    # psi and its gradient once each
+    psi = catalog.split_sin_sphere(0.5).phi
+    values, grads, jets = [], [], []
+    counted_psi = ScalarField(value=lambda p: values.append(p) or psi.value(p),
+                              grad=lambda p: grads.append(p) or psi.grad(p), hess=psi.hess)
+    spec = TwistedProductSpec(3, counted_psi, SphereFiber(2, 0.5)).metric_spec()
+
+    def jet(P, order):
+        jets.append((len(P), order))
+        return spec.jet(P, order)
+
+    counted = dataclasses.replace(spec, jet=jet)
+    p = np.array([0.3, 0.4, -0.2])
+    gamma_evaluator(counted)(p)
+    assert jets == [(1, 1)] and len(values) == len(grads) == 1
+    jets.clear()
+    trace = geodesic_integrate(counted, p, normalize_velocity(spec, p, [1.0, 0.5, -0.3]),
+                               T=0.01, dt=1e-3)
+    assert len(trace) == 11
+    assert [call for call in jets if call[1] == 1] == [(1, 1)] * 40
+
+
+def _flat_jet(n):
+    return point_jet(lambda q: np.eye(n), lambda q: np.zeros((n, n, n)))
+
+
+@pytest.mark.parametrize("side", ["upper", "lower"])
+def test_state_exactly_on_the_domain_margin_is_kept(side):
+    # the chart ends exactly one margin past the state after step 5, so that
+    # state lies inside (the bounds are closed) and step 6 leaves: the trace
+    # keeps samples 0..5, as numpy's comparison of the same floats decides
+    sign = 1.0 if side == "upper" else -1.0
+    free = MetricSpec(dim=2, jet=_flat_jet(2), name="flat")
+    p0, v0 = np.array([0.3, 0.1]), np.array([sign, 0.0])
+    full = geodesic_integrate(free, p0, v0, T=0.01)
+    margin = free.fd.scaled(p0, 4.0 * free.fd.h2)
+    edge = full.positions[5, 0] + sign * margin[0]
+    bounds = [-np.inf, edge] if side == "upper" else [edge, np.inf]
+    spec = dataclasses.replace(free, domain=np.array([bounds, [-np.inf, np.inf]]))
+    lo, hi = spec.domain[:, 0], spec.domain[:, 1]
+    inside = [not (np.any(x - margin < lo) or np.any(x + margin > hi)) for x in full.positions]
+    assert inside[:7] == [True] * 6 + [False]
+    trace = geodesic_integrate(spec, p0, v0, T=0.01)
+    assert trace.truncated and len(trace) == 6
+    assert trace.positions.tobytes() == full.positions[:6].tobytes()
+
+
+@pytest.mark.parametrize("K, error, message", [
+    (1e12, StepOverflow, "geodesic velocity guard exceeded at t = 0.001"),
+    (1e200, NonFinite, "geodesic state non-finite at t = 0.001"),
+], ids=["velocity-guard", "non-finite"])
+def test_first_step_guards(K, error, message):
+    # constant Christoffel symbol -K on a line: u' = K u^2 leaves the
+    # velocity guard, or the float range, within the first step
+    spec = MetricSpec(dim=1, jet=point_jet(lambda q: np.eye(1),
+                                           lambda q: np.full((1, 1, 1), -2.0 * K)))
+    with np.errstate(all="ignore"), pytest.raises(error, match=f"^{re.escape(message)}$"):
+        geodesic_integrate(spec, [0.0], [1.0], T=0.01)
 
 
 def _drift_oracle(trace):
@@ -458,15 +521,17 @@ def test_post_passes_match_per_sample_oracles(case, samples):
 
 
 def test_failing_block_is_rerun_sample_by_sample():
-    # a stacked row function that fails leaves every block of the drift pass
-    # to the per-sample metric
+    # a jet that fails on every block of more than one row leaves every
+    # block of the drift pass to the per-sample metric
     split = catalog.split_sin_sphere(0.5)
     spec = split.metric_spec()
 
-    def broken_rows(pts):
-        raise ZeroDivisionError("stacked rows fail")
+    def broken_jet(P, order):
+        if len(P) > 1:
+            raise ZeroDivisionError("stacked rows fail")
+        return spec.jet(P, order)
 
-    broken = dataclasses.replace(spec, rows=broken_rows)
+    broken = dataclasses.replace(spec, jet=broken_jet)
     trace = _trace(spec, [0.0, 0.4, 0.2], [1.0, 0.5, -0.3], 300)
     again = geodesic_integrate(broken, trace.positions[0], trace.velocities[0], T=0.299)
     assert again.positions.tobytes() == trace.positions.tobytes()
@@ -488,7 +553,7 @@ def test_first_failing_sample_raises_as_per_sample():
             raise ValueError("planted")
         return np.array([1.0, 0.0])
 
-    spec = MetricSpec(dim=2, g=g, partials=lambda q: np.zeros((2, 2, 2)), name="planted")
+    spec = MetricSpec(dim=2, jet=point_jet(g, lambda q: np.zeros((2, 2, 2))), name="planted")
     velocities = np.tile([1.0, 0.0], (300, 1))
     trace = GeodesicTrace(spec=spec, ts=np.linspace(0.0, 1.0, 300), positions=positions,
                           velocities=velocities, speed_drift=0.0)
@@ -506,7 +571,7 @@ def test_non_finite_vector_density_raises_at_its_sample(bad):
     def value(q):
         return np.array([bad, 0.0]) if np.array_equal(q, p270) else np.array([1.0, 0.0])
 
-    spec = MetricSpec(dim=2, g=lambda q: np.eye(2), partials=lambda q: np.zeros((2, 2, 2)),
+    spec = MetricSpec(dim=2, jet=point_jet(lambda q: np.eye(2), lambda q: np.zeros((2, 2, 2))),
                       name="flat")
     trace = GeodesicTrace(spec=spec, ts=np.linspace(0.0, 1.0, 300), positions=positions,
                           velocities=np.tile([1.0, 0.0], (300, 1)), speed_drift=0.0)

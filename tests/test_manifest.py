@@ -297,16 +297,19 @@ class TestBuiltGeometry:
         original = manifest_module.eval_ast
         # one point-form call per array, which evaluates its distinct entries
         monkeypatch.setattr(manifest_module, "eval_ast",
-                            lambda e, q: calls.append([x.ast for x in e.entries])
-                            or original(e, q))
-        assert geo["spec"].g(p).tolist() == [[1.0, 0.0], [0.0, 4.0]]
+                            lambda e, q: calls.append(e) or original(e, q))
+        (g,), = geo["spec"].jet(p[None], 0)
+        assert g.tolist() == [[1.0, 0.0], [0.0, 4.0]]
         # g22 alone: g11 and g12 (for g21 too) are constants, filled once
-        assert calls == [[("^", ("var", "r"), ("num", 2.0))]]
-        assert geo["spec"].g.code.source.count("power(") == 1
+        r_squared = ("^", ("var", "r"), ("num", 2.0))
+        assert [[x.ast for x in e.entries] for e in calls] == [[r_squared]]
+        assert calls[0].code.source.count("power(") == 1
         calls.clear()
-        D = geo["spec"].partials(p)
+        (D,) = geo["spec"].jet(p[None], 1)[1]
         assert D[0].tolist() == [[0.0, 0.0], [0.0, 4.0]] and not D[1].any()
-        assert calls == [[("*", ("num", 2.0), ("var", "r"))]]  # the zero partials are constants
+        # the metric again, then its partials: the zero partials are constants
+        assert [[x.ast for x in e.entries] for e in calls] == [
+            [r_squared], [("*", ("num", 2.0), ("var", "r"))]]
         # equal entries share one statement in both forms
         e = compile_expression("sin(r) * y1", ("r", "y1"))
         both = ExpressionArray([[e, e], [e, e.derivative("r")]])

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdsplit import catalog
-from cdsplit.chart_core import MetricSpec, ScalarField, metric_at, ricci_numeric
+from cdsplit.chart_core import MetricSpec, ScalarField, metric_at, point_jet, ricci_numeric
 from cdsplit.errors import (
     DimensionClash,
     DivergentThreshold,
@@ -57,7 +57,7 @@ class TestFibers:
         # numerical Ricci of the chart metric equals lambda_E * g inside the box
         for lam in (0.2, 1.0, 2.5):
             fiber = SphereFiber(dim=2, einstein_constant=lam)
-            spec = MetricSpec(dim=2, g=fiber.metric, partials=fiber.partials)
+            spec = MetricSpec(dim=2, jet=point_jet(fiber.metric, fiber.partials))
             rng = np.random.default_rng(0)
             for _ in range(5):
                 y = rng.uniform(-2.5, 2.5, 2)
@@ -69,7 +69,7 @@ class TestFibers:
         from cdsplit.chart_core import christoffel
 
         fiber = SphereFiber(dim=3, einstein_constant=1.0)
-        spec = MetricSpec(dim=3, g=fiber.metric, partials=fiber.partials)
+        spec = MetricSpec(dim=3, jet=point_jet(fiber.metric, fiber.partials))
         y = np.array([0.4, -1.1, 0.7])
         assert np.max(np.abs(christoffel(spec, y) - fiber.christoffel(y))) < 1e-12
 
@@ -96,8 +96,9 @@ class TestFibers:
         assert fiber.periods == (2 * math.pi,) * 3 and fiber.box == 10.0
         g = fiber.metric(np.zeros(3))
         assert g.tobytes() == np.eye(3).tobytes() and not g.flags.writeable
-        G, D = fiber.rows(np.zeros((4, 3)))
+        G, D = fiber.jet(np.zeros((4, 3)), 1)
         assert G.tobytes() == np.stack([np.eye(3)] * 4).tobytes() and not D.any()
+        assert fiber.jet(np.zeros((4, 3)), 0)[0].tobytes() == G.tobytes()
         assert fiber.distance(np.zeros(3), np.array([1.0, 2.0, -2.0])) == 3.0
 
     def test_flat_fiber_needs_one_period_per_axis(self):
@@ -132,16 +133,68 @@ def _product_charts():
             catalog.nongradient_example()[0].metric_spec()]
 
 
-@pytest.mark.parametrize("spec", _product_charts(), ids=lambda s: s.name)
+def _product_reference(tw: TwistedProductSpec):
+    """The jet of a product chart from its point formulas for g and the
+    partials, each evaluating psi and the fiber on its own: the reference
+    for the product chart's jet."""
+    n, psi, fiber = tw.n, tw.psi, tw.fiber
+    c = 1.0 / (n - 1)
+
+    def g(p):
+        w = math.exp(2.0 * c * float(psi.value(p)))
+        out = np.zeros((n, n))
+        out[0, 0] = 1.0
+        out[1:, 1:] = w * fiber.metric(p[1:])
+        return out
+
+    def partials(p):
+        w = math.exp(2.0 * c * float(psi.value(p)))
+        h, dh = fiber.metric(p[1:]), fiber.partials(p[1:])
+        dpsi = np.asarray(psi.grad(p), dtype=float)
+        D = np.zeros((n, n, n))
+        D[0, 1:, 1:] = 2.0 * c * dpsi[0] * w * h
+        for k in range(n - 1):
+            D[1 + k, 1:, 1:] = 2.0 * c * dpsi[1 + k] * w * h + w * dh[k]
+        return D
+
+    return point_jet(g, partials)
+
+
+_PRODUCT_REFERENCES = {
+    tw.name: _product_reference(tw) for tw in (
+        catalog.split_sin_sphere(0.3).as_twisted(), catalog.split_cos_sphere_4d().as_twisted(),
+        catalog.split_sin_sphere(0.3, n=5).as_twisted(), catalog.split_sin_torus().as_twisted(),
+        catalog.twisted_example(), catalog.nongradient_example()[0])}
+
+
+def _jet_charts():
+    polar_general = parse_manifest(
+        Path(__file__).resolve().parent.parent / "manifests" / "polar_general.cdm")
+    return [*_product_charts(), catalog.flat(3), catalog.polar_plane(), catalog.sphere_chart(3),
+            catalog.radial_log_model(3).metric_spec(), polar_general.geometry["spec"]]
+
+
+@pytest.mark.parametrize("spec", _jet_charts(), ids=lambda s: s.name)
 def test_stacked_rows_are_g_and_partials_bit_for_bit(spec):
-    # numpy's exp and power round differently from math's on a few percent
-    # of inputs, so 400 rows catch a ufunc slipped into the row function
+    # a block's jet is the jet of each row alone, at orders 0 and 1, and the
+    # g of order 0 is the g of order 1; a product chart's jet is that of its
+    # point formulas.  numpy's exp and power round differently from math's
+    # on a few percent of inputs, so 400 rows catch a ufunc slipped into a
+    # block path
     rng = np.random.default_rng(11)
     pts = np.concatenate([rng.uniform(-6, 6, (400, 1)),
                           rng.uniform(-2.5, 2.5, (400, spec.dim - 1))], axis=1)
-    G, D = spec.rows(pts)
-    assert G.tobytes() == np.stack([spec.g(q) for q in pts]).tobytes()
-    assert D.tobytes() == np.stack([spec.partials(q) for q in pts]).tobytes()
+    G, D = spec.jet(pts, 1)
+    (G0,) = spec.jet(pts, 0)
+    rows = [spec.jet(q[None], 1) for q in pts]
+    assert G.tobytes() == G0.tobytes() == np.concatenate([g for g, _ in rows]).tobytes()
+    assert D.tobytes() == np.concatenate([d for _, d in rows]).tobytes()
+    assert np.concatenate([spec.jet(q[None], 0)[0] for q in pts]).tobytes() == G.tobytes()
+    assert (G.shape, D.shape) == ((400, spec.dim, spec.dim), (400, *(spec.dim,) * 3))
+    reference = _PRODUCT_REFERENCES.get(spec.name)
+    if reference is not None:
+        G1, D1 = reference(pts, 1)
+        assert G.tobytes() == G1.tobytes() and D.tobytes() == D1.tobytes()
 
 
 class TestTwistedRicci:
@@ -448,10 +501,12 @@ def test_phi_field_matches_the_closures_it_replaced(phi, f_L, fiber, points):
     spec, oracle_spec = split.metric_spec(), TwistedProductSpec(3, psi, split.fiber).metric_spec()
     density, oracle_density = geo["density"], _oracle_density(psi, split.f_L, 3)
     pts = np.array(points)
-    assert _bits(spec.rows, pts) == _bits(oracle_spec.rows, pts)
+    for order in (0, 1):
+        assert _bits(spec.jet, pts, order) == _bits(oracle_spec.jet, pts, order)
     for p in pts:
-        for a, b in ((spec.g, oracle_spec.g), (spec.partials, oracle_spec.partials),
-                     (density.value, oracle_density.value), (density.grad, oracle_density.grad),
+        for order in (0, 1):
+            assert _bits(spec.jet, p[None], order) == _bits(oracle_spec.jet, p[None], order)
+        for a, b in ((density.value, oracle_density.value), (density.grad, oracle_density.grad),
                      (density.hess, oracle_density.hess)):
             assert _bits(a, p) == _bits(b, p)
     assert (_bits(split_cd_threshold, split, (0.5, 2.5), 41)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdsplit import catalog
-from cdsplit.chart_core import MetricSpec, ScalarField, VectorField, ricci_numeric
+from cdsplit.chart_core import MetricSpec, ScalarField, VectorField, point_jet, ricci_numeric
 from cdsplit.errors import DimensionClash, EmptyGrid, SingularMetric
 from cdsplit.manifest import compile_expression, expression_scalar_field
 from cdsplit.weighted_curvature import (
@@ -297,8 +297,9 @@ def test_constant_shift_of_f_leaves_eigenvalues_bit_identical(case, shift, N):
 def test_constant_metric_scale_leaves_ricci_unchanged(case, scale):
     split, points = case
     spec = split.metric_spec()
-    scaled = MetricSpec(dim=3, g=lambda p: scale * spec.g(p),
-                        partials=lambda p: scale * spec.partials(p), domain=spec.domain)
+    scaled = MetricSpec(dim=3, jet=point_jet(lambda p: scale * spec.jet(p[None], 0)[0][0],
+                                             lambda p: scale * spec.jet(p[None], 1)[1][0]),
+                        domain=spec.domain)
     for p in points:
         ric = ricci_numeric(spec, p)
         # finite-difference rounding: about 2e-11 relative over 300 random cases

@@ -41,9 +41,12 @@ has a complex value where r < 5, and ``geodesic`` on
 indefinite.  Then ``curvature``, ``verify-cd`` and ``bochner`` on
 ``VECTOR_MANIFEST``, a ``general`` chart whose density is a vector field
 X1, X2 that is not a gradient: the runs that difference a vector density's
-Jacobian and take the Bochner stencils of a vector density.  The text of
-each of these manifests is written once into OUT_DIR, so both trees run the
-same file.  Each run gets its own subdirectory
+Jacobian and take the Bochner stencils of a vector density.  Then
+``geodesic`` on ``SPHERE5_MANIFEST``, a 5-dimensional split space over a
+4-dimensional sphere fiber, whose speed-drift pass factors each metric with
+one ``dpotrf`` call, as ``BlockGeometry.chol`` does from dimension 5.  The
+text of each of these manifests is written once into OUT_DIR, so both trees
+run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
 report files and ``stdout.txt``, ``stderr.txt`` and ``exit_code.txt``.
 The runs are serial and take a few minutes per side, most of it in
@@ -327,6 +330,24 @@ N = inf
 [bochner]
 points = 6
 """
+SPHERE5_MANIFEST = """\
+[manifold]
+name = sphere5-split
+kind = split
+dim = 5
+
+[phi]
+expr = sin(r)
+
+[fiber]
+type = sphere
+einstein_constant = 0.3
+
+[geodesic]
+start = 0.0, 0.4, 0.2, -0.3, 0.1
+velocity = 1.0, 0.5, -0.3, 0.2, 0.4
+T = 2.0
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
@@ -334,7 +355,8 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "flat_overflowing_integral": OVERFLOW_INTEGRAL_MANIFEST,
            "flat_sqrt_density": SQRT_MANIFEST, "twisted_all_functions": TWISTED_ALL_MANIFEST,
            "radial_complex_power": COMPLEX_POWER_MANIFEST,
-           "plane_indefinite": INDEFINITE_MANIFEST, "polar_vector_density": VECTOR_MANIFEST}
+           "plane_indefinite": INDEFINITE_MANIFEST, "polar_vector_density": VECTOR_MANIFEST,
+           "sphere5_split": SPHERE5_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -350,7 +372,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [(sub, "twisted_all_functions", 42, ()) for sub in ("verify-cd", "geodesic")]
         + [("curvature", "radial_complex_power", 42, ()),
            ("geodesic", "plane_indefinite", 42, ())]
-        + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")])
+        + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")]
+        + [("geodesic", "sphere5_split", 42, ())])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
