@@ -56,39 +56,40 @@ chart over a sphere fiber, 25.4 us on ``twisted_flat.cdm`` and 5.9 us on
 partials cost 23.0, 15.6 and 2.3 us together, and the one-row jet 20.3,
 13.5 and 2.8 us.  ``cd_verify`` and the stencils evaluate blocks, and the
 RK4 stage one row; on a product chart the one-row jet evaluates psi, the
-warp and the fiber metric once for both g and D.  The Cholesky factors of
-a block are one
-``np.linalg.cholesky`` call up to dimension 4, and otherwise, or when that
-call fails, one direct LAPACK ``potrf`` call per point; inverses are one
-``potrs`` call per point, with the arguments
-``scipy.linalg.cho_factor``/``cho_solve`` pass.  Error messages name their
-point, but format it only when they are raised.
+warp and the fiber metric once for both g and D.
+
+All linear algebra is numpy's LAPACK, and every call runs on a stack of
+matrices: the Cholesky factors of a block are one ``np.linalg.cholesky``
+call, factored again one point at a time only to name a point that is not
+positive definite, and the inverse metrics two stacked triangular solves
+with the factor (``_solve``, the ``gesv`` gufunc of ``np.linalg.solve``).
+Error messages name their point, but format it only when they are raised.
 
 ``gamma_evaluator``, the Christoffel closure of an RK4 stage, is the
-one-point case: one jet call of order 1 at the point and one direct LAPACK
-``gesv`` call, the solve ``np.linalg.solve`` runs on each matrix of the
-stack, so it is bit-equal to that point's row of ``_christoffel_rows``.  A
-singular or non-finite solve is re-run through ``_christoffel_rows``, which
-raises its error.  ``in_blocks`` walks samples in blocks of
-``BLOCK_POINTS`` and re-runs a failing block through the same stacked pass,
-one sample at a time, as blocks of one; ``cd_verify``, the geodesic
-post-passes and ``geometry_field`` evaluate through it and have no
+one-point case: one jet call of order 1 at the point and one ``_solve``
+call on that stack of one, the solve ``np.linalg.solve`` runs on each
+matrix of the stack, so it is bit-equal to that point's row of
+``_christoffel_rows``.  A singular or non-finite solve is re-run through
+``_christoffel_rows``, which raises its error.  ``in_blocks`` walks samples
+in blocks of ``BLOCK_POINTS`` and re-runs a failing block through the same
+stacked pass, one sample at a time, as blocks of one; ``cd_verify``, the
+geodesic post-passes and ``geometry_field`` evaluate through it and have no
 per-sample code.  ``simpson`` and ``cumulative_simpson`` are the composite
 Simpson rules of ``scipy.integrate``, with its operations in its order.
 
 Results are bit-identical to evaluating every tensor at one point on its
-own.  Only elementwise array operations, the stacked solve, einsum
-contractions with a batch axis and stacked matrix products (the same BLAS
-call per matrix) run across points, and a manifest expression's block form
-is made of such operations, with its calls and powers per element.  Two
-more stacked calls run across points, each measured bit-equal to its
-per-point call: a sphere fiber's |y|^2 (one ``np.vecdot``, the BLAS dot
-product of one row; ``SphereFiber.jet``) and the Cholesky factorization up
-to dimension 4 (``BlockGeometry.chol``).  Other fiber scalars, reductions
-within a row and the other LAPACK calls run once per point, with ``math``
-and not numpy ufuncs, which round differently on some inputs.  The minimum
-of the shipped sphere grid is a four-way exact tie a few ulps below its
-neighbours, so any change in rounding can move the reported witness.
+own.  Only elementwise array operations, numpy's stacked LAPACK calls
+(Cholesky, solve and symmetric eigenvalues, the same LAPACK call on each
+matrix of a stack), einsum contractions with a batch axis and stacked
+matrix products (the same BLAS call per matrix) run across points, and a
+manifest expression's block form is made of such operations, with its
+calls and powers per element.  One more stacked call runs across points,
+measured bit-equal to its per-point call: a sphere fiber's |y|^2 (one
+``np.vecdot``, the BLAS dot product of one row; ``SphereFiber.jet``).
+Other fiber scalars and reductions within a row run once per point, with
+``math`` and not numpy ufuncs, which round differently on some inputs.  The
+minimum of the shipped sphere grid is a four-way exact tie a few ulps below
+its neighbours, so any change in rounding can move the reported witness.
 
 Everything here is a pure function of immutable specs and is safe to call
 concurrently; a ``BlockGeometry`` belongs to the one call that made it.
@@ -96,12 +97,13 @@ concurrently; a ``BlockGeometry`` belongs to the one call that made it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg.lapack import dgesv as _gesv, dpotrf as _potrf, dpotrs as _potrs
+from numpy.linalg import _umath_linalg
 
 from .errors import ChartDomain, NonFinite, SingularMetric
 
@@ -348,7 +350,7 @@ def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
     """Debug check: max |analytic - finite difference| over metric partials."""
     pts = as_point(p, spec.dim)[None]
     steps = spec.fd.scaled(pts, spec.fd.h1)
-    metric = geometry_field(spec, lambda at: at.g)
+    metric = geometry_field(spec, lambda at: at.g, 0)
     fd = first_difference(stencil_values(metric, pts, steps, 1), steps)[0]
     return float(np.max(np.abs(fd - spec.jet(pts, 1)[1][0])))
 
@@ -370,14 +372,15 @@ def flat_jet(n: int):
 
 def point_jet(g: Callable[[Point], np.ndarray], partials: Callable[[Point], np.ndarray]):
     """The ``MetricSpec.jet`` of a chart given by formulas for ``g`` and its
-    ``partials`` at a point.  A single row is their point calls; more rows
-    are ``field_rows`` of each, in one call of its block form when it has
-    one (a manifest's ``ExpressionArray.rows``), else row by row."""
+    ``partials`` at a point, which return float arrays.  A single row is
+    their point calls, each result viewed as a stack of one; more rows are
+    ``field_rows`` of each, in one call of its block form when it has one (a
+    manifest's ``ExpressionArray.rows``), else row by row."""
 
     def jet(P: np.ndarray, order: int):
         if len(P) == 1:
-            gs = np.asarray(g(P[0]), dtype=float)[None]
-            return (gs,) if order == 0 else (gs, np.asarray(partials(P[0]), dtype=float)[None])
+            p = P[0]
+            return (g(p)[None],) if order == 0 else (g(p)[None], partials(p)[None])
         gs = field_rows(g, P)
         return (gs,) if order == 0 else (gs, field_rows(partials, P))
 
@@ -393,11 +396,35 @@ def field_rows(fn, pts: np.ndarray) -> np.ndarray:
     return np.array([fn(p) for p in pts], dtype=float)
 
 
+@lru_cache(maxsize=None)
+def _lowering_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat indices of D[i, j, l] and D[j, i, l] at each entry (l, i, j)
+    of an (n, n, n) array, in C order."""
+    l, i, j = np.indices((n, n, n)).reshape(3, -1)
+    i1, i2 = (i * n + j) * n + l, (j * n + i) * n + l
+    i1.flags.writeable = i2.flags.writeable = False
+    return i1, i2
+
+
 def _lowered(D: np.ndarray) -> np.ndarray:
-    """M[..., l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from D[..., k, i, j] = d_k g_ij."""
-    if D.ndim == 3:
-        return D.transpose(2, 0, 1) + D.transpose(2, 1, 0) - D
-    return D.transpose(0, 3, 1, 2) + D.transpose(0, 3, 2, 1) - D
+    """M[b, l, i, j] = d_i g_jl + d_j g_il - d_l g_ij from D[b, k, i, j] =
+    d_k g_ij, with (i, j) flattened: shape (k, n, n * n).  The two permuted
+    terms are gathers through precomputed flat indices, which cost less than
+    adding transposed views, with the same sums in the same order."""
+    k, n = len(D), D.shape[-1]
+    i1, i2 = _lowering_indices(n)
+    Df = D.reshape(k, n ** 3)
+    return (Df.take(i1, axis=1) + Df.take(i2, axis=1) - Df).reshape(k, n, n * n)
+
+
+@np.errstate(all="ignore")
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """X with a X = b for each matrix of a stack: LAPACK ``gesv`` through the
+    gufunc that ``np.linalg.solve`` runs on each matrix, called directly to
+    skip that wrapper's checks and conversions.  A singular matrix gives NaN,
+    and no floating-point condition of the solve is reported; callers check
+    the result."""
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 # ---------------------------------------------------------------------------
@@ -430,14 +457,16 @@ def in_blocks(count: int, size: int, stacked) -> np.ndarray:
     return np.concatenate(blocks)
 
 
-def geometry_field(spec: MetricSpec, of) -> Callable[[Point], np.ndarray]:
+def geometry_field(spec: MetricSpec, of, order: int) -> Callable[[Point], np.ndarray]:
     """The field with values ``of(geometry)`` at a ``BlockGeometry``'s points,
-    such as |grad h|^2.  ``rows(P)`` evaluates P as one geometry, re-run one
+    such as |grad h|^2, whose geometries take the chart's jet of ``order``:
+    0 for a field that needs only g and what follows from it, 1 for one that
+    needs the partials.  ``rows(P)`` evaluates P as one geometry, re-run one
     row at a time when it fails (``in_blocks``), so the first failing row
     raises, and warns, as that point alone."""
 
     def rows(P: np.ndarray) -> np.ndarray:
-        return in_blocks(len(P), len(P), lambda s: of(BlockGeometry(spec, P[s])))
+        return in_blocks(len(P), len(P), lambda s: of(BlockGeometry(spec, P[s], order)))
 
     def value(p: Point) -> np.ndarray:
         return rows(as_point(p, spec.dim)[None])[0]
@@ -495,19 +524,12 @@ class BlockGeometry:
 
     @cached_property
     def chol(self) -> np.ndarray:
-        """The lower Cholesky factor of ``g`` at each point, in the lower
-        triangle; the upper triangle is not part of the factor.
-
-        Up to dimension 4 the whole stack is one ``np.linalg.cholesky`` call.
-        On an AVX-512 Xeon, with numpy 2.4.6 (OpenBLAS 0.3.31) and scipy
-        1.17.1 (OpenBLAS 0.3.30), its factors were bit-equal to scipy's
-        ``potrf`` on each matrix for 200,000 random SPD matrices per
-        dimension, with condition numbers up to 1e13.  From dimension 5 on
-        they differed in the last bits on about one matrix in seven, so
-        there the factors stay one ``potrf`` call per point.  When the
-        stacked call fails, the per-point calls run and name the first point
-        that is not positive definite.  At a single point, any failure to
-        evaluate ``g`` here is reported as SingularMetric, as this
+        """The lower Cholesky factor of ``g`` at each point, zero above the
+        diagonal: one ``np.linalg.cholesky`` call on the stack, which runs
+        LAPACK ``potrf`` on each matrix, so a block of one is the point path.
+        When that call fails, the points are factored one at a time to name
+        the first that is not positive definite.  At a single point, any
+        failure to evaluate ``g`` here is reported as SingularMetric, as this
         positivity gate always has."""
         try:
             g = self.g
@@ -516,26 +538,23 @@ class BlockGeometry:
                 raise
             raise SingularMetric(
                 f"metric at {self.pts[0]} is not positive definite: {exc}") from exc
-        if g.shape[-1] <= 4:
-            try:
-                return np.linalg.cholesky(g)
-            except np.linalg.LinAlgError:
-                pass
-        out = np.empty_like(g)
-        for i, a in enumerate(g):
-            c, info = _potrf(a, lower=1, clean=0, overwrite_a=0)
-            if info != 0:
-                raise SingularMetric(f"metric at {self.pts[i]} is not positive definite")
-            out[i] = c
-        return out
+        try:
+            return np.linalg.cholesky(g)
+        except np.linalg.LinAlgError:
+            for p, a in zip(self.pts, g):
+                try:
+                    np.linalg.cholesky(a)
+                except np.linalg.LinAlgError:
+                    raise SingularMetric(f"metric at {p} is not positive definite") from None
+            raise
 
     @cached_property
     def ginv(self) -> np.ndarray:
-        eye = np.eye(self.spec.dim)
-        inv = np.empty_like(self.chol)
-        for i, c in enumerate(self.chol):
-            inv[i] = _potrs(c, eye, lower=1, overwrite_b=0)[0]
-        return 0.5 * (inv + inv.swapaxes(1, 2))
+        """The inverse metric at each point from its Cholesky factor L: the
+        stacked solves of L Y = I and L^T X = Y, symmetrized."""
+        L = self.chol
+        X = _solve(L.swapaxes(1, 2), _solve(L, np.eye(self.spec.dim)))
+        return 0.5 * (X + X.swapaxes(1, 2))
 
     @cached_property
     def D(self) -> np.ndarray:
@@ -548,7 +567,8 @@ class BlockGeometry:
 
     @cached_property
     def christoffel(self) -> np.ndarray:
-        return 0.5 * np.einsum("bkl,blij->bkij", self.ginv, _lowered(self.D))
+        ginv, D = self.ginv, self.D  # the positivity gate runs first
+        return 0.5 * np.einsum("bkl,blij->bkij", ginv, _lowered(D).reshape(D.shape))
 
     @cached_property
     def ricci(self) -> np.ndarray:
@@ -687,7 +707,7 @@ def _christoffel_rows(pts: np.ndarray, gs: np.ndarray, D: np.ndarray) -> np.ndar
     point-by-point sweep would name it.
     """
     k, n = pts.shape
-    M = _lowered(D).reshape(k, n, n * n)
+    M = _lowered(D)
     try:
         out = 0.5 * np.linalg.solve(gs, M)
         ok = bool(np.all(np.isfinite(out)))
@@ -710,20 +730,22 @@ def gamma_evaluator(spec: MetricSpec):
     Skips the per-call point validation and Cholesky positivity check of
     ``christoffel``; callers validate the metric once at their entry point.
     Each call evaluates the chart's jet of order 1 at its one point, in one
-    call, and solves with one LAPACK ``gesv`` call, the one
-    ``np.linalg.solve`` makes, so the result is bit-equal to the point's row
-    of ``_christoffel_rows``.  A singular or non-finite solve is re-run
-    through ``_christoffel_rows``, which raises its error.
+    call, and solves that stack of one with the ``gesv`` gufunc
+    ``np.linalg.solve`` runs (``_solve``), so the result is bit-equal to the
+    point's row of ``_christoffel_rows``.  A singular or non-finite solve is
+    re-run through ``_christoffel_rows``, which raises its error.
     """
     n = spec.dim
     jet = spec.jet
+    zeros = np.zeros(n ** 3)
 
     def gamma(p: Point) -> np.ndarray:
         P = p[None]
         gs, D = jet(P, 1)
-        x, info = _gesv(gs[0], _lowered(D[0]).reshape(n, n * n))[2:]
-        out = 0.5 * x
-        if info != 0 or not np.isfinite(out).all():
+        out = 0.5 * _solve(gs, _lowered(D))
+        # the dot product with zeros is NaN exactly when an entry is not
+        # finite, and costs less than a reduction of np.isfinite
+        if not math.isfinite(np.dot(out.ravel(), zeros)):
             return _christoffel_rows(P, gs, D)[0]
         return out.reshape(n, n, n)
 

@@ -216,9 +216,12 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
         if order == 0:
             return (G,)
         dpsi = np.asarray(psi.grad(p), dtype=float)
+        # the fiber block of D, summed in a contiguous array: an in-place sum
+        # into a strided slice of D costs several times more
+        Dh = (2.0 * c * dpsi * w)[:, None, None] * h
+        Dh[1:] += w * fiber.partials(y)
         D = np.zeros((1, n, n, n))
-        D[0, :, 1:, 1:] = (2.0 * c * dpsi * w)[:, None, None] * h
-        D[0, 1:, 1:, 1:] += w * fiber.partials(y)
+        D[0, :, 1:, 1:] = Dh
         return G, D
 
     def jet(P: np.ndarray, order: int):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg.lapack import dsygvd as _sygvd
 
 from .chart_core import (
     BLOCK_POINTS,
@@ -30,6 +29,7 @@ from .chart_core import (
     Point,
     ScalarField,
     VectorField,
+    _solve,
     in_blocks,
     r_coordinate_field,
 )
@@ -89,35 +89,52 @@ def generalized_ricci(spec: MetricSpec, density: DensitySpec, N: float, p: Point
 
 def min_relative_eigenvalue(form: np.ndarray, metric: np.ndarray) -> float:
     """Smallest mu with form v = mu metric v; `form >= lam * metric` iff
-    the return value is >= lam.  The pair is a stack of one for
-    ``_min_relative_eigenvalues``, with its errors."""
-    form = np.asarray(form, dtype=float)
-    metric = np.asarray(metric, dtype=float)
-    return float(_min_relative_eigenvalues(form[None], metric[None])[0])
-
-
-def _min_relative_eigenvalues(forms: np.ndarray, metrics: np.ndarray) -> np.ndarray:
-    """The smallest relative eigenvalue of each (form, metric) pair of two
-    stacks, from the symmetric-definite generalized eigensolver (Cholesky
-    reduction inside LAPACK), called directly with the arguments
-    ``scipy.linalg.eigh`` passes it.  Non-finite input, a metric LAPACK
-    cannot factor and a solve that does not converge raise SingularMetric."""
-    a = 0.5 * (forms + forms.swapaxes(1, 2))
-    b = 0.5 * (metrics + metrics.swapaxes(1, 2))
+    the return value is >= lam.  The symmetrized metric is factored here, and
+    the pair is then a stack of one for ``_min_relative_eigenvalues``, with
+    its errors.  Non-finite input raises SingularMetric, and so does a metric
+    that does not factor, naming its first leading minor that is not
+    positive definite."""
+    a = np.asarray(form, dtype=float)
+    b = np.asarray(metric, dtype=float)
+    b = 0.5 * (b + b.T)
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise SingularMetric("non-finite generalized eigenproblem")
-    n = a.shape[-1]
-    out = np.empty(len(a))
-    for i in range(len(a)):
-        w, _, info = _sygvd(a[i], b[i], itype=1, jobz="N", uplo="L",
-                            overwrite_a=0, overwrite_b=0)
-        if info > n:
-            raise SingularMetric(
-                f"metric factor not positive definite: leading minor of order {info - n}")
-        if info != 0:
-            raise SingularMetric(f"generalized eigensolve did not converge (LAPACK info {info})")
-        out[i] = w[0]
-    return out
+    try:
+        L = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        k = next(k for k in range(1, len(b) + 1) if not _factors(b[:k, :k]))
+        raise SingularMetric(
+            f"metric factor not positive definite: leading minor of order {k}") from None
+    return float(_min_relative_eigenvalues(a[None], L[None])[0])
+
+
+def _factors(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _min_relative_eigenvalues(forms: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """The smallest relative eigenvalue of each form of a stack against the
+    metric whose lower Cholesky factor L is the same entry of ``chol``: the
+    smallest eigenvalue of C = L^-1 A L^-T, with A the symmetrized form,
+    from two stacked solves (``_solve``) and one stacked
+    ``np.linalg.eigvalsh``, the reduction the symmetric-definite generalized
+    eigensolver makes.  A non-finite A or C and an eigensolve that does not
+    converge raise SingularMetric."""
+    a = 0.5 * (forms + forms.swapaxes(1, 2))
+    if not np.all(np.isfinite(a)):
+        raise SingularMetric("non-finite generalized eigenproblem")
+    # L^-1 A, and then L^-1 (L^-1 A)^T = L^-1 A L^-T, as A is symmetric
+    C = _solve(chol, _solve(chol, a).swapaxes(1, 2))
+    if not np.all(np.isfinite(C)):
+        raise SingularMetric("non-finite generalized eigenproblem")
+    try:
+        return np.linalg.eigvalsh(C)[:, 0]
+    except np.linalg.LinAlgError as exc:
+        raise SingularMetric(f"generalized eigensolve did not converge ({exc})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +243,7 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
     def stacked(s: slice) -> np.ndarray:
         at = BlockGeometry(spec, pts[s])
         forms = generalized_ricci_at(at, density, N) - lam * at.g
-        return _min_relative_eigenvalues(forms, at.g)
+        return _min_relative_eigenvalues(forms, at.chol)
 
     mins = in_blocks(pts.shape[0], BLOCK_POINTS, stacked)
 

@@ -6,12 +6,14 @@ import re
 import numpy as np
 import pytest
 import scipy.integrate
+from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
 from cdsplit import catalog
 from cdsplit.chart_core import (
     BlockGeometry,
     MetricSpec,
+    _lowered,
     ScalarField,
     VectorField,
     as_point,
@@ -335,7 +337,10 @@ class TestInvariantsAndGuards:
 @pytest.mark.parametrize("n", range(1, 7))
 def test_block_cholesky_is_potrf_at_each_point_bit_for_bit(n):
     # random SPD metrics, one per point, with condition numbers up to and at
-    # 1e12; the factor is the lower triangle
+    # 1e12.  The block's Cholesky factor and inverse are numpy's LAPACK calls
+    # on each matrix, bit for bit those of the point alone; scipy's dpotrf
+    # and cho_solve, from another LAPACK build, agree to within n eps cond(g)
+    # relative to the largest entry, the forward-error bound of both
     rng = np.random.default_rng(500 + n)
     k = 400
     Q = np.linalg.qr(rng.standard_normal((k, n, n)))[0]
@@ -349,10 +354,28 @@ def test_block_cholesky_is_potrf_at_each_point_bit_for_bit(n):
     P[:, 0] = np.arange(k)
     at = BlockGeometry(spec, P)
     assert at.g.tobytes() == mats.tobytes()
-    for a, c in zip(mats, at.chol):
-        expected, info = dpotrf(a, lower=1, clean=0, overwrite_a=0)
+    eps = np.finfo(float).eps
+    for p, a, c, inv in zip(P, mats, at.chol, at.ginv):
+        one = BlockGeometry(spec, p[None])
+        assert one.chol[0].tobytes() == c.tobytes()
+        assert one.ginv[0].tobytes() == inv.tobytes()
+        assert not np.triu(c, 1).any()
+        expected, info = dpotrf(a, lower=1, clean=1, overwrite_a=0)
         assert info == 0
-        assert np.tril(c).tobytes() == np.tril(expected).tobytes()
+        bound = n * eps * np.linalg.cond(a)
+        assert np.max(np.abs(c - expected)) <= bound * np.max(np.abs(expected))
+        oracle = cho_solve((expected, True), np.eye(n))
+        assert np.max(np.abs(inv - oracle)) <= bound * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lowered_is_the_transposed_sum_bit_for_bit(n):
+    # the gathers give d_i g_jl + d_j g_il - d_l g_ij with the operations, in
+    # the order, of the sum of transposed views
+    D = np.random.default_rng(600 + n).standard_normal((7, n, n, n))
+    expected = D.transpose(0, 3, 1, 2) + D.transpose(0, 3, 2, 1) - D
+    assert _lowered(D).tobytes() == expected.tobytes()
+    assert _lowered(D[:1]).tobytes() == expected[:1].tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 5])

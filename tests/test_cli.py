@@ -455,6 +455,20 @@ def test_complex_power_is_one_error_line(tmp_path, capsys):
         "(a negative number to a fractional power is complex)\n")
 
 
+def test_geodesic_into_a_singular_metric_is_one_error_line(tmp_path, capsys):
+    # g22 = (r - 0.5)^2 vanishes at r = 0.5, which the second RK4 stage of
+    # the first step reaches exactly (dt and the start are binary fractions):
+    # the stage's solve fails there without a floating-point warning, and
+    # the stacked solve names the point
+    path = tmp_path / "m.cdm"
+    path.write_text(SQRT_DENSITY.replace("g22 = 1", "g22 = (r - 0.5)^2")
+                    .replace("sqrt(r)", "0")
+                    + "\n[numeric]\ndt = 0.0009765625\n"
+                    + "\n[geodesic]\nstart = 0.49951171875, 0\nvelocity = 1, 0\nT = 0.01\n")
+    assert run("geodesic", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: metric at [0.5 0. ] is not invertible\n"
+
+
 def test_geodesic_into_an_indefinite_metric_is_one_error_line(tmp_path, capsys):
     # g22 = r - 1 is negative where r < 1: the speed-drift pass refuses the
     # first such sample, where it reported a pass with drift 0

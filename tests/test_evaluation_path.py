@@ -38,6 +38,7 @@ from cdsplit.weighted_curvature import (
     box_grid,
     cd_verify,
     generalized_ricci,
+    min_relative_eigenvalue,
     product_grid,
     split_grid,
 )
@@ -123,17 +124,34 @@ def test_first_failing_stencil_point_named():
 # the block walk of cd_verify against the point-by-point reference
 # ---------------------------------------------------------------------------
 
-def _pointwise(spec, density, lam, N, points):
-    """Minimum relative eigenvalues one point at a time, through the public
-    per-point functions and scipy's own generalized eigensolver."""
+def _pairs(spec, density, lam, N, points):
+    """The (form - lam g, g) pair of each point, through the public per-point
+    functions."""
     out = []
     for p in points:
         form = generalized_ricci(spec, density, N, p)
         g = metric_at(spec, p)
-        form = form - lam * g
-        out.append(scipy.linalg.eigh(0.5 * (form + form.T), 0.5 * (g + g.T),
-                                     eigvals_only=True)[0])
-    return np.array(out)
+        out.append((form - lam * g, g))
+    return out
+
+
+def _pointwise(spec, density, lam, N, points):
+    """Minimum relative eigenvalues one point at a time, through the public
+    per-point functions."""
+    return np.array([min_relative_eigenvalue(form, g)
+                     for form, g in _pairs(spec, density, lam, N, points)])
+
+
+def _assert_near_scipy(spec, density, lam, N, points, values):
+    """``values`` agree with scipy's own generalized eigensolver to within
+    its backward error: n eps (|A| + |mu| |B|) |B^-1|, in 2-norms."""
+    eps = np.finfo(float).eps
+    for (form, g), mu in zip(_pairs(spec, density, lam, N, points), values):
+        a, b = 0.5 * (form + form.T), 0.5 * (g + g.T)
+        expected = scipy.linalg.eigh(a, b, eigvals_only=True)[0]
+        scale = (np.linalg.norm(a, 2) + abs(expected) * np.linalg.norm(b, 2)) \
+            * np.linalg.norm(np.linalg.inv(b), 2)
+        assert abs(mu - expected) <= len(g) * eps * scale
 
 
 def _block_walk(monkeypatch, spec, density, lam, N, grid):
@@ -166,6 +184,7 @@ def test_block_walk_matches_pointwise_across_the_witness_tie(monkeypatch):
     report = _block_walk(monkeypatch, geo["spec"], geo["density"], 0.0, 1.0, grid)
     expected = _pointwise(geo["spec"], geo["density"], 0.0, 1.0, grid.points)
     assert report.eigenvalues.tobytes() == expected.tobytes()
+    _assert_near_scipy(geo["spec"], geo["density"], 0.0, 1.0, grid.points, expected)
     assert report.min_eigenvalue == -1.0638321647216133e-09
     assert report.witness.tolist() == [8.100000000000001, -2.16, -2.88]
 
@@ -207,6 +226,7 @@ def test_block_walk_matches_pointwise(monkeypatch, build, N):
     report = _block_walk(monkeypatch, spec, density, 0.5, N, GridSpec(points, "blocks"))
     expected = _pointwise(spec, density, 0.5, N, points)
     assert report.eigenvalues.tobytes() == expected.tobytes()
+    _assert_near_scipy(spec, density, 0.5, N, points, expected)
 
 
 def _planted(plants):
@@ -393,27 +413,29 @@ def test_bochner_residual_evaluates_the_metric_at_most_twice(monkeypatch):
 @pytest.mark.parametrize("check", ["rigidity", "bochner"])
 def test_ricci_reuses_the_partials_at_the_point(monkeypatch, check):
     # the Ricci stencil's row 0 is the geometry's own D, not a second call:
-    # the partials at Q are evaluated once per geometry that holds Q, the
-    # point's own and, for bochner, the stencil rows of |grad h|^2
+    # the partials at Q are evaluated once, in the point's own geometry; for
+    # bochner the stencil rows of |grad h|^2, Q among them, need only g and
+    # take the jet of order 0
     split, spec, calls = _counted_split(monkeypatch, order=1)
     if check == "rigidity":
         assert rigidity_check(split, points=[Q]).passes()
     else:
         assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
-    assert _at_Q(calls) == {"rigidity": 1, "bochner": 2}[check]
+    assert _at_Q(calls) == 1
 
 
 @pytest.mark.parametrize("check", ["residual", "margin"])
 def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
     # the point's geometry, then one per stencil of a derived field: the
     # second-order stencil of |grad h|^2, whose +-h rows also give its
-    # gradient, and the first-order stencil of (v^2) Lap_f h
+    # gradient, and the first-order stencil of (v^2) Lap_f h.  |grad h|^2
+    # needs only g, so its geometry takes the jet of order 0
     built = []
     init = BlockGeometry.__init__
 
-    def counted(self, spec, pts):
-        built.append(len(pts))
-        init(self, spec, pts)
+    def counted(self, spec, pts, order=1):
+        built.append((len(pts), order))
+        init(self, spec, pts, order)
 
     monkeypatch.setattr(BlockGeometry, "__init__", counted)
     split = catalog.split_sin_sphere(0.3)
@@ -422,7 +444,7 @@ def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
         assert bochner_residual(spec, density, H_FIELD, Q) < 1e-4
     else:
         bochner_inequality_margin(spec, density, 0.0, 1, r_coordinate_field(3), Q)
-    assert built == [1, 25, 6]
+    assert built == [(1, 1), (25, 0), (6, 1)]
 
 
 def test_bochner_evaluates_each_derived_field_row_once(monkeypatch):

@@ -1,10 +1,13 @@
 """Package structure: every import sits at module level, so the import graph
-is visible at the top of each module and cannot hide a cycle; and every
-function the benchmark's tracer patches by name exists."""
+is visible at the top of each module and cannot hide a cycle; the command
+line imports no scipy module; and every function the benchmark's tracer
+patches by name exists."""
 
 import ast
 import functools
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,6 +27,18 @@ def test_no_function_local_imports(path):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not local, "function-local imports: " + ", ".join(local)
+
+
+def test_cli_imports_no_scipy():
+    # the package's linear algebra is numpy's LAPACK; scipy serves only the
+    # tests, so a run does not pay for importing it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, cdsplit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_traced_functions_resolve():

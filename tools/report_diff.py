@@ -43,8 +43,8 @@ indefinite.  Then ``curvature``, ``verify-cd`` and ``bochner`` on
 X1, X2 that is not a gradient: the runs that difference a vector density's
 Jacobian and take the Bochner stencils of a vector density.  Then
 ``geodesic`` on ``SPHERE5_MANIFEST``, a 5-dimensional split space over a
-4-dimensional sphere fiber, whose speed-drift pass factors each metric with
-one ``dpotrf`` call, as ``BlockGeometry.chol`` does from dimension 5.  The
+4-dimensional sphere fiber, the one run whose RK4 stages solve 5 x 5
+systems and whose speed-drift pass factors 5 x 5 metrics.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
