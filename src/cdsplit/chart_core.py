@@ -54,9 +54,11 @@ numpy 2.4.6), a one-row stacked call of g and D cost 28.1 us on a product
 chart over a sphere fiber, 25.4 us on ``twisted_flat.cdm`` and 5.9 us on
 ``polar_general.cdm``, where separate point formulas for g and for the
 partials cost 23.0, 15.6 and 2.3 us together, and the one-row jet 20.3,
-13.5 and 2.8 us.  ``cd_verify`` and the stencils evaluate blocks, and the
+13.5 and 2.8 us; a later, quieter measurement, after the product chart's
+one-row jet took the fiber's point form once, gave the one-row jet 12.9,
+9.4 and 1.9 us.  ``cd_verify`` and the stencils evaluate blocks, and the
 RK4 stage one row; on a product chart the one-row jet evaluates psi, the
-warp and the fiber metric once for both g and D.
+warp and the fiber's point form once for both g and D.
 
 All linear algebra is numpy's LAPACK, and every call runs on a stack of
 matrices: the Cholesky factors of a block are one ``np.linalg.cholesky``
@@ -65,12 +67,14 @@ positive definite, and the inverse metrics two stacked triangular solves
 with the factor (``_solve``, the ``gesv`` gufunc of ``np.linalg.solve``).
 Error messages name their point, but format it only when they are raised.
 
-``gamma_evaluator``, the Christoffel closure of an RK4 stage, is the
-one-point case: one jet call of order 1 at the point and one ``_solve``
-call on that stack of one, the solve ``np.linalg.solve`` runs on each
-matrix of the stack, so it is bit-equal to that point's row of
-``_christoffel_rows``.  A singular or non-finite solve is re-run through
-``_christoffel_rows``, which raises its error.  ``in_blocks`` walks samples
+``gamma_evaluator``, the acceleration closure of an RK4 stage, is the
+one-point case: one jet call of order 1 at the point, the partials
+contracted twice with the velocity, and one ``_solve`` call with a single
+right-hand side, the ``solve1`` gufunc ``np.linalg.solve`` runs on a vector;
+it never forms the Christoffel symbols, and agrees with -Gamma(u, u) from
+that point's row of ``_christoffel_rows`` to round-off.  A non-finite
+acceleration is re-run through ``_christoffel_rows``, which raises the error
+of a singular or non-finite metric.  ``in_blocks`` walks samples
 in blocks of ``BLOCK_POINTS`` and re-runs a failing block through the same
 stacked pass, one sample at a time, as blocks of one; ``cd_verify``, the
 geodesic post-passes and ``geometry_field`` evaluate through it and have no
@@ -419,12 +423,14 @@ def _lowered(D: np.ndarray) -> np.ndarray:
 
 @np.errstate(all="ignore")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """X with a X = b for each matrix of a stack: LAPACK ``gesv`` through the
-    gufunc that ``np.linalg.solve`` runs on each matrix, called directly to
-    skip that wrapper's checks and conversions.  A singular matrix gives NaN,
-    and no floating-point condition of the solve is reported; callers check
-    the result."""
-    return _umath_linalg.solve(a, b, signature="dd->d")
+    """X with a X = b for each matrix of a stack, or x with a x = b for a
+    single right-hand side b: LAPACK ``gesv`` through the gufunc that
+    ``np.linalg.solve`` runs on each matrix (``solve1`` for a 1-d b, as
+    there), called directly to skip that wrapper's checks and conversions.
+    A singular matrix gives NaN, and no floating-point condition of the
+    solve is reported; callers check the result."""
+    solve = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
+    return solve(a, b, signature="dd->d")
 
 
 # ---------------------------------------------------------------------------
@@ -725,31 +731,38 @@ def _christoffel_rows(pts: np.ndarray, gs: np.ndarray, D: np.ndarray) -> np.ndar
 
 
 def gamma_evaluator(spec: MetricSpec):
-    """Christoffel closure for hot loops (integrators, stencil sweeps).
+    """Geodesic acceleration closure for hot loops (the RK4 stage).
 
-    Skips the per-call point validation and Cholesky positivity check of
-    ``christoffel``; callers validate the metric once at their entry point.
-    Each call evaluates the chart's jet of order 1 at its one point, in one
-    call, and solves that stack of one with the ``gesv`` gufunc
-    ``np.linalg.solve`` runs (``_solve``), so the result is bit-equal to the
-    point's row of ``_christoffel_rows``.  A singular or non-finite solve is
-    re-run through ``_christoffel_rows``, which raises its error.
+    The closure maps a point p and a velocity u to the acceleration
+    a^k = -Gamma^k_ij u^i u^j = g^{kl} (d_l g_ij u^i u^j / 2 - d_i g_jl u^i u^j),
+    the right-hand side of the geodesic equation, without forming the
+    Christoffel symbols.  It skips the per-call point validation and
+    Cholesky positivity check of ``christoffel``; callers validate the
+    metric once at their entry point.  Each call evaluates the chart's jet
+    of order 1 at its one point, in one call, contracts the partials with u
+    in two small products, and solves g a = b with one single-right-hand
+    side ``gesv`` (``_solve``).  It agrees with -Gamma(u, u) from that
+    point's row of ``_christoffel_rows`` to round-off.  A non-finite
+    acceleration is re-run through ``_christoffel_rows``, which raises the
+    error of a singular or non-finite metric or partials; one that stays
+    non-finite is returned for the caller's finite check.
     """
     n = spec.dim
     jet = spec.jet
-    zeros = np.zeros(n ** 3)
+    zeros = np.zeros(n)
 
-    def gamma(p: Point) -> np.ndarray:
+    def acceleration(p: Point, u: np.ndarray) -> np.ndarray:
         P = p[None]
         gs, D = jet(P, 1)
-        out = 0.5 * _solve(gs, _lowered(D))
+        Du = D[0].dot(u)  # Du[k, i] = d_k g_ij u^j
+        a = _solve(gs[0], (0.5 * Du - Du.T).dot(u))
         # the dot product with zeros is NaN exactly when an entry is not
         # finite, and costs less than a reduction of np.isfinite
-        if not math.isfinite(np.dot(out.ravel(), zeros)):
-            return _christoffel_rows(P, gs, D)[0]
-        return out.reshape(n, n, n)
+        if not math.isfinite(a.dot(zeros)):
+            _christoffel_rows(P, gs, D)
+        return a
 
-    return gamma
+    return acceleration
 
 
 def christoffel(spec: MetricSpec, p: Point) -> np.ndarray:

@@ -228,7 +228,12 @@ def _cmd_geodesic(manifest, geo, rep: Reporter) -> int:
     if manifest.kind == "radial_model" and float(np.linalg.norm(p0)) < 1e-12:
         p0 = p0.copy()
         p0[0] = 0.1  # keep clear of the density's radial singularity at the origin
-    v0 = normalize_velocity(spec, p0, v_seed)
+    try:
+        v0 = normalize_velocity(spec, p0, v_seed)
+    except ValueError as exc:
+        # a velocity of length 0 or beyond the float range in the metric at
+        # the start has no unit direction to follow
+        raise ValidationError(str(exc), key="[geodesic] velocity") from None
     trace = geodesic_integrate(spec, p0, v0, T=params["T"], dt=manifest.numeric["dt"])
     clairaut = None
     clairaut_drift = None

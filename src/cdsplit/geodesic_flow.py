@@ -7,21 +7,23 @@ along geodesics and serves as its own oracle; the density line integral
 f_gamma(t) = int g(gamma', X) ds is accumulated with Simpson quadrature on
 the RK4 grid to match the integrator order.
 
-Each RK4 stage evaluates its Christoffel symbols at one point
+Each RK4 stage evaluates the acceleration -Gamma^k_ij u^i u^j at one point
 (``gamma_evaluator``), from one call of the chart's jet of order 1, which
-takes the chart's point formulas at a single row.  After each step, the
+takes the chart's point formulas at a single row, and one solve with the
+metric; it never forms the Christoffel symbols.  After each step, the
 finite check, the velocity guard and the domain margin test read the new
 state as Python floats.  The passes over a finished trace (speed drift,
 f_gamma, the conserved quantity, the fiber projection length) evaluate the
 metric (a jet of order 0), density gradient or fiber metric of
-``BLOCK_POINTS`` samples as one stack (``in_blocks``), then reduce each
-sample on its own, so every value is bit-equal to evaluating the sample
-alone.  A failing block is run again
-through the same pass one sample at a time, so the first failing sample
-raises its own error; a non-finite vector density, or an f_gamma beyond the
-float range, is an error, never a NaN or inf f_gamma.  The speed-drift pass
-takes each sample's metric through the Cholesky positivity gate, so a trace
-that runs into an indefinite metric is an error too, never a pass.
+``BLOCK_POINTS`` samples as one stack (``in_blocks``), and their quadratic
+forms and pairings as stacked products (``_forms``), which a test checks
+bit for bit against evaluating each sample alone.  A failing block is run
+again through the same pass one sample at a time, so the first failing
+sample raises its own error; a non-finite vector density, or an f_gamma
+beyond the float range, is an error, never a NaN or inf f_gamma.  The
+speed-drift pass takes each sample's metric through the Cholesky positivity
+gate, so a trace that runs into an indefinite metric is an error too, never
+a pass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy._core.multiarray import c_einsum
 
 from .chart_core import (
     BLOCK_POINTS,
@@ -89,21 +90,40 @@ def speed_in_metric(spec: MetricSpec, p: Point, v: np.ndarray) -> float:
 
 
 def normalize_velocity(spec: MetricSpec, p: Point, v) -> np.ndarray:
+    """v scaled to unit length in g(p).  A v whose length is 0, or overflows
+    the float range, raises ValueError, and the overflow is not reported."""
     v = np.asarray(v, dtype=float)
-    s = speed_in_metric(spec, p, v)
+    G = metric_at(spec, p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _norm(G, v)
     if s == 0.0:
         raise ValueError("zero velocity cannot be normalized")
+    if s == math.inf:
+        raise ValueError(f"velocity has a length beyond the float range in the metric at {p}")
     return v / s
 
 
-def _speeds(spec: MetricSpec, X: np.ndarray, U: np.ndarray) -> list[float]:
+def _forms(U: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u @ g @ v at each sample, from the stacks U, G and V: the stacked
+    product of each u with its g, then one ``np.vecdot`` of the rows, which
+    run the BLAS calls of ``u @ g @ v`` on each sample.  An einsum of the
+    three rounds differently."""
+    return np.vecdot(np.matmul(U[:, None], G)[:, 0], V)
+
+
+def _lengths(q: np.ndarray) -> np.ndarray:
+    """sqrt(max(0, q)) at each entry, as ``_norm`` takes it: a NaN form is 0."""
+    return np.sqrt(np.fmax(q, 0.0))
+
+
+def _speeds(spec: MetricSpec, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The length of each velocity in the metric at its sample, from one
     BlockGeometry of order 0 whose positivity gate (``chol``) passes at every
     sample."""
     at = BlockGeometry(spec, X, order=0)
     G = at.g
     at.chol
-    return [_norm(g, u) for g, u in zip(G, U)]
+    return _lengths(_forms(U, G, U))
 
 
 def rk4_step(acc, x, u, dt: float):
@@ -136,12 +156,7 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
 
     margin = spec.fd.scaled(p0, 4.0 * spec.fd.h2).tolist()
     metric_at(spec, p0)  # validates symmetry/finiteness once up front
-    gamma = gamma_evaluator(spec)
-
-    def acc(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        # c_einsum is the kernel np.einsum calls when it does not optimize;
-        # called directly it skips about 1.7 us of dispatch per stage
-        return -c_einsum("kij,i,j->k", gamma(x), u, u)
+    acc = gamma_evaluator(spec)
 
     nsteps = int(round(T / dt))
     xs = np.empty((nsteps + 1, spec.dim))
@@ -192,19 +207,25 @@ class ClairautReport:
 
 
 def _fiber_pass(split: SplitSpaceSpec, trace: GeodesicTrace, value) -> np.ndarray:
-    """``value(p, fiber velocity, fiber metric)`` at every sample of the trace,
-    with the fiber metric of each block from the fiber's jet of order 0."""
+    """``value(P, q)`` of each block of samples, with P their points and q
+    the squared fiber speeds g_L(fiber velocity, fiber velocity), from the
+    fiber metrics of the block (the fiber's jet of order 0)."""
     P, UY = trace.positions, trace.velocities[:, 1:]
-    return in_blocks(len(trace), BLOCK_POINTS, lambda s: [
-        value(p, uy, h) for p, uy, h in zip(P[s], UY[s], split.fiber.jet(P[s, 1:], 0)[0])])
+
+    def stacked(s: slice) -> np.ndarray:
+        (H,) = split.fiber.jet(P[s, 1:], 0)
+        return value(P[s], _forms(UY[s], H, UY[s]))
+
+    return in_blocks(len(trace), BLOCK_POINTS, stacked)
 
 
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
-    """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace."""
+    """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace;
+    the warp is evaluated sample by sample (``split.warp``)."""
     if len(trace) == 0:
         raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
     vals = _fiber_pass(split, trace,
-                       lambda p, uy, gL: split.warp(p) ** 4 * float(uy @ gL @ uy))
+                       lambda P, q: np.array([split.warp(p) ** 4 for p in P]) * q)
     c0 = float(vals[0])
     dev = float(np.max(np.abs(vals - c0)))
     drift = dev / abs(c0) if abs(c0) > 1e-14 else dev
@@ -220,7 +241,7 @@ def fiber_projection_length(split: SplitSpaceSpec, trace: GeodesicTrace) -> floa
     """
     if len(trace) == 0:
         raise EmptyTrace("cannot measure the projection of an empty trace")
-    speeds = _fiber_pass(split, trace, lambda p, uy, gL: _norm(gL, uy))
+    speeds = _fiber_pass(split, trace, lambda P, q: _lengths(q))
     return float(cumulative_simpson(speeds, trace.ts)[-1])
 
 
@@ -229,16 +250,15 @@ def fiber_projection_length(split: SplitSpaceSpec, trace: GeodesicTrace) -> floa
 # ---------------------------------------------------------------------------
 
 def _density_pairings(spec: MetricSpec, density: DensitySpec, P: np.ndarray,
-                      U: np.ndarray) -> list[float]:
+                      U: np.ndarray) -> np.ndarray:
     """g(gamma', X) for a vector density, g(gamma', grad f) = df(gamma') for a
     scalar one, at each sample of a block, from one BlockGeometry of order 0;
     the metric is checked before the vector density."""
     at = BlockGeometry(spec, P, order=0)
     if isinstance(density, ScalarField):
-        return [float(u @ df) for u, df in zip(U, at.gradient(density))]
+        return np.vecdot(U, at.gradient(density))
     G = at.g
-    X = at.evaluated(density.value, "vector field")
-    return [float(u @ g @ x) for u, g, x in zip(U, G, X)]
+    return _forms(U, G, at.evaluated(density.value, "vector field"))
 
 
 def f_along_geodesic(density: DensitySpec, trace: GeodesicTrace) -> np.ndarray:

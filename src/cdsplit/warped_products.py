@@ -75,6 +75,11 @@ class FlatFiber:
     def partials(self, y: np.ndarray) -> np.ndarray:
         return np.zeros((self.dim,) * 3)
 
+    def point(self, y: np.ndarray, order: int):
+        """``metric``, and for order 1 ``partials``, at the one point y."""
+        h = self.metric(y)
+        return (h,) if order == 0 else (h, self.partials(y))
+
     def jet(self, Y: np.ndarray, order: int):
         """``metric``, and for order 1 ``partials``, at each row of Y, stacked."""
         m, k = self.dim, len(Y)
@@ -119,17 +124,21 @@ class SphereFiber:
     def radius_sq(self) -> float:
         return (self.dim - 1) / self.einstein_constant
 
-    def _conf(self, y: np.ndarray) -> float:
-        s = self.radius_sq + float(y @ y)
-        return 4.0 * self.radius_sq ** 2 / (s * s)
-
     def metric(self, y: np.ndarray) -> np.ndarray:
-        return self._conf(y) * _identity(self.dim)
+        return self.point(y, 0)[0]
 
     def partials(self, y: np.ndarray) -> np.ndarray:
-        s = self.radius_sq + float(y @ y)
-        dc = -16.0 * self.radius_sq ** 2 * np.asarray(y) / s ** 3
-        return dc[:, None, None] * _identity(self.dim)
+        return self.point(y, 1)[1]
+
+    def point(self, y: np.ndarray, order: int):
+        """``metric``, and for order 1 ``partials``, at the one point y,
+        with |y|^2 taken once for both."""
+        R2, eye = self.radius_sq, _identity(self.dim)
+        s = R2 + float(y @ y)
+        h = 4.0 * R2 ** 2 / (s * s) * eye
+        if order == 0:
+            return (h,)
+        return h, (-16.0 * R2 ** 2 * y / s ** 3)[:, None, None] * eye
 
     def jet(self, Y: np.ndarray, order: int):
         """``metric``, and for order 1 ``partials``, at each row of Y,
@@ -204,23 +213,28 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
                          fd: FDSteps) -> MetricSpec:
     c = 1.0 / (n - 1)
 
+    G1 = np.zeros((1, n, n))
+    G1[0, 0, 0] = 1.0
+    D1 = np.zeros((1, n, n, n))
+    G1.flags.writeable = D1.flags.writeable = False
+
     def point(p: Point, order: int):
-        # one row: psi, the warp and the fiber metric once, through the
-        # point forms, which cost less than a stacked call at one row
-        y = p[1:]
+        # one row: psi, the warp and one pass of the fiber's point form,
+        # which cost less than a stacked call at one row; g and D are
+        # copies of the read-only templates above
         w = math.exp(2.0 * c * float(psi.value(p)))
-        h = fiber.metric(y)
-        G = np.zeros((1, n, n))
-        G[0, 0, 0] = 1.0
+        h, *dh = fiber.point(p[1:], order)
+        G = G1.copy()
         G[0, 1:, 1:] = w * h
         if order == 0:
             return (G,)
-        dpsi = np.asarray(psi.grad(p), dtype=float)
         # the fiber block of D, summed in a contiguous array: an in-place sum
-        # into a strided slice of D costs several times more
-        Dh = (2.0 * c * dpsi * w)[:, None, None] * h
-        Dh[1:] += w * fiber.partials(y)
-        D = np.zeros((1, n, n, n))
+        # into a strided slice of D costs several times more.  A flat fiber's
+        # zero partials are added too, which turns a -0.0 into the +0.0 of
+        # the stacked sum
+        Dh = (2.0 * c * psi.grad(p) * w)[:, None, None] * h
+        Dh[1:] += w * dh[0]
+        D = D1.copy()
         D[0, :, 1:, 1:] = Dh
         return G, D
 

@@ -469,6 +469,19 @@ def test_geodesic_into_a_singular_metric_is_one_error_line(tmp_path, capsys):
     assert capsys.readouterr().err == "error: metric at [0.5 0. ] is not invertible\n"
 
 
+@pytest.mark.parametrize("subcommand", ["geodesic", "suite"])
+def test_velocity_beyond_the_float_range_is_a_usage_error(tmp_path, capsys, subcommand):
+    # the length of (1e300, 0, 0) in g overflows to inf, which scaled the
+    # velocity to 0 and ended in an overflow warning and a traceback
+    path = tmp_path / "m.cdm"
+    path.write_text(SPLIT_FAST.format(lam=THRESHOLD + 0.01)
+                    .replace("velocity = 1.0, 0.5, -0.3", "velocity = 1e300, 0, 0"))
+    assert run(subcommand, path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "error: [geodesic] velocity: velocity has a length beyond the float range "
+        "in the metric at [0.  0.4 0.2]\n")
+
+
 def test_geodesic_into_an_indefinite_metric_is_one_error_line(tmp_path, capsys):
     # g22 = r - 1 is negative where r < 1: the speed-drift pass refuses the
     # first such sample, where it reported a pass with drift 0

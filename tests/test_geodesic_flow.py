@@ -24,6 +24,7 @@ from cdsplit.chart_core import (
 from cdsplit.errors import EmptyTrace, NonFinite, StepOverflow
 from cdsplit.geodesic_flow import (
     GeodesicTrace,
+    _forms,
     clairaut_constant,
     completeness_diagnostic,
     f_along_geodesic,
@@ -337,7 +338,7 @@ class TestTraceExport:
 
 
 # ---------------------------------------------------------------------------
-# the one-point Christoffel stage against the stacked solve, and the stacked
+# the one-point acceleration stage against the stacked solve, and the stacked
 # post-passes against sample-by-sample oracles
 # ---------------------------------------------------------------------------
 
@@ -346,31 +347,61 @@ STAGE_CHARTS = {
     "split-torus": catalog.split_sin_torus(3).metric_spec(),
     "twisted": catalog.twisted_example().metric_spec(),
     "general": parse_manifest(MANIFESTS / "polar_general.cdm").geometry["spec"],
+    "sphere5": catalog.split_sin_sphere(0.3, n=5).metric_spec(),
 }
 
 
 def _outcome(fn):
-    """fn()'s result as bytes, or the class and message of what it raised."""
+    """fn()'s result, or the class and message of what it raised."""
     try:
-        out = fn()
+        return fn()
     except Exception as exc:
         return type(exc), str(exc)
-    return out.shape, out.tobytes()
 
 
-def _stacked_gamma(spec, p):
-    return _christoffel_rows(p[None], *spec.jet(p[None], 1))[0]
+def _stacked_acceleration(spec, p, u):
+    """-Gamma^k_ij u^i u^j from the point's row of the stacked solve."""
+    gamma = _christoffel_rows(p[None], *spec.jet(p[None], 1))[0]
+    return -np.einsum("kij,i,j->k", gamma, u, u)
+
+
+def _stage_bound(spec, p, u):
+    """n cond(g) |g^-1| (eps S + 16 n d): S is the largest entry of the
+    lowered partials' absolute values contracted with |u| twice, d the
+    smallest subnormal.  Round-off in the contraction is scaled by g^-1 and
+    in the solve by the condition of g; the second term covers products of
+    a tiny velocity that underflow.  On 3,000 random stages per chart the
+    measured error reached 0.38 of the first term."""
+    g, D = (x[0] for x in spec.jet(p[None], 1))
+    a, aD = np.abs(u), np.abs(D)
+    S = np.max(np.einsum("lij,i,j->l", aD, a, a) + 2.0 * np.einsum("ilj,i,j->l", aD, a, a))
+    info, n = np.finfo(float), spec.dim
+    with np.errstate(over="ignore"):  # a nearly singular g has no finite bound
+        return (n * np.linalg.cond(g) * np.linalg.norm(np.linalg.inv(g), 2)
+                * (info.eps * S + 16 * n * info.smallest_subnormal))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(sorted(STAGE_CHARTS)),
-       st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=3, max_size=3))
-@example("general", [0.0, 1.0, 0.0])  # r = 0, where the polar g is singular
-def test_stage_matches_stacked_solve(name, coords):
+       st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=5, max_size=5),
+       st.lists(st.floats(-3.0, 3.0, allow_subnormal=False), min_size=5, max_size=5))
+@example("general", [0.0, 1.0, 0, 0, 0], [1.0, 0.5, 0, 0, 0])  # r = 0: the polar g is singular
+def test_stage_matches_stacked_solve(name, coords, velocity):
     spec = STAGE_CHARTS[name]
-    p = np.array(coords[:spec.dim])
-    expected = _outcome(lambda: _stacked_gamma(spec, p))
-    assert _outcome(lambda: gamma_evaluator(spec)(p)) == expected
+    p, u = np.array(coords[:spec.dim]), np.array(velocity[:spec.dim])
+    expected = _outcome(lambda: _stacked_acceleration(spec, p, u))
+    got = _outcome(lambda: gamma_evaluator(spec)(p, u))
+    if isinstance(got, tuple) or isinstance(expected, tuple) and expected[0] is not NonFinite:
+        assert got == expected
+    elif isinstance(expected, tuple):
+        # Christoffel symbols beyond the float range, of a finite metric and
+        # finite partials, where the acceleration stays finite: at r ~ 1e-157
+        # on the polar chart, g22 = r^2 is subnormal and 1/g22 overflows
+        assert all(np.isfinite(x).all() for x in spec.jet(p[None], 1))
+        assert np.isfinite(got).all()
+    else:
+        assert got.shape == (spec.dim,)
+        assert np.max(np.abs(got - expected)) <= _stage_bound(spec, p, u)
 
 
 @pytest.mark.parametrize("bad", [
@@ -380,11 +411,11 @@ def test_stage_matches_stacked_solve(name, coords):
 ], ids=["singular", "nan", "inf"])
 def test_stage_errors_match_stacked_solve(bad):
     spec = MetricSpec(dim=2, jet=point_jet(lambda q: bad, lambda q: np.ones((2, 2, 2))))
-    p = np.array([0.5, -0.25])
+    p, u = np.array([0.5, -0.25]), np.array([1.0, 0.5])
     with pytest.raises(Exception) as stacked:
-        _stacked_gamma(spec, p)
+        _stacked_acceleration(spec, p, u)
     with pytest.raises(type(stacked.value), match=f"^{re.escape(str(stacked.value))}$"):
-        gamma_evaluator(spec)(p)
+        gamma_evaluator(spec)(p, u)
 
 
 def test_stage_evaluates_the_metric_once():
@@ -402,7 +433,7 @@ def test_stage_evaluates_the_metric_once():
 
     counted = dataclasses.replace(spec, jet=jet)
     p = np.array([0.3, 0.4, -0.2])
-    gamma_evaluator(counted)(p)
+    gamma_evaluator(counted)(p, np.array([1.0, 0.5, -0.3]))
     assert jets == [(1, 1)] and len(values) == len(grads) == 1
     jets.clear()
     trace = geodesic_integrate(counted, p, normalize_velocity(spec, p, [1.0, 0.5, -0.3]),
@@ -518,6 +549,22 @@ def test_post_passes_match_per_sample_oracles(case, samples):
         clairaut, length = _fiber_oracles(split, trace)
         assert clairaut_constant(split, trace).values.tobytes() == clairaut.tobytes()
         assert fiber_projection_length(split, trace) == length
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_forms_are_per_sample_forms_bit_for_bit(n):
+    # the post-passes' quadratic forms and pairings, over a block of random
+    # samples and over one metric broadcast along the block, as a flat
+    # fiber's jet returns it
+    rng = np.random.default_rng(n)
+    U, V = rng.standard_normal((2, 256, n))
+    G = rng.standard_normal((256, n, n))
+    G = G + G.swapaxes(1, 2)
+    assert _forms(U, G, V).tobytes() == np.array(
+        [float(u @ g @ v) for u, g, v in zip(U, G, V)]).tobytes()
+    flat = np.broadcast_to(G[0], G.shape)
+    assert _forms(U, flat, U).tobytes() == np.array([float(u @ G[0] @ u) for u in U]).tobytes()
+    assert np.vecdot(U, V).tobytes() == np.array([float(u @ v) for u, v in zip(U, V)]).tobytes()
 
 
 def test_failing_block_is_rerun_sample_by_sample():

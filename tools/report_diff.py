@@ -8,7 +8,10 @@ that tree and on this checkout, each with its own ``src`` and
 ``manifests``, into ``OUT_DIR/base`` and ``OUT_DIR/change``.  It prints
 each file that is missing on one side or whose bytes differ, and exits 1 if
 any file differs, 0 if none does, and 2 on a usage error.  OUT_DIR must be
-new or empty.
+new or empty.  For a differing report CSV whose column names and shape
+agree on both sides, it also prints the ``#`` header lines that differ, the
+number of data rows that differ, and the largest absolute difference in
+each column that differs.
 
 ``RUNS`` are all 8 subcommands on the 4 shipped manifests at ``--seed 42``,
 plus ``bochner`` on ``sphere_example`` at ``--seed 54`` (the one seed whose
@@ -56,6 +59,7 @@ The runs are serial and take a few minutes per side, most of it in
 from __future__ import annotations
 
 import io
+import math
 import os
 import subprocess
 import sys
@@ -405,6 +409,47 @@ def differing(a: Path, b: Path) -> tuple[list[str], int]:
     return sorted(str(p) for p in diffs), len(paths)
 
 
+def _read_csv(path: Path):
+    """A report CSV's ``#`` header lines, column names and data rows, each
+    row a list of its fields as written."""
+    lines = path.read_text().splitlines()
+    header = [line for line in lines if line.startswith("#")]
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    return header, body[0] if body else [], body[1:]
+
+
+def csv_differences(a: Path, b: Path) -> list[str]:
+    """How two versions of a report CSV differ, when both exist and have
+    the same column names and shape: the differing ``#`` header lines
+    (``-`` for a, ``+`` for b), then the count of differing data rows and
+    the largest absolute difference of each column that differs (inf where
+    a field is not a number on one side, or a NaN on one side only).
+    Empty when the files cannot be compared row by row."""
+    if not (a.is_file() and b.is_file()):
+        return []
+    (head_a, cols_a, rows_a), (head_b, cols_b, rows_b) = _read_csv(a), _read_csv(b)
+    if (cols_a != cols_b or len(rows_a) != len(rows_b)
+            or any(len(row) != len(cols_a) for row in rows_a + rows_b)):
+        return []
+    out = [f"{sign} {line}" for x, y in zip(head_a, head_b) if x != y
+           for sign, line in (("-", x), ("+", y))]
+    if len(head_a) != len(head_b):
+        out.append(f"{len(head_a)} and {len(head_b)} header lines")
+    largest = [0.0] * len(cols_a)
+    for x, y in zip(rows_a, rows_b):
+        for j, (u, v) in enumerate(zip(x, y)):
+            if u != v:
+                try:
+                    d = abs(float(u) - float(v))
+                except ValueError:
+                    d = math.inf
+                largest[j] = max(largest[j], math.inf if math.isnan(d) else d)
+    changed = sum(x != y for x, y in zip(rows_a, rows_b))
+    out.append(f"{changed} of {len(rows_a)} rows differ; max |difference|: "
+               + (", ".join(f"{c} {d:.3g}" for c, d in zip(cols_a, largest) if d) or "none"))
+    return out
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -431,6 +476,9 @@ def main(argv=None) -> int:
     diffs, total = differing(out / "base", out / "change")
     for path in diffs:
         print(f"differs: {path}")
+        if path.endswith(".csv"):
+            for line in csv_differences(out / "base" / path, out / "change" / path):
+                print(f"  {line}")
     print(f"{len(diffs)} of {total} files differ between {base} and this checkout")
     return 1 if diffs else 0
 
