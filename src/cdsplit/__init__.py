@@ -7,11 +7,7 @@ from .chart_core import (
     MetricSpec,
     ScalarField,
     VectorField,
-    christoffel,
-    grad_norm_squared,
     hessian_scalar,
-    inverse_metric,
-    lie_derivative_metric,
     metric_at,
     point_jet,
     ricci_numeric,
@@ -41,9 +37,7 @@ from .warped_products import (
     SphereFiber,
     SplitSpaceSpec,
     TwistedProductSpec,
-    radial_identity_N,
     riccati_obstruction,
-    sphere_example_lambda,
     split_cd_threshold,
     twisted_ricci_analytic,
 )
@@ -55,7 +49,6 @@ from .weighted_curvature import (
     generalized_ricci,
     min_relative_eigenvalue,
     split_grid,
-    weighted_mean_curvature,
 )
 
 __version__ = "0.1.0"

@@ -8,12 +8,12 @@ import math
 import numpy as np
 
 from .chart_core import (
+    BlockGeometry,
     MetricSpec,
     Point,
     ScalarField,
     VectorField,
     flat_jet,
-    gradient_vector,
     point_jet,
 )
 from .comparison_suite import RadialModel
@@ -148,7 +148,7 @@ def nongradient_example(n: int = 4, einstein_constant: float = 1.0,
 def gradient_as_vector_field(spec: MetricSpec, f: ScalarField) -> VectorField:
     """The metric gradient of f packaged as a vector field (components
     g^{ij} d_j f)."""
-    return VectorField(value=lambda p: gradient_vector(spec, f, p))
+    return VectorField(value=lambda p: BlockGeometry.at(spec, p).gradient_vector(f)[0])
 
 
 def radial_log_model(n: int = 3) -> RadialModel:

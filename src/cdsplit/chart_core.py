@@ -33,10 +33,12 @@ block of points it holds the metric data (``g``, its Cholesky factor, the
 inverse metric, the partials ``D``), the Christoffel symbols, the Ricci
 tensor and the gradient of each field, each evaluated on first use and then
 shared by the Hessians, Lie derivatives and weighted Laplacians built there,
-all with a leading batch axis.  The public per-point functions are its
-block of one.  A geometry takes ``g`` and ``D`` from one jet call of order
-1, or ``g`` alone from one call of order 0 where its caller needs nothing
-else (``metric_at``, ``inverse_metric``, the geodesic speed-drift and
+all with a leading batch axis.  The module's per-point functions
+(``metric_at``, ``ricci_numeric``, ``hessian_scalar``,
+``weighted_laplacian``) are its block of one; other callers at one point
+take ``BlockGeometry.at(spec, p)``.  A geometry takes ``g`` and ``D`` from
+one jet call of order 1, or ``g`` alone from one call of order 0 where its
+caller needs nothing else (``metric_at``, the geodesic speed-drift and
 vector-density passes).  The Ricci tensor takes ``g`` and ``D`` at the 2n
 first-order stencil rows of every point from one more jet call, with the
 point's own ``g`` and ``D`` as row 0, and the Christoffel symbols from one
@@ -343,11 +345,6 @@ def _checked_metric(raw: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def metric_at(spec: MetricSpec, p: Point) -> np.ndarray:
     """Evaluate and validate g(p): finite, symmetric to 1e-12 componentwise."""
     return BlockGeometry(spec, as_point(p, spec.dim)[None], order=0).g[0]
-
-
-def inverse_metric(spec: MetricSpec, p: Point) -> np.ndarray:
-    """Inverse metric components via Cholesky; SingularMetric on failure."""
-    return BlockGeometry(spec, as_point(p, spec.dim)[None], order=0).ginv[0]
 
 
 def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
@@ -737,15 +734,16 @@ def gamma_evaluator(spec: MetricSpec):
     a^k = -Gamma^k_ij u^i u^j = g^{kl} (d_l g_ij u^i u^j / 2 - d_i g_jl u^i u^j),
     the right-hand side of the geodesic equation, without forming the
     Christoffel symbols.  It skips the per-call point validation and
-    Cholesky positivity check of ``christoffel``; callers validate the
-    metric once at their entry point.  Each call evaluates the chart's jet
-    of order 1 at its one point, in one call, contracts the partials with u
-    in two small products, and solves g a = b with one single-right-hand
-    side ``gesv`` (``_solve``).  It agrees with -Gamma(u, u) from that
-    point's row of ``_christoffel_rows`` to round-off.  A non-finite
-    acceleration is re-run through ``_christoffel_rows``, which raises the
-    error of a singular or non-finite metric or partials; one that stays
-    non-finite is returned for the caller's finite check.
+    Cholesky positivity check of ``BlockGeometry.christoffel``; callers
+    validate the metric once at their entry point.  Each call evaluates the
+    chart's jet of order 1 at its one point, in one call, contracts the
+    partials with u in two small products, and solves g a = b with one
+    single-right-hand side ``gesv`` (``_solve``).  It agrees with
+    -Gamma(u, u) from that point's row of ``_christoffel_rows`` to
+    round-off.  A non-finite acceleration is re-run through
+    ``_christoffel_rows``, which raises the error of a singular or
+    non-finite metric or partials; one that stays non-finite is returned for
+    the caller's finite check.
     """
     n = spec.dim
     jet = spec.jet
@@ -763,16 +761,6 @@ def gamma_evaluator(spec: MetricSpec):
         return a
 
     return acceleration
-
-
-def christoffel(spec: MetricSpec, p: Point) -> np.ndarray:
-    """Christoffel symbols Gamma^k_ij of the Levi-Civita connection.
-
-    Gamma^k_ij = (1/2) g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), symmetric in
-    the lower pair.  Raises SingularMetric if g(p) is not invertible and
-    NonFinite if any derivative evaluation is NaN/Inf.
-    """
-    return BlockGeometry.at(spec, p).christoffel[0]
 
 
 def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
@@ -796,25 +784,10 @@ def as_scalar_field(f) -> ScalarField:
     raise TypeError(f"expected a scalar field or callable, got {type(f)!r}")
 
 
-def scalar_gradient(spec: MetricSpec, f, p: Point, *, step: float | None = None) -> np.ndarray:
-    """Coordinate partials d_i f at p (analytic when the field carries them)."""
-    return BlockGeometry.at(spec, p).gradient(f, step)[0]
-
-
-def gradient_vector(spec: MetricSpec, f, p: Point) -> np.ndarray:
-    """Metric gradient (nabla f)^i = g^{ij} d_j f."""
-    return BlockGeometry.at(spec, p).gradient_vector(f)[0]
-
-
 def hessian_scalar(spec: MetricSpec, f, p: Point, *, step: float | None = None) -> np.ndarray:
     """Covariant Hessian (Hess f)_ij = d_i d_j f - Gamma^k_ij d_k f, with the
     analytic raw partials when supplied, else ``second_difference``."""
     return BlockGeometry.at(spec, p).hessian(f, step)[0]
-
-
-def lie_derivative_metric(spec: MetricSpec, X: VectorField, p: Point) -> np.ndarray:
-    """(L_X g)_ij = X^k d_k g_ij + g_kj d_i X^k + g_ik d_j X^k."""
-    return BlockGeometry.at(spec, p).lie_derivative(X)[0]
 
 
 def weighted_laplacian(spec: MetricSpec, density: DensitySpec, h, p: Point,
@@ -825,11 +798,6 @@ def weighted_laplacian(spec: MetricSpec, density: DensitySpec, h, p: Point,
     density X it is the directional derivative X(h).
     """
     return float(BlockGeometry.at(spec, p).weighted_laplacian(density, h, step)[0])
-
-
-def grad_norm_squared(spec: MetricSpec, f, p: Point) -> float:
-    """|grad f|^2_g = g^{ij} d_i f d_j f."""
-    return float(BlockGeometry.at(spec, p).grad_norm_squared(f)[0])
 
 
 # ---------------------------------------------------------------------------

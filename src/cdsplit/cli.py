@@ -6,7 +6,8 @@
 Subcommands: curvature, verify-cd, threshold, riccati, geodesic, compare,
 bochner, suite.  Exit codes: 0 = all checks pass, 1 = violation found or a
 numerical error, 2 = usage or parse error, such as any manifest that
-``parse_manifest`` rejects; an error is one ``error:`` line, and a warning
+``parse_manifest`` rejects, a seed outside [0, 2**64) or an ``--out`` that
+cannot be made a directory; an error is one ``error:`` line, and a warning
 (numpy's floating-point warnings among them) one ``warning:`` line.
 ``--grid-override`` sets a [grid] or [numeric] key; ``parse_manifest``
 applies it before validation and builds the geometry the subcommands get
@@ -392,14 +393,17 @@ def _run(subcommand: str, manifest_path, out_dir, seed: int, grid_overrides) -> 
     if subcommand not in _COMMANDS:
         print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
         return 2
+    if not 0 <= seed < 2 ** 64:
+        print(f"error: --seed {seed} is outside [0, 2**64)", file=sys.stderr)
+        return 2
+    out = Path(out_dir) if out_dir is not None else Path("cdsplit-out")
     try:
         manifest = parse_manifest(manifest_path, grid_overrides)
         geo = build_geometry(manifest)
+        rep = Reporter(manifest, out, seed)
     except (ParseError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = Path(out_dir) if out_dir is not None else Path("cdsplit-out")
-    rep = Reporter(manifest, out, seed)
     try:
         return _COMMANDS[subcommand](manifest, geo, rep)
     except CdsplitError as exc:

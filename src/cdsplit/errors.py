@@ -42,10 +42,6 @@ class StepOverflow(CdsplitError):
     """An ODE state escaped the overflow guard before detection completed."""
 
 
-class DivergentThreshold(CdsplitError):
-    """A supremum scan hit the range boundary while still growing."""
-
-
 class NotDistanceFunction(CdsplitError):
     """A field expected to have unit gradient norm does not."""
 

@@ -13,11 +13,11 @@ takes the chart's point formulas at a single row, and one solve with the
 metric; it never forms the Christoffel symbols.  After each step, the
 finite check, the velocity guard and the domain margin test read the new
 state as Python floats.  The passes over a finished trace (speed drift,
-f_gamma, the conserved quantity, the fiber projection length) evaluate the
-metric (a jet of order 0), density gradient or fiber metric of
-``BLOCK_POINTS`` samples as one stack (``in_blocks``), and their quadratic
-forms and pairings as stacked products (``_forms``), which a test checks
-bit for bit against evaluating each sample alone.  A failing block is run
+f_gamma, the conserved quantity) evaluate the metric (a jet of order 0),
+density gradient or fiber metric of ``BLOCK_POINTS`` samples as one stack
+(``in_blocks``), and their quadratic forms and pairings as stacked products
+(``_forms``), which a test checks bit for bit against evaluating each
+sample alone.  A failing block is run
 again through the same pass one sample at a time, so the first failing
 sample raises its own error; a non-finite vector density, or an f_gamma
 beyond the float range, is an error, never a NaN or inf f_gamma.  The
@@ -206,43 +206,25 @@ class ClairautReport:
     max_drift: float  # relative to the initial value, absolute when it vanishes
 
 
-def _fiber_pass(split: SplitSpaceSpec, trace: GeodesicTrace, value) -> np.ndarray:
-    """``value(P, q)`` of each block of samples, with P their points and q
-    the squared fiber speeds g_L(fiber velocity, fiber velocity), from the
-    fiber metrics of the block (the fiber's jet of order 0)."""
+def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
+    """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace:
+    the squared fiber speeds of each block of samples from the fiber metrics
+    of the block (the fiber's jet of order 0), and the warp sample by sample
+    (``split.warp``)."""
+    if len(trace) == 0:
+        raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
     P, UY = trace.positions, trace.velocities[:, 1:]
 
     def stacked(s: slice) -> np.ndarray:
         (H,) = split.fiber.jet(P[s, 1:], 0)
-        return value(P[s], _forms(UY[s], H, UY[s]))
+        q = _forms(UY[s], H, UY[s])
+        return np.array([split.warp(p) ** 4 for p in P[s]]) * q
 
-    return in_blocks(len(trace), BLOCK_POINTS, stacked)
-
-
-def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
-    """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace;
-    the warp is evaluated sample by sample (``split.warp``)."""
-    if len(trace) == 0:
-        raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
-    vals = _fiber_pass(split, trace,
-                       lambda P, q: np.array([split.warp(p) ** 4 for p in P]) * q)
+    vals = in_blocks(len(trace), BLOCK_POINTS, stacked)
     c0 = float(vals[0])
     dev = float(np.max(np.abs(vals - c0)))
     drift = dev / abs(c0) if abs(c0) > 1e-14 else dev
     return ClairautReport(initial=c0, values=vals, max_drift=drift)
-
-
-def fiber_projection_length(split: SplitSpaceSpec, trace: GeodesicTrace) -> float:
-    """Length of the fiber projection of the trace in the fiber metric.
-
-    For short geodesics with non-constant fiber part this equals the fiber
-    distance between the endpoint projections (the projected image is a
-    minimizing pregeodesic).
-    """
-    if len(trace) == 0:
-        raise EmptyTrace("cannot measure the projection of an empty trace")
-    speeds = _fiber_pass(split, trace, lambda P, q: _lengths(q))
-    return float(cumulative_simpson(speeds, trace.ts)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,7 @@ round sphere (``SphereFiber``).
 
 The module provides the closed-form Ricci tensor of such charts, the
 supremum criterion deciding when a split space satisfies the CD(0,1)
-inequality, the blow-up obstruction ODE behind that criterion, and the
-radial curvature identity used by the product-splitting argument.
+inequality, and the blow-up obstruction ODE behind that criterion.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .chart_core import FDSteps, MetricSpec, Point, ScalarField, as_point, field_rows
-from .errors import DivergentThreshold, NonFinite, StepOverflow
+from .errors import NonFinite, StepOverflow
 from .geodesic_flow import VELOCITY_GUARD, rk4_step
-from .weighted_curvature import _check_N, generalized_ricci
 
 GOLDEN_WIDTH = 1e-10
 BLOW_UP_THRESHOLD = -50.0
@@ -407,16 +405,6 @@ def twisted_ricci_analytic(spec: TwistedProductSpec, p: Point) -> np.ndarray:
     return ric
 
 
-def mixed_partial_residual(spec: TwistedProductSpec, points) -> float:
-    """Max |psi_{r a}| over the points: zero exactly when the twist splits off r."""
-    worst = 0.0
-    for p in points:
-        p = as_point(p, spec.n)
-        hess = np.asarray(spec.psi.hess(p), dtype=float)
-        worst = max(worst, float(np.max(np.abs(hess[0, 1:]))))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # CD(0,1) threshold for split spaces
 # ---------------------------------------------------------------------------
@@ -489,27 +477,6 @@ def split_cd_threshold(split: SplitSpaceSpec, r_range: tuple[float, float],
     if k == 0 and np.all(np.diff(vals[:tail]) < 0):
         diverged = True
     return ThresholdReport(value=float(value), r_at=float(r_at), diverged=diverged)
-
-
-def sphere_example_lambda(split: SplitSpaceSpec, r_range: tuple[float, float] = (-10.0, 10.0),
-                          n_grid: int = 201) -> float:
-    """Minimal Einstein constant of a round-sphere fiber making the split
-    space with f = phi satisfy CD(0,1); equals the threshold supremum.
-
-    Raises DivergentThreshold when the supremum scan flags divergence (the
-    bounded-warp hypothesis fails on the scanned range).
-    """
-    if not isinstance(split.fiber, SphereFiber):
-        raise ValueError("sphere_example_lambda needs a round-sphere fiber")
-    if split.f_L is not None:
-        basept = split.fiber_basepoint()
-        if abs(float(split.f_L.value(basept))) > 0.0:
-            raise ValueError("sphere_example_lambda assumes a vanishing fiber density")
-    rep = split_cd_threshold(split, r_range, n_grid)
-    if rep.diverged:
-        raise DivergentThreshold(
-            f"threshold still growing at range boundary r = {rep.r_at:.6g}")
-    return rep.value
 
 
 # ---------------------------------------------------------------------------
@@ -587,26 +554,3 @@ def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
         blow_time = None
     return RiccatiReport(blow_up=blow_time is not None, blow_up_time=blow_time,
                          ts=ts, ys=ys, yps=yps, threshold_used=BLOW_UP_THRESHOLD)
-
-
-# ---------------------------------------------------------------------------
-# radial curvature identity
-# ---------------------------------------------------------------------------
-
-def radial_identity_N(split: SplitSpaceSpec, N: float, r: float) -> tuple[float, float]:
-    """Radial generalized Ricci on a split space, closed form vs numeric.
-
-    Returns ``(analytic, numeric)`` where the closed form is
-    ``((N-1)/((n-1)(n-N))) phi'(r)^2`` and the numeric value is the (r, r)
-    component of the generalized Ricci tensor computed by finite differences.
-    """
-    n = split.n
-    _check_N(N, n)
-    p = np.concatenate([[r], split.fiber_basepoint()])
-    dphi = split.phi.grad(p)[0]
-    if math.isinf(N):
-        analytic = -dphi ** 2 / (n - 1)
-    else:
-        analytic = (N - 1.0) / ((n - 1.0) * (n - N)) * dphi ** 2
-    form = generalized_ricci(split.metric_spec(), split.density(), N, p)
-    return float(analytic), float(form[0, 0])

@@ -31,7 +31,6 @@ from .chart_core import (
     VectorField,
     _solve,
     in_blocks,
-    r_coordinate_field,
 )
 from .errors import DimensionClash, EmptyGrid, SingularMetric
 
@@ -258,33 +257,3 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
     return CDReport(verdict=verdict, passed=mn >= -tol, lam=lam, N=N,
                     min_eigenvalue=mn, witness=pts[k].copy(), points=pts,
                     eigenvalues=mins, grid_spec=grid.description, tol=tol)
-
-
-# ---------------------------------------------------------------------------
-# weighted mean curvature of level sets {r = r0}
-# ---------------------------------------------------------------------------
-
-def weighted_mean_curvature(split: SplitSpaceSpec, r0: float,
-                            density: DensitySpec | None = None,
-                            fiber_point: np.ndarray | None = None) -> float:
-    """Weighted mean curvature H - g(grad f, nu) of the slice {r = r0} with
-    respect to nu = d/dr, evaluated at the fiber basepoint by default.
-
-    ``density`` defaults to the split density phi + f_L, for which the result
-    vanishes identically; pass another density (for example the zero field)
-    to evaluate the same slice under a different weight.
-    """
-    y = split.fiber_basepoint() if fiber_point is None else np.asarray(fiber_point, float)
-    p = np.concatenate([[float(r0)], y])
-    spec = split.metric_spec()
-    if density is None:
-        density = split.density()
-    at = BlockGeometry.at(spec, p)
-    H = float(np.sum(at.ginv[0] * at.hessian(r_coordinate_field(split.n))[0]))
-    if isinstance(density, ScalarField):
-        drift = float(at.gradient(density)[0, 0])
-    else:
-        # g(X, nu) with nu = d/dr: the radial covariant component of X
-        Xv = np.asarray(density.value(at.pts[0]), dtype=float)
-        drift = float((at.g[0] @ Xv)[0])
-    return H - drift

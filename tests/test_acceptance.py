@@ -23,7 +23,6 @@ from cdsplit.geodesic_flow import (
     normalize_velocity,
 )
 from cdsplit.warped_products import (
-    radial_identity_N,
     riccati_obstruction,
     split_cd_threshold,
     twisted_ricci_analytic,
@@ -190,12 +189,17 @@ def test_criterion_06_rigidity_identities():
 
 
 def test_criterion_07_radial_identity():
+    # the (r, r) component of the generalized Ricci tensor at (r, fiber
+    # basepoint) against its closed form ((N-1)/((n-1)(n-N))) phi'(r)^2
     worst = 0.0
     for split in (catalog.split_sin_sphere(0.4),
                   catalog.split_sin_sphere(0.4, f_L=catalog.bounded_fiber_density())):
+        n, spec, density = split.n, split.metric_spec(), split.density()
         for N in (-5.0, -1.0, 0.0, 0.5, 1.0):
             for r in (-2.0, -0.4, 0.9, 2.5):
-                ana, num = radial_identity_N(split, N, r)
+                p = np.concatenate([[r], split.fiber_basepoint()])
+                ana = (N - 1.0) / ((n - 1.0) * (n - N)) * split.phi.grad(p)[0] ** 2
+                num = generalized_ricci(spec, density, N, p)[0, 0]
                 worst = max(worst, abs(ana - num))
     ok = worst <= 1e-6
     report(7, "radial generalized Ricci equals its closed-form coefficient", ok,

@@ -17,17 +17,12 @@ from cdsplit.chart_core import (
     ScalarField,
     VectorField,
     as_point,
-    christoffel,
     cumulative_simpson,
-    grad_norm_squared,
     hessian_scalar,
-    inverse_metric,
-    lie_derivative_metric,
     metric_at,
     partials_discrepancy,
     point_jet,
     ricci_numeric,
-    scalar_gradient,
     simpson,
     weighted_laplacian,
 )
@@ -46,13 +41,13 @@ def quadratic_field(dim):
 class TestChristoffel:
     def test_flat_cartesian_all_zero(self):
         spec = catalog.flat(2)
-        G = christoffel(spec, np.array([0.3, -1.2]))
+        G = BlockGeometry.at(spec, np.array([0.3, -1.2])).christoffel[0]
         assert np.max(np.abs(G)) == 0.0
 
     def test_polar_chart_hand_values(self):
         # dr^2 + r^2 dtheta^2 at r = 2: Gamma^r_tt = -2, Gamma^t_rt = 1/2
         spec = catalog.polar_plane()
-        G = christoffel(spec, np.array([2.0, 0.7]))
+        G = BlockGeometry.at(spec, np.array([2.0, 0.7])).christoffel[0]
         assert G[0, 1, 1] == pytest.approx(-2.0, abs=1e-12)
         assert G[1, 0, 1] == pytest.approx(0.5, abs=1e-12)
         assert G[1, 1, 0] == pytest.approx(0.5, abs=1e-12)
@@ -72,7 +67,7 @@ class TestChristoffel:
 
         spec = MetricSpec(dim=2, jet=point_jet(g, partials))
         for r in (-0.5, 0.0, 1.3):
-            G = christoffel(spec, np.array([r, 0.2]))
+            G = BlockGeometry.at(spec, np.array([r, 0.2])).christoffel[0]
             assert G[0, 1, 1] == pytest.approx(-math.exp(2.0 * r), rel=1e-12)
             assert G[1, 0, 1] == pytest.approx(1.0, rel=1e-12)
 
@@ -80,7 +75,7 @@ class TestChristoffel:
         spec = MetricSpec(dim=2, jet=point_jet(lambda p: np.diag([1.0, 0.0]),
                                                lambda p: np.zeros((2, 2, 2))))
         with pytest.raises(SingularMetric):
-            christoffel(spec, np.zeros(2))
+            BlockGeometry.at(spec, np.zeros(2)).christoffel[0]
 
     def test_partials_that_raise_come_after_the_metric_checks(self):
         # where the metric is not positive definite, the positivity gate
@@ -92,14 +87,14 @@ class TestChristoffel:
         spec = MetricSpec(dim=2, jet=point_jet(lambda p: np.diag([1.0, p[0]]), partials))
         message = f"metric at {np.array([-1.0, 0.0])} is not positive definite"
         with pytest.raises(SingularMetric, match=f"^{re.escape(message)}$"):
-            christoffel(spec, np.array([-1.0, 0.0]))
+            BlockGeometry.at(spec, np.array([-1.0, 0.0])).christoffel[0]
         with pytest.raises(ZeroDivisionError, match="^planted$"):
-            christoffel(spec, np.array([1.0, 0.0]))
+            BlockGeometry.at(spec, np.array([1.0, 0.0])).christoffel[0]
 
     def test_nonfinite_point_rejected(self):
         spec = catalog.flat(2)
         with pytest.raises(NonFinite):
-            christoffel(spec, np.array([np.nan, 0.0]))
+            BlockGeometry.at(spec, np.array([np.nan, 0.0])).christoffel[0]
 
 
 class TestRicciNumeric:
@@ -176,7 +171,7 @@ class TestLieDerivative:
     def test_zero_field(self):
         spec = catalog.flat(2)
         X = VectorField(value=lambda p: np.zeros(2))
-        L = lie_derivative_metric(spec, X, np.array([1.0, 2.0]))
+        L = BlockGeometry.at(spec, np.array([1.0, 2.0])).lie_derivative(X)[0]
         assert np.max(np.abs(L)) == 0.0
 
     def test_rotation_field_is_killing(self):
@@ -184,7 +179,7 @@ class TestLieDerivative:
         X = VectorField(value=lambda p: np.array([-p[1], p[0]]))
         rng = np.random.default_rng(5)
         for _ in range(5):
-            L = lie_derivative_metric(spec, X, rng.uniform(-3, 3, 2))
+            L = BlockGeometry.at(spec, rng.uniform(-3, 3, 2)).lie_derivative(X)[0]
             assert np.max(np.abs(L)) < 1e-9
 
     def test_half_lie_of_gradient_is_hessian(self):
@@ -199,7 +194,7 @@ class TestLieDerivative:
                             grad=lambda p, A=A, b=b: A @ p + b)
             X = catalog.gradient_as_vector_field(spec, f)
             p = rng.uniform(-2, 2, 3)
-            L = lie_derivative_metric(spec, X, p)
+            L = BlockGeometry.at(spec, p).lie_derivative(X)[0]
             H = hessian_scalar(spec, f, p)
             assert np.max(np.abs(0.5 * L - H)) < 1e-5
 
@@ -211,7 +206,7 @@ class TestLieDerivative:
         rng = np.random.default_rng(12)
         for _ in range(5):
             p = np.concatenate([[rng.uniform(-2, 2)], rng.uniform(-1.5, 1.5, 2)])
-            L = lie_derivative_metric(spec, X, p)
+            L = BlockGeometry.at(spec, p).lie_derivative(X)[0]
             H = hessian_scalar(spec, f, p)
             assert np.max(np.abs(0.5 * L - H)) < 1e-5
 
@@ -312,12 +307,13 @@ class TestInvariantsAndGuards:
     def test_gradient_norm(self):
         spec = catalog.polar_plane()
         r_field = ScalarField(value=lambda p: p[0], grad=lambda p: np.array([1.0, 0.0]))
-        assert grad_norm_squared(spec, r_field, np.array([2.0, 0.1])) == pytest.approx(1.0)
+        at = BlockGeometry.at(spec, np.array([2.0, 0.1]))
+        assert at.grad_norm_squared(r_field)[0] == pytest.approx(1.0)
 
     def test_inverse_metric(self):
         spec = catalog.polar_plane()
         p = np.array([2.0, 0.0])
-        gi = inverse_metric(spec, p)
+        gi = BlockGeometry.at(spec, p).ginv[0]
         assert np.max(np.abs(gi @ metric_at(spec, p) - np.eye(2))) < 1e-14
 
     def test_density_gradient_fd_consistency(self):
@@ -329,8 +325,8 @@ class TestInvariantsAndGuards:
         rng = np.random.default_rng(2)
         for _ in range(5):
             p = np.concatenate([[rng.uniform(-3, 3)], rng.uniform(-2, 2, 2)])
-            ga = scalar_gradient(spec, f, p)
-            gn = scalar_gradient(spec, f_bare, p)
+            at = BlockGeometry.at(spec, p)
+            ga, gn = at.gradient(f)[0], at.gradient(f_bare)[0]
             assert np.max(np.abs(ga - gn)) / max(1.0, np.max(np.abs(ga))) < 1e-6
 
 

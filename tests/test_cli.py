@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cdsplit.cli import run
+from cdsplit.cli import main, run
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -492,3 +492,40 @@ def test_geodesic_into_an_indefinite_metric_is_one_error_line(tmp_path, capsys):
     assert run("geodesic", path, tmp_path / "out") == 1
     assert capsys.readouterr().err == "error: metric at [0.999 0.   ] is not positive definite\n"
     assert not (tmp_path / "out" / "geodesic.csv").exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+@pytest.mark.parametrize("subcommand", ["bochner", "curvature", "verify-cd", "geodesic"])
+def test_seed_outside_u64_is_a_usage_error(tmp_path, capsys, subcommand, seed):
+    # the seed feeds np.random.default_rng, which takes a u64: one outside
+    # that range is a usage error before any report is written
+    assert run(subcommand, MANIFESTS / "twisted_flat.cdm", tmp_path / "out", seed=seed) == 2
+    assert capsys.readouterr().err == f"error: --seed {seed} is outside [0, 2**64)\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+def test_seed_at_the_ends_of_u64_runs(tmp_path, seed):
+    assert run("curvature", MANIFESTS / "twisted_flat.cdm", tmp_path / "out", seed=seed) == 0
+    assert f"# seed: {seed}\n" in (tmp_path / "out" / "curvature.csv").read_text()
+
+
+def test_seed_outside_u64_through_main(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["bochner", "--manifest", str(MANIFESTS / "twisted_flat.cdm"),
+              "--out", str(tmp_path / "out"), "--seed", "-1"])
+    assert exit_.value.code == 2
+    assert capsys.readouterr().err == "error: --seed -1 is outside [0, 2**64)\n"
+
+
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "path-under-file"])
+def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, under_file):
+    # an --out that mkdir cannot make a directory is a usage error, and the
+    # file in its way is left as it was
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under_file else blocker
+    assert run("threshold", MANIFESTS / "sphere_example.cdm", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
+    assert blocker.read_text() == "kept\n"

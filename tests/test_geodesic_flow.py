@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdsplit import catalog
 from cdsplit.chart_core import (
+    BlockGeometry,
     MetricSpec,
     ScalarField,
     VectorField,
@@ -19,7 +20,6 @@ from cdsplit.chart_core import (
     gamma_evaluator,
     metric_at,
     point_jet,
-    scalar_gradient,
 )
 from cdsplit.errors import EmptyTrace, NonFinite, StepOverflow
 from cdsplit.geodesic_flow import (
@@ -28,7 +28,6 @@ from cdsplit.geodesic_flow import (
     clairaut_constant,
     completeness_diagnostic,
     f_along_geodesic,
-    fiber_projection_length,
     geodesic_integrate,
     normalize_velocity,
     sample_unit_directions,
@@ -165,9 +164,9 @@ class TestClairaut:
 
 
 class TestMinimizingProjection:
+    # the fiber projection of a short geodesic is a minimizing fiber geodesic,
+    # so its length in the fiber metric is the fiber distance of its ends
     def test_euclidean_fiber_projection_length(self):
-        from cdsplit.geodesic_flow import fiber_projection_length
-
         split = catalog.split_sin_euclidean(3, amplitude=0.3)
         spec = split.metric_spec()
         rng = np.random.default_rng(23)
@@ -175,13 +174,11 @@ class TestMinimizingProjection:
             p0 = np.concatenate([[rng.uniform(-0.5, 0.5)], rng.uniform(-0.5, 0.5, 2)])
             v0 = normalize_velocity(spec, p0, rng.standard_normal(3))
             trace = geodesic_integrate(spec, p0, v0, T=0.5, dt=1e-3)
-            length = fiber_projection_length(split, trace)
+            length = _fiber_oracles(split, trace)[1]
             dist = split.fiber.distance(trace.positions[0, 1:], trace.positions[-1, 1:])
             assert abs(length - dist) <= 1e-4
 
     def test_sphere_fiber_small_arcs(self):
-        from cdsplit.geodesic_flow import fiber_projection_length
-
         split = catalog.split_sin_sphere(0.5)
         spec = split.metric_spec()
         rng = np.random.default_rng(29)
@@ -189,18 +186,16 @@ class TestMinimizingProjection:
             p0 = np.concatenate([[rng.uniform(-0.5, 0.5)], rng.uniform(-0.4, 0.4, 2)])
             v0 = normalize_velocity(spec, p0, rng.standard_normal(3))
             trace = geodesic_integrate(spec, p0, v0, T=0.4, dt=1e-3)
-            length = fiber_projection_length(split, trace)
+            length = _fiber_oracles(split, trace)[1]
             dist = split.fiber.distance(trace.positions[0, 1:], trace.positions[-1, 1:])
             assert abs(length - dist) <= 1e-4
 
     def test_radial_geodesic_zero_projection(self):
-        from cdsplit.geodesic_flow import fiber_projection_length
-
         split = catalog.split_sin_sphere(0.5)
         spec = split.metric_spec()
         trace = geodesic_integrate(spec, np.array([0.0, 0.2, 0.1]),
                                    np.array([1.0, 0.0, 0.0]), T=1.0, dt=1e-3)
-        assert fiber_projection_length(split, trace) == 0.0
+        assert _fiber_oracles(split, trace)[1] == 0.0
 
 
 class TestDensityLineIntegral:
@@ -495,7 +490,7 @@ def _f_gamma_oracle(density, trace):
     spec, vals = trace.spec, []
     for p, u in zip(trace.positions, trace.velocities):
         if isinstance(density, ScalarField):
-            vals.append(float(u @ scalar_gradient(spec, density, p)))
+            vals.append(float(u @ BlockGeometry.at(spec, p).gradient(density)[0]))
         else:
             X = np.asarray(density.value(p), dtype=float)
             vals.append(float(u @ metric_at(spec, p) @ X))
@@ -546,9 +541,8 @@ def test_post_passes_match_per_sample_oracles(case, samples):
     f_gamma = f_along_geodesic(density, trace)
     assert f_gamma.tobytes() == _f_gamma_oracle(density, trace).tobytes()
     if split is not None:
-        clairaut, length = _fiber_oracles(split, trace)
+        clairaut = _fiber_oracles(split, trace)[0]
         assert clairaut_constant(split, trace).values.tobytes() == clairaut.tobytes()
-        assert fiber_projection_length(split, trace) == length
 
 
 @pytest.mark.parametrize("n", range(1, 7))

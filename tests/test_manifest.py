@@ -401,11 +401,11 @@ class TestShippedManifests:
         man = parse_manifest(MANIFESTS / "polar_general.cdm")
         geo = build_geometry(man)
         from cdsplit import catalog
-        from cdsplit.chart_core import christoffel
+        from cdsplit.chart_core import BlockGeometry
 
         p = np.array([2.0, 0.5])
-        a = christoffel(geo["spec"], p)
-        b = christoffel(catalog.polar_plane(), p)
+        a = BlockGeometry.at(geo["spec"], p).christoffel[0]
+        b = BlockGeometry.at(catalog.polar_plane(), p).christoffel[0]
         assert np.max(np.abs(a - b)) < 1e-12
 
 

@@ -10,10 +10,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cdsplit import catalog
-from cdsplit.chart_core import MetricSpec, ScalarField, metric_at, point_jet, ricci_numeric
+from cdsplit.chart_core import (
+    BlockGeometry,
+    MetricSpec,
+    ScalarField,
+    metric_at,
+    point_jet,
+    ricci_numeric,
+)
 from cdsplit.errors import (
     DimensionClash,
-    DivergentThreshold,
     NonFinite,
     ParseError,
     StepOverflow,
@@ -30,14 +36,12 @@ from cdsplit.warped_products import (
     SphereFiber,
     SplitSpaceSpec,
     TwistedProductSpec,
-    mixed_partial_residual,
     product_coords,
-    radial_identity_N,
     riccati_obstruction,
-    sphere_example_lambda,
     split_cd_threshold,
     twisted_ricci_analytic,
 )
+from cdsplit.weighted_curvature import generalized_ricci
 
 
 def phi_field(text, n=3):
@@ -66,12 +70,11 @@ class TestFibers:
                 assert np.max(np.abs(ric - lam * g)) / max(1.0, np.max(np.abs(g))) < 1e-5
 
     def test_sphere_christoffel_matches_fd(self):
-        from cdsplit.chart_core import christoffel
-
         fiber = SphereFiber(dim=3, einstein_constant=1.0)
         spec = MetricSpec(dim=3, jet=point_jet(fiber.metric, fiber.partials))
         y = np.array([0.4, -1.1, 0.7])
-        assert np.max(np.abs(christoffel(spec, y) - fiber.christoffel(y))) < 1e-12
+        G = BlockGeometry.at(spec, y).christoffel[0]
+        assert np.max(np.abs(G - fiber.christoffel(y))) < 1e-12
 
     def test_sphere_distance_small_arcs(self):
         fiber = SphereFiber(dim=2, einstein_constant=1.0)
@@ -278,24 +281,22 @@ class TestSplitThreshold:
         rep = split_cd_threshold(split, (0.0, 10.0))
         assert rep.diverged
         assert rep.value == pytest.approx(math.exp(100.0), rel=1e-6)
-        with pytest.raises(DivergentThreshold):
-            sphere_example_lambda(split, (0.0, 10.0))
 
     def test_overflowing_profile_raises(self):
         split = SplitSpaceSpec(n=3, phi=phi_field("r * r"), fiber=SphereFiber(2, 1.0))
         with pytest.raises(NonFinite):
             split_cd_threshold(split, (0.0, 40.0))
 
-    def test_sphere_example_needs_sphere_fiber(self):
-        with pytest.raises(ValueError):
-            sphere_example_lambda(catalog.split_sin_torus(3), (-5.0, 5.0))
-
     def test_sphere_example_values(self):
-        assert sphere_example_lambda(
-            catalog.split_sin_sphere(1.0), (-10.0, 10.0)
-        ) == pytest.approx(0.5 * math.exp(-1.0), abs=1e-6)
+        # the least Einstein constant of the sphere fiber for CD(0,1), which
+        # threshold.txt prints with its diverged flag
+        rep = split_cd_threshold(catalog.split_sin_sphere(1.0), (-10.0, 10.0))
+        assert rep.value == pytest.approx(0.5 * math.exp(-1.0), abs=1e-6)
+        assert not rep.diverged
         flat_phi = SplitSpaceSpec(n=3, phi=phi_field("0"), fiber=SphereFiber(2, 1.0))
-        assert sphere_example_lambda(flat_phi, (-10.0, 10.0)) == pytest.approx(0.0, abs=1e-12)
+        rep = split_cd_threshold(flat_phi, (-10.0, 10.0))
+        assert rep.value == pytest.approx(0.0, abs=1e-12)
+        assert not rep.diverged
 
 
 class TestRiccatiObstruction:
@@ -351,24 +352,39 @@ class TestRiccatiObstruction:
         assert t4 < t1
 
 
+def radial_identity(split, N, r):
+    """The (r, r) component of the generalized Ricci tensor of a split space
+    at (r, fiber basepoint): the closed form ((N-1)/((n-1)(n-N))) phi'(r)^2,
+    -phi'^2/(n-1) at N = inf, and the numeric value."""
+    n = split.n
+    p = np.concatenate([[r], split.fiber_basepoint()])
+    dphi = split.phi.grad(p)[0]
+    if math.isinf(N):
+        closed = -dphi ** 2 / (n - 1)
+    else:
+        closed = (N - 1.0) / ((n - 1.0) * (n - N)) * dphi ** 2
+    numeric = generalized_ricci(split.metric_spec(), split.density(), N, p)[0, 0]
+    return float(closed), float(numeric)
+
+
 class TestRadialIdentity:
     def test_vanishes_at_N_equal_one(self):
         split = catalog.split_sin_sphere(0.7)
-        ana, num = radial_identity_N(split, 1.0, 1.3)
+        ana, num = radial_identity(split, 1.0, 1.3)
         assert ana == 0.0
         assert abs(num) < 1e-6
 
     def test_unit_slope_coefficient(self):
         # phi' = 1, n = 3, N = 0: coefficient (N-1)/((n-1)(n-N)) = -1/6
         split = SplitSpaceSpec(n=3, phi=phi_field("r"), fiber=FlatFiber(2))
-        ana, num = radial_identity_N(split, 0.0, 0.4)
+        ana, num = radial_identity(split, 0.0, 0.4)
         assert ana == pytest.approx(-1.0 / 6.0, abs=1e-12)
         assert num == pytest.approx(-1.0 / 6.0, abs=1e-6)
 
     def test_constant_phi_zero_for_all_N(self):
         split = SplitSpaceSpec(n=3, phi=phi_field("2"), fiber=SphereFiber(2, 1.0))
         for N in (-5.0, 0.0, 0.5, 1.0, math.inf):
-            ana, num = radial_identity_N(split, N, 0.9)
+            ana, num = radial_identity(split, N, 0.9)
             assert ana == 0.0
             assert abs(num) < 1e-7
 
@@ -378,26 +394,35 @@ class TestRadialIdentity:
                       catalog.split_sin_torus(3)):
             for N in (-5.0, -1.0, 0.0, 0.5, 1.0):
                 for r in (-1.1, 0.6, 2.0):
-                    ana, num = radial_identity_N(split, N, r)
+                    ana, num = radial_identity(split, N, r)
                     assert abs(ana - num) <= 1e-6
 
     def test_dimension_clash(self):
+        split = catalog.split_sin_sphere(0.4)
         with pytest.raises(DimensionClash):
-            radial_identity_N(catalog.split_sin_sphere(0.4), 3.0, 1.0)
+            generalized_ricci(split.metric_spec(), split.density(), 3.0,
+                              np.array([1.0, 0.0, 0.0]))
 
 
 class TestMixedPartialResidual:
+    # the radial-fiber entries of the Ricci tensor, which curvature.csv
+    # prints, are ((2-n)/(n-1)) psi_{r a} in closed form: zero exactly when
+    # the twist splits off r
     def test_splitting_twist_has_no_mixed_partials(self):
         tw = catalog.split_sin_sphere(0.5, f_L=catalog.bounded_fiber_density()).as_twisted()
         rng = np.random.default_rng(1)
         pts = np.column_stack([rng.uniform(-3, 3, 20), rng.uniform(-2, 2, 20),
                                rng.uniform(-2, 2, 20)])
-        assert mixed_partial_residual(tw, pts) <= 1e-12
+        for p in pts:
+            assert np.max(np.abs(twisted_ricci_analytic(tw, p)[0, 1:])) <= 1e-12
 
     def test_genuine_twist_detected(self):
         tw = catalog.twisted_example(3)
-        pts = np.array([[0.7, 0.5, 0.1]])
-        assert mixed_partial_residual(tw, pts) > 1e-2
+        p = np.array([0.7, 0.5, 0.1])
+        mixed = tw.psi.hess(p)[0, 1:]
+        assert np.max(np.abs(mixed)) > 1e-2
+        assert np.allclose(twisted_ricci_analytic(tw, p)[0, 1:], -0.5 * mixed,
+                           rtol=1e-12, atol=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdsplit import catalog
-from cdsplit.chart_core import MetricSpec, ScalarField, VectorField, point_jet, ricci_numeric
+from cdsplit.chart_core import (
+    BlockGeometry,
+    MetricSpec,
+    ScalarField,
+    VectorField,
+    point_jet,
+    r_coordinate_field,
+    ricci_numeric,
+)
 from cdsplit.errors import DimensionClash, EmptyGrid, SingularMetric
 from cdsplit.manifest import compile_expression, expression_scalar_field
 from cdsplit.weighted_curvature import (
@@ -17,7 +25,6 @@ from cdsplit.weighted_curvature import (
     generalized_ricci,
     min_relative_eigenvalue,
     split_grid,
-    weighted_mean_curvature,
 )
 from cdsplit.warped_products import FlatFiber, SphereFiber, SplitSpaceSpec
 
@@ -233,27 +240,37 @@ class TestCDVerify:
         assert serial.verdict == threaded.verdict
 
 
+def slice_mean_curvature(split, r0, density=None):
+    """The weighted mean curvature H - g(grad f, d/dr) of the slice {r = r0}
+    at the fiber basepoint: the weighted Laplacian of r, which rigidity.txt
+    prints; ``density`` defaults to the split density."""
+    p = np.concatenate([[r0], split.fiber_basepoint()])
+    at = BlockGeometry.at(split.metric_spec(), p)
+    density = split.density() if density is None else density
+    return float(at.weighted_laplacian(density, r_coordinate_field(split.n))[0])
+
+
 class TestWeightedMeanCurvature:
     def test_split_density_always_zero(self):
         for split in (catalog.split_sin_sphere(0.5),
                       catalog.split_sin_sphere(0.5, f_L=catalog.bounded_fiber_density()),
                       catalog.hyperbolic_split(3)):
             for r0 in (-1.0, 0.0, 2.3):
-                assert abs(weighted_mean_curvature(split, r0)) < 1e-10
+                assert abs(slice_mean_curvature(split, r0)) < 1e-10
 
     def test_unweighted_product_zero(self):
         # phi = 0, f = 0: flat slices, H = 0 and H_f = 0
         split = catalog.split_sin_euclidean(3, amplitude=0.0)
         zero = ScalarField.constant(0.0)
-        assert weighted_mean_curvature(split, 1.0, density=zero) == pytest.approx(0.0, abs=1e-12)
+        assert slice_mean_curvature(split, 1.0, density=zero) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_warp_unweighted(self):
         # phi = 2r, n = 3, f = 0: H = phi' = 2, so H_f = H = 2
         split = catalog.hyperbolic_split(3)
         zero = ScalarField.constant(0.0)
-        assert weighted_mean_curvature(split, 0.7, density=zero) == pytest.approx(2.0, abs=1e-10)
+        assert slice_mean_curvature(split, 0.7, density=zero) == pytest.approx(2.0, abs=1e-10)
         # with the split density phi the drift cancels H entirely
-        assert weighted_mean_curvature(split, 0.7) == pytest.approx(0.0, abs=1e-10)
+        assert slice_mean_curvature(split, 0.7) == pytest.approx(0.0, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
