@@ -89,13 +89,15 @@ own.  Only elementwise array operations, numpy's stacked LAPACK calls
 matrix of a stack), einsum contractions with a batch axis and stacked
 matrix products (the same BLAS call per matrix) run across points, and a
 manifest expression's block form is made of such operations, with its
-calls and powers per element.  One more stacked call runs across points,
+calls and powers per element.  More stacked calls run across points, each
 measured bit-equal to its per-point call: a sphere fiber's |y|^2 (one
-``np.vecdot``, the BLAS dot product of one row; ``SphereFiber.jet``).
-Other fiber scalars and reductions within a row run once per point, with
-``math`` and not numpy ufuncs, which round differently on some inputs.  The
-minimum of the shipped sphere grid is a four-way exact tie a few ulps below
-its neighbours, so any change in rounding can move the reported witness.
+``np.vecdot``, the BLAS dot product of one row; ``SphereFiber.jet``) and,
+in ``BlockGeometry``, g^-1 df (``np.matmul``), |df|^2 and g(df, dh)
+(``_forms``), the trace g^ij H_ij (``np.sum`` over two axes) and X(h)
+(``np.vecdot``).  Other fiber scalars run once per point, with ``math`` and
+not numpy ufuncs, which round differently on some inputs.  The minimum of
+the shipped sphere grid is a four-way exact tie a few ulps below its
+neighbours, so any change in rounding can move the reported witness.
 
 Everything here is a pure function of immutable specs and is safe to call
 concurrently; a ``BlockGeometry`` belongs to the one call that made it.
@@ -430,6 +432,19 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve(a, b, signature="dd->d")
 
 
+def _forms(U: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """u @ g @ v at each sample, from the stacks U, G and V: the stacked
+    product of each u with its g, then one ``np.vecdot`` of the rows, which
+    run the BLAS calls of ``u @ g @ v`` on each sample.  An einsum of the
+    three rounds differently."""
+    return np.vecdot(np.matmul(U[:, None], G)[:, 0], V)
+
+
+def _lengths(q: np.ndarray) -> np.ndarray:
+    """sqrt(max(0, q)) at each entry as ``math.sqrt(max(0.0, q))``: NaN gives 0."""
+    return np.sqrt(np.fmax(q, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # block geometry
 # ---------------------------------------------------------------------------
@@ -625,13 +640,12 @@ class BlockGeometry:
 
     def gradient_vector(self, f) -> np.ndarray:
         """The metric gradient (nabla f)^i = g^{ij} d_j f at each point."""
-        ginv = self.ginv
-        return np.array([gi @ df for gi, df in zip(ginv, self.gradient(f))])
+        return np.matmul(self.ginv, self.gradient(f)[:, :, None])[:, :, 0]
 
     def grad_norm_squared(self, f) -> np.ndarray:
         """|grad f|^2_g = g^{ij} d_i f d_j f at each point."""
         df = self.gradient(f)
-        return np.array([float(d @ gi @ d) for d, gi in zip(df, self.ginv)])
+        return _forms(df, self.ginv, df)
 
     def hessian(self, f, step: float | None = None) -> np.ndarray:
         spec, pts = self.spec, self.pts
@@ -661,22 +675,19 @@ class BlockGeometry:
     def weighted_laplacian(self, density: DensitySpec, h, step: float | None = None) -> np.ndarray:
         """``weighted_laplacian`` at each point; ``step`` is the base step of
         whatever of h is differenced."""
-        pts = self.pts
         ginv = self.ginv
         H = self.hessian(h, step)
-        lap = [float(np.sum(gi * Hi)) for gi, Hi in zip(ginv, H)]
+        lap = np.sum(ginv * H, axis=(1, 2))
         dh = self.gradient(h, step)
         if isinstance(density, ScalarField):
-            df = self.gradient(density)
-            drift = [float(a @ gi @ b) for a, gi, b in zip(df, ginv, dh)]
+            drift = _forms(self.gradient(density), ginv, dh)
         elif isinstance(density, VectorField):
-            X = self.evaluated(density.value, "vector field")
-            drift = [float(x @ b) for x, b in zip(X, dh)]
+            drift = np.vecdot(self.evaluated(density.value, "vector field"), dh)
         else:
             raise TypeError(f"expected a scalar or vector density, got {type(density)!r}")
-        out = np.array([a - b for a, b in zip(lap, drift)])
+        out = lap - drift
         if not np.isfinite(out).all():
-            raise NonFinite(f"weighted Laplacian at {pts[int(np.argmin(np.isfinite(out)))]}")
+            raise NonFinite(f"weighted Laplacian at {self.pts[int(np.argmin(np.isfinite(out)))]}")
         return out
 
     def lie_derivative(self, X: VectorField) -> np.ndarray:

@@ -6,9 +6,11 @@
 Subcommands: curvature, verify-cd, threshold, riccati, geodesic, compare,
 bochner, suite.  Exit codes: 0 = all checks pass, 1 = violation found or a
 numerical error, 2 = usage or parse error, such as any manifest that
-``parse_manifest`` rejects, a seed outside [0, 2**64) or an ``--out`` that
-cannot be made a directory; an error is one ``error:`` line, and a warning
-(numpy's floating-point warnings among them) one ``warning:`` line.
+``parse_manifest`` rejects, a subcommand that does not apply to the
+manifest (``_NEEDS``), a seed outside [0, 2**64) or an ``--out`` that cannot
+be made a directory, each decided in ``_run`` before any report is written.
+An error is one ``error:`` line, and a warning (numpy's floating-point
+warnings among them) one ``warning:`` line.
 ``--grid-override`` sets a [grid] or [numeric] key; ``parse_manifest``
 applies it before validation and builds the geometry the subcommands get
 from ``build_geometry``.  Given the same manifest and seed the written
@@ -39,7 +41,6 @@ from .geodesic_flow import (
     clairaut_constant,
     f_along_geodesic,
     geodesic_integrate,
-    normalize_velocity,
     write_csv,
     write_trace_csv,
 )
@@ -50,6 +51,7 @@ from .manifest import (
     grid_center,
     parse_manifest,
     sample_points,
+    sample_region,
 )
 from .warped_products import riccati_obstruction, split_cd_threshold, twisted_ricci_analytic
 from .weighted_curvature import cd_verify, generalized_ricci_at
@@ -57,6 +59,9 @@ from .weighted_curvature import cd_verify, generalized_ricci_at
 TOOL = "cdsplit"
 
 BOCHNER_TOL = 1e-4
+# coordinate-scaled steps budget the 1e-4 tolerance for desk-scale
+# coordinates, so bochner samples r inside |r| <= 3
+BOCHNER_R_LIMIT = 3.0
 SPEED_DRIFT_TOL = 1e-6
 CLAIRAUT_TOL = 1e-8
 SLACK_TOL = 1e-8
@@ -151,9 +156,6 @@ def _cmd_curvature(manifest, geo, rep: Reporter) -> int:
 
 
 def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
-    if not manifest.cd:
-        print("verify-cd needs a [cd] block in the manifest", file=sys.stderr)
-        return 2
     grid = cd_grid(manifest, geo)
     report = cd_verify(geo["spec"], geo["density"], manifest.cd["lambda"],
                        manifest.cd["N"], grid, tol=manifest.numeric["tol_cd"])
@@ -178,9 +180,6 @@ def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
 
 
 def _cmd_threshold(manifest, geo, rep: Reporter) -> int:
-    if "split" not in geo:
-        print("threshold applies to split manifests only", file=sys.stderr)
-        return 2
     g = manifest.grid
     out = split_cd_threshold(geo["split"], (g["r_min"], g["r_max"]), g["r_count"])
     body = [
@@ -218,30 +217,13 @@ def _cmd_riccati(manifest, geo, rep: Reporter) -> int:
 
 
 def _cmd_geodesic(manifest, geo, rep: Reporter) -> int:
-    spec = geo["spec"]
     params = manifest.extras["geodesic"]
-    if "start" in params:
-        p0, v_seed = params["start"], params["velocity"]
-    else:
-        p0 = grid_center(manifest)
-        v_seed = np.zeros(manifest.dim)
-        v_seed[0] = 1.0
-    if manifest.kind == "radial_model" and float(np.linalg.norm(p0)) < 1e-12:
-        p0 = p0.copy()
-        p0[0] = 0.1  # keep clear of the density's radial singularity at the origin
-    try:
-        v0 = normalize_velocity(spec, p0, v_seed)
-    except ValueError as exc:
-        # a velocity of length 0 or beyond the float range in the metric at
-        # the start has no unit direction to follow
-        raise ValidationError(str(exc), key="[geodesic] velocity") from None
-    trace = geodesic_integrate(spec, p0, v0, T=params["T"], dt=manifest.numeric["dt"])
-    clairaut = None
-    clairaut_drift = None
+    trace = geodesic_integrate(geo["spec"], params["start"], params["velocity"], T=params["T"],
+                               dt=manifest.numeric["dt"])
+    clairaut = clairaut_drift = None
     if "split" in geo:
         c_rep = clairaut_constant(geo["split"], trace)
-        clairaut = c_rep.values
-        clairaut_drift = c_rep.max_drift
+        clairaut, clairaut_drift = c_rep.values, c_rep.max_drift
     fg = f_along_geodesic(geo["density"], trace)
     extra = [f"speed drift: {_fmt(trace.speed_drift)}",
              f"truncated: {trace.truncated}"]
@@ -257,9 +239,6 @@ def _cmd_geodesic(manifest, geo, rep: Reporter) -> int:
 
 
 def _cmd_compare(manifest, geo, rep: Reporter) -> int:
-    if "model" not in geo:
-        print("compare applies to radial_model manifests only", file=sys.stderr)
-        return 2
     params = manifest.extras["compare"]
     rho = np.linspace(params["rho_min"], params["rho_max"], params["count"])
     try:
@@ -299,9 +278,7 @@ def _random_cubic_field(rng, dim: int, scale: float = 0.5) -> ScalarField:
 def _cmd_bochner(manifest, geo, rep: Reporter) -> int:
     count = manifest.extras["bochner"]["points"]
     rng = np.random.default_rng(rep.seed)
-    # coordinate-scaled steps budget the 1e-4 tolerance for desk-scale
-    # coordinates, so sampling stays inside |r| <= 3
-    pts = sample_points(manifest, count, rep.seed + 1, r_limit=3.0)
+    pts = sample_points(manifest, count, rep.seed + 1, r_limit=BOCHNER_R_LIMIT)
     rows = []
     worst = 0.0
     for p in pts:
@@ -317,42 +294,31 @@ def _cmd_bochner(manifest, geo, rep: Reporter) -> int:
     return 0 if worst <= BOCHNER_TOL else 1
 
 
+def _rigidity(manifest, geo, rep: Reporter) -> int:
+    rigidity = rigidity_check(geo["split"], n_points=40, seed=rep.seed,
+                              r_range=(manifest.grid["r_min"], manifest.grid["r_max"]))
+    rep.write_text("rigidity.txt", [
+        f"grad norm deviation: {_fmt(rigidity.grad_norm_dev)}",
+        f"weighted laplacian of r: {_fmt(rigidity.lap_f_r_dev)}",
+        f"hessian proportionality: {_fmt(rigidity.hess_proportionality_dev)}",
+        f"radial generalized Ricci at N=1: {_fmt(rigidity.radial_ricci_dev)}",
+        f"opposite-ray pair deviation: {_fmt(rigidity.busemann_pair_dev)}",
+        f"passes: {rigidity.passes()}",
+    ])
+    return 0 if rigidity.passes() else 1
+
+
 def _cmd_suite(manifest, geo, rep: Reporter) -> int:
     results: list[tuple[str, int]] = []
-
-    def run_step(name, fn):
+    for name, step in _SUITE.items():
+        if name in _NEEDS and not _NEEDS[name][0](manifest):
+            continue
         try:
-            code = fn(manifest, geo, rep)
-        except ValidationError:
-            raise  # a usage error, which run() reports with exit 2
+            code = step(manifest, geo, rep)
         except CdsplitError as exc:
             print(f"{name}: error: {exc}", file=sys.stderr)
             code = 1
-        if code != 2:
-            results.append((name, code))
-        return code
-
-    run_step("curvature", _cmd_curvature)
-    if manifest.cd:
-        run_step("verify-cd", _cmd_verify_cd)
-    if manifest.kind == "split":
-        run_step("threshold", _cmd_threshold)
-        rigidity = rigidity_check(geo["split"], n_points=40, seed=rep.seed,
-                                  r_range=(manifest.grid["r_min"], manifest.grid["r_max"]))
-        rep.write_text("rigidity.txt", [
-            f"grad norm deviation: {_fmt(rigidity.grad_norm_dev)}",
-            f"weighted laplacian of r: {_fmt(rigidity.lap_f_r_dev)}",
-            f"hessian proportionality: {_fmt(rigidity.hess_proportionality_dev)}",
-            f"radial generalized Ricci at N=1: {_fmt(rigidity.radial_ricci_dev)}",
-            f"opposite-ray pair deviation: {_fmt(rigidity.busemann_pair_dev)}",
-            f"passes: {rigidity.passes()}",
-        ])
-        results.append(("rigidity", 0 if rigidity.passes() else 1))
-    run_step("riccati", _cmd_riccati)
-    run_step("geodesic", _cmd_geodesic)
-    if manifest.kind == "radial_model":
-        run_step("compare", _cmd_compare)
-    run_step("bochner", _cmd_bochner)
+        results.append((name, code))
 
     all_ok = all(code == 0 for _, code in results)
     body = [f"{name}: {'PASS' if code == 0 else 'FAIL'}" for name, code in results]
@@ -362,16 +328,28 @@ def _cmd_suite(manifest, geo, rep: Reporter) -> int:
     return 0 if all_ok else 1
 
 
-_COMMANDS = {
+# the steps of suite, in order: each other subcommand and the rigidity check
+_SUITE = {
     "curvature": _cmd_curvature,
     "verify-cd": _cmd_verify_cd,
     "threshold": _cmd_threshold,
+    "rigidity": _rigidity,
     "riccati": _cmd_riccati,
     "geodesic": _cmd_geodesic,
     "compare": _cmd_compare,
     "bochner": _cmd_bochner,
-    "suite": _cmd_suite,
 }
+_COMMANDS = {**{n: step for n, step in _SUITE.items() if n != "rigidity"}, "suite": _cmd_suite}
+
+# what a step needs of its manifest, and the usage error of the subcommand
+# run on a manifest without it; suite skips the steps whose need is not met
+_NEEDS = {
+    "verify-cd": (lambda m: bool(m.cd), "verify-cd needs a [cd] block in the manifest"),
+    "threshold": (lambda m: m.kind == "split", "threshold applies to split manifests only"),
+    "compare": (lambda m: m.kind == "radial_model",
+                "compare applies to radial_model manifests only"),
+}
+_NEEDS["rigidity"] = _NEEDS["threshold"]
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None) -> None:
@@ -390,15 +368,18 @@ def run(subcommand: str, manifest_path, out_dir=None, seed: int = 42,
 
 
 def _run(subcommand: str, manifest_path, out_dir, seed: int, grid_overrides) -> int:
-    if subcommand not in _COMMANDS:
-        print(f"unknown subcommand {subcommand!r}", file=sys.stderr)
-        return 2
-    if not 0 <= seed < 2 ** 64:
-        print(f"error: --seed {seed} is outside [0, 2**64)", file=sys.stderr)
-        return 2
     out = Path(out_dir) if out_dir is not None else Path("cdsplit-out")
     try:
+        if subcommand not in _COMMANDS:
+            raise ValidationError(f"unknown subcommand {subcommand!r}")
+        if not 0 <= seed < 2 ** 64:
+            raise ValidationError(f"--seed {seed} is outside [0, 2**64)")
         manifest = parse_manifest(manifest_path, grid_overrides)
+        # the pre-flight: no subcommand decides a usage error of its own
+        if subcommand in _NEEDS and not _NEEDS[subcommand][0](manifest):
+            raise ValidationError(_NEEDS[subcommand][1])
+        if subcommand in ("bochner", "suite"):
+            sample_region(manifest, BOCHNER_R_LIMIT)
         geo = build_geometry(manifest)
         rep = Reporter(manifest, out, seed)
     except (ParseError, ValidationError, OSError) as exc:
@@ -408,7 +389,7 @@ def _run(subcommand: str, manifest_path, out_dir, seed: int, grid_overrides) -> 
         return _COMMANDS[subcommand](manifest, geo, rep)
     except CdsplitError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, ValidationError) else 1
+        return 1
 
 
 def main(argv=None) -> None:

@@ -66,7 +66,7 @@ class ParseError(CdsplitError):
 
 
 class ValidationError(CdsplitError):
-    """Manifest content is syntactically valid but semantically wrong.
+    """A usage error: manifest content that parses but is wrong, or a bad argument.
 
     ``key`` names the offending manifest entry when known.
     """

@@ -16,7 +16,7 @@ state as Python floats.  The passes over a finished trace (speed drift,
 f_gamma, the conserved quantity) evaluate the metric (a jet of order 0),
 density gradient or fiber metric of ``BLOCK_POINTS`` samples as one stack
 (``in_blocks``), and their quadratic forms and pairings as stacked products
-(``_forms``), which a test checks bit for bit against evaluating each
+(``chart_core._forms``), which a test checks bit for bit against evaluating each
 sample alone.  A failing block is run
 again through the same pass one sample at a time, so the first failing
 sample raises its own error; a non-finite vector density, or an f_gamma
@@ -43,6 +43,8 @@ from .chart_core import (
     ScalarField,
     VectorField,
     _finite_rows,
+    _forms,
+    _lengths,
     as_point,
     cumulative_simpson,
     gamma_evaluator,
@@ -103,19 +105,6 @@ def normalize_velocity(spec: MetricSpec, p: Point, v) -> np.ndarray:
     return v / s
 
 
-def _forms(U: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """u @ g @ v at each sample, from the stacks U, G and V: the stacked
-    product of each u with its g, then one ``np.vecdot`` of the rows, which
-    run the BLAS calls of ``u @ g @ v`` on each sample.  An einsum of the
-    three rounds differently."""
-    return np.vecdot(np.matmul(U[:, None], G)[:, 0], V)
-
-
-def _lengths(q: np.ndarray) -> np.ndarray:
-    """sqrt(max(0, q)) at each entry, as ``_norm`` takes it: a NaN form is 0."""
-    return np.sqrt(np.fmax(q, 0.0))
-
-
 def _speeds(spec: MetricSpec, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     """The length of each velocity in the metric at its sample, from one
     BlockGeometry of order 0 whose positivity gate (``chol``) passes at every
@@ -155,7 +144,6 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
         raise ValueError(f"initial velocity has g-norm {s0!r}, expected 1 within 1e-10")
 
     margin = spec.fd.scaled(p0, 4.0 * spec.fd.h2).tolist()
-    metric_at(spec, p0)  # validates symmetry/finiteness once up front
     acc = gamma_evaluator(spec)
 
     nsteps = int(round(T / dt))

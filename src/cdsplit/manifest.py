@@ -33,11 +33,13 @@ constant 0.  A ``[fiber]`` of type ``euclidean`` or ``torus`` is a
 
 ``parse_manifest`` rejects unknown sections or keys, numbers outside
 ``_NUMBERS``, a metric entry given as both g_ij and g_ji, and a geodesic
-start outside the chart's domain.  It builds the geometry of the manifest's
-kind once (``build_geometry`` returns it) and evaluates it at the grid
-center.  An expression, and each derivative taken of it, nests at most
-``MAX_DEPTH`` levels; a derivative has at most ``MAX_DERIVATIVE_NODES``
-nodes.
+start outside the chart's domain, at a radial model's origin or where the
+metric is not positive definite, so a run refuses a bad manifest before it
+writes a report.  It builds the geometry of the manifest's kind once
+(``build_geometry`` returns it), evaluates it at the grid center, and
+normalizes the geodesic's velocity.  An expression, and each derivative
+taken of it, nests at most ``MAX_DEPTH`` levels; a derivative has at most
+``MAX_DERIVATIVE_NODES`` nodes.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ from .chart_core import (
 )
 from .comparison_suite import RadialModel
 from .errors import NonFinite, ParseError, ValidationError
+from .geodesic_flow import normalize_velocity
 from .warped_products import (
     FlatFiber,
     SphereFiber,
@@ -776,8 +779,8 @@ def _float_list(sections, section, key):
 
 def parse_manifest(path, overrides=()) -> ManifoldManifest:
     """Read, parse, and validate a manifest file (strict keys, bounded finite
-    numbers, expression limits), build its geometry, and evaluate it at the
-    grid center.
+    numbers, expression limits), build its geometry, evaluate it at the
+    grid center, and decide the geodesic's start and unit velocity.
 
     ``overrides`` are ``key=value`` strings for ``[grid]`` and ``[numeric]``
     keys.  They replace the file's entries before validation, so they get
@@ -863,22 +866,10 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
                                   f"[{low:g}, {high:g}]", key="[grid] y_min")
 
     extras = {sec: nums[sec] for sec in ("geodesic", "riccati", "compare", "bochner")}
-    if "geodesic" in sections:
-        start = _float_list(sections, "geodesic", "start")
-        velocity = _float_list(sections, "geodesic", "velocity")
-        if len(start) != dim or len(velocity) != dim:
-            raise ValidationError(f"start and velocity need {dim} components",
-                                  key="[geodesic] start")
-        if sum(v * v for v in velocity) == 0.0:
-            raise ValidationError("a zero velocity has no direction to follow",
-                                  key="[geodesic] velocity")
-        if not in_domain(geometry["spec"], np.array(start)):
-            raise ValidationError("lies outside the chart's domain", key="[geodesic] start")
-        extras["geodesic"].update(start=np.array(start), velocity=np.array(velocity))
-
     manifest = ManifoldManifest(name=name, kind=kind, dim=dim, geometry=geometry, grid=grid,
                                 numeric=numeric, cd=cd, extras=extras, source_text=text)
     _trial_evaluate(manifest)
+    extras["geodesic"].update(_geodesic_start(manifest, sections))
     return manifest
 
 
@@ -888,15 +879,15 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
 
 @contextmanager
 def _naming(key: str):
-    """Re-raise a ValidationError that names no key, or a constructor's
-    ValueError, as a ValidationError naming ``key``."""
+    """Re-raise a key-less ValidationError, a constructor's ValueError or an
+    evaluation's NonFinite as a ValidationError naming ``key``."""
     try:
         yield
     except ValidationError as exc:
         if exc.key is not None:
             raise
         raise ValidationError(str(exc), key=key) from None
-    except ValueError as exc:
+    except (ValueError, NonFinite) as exc:
         raise ValidationError(str(exc), key=key) from None
 
 
@@ -1044,6 +1035,28 @@ def _trial_evaluate(manifest: ManifoldManifest) -> None:
                               key="[manifold]") from exc
 
 
+def _geodesic_start(manifest: ManifoldManifest, sections) -> dict:
+    """The geodesic's ``start`` and unit ``velocity``: [geodesic] start and
+    velocity, else the grid center and e_1."""
+    spec, dim, key = manifest.geometry["spec"], manifest.dim, "[geodesic] start"
+    start, velocity = grid_center(manifest), np.eye(dim)[0]
+    if "geodesic" in sections:
+        start, velocity = (np.array(_float_list(sections, "geodesic", name))
+                           for name in ("start", "velocity"))
+        if len(start) != dim or len(velocity) != dim:
+            raise ValidationError(f"start and velocity need {dim} components", key=key)
+        if not in_domain(spec, start):
+            raise ValidationError("lies outside the chart's domain", key=key)
+        if manifest.kind == "radial_model" and float(np.linalg.norm(start)) < 1e-12:
+            raise ValidationError("is the origin, where the density is singular", key=key)
+    with _naming(key):
+        if np.linalg.eigvalsh(metric_at(spec, start))[0] <= 0:
+            raise ValidationError(f"metric is not positive definite at {start}")
+    with _naming("[geodesic] velocity"):
+        velocity = normalize_velocity(spec, start, velocity)
+    return {"start": start, "velocity": velocity}
+
+
 # ---------------------------------------------------------------------------
 # manifest -> grids and sample points
 # ---------------------------------------------------------------------------
@@ -1091,11 +1104,11 @@ def cd_grid(manifest: ManifoldManifest, geo) -> GridSpec:
                     [g["r_count"]] + [g["fiber_count"]] * (manifest.dim - 1))
 
 
-def sample_points(manifest: ManifoldManifest, count: int, seed: int,
-                  r_limit: float | None = None) -> np.ndarray:
-    """Seeded uniform points: rho on the radial ray for radial models, else r
-    in the grid range times the fiber box, inset 10% on product charts.
-    ``r_limit`` clips r (or rho) to |r| <= r_limit, which must leave a range."""
+def sample_region(manifest: ManifoldManifest, r_limit: float | None = None) -> np.ndarray:
+    """The box of ``sample_points``, one (lo, hi) row per coordinate: rho on
+    the radial ray for radial models, else r in the grid range times the
+    fiber box, inset 10% on product charts.  ``r_limit`` clips r (or rho) to
+    |r| <= r_limit, which must leave a range."""
     if manifest.kind == "radial_model":
         cmp_block = manifest.extras["compare"]
         key, r_lo, r_hi = "[compare] rho_min", cmp_block["rho_min"], cmp_block["rho_max"]
@@ -1117,4 +1130,10 @@ def sample_points(manifest: ManifoldManifest, count: int, seed: int,
             # |y| = R the chart stretch amplifies finite-difference truncation
             R = math.sqrt(fiber.radius_sq)
             box = np.clip(box, -R, R)
-    return sample_box(np.vstack([[r_lo, r_hi], box]), count, seed)
+    return np.vstack([[r_lo, r_hi], box])
+
+
+def sample_points(manifest: ManifoldManifest, count: int, seed: int,
+                  r_limit: float | None = None) -> np.ndarray:
+    """Seeded uniform points in ``sample_region(manifest, r_limit)``."""
+    return sample_box(sample_region(manifest, r_limit), count, seed)

@@ -405,3 +405,27 @@ def test_simpson_rules_match_scipy_bit_for_bit(n, spacing):
         assert np.float64(simpson(y, x)).tobytes() == np.float64(expected).tobytes()
         expected = scipy.integrate.cumulative_simpson(y, x=x, initial=0.0)
         assert cumulative_simpson(y, x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("count", [1, 97])
+@pytest.mark.parametrize("n", range(3, 7))
+def test_block_reductions_are_per_point_products_bit_for_bit(n, count):
+    # the stacked reductions of a BlockGeometry against each point's own
+    # products, from the same block's inverse metric, gradients and Hessian
+    twisted, X = catalog.nongradient_example(n)
+    psi, h = twisted.psi, quadratic_field(n)
+    rng = np.random.default_rng(10 * n + count)
+    pts = np.column_stack([rng.uniform(-3, 3, count), rng.uniform(-1, 1, (count, n - 1))])
+    at = BlockGeometry(twisted.metric_spec(), pts)
+    ginv, dh, df, H = at.ginv, at.gradient(h), at.gradient(psi), at.hessian(h)
+    Xv = at.evaluated(X.value, "vector field")
+    lap = [float(np.sum(gi * Hi)) for gi, Hi in zip(ginv, H)]
+
+    def same(stacked, per_point):
+        assert stacked.tobytes() == np.array(per_point).tobytes()
+
+    same(at.gradient_vector(h), [gi @ d for gi, d in zip(ginv, dh)])
+    same(at.grad_norm_squared(h), [float(d @ gi @ d) for d, gi in zip(dh, ginv)])
+    same(at.weighted_laplacian(psi, h),
+         [a - float(b @ gi @ d) for a, b, gi, d in zip(lap, df, ginv, dh)])
+    same(at.weighted_laplacian(X, h), [a - float(x @ d) for a, x, d in zip(lap, Xv, dh)])

@@ -529,3 +529,93 @@ def test_out_that_cannot_be_a_directory_is_a_usage_error(tmp_path, capsys, under
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err
     assert blocker.read_text() == "kept\n"
+
+
+INDEFINITE_START = """
+[manifold]
+name = indefinite-start
+kind = general
+dim = 2
+
+[metric]
+g11 = 1
+g12 = 0
+g22 = r
+
+[density]
+f = 0
+
+[grid]
+r_min = 0.5
+r_max = 5
+
+[geodesic]
+start = -1, 0
+velocity = {velocity}
+"""
+
+
+def _without_cd(text):
+    return re.sub(r"^\[cd\]\n(?:[^\[\n].*\n)*", "", text, flags=re.M)
+
+
+def _case(case_id, subcommand, text, needle, **kwargs):
+    """One usage error: the subcommand, the manifest text, a part of the
+    stderr line, and the other arguments of ``run``."""
+    return pytest.param(subcommand, text, needle, kwargs, id=case_id)
+
+
+def _shipped(name):
+    return (MANIFESTS / f"{name}.cdm").read_text()
+
+
+def _usage_errors():
+    overflowing = SPLIT_FAST.format(lam=1.0).replace("velocity = 1.0, 0.5, -0.3",
+                                                     "velocity = 1e300, 0, 0")
+    origin = _shipped("radial_log") + "\n[geodesic]\nstart = 0, 0, 0\nvelocity = 1, 0, 0\n"
+    yield _case("unknown-subcommand", "frobnicate", _shipped("sphere_example"),
+                "unknown subcommand 'frobnicate'")
+    yield _case("threshold-on-radial", "threshold", _shipped("radial_log"),
+                "threshold applies to split manifests only")
+    yield _case("compare-on-split", "compare", _shipped("sphere_example"),
+                "compare applies to radial_model manifests only")
+    yield _case("verify-cd-without-cd", "verify-cd", _without_cd(_shipped("twisted_flat")),
+                "verify-cd needs a [cd] block")
+    yield _case("seed", "curvature", _shipped("twisted_flat"), "--seed -1", seed=-1)
+    yield _case("out-under-file", "threshold", _shipped("sphere_example"), "taken",
+                out="taken/sub")
+    yield _case("parse-error", "verify-cd", "[manifold]\nkind split\n", "cannot parse line")
+    yield _case("bad-override", "verify-cd", _shipped("sphere_example"), "zoom=2",
+                grid_overrides=["zoom=2"])
+    for subcommand in ("geodesic", "suite"):
+        yield _case(f"overflowing-velocity-{subcommand}", subcommand, overflowing,
+                    "[geodesic] velocity: velocity has a length beyond the float range")
+        yield _case(f"indefinite-start-{subcommand}", subcommand,
+                    INDEFINITE_START.format(velocity="1, 0"),
+                    "[geodesic] start: metric is not positive definite at [-1.  0.]")
+    yield _case("indefinite-start-across", "geodesic", INDEFINITE_START.format(velocity="0, 1"),
+                "[geodesic] start: metric is not positive definite at [-1.  0.]")
+    yield _case("start-where-the-metric-has-no-value", "geodesic",
+                INDEFINITE_START.format(velocity="1, 0").replace("g22 = r", "g22 = log(r)"),
+                "[geodesic] start: log(r) has no finite real value at r = -1.0")
+    for subcommand in ("bochner", "suite"):
+        yield _case(f"empty-bochner-range-{subcommand}", subcommand, _shipped("sphere_example"),
+                    "[grid] r_min: the sampled range is empty", grid_overrides=["r_min=4"])
+    yield _case("radial-start-at-origin", "geodesic", origin, "[geodesic] start: is the origin")
+
+
+@pytest.mark.parametrize("subcommand, text, needle, kwargs", _usage_errors())
+def test_every_usage_error_is_one_line_before_any_report(tmp_path, capsys, subcommand,
+                                                         text, needle, kwargs):
+    # every exit 2 is decided before the report directory is made: one
+    # error: line on stderr, nothing on stdout, and no --out left behind
+    (tmp_path / "taken").write_text("kept\n")
+    path = tmp_path / "m.cdm"
+    path.write_text(text)
+    out = tmp_path / kwargs.pop("out", "out")
+    assert run(subcommand, path, out, **kwargs) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*\n", captured.err), captured.err
+    assert needle in captured.err
+    assert not out.exists()

@@ -1,8 +1,8 @@
 """Package structure: every import sits at module level, so the import graph
 is visible at the top of each module and cannot hide a cycle; the command
 line imports no scipy module; every function the benchmark's tracer
-patches by name exists; and every other public function has a caller in
-the package."""
+patches by name exists; every other public function has a caller in the
+package; and no subcommand decides a usage error."""
 
 import ast
 import functools
@@ -100,3 +100,18 @@ def test_every_public_function_has_a_caller():
     assert not uncalled, "public functions without a caller: " + ", ".join(uncalled)
     stale = sorted(name for name in UNCALLED_BY_DESIGN if name not in defined)
     assert not stale, "exempt names that no longer exist: " + ", ".join(stale)
+
+
+def test_subcommands_decide_no_usage_error():
+    # cli._run and parse_manifest decide every exit 2 before a report is
+    # written, so no cli._cmd_* function returns 2 or names ValidationError
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    found = [
+        f"{fn.name}:{node.lineno}"
+        for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_cmd_")
+        for node in ast.walk(fn)
+        if (isinstance(node, ast.Return) and isinstance(node.value, ast.Constant)
+            and node.value.value == 2)
+        or (isinstance(node, ast.Name) and node.id == "ValidationError")
+    ]
+    assert not found, "usage-error code in subcommands: " + ", ".join(found)
