@@ -31,6 +31,7 @@ from .geodesic_flow import (
     geodesic_integrate,
     write_trace_csv,
 )
+from .manifest import box_grid
 from .warped_products import (
     FlatFiber,
     RiccatiReport,
@@ -44,11 +45,9 @@ from .warped_products import (
 from .weighted_curvature import (
     CDReport,
     GridSpec,
-    box_grid,
     cd_verify,
     generalized_ricci,
     min_relative_eigenvalue,
-    split_grid,
 )
 
 __version__ = "0.1.0"

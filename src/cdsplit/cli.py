@@ -11,11 +11,13 @@ manifest (``_NEEDS``), a seed outside [0, 2**64) or an ``--out`` that cannot
 be made a directory, each decided in ``_run`` before any report is written.
 An error is one ``error:`` line, and a warning (numpy's floating-point
 warnings among them) one ``warning:`` line.
-``--grid-override`` sets a [grid] or [numeric] key; ``parse_manifest``
-applies it before validation and builds the geometry the subcommands get
-from ``build_geometry``.  Given the same manifest and seed the written
-reports are byte-identical across runs (no timestamps, 17-significant-digit
-floats, LF line endings).
+``--grid-override`` sets a [grid] or [numeric] key (a [numeric] key only
+on a radial model, which takes no [grid] key); ``parse_manifest`` applies
+it before validation and builds the geometry the subcommands get from
+``build_geometry``.  The grids and sample points every subcommand checks
+come from the grid section of ``manifest``.  Given the same manifest and
+seed the written reports are byte-identical across runs (no timestamps,
+17-significant-digit floats, LF line endings).
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .manifest import (
     build_geometry,
     cd_grid,
     grid_center,
+    grid_summary,
     parse_manifest,
     sample_points,
     sample_region,
@@ -91,8 +94,7 @@ class Reporter:
             f"{TOOL} {__version__}",
             f"manifest sha256: {_sha256(m.source_text)}",
             f"manifold: {m.name} (kind={m.kind}, dim={m.dim})",
-            f"grid: r in [{m.grid['r_min']:g}, {m.grid['r_max']:g}] x {m.grid['r_count']}, "
-            f"fiber {m.grid['fiber_count']} per axis",
+            f"grid: {grid_summary(m)}",
             f"numeric: dt={m.numeric['dt']:g} tol_cd={m.numeric['tol_cd']:g} "
             f"fd=({m.numeric['fd1']:g},{m.numeric['fd2']:g},{m.numeric['fd3']:g})",
             f"seed: {self.seed}",
@@ -156,7 +158,7 @@ def _cmd_curvature(manifest, geo, rep: Reporter) -> int:
 
 
 def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
-    grid = cd_grid(manifest, geo)
+    grid = cd_grid(manifest)
     report = cd_verify(geo["spec"], geo["density"], manifest.cd["lambda"],
                        manifest.cd["N"], grid, tol=manifest.numeric["tol_cd"])
     n_label = "inf" if math.isinf(report.N) else f"{report.N:g}"
@@ -239,10 +241,8 @@ def _cmd_geodesic(manifest, geo, rep: Reporter) -> int:
 
 
 def _cmd_compare(manifest, geo, rep: Reporter) -> int:
-    params = manifest.extras["compare"]
-    rho = np.linspace(params["rho_min"], params["rho_max"], params["count"])
     try:
-        samples = radial_comparison_check(geo["model"], rho)
+        samples = radial_comparison_check(geo["model"], cd_grid(manifest))
     except CDViolation as exc:
         rep.write_text("compare.txt", [f"refused: {exc}"])
         print(f"compare: refused ({exc})")
@@ -295,8 +295,7 @@ def _cmd_bochner(manifest, geo, rep: Reporter) -> int:
 
 
 def _rigidity(manifest, geo, rep: Reporter) -> int:
-    rigidity = rigidity_check(geo["split"], n_points=40, seed=rep.seed,
-                              r_range=(manifest.grid["r_min"], manifest.grid["r_max"]))
+    rigidity = rigidity_check(geo["split"], sample_points(manifest, 40, rep.seed))
     rep.write_text("rigidity.txt", [
         f"grad norm deviation: {_fmt(rigidity.grad_norm_dev)}",
         f"weighted laplacian of r: {_fmt(rigidity.lap_f_r_dev)}",

@@ -47,7 +47,7 @@ from .chart_core import (
     stencil_values,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
-from .weighted_curvature import GridSpec, cd_verify, generalized_ricci_at, inset_box, sample_box
+from .weighted_curvature import GridSpec, cd_verify, generalized_ricci_at
 
 if TYPE_CHECKING:
     from .warped_products import SplitSpaceSpec
@@ -152,11 +152,6 @@ class RadialModel:
         """Weighted Laplacian of the distance function: (n-1)/rho - f'(rho)."""
         return (self.n - 1) / rho - self.df(rho)
 
-    def cd_grid(self, rho_grid) -> GridSpec:
-        pts = np.zeros((len(rho_grid), self.n))
-        pts[:, 0] = np.asarray(rho_grid, dtype=float)
-        return GridSpec(points=pts, description=f"radial ray, {len(rho_grid)} radii")
-
     # adapters for the comparison ODE trace
     @property
     def dim(self) -> int:
@@ -170,17 +165,18 @@ class RadialModel:
         return self.lap_f_r(float(np.linalg.norm(p)))
 
 
-def radial_comparison_check(model: RadialModel, rho_grid):
-    """ComparisonSamples over the radii: analytic weighted Laplacian of the
-    distance function vs the comparison bound.
+def radial_comparison_check(model: RadialModel, grid: GridSpec):
+    """ComparisonSamples over the radii of ``grid``, points rho * e_1 whose
+    rho is ``grid.points[:, 0]`` (``manifest.cd_grid`` of a radial model):
+    analytic weighted Laplacian of the distance function vs the comparison
+    bound.
 
-    Refuses (CDViolation) when cd_verify fails CD(0,1) on the radial grid;
-    each analytic Laplacian is cross-checked against the chart machinery at
-    rho * e_1, all radii walked once in blocks (``in_blocks``); f is taken
-    at every radius's quadrature samples in one ``field_rows`` call.
+    Refuses (CDViolation) when cd_verify fails CD(0,1) on the grid; each
+    analytic Laplacian is cross-checked against the chart machinery at its
+    point, all radii walked once in blocks (``in_blocks``); f is taken at
+    every radius's quadrature samples in one ``field_rows`` call.
     """
-    rho_grid = np.asarray(rho_grid, dtype=float)
-    spec, density, grid = model.metric_spec(), model.density(), model.cd_grid(rho_grid)
+    spec, density, rho_grid = model.metric_spec(), model.density(), grid.points[:, 0]
     rep = cd_verify(spec, density, 0.0, 1.0, grid)
     if not rep.passed:
         raise CDViolation(
@@ -350,17 +346,13 @@ class RigidityReport:
                 and self.busemann_pair_dev <= RIGIDITY_TOL_LAP)
 
 
-def rigidity_check(split: SplitSpaceSpec, points=None, n_points: int = 50,
-                   seed: int = 0, r_range=(-5.0, 5.0)) -> RigidityReport:
-    """Verify the split-space rigidity identities at sampled points."""
+def rigidity_check(split: SplitSpaceSpec, points) -> RigidityReport:
+    """Verify the split-space rigidity identities at the given points, one
+    per row (``manifest.sample_points`` in a run)."""
     spec = split.metric_spec()
     density = split.density()
     n = split.n
-    if points is None:
-        bounds = np.vstack([r_range, inset_box(split.fiber.safe_box, 0.05)])
-        pts = sample_box(bounds, n_points, seed)
-    else:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
 
     r_plus = r_coordinate_field(n, 1.0)
     r_minus = r_coordinate_field(n, -1.0)

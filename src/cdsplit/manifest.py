@@ -32,14 +32,19 @@ constant 0.  A ``[fiber]`` of type ``euclidean`` or ``torus`` is a
 ``FlatFiber``, one of type ``sphere`` a ``SphereFiber``.
 
 ``parse_manifest`` rejects unknown sections or keys, numbers outside
-``_NUMBERS``, a metric entry given as both g_ij and g_ji, and a geodesic
-start outside the chart's domain, at a radial model's origin or where the
-metric is not positive definite, so a run refuses a bad manifest before it
-writes a report.  It builds the geometry of the manifest's kind once
-(``build_geometry`` returns it), evaluates it at the grid center, and
-normalizes the geodesic's velocity.  An expression, and each derivative
-taken of it, nests at most ``MAX_DEPTH`` levels; a derivative has at most
-``MAX_DERIVATIVE_NODES`` nodes.
+``_NUMBERS``, a [grid] key on a radial model, a grid, sample set or step
+count larger than ``MAX_POINTS``, a metric entry given as both g_ij and
+g_ji, and a geodesic start outside the chart's domain, at a radial model's
+origin or where the metric is not positive definite, so a run refuses a bad
+manifest before it writes a report.  It builds the geometry of the
+manifest's kind once (``build_geometry`` returns it), evaluates it at the
+grid center, and normalizes the geodesic's velocity.  An expression, and
+each derivative taken of it, nests at most ``MAX_DEPTH`` levels; a
+derivative has at most ``MAX_DERIVATIVE_NODES`` nodes.
+
+The grid section at the end of this module is the one place that builds a
+grid (``box_grid``, ``cd_grid``) or draws sample points (``sample_box``,
+``sample_points``); every check takes the points it is given.
 """
 
 from __future__ import annotations
@@ -64,7 +69,7 @@ from .chart_core import (
     metric_at,
     point_jet,
 )
-from .comparison_suite import RadialModel
+from .comparison_suite import QUAD_POINTS, RadialModel
 from .errors import NonFinite, ParseError, ValidationError
 from .geodesic_flow import normalize_velocity
 from .warped_products import (
@@ -74,7 +79,7 @@ from .warped_products import (
     TwistedProductSpec,
     product_coords,
 )
-from .weighted_curvature import GridSpec, box_grid, inset_box, product_grid, sample_box, split_grid
+from .weighted_curvature import GridSpec
 
 # ---------------------------------------------------------------------------
 # expression grammar
@@ -84,6 +89,11 @@ from .weighted_curvature import GridSpec, box_grid, inset_box, product_grid, sam
 MAX_DEPTH = 100
 #: Most nodes allowed in a symbolic derivative.
 MAX_DERIVATIVE_NODES = 10_000
+#: Most points, samples or steps a manifest may ask a run to build (see
+#: ``_check_sizes``).  The largest runs in the shipped manifests, the tests
+#: and the README take 32,481 grid points and 10,000 steps; a size far
+#: beyond that cannot be held in memory or run at desk scale.
+MAX_POINTS = 10 ** 6
 _TOO_DEEP = f"nests deeper than {MAX_DEPTH} levels"
 
 _FUNCTIONS = {
@@ -770,6 +780,36 @@ def _numbers(sections, section) -> dict:
     return values
 
 
+def _check_sizes(kind: str, dim: int, nums: dict, has_cd: bool) -> None:
+    """Refuse, naming its key, a size above ``MAX_POINTS`` that a run would
+    build, computed from the manifest's numbers alone in Python integers:
+    both ODEs' step counts round(T / dt) and round(t_max / dt), the Bochner
+    samples, and on a radial model the quadrature samples of ``compare``
+    (count x QUAD_POINTS, which bounds its ``verify-cd`` grid of count radii
+    too); on another kind with a [cd] block the ``verify-cd`` grid of
+    r_count x fiber_count^(dim-1) points, and without one the threshold
+    scan of r_count radii."""
+    grid, dt, count = nums["grid"], nums["numeric"]["dt"], nums["compare"]["count"]
+    T, t_max, points = nums["geodesic"]["T"], nums["riccati"]["t_max"], nums["bochner"]["points"]
+    sizes = [("[numeric] dt", f"the geodesic's T / dt = {T:g} / {dt:g} steps", T / dt),
+             ("[numeric] dt", f"riccati's t_max / dt = {t_max:g} / {dt:g} steps", t_max / dt),
+             ("[bochner] points", f"the {points} Bochner samples", points)]
+    if kind == "radial_model":
+        sizes.append(("[compare] count", f"compare's count x {QUAD_POINTS} = {count} x "
+                      f"{QUAD_POINTS} quadrature samples", count * QUAD_POINTS))
+    elif has_cd:  # fiber_count >= 2 to the 64th is above MAX_POINTS already
+        sizes.append(("[grid] r_count", f"the verify-cd grid's r_count x fiber_count^{dim - 1} "
+                      f"= {grid['r_count']} x {grid['fiber_count']}^{dim - 1} points",
+                      grid["r_count"] * grid["fiber_count"] ** min(dim - 1, 64)))
+    else:
+        sizes.append(("[grid] r_count", f"the threshold scan's {grid['r_count']} radii",
+                      grid["r_count"]))
+    for key, what, size in sizes:
+        # capped, so that a step count round(T / dt) with T / dt = inf compares too
+        if round(min(size, 2 * MAX_POINTS)) > MAX_POINTS:
+            raise ValidationError(f"{what} are more than MAX_POINTS = {MAX_POINTS}", key=key)
+
+
 def _float_list(sections, section, key):
     if key not in sections[section]:
         raise ValidationError("missing required key", key=f"[{section}] {key}")
@@ -779,7 +819,8 @@ def _float_list(sections, section, key):
 
 def parse_manifest(path, overrides=()) -> ManifoldManifest:
     """Read, parse, and validate a manifest file (strict keys, bounded finite
-    numbers, expression limits), build its geometry, evaluate it at the
+    numbers, expression limits, no ``[grid]`` key on a radial model, and
+    the sizes of ``_check_sizes``), build its geometry, evaluate it at the
     grid center, and decide the geodesic's start and unit velocity.
 
     ``overrides`` are ``key=value`` strings for ``[grid]`` and ``[numeric]``
@@ -805,6 +846,9 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}",
                               key="[manifold] kind")
+    if kind == "radial_model" and sections.get("grid"):
+        raise ValidationError("radial models take no [grid] keys: their grid is the "
+                              "[compare] radii", key=f"[grid] {next(iter(sections['grid']))}")
     nums = {sec: _numbers(sections, sec) for sec in _NUMBERS}
     dim = nums["manifold"]["dim"]
     if dim is None:
@@ -853,6 +897,7 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
                 f"denominator N - n vanishes there, so the condition is undefined",
                 key="[cd] N")
         cd = {"lambda": nums["cd"]["lambda"], "N": N}
+    _check_sizes(kind, dim, nums, bool(cd))
 
     fd = FDSteps(h1=numeric["fd1"], h2=numeric["fd2"], h3=numeric["fd3"])
     geometry = _build(kind, sections, dim, name, nums["fiber"], fd)
@@ -1058,8 +1103,34 @@ def _geodesic_start(manifest: ManifoldManifest, sections) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# manifest -> grids and sample points
+# manifest -> grids and sample points: the one place that builds either
 # ---------------------------------------------------------------------------
+
+def box_grid(bounds, counts, description: str | None = None) -> GridSpec:
+    """Uniform box grid; bounds is (n, 2), counts one integer per axis."""
+    bounds = np.asarray(bounds, dtype=float)
+    axes = [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(bounds, counts)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+    if description is None:
+        description = "box grid " + " x ".join(
+            f"[{lo:g},{hi:g}]:{int(c)}" for (lo, hi), c in zip(bounds, counts))
+    return GridSpec(points=pts, description=description)
+
+
+def inset_box(box, frac: float) -> np.ndarray:
+    """Shrink each (lo, hi) row of an (m, 2) box by frac of its width at both ends."""
+    box = np.asarray(box, dtype=float)
+    inset = frac * (box[:, 1] - box[:, 0])
+    return np.stack([box[:, 0] + inset, box[:, 1] - inset], axis=-1)
+
+
+def sample_box(bounds, count: int, seed: int) -> np.ndarray:
+    """``count`` seeded uniform points in an (n, 2) box, drawn axis by axis."""
+    rng = np.random.default_rng(seed)
+    return np.stack([rng.uniform(lo, hi, count) for lo, hi in np.asarray(bounds, dtype=float)],
+                    axis=-1)
+
 
 def fiber_box(manifest: ManifoldManifest) -> np.ndarray:
     """Fiber coordinate bounds, one (lo, hi) row per fiber axis:
@@ -1074,49 +1145,56 @@ def fiber_box(manifest: ManifoldManifest) -> np.ndarray:
     return np.array([[-3.0, 3.0]] * (manifest.dim - 1))
 
 
-def grid_center(manifest: ManifoldManifest) -> np.ndarray:
+def _axes(manifest: ManifoldManifest):
+    """(the r range, r count, fiber box, points per fiber axis, and the key
+    naming the r range) of every grid and sample of a manifest: the
+    [compare] radii on a radial model, with a zero-width fiber box of one
+    point per axis that keeps them on the ray rho * e_1; else the [grid]
+    range and counts and ``fiber_box``."""
     if manifest.kind == "radial_model":
-        cmp_block = manifest.extras["compare"]
-        out = np.zeros(manifest.dim)
-        out[0] = 0.5 * (cmp_block["rho_min"] + cmp_block["rho_max"])
-        return out
-    box = fiber_box(manifest)
-    r_mid = 0.5 * (manifest.grid["r_min"] + manifest.grid["r_max"])
-    return np.concatenate([[r_mid], 0.5 * (box[:, 0] + box[:, 1])])
-
-
-def cd_grid(manifest: ManifoldManifest, geo) -> GridSpec:
-    """The verify-cd grid: the [compare] radii on radial models, else r_count
-    radii times fiber_count points per axis of the fiber box, inset 2% on
-    product charts."""
+        c = manifest.extras["compare"]
+        return ((c["rho_min"], c["rho_max"]), c["count"], np.zeros((manifest.dim - 1, 2)), 1,
+                "[compare] rho_min")
     g = manifest.grid
+    return ((g["r_min"], g["r_max"]), g["r_count"], fiber_box(manifest), g["fiber_count"],
+            "[grid] r_min")
+
+
+def grid_center(manifest: ManifoldManifest) -> np.ndarray:
+    """The middle of the r range and of the fiber box."""
+    (lo, hi), _, box, _, _ = _axes(manifest)
+    return np.concatenate([[0.5 * (lo + hi)], 0.5 * (box[:, 0] + box[:, 1])])
+
+
+def grid_summary(manifest: ManifoldManifest) -> str:
+    """The grid line of a report header."""
+    (lo, hi), count, _, fiber_count, _ = _axes(manifest)
     if manifest.kind == "radial_model":
-        cmp_block = manifest.extras["compare"]
-        rho = np.linspace(cmp_block["rho_min"], cmp_block["rho_max"], cmp_block["count"])
-        return geo["model"].cd_grid(rho)
-    r_range = (g["r_min"], g["r_max"])
-    box = fiber_box(manifest)
-    if manifest.kind == "split":
-        return split_grid(geo["split"], r_range, g["r_count"], g["fiber_count"], box)
-    if manifest.kind == "twisted":
-        return product_grid(r_range, box, g["r_count"], g["fiber_count"])
-    return box_grid(np.vstack([r_range, box]),
-                    [g["r_count"]] + [g["fiber_count"]] * (manifest.dim - 1))
+        return f"radial ray, rho in [{lo:g}, {hi:g}] x {count}"
+    return f"r in [{lo:g}, {hi:g}] x {count}, fiber {fiber_count} per axis"
+
+
+def cd_grid(manifest: ManifoldManifest) -> GridSpec:
+    """The verify-cd grid, which compare also checks: r_count radii times
+    fiber_count points per axis of the fiber box, inset 2% on product
+    charts (``_axes``); on a radial model the [compare] radii."""
+    (lo, hi), count, box, fiber_count, _ = _axes(manifest)
+    if _fiber(manifest.geometry) is not None:
+        box = inset_box(box, 0.02)
+    description = {
+        "radial_model": f"radial ray, {count} radii",
+        "split": f"r in [{lo:g},{hi:g}] x {count}, fiber box {fiber_count} per axis (2% inset)",
+    }.get(manifest.kind)
+    return box_grid(np.vstack([(lo, hi), box]), [count] + [fiber_count] * (manifest.dim - 1),
+                    description)
 
 
 def sample_region(manifest: ManifoldManifest, r_limit: float | None = None) -> np.ndarray:
-    """The box of ``sample_points``, one (lo, hi) row per coordinate: rho on
-    the radial ray for radial models, else r in the grid range times the
-    fiber box, inset 10% on product charts.  ``r_limit`` clips r (or rho) to
-    |r| <= r_limit, which must leave a range."""
-    if manifest.kind == "radial_model":
-        cmp_block = manifest.extras["compare"]
-        key, r_lo, r_hi = "[compare] rho_min", cmp_block["rho_min"], cmp_block["rho_max"]
-        # a zero-width box keeps the other coordinates at 0, on the ray rho * e_1
-        box = np.zeros((manifest.dim - 1, 2))
-    else:
-        key, r_lo, r_hi = "[grid] r_min", manifest.grid["r_min"], manifest.grid["r_max"]
-        box = fiber_box(manifest)
+    """The box of ``sample_points``, one (lo, hi) row per coordinate: r
+    (rho on a radial model) and the fiber box of ``_axes``, inset 10% on
+    product charts.  ``r_limit`` clips r (or rho) to |r| <= r_limit, which
+    must leave a range."""
+    (r_lo, r_hi), _, box, _, key = _axes(manifest)
     if r_limit is not None:
         r_lo, r_hi = max(r_lo, -r_limit), min(r_hi, r_limit)
         if r_lo >= r_hi:
@@ -1135,5 +1213,6 @@ def sample_region(manifest: ManifoldManifest, r_limit: float | None = None) -> n
 
 def sample_points(manifest: ManifoldManifest, count: int, seed: int,
                   r_limit: float | None = None) -> np.ndarray:
-    """Seeded uniform points in ``sample_region(manifest, r_limit)``."""
+    """Seeded uniform points in ``sample_region(manifest, r_limit)``: the
+    points of curvature, bochner and the rigidity check."""
     return sample_box(sample_region(manifest, r_limit), count, seed)

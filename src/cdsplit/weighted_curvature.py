@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,9 +32,6 @@ from .chart_core import (
     in_blocks,
 )
 from .errors import DimensionClash, EmptyGrid, SingularMetric
-
-if TYPE_CHECKING:
-    from .warped_products import SplitSpaceSpec
 
 TOL_CD = 1e-7
 
@@ -137,63 +133,20 @@ def _min_relative_eigenvalues(forms: np.ndarray, chol: np.ndarray) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# grids and CD reports
+# CD reports
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class GridSpec:
+    """The points ``cd_verify`` samples, with the description its report
+    prints.  ``manifest.box_grid`` builds every grid a run checks."""
+
     points: np.ndarray  # (k, n)
     description: str
 
     def __post_init__(self):
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise EmptyGrid(f"grid '{self.description}' has no points")
-
-
-def box_grid(bounds, counts, description: str | None = None) -> GridSpec:
-    """Uniform box grid; bounds is (n, 2), counts one integer per axis."""
-    bounds = np.asarray(bounds, dtype=float)
-    axes = [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(bounds, counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    if description is None:
-        description = "box grid " + " x ".join(
-            f"[{lo:g},{hi:g}]:{int(c)}" for (lo, hi), c in zip(bounds, counts))
-    return GridSpec(points=pts, description=description)
-
-
-def inset_box(box, frac: float) -> np.ndarray:
-    """Shrink each (lo, hi) row of an (m, 2) box by frac of its width at both ends."""
-    box = np.asarray(box, dtype=float)
-    inset = frac * (box[:, 1] - box[:, 0])
-    return np.stack([box[:, 0] + inset, box[:, 1] - inset], axis=-1)
-
-
-def sample_box(bounds, count: int, seed: int) -> np.ndarray:
-    """``count`` seeded uniform points in an (n, 2) box, drawn axis by axis."""
-    rng = np.random.default_rng(seed)
-    return np.stack([rng.uniform(lo, hi, count) for lo, hi in np.asarray(bounds, dtype=float)],
-                    axis=-1)
-
-
-def product_grid(r_range, fiber_box, r_count: int, fiber_count: int,
-                 description: str | None = None) -> GridSpec:
-    """Grid on a product chart: uniform in r, uniform on the fiber box inset
-    2% so stencils stay interior."""
-    fiber_bounds = inset_box(fiber_box, 0.02)
-    bounds = np.vstack([np.asarray(r_range, dtype=float), fiber_bounds])
-    counts = [r_count] + [fiber_count] * fiber_bounds.shape[0]
-    return box_grid(bounds, counts, description)
-
-
-def split_grid(split: SplitSpaceSpec, r_range=(-10.0, 10.0), r_count: int = 201,
-               fiber_count: int = 9, fiber_box=None) -> GridSpec:
-    """Default sampling grid on a split space: a product grid over the
-    fiber's safe box, or over ``fiber_box`` when given."""
-    box = split.fiber.safe_box if fiber_box is None else fiber_box
-    desc = (f"r in [{r_range[0]:g},{r_range[1]:g}] x {r_count}, fiber box "
-            f"{fiber_count} per axis (2% inset)")
-    return product_grid(r_range, box, r_count, fiber_count, desc)
 
 
 @dataclass(frozen=True)

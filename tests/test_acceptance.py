@@ -22,16 +22,13 @@ from cdsplit.geodesic_flow import (
     geodesic_integrate,
     normalize_velocity,
 )
+from cdsplit.manifest import box_grid, inset_box, sample_box
 from cdsplit.warped_products import (
     riccati_obstruction,
     split_cd_threshold,
     twisted_ricci_analytic,
 )
-from cdsplit.weighted_curvature import (
-    cd_verify,
-    generalized_ricci,
-    split_grid,
-)
+from cdsplit.weighted_curvature import cd_verify, generalized_ricci
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -90,9 +87,13 @@ def test_criterion_03_split_threshold_and_cd_verdicts():
     thr_ok = abs(thr - oracle) <= 1e-6 and abs(thr - 0.5 * math.exp(-1.0)) <= 1e-6
 
     above = catalog.split_sin_sphere(thr + 0.01)
-    rep_up = cd_verify(above.metric_spec(), above.density(), 0.0, 1.0, split_grid(above))
     below = catalog.split_sin_sphere(thr - 0.01)
-    rep_dn = cd_verify(below.metric_spec(), below.density(), 0.0, 1.0, split_grid(below))
+    # the shipped sphere's verify-cd grid: 201 radii times 9 x 9 points of
+    # the fiber's safe box inset 2%
+    grid = box_grid(np.vstack([(-10.0, 10.0), inset_box(above.fiber.safe_box, 0.02)]),
+                    [201, 9, 9])
+    rep_up = cd_verify(above.metric_spec(), above.density(), 0.0, 1.0, grid)
+    rep_dn = cd_verify(below.metric_spec(), below.density(), 0.0, 1.0, grid)
     witness_ok = math.sin(rep_dn.witness[0]) < -0.999
     ok = thr_ok and rep_up.passed and not rep_dn.passed and witness_ok
     report(3, "CD(0,1) threshold for the sine warp with verdicts on both sides", ok,
@@ -113,7 +114,7 @@ def test_criterion_04_laplacian_comparison():
         exact_ok = exact_ok and math.isclose(got, 2.0 / r, rel_tol=1e-14)
 
     model = catalog.radial_log_model(3)
-    samples = radial_comparison_check(model, np.linspace(0.1, 10.0, 100))
+    samples = radial_comparison_check(model, box_grid([[0.1, 10.0], [0, 0], [0, 0]], [100, 1, 1]))
     min_slack = min(s.slack for s in samples)
     ok = exact_ok and len(samples) == 100 and min_slack >= -1e-8
     report(4, "comparison bound: constant reduction exact, log-model slack nonnegative",
@@ -177,7 +178,8 @@ def test_criterion_06_rigidity_identities():
                   catalog.split_sin_sphere(0.7, f_L=catalog.bounded_fiber_density()),
                   catalog.split_sin_torus(3),
                   catalog.hyperbolic_split(3)):
-        rep = rigidity_check(split, n_points=50, seed=5)
+        bounds = np.vstack([(-5.0, 5.0), inset_box(split.fiber.safe_box, 0.05)])
+        rep = rigidity_check(split, sample_box(bounds, 50, 5))
         total += rep.points.shape[0]
         worst_lap = max(worst_lap, rep.lap_f_r_dev, rep.busemann_pair_dev)
         worst_hess = max(worst_hess, rep.hess_proportionality_dev)

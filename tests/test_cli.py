@@ -4,9 +4,12 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from cdsplit import cli
 from cdsplit.cli import main, run
+from cdsplit.comparison_suite import rigidity_check
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -266,16 +269,44 @@ class TestSuite:
         assert "overall: FAIL" in summary
 
     def test_radial_suite(self, tmp_path):
-        assert run("suite", MANIFESTS / "radial_log.cdm", tmp_path / "out",
-                   grid_overrides=["r_count=41"]) == 0
+        assert run("suite", MANIFESTS / "radial_log.cdm", tmp_path / "out") == 0
 
     @pytest.mark.parametrize("name", ["sphere_example.cdm", "radial_log.cdm",
                                       "twisted_flat.cdm", "polar_general.cdm"])
     def test_shipped_manifests_pass(self, tmp_path, name):
-        code = run("suite", MANIFESTS / name, tmp_path / "out",
-                   grid_overrides=["r_count=31", "fiber_count=3"])
+        # a radial model takes no [grid] key: its grid is the [compare] radii
+        overrides = [] if name == "radial_log.cdm" else ["r_count=31", "fiber_count=3"]
+        code = run("suite", MANIFESTS / name, tmp_path / "out", grid_overrides=overrides)
         assert code == 0
         assert "overall: PASS" in (tmp_path / "out" / "summary.txt").read_text()
+
+    def test_rigidity_points_lie_inside_y_min_and_y_max(self, tmp_path, monkeypatch):
+        # y_min and y_max bound every fiber axis of the sampled points, the
+        # rigidity check's among them
+        seen = []
+
+        def recorded(split, *args, **kwargs):
+            report = rigidity_check(split, *args, **kwargs)
+            seen.append(report.points)
+            return report
+
+        monkeypatch.setattr(cli, "rigidity_check", recorded)
+        overrides = ["r_count=11", "fiber_count=3", "y_min=-0.5", "y_max=0.5"]
+        assert run("suite", MANIFESTS / "sphere_example.cdm", tmp_path / "out",
+                   grid_overrides=overrides) == 0
+        [points] = seen
+        assert points.shape == (40, 3)
+        assert np.all(np.abs(points[:, 1:]) <= 0.5)
+        assert np.all(np.abs(points[:, 0]) <= 10.0)
+
+    def test_radial_header_states_the_radii(self, tmp_path):
+        # a [numeric] override applies on a radial model, which takes no [grid] key
+        assert run("verify-cd", MANIFESTS / "radial_log.cdm", tmp_path / "out",
+                   grid_overrides=["dt=0.01"]) == 0
+        text = (tmp_path / "out" / "cd_report.txt").read_text()
+        assert "# grid: radial ray, rho in [0.1, 10] x 100\n" in text
+        assert "# numeric: dt=0.01 " in text
+        assert "\ngrid: radial ray, 100 radii\n" in text
 
     def test_header_metadata(self, tmp_path):
         man = make_split(tmp_path, THRESHOLD + 0.01)
@@ -602,6 +633,26 @@ def _usage_errors():
         yield _case(f"empty-bochner-range-{subcommand}", subcommand, _shipped("sphere_example"),
                     "[grid] r_min: the sampled range is empty", grid_overrides=["r_min=4"])
     yield _case("radial-start-at-origin", "geodesic", origin, "[geodesic] start: is the origin")
+    # a radial model's grid is its [compare] radii, so a [grid] key is refused,
+    # in the file or as an override, beside a [numeric] override or not
+    yield _case("radial-grid-key", "verify-cd", _shipped("radial_log") + "\n[grid]\nr_min = 3\n",
+                "error: [grid] r_min: radial models take no [grid] keys")
+    yield _case("radial-grid-override", "verify-cd", _shipped("radial_log"),
+                "error: [grid] r_count: radial models take no [grid] keys",
+                grid_overrides=["r_count=5", "r_min=3", "dt=0.01"])
+    # sizes above MAX_POINTS, decided from the manifest's numbers alone
+    yield _case("oversized-grid", "verify-cd", _shipped("twisted_flat"),
+                "error: [grid] r_count: the verify-cd grid's r_count x fiber_count^2 = "
+                "1000000000000000000 x 5^2 points are more than MAX_POINTS = 1000000",
+                grid_overrides=["r_count=1000000000000000000"])
+    for subcommand in ("geodesic", "riccati"):
+        yield _case(f"tiny-dt-{subcommand}", subcommand, _shipped("sphere_example"),
+                    "error: [numeric] dt: the geodesic's T / dt = 10 / 1e-300 steps are more "
+                    "than MAX_POINTS = 1000000", grid_overrides=["dt=1e-300"])
+    yield _case("long-riccati", "riccati",
+                SPLIT_FAST.format(lam=1.0).replace("t_max = 2.0", "t_max = 1e4"),
+                "error: [numeric] dt: riccati's t_max / dt = 10000 / 0.001 steps are more "
+                "than MAX_POINTS = 1000000")
 
 
 @pytest.mark.parametrize("subcommand, text, needle, kwargs", _usage_errors())

@@ -23,6 +23,17 @@ from cdsplit.errors import (
     ZeroRadius,
 )
 from cdsplit.geodesic_flow import geodesic_integrate
+from cdsplit.manifest import box_grid, inset_box, sample_box
+
+
+def ray(rho_min, rho_max, count):
+    """``count`` radii rho * e_1 in R^3, as verify-cd grids a radial model."""
+    return box_grid([[rho_min, rho_max], [0, 0], [0, 0]], [count, 1, 1])
+
+
+def rigidity_points(split, count):
+    """``count`` points with r in [-5, 5] and the fiber's safe box inset 5%, seed 0."""
+    return sample_box(np.vstack([(-5.0, 5.0), inset_box(split.fiber.safe_box, 0.05)]), count, 0)
 
 
 def samples_for(f, r, k=401):
@@ -67,7 +78,7 @@ class TestComparisonBound:
 class TestRadialComparison:
     def test_unweighted_equality(self):
         model = catalog.unweighted_model(3)
-        out = radial_comparison_check(model, np.linspace(0.1, 10.0, 25))
+        out = radial_comparison_check(model, ray(0.1, 10.0, 25))
         for s in out:
             assert s.lap_f_r == pytest.approx(2.0 / s.r, rel=1e-12)
             assert s.bound == pytest.approx(2.0 / s.r, rel=1e-9)
@@ -75,7 +86,7 @@ class TestRadialComparison:
 
     def test_log_model_positive_slack(self):
         model = catalog.radial_log_model(3)
-        out = radial_comparison_check(model, np.linspace(0.1, 10.0, 50))
+        out = radial_comparison_check(model, ray(0.1, 10.0, 50))
         v_prev = 0.0
         for s in out:
             assert s.slack >= -1e-8
@@ -92,7 +103,7 @@ class TestRadialComparison:
             n=3, f=lambda rho: -rho ** 2, df=lambda rho: -2.0 * rho,
             d2f=lambda rho: -2.0, name="concave density")
         with pytest.raises(CDViolation):
-            radial_comparison_check(model, np.linspace(0.1, 3.0, 10))
+            radial_comparison_check(model, ray(0.1, 3.0, 10))
 
     def test_numeric_cross_check(self):
         model = catalog.radial_log_model(3)
@@ -298,7 +309,7 @@ class TestComparisonODE:
 class TestRigidity:
     def test_product_exact(self):
         split = catalog.split_sin_euclidean(3, amplitude=0.0)
-        rep = rigidity_check(split, n_points=10)
+        rep = rigidity_check(split, rigidity_points(split, 10))
         assert rep.grad_norm_dev < 1e-12
         assert rep.lap_f_r_dev < 1e-12
         assert rep.hess_proportionality_dev < 1e-12
@@ -308,7 +319,7 @@ class TestRigidity:
 
     def test_sphere_fiber_within_tolerance(self):
         split = catalog.split_sin_sphere(0.7)
-        rep = rigidity_check(split, n_points=40)
+        rep = rigidity_check(split, rigidity_points(split, 40))
         assert rep.lap_f_r_dev <= 1e-6
         assert rep.hess_proportionality_dev <= 1e-5
         assert rep.radial_ricci_dev <= 1e-6
@@ -316,5 +327,5 @@ class TestRigidity:
 
     def test_weighted_fiber_also_rigid(self):
         split = catalog.split_sin_sphere(0.7, f_L=catalog.bounded_fiber_density())
-        rep = rigidity_check(split, n_points=25)
+        rep = rigidity_check(split, rigidity_points(split, 25))
         assert rep.passes()

@@ -30,20 +30,31 @@ from cdsplit.cli import run
 from cdsplit.comparison_suite import bochner_inequality_margin, bochner_residual, rigidity_check
 from cdsplit.errors import NonFinite, SingularMetric
 from cdsplit.geodesic_flow import geodesic_integrate, normalize_velocity
-from cdsplit.manifest import build_geometry, cd_grid, parse_manifest
+from cdsplit.manifest import (
+    box_grid,
+    build_geometry,
+    cd_grid,
+    inset_box,
+    parse_manifest,
+    sample_box,
+)
 from cdsplit.warped_products import SplitSpaceSpec
 from cdsplit.weighted_curvature import (
     BLOCK_POINTS,
     GridSpec,
-    box_grid,
     cd_verify,
     generalized_ricci,
     min_relative_eigenvalue,
-    product_grid,
-    split_grid,
 )
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def product_grid(r_range, fiber_box, r_count, fiber_count):
+    """r_count radii times fiber_count points per axis of ``fiber_box``
+    inset 2%, as verify-cd grids a product chart."""
+    bounds = np.vstack([r_range, inset_box(fiber_box, 0.02)])
+    return box_grid(bounds, [r_count] + [fiber_count] * len(bounds[1:]))
 
 
 def test_sphere_witness_tie_is_exact():
@@ -54,7 +65,7 @@ def test_sphere_witness_tie_is_exact():
     # path (numpy ufuncs for math, a reordered sum) moves the witness.
     manifest = parse_manifest(MANIFESTS / "sphere_example.cdm")
     geo = build_geometry(manifest)
-    points = cd_grid(manifest, geo).points
+    points = cd_grid(manifest).points
     r_slice = points[np.isclose(points[:, 0], 8.1)]
     assert r_slice.shape == (81, 3)
     report = cd_verify(geo["spec"], geo["density"], 0.0, 1.0, GridSpec(r_slice, "r = 8.1"))
@@ -78,7 +89,8 @@ def test_success_path_formats_no_arrays():
     p0 = np.array([0.0, 0.4, 0.2])
     v0 = normalize_velocity(spec, p0, [1.0, 0.5, -0.3])
     with np.printoptions(formatter={"all": count}):
-        cd_verify(spec, split.density(), 0.0, 1.0, split_grid(split, r_count=3, fiber_count=2))
+        grid = product_grid((-10.0, 10.0), split.fiber.safe_box, 3, 2)
+        cd_verify(spec, split.density(), 0.0, 1.0, grid)
         geodesic_integrate(spec, p0, v0, T=0.05, dt=1e-2)
         assert formatted == []
         str(np.zeros(1))  # the counter does see an array being formatted
@@ -177,7 +189,7 @@ def test_block_walk_matches_pointwise_across_the_witness_tie(monkeypatch):
     # tied points decide the witness, straddles the first block boundary
     manifest = parse_manifest(MANIFESTS / "sphere_example.cdm")
     geo = build_geometry(manifest)
-    points = cd_grid(manifest, geo).points
+    points = cd_grid(manifest).points
     first = int(np.flatnonzero(np.isclose(points[:, 0], 8.1))[0])
     start = first - BLOCK_POINTS + 40
     grid = GridSpec(points[start:start + 2 * BLOCK_POINTS + 3], "blocks")
@@ -320,7 +332,7 @@ def test_density_evaluated_once_per_point(N):
     split = catalog.split_sin_sphere(0.6)
     f, grads = split.density(), []
     density = ScalarField(value=f.value, grad=_counted(f.grad, grads), hess=f.hess)
-    grid = split_grid(split, (-2.0, 2.0), 3, 3)
+    grid = product_grid((-2.0, 2.0), split.fiber.safe_box, 3, 3)
     cd_verify(split.metric_spec(), density, 0.0, N, grid)
     assert len(grads) == len(grid.points) == 27
 
@@ -370,7 +382,7 @@ def test_weighted_laplacian_evaluates_the_metric_once(monkeypatch):
 
 def test_rigidity_point_evaluates_the_metric_once(monkeypatch):
     split, _, calls = _counted_split(monkeypatch)
-    assert rigidity_check(split, points=[Q]).passes()
+    assert rigidity_check(split, [Q]).passes()
     assert _at_Q(calls) == 1
 
 
@@ -378,8 +390,8 @@ def test_rigidity_builds_one_geometry_per_block(monkeypatch):
     # one in_blocks walk over the 40 points, in blocks of 16, whose maxima
     # are bit-equal to the maxima of the points checked one at a time
     split = catalog.split_sin_sphere(0.3)
-    singles = [rigidity_check(split, points=[p])
-               for p in rigidity_check(split, n_points=40).points]
+    points = sample_box(np.vstack([(-5.0, 5.0), inset_box(split.fiber.safe_box, 0.05)]), 40, 0)
+    singles = [rigidity_check(split, [p]) for p in points]
     built = []
     init = BlockGeometry.__init__
 
@@ -389,7 +401,7 @@ def test_rigidity_builds_one_geometry_per_block(monkeypatch):
 
     monkeypatch.setattr(BlockGeometry, "__init__", counted)
     monkeypatch.setattr(comparison_suite, "BLOCK_POINTS", 16)
-    report = rigidity_check(split, n_points=40)
+    report = rigidity_check(split, points)
     assert built == [16, 16, 8]
     for name in ("grad_norm_dev", "lap_f_r_dev", "hess_proportionality_dev",
                  "radial_ricci_dev", "busemann_pair_dev"):
@@ -418,7 +430,7 @@ def test_ricci_reuses_the_partials_at_the_point(monkeypatch, check):
     # take the jet of order 0
     split, spec, calls = _counted_split(monkeypatch, order=1)
     if check == "rigidity":
-        assert rigidity_check(split, points=[Q]).passes()
+        assert rigidity_check(split, [Q]).passes()
     else:
         assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
     assert _at_Q(calls) == 1

@@ -14,6 +14,7 @@ from cdsplit.errors import NonFinite, ParseError, ValidationError
 from cdsplit.manifest import (
     MAX_DEPTH,
     MAX_DERIVATIVE_NODES,
+    MAX_POINTS,
     build_geometry,
     compile_expression,
     ExpressionArray,
@@ -445,3 +446,40 @@ def test_overrides_meet_bounds_or_raise(minimal_split_path, overrides):
         assert -3.0 <= g["y_min"] < g["y_max"] <= 3.0  # inside the sphere fiber's box
     assert min(num["dt"], num["fd1"], num["fd2"], num["fd3"]) > 0
     assert num["tol_cd"] >= 0
+
+
+def _shipped(name, old="", new=""):
+    return (MANIFESTS / f"{name}.cdm").read_text().replace(old, new)
+
+
+SPLIT5 = ("[manifold]\nkind = split\ndim = 5\n[phi]\nexpr = sin(r)\n"
+          "[fiber]\ntype = sphere\neinstein_constant = 0.3\n")
+
+
+@pytest.mark.parametrize("text, overrides, key", [
+    # 12,345 x 9^2 = 999,945 grid points; one radius more is 1,000,026
+    (_shipped("sphere_example"), ["r_count=12345"], None),
+    (_shipped("sphere_example"), ["r_count=12346"], "[grid] r_count"),
+    (_shipped("twisted_flat"), ["fiber_count=200", "r_count=25"], None),
+    (_shipped("twisted_flat"), ["fiber_count=200", "r_count=26"], "[grid] r_count"),
+    # without [cd] no verify-cd grid is built: 201 x 9^4 points are not
+    # refused, but the threshold scan's r_count radii are
+    (SPLIT5, [], None),
+    (SPLIT5, ["r_count=1000001"], "[grid] r_count"),
+    # T / dt = 10 / 1e-5 is exactly MAX_POINTS steps
+    (_shipped("sphere_example"), ["dt=1e-5"], None),
+    (_shipped("sphere_example"), ["dt=9e-6"], "[numeric] dt"),
+    (_shipped("sphere_example"), ["dt=5e-324"], "[numeric] dt"),  # T / dt overflows to inf
+    # 2,493 x 401 = 999,693 quadrature samples; one radius more is 1,000,094
+    (_shipped("radial_log", "count = 100", "count = 2493"), [], None),
+    (_shipped("radial_log", "count = 100", "count = 2494"), [], "[compare] count"),
+    (_shipped("radial_log", "points = 10", "points = 1000001"), [], "[bochner] points"),
+])
+def test_sizes_above_max_points_are_refused(tmp_path, text, overrides, key):
+    path = write_manifest(tmp_path, text)
+    if key is None:
+        parse_manifest(path, overrides)
+        return
+    with pytest.raises(ValidationError, match=f"MAX_POINTS = {MAX_POINTS}") as exc:
+        parse_manifest(path, overrides)
+    assert exc.value.key == key

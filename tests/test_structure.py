@@ -2,7 +2,8 @@
 is visible at the top of each module and cannot hide a cycle; the command
 line imports no scipy module; every function the benchmark's tracer
 patches by name exists; every other public function has a caller in the
-package; and no subcommand decides a usage error."""
+package; no subcommand decides a usage error; and only the grid section of
+manifest builds a grid or draws sample points."""
 
 import ast
 import functools
@@ -115,3 +116,22 @@ def test_subcommands_decide_no_usage_error():
         or (isinstance(node, ast.Name) and node.id == "ValidationError")
     ]
     assert not found, "usage-error code in subcommands: " + ", ".join(found)
+
+
+GRID_BUILDERS = {"box_grid", "inset_box", "sample_box", "GridSpec"}
+
+
+def test_only_manifest_builds_grids_and_samples():
+    # the grid section of manifest is the one place that builds a grid or
+    # draws sample points; every check takes the points it is given
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "manifest.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in GRID_BUILDERS:
+                    found.append(f"{path.stem}:{node.lineno} {name}")
+    assert not found, "grids or samples built outside manifest: " + ", ".join(found)

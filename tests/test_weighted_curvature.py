@@ -17,16 +17,21 @@ from cdsplit.chart_core import (
     ricci_numeric,
 )
 from cdsplit.errors import DimensionClash, EmptyGrid, SingularMetric
-from cdsplit.manifest import compile_expression, expression_scalar_field
+from cdsplit.manifest import box_grid, compile_expression, expression_scalar_field, inset_box
 from cdsplit.weighted_curvature import (
     GridSpec,
-    box_grid,
     cd_verify,
     generalized_ricci,
     min_relative_eigenvalue,
-    split_grid,
 )
 from cdsplit.warped_products import FlatFiber, SphereFiber, SplitSpaceSpec
+
+
+def product_grid(split, r_range, r_count, fiber_count):
+    """r_count radii times fiber_count points per axis of the fiber's safe
+    box inset 2%, the grid verify-cd checks on a split manifest."""
+    bounds = np.vstack([r_range, inset_box(split.fiber.safe_box, 0.02)])
+    return box_grid(bounds, [r_count] + [fiber_count] * (split.n - 1))
 
 
 def random_smooth_density(rng, dim):
@@ -161,19 +166,19 @@ class TestCDVerify:
 
         above = catalog.split_sin_sphere(thr + 0.01)
         rep = cd_verify(above.metric_spec(), above.density(), 0.0, 1.0,
-                        split_grid(above, **grid_kwargs))
+                        product_grid(above, **grid_kwargs))
         assert rep.passed
 
         below = catalog.split_sin_sphere(thr - 0.01)
         rep = cd_verify(below.metric_spec(), below.density(), 0.0, 1.0,
-                        split_grid(below, **grid_kwargs))
+                        product_grid(below, **grid_kwargs))
         assert not rep.passed
         assert rep.verdict == "fail"
         assert math.sin(rep.witness[0]) < -0.99  # violation concentrates at sin r = -1
 
     def test_witness_attains_minimum(self):
         split = catalog.split_sin_sphere(0.1)
-        grid = split_grid(split, r_range=(-4, 4), r_count=41, fiber_count=3)
+        grid = product_grid(split, (-4, 4), 41, 3)
         rep = cd_verify(split.metric_spec(), split.density(), 0.0, 1.0, grid)
         k = int(np.argmin(rep.eigenvalues))
         assert np.allclose(rep.witness, rep.points[k])
@@ -184,7 +189,7 @@ class TestCDVerify:
         spec = split.metric_spec()
         f = split.density()
         f_shift = ScalarField(value=lambda p: f.value(p) + 9.0, grad=f.grad, hess=f.hess)
-        grid = split_grid(split, r_range=(-3, 3), r_count=21, fiber_count=3)
+        grid = product_grid(split, (-3, 3), 21, 3)
         a = cd_verify(spec, f, 0.0, 1.0, grid)
         b = cd_verify(spec, f_shift, 0.0, 1.0, grid)
         assert a.verdict == b.verdict
@@ -194,7 +199,7 @@ class TestCDVerify:
         split = catalog.split_sin_sphere(0.35)
         spec = split.metric_spec()
         f = split.density()
-        grid = split_grid(split, r_range=(-4, 4), r_count=31, fiber_count=3)
+        grid = product_grid(split, (-4, 4), 31, 3)
         for N in (-3.0, 0.0, 0.5):
             repN = cd_verify(spec, f, 0.0, N, grid)
             rep1 = cd_verify(spec, f, 0.0, 1.0, grid)
@@ -225,19 +230,19 @@ class TestCDVerify:
 
     def test_report_grid_description(self):
         split = catalog.split_sin_sphere(0.4)
-        grid = split_grid(split, r_range=(-2, 2), r_count=11, fiber_count=3)
+        grid = product_grid(split, (-2, 2), 11, 3)
         rep = cd_verify(split.metric_spec(), split.density(), 0.0, 1.0, grid)
-        assert "r in" in rep.grid_spec
+        assert rep.grid_spec == grid.description
+        assert rep.grid_spec.startswith("box grid [-2,2]:11 x ")
 
-    def test_thread_cap_keeps_results_identical(self, monkeypatch):
+    def test_reruns_give_identical_bits(self):
         split = catalog.split_sin_sphere(0.3)
-        grid = split_grid(split, r_range=(-3, 3), r_count=15, fiber_count=3)
-        serial = cd_verify(split.metric_spec(), split.density(), 0.0, 1.0, grid)
-        monkeypatch.setenv("CDSPLIT_THREADS", "4")
-        threaded = cd_verify(split.metric_spec(), split.density(), 0.0, 1.0, grid)
-        assert np.array_equal(serial.eigenvalues, threaded.eigenvalues)
-        assert np.array_equal(serial.witness, threaded.witness)
-        assert serial.verdict == threaded.verdict
+        grid = product_grid(split, (-3, 3), 15, 3)
+        first = cd_verify(split.metric_spec(), split.density(), 0.0, 1.0, grid)
+        second = cd_verify(split.metric_spec(), split.density(), 0.0, 1.0, grid)
+        assert first.eigenvalues.tobytes() == second.eigenvalues.tobytes()
+        assert first.witness.tobytes() == second.witness.tobytes()
+        assert first.verdict == second.verdict
 
 
 def slice_mean_curvature(split, r0, density=None):
