@@ -3,7 +3,6 @@ chart metrics — generalized Ricci tensors, curvature-dimension sampling,
 warped-product criteria, geodesic conservation, and Laplacian comparison."""
 
 from .chart_core import (
-    FDSteps,
     MetricSpec,
     ScalarField,
     VectorField,

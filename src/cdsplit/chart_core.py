@@ -15,11 +15,11 @@ Conventions
 * A bilinear form is a plain symmetric ``(n, n)`` array.
 * Metric partials are stored derivative-index first:
   ``D[k, i, j] = d g_ij / d x^k``.
-* Finite-difference steps scale with the coordinate magnitude:
-  first derivatives (of the Christoffel symbols for Ricci, of a field's
-  values) use ``h1 * max(1, |x_k|)``, plain second derivatives
-  of a field's values ``h2 * max(1, |x_k|)``, and derivatives of derived
-  fields (third-order content) ``h3 * max(1, |x_k|)``.
+* Finite-difference steps are module constants and scale with the
+  coordinate magnitude (``scaled``): first derivatives (of the Christoffel
+  symbols for Ricci, of a field's values) use ``H1 * max(1, |x_k|)``, plain
+  second derivatives of a field's values ``H2 * max(1, |x_k|)``, and
+  derivatives of derived fields (third-order content) ``H3 * max(1, |x_k|)``.
 * Every difference quotient is taken over a block of points:
   ``stencil_rows`` gives all their stencil rows, ``stencil_values`` a
   field's values there in one ``field_rows`` call, and ``first_difference``
@@ -106,7 +106,7 @@ concurrently; a ``BlockGeometry`` belongs to the one call that made it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Union
 
@@ -122,6 +122,10 @@ SYMMETRY_TOL = 1e-12
 #: Points (or samples) per stacked pass: enough to spread the fixed cost of a
 #: pass, few enough that a block's stacks stay small.
 BLOCK_POINTS = 256
+
+#: Base finite-difference steps (see Conventions): first derivatives,
+#: second derivatives of a field's values, and derivatives of derived fields.
+H1, H2, H3 = 1e-5, 1e-4, 1e-3
 
 
 def as_point(coords, dim: int | None = None) -> Point:
@@ -147,16 +151,10 @@ def _as_points(pts, dim: int) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
-class FDSteps:
-    """Base finite-difference steps, scaled per coordinate by max(1, |x|)."""
-
-    h1: float = 1e-5
-    h2: float = 1e-4
-    h3: float = 1e-3
-
-    def scaled(self, p: Point, base: float) -> np.ndarray:
-        return base * np.maximum(1.0, np.abs(p))
+def scaled(p: Point, base: float) -> np.ndarray:
+    """The finite-difference steps at ``p``: ``base * max(1, |x_k|)`` per
+    coordinate."""
+    return base * np.maximum(1.0, np.abs(p))
 
 
 @dataclass(frozen=True)
@@ -173,7 +171,8 @@ class MetricSpec:
     order 0 is bit for bit the g of order 1.  A chart given by point
     formulas lifts them with ``point_jet``.  ``domain`` is an ``(n, 2)``
     array of closed coordinate bounds; stencil points outside it raise
-    ChartDomain.
+    ChartDomain.  Every finite difference of a chart takes the module's
+    steps ``H1``, ``H2`` and ``H3``.
     """
 
     dim: int
@@ -181,7 +180,6 @@ class MetricSpec:
     domain: np.ndarray | None = None
     name: str = ""
     coord_names: tuple[str, ...] | None = None
-    fd: FDSteps = field(default_factory=FDSteps)
 
     def coords(self) -> tuple[str, ...]:
         if self.coord_names is not None:
@@ -352,7 +350,7 @@ def metric_at(spec: MetricSpec, p: Point) -> np.ndarray:
 def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
     """Debug check: max |analytic - finite difference| over metric partials."""
     pts = as_point(p, spec.dim)[None]
-    steps = spec.fd.scaled(pts, spec.fd.h1)
+    steps = scaled(pts, H1)
     metric = geometry_field(spec, lambda at: at.g, 0)
     fd = first_difference(stencil_values(metric, pts, steps, 1), steps)[0]
     return float(np.max(np.abs(fd - spec.jet(pts, 1)[1][0])))
@@ -592,7 +590,7 @@ class BlockGeometry:
     def ricci(self) -> np.ndarray:
         spec, pts = self.spec, self.pts
         B, n = pts.shape
-        steps = spec.fd.scaled(pts, spec.fd.h1)
+        steps = scaled(pts, H1)
         _check_domains(spec, pts, steps)
         self.chol  # positivity gate, once per point; christoffel reuses the factor
         g0, D0 = self._jet[0], self.D
@@ -624,15 +622,15 @@ class BlockGeometry:
     def gradient(self, f, step: float | None = None) -> np.ndarray:
         """Coordinate partials d_i f at each point: the analytic gradient as
         one stack, else central differences of the values at base ``step``
-        (default ``h1``); once per field and step."""
+        (default ``H1``); once per field and step."""
         f = as_scalar_field(f)
         if f.grad is not None:
             return self.evaluated(f.grad, "gradient")
         spec, pts = self.spec, self.pts
-        base = step if step is not None else spec.fd.h1
+        base = step if step is not None else H1
         key = (f.value, base)
         if key not in self._evaluated:
-            steps = spec.fd.scaled(pts, base)
+            steps = scaled(pts, base)
             _check_domains(spec, pts, steps)
             dF = first_difference(stencil_values(f.value, pts, steps, 1), steps)
             self._evaluated[key] = _finite_rows(dF, "finite-difference gradient", pts)
@@ -649,13 +647,12 @@ class BlockGeometry:
 
     def hessian(self, f, step: float | None = None) -> np.ndarray:
         spec, pts = self.spec, self.pts
-        fd = spec.fd
         f = as_scalar_field(f)
-        base = step if step is not None else fd.h2
+        base = step if step is not None else H2
         if f.hess is not None:
             raw = field_rows(f.hess, pts)
         else:
-            steps = fd.scaled(pts, base)
+            steps = scaled(pts, base)
             _check_domains(spec, pts, 2.0 * steps)
             F = stencil_values(f.value, pts, steps, 2)
             raw = second_difference(F, steps)
@@ -695,7 +692,7 @@ class BlockGeometry:
         g = self.g
         D = self.D
         Xv = self.evaluated(X.value, "vector field")
-        steps = spec.fd.scaled(pts, spec.fd.h1)
+        steps = scaled(pts, H1)
         _check_domains(spec, pts, steps)
         # J[b, i, d] = d_d X^i, C-contiguous as the per-point J was, so the
         # stacked product below multiplies the same memory layout
@@ -779,7 +776,7 @@ def ricci_numeric(spec: MetricSpec, p: Point) -> np.ndarray:
     the result is symmetrized to remove finite-difference noise.  The
     Christoffel symbols come from the analytic partials, so they carry no
     differencing noise, and the derivative takes the first-derivative step
-    h1, which keeps its truncation error small."""
+    H1, which keeps its truncation error small."""
     return BlockGeometry.at(spec, p).ricci[0]
 
 

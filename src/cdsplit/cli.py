@@ -11,8 +11,8 @@ manifest (``_NEEDS``), a seed outside [0, 2**64) or an ``--out`` that cannot
 be made a directory, each decided in ``_run`` before any report is written.
 An error is one ``error:`` line, and a warning (numpy's floating-point
 warnings among them) one ``warning:`` line.
-``--grid-override`` sets a [grid] or [numeric] key (a [numeric] key only
-on a radial model, which takes no [grid] key); ``parse_manifest`` applies
+``--grid-override`` sets a [grid] key or [numeric] dt (only dt on a radial
+model, which takes no [grid] key); ``parse_manifest`` applies
 it before validation and builds the geometry the subcommands get from
 ``build_geometry``.  The grids and sample points every subcommand checks
 come from the grid section of ``manifest``.  Given the same manifest and
@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chart_core import BlockGeometry, ScalarField
+from .chart_core import H1, H2, H3, BlockGeometry, ScalarField
 from .comparison_suite import (
     bochner_residual,
     radial_comparison_check,
@@ -57,7 +57,7 @@ from .manifest import (
     sample_region,
 )
 from .warped_products import riccati_obstruction, split_cd_threshold, twisted_ricci_analytic
-from .weighted_curvature import cd_verify, generalized_ricci_at
+from .weighted_curvature import TOL_CD, cd_verify, generalized_ricci_at
 
 TOOL = "cdsplit"
 
@@ -95,8 +95,7 @@ class Reporter:
             f"manifest sha256: {_sha256(m.source_text)}",
             f"manifold: {m.name} (kind={m.kind}, dim={m.dim})",
             f"grid: {grid_summary(m)}",
-            f"numeric: dt={m.numeric['dt']:g} tol_cd={m.numeric['tol_cd']:g} "
-            f"fd=({m.numeric['fd1']:g},{m.numeric['fd2']:g},{m.numeric['fd3']:g})",
+            f"numeric: dt={m.numeric['dt']:g} tol_cd={TOL_CD:g} fd=({H1:g},{H2:g},{H3:g})",
             f"seed: {self.seed}",
             "verdicts are sampled, not proven: grid sampling is chart-local and "
             "makes no completeness claim",
@@ -160,7 +159,7 @@ def _cmd_curvature(manifest, geo, rep: Reporter) -> int:
 def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
     grid = cd_grid(manifest)
     report = cd_verify(geo["spec"], geo["density"], manifest.cd["lambda"],
-                       manifest.cd["N"], grid, tol=manifest.numeric["tol_cd"])
+                       manifest.cd["N"], grid)
     n_label = "inf" if math.isinf(report.N) else f"{report.N:g}"
     body = [
         f"condition: CD(lambda={report.lam:g}, N={n_label})",

@@ -31,6 +31,7 @@ import numpy as np
 
 from .chart_core import (
     BLOCK_POINTS,
+    H3,
     BlockGeometry,
     DensitySpec,
     MetricSpec,
@@ -43,6 +44,7 @@ from .chart_core import (
     geometry_field,
     in_blocks,
     r_coordinate_field,
+    scaled,
     simpson,
     stencil_values,
 )
@@ -211,15 +213,15 @@ def radial_comparison_check(model: RadialModel, grid: GridSpec):
 # ---------------------------------------------------------------------------
 
 def _coarse_lap_f_grad_sq(at: BlockGeometry, density: DensitySpec, h: ScalarField) -> float:
-    """Lap_f |grad h|^2 at the point of ``at``, differenced at step h3."""
+    """Lap_f |grad h|^2 at the point of ``at``, differenced at step H3."""
     grad_sq = geometry_field(at.spec, lambda g: g.grad_norm_squared(h), 0)
-    return float(at.weighted_laplacian(density, grad_sq, at.spec.fd.h3)[0])
+    return float(at.weighted_laplacian(density, grad_sq, H3)[0])
 
 
 def _coarse_gradient(at: BlockGeometry, of) -> np.ndarray:
-    """The partials at the point of ``at``, differenced at step h3, of the
+    """The partials at the point of ``at``, differenced at step H3, of the
     ``geometry_field`` of ``of``, which needs the metric partials."""
-    steps = at.spec.fd.scaled(at.pts, at.spec.fd.h3)
+    steps = scaled(at.pts, H3)
     field = geometry_field(at.spec, of, 1)
     return first_difference(stencil_values(field, at.pts, steps, 1), steps)[0]
 

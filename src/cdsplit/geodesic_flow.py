@@ -36,6 +36,7 @@ import numpy as np
 
 from .chart_core import (
     BLOCK_POINTS,
+    H2,
     BlockGeometry,
     DensitySpec,
     MetricSpec,
@@ -51,6 +52,7 @@ from .chart_core import (
     in_blocks,
     in_domain,
     metric_at,
+    scaled,
 )
 from .errors import CdsplitError, EmptyTrace, NonFinite, StepOverflow
 
@@ -143,7 +145,7 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
     if abs(s0 - 1.0) > 1e-10:
         raise ValueError(f"initial velocity has g-norm {s0!r}, expected 1 within 1e-10")
 
-    margin = spec.fd.scaled(p0, 4.0 * spec.fd.h2).tolist()
+    margin = scaled(p0, 4.0 * H2).tolist()
     acc = gamma_evaluator(spec)
 
     nsteps = int(round(T / dt))

@@ -32,7 +32,8 @@ constant 0.  A ``[fiber]`` of type ``euclidean`` or ``torus`` is a
 ``FlatFiber``, one of type ``sphere`` a ``SphereFiber``.
 
 ``parse_manifest`` rejects unknown sections or keys, numbers outside
-``_NUMBERS``, a [grid] key on a radial model, a grid, sample set or step
+``_NUMBERS``, a [grid] key on a radial model, a [compare] key on another
+kind, a fiber key its type does not read, a grid, sample set or step
 count larger than ``MAX_POINTS``, a metric entry given as both g_ij and
 g_ji, and a geodesic start outside the chart's domain, at a radial model's
 origin or where the metric is not positive definite, so a run refuses a bad
@@ -61,7 +62,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .chart_core import (
-    FDSteps,
     MetricSpec,
     ScalarField,
     VectorField,
@@ -679,13 +679,7 @@ _NUMBERS = {
         "y_min": _Number(None),
         "y_max": _Number(None),
     },
-    "numeric": {
-        "dt": _Number(1e-3, "> 0"),
-        "tol_cd": _Number(1e-7, ">= 0"),
-        "fd1": _Number(1e-5, "> 0"),
-        "fd2": _Number(1e-4, "> 0"),
-        "fd3": _Number(1e-3, "> 0"),
-    },
+    "numeric": {"dt": _Number(1e-3, "> 0")},
     "cd": {"lambda": _Number(0.0)},
     "geodesic": {"T": _Number(10.0, "> 0")},
     "riccati": {
@@ -819,13 +813,14 @@ def _float_list(sections, section, key):
 
 def parse_manifest(path, overrides=()) -> ManifoldManifest:
     """Read, parse, and validate a manifest file (strict keys, bounded finite
-    numbers, expression limits, no ``[grid]`` key on a radial model, and
-    the sizes of ``_check_sizes``), build its geometry, evaluate it at the
-    grid center, and decide the geodesic's start and unit velocity.
+    numbers, expression limits, no ``[grid]`` key on a radial model, no
+    ``[compare]`` key on another kind, and the sizes of ``_check_sizes``),
+    build its geometry, evaluate it at the grid center, and decide the
+    geodesic's start and unit velocity.
 
-    ``overrides`` are ``key=value`` strings for ``[grid]`` and ``[numeric]``
-    keys.  They replace the file's entries before validation, so they get
-    the same checks."""
+    ``overrides`` are ``key=value`` strings for ``[grid]`` keys and
+    ``[numeric] dt``.  They replace the file's entries before validation,
+    so they get the same checks."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     sections = _read_sections(text)
@@ -849,6 +844,9 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
     if kind == "radial_model" and sections.get("grid"):
         raise ValidationError("radial models take no [grid] keys: their grid is the "
                               "[compare] radii", key=f"[grid] {next(iter(sections['grid']))}")
+    if kind != "radial_model" and sections.get("compare"):
+        raise ValidationError("only radial models read [compare] keys",
+                              key=f"[compare] {next(iter(sections['compare']))}")
     nums = {sec: _numbers(sections, sec) for sec in _NUMBERS}
     dim = nums["manifold"]["dim"]
     if dim is None:
@@ -899,8 +897,7 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         cd = {"lambda": nums["cd"]["lambda"], "N": N}
     _check_sizes(kind, dim, nums, bool(cd))
 
-    fd = FDSteps(h1=numeric["fd1"], h2=numeric["fd2"], h3=numeric["fd3"])
-    geometry = _build(kind, sections, dim, name, nums["fiber"], fd)
+    geometry = _build(kind, sections, dim, name, nums["fiber"])
 
     fiber = _fiber(geometry)
     if fiber is not None and grid["y_min"] is not None:
@@ -952,10 +949,10 @@ def _with_r_derivatives(e: Expression):
     return e, d, d.derivative("r")
 
 
-def _build(kind, sections, dim, name, fiber_numbers, fd) -> dict:
+def _build(kind, sections, dim, name, fiber_numbers) -> dict:
     """The toolkit objects of one manifest kind: 'spec' (MetricSpec) and
     'density', plus 'split' (SplitSpaceSpec), 'twisted' (TwistedProductSpec)
-    or 'model' (RadialModel).  ``fd`` is threaded into every MetricSpec."""
+    or 'model' (RadialModel)."""
     names = product_coords(dim)
     if kind == "split":
         # compiled over r alone, so that a fiber variable is a parse error,
@@ -966,13 +963,13 @@ def _build(kind, sections, dim, name, fiber_numbers, fd) -> dict:
                if "f_L" in sections else None)
         split = SplitSpaceSpec(n=dim, phi=phi,
                                fiber=_parse_fiber(sections, dim - 1, fiber_numbers),
-                               f_L=f_L, name=name, fd=fd)
+                               f_L=f_L, name=name)
         return {"split": split, "spec": split.metric_spec(), "density": split.density()}
     if kind == "twisted":
         psi = _compiled(sections, "psi", "expr", names, expression_scalar_field)
         twisted = TwistedProductSpec(n=dim, psi=psi,
                                      fiber=_parse_fiber(sections, dim - 1, fiber_numbers),
-                                     name=name, fd=fd)
+                                     name=name)
         # the twist potential is the natural density of this chart
         density = _density(sections, names) if "density" in sections else psi
         return {"twisted": twisted, "spec": twisted.metric_spec(), "density": density}
@@ -982,9 +979,8 @@ def _build(kind, sections, dim, name, fiber_numbers, fd) -> dict:
                                   key="[density] f")
         f, df, d2f = _compiled(sections, "density", "f", ("r",), _with_r_derivatives)
         model = RadialModel(n=dim, f=f, df=df, d2f=d2f, name=name)
-        return {"model": model, "spec": replace(model.metric_spec(), fd=fd),
-                "density": model.density()}
-    return {"spec": _general_metric(sections, dim, names, name, fd),
+        return {"model": model, "spec": model.metric_spec(), "density": model.density()}
+    return {"spec": _general_metric(sections, dim, names, name),
             "density": _density(sections, names)}
 
 
@@ -1006,11 +1002,16 @@ def _parse_fiber(sections, fiber_dim, numbers):
                                       key="[fiber] type")
             return FlatFiber(dim=fiber_dim, **box)
         if ftype == "sphere":
+            if "periods" in sec:
+                raise ValidationError("sphere fibers take no periods", key="[fiber] periods")
             lam = numbers["einstein_constant"]
             if lam is None:
                 raise ValidationError("missing required key", key="[fiber] einstein_constant")
             return SphereFiber(dim=fiber_dim, einstein_constant=lam, **box)
         if ftype == "torus":
+            if "einstein_constant" in sec:
+                raise ValidationError("torus fibers are flat and take no einstein_constant",
+                                      key="[fiber] einstein_constant")
             periods = _float_list(sections, "fiber", "periods")
             if len(periods) != fiber_dim:
                 raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
@@ -1030,7 +1031,7 @@ def _density(sections, variables):
         [_compiled(sections, "density", f"X{i + 1}", variables) for i in range(len(variables))]))
 
 
-def _general_metric(sections, dim, names, name, fd) -> MetricSpec:
+def _general_metric(sections, dim, names, name) -> MetricSpec:
     """[metric] as a MetricSpec whose jet evaluates the entries g_ij (i <= j;
     g_ji may stand in for g_ij, but not be given beside it) and their
     derivatives: a single row in their point form, more in their block
@@ -1052,7 +1053,7 @@ def _general_metric(sections, dim, names, name, fd) -> MetricSpec:
     g = ExpressionArray([[e for e, _ in row] for row in upper])
     partials = ExpressionArray([[[dg[k] for _, dg in row] for row in upper]
                                 for k in range(dim)])
-    return MetricSpec(dim=dim, name=name, coord_names=names, fd=fd, jet=point_jet(g, partials))
+    return MetricSpec(dim=dim, name=name, coord_names=names, jet=point_jet(g, partials))
 
 
 def build_geometry(manifest: ManifoldManifest) -> dict:
@@ -1107,9 +1108,11 @@ def _geodesic_start(manifest: ManifoldManifest, sections) -> dict:
 # ---------------------------------------------------------------------------
 
 def box_grid(bounds, counts, description: str | None = None) -> GridSpec:
-    """Uniform box grid; bounds is (n, 2), counts one integer per axis."""
+    """Uniform box grid; bounds is (n, 2), counts one integer per axis.  An
+    axis of one point takes the middle of its range."""
     bounds = np.asarray(bounds, dtype=float)
-    axes = [np.linspace(lo, hi, int(c)) for (lo, hi), c in zip(bounds, counts)]
+    axes = [np.linspace(lo, hi, int(c)) if int(c) != 1 else np.array([0.5 * (lo + hi)])
+            for (lo, hi), c in zip(bounds, counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=-1)
     if description is None:

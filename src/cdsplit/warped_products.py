@@ -15,13 +15,13 @@ inequality, and the blow-up obstruction ODE behind that criterion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Union
 
 import numpy as np
 
-from .chart_core import FDSteps, MetricSpec, Point, ScalarField, as_point, field_rows
+from .chart_core import MetricSpec, Point, ScalarField, as_point, field_rows
 from .errors import NonFinite, StepOverflow
 from .geodesic_flow import VELOCITY_GUARD, rk4_step
 
@@ -207,8 +207,7 @@ def _require_partials(field: ScalarField, what: str) -> None:
         raise ValueError(f"{what} needs an analytic gradient and Hessian")
 
 
-def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
-                         fd: FDSteps) -> MetricSpec:
+def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str) -> MetricSpec:
     c = 1.0 / (n - 1)
 
     G1 = np.zeros((1, n, n))
@@ -258,7 +257,7 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str,
 
     domain = np.vstack([np.array([[-np.inf, np.inf]]), fiber.safe_box])
     return MetricSpec(dim=n, jet=jet, domain=domain, name=name,
-                      coord_names=product_coords(n), fd=fd)
+                      coord_names=product_coords(n))
 
 
 @dataclass(frozen=True)
@@ -269,7 +268,6 @@ class TwistedProductSpec:
     psi: ScalarField
     fiber: FiberSpec
     name: str = ""
-    fd: FDSteps = field(default_factory=FDSteps)
 
     def __post_init__(self):
         if self.fiber.dim != self.n - 1:
@@ -277,7 +275,7 @@ class TwistedProductSpec:
         _require_partials(self.psi, "psi")
 
     def metric_spec(self) -> MetricSpec:
-        return _product_metric_spec(self.n, self.psi, self.fiber, self.name, self.fd)
+        return _product_metric_spec(self.n, self.psi, self.fiber, self.name)
 
 
 @dataclass(frozen=True)
@@ -295,7 +293,6 @@ class SplitSpaceSpec:
     fiber: FiberSpec
     f_L: ScalarField | None = None
     name: str = ""
-    fd: FDSteps = field(default_factory=FDSteps)
 
     def __post_init__(self):
         if self.fiber.dim != self.n - 1:
@@ -305,8 +302,7 @@ class SplitSpaceSpec:
             _require_partials(self.f_L, "f_L")
 
     def as_twisted(self) -> TwistedProductSpec:
-        return TwistedProductSpec(n=self.n, psi=self.phi, fiber=self.fiber, name=self.name,
-                                  fd=self.fd)
+        return TwistedProductSpec(n=self.n, psi=self.phi, fiber=self.fiber, name=self.name)
 
     def metric_spec(self) -> MetricSpec:
         return self.as_twisted().metric_spec()

@@ -33,6 +33,8 @@ from .chart_core import (
 )
 from .errors import DimensionClash, EmptyGrid, SingularMetric
 
+#: The band around zero of a CD verdict: 'fail' below -TOL_CD, 'boundary'
+#: within it, 'pass' above it.
 TOL_CD = 1e-7
 
 CD_CAVEAT = ("no violation found at sampled grid points; sampling is chart-local "
@@ -176,9 +178,9 @@ class CDReport:
 
 
 def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
-              grid: GridSpec, tol: float = TOL_CD) -> CDReport:
+              grid: GridSpec) -> CDReport:
     """Evaluate the minimum relative eigenvalue of Ric^N - lambda g over the
-    grid; deterministic given the grid.
+    grid; deterministic given the grid.  The verdict's band is ``TOL_CD``.
 
     The grid is walked in blocks of ``BLOCK_POINTS`` points (``in_blocks``),
     each evaluated in one stacked pass (``BlockGeometry``) whose every value
@@ -189,8 +191,6 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
     """
     _check_N(N, spec.dim)
     pts = grid.points
-    if pts.shape[0] == 0:
-        raise EmptyGrid("cd_verify needs a nonempty grid")
 
     def stacked(s: slice) -> np.ndarray:
         at = BlockGeometry(spec, pts[s])
@@ -201,12 +201,12 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
 
     k = int(np.argmin(mins))
     mn = float(mins[k])
-    if mn < -tol:
+    if mn < -TOL_CD:
         verdict = "fail"
-    elif mn <= tol:
+    elif mn <= TOL_CD:
         verdict = "boundary"
     else:
         verdict = "pass"
-    return CDReport(verdict=verdict, passed=mn >= -tol, lam=lam, N=N,
+    return CDReport(verdict=verdict, passed=mn >= -TOL_CD, lam=lam, N=N,
                     min_eigenvalue=mn, witness=pts[k].copy(), points=pts,
-                    eigenvalues=mins, grid_spec=grid.description, tol=tol)
+                    eigenvalues=mins, grid_spec=grid.description, tol=TOL_CD)

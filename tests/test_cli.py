@@ -181,8 +181,8 @@ BAD_NUMBERS = [
     ("split", "riccati", "numeric", {"dt": "0"}),
     ("split", "riccati", "numeric", {"dt": "nan"}),
     ("split", "geodesic", "numeric", {"dt": "-1e-3"}),
-    ("split", "verify-cd", "numeric", {"fd1": "0"}),
-    ("split", "verify-cd", "numeric", {"tol_cd": "-1"}),
+    ("split", "geodesic", "numeric", {"dt": "inf"}),
+    ("twisted_flat", "verify-cd", "grid", {"fiber_count": "-1"}),
     ("split", "geodesic", "geodesic", {"T": "-1"}),
     ("split", "riccati", "riccati", {"a": "-1"}),
     ("split", "riccati", "riccati", {"t_max": "0"}),
@@ -316,7 +316,7 @@ class TestSuite:
         assert "seed: 7" in text
         assert "sampled, not proven" in text
         assert "grid:" in text
-        assert "tol_cd" in text
+        assert "\n# numeric: dt=0.001 tol_cd=1e-07 fd=(1e-05,0.0001,0.001)\n" in text
 
 
 class TestDeterminism:
@@ -653,6 +653,26 @@ def _usage_errors():
                 SPLIT_FAST.format(lam=1.0).replace("t_max = 2.0", "t_max = 1e4"),
                 "error: [numeric] dt: riccati's t_max / dt = 10000 / 0.001 steps are more "
                 "than MAX_POINTS = 1000000")
+    # the finite-difference steps and the CD tolerance are constants, not keys
+    yield _case("deleted-numeric-key", "verify-cd",
+                _shipped("sphere_example") + "\n[numeric]\nfd1 = 2e-5\n",
+                "error: [numeric] fd1: unknown key")
+    yield _case("deleted-numeric-override", "verify-cd", _shipped("sphere_example"),
+                "error: tol_cd=1e-6: overrides take the form key=value",
+                grid_overrides=["tol_cd=1e-6"])
+    # a fiber key its type never reads, and [compare] off radial models
+    yield _case("sphere-fiber-periods", "threshold",
+                _shipped("sphere_example").replace("[fiber]\n", "[fiber]\nperiods = 1, 2\n"),
+                "error: [fiber] periods: sphere fibers take no periods")
+    yield _case("torus-fiber-einstein-constant", "verify-cd",
+                _shipped("twisted_flat").replace(
+                    "type = euclidean\n", "type = torus\nperiods = 6.283185307179586, "
+                    "6.283185307179586\neinstein_constant = 5\n"),
+                "error: [fiber] einstein_constant: torus fibers are flat and take no "
+                "einstein_constant")
+    yield _case("compare-section-on-split", "threshold",
+                _shipped("sphere_example") + "\n[compare]\nrho_min = 0.5\ncount = 7\n",
+                "error: [compare] rho_min: only radial models read [compare] keys")
 
 
 @pytest.mark.parametrize("subcommand, text, needle, kwargs", _usage_errors())

@@ -16,6 +16,7 @@ import scipy.linalg
 
 from cdsplit import catalog, chart_core, comparison_suite, manifest, weighted_curvature
 from cdsplit.chart_core import (
+    H3,
     BlockGeometry,
     MetricSpec,
     ScalarField,
@@ -566,7 +567,7 @@ def test_block_stencils_match_points(build, tmp_path):
         quantities = [lambda at: at.lie_derivative(density)]
     else:
         quantities = [lambda at: at.gradient(density),
-                      lambda at: at.gradient(density, step=spec.fd.h3),
+                      lambda at: at.gradient(density, step=H3),
                       lambda at: at.hessian(density)]
     for quantity in quantities:
         block = quantity(BlockGeometry(spec, points))

@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cdsplit import catalog
 from cdsplit.chart_core import (
+    H2,
     BlockGeometry,
     MetricSpec,
     ScalarField,
@@ -20,6 +21,7 @@ from cdsplit.chart_core import (
     gamma_evaluator,
     metric_at,
     point_jet,
+    scaled,
 )
 from cdsplit.errors import EmptyTrace, NonFinite, StepOverflow
 from cdsplit.geodesic_flow import (
@@ -450,7 +452,7 @@ def test_state_exactly_on_the_domain_margin_is_kept(side):
     free = MetricSpec(dim=2, jet=_flat_jet(2), name="flat")
     p0, v0 = np.array([0.3, 0.1]), np.array([sign, 0.0])
     full = geodesic_integrate(free, p0, v0, T=0.01)
-    margin = free.fd.scaled(p0, 4.0 * free.fd.h2)
+    margin = scaled(p0, 4.0 * H2)
     edge = full.positions[5, 0] + sign * margin[0]
     bounds = [-np.inf, edge] if side == "upper" else [edge, np.inf]
     spec = dataclasses.replace(free, domain=np.array([bounds, [-np.inf, np.inf]]))

@@ -16,6 +16,7 @@ from cdsplit.manifest import (
     MAX_DERIVATIVE_NODES,
     MAX_POINTS,
     build_geometry,
+    cd_grid,
     compile_expression,
     ExpressionArray,
     expression_scalar_field,
@@ -221,14 +222,6 @@ X2 = r
         assert c.shape == (3,)
         assert abs(c[0]) < 1e-12
 
-    def test_numeric_fd_overrides_threaded(self, tmp_path):
-        text = MINIMAL_SPLIT + "\n[numeric]\nfd1 = 2e-5\nfd2 = 3e-4\nfd3 = 4e-3\n"
-        man = parse_manifest(write_manifest(tmp_path, text))
-        geo = build_geometry(man)
-        assert geo["spec"].fd.h1 == 2e-5
-        assert geo["spec"].fd.h2 == 3e-4
-        assert geo["split"].fd.h3 == 4e-3
-
 
 def _expression_text(depth):
     """Random expression text over r and y1, at most ``depth`` levels deep."""
@@ -382,6 +375,10 @@ def test_flat_fiber_types(tmp_path, fiber_lines, diagonal, box):
     ("type = torus\nperiods = 1", "[fiber] periods: need 2 periods"),
     ("type = torus\nperiods = 1, inf", "[fiber] periods: expected a finite number, got 'inf'"),
     ("type = torus\nperiods = 1, 1\nbox = 0", "[fiber] box: must be > 0, got '0'"),
+    ("type = torus\nperiods = 1, 1\neinstein_constant = 5",
+     "[fiber] einstein_constant: torus fibers are flat and take no einstein_constant"),
+    ("type = sphere\neinstein_constant = 0.2\nperiods = 1, 2",
+     "[fiber] periods: sphere fibers take no periods"),
     ("type = flat", "[fiber] type: unknown fiber type 'flat'"),
 ])
 def test_flat_fiber_errors(tmp_path, fiber_lines, message):
@@ -411,7 +408,7 @@ class TestShippedManifests:
 
 
 OVERRIDE_KEYS = ("r_min", "r_max", "r_count", "fiber_count", "y_min", "y_max",
-                 "dt", "tol_cd", "fd1", "fd2", "fd3")
+                 "dt")
 
 
 @pytest.fixture(scope="module")
@@ -444,8 +441,7 @@ def test_overrides_meet_bounds_or_raise(minimal_split_path, overrides):
     assert g["r_min"] < g["r_max"]
     if g["y_min"] is not None and g["y_max"] is not None:
         assert -3.0 <= g["y_min"] < g["y_max"] <= 3.0  # inside the sphere fiber's box
-    assert min(num["dt"], num["fd1"], num["fd2"], num["fd3"]) > 0
-    assert num["tol_cd"] >= 0
+    assert num["dt"] > 0
 
 
 def _shipped(name, old="", new=""):
@@ -483,3 +479,12 @@ def test_sizes_above_max_points_are_refused(tmp_path, text, overrides, key):
     with pytest.raises(ValidationError, match=f"MAX_POINTS = {MAX_POINTS}") as exc:
         parse_manifest(path, overrides)
     assert exc.value.key == key
+
+
+def test_one_point_per_fiber_axis_is_the_box_centre():
+    # fiber_count = 1 samples the middle of each fiber axis, not its low edge;
+    # the r axis still spans its range
+    points = cd_grid(parse_manifest(MANIFESTS / "twisted_flat.cdm", ["fiber_count=1"])).points
+    assert points.shape == (51, 3)
+    assert points[:, 1:].tolist() == [[0.0, 0.0]] * 51
+    assert points[[0, -1], 0].tolist() == [-5.0, 5.0]
