@@ -81,7 +81,9 @@ in blocks of ``BLOCK_POINTS`` and re-runs a failing block through the same
 stacked pass, one sample at a time, as blocks of one; ``cd_verify``, the
 geodesic post-passes and ``geometry_field`` evaluate through it and have no
 per-sample code.  ``simpson`` and ``cumulative_simpson`` are the composite
-Simpson rules of ``scipy.integrate``, with its operations in its order.
+Simpson rules of ``scipy.integrate``, with its operations in its order, and
+``rk4_step`` is the one RK4 step, which the geodesic and the obstruction ODE
+share.
 
 Results are bit-identical to evaluating every tensor at one point on its
 own.  Only elementwise array operations, numpy's stacked LAPACK calls
@@ -809,7 +811,7 @@ def weighted_laplacian(spec: MetricSpec, density: DensitySpec, h, p: Point,
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# quadrature and the RK4 step
 # ---------------------------------------------------------------------------
 # The composite Simpson rules of scipy.integrate (1.17.1) for 1-d samples at
 # given abscissae, with its elementwise operations in its order, so results
@@ -888,3 +890,21 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         res = np.cumsum(sub)
     res += 0.0  # scipy adds its initial value, which turns -0.0 into 0.0
     return np.concatenate((np.zeros(1), res))
+
+
+#: Largest speed an ODE integration accepts before it stops with StepOverflow.
+VELOCITY_GUARD = 1e8
+
+
+def rk4_step(acc, x, u, dt: float):
+    """One classical RK4 step of the second-order system x' = u, u' = acc(x, u);
+    returns the new (x, u)."""
+    k1x, k1u = u, acc(x, u)
+    x2, u2 = x + 0.5 * dt * k1x, u + 0.5 * dt * k1u
+    k2x, k2u = u2, acc(x2, u2)
+    x3, u3 = x + 0.5 * dt * k2x, u + 0.5 * dt * k2u
+    k3x, k3u = u3, acc(x3, u3)
+    x4, u4 = x + dt * k3x, u + dt * k3u
+    k4x, k4u = u4, acc(x4, u4)
+    return (x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+            u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
 import numpy as np
 
@@ -49,10 +49,8 @@ from .chart_core import (
     stencil_values,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
+from .warped_products import SplitSpaceSpec
 from .weighted_curvature import GridSpec, cd_verify, generalized_ricci_at
-
-if TYPE_CHECKING:
-    from .warped_products import SplitSpaceSpec
 
 #: Samples of the quadrature behind each comparison bound of a radial model.
 QUAD_POINTS = 401
@@ -153,18 +151,6 @@ class RadialModel:
     def lap_f_r(self, rho: float) -> float:
         """Weighted Laplacian of the distance function: (n-1)/rho - f'(rho)."""
         return (self.n - 1) / rho - self.df(rho)
-
-    # adapters for the comparison ODE trace
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def v2_at(self, p: Point) -> float:
-        rho = float(np.linalg.norm(p))
-        return math.exp(2.0 * self.f(rho) / (self.n - 1))
-
-    def lap_f_r_at(self, p: Point) -> float:
-        return self.lap_f_r(float(np.linalg.norm(p)))
 
 
 def radial_comparison_check(model: RadialModel, grid: GridSpec):
@@ -302,20 +288,21 @@ class RiccatiTraceReport:
     max_residual: float
 
 
-def riccati_comparison_trace(model, trace) -> RiccatiTraceReport:
-    """Sample lambda = v^2 Lap_f r along a radial trace and check the
-    comparison ODE residual lambda' + lambda^2/(v^2 (n-1)) <= 0.
+def riccati_comparison_trace(model: RadialModel, trace) -> RiccatiTraceReport:
+    """Sample lambda = v^2 Lap_f r along a radial trace of a radial model and
+    check the comparison ODE residual lambda' + lambda^2/(v^2 (n-1)) <= 0.
 
-    ``model`` must provide dim, v2_at(p) and lap_f_r_at(p) (radial models
-    and split spaces both do); lambda' is a central difference on the trace
-    grid, so residuals are reported at interior samples only.
+    v^2 = e^{2 f/(n-1)} and ``model.lap_f_r`` are taken at each sample's
+    radius; lambda' is a central difference on the trace grid, so residuals
+    are reported at interior samples only.
     """
     ts = trace.ts
     if ts.size < 3:
         raise EmptySamples("need at least 3 trace samples for the ODE residual")
-    n = model.dim
-    lam = np.array([model.v2_at(p) * model.lap_f_r_at(p) for p in trace.positions])
-    v2 = np.array([model.v2_at(p) for p in trace.positions])
+    n = model.n
+    rhos = [float(np.linalg.norm(p)) for p in trace.positions]
+    v2 = np.array([math.exp(2.0 * model.f(rho) / (n - 1)) for rho in rhos])
+    lam = v2 * np.array([model.lap_f_r(rho) for rho in rhos])
     dt = ts[1] - ts[0]
     dlam = (lam[2:] - lam[:-2]) / (2.0 * dt)
     residuals = dlam + lam[1:-1] ** 2 / (v2[1:-1] * (n - 1))

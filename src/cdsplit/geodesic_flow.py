@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .chart_core import (
     BLOCK_POINTS,
     H2,
+    VELOCITY_GUARD,
     BlockGeometry,
     DensitySpec,
     MetricSpec,
@@ -52,14 +52,11 @@ from .chart_core import (
     in_blocks,
     in_domain,
     metric_at,
+    rk4_step,
     scaled,
 )
 from .errors import CdsplitError, EmptyTrace, NonFinite, StepOverflow
-
-if TYPE_CHECKING:
-    from .warped_products import SplitSpaceSpec
-
-VELOCITY_GUARD = 1e8
+from .warped_products import SplitSpaceSpec
 
 COMPLETENESS_CAVEAT = (
     "finite-range diagnostic over finitely many sampled directions; it does not "
@@ -115,20 +112,6 @@ def _speeds(spec: MetricSpec, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     G = at.g
     at.chol
     return _lengths(_forms(U, G, U))
-
-
-def rk4_step(acc, x, u, dt: float):
-    """One classical RK4 step of the second-order system x' = u, u' = acc(x, u);
-    returns the new (x, u)."""
-    k1x, k1u = u, acc(x, u)
-    x2, u2 = x + 0.5 * dt * k1x, u + 0.5 * dt * k1u
-    k2x, k2u = u2, acc(x2, u2)
-    x3, u3 = x + 0.5 * dt * k2x, u + 0.5 * dt * k2u
-    k3x, k3u = u3, acc(x3, u3)
-    x4, u4 = x + dt * k3x, u + dt * k3u
-    k4x, k4u = u4, acc(x4, u4)
-    return (x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
 
 
 def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> GeodesicTrace:

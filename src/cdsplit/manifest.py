@@ -31,17 +31,20 @@ becomes a field on the chart point (r, y) whose partials in y are the
 constant 0.  A ``[fiber]`` of type ``euclidean`` or ``torus`` is a
 ``FlatFiber``, one of type ``sphere`` a ``SphereFiber``.
 
-``parse_manifest`` rejects unknown sections or keys, numbers outside
-``_NUMBERS``, a [grid] key on a radial model, a [compare] key on another
-kind, a fiber key its type does not read, a grid, sample set or step
-count larger than ``MAX_POINTS``, a metric entry given as both g_ij and
-g_ji, and a geodesic start outside the chart's domain, at a radial model's
-origin or where the metric is not positive definite, so a run refuses a bad
-manifest before it writes a report.  It builds the geometry of the
-manifest's kind once (``build_geometry`` returns it), evaluates it at the
-grid center, and normalizes the geodesic's velocity.  An expression, and
-each derivative taken of it, nests at most ``MAX_DEPTH`` levels; a
-derivative has at most ``MAX_DERIVATIVE_NODES`` nodes.
+One table, ``_SECTIONS``, says what a manifest may hold: each section's
+keys, with the default and bound of each numeric one, the kinds that
+accept the section and the kinds that require it; ``_FIBER_KEYS`` says
+which ``[fiber]`` keys each fiber type reads.  ``parse_manifest`` rejects
+what they do not allow (a section a kind does not accept, empty or not,
+among it), a grid, sample set or step count larger than ``MAX_POINTS``, a
+metric entry given as both g_ij and g_ji, and a geodesic start outside the
+chart's domain, at a radial model's origin or where the metric is not
+positive definite, so a run refuses a bad manifest before it writes a
+report.  It builds the geometry of the manifest's kind once
+(``build_geometry`` returns it), evaluates it at the grid center, and
+normalizes the geodesic's velocity.  An expression, and each derivative
+taken of it, nests at most ``MAX_DEPTH`` levels; a derivative has at most
+``MAX_DERIVATIVE_NODES`` nodes.
 
 The grid section at the end of this module is the one place that builds a
 grid (``box_grid``, ``cd_grid``) or draws sample points (``sample_box``,
@@ -667,63 +670,65 @@ class _Number(NamedTuple):
     whole: bool = False  # whole numbers only
 
 
-# Every numeric manifest key, read by ``_numbers``.  All values must be finite.
-_NUMBERS = {
-    "manifold": {"dim": _Number(None, ">= 2", whole=True)},
-    "fiber": {"einstein_constant": _Number(None, "> 0"), "box": _Number(None, "> 0")},
-    "grid": {
+class _Section(NamedTuple):
+    """A manifest section: each key with its ``_Number`` when numeric and
+    None when not (``keys`` is None when the keys depend on dim), the kinds
+    that accept the section and the kinds that require it."""
+
+    keys: dict | None
+    accepts: tuple = KINDS
+    requires: tuple = ()
+
+
+_PRODUCTS = ("split", "twisted")
+
+# Every section a manifest may hold.  All numeric values must be finite.
+_SECTIONS = {
+    "manifold": _Section({"name": None, "kind": None, "dim": _Number(None, ">= 2", whole=True)},
+                         requires=KINDS),
+    "phi": _Section({"expr": None}, ("split",), ("split",)),
+    "psi": _Section({"expr": None}, ("twisted",), ("twisted",)),
+    "f_L": _Section({"expr": None}, ("split",)),
+    "fiber": _Section({"type": None, "periods": None, "einstein_constant": _Number(None, "> 0"),
+                       "box": _Number(None, "> 0")}, _PRODUCTS, _PRODUCTS),
+    "metric": _Section(None, ("general",), ("general",)),  # g_ij, i and j up to dim
+    "density": _Section(None, ("twisted", "radial_model", "general"),  # f, or X1..X_dim
+                        ("radial_model", "general")),
+    "grid": _Section({
         "r_min": _Number(-10.0),
         "r_max": _Number(10.0),
         "r_count": _Number(201, ">= 2", whole=True),
         "fiber_count": _Number(9, ">= 1", whole=True),
         "y_min": _Number(None),
         "y_max": _Number(None),
-    },
-    "numeric": {"dt": _Number(1e-3, "> 0")},
-    "cd": {"lambda": _Number(0.0)},
-    "geodesic": {"T": _Number(10.0, "> 0")},
-    "riccati": {
+    }, ("general", *_PRODUCTS)),  # a radial model's grid is its [compare] radii
+    "numeric": _Section({"dt": _Number(1e-3, "> 0")}),
+    "cd": _Section({"N": None, "lambda": _Number(0.0)}),
+    "geodesic": _Section({"start": None, "velocity": None, "T": _Number(10.0, "> 0")}),
+    "riccati": _Section({
         "a": _Number(1.0, "> 0"),
         "y0": _Number(0.0),
         "y0p": _Number(0.0),
         "t_max": _Number(3.0, "> 0"),
-    },
-    "compare": {
+    }),
+    "compare": _Section({
         "rho_min": _Number(0.1, "> 0"),
         "rho_max": _Number(10.0),
         "count": _Number(100, ">= 1", whole=True),
-    },
-    "bochner": {"points": _Number(20, ">= 1", whole=True)},
+    }, ("radial_model",)),
+    "bochner": _Section({"points": _Number(20, ">= 1", whole=True)}),
+}
+
+# the [fiber] keys each fiber type reads
+_FIBER_KEYS = {
+    "euclidean": {"type", "box"},
+    "torus": {"type", "periods", "box"},
+    "sphere": {"type", "einstein_constant", "box"},
 }
 
 # (section, low key, high key): low must be below high when both are set
 _ORDERED = (("grid", "r_min", "r_max"), ("grid", "y_min", "y_max"),
             ("compare", "rho_min", "rho_max"))
-
-_SECTION_KEYS = {
-    "manifold": {"name", "kind", *_NUMBERS["manifold"]},
-    "phi": {"expr"},
-    "psi": {"expr"},
-    "f_L": {"expr"},
-    "fiber": {"type", "periods", *_NUMBERS["fiber"]},
-    "density": None,  # f or X1..Xn, checked dynamically
-    "metric": None,   # gij entries, checked dynamically
-    "grid": set(_NUMBERS["grid"]),
-    "numeric": set(_NUMBERS["numeric"]),
-    "cd": {"N", *_NUMBERS["cd"]},
-    "geodesic": {"start", "velocity", *_NUMBERS["geodesic"]},
-    "riccati": set(_NUMBERS["riccati"]),
-    "compare": set(_NUMBERS["compare"]),
-    "bochner": set(_NUMBERS["bochner"]),
-}
-
-# the geometry sections each kind reads, (required, optional); it rejects the others
-_KIND_SECTIONS = {
-    "split": (("phi", "fiber"), ("f_L",)),
-    "twisted": (("psi", "fiber"), ("density",)),
-    "radial_model": (("density",), ()),
-    "general": (("metric", "density"), ()),
-}
 
 
 @dataclass(frozen=True)
@@ -752,10 +757,12 @@ def _number(text: str, key: str) -> float:
 
 
 def _numbers(sections, section) -> dict:
-    """The ``_NUMBERS`` keys of one section: parsed, checked against their
-    bounds, and set to their defaults where absent."""
+    """The numeric keys of one section of ``_SECTIONS``: parsed, checked
+    against their bounds, and set to their defaults where absent."""
     values = {}
-    for key, spec in _NUMBERS[section].items():
+    for key, spec in (_SECTIONS[section].keys or {}).items():
+        if spec is None:
+            continue
         if key not in sections.get(section, {}):
             values[key] = spec.default
             continue
@@ -812,11 +819,16 @@ def _float_list(sections, section, key):
 
 
 def parse_manifest(path, overrides=()) -> ManifoldManifest:
-    """Read, parse, and validate a manifest file (strict keys, bounded finite
-    numbers, expression limits, no ``[grid]`` key on a radial model, no
-    ``[compare]`` key on another kind, and the sizes of ``_check_sizes``),
-    build its geometry, evaluate it at the grid center, and decide the
-    geodesic's start and unit velocity.
+    """Read, parse, and validate a manifest file, build its geometry,
+    evaluate it at the grid center, and decide the geodesic's start and
+    unit velocity.
+
+    ``_SECTIONS`` decides which sections a manifest may hold: right after
+    the kind is read, an unknown section, a section the kind does not
+    accept (empty or not) and a section the kind requires but lacks are
+    refused, before any number is parsed.  Then come strict keys, bounded
+    finite numbers, expression limits, the fiber keys of ``_FIBER_KEYS``
+    and the sizes of ``_check_sizes``.
 
     ``overrides`` are ``key=value`` strings for ``[grid]`` keys and
     ``[numeric] dt``.  They replace the file's entries before validation,
@@ -826,10 +838,12 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
     sections = _read_sections(text)
     for item in overrides:
         key, eq, value = (part.strip() for part in item.partition("="))
-        section = next((s for s in ("grid", "numeric") if key in _NUMBERS[s]), None)
-        if not eq or section is None:
-            raise ValidationError("overrides take the form key=value, with a [grid] "
-                                  "or [numeric] key", key=item)
+        if not eq:
+            raise ValidationError("overrides take the form key=value", key=item)
+        section = next((s for s in ("grid", "numeric") if key in _SECTIONS[s].keys), None)
+        if section is None:
+            raise ValidationError(f"an override sets a [grid] key or [numeric] dt, "
+                                  f"not {key!r}", key=item)
         sections.setdefault(section, {})[key] = (value, 0)
 
     if "manifold" not in sections:
@@ -841,23 +855,24 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
     if kind not in KINDS:
         raise ValidationError(f"unknown kind {kind!r}; expected one of {KINDS}",
                               key="[manifold] kind")
-    if kind == "radial_model" and sections.get("grid"):
-        raise ValidationError("radial models take no [grid] keys: their grid is the "
-                              "[compare] radii", key=f"[grid] {next(iter(sections['grid']))}")
-    if kind != "radial_model" and sections.get("compare"):
-        raise ValidationError("only radial models read [compare] keys",
-                              key=f"[compare] {next(iter(sections['compare']))}")
-    nums = {sec: _numbers(sections, sec) for sec in _NUMBERS}
+    for sec_name, content in sections.items():
+        if sec_name not in _SECTIONS:
+            raise ValidationError("unknown section", key=f"[{sec_name}]")
+        if kind not in _SECTIONS[sec_name].accepts:
+            raise ValidationError(f"kind {kind!r} does not accept section [{sec_name}]",
+                                  key=" ".join([f"[{sec_name}]", *content][:2]))
+    for sec_name, spec in _SECTIONS.items():
+        if kind in spec.requires and sec_name not in sections:
+            raise ValidationError(f"kind {kind!r} requires section [{sec_name}]",
+                                  key=f"[{sec_name}]")
+    nums = {sec: _numbers(sections, sec) for sec in _SECTIONS}
     dim = nums["manifold"]["dim"]
     if dim is None:
         raise ValidationError("missing required key", key="[manifold] dim")
     name = man.get("name", (f"unnamed-{kind}", 0))[0]
 
-    # strict section and key checking
     for sec_name, content in sections.items():
-        if sec_name not in _SECTION_KEYS:
-            raise ValidationError("unknown section", key=f"[{sec_name}]")
-        allowed = _SECTION_KEYS[sec_name]
+        allowed = _SECTIONS[sec_name].keys
         if sec_name == "density":
             allowed = {"f"} | {f"X{i + 1}" for i in range(dim)}
         elif sec_name == "metric":
@@ -865,15 +880,6 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         for key in content:
             if key not in allowed:
                 raise ValidationError("unknown key", key=f"[{sec_name}] {key}")
-
-    required, optional = _KIND_SECTIONS[kind]
-    for sec_name in ("phi", "psi", "f_L", "fiber", "metric", "density"):
-        if sec_name in required and sec_name not in sections:
-            raise ValidationError(f"kind {kind!r} requires section [{sec_name}]",
-                                  key=f"[{sec_name}]")
-        if sec_name in sections and sec_name not in required + optional:
-            raise ValidationError(f"kind {kind!r} does not accept section [{sec_name}]",
-                                  key=f"[{sec_name}]")
 
     for sec_name, low, high in _ORDERED:
         lo, hi = nums[sec_name][low], nums[sec_name][high]
@@ -994,29 +1000,24 @@ def _parse_fiber(sections, fiber_dim, numbers):
     if "type" not in sec:
         raise ValidationError("missing required key", key="[fiber] type")
     ftype = sec["type"][0]
+    if ftype not in _FIBER_KEYS:
+        raise ValidationError(f"unknown fiber type {ftype!r}", key="[fiber] type")
+    for key in sec:
+        if key not in _FIBER_KEYS[ftype]:
+            raise ValidationError(f"{ftype} fibers take no {key}", key=f"[fiber] {key}")
     box = {} if numbers["box"] is None else {"box": numbers["box"]}  # else the type's default
     with _naming("[fiber]"):
         if ftype == "euclidean":
-            if "einstein_constant" in sec or "periods" in sec:
-                raise ValidationError("euclidean fibers take no curvature keys",
-                                      key="[fiber] type")
             return FlatFiber(dim=fiber_dim, **box)
         if ftype == "sphere":
-            if "periods" in sec:
-                raise ValidationError("sphere fibers take no periods", key="[fiber] periods")
             lam = numbers["einstein_constant"]
             if lam is None:
                 raise ValidationError("missing required key", key="[fiber] einstein_constant")
             return SphereFiber(dim=fiber_dim, einstein_constant=lam, **box)
-        if ftype == "torus":
-            if "einstein_constant" in sec:
-                raise ValidationError("torus fibers are flat and take no einstein_constant",
-                                      key="[fiber] einstein_constant")
-            periods = _float_list(sections, "fiber", "periods")
-            if len(periods) != fiber_dim:
-                raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
-            return FlatFiber(dim=fiber_dim, periods=periods, **box)
-    raise ValidationError(f"unknown fiber type {ftype!r}", key="[fiber] type")
+        periods = _float_list(sections, "fiber", "periods")
+        if len(periods) != fiber_dim:
+            raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
+        return FlatFiber(dim=fiber_dim, periods=periods, **box)
 
 
 def _density(sections, variables):

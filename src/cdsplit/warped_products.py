@@ -21,9 +21,16 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .chart_core import MetricSpec, Point, ScalarField, as_point, field_rows
+from .chart_core import (
+    VELOCITY_GUARD,
+    MetricSpec,
+    Point,
+    ScalarField,
+    as_point,
+    field_rows,
+    rk4_step,
+)
 from .errors import NonFinite, StepOverflow
-from .geodesic_flow import VELOCITY_GUARD, rk4_step
 
 GOLDEN_WIDTH = 1e-10
 BLOW_UP_THRESHOLD = -50.0
@@ -336,18 +343,6 @@ class SplitSpaceSpec:
     def fiber_basepoint(self) -> np.ndarray:
         box = self.fiber.safe_box
         return 0.5 * (box[:, 0] + box[:, 1])
-
-    # adapters used by the comparison suite along radial geodesics
-    @property
-    def dim(self) -> int:
-        return self.n
-
-    def v2_at(self, p: Point) -> float:
-        f = float(self.density().value(as_point(p, self.n)))
-        return math.exp(2.0 * f / (self.n - 1))
-
-    def lap_f_r_at(self, p: Point) -> float:
-        return 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -586,8 +586,8 @@ velocity = {velocity}
 """
 
 
-def _without_cd(text):
-    return re.sub(r"^\[cd\]\n(?:[^\[\n].*\n)*", "", text, flags=re.M)
+def _without(section, text):
+    return re.sub(rf"^\[{section}\]\n(?:[^\[\n].*\n)*", "", text, flags=re.M)
 
 
 def _case(case_id, subcommand, text, needle, **kwargs):
@@ -600,6 +600,46 @@ def _shipped(name):
     return (MANIFESTS / f"{name}.cdm").read_text()
 
 
+# a shipped manifest of each kind, and the sections each kind refuses and
+# requires (the README's kind x section table)
+KIND_MANIFESTS = {"general": "polar_general", "split": "sphere_example",
+                  "twisted": "twisted_flat", "radial_model": "radial_log"}
+REFUSED = {
+    "general": ("phi", "psi", "f_L", "fiber", "compare"),
+    "split": ("psi", "metric", "density", "compare"),
+    "twisted": ("phi", "f_L", "metric", "compare"),
+    "radial_model": ("phi", "psi", "f_L", "fiber", "metric", "grid"),
+}
+REQUIRED = {
+    "general": ("metric", "density"),
+    "split": ("phi", "fiber"),
+    "twisted": ("psi", "fiber"),
+    "radial_model": ("density",),
+}
+# one entry of each section that some kind refuses
+SECTION_ENTRY = {"phi": "expr = r", "psi": "expr = r", "f_L": "expr = 0",
+                 "fiber": "type = euclidean", "metric": "g11 = 1", "density": "f = 0",
+                 "grid": "r_min = 1", "compare": "rho_min = 0.5"}
+
+
+def _section_errors():
+    """A section each kind refuses, with an entry and empty, and each section
+    it requires, left out; riccati runs on every kind and reads none of these
+    sections, so only parse_manifest can refuse them."""
+    for kind, name in KIND_MANIFESTS.items():
+        text = _shipped(name)
+        for section in REFUSED[kind]:
+            refusal = f"kind {kind!r} does not accept section [{section}]"
+            entry = SECTION_ENTRY[section]
+            yield _case(f"{kind}-{section}", "riccati", f"{text}\n[{section}]\n{entry}\n",
+                        f"error: [{section}] {entry.split()[0]}: {refusal}\n")
+            yield _case(f"{kind}-empty-{section}", "riccati", f"{text}\n[{section}]\n",
+                        f"error: [{section}]: {refusal}\n")
+        for section in REQUIRED[kind]:
+            yield _case(f"{kind}-without-{section}", "riccati", _without(section, text),
+                        f"error: [{section}]: kind {kind!r} requires section [{section}]\n")
+
+
 def _usage_errors():
     overflowing = SPLIT_FAST.format(lam=1.0).replace("velocity = 1.0, 0.5, -0.3",
                                                      "velocity = 1e300, 0, 0")
@@ -610,13 +650,14 @@ def _usage_errors():
                 "threshold applies to split manifests only")
     yield _case("compare-on-split", "compare", _shipped("sphere_example"),
                 "compare applies to radial_model manifests only")
-    yield _case("verify-cd-without-cd", "verify-cd", _without_cd(_shipped("twisted_flat")),
+    yield _case("verify-cd-without-cd", "verify-cd", _without("cd", _shipped("twisted_flat")),
                 "verify-cd needs a [cd] block")
     yield _case("seed", "curvature", _shipped("twisted_flat"), "--seed -1", seed=-1)
     yield _case("out-under-file", "threshold", _shipped("sphere_example"), "taken",
                 out="taken/sub")
     yield _case("parse-error", "verify-cd", "[manifold]\nkind split\n", "cannot parse line")
-    yield _case("bad-override", "verify-cd", _shipped("sphere_example"), "zoom=2",
+    yield _case("bad-override", "verify-cd", _shipped("sphere_example"),
+                "error: zoom=2: an override sets a [grid] key or [numeric] dt, not 'zoom'",
                 grid_overrides=["zoom=2"])
     for subcommand in ("geodesic", "suite"):
         yield _case(f"overflowing-velocity-{subcommand}", subcommand, overflowing,
@@ -636,9 +677,9 @@ def _usage_errors():
     # a radial model's grid is its [compare] radii, so a [grid] key is refused,
     # in the file or as an override, beside a [numeric] override or not
     yield _case("radial-grid-key", "verify-cd", _shipped("radial_log") + "\n[grid]\nr_min = 3\n",
-                "error: [grid] r_min: radial models take no [grid] keys")
+                "error: [grid] r_min: kind 'radial_model' does not accept section [grid]")
     yield _case("radial-grid-override", "verify-cd", _shipped("radial_log"),
-                "error: [grid] r_count: radial models take no [grid] keys",
+                "error: [grid] r_count: kind 'radial_model' does not accept section [grid]",
                 grid_overrides=["r_count=5", "r_min=3", "dt=0.01"])
     # sizes above MAX_POINTS, decided from the manifest's numbers alone
     yield _case("oversized-grid", "verify-cd", _shipped("twisted_flat"),
@@ -658,7 +699,8 @@ def _usage_errors():
                 _shipped("sphere_example") + "\n[numeric]\nfd1 = 2e-5\n",
                 "error: [numeric] fd1: unknown key")
     yield _case("deleted-numeric-override", "verify-cd", _shipped("sphere_example"),
-                "error: tol_cd=1e-6: overrides take the form key=value",
+                "error: tol_cd=1e-6: an override sets a [grid] key or [numeric] dt, "
+                "not 'tol_cd'",
                 grid_overrides=["tol_cd=1e-6"])
     # a fiber key its type never reads, and [compare] off radial models
     yield _case("sphere-fiber-periods", "threshold",
@@ -668,11 +710,15 @@ def _usage_errors():
                 _shipped("twisted_flat").replace(
                     "type = euclidean\n", "type = torus\nperiods = 6.283185307179586, "
                     "6.283185307179586\neinstein_constant = 5\n"),
-                "error: [fiber] einstein_constant: torus fibers are flat and take no "
-                "einstein_constant")
+                "error: [fiber] einstein_constant: torus fibers take no einstein_constant")
     yield _case("compare-section-on-split", "threshold",
                 _shipped("sphere_example") + "\n[compare]\nrho_min = 0.5\ncount = 7\n",
-                "error: [compare] rho_min: only radial models read [compare] keys")
+                "error: [compare] rho_min: kind 'split' does not accept section [compare]")
+    yield _case("euclidean-fiber-periods", "riccati",
+                _shipped("twisted_flat").replace("type = euclidean\n",
+                                                 "type = euclidean\nperiods = 1, 1\n"),
+                "error: [fiber] periods: euclidean fibers take no periods")
+    yield from _section_errors()
 
 
 @pytest.mark.parametrize("subcommand, text, needle, kwargs", _usage_errors())

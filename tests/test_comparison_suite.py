@@ -287,15 +287,6 @@ class TestComparisonODE:
         rep = riccati_comparison_trace(model, trace)
         assert rep.max_residual <= 1e-6
 
-    def test_split_space_identically_zero(self):
-        split = catalog.split_sin_sphere(0.5)
-        spec = split.metric_spec()
-        p0 = np.array([-1.0, 0.2, 0.1])
-        trace = geodesic_integrate(spec, p0, np.array([1.0, 0.0, 0.0]), T=4.0, dt=1e-3)
-        rep = riccati_comparison_trace(split, trace)
-        assert np.max(np.abs(rep.lam)) <= 1e-12
-        assert rep.max_residual <= 1e-12
-
     def test_log_model_residual_nonpositive(self):
         model = catalog.radial_log_model(3)
         spec = model.metric_spec()

@@ -369,14 +369,14 @@ def test_flat_fiber_types(tmp_path, fiber_lines, diagonal, box):
 
 @pytest.mark.parametrize(("fiber_lines", "message"), [
     ("type = euclidean\neinstein_constant = 1",
-     "[fiber] type: euclidean fibers take no curvature keys"),
-    ("type = euclidean\nperiods = 1, 1", "[fiber] type: euclidean fibers take no curvature keys"),
+     "[fiber] einstein_constant: euclidean fibers take no einstein_constant"),
+    ("type = euclidean\nperiods = 1, 1", "[fiber] periods: euclidean fibers take no periods"),
     ("type = torus", "[fiber] periods: missing required key"),
     ("type = torus\nperiods = 1", "[fiber] periods: need 2 periods"),
     ("type = torus\nperiods = 1, inf", "[fiber] periods: expected a finite number, got 'inf'"),
     ("type = torus\nperiods = 1, 1\nbox = 0", "[fiber] box: must be > 0, got '0'"),
     ("type = torus\nperiods = 1, 1\neinstein_constant = 5",
-     "[fiber] einstein_constant: torus fibers are flat and take no einstein_constant"),
+     "[fiber] einstein_constant: torus fibers take no einstein_constant"),
     ("type = sphere\neinstein_constant = 0.2\nperiods = 1, 2",
      "[fiber] periods: sphere fibers take no periods"),
     ("type = flat", "[fiber] type: unknown fiber type 'flat'"),

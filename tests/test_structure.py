@@ -1,5 +1,5 @@
 """Package structure: every import sits at module level, so the import graph
-is visible at the top of each module and cannot hide a cycle; the command
+is visible at the top of each module, and the graph has no cycle; the command
 line imports no scipy module; every function the benchmark's tracer
 patches by name exists; every other public function has a caller in the
 package; no subcommand decides a usage error; and only the grid section of
@@ -29,6 +29,47 @@ def test_no_function_local_imports(path):
         for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))
     ]
     assert not local, "function-local imports: " + ", ".join(local)
+
+
+def _imports(path):
+    """The package modules that ``path`` imports by relative import, those
+    under ``if TYPE_CHECKING:`` among them (``from . import name`` imports
+    the module ``name`` when there is one, else ``__init__``), and whether
+    it imports ``TYPE_CHECKING``."""
+    found, typing_only = set(), False
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        names = [alias.name for alias in node.names]
+        typing_only |= "TYPE_CHECKING" in names
+        if node.level == 1 and node.module is not None:
+            found.add(node.module)
+        elif node.level == 1:
+            found.update(name if (PACKAGE / f"{name}.py").exists() else "__init__"
+                         for name in names)
+    return found, typing_only
+
+
+def test_import_graph_is_acyclic():
+    imports = {path.stem: _imports(path) for path in sorted(PACKAGE.glob("*.py"))}
+    graph = {module: targets for module, (targets, _) in imports.items()}
+    typing_only = [module for module, (_, flag) in imports.items() if flag]
+    assert not typing_only, "modules that import TYPE_CHECKING: " + ", ".join(typing_only)
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            cycle = path[path.index(module):] + [module]
+            raise AssertionError("import cycle: " + " -> ".join(cycle))
+        if module not in done:
+            path.append(module)
+            for target in sorted(graph[module]):
+                visit(target)
+            path.pop()
+            done.add(module)
+
+    for module in graph:
+        visit(module)
 
 
 def test_cli_imports_no_scipy():
