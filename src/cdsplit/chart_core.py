@@ -76,14 +76,19 @@ right-hand side, the ``solve1`` gufunc ``np.linalg.solve`` runs on a vector;
 it never forms the Christoffel symbols, and agrees with -Gamma(u, u) from
 that point's row of ``_christoffel_rows`` to round-off.  A non-finite
 acceleration is re-run through ``_christoffel_rows``, which raises the error
-of a singular or non-finite metric.  ``in_blocks`` walks samples
+of a singular or non-finite metric.  A geodesic step calls it three times,
+and once more at the step's end, where the value serves the step's error
+estimate and is the next step's first stage.  ``in_blocks`` walks samples
 in blocks of ``BLOCK_POINTS`` and re-runs a failing block through the same
 stacked pass, one sample at a time, as blocks of one; ``cd_verify``, the
 geodesic post-passes and ``geometry_field`` evaluate through it and have no
 per-sample code.  ``simpson`` and ``cumulative_simpson`` are the composite
 Simpson rules of ``scipy.integrate``, with its operations in its order, and
 ``rk4_step`` is the one RK4 step, which the geodesic and the obstruction ODE
-share.
+share: it takes a first stage the caller already has, and returns the last
+stage beside the new state, from which the geodesic estimates the step's
+error (``GEODESIC_STEP_TOL``); the obstruction ODE takes fixed steps and
+reads the new state alone.
 
 Results are bit-identical to evaluating every tensor at one point on its
 own.  Only elementwise array operations, numpy's stacked LAPACK calls
@@ -334,14 +339,16 @@ def second_difference(F: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 def _checked_metric(raw: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Validate raw metric components at each point (finite, symmetric to
-    1e-12 componentwise) and symmetrize them; a failing point is named."""
+    1e-12 componentwise) and symmetrize them; a failing point is named.  Each
+    half is taken before the sum, which is exact in the normal range and so
+    the same as halving the sum, but cannot overflow."""
     _finite_rows(raw, "metric", pts)
     rawT = raw.swapaxes(1, 2)
     asym = np.abs(raw - rawT)
     if asym.max() > SYMMETRY_TOL:
         i = int(np.argmax(asym.reshape(len(raw), -1).max(axis=1) > SYMMETRY_TOL))
         raise ValueError(f"metric at {pts[i]} is not symmetric to {SYMMETRY_TOL:g}")
-    return 0.5 * (raw + rawT)
+    return 0.5 * raw + 0.5 * rawT
 
 
 def metric_at(spec: MetricSpec, p: Point) -> np.ndarray:
@@ -895,11 +902,20 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 #: Largest speed an ODE integration accepts before it stops with StepOverflow.
 VELOCITY_GUARD = 1e8
 
+#: Local error per unit time that a geodesic step longer than one sample
+#: spacing may make, in the embedded third-order estimate of ``rk4_step``'s
+#: step (``geodesic_flow.geodesic_integrate``).
+GEODESIC_STEP_TOL = 1e-9
 
-def rk4_step(acc, x, u, dt: float):
-    """One classical RK4 step of the second-order system x' = u, u' = acc(x, u);
-    returns the new (x, u)."""
-    k1x, k1u = u, acc(x, u)
+
+def rk4_step(acc, x, u, dt: float, k1u=None):
+    """One classical RK4 step of the second-order system x' = u, u' = acc(x, u).
+
+    ``k1u`` is the first stage acc(x, u) when the caller already has it (the
+    last stage of its previous step); otherwise it is evaluated here.
+    Returns the new (x, u) and the last stage (u4, acc(x4, u4)), from which
+    the geodesic takes its error estimate."""
+    k1x, k1u = u, acc(x, u) if k1u is None else k1u
     x2, u2 = x + 0.5 * dt * k1x, u + 0.5 * dt * k1u
     k2x, k2u = u2, acc(x2, u2)
     x3, u3 = x + 0.5 * dt * k2x, u + 0.5 * dt * k2u
@@ -907,4 +923,5 @@ def rk4_step(acc, x, u, dt: float):
     x4, u4 = x + dt * k3x, u + dt * k3u
     k4x, k4u = u4, acc(x4, u4)
     return (x + (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-            u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
+            u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+            k4x, k4u)

@@ -230,6 +230,9 @@ def _cmd_geodesic(manifest, geo, rep: Reporter) -> int:
              f"truncated: {trace.truncated}"]
     if clairaut_drift is not None:
         extra.append(f"conserved-quantity drift: {_fmt(clairaut_drift)}")
+    extra += [f"accepted steps: {trace.steps}", f"rejected steps: {trace.rejected}",
+              f"stage calls: {trace.stage_calls}",
+              f"local error estimate sum: {_fmt(trace.local_error)}"]
     write_trace_csv(trace, rep.out / "geodesic.csv", clairaut=clairaut, f_gamma=fg,
                     header_lines=rep.header(extra))
     ok = trace.speed_drift <= SPEED_DRIFT_TOL and (clairaut_drift is None

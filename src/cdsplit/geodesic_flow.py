@@ -1,11 +1,14 @@
 """Geodesic integration and along-curve diagnostics.
 
-Geodesics are integrated with fixed-step RK4 on the first-order system
-x' = u, u'^k = -Gamma^k_ij u^i u^j (no adaptivity, for reproducibility).
-On warped products the quantity warp^4 * |fiber velocity|^2 is conserved
-along geodesics and serves as its own oracle; the density line integral
+Geodesics are integrated with RK4 on the first-order system
+x' = u, u'^k = -Gamma^k_ij u^i u^j, in steps of whole multiples of the
+sample spacing dt chosen by a local error estimate, with the samples in
+between on a quintic Hermite interpolant (``geodesic_integrate``).  The
+steps, the samples and so every report are deterministic.  On warped
+products the quantity warp^4 * |fiber velocity|^2 is conserved along
+geodesics and serves as its own oracle; the density line integral
 f_gamma(t) = int g(gamma', X) ds is accumulated with Simpson quadrature on
-the RK4 grid to match the integrator order.
+the sample grid to match the integrator order.
 
 Each RK4 stage evaluates the acceleration -Gamma^k_ij u^i u^j at one point
 (``gamma_evaluator``), from one call of the chart's jet of order 1, which
@@ -35,6 +38,7 @@ import numpy as np
 
 from .chart_core import (
     BLOCK_POINTS,
+    GEODESIC_STEP_TOL,
     H2,
     VELOCITY_GUARD,
     BlockGeometry,
@@ -76,14 +80,20 @@ class GeodesicTrace:
     velocities: np.ndarray
     speed_drift: float
     truncated: bool = False
+    steps: int = 0  # accepted steps, each of one or more sample spacings
+    rejected: int = 0  # steps the error estimate refused, taken again shorter
+    stage_calls: int = 0  # accelerations evaluated
+    local_error: float = 0.0  # sum of the accepted steps' local error estimates
 
     def __len__(self) -> int:
         return self.ts.size
 
 
 def _norm(G: np.ndarray, v: np.ndarray) -> float:
-    """The length of v in the bilinear form G."""
-    return math.sqrt(max(0.0, float(v @ G @ v)))
+    """The length of v in the bilinear form G: 0 where v G v is negative,
+    NaN where it is NaN."""
+    q = float(v @ G @ v)
+    return 0.0 if q < 0.0 else math.sqrt(q)
 
 
 def speed_in_metric(spec: MetricSpec, p: Point, v: np.ndarray) -> float:
@@ -92,14 +102,15 @@ def speed_in_metric(spec: MetricSpec, p: Point, v: np.ndarray) -> float:
 
 def normalize_velocity(spec: MetricSpec, p: Point, v) -> np.ndarray:
     """v scaled to unit length in g(p).  A v whose length is 0, or overflows
-    the float range, raises ValueError, and the overflow is not reported."""
+    the float range (inf, or NaN from inf - inf), raises ValueError, and the
+    overflow is not reported."""
     v = np.asarray(v, dtype=float)
     G = metric_at(spec, p)
     with np.errstate(over="ignore", invalid="ignore"):
         s = _norm(G, v)
     if s == 0.0:
         raise ValueError("zero velocity cannot be normalized")
-    if s == math.inf:
+    if not s < math.inf:
         raise ValueError(f"velocity has a length beyond the float range in the metric at {p}")
     return v / s
 
@@ -114,58 +125,215 @@ def _speeds(spec: MetricSpec, X: np.ndarray, U: np.ndarray) -> np.ndarray:
     return _lengths(_forms(U, G, U))
 
 
+#: The quintic Hermite interpolant on [0, 1] of a step of length H from x0
+#: to x1 is x0 plus the sum of these basis functions times the data
+#: (x1 - x0, H u0, H^2 a0, H u1, H^2 a1): row i holds the coefficients of
+#: s^0 .. s^5 in the i-th.  The basis function of x0 is 1 minus that of x1,
+#: so a coordinate that does not move stays exactly where it is.
+_HERMITE = np.array([
+    [0.0, 0.0, 0.0, 10.0, -15.0, 6.0],
+    [0.0, 1.0, 0.0, -6.0, 8.0, -3.0],
+    [0.0, 0.0, 0.5, -1.5, 1.5, -0.5],
+    [0.0, 0.0, 0.0, -4.0, 7.0, -3.0],
+    [0.0, 0.0, 0.0, 0.5, -1.0, 0.5],
+])
+
+
+def _hermite_rows(m: int, dt: float) -> np.ndarray:
+    """The (2(m - 1), 5) matrix that takes the rows (x1 - x0, u0, a0, u1, a1)
+    of a step of m sample spacings dt to its m - 1 inner samples: their
+    positions less x0, on the quintic Hermite interpolant, then their
+    velocities, its derivative."""
+    H = m * dt
+    s = np.arange(1, m)[:, None] / m
+    p = np.arange(6)
+    scale = np.array([1.0, H, H * H, H, H * H])
+    positions = (s ** p) @ _HERMITE.T * scale
+    velocities = (p * s ** np.maximum(p - 1, 0)) @ _HERMITE.T * (scale / H)
+    return np.vstack((positions, velocities))
+
+
+#: The longest step, in sample spacings.  A straight geodesic has no local
+#: error, and its steps would double up to the whole trace; this bounds the
+#: fill's basis (``_hermite_rows``) to a few kilobytes at any trace length.
+MAX_STEP_MULTIPLE = 256
+
+
+def _next_multiple(m: int, ratio: float, cap: int) -> int:
+    """The multiple of dt for the next step after a step of m multiples whose
+    local error estimate is ``ratio`` times the tolerated one: the standard
+    controller for an estimate of order H^4 held to a tolerance per unit
+    time, m * 0.9 / ratio^(1/3), at least 1 and at most ``cap`` and
+    ``MAX_STEP_MULTIPLE``."""
+    cap = min(cap, MAX_STEP_MULTIPLE)
+    if ratio == 0.0:
+        return cap
+    return max(1, min(cap, int(m * 0.9 / ratio ** (1.0 / 3.0))))
+
+
+def _estimate(H: float, u4: np.ndarray, u1: np.ndarray, a4: np.ndarray,
+              a1: np.ndarray) -> float:
+    """The local error estimate of an RK4 step of length H: the largest entry
+    of (H/6)(u4 - u1) and (H/6)(a4 - a1) (see ``geodesic_integrate``)."""
+    return H / 6.0 * float(np.max(np.abs(np.concatenate((u4 - u1, a4 - a1)))))
+
+
+def _march(spec: MetricSpec, stage, p0: Point, v0: np.ndarray, nsteps: int, dt: float,
+           adaptive: bool):
+    """The samples 0..k of a geodesic, and whether it was truncated, its
+    accepted and rejected steps and the sum of their error estimates, from
+    steps of dt only, or from error-controlled steps when ``adaptive``."""
+    margin = scaled(p0, 4.0 * H2)
+    margins = margin.tolist()
+    bases: dict[int, np.ndarray] = {}
+    xs = np.empty((nsteps + 1, spec.dim))
+    us = np.empty((nsteps + 1, spec.dim))
+    xs[0], us[0] = p0, v0
+    x, u, a = p0.copy(), v0.copy(), None
+    k = short_until = accepted = rejected = 0
+    m, error_sum, truncated, after_reject = 1, 0.0, False, False
+    while k < nsteps:
+        h = min(m, nsteps - k) if adaptive and k >= short_until else 1
+        if h > 1:
+            H = h * dt
+            try:
+                if a is None:
+                    a = stage(x, u)
+                x1, u1, u4, a4 = rk4_step(stage, x, u, H, a)
+                a1 = stage(x1, u1)
+                err = _estimate(H, u4, u1, a4, a1)
+                xl, ul = x1.tolist(), u1.tolist()
+                failed = (not math.isfinite(err) or not all(map(math.isfinite, xl + ul))
+                          or max(map(abs, ul)) >= VELOCITY_GUARD
+                          or not in_domain(spec, xl, margins))
+                if not failed and err <= GEODESIC_STEP_TOL * H:
+                    if h not in bases:
+                        bases[h] = _hermite_rows(h, dt)
+                    inner = bases[h] @ np.array((x1 - x, u, a, u1, a1))
+                    X, U = x + inner[:h - 1], inner[h - 1:]
+                    failed = (not np.isfinite(inner).all() or np.abs(U).max() >= VELOCITY_GUARD
+                              or spec.domain is not None
+                              and (np.any(X - margin < spec.domain[:, 0])
+                                   or np.any(X + margin > spec.domain[:, 1])))
+            except (CdsplitError, ValueError, ArithmeticError, np.linalg.LinAlgError):
+                failed = True
+            if failed:
+                short_until = k + h
+                continue
+            if err > GEODESIC_STEP_TOL * H:
+                rejected += 1
+                m, after_reject = _next_multiple(h, err / (GEODESIC_STEP_TOL * H), h - 1), True
+                continue
+            xs[k + 1:k + h], us[k + 1:k + h] = X, U
+        else:
+            try:
+                if a is None:
+                    a = stage(x, u)
+                x1, u1, u4, a4 = rk4_step(stage, x, u, dt, a)
+            except (CdsplitError, ValueError, np.linalg.LinAlgError):
+                # a stage left the chart: treat as domain exit when the last
+                # accepted point already sits at the boundary margin, else re-raise
+                if not in_domain(spec, x, [2.0 * r for r in margins]):
+                    truncated = True
+                    break
+                raise
+            # the guards compare Python floats, which cost less per step than
+            # numpy reductions over a few coordinates
+            xl, ul = x1.tolist(), u1.tolist()
+            if not all(map(math.isfinite, xl + ul)):
+                raise NonFinite(f"geodesic state non-finite at t = {(k + 1) * dt:.6g}")
+            if max(map(abs, ul)) >= VELOCITY_GUARD:
+                raise StepOverflow(f"geodesic velocity guard exceeded at t = {(k + 1) * dt:.6g}")
+            if not in_domain(spec, xl, margins):
+                truncated = True
+                break
+            # the next step's first stage, evaluated here for the estimate;
+            # where it raises, the next step evaluates it again and decides
+            a1, err = None, math.nan
+            if k + 1 < nsteps:
+                try:
+                    a1 = stage(x1, u1)
+                except (CdsplitError, ValueError, np.linalg.LinAlgError):
+                    pass
+                else:
+                    err = _estimate(dt, u4, u1, a4, a1)
+        xs[k + h], us[k + h] = x1, u1
+        accepted += 1
+        if math.isfinite(err):
+            error_sum += err
+            m = _next_multiple(h, err / (GEODESIC_STEP_TOL * h * dt), h if after_reject else 2 * h)
+            after_reject = False
+        k, x, u, a = k + h, x1, u1, a1
+    return xs[:k + 1], us[:k + 1], truncated, accepted, rejected, error_sum
+
+
 def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> GeodesicTrace:
-    """Integrate the geodesic equation from (p0, v0) for time T.
+    """Integrate the geodesic equation from (p0, v0) for time T, with samples
+    at the multiples of dt.
 
     v0 must be unit in g to within 1e-10.  If the trajectory (or an RK4
     stage) leaves the chart domain the trace is truncated and flagged rather
     than extrapolated.  Velocities beyond the overflow guard raise
     StepOverflow.
+
+    A step spans m sample spacings, m chosen by a local error estimate;
+    the first step has m = 1, m at most doubles from one step to the next
+    and stays at most MAX_STEP_MULTIPLE, and no step passes the last
+    sample, round(T / dt).  The estimate costs no stage.  With the stage
+    k5 = acc(x1, u1) at the new state, which is the next step's first
+    stage, RK4's stages c = (0, 1/2, 1/2, 1, 1) carry
+    an embedded solution with weights (1/6, 1/3, 1/3, 0, 1/6).  Its order
+    conditions, with a_32 = 1/2, a_43 = 1 and row 5 = RK4's weights b:
+    sum b = 1; sum b c = 1/6 + 1/6 + 1/6 = 1/2; sum b c^2 = 1/12 + 1/12 +
+    1/6 = 1/3; sum b a c = (1/3)(1/4) + (1/6)(sum_j b_j c_j = 1/2) = 1/6.
+    The fourth-order condition sum b a c^2 = (1/3)(1/8) + (1/6)(1/3) = 7/72
+    is not 1/12, so the embedded solution is of order three and differs from
+    RK4's by (H/6)(k4 - k5), that is (H/6)(u4 - u1) in x and
+    (H/6)(a4 - k5) in u.  The step's error estimate is the largest entry of
+    these, and it is accepted when err / H <= GEODESIC_STEP_TOL, else taken
+    again shorter; a step of one spacing is always accepted.  The samples
+    inside a step lie on the quintic Hermite interpolant of (x, u, a) at its
+    two ends, whose derivative gives their velocities.
+
+    A step of more than one spacing that fails, because a stage raises or
+    meets a floating-point condition, or a state or a sample is non-finite,
+    at or over the velocity guard or outside the domain margin, is taken
+    again one spacing at a time, and those steps decide truncation.  The
+    error-controlled pass runs with every floating-point condition that
+    would warn raising; where it raises, or meets such a condition, the
+    integration runs again from t = 0 in steps of dt, the classical RK4 of
+    fixed step, which raises the error, or warns, at the state where the
+    fixed steps do.
     """
     p0 = as_point(p0, spec.dim)
     v0 = np.asarray(v0, dtype=float)
     s0 = speed_in_metric(spec, p0, v0)
-    if abs(s0 - 1.0) > 1e-10:
+    if not abs(s0 - 1.0) <= 1e-10:
         raise ValueError(f"initial velocity has g-norm {s0!r}, expected 1 within 1e-10")
 
-    margin = scaled(p0, 4.0 * H2).tolist()
     acc = gamma_evaluator(spec)
+    stages = 0
 
-    nsteps = int(round(T / dt))
-    xs = np.empty((nsteps + 1, spec.dim))
-    us = np.empty((nsteps + 1, spec.dim))
-    xs[0], us[0] = p0, v0
-    x, u = p0.copy(), v0.copy()
-    truncated = False
-    k_end = nsteps
-    for k in range(nsteps):
-        try:
-            x_new, u_new = rk4_step(acc, x, u, dt)
-        except (CdsplitError, ValueError, np.linalg.LinAlgError):
-            # a stage left the chart: treat as domain exit when the last
-            # accepted point already sits at the boundary margin, else re-raise
-            if not in_domain(spec, x, [2.0 * m for m in margin]):
-                truncated, k_end = True, k
-                break
-            raise
-        # the guards compare Python floats, which cost less per step than
-        # numpy reductions over a few coordinates
-        xl, ul = x_new.tolist(), u_new.tolist()
-        if not all(map(math.isfinite, xl + ul)):
-            raise NonFinite(f"geodesic state non-finite at t = {(k + 1) * dt:.6g}")
-        if max(map(abs, ul)) >= VELOCITY_GUARD:
-            raise StepOverflow(f"geodesic velocity guard exceeded at t = {(k + 1) * dt:.6g}")
-        if not in_domain(spec, xl, margin):
-            truncated, k_end = True, k
-            break
-        x, u = x_new, u_new
-        xs[k + 1], us[k + 1] = x, u
-    xs, us = xs[: k_end + 1], us[: k_end + 1]
-    ts = dt * np.arange(k_end + 1)
-    speeds = in_blocks(k_end + 1, BLOCK_POINTS, lambda s: _speeds(spec, xs[s], us[s]))
-    drift = np.max(np.abs(speeds - 1.0))
-    return GeodesicTrace(spec=spec, ts=ts, positions=xs, velocities=us,
-                         speed_drift=float(drift), truncated=truncated)
+    def stage(x: Point, u: np.ndarray) -> np.ndarray:
+        nonlocal stages
+        stages += 1
+        return acc(x, u)
+
+    def integrate(adaptive: bool) -> GeodesicTrace:
+        xs, us, truncated, accepted, rejected, error_sum = _march(
+            spec, stage, p0, v0, int(round(T / dt)), dt, adaptive)
+        speeds = in_blocks(len(xs), BLOCK_POINTS, lambda s: _speeds(spec, xs[s], us[s]))
+        return GeodesicTrace(spec=spec, ts=dt * np.arange(len(xs)), positions=xs,
+                             velocities=us, speed_drift=float(np.max(np.abs(speeds - 1.0))),
+                             truncated=truncated, steps=accepted, rejected=rejected,
+                             stage_calls=stages, local_error=error_sum)
+
+    raising = {c: "raise" for c, mode in np.geterr().items() if mode != "ignore"}
+    try:
+        with np.errstate(**raising):
+            return integrate(adaptive=True)
+    except (CdsplitError, ValueError, ArithmeticError, np.linalg.LinAlgError):
+        return integrate(adaptive=False)
 
 
 # ---------------------------------------------------------------------------

@@ -784,15 +784,15 @@ def _numbers(sections, section) -> dict:
 def _check_sizes(kind: str, dim: int, nums: dict, has_cd: bool) -> None:
     """Refuse, naming its key, a size above ``MAX_POINTS`` that a run would
     build, computed from the manifest's numbers alone in Python integers:
-    both ODEs' step counts round(T / dt) and round(t_max / dt), the Bochner
-    samples, and on a radial model the quadrature samples of ``compare``
-    (count x QUAD_POINTS, which bounds its ``verify-cd`` grid of count radii
-    too); on another kind with a [cd] block the ``verify-cd`` grid of
+    the geodesic's samples round(T / dt), riccati's steps round(t_max / dt),
+    the Bochner samples, and on a radial model the quadrature samples of
+    ``compare`` (count x QUAD_POINTS, which bounds its ``verify-cd`` grid of
+    count radii too); on another kind with a [cd] block the ``verify-cd`` grid of
     r_count x fiber_count^(dim-1) points, and without one the threshold
     scan of r_count radii."""
     grid, dt, count = nums["grid"], nums["numeric"]["dt"], nums["compare"]["count"]
     T, t_max, points = nums["geodesic"]["T"], nums["riccati"]["t_max"], nums["bochner"]["points"]
-    sizes = [("[numeric] dt", f"the geodesic's T / dt = {T:g} / {dt:g} steps", T / dt),
+    sizes = [("[numeric] dt", f"the geodesic's T / dt = {T:g} / {dt:g} samples", T / dt),
              ("[numeric] dt", f"riccati's t_max / dt = {t_max:g} / {dt:g} steps", t_max / dt),
              ("[bochner] points", f"the {points} Bochner samples", points)]
     if kind == "radial_model":
@@ -1068,7 +1068,7 @@ def _trial_evaluate(manifest: ManifoldManifest) -> None:
     non-finite results and structurally bad metrics early."""
     center = grid_center(manifest)
     try:
-        if np.linalg.eigvalsh(metric_at(manifest.geometry["spec"], center))[0] <= 0:
+        if not np.linalg.eigvalsh(metric_at(manifest.geometry["spec"], center))[0] > 0:
             raise ValidationError(
                 f"metric is not positive definite at the grid center {center}",
                 key="[metric]")
@@ -1097,7 +1097,7 @@ def _geodesic_start(manifest: ManifoldManifest, sections) -> dict:
         if manifest.kind == "radial_model" and float(np.linalg.norm(start)) < 1e-12:
             raise ValidationError("is the origin, where the density is singular", key=key)
     with _naming(key):
-        if np.linalg.eigvalsh(metric_at(spec, start))[0] <= 0:
+        if not np.linalg.eigvalsh(metric_at(spec, start))[0] > 0:
             raise ValidationError(f"metric is not positive definite at {start}")
     with _naming("[geodesic] velocity"):
         velocity = normalize_velocity(spec, start, velocity)

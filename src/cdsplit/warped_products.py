@@ -413,7 +413,8 @@ def _golden_max(fn: Callable[[float], float], a: float, b: float,
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while b - a > width:
+    # far out on r the floats are spaced wider than width: stop at 4 ulps
+    while b - a > max(width, 4.0 * math.ulp(max(abs(a), abs(b)))):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -431,10 +432,11 @@ def split_cd_threshold(split: SplitSpaceSpec, r_range: tuple[float, float],
     """Supremum of phi''(r) e^{2 phi(r)/(n-1)} / (n-1) over the range.
 
     Grid scan followed by golden-section refinement around the best cell
-    (to interval width 1e-10).  The ``diverged`` flag is set when the
-    maximizer sits on the range boundary and the objective grew monotonically
-    over the trailing samples, signalling that the true supremum lies outside
-    the scanned window.
+    (to interval width 1e-10, or 4 ulps of r where the floats are spaced
+    wider).  The ``diverged`` flag is set when the maximizer sits on the
+    range boundary and the objective grew monotonically over the trailing
+    samples, signalling that the true supremum lies outside the scanned
+    window.
     """
     a, b = float(r_range[0]), float(r_range[1])
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
@@ -499,7 +501,7 @@ def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: fl
     nsteps = int(round(t_max / dt))
     hit = None
     for k in range(nsteps):
-        y, v = rk4_step(acc, y, v, dt)
+        y, v, _, _ = rk4_step(acc, y, v, dt)
         t = (k + 1) * dt
         if not (math.isfinite(y) and math.isfinite(v)):
             raise StepOverflow(f"non-finite ODE state at t = {t:.6g}")

@@ -2,6 +2,7 @@
 
 import math
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -525,6 +526,42 @@ def test_geodesic_into_an_indefinite_metric_is_one_error_line(tmp_path, capsys):
     assert not (tmp_path / "out" / "geodesic.csv").exists()
 
 
+@pytest.mark.parametrize("subcommand", sorted(cli._COMMANDS))
+def test_metric_entry_near_the_float_limit_is_one_metric_error_line(tmp_path, capsys,
+                                                                    subcommand):
+    # g12 = 1e308: the symmetrized metric overflowed to inf with a warning,
+    # its eigenvalue NaN passed the positivity test, and the error blamed
+    # the geodesic velocity
+    path = tmp_path / "m.cdm"
+    path.write_text((MANIFESTS / "polar_general.cdm").read_text()
+                    .replace("g12 = 0", "g12 = 1e308"))
+    assert run(subcommand, path, tmp_path / "out") == 2
+    assert capsys.readouterr().err == (
+        "error: [metric]: metric is not positive definite at the grid center [2.75 0.  ]\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_threshold_far_out_on_r_ends_within_its_budget(tmp_path):
+    # above |r| ~ 1e6 the floats are spaced wider than the golden section's
+    # width of 1e-10, which its bracket never reached: the run did not end
+    def overrun(signum, frame):
+        raise TimeoutError("threshold ran past its 20 s budget")
+
+    previous = signal.signal(signal.SIGALRM, overrun)
+    signal.alarm(20)
+    try:
+        code = run("threshold", MANIFESTS / "sphere_example.cdm", tmp_path / "out",
+                   grid_overrides=["r_min=1e7", "r_max=2e7", "r_count=11"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    report = (tmp_path / "out" / "threshold.txt").read_text()
+    r_at = float(next(line for line in report.splitlines()
+                      if line.startswith("attained at r = ")).rpartition(" ")[2])
+    assert 1e7 <= r_at <= 2e7
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("subcommand", ["bochner", "curvature", "verify-cd", "geodesic"])
 def test_seed_outside_u64_is_a_usage_error(tmp_path, capsys, subcommand, seed):
@@ -688,7 +725,7 @@ def _usage_errors():
                 grid_overrides=["r_count=1000000000000000000"])
     for subcommand in ("geodesic", "riccati"):
         yield _case(f"tiny-dt-{subcommand}", subcommand, _shipped("sphere_example"),
-                    "error: [numeric] dt: the geodesic's T / dt = 10 / 1e-300 steps are more "
+                    "error: [numeric] dt: the geodesic's T / dt = 10 / 1e-300 samples are more "
                     "than MAX_POINTS = 1000000", grid_overrides=["dt=1e-300"])
     yield _case("long-riccati", "riccati",
                 SPLIT_FAST.format(lam=1.0).replace("t_max = 2.0", "t_max = 1e4"),

@@ -1,6 +1,7 @@
 """Geodesic integration, conserved quantities, density line integrals."""
 
 import dataclasses
+import importlib.util
 import math
 import re
 from pathlib import Path
@@ -19,12 +20,16 @@ from cdsplit.chart_core import (
     VectorField,
     _christoffel_rows,
     gamma_evaluator,
+    in_domain,
     metric_at,
     point_jet,
+    rk4_step,
     scaled,
 )
-from cdsplit.errors import EmptyTrace, NonFinite, StepOverflow
+from cdsplit.cli import CLAIRAUT_TOL, SPEED_DRIFT_TOL
+from cdsplit.errors import CdsplitError, EmptyTrace, NonFinite, StepOverflow
 from cdsplit.geodesic_flow import (
+    MAX_STEP_MULTIPLE,
     GeodesicTrace,
     _forms,
     clairaut_constant,
@@ -38,7 +43,37 @@ from cdsplit.geodesic_flow import (
 from cdsplit.manifest import compile_expression, expression_scalar_field, parse_manifest
 from cdsplit.warped_products import SphereFiber, TwistedProductSpec
 
-MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+ROOT = Path(__file__).resolve().parent.parent
+MANIFESTS = ROOT / "manifests"
+_tool = importlib.util.spec_from_file_location("report_diff", ROOT / "tools" / "report_diff.py")
+report_diff = importlib.util.module_from_spec(_tool)
+_tool.loader.exec_module(report_diff)
+
+
+def _fixed_step_rk4(spec, p0, v0, T, dt=1e-3):
+    """The fixed-step oracle: up to round(T / dt) classical RK4 steps of dt,
+    each with its four stages, stopping before a step that raises or ends
+    outside the domain margin.  Positions, velocities, and whether it
+    stopped early."""
+    acc = gamma_evaluator(spec)
+    margin = scaled(p0, 4.0 * H2)
+    x, u = np.asarray(p0, dtype=float), np.asarray(v0, dtype=float)
+    xs, us = [x], [u]
+    for _ in range(int(round(T / dt))):
+        try:
+            x, u, _, _ = rk4_step(acc, x, u, dt)
+        except (CdsplitError, ValueError, np.linalg.LinAlgError):
+            return np.array(xs), np.array(us), True
+        if not in_domain(spec, x, margin):
+            return np.array(xs), np.array(us), True
+        xs.append(x)
+        us.append(u)
+    return np.array(xs), np.array(us), False
+
+
+def _speed_drift(spec, X, U):
+    G = BlockGeometry(spec, X, order=0).g
+    return float(np.max(np.abs(np.sqrt(np.einsum("ki,kij,kj->k", U, G, U)) - 1.0)))
 
 
 class TestIntegrator:
@@ -84,12 +119,14 @@ class TestIntegrator:
             assert trace.speed_drift <= 1e-6
 
     def test_fourth_order_drift_reduction(self):
+        # the RK4 step is of fourth order: halving a fixed step divides the
+        # speed drift by about 16
         split = catalog.split_sin_sphere(2.0)
         spec = split.metric_spec()
         p0 = np.array([0.2, 0.4, -0.5])
         v0 = normalize_velocity(spec, p0, np.array([0.5, 1.0, -0.6]))
-        d1 = geodesic_integrate(spec, p0, v0, T=10.0, dt=2e-3).speed_drift
-        d2 = geodesic_integrate(spec, p0, v0, T=10.0, dt=1e-3).speed_drift
+        d1 = _speed_drift(spec, *_fixed_step_rk4(spec, p0, v0, T=10.0, dt=2e-3)[:2])
+        d2 = _speed_drift(spec, *_fixed_step_rk4(spec, p0, v0, T=10.0, dt=1e-3)[:2])
         assert d1 / max(d2, 1e-16) >= 8.0
 
     def test_domain_exit_truncates_with_flag(self):
@@ -436,7 +473,52 @@ def test_stage_evaluates_the_metric_once():
     trace = geodesic_integrate(counted, p, normalize_velocity(spec, p, [1.0, 0.5, -0.3]),
                                T=0.01, dt=1e-3)
     assert len(trace) == 11
-    assert [call for call in jets if call[1] == 1] == [(1, 1)] * 40
+    # steps of 1, 2, 4 and 3 sample spacings, each three stages and the
+    # stage at its end, after the first step's first stage
+    assert (trace.steps, trace.rejected, trace.stage_calls) == (4, 0, 17)
+    assert [call for call in jets if call[1] == 1] == [(1, 1)] * 17
+
+
+STEP_RULE_CASES = {
+    **{name: (MANIFESTS / f"{name}.cdm").read_text()
+       for name in ("sphere_example", "twisted_flat", "polar_general", "radial_log")},
+    "sphere5": report_diff.SPHERE5_MANIFEST,
+    "sphere-exit": report_diff.EXIT_MANIFEST,
+}
+
+
+@pytest.mark.parametrize("case", sorted(STEP_RULE_CASES))
+def test_error_controlled_steps_match_fixed_steps(tmp_path, case):
+    # the shipped [geodesic] traces, the 5-dimensional split space and a
+    # trace that leaves the sphere fiber's box, against fixed RK4 steps of dt
+    path = tmp_path / "m.cdm"
+    path.write_text(STEP_RULE_CASES[case])
+    manifest = parse_manifest(path)
+    geo, params = manifest.geometry, manifest.extras["geodesic"]
+    spec, dt = geo["spec"], manifest.numeric["dt"]
+    trace = geodesic_integrate(spec, params["start"], params["velocity"], params["T"], dt)
+    X, U, truncated = _fixed_step_rk4(spec, params["start"], params["velocity"], params["T"], dt)
+    assert (len(trace), trace.truncated) == (len(X), truncated)
+    assert np.max(np.abs(trace.positions - X)) <= 1e-9
+    assert np.max(np.abs(trace.velocities - U)) <= 1e-9
+    assert 10.0 * trace.speed_drift <= SPEED_DRIFT_TOL
+    if "split" in geo:
+        assert 10.0 * clairaut_constant(geo["split"], trace).max_drift <= CLAIRAUT_TOL
+    # at most half the stages of fixed steps, which take four per sample
+    assert trace.stage_calls <= 2 * (len(trace) - 1)
+    assert trace.local_error <= 1e-8
+
+
+def test_steps_on_a_straight_line_double_up_to_the_longest_step():
+    # no local error: steps of 1, 2, 4, ..., 128 spacings, six of
+    # MAX_STEP_MULTIPLE = 256, then the last 209 samples in one
+    assert MAX_STEP_MULTIPLE == 256
+    p0, v0 = np.array([0.5, -1.0]), np.array([0.6, 0.8])
+    trace = geodesic_integrate(catalog.flat(2), p0, v0, T=2.0, dt=1e-3)
+    assert (trace.steps, trace.rejected, trace.stage_calls) == (15, 0, 61)
+    assert trace.local_error == 0.0
+    assert np.max(np.abs(trace.positions - (p0 + trace.ts[:, None] * v0))) < 1e-12
+    assert np.max(np.abs(trace.velocities - v0)) < 1e-12
 
 
 def _flat_jet(n):
