@@ -60,7 +60,11 @@ partials cost 23.0, 15.6 and 2.3 us together, and the one-row jet 20.3,
 one-row jet took the fiber's point form once, gave the one-row jet 12.9,
 9.4 and 1.9 us.  ``cd_verify`` and the stencils evaluate blocks, and the
 RK4 stage one row; on a product chart the one-row jet evaluates psi, the
-warp and the fiber's point form once for both g and D.
+warp and the fiber's point form once for both g and D, in Python floats,
+and gathers g and D from their distinct entries.  A field is evaluated at
+a block through its block form when it has one (``field_rows``): a
+manifest expression's ``rows``, or one given with ``with_rows``, such as a
+radial model's density; other callables go row by row.
 
 All linear algebra is numpy's LAPACK, and every call runs on a stack of
 matrices: the Cholesky factors of a block are one ``np.linalg.cholesky``
@@ -97,8 +101,9 @@ matrix of a stack), einsum contractions with a batch axis and stacked
 matrix products (the same BLAS call per matrix) run across points, and a
 manifest expression's block form is made of such operations, with its
 calls and powers per element.  More stacked calls run across points, each
-measured bit-equal to its per-point call: a sphere fiber's |y|^2 (one
-``np.vecdot``, the BLAS dot product of one row; ``SphereFiber.jet``) and,
+measured bit-equal to its per-point call: a sphere fiber's |y|^2 and a
+radial model's rho (one ``np.vecdot``, the BLAS dot product of one row;
+``SphereFiber.jet``, ``RadialModel.density``) and,
 in ``BlockGeometry``, g^-1 df (``np.matmul``), |df|^2 and g(df, dh)
 (``_forms``), the trace g^ij H_ij (``np.sum`` over two axes) and X(h)
 (``np.vecdot``).  Other fiber scalars run once per point, with ``math`` and
@@ -399,11 +404,42 @@ def point_jet(g: Callable[[Point], np.ndarray], partials: Callable[[Point], np.n
 
 def field_rows(fn, pts: np.ndarray) -> np.ndarray:
     """``fn`` at each row of ``pts``, stacked: in one call of ``fn.rows``
-    when the callable has one (a manifest expression's), else row by row."""
+    when the callable has one (a manifest expression's, ``with_rows``),
+    else row by row (``_each_row``)."""
     rows = getattr(fn, "rows", None)
     if rows is not None:
         return rows(pts)
+    return _each_row(fn, pts)
+
+
+def _each_row(fn, pts: np.ndarray) -> np.ndarray:
+    """``fn`` at each row of ``pts``, one call per row, stacked."""
     return np.array([fn(p) for p in pts], dtype=float)
+
+
+def with_rows(point: Callable, block: Callable) -> Callable:
+    """``point`` with ``block`` as its ``rows`` (``field_rows``); ``block``
+    must give ``point`` at each row of a (k, n) array, bit for bit.
+
+    ``block`` runs with the floating-point conditions numpy reports raising.
+    A single row, and a block that raises or has a value that is not
+    finite, go through ``point`` row by row (``_each_row``), so the first
+    failing row raises, and warns, as it does alone."""
+
+    def rows(P: np.ndarray) -> np.ndarray:
+        if len(P) > 1:
+            reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+            try:
+                with np.errstate(**reported):
+                    out = block(P)
+                if np.isfinite(out).all():
+                    return out
+            except Exception:
+                pass
+        return _each_row(point, P)
+
+    point.rows = rows
+    return point
 
 
 @lru_cache(maxsize=None)

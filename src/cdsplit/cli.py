@@ -136,17 +136,18 @@ def _cmd_curvature(manifest, geo, rep: Reporter) -> int:
         cols += [f"ricN_{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
     rows = []
     agreement = 0.0
+    upper = np.triu_indices(n)  # (i, j) with i <= j, row by row
     for p in pts:
         at = BlockGeometry.at(spec, p)
         ric = at.ricci[0]
-        row = list(p) + [ric[i, j] for i in range(n) for j in range(i, n)]
+        row = p.tolist() + ric[upper].tolist()
         if closed_form is not None:
             diff = float(np.max(np.abs(ric - twisted_ricci_analytic(closed_form, p))))
             agreement = max(agreement, diff / max(1.0, float(np.max(np.abs(ric)))))
             row.append(diff)
         if manifest.cd:
             form = generalized_ricci_at(at, geo["density"], manifest.cd["N"])[0]
-            row += [form[i, j] for i in range(n) for j in range(i, n)]
+            row += form[upper].tolist()
         rows.append(row)
     rep.write_csv("curvature.csv", cols, rows)
     if closed_form is not None and agreement > CURVATURE_AGREEMENT_TOL:
@@ -174,7 +175,7 @@ def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
     rep.write_text("cd_report.txt", body)
     rep.write_csv("cd_samples.csv",
                   ["point_" + c for c in geo["spec"].coords()] + ["min_eigenvalue"],
-                  [list(p) + [m] for p, m in zip(report.points, report.eigenvalues)])
+                  np.column_stack((report.points, report.eigenvalues)).tolist())
     print(f"verify-cd: {report.verdict} (min eigenvalue {report.min_eigenvalue:.6g} "
           f"at {np.array2string(report.witness, precision=4)})")
     return 0 if report.passed else 1
@@ -209,7 +210,7 @@ def _cmd_riccati(manifest, geo, rep: Reporter) -> int:
     ]
     rep.write_text("riccati.txt", body)
     rep.write_csv("riccati.csv", ["t", "y", "yp"],
-                  [[t, y, v] for t, y, v in zip(out.ts, out.ys, out.yps)])
+                  np.column_stack((out.ts, out.ys, out.yps)).tolist())
     if out.blow_up:
         print(f"riccati: escape detected at t = {out.blow_up_time:.6g}")
     else:
@@ -281,15 +282,13 @@ def _cmd_bochner(manifest, geo, rep: Reporter) -> int:
     count = manifest.extras["bochner"]["points"]
     rng = np.random.default_rng(rep.seed)
     pts = sample_points(manifest, count, rep.seed + 1, r_limit=BOCHNER_R_LIMIT)
-    rows = []
-    worst = 0.0
+    residuals = []
     for p in pts:
         h = _random_cubic_field(rng, manifest.dim)
-        res = bochner_residual(geo["spec"], geo["density"], h, p)
-        worst = max(worst, res)
-        rows.append(list(p) + [res])
-    rep.write_csv("bochner.csv",
-                  ["point_" + c for c in geo["spec"].coords()] + ["residual"], rows,
+        residuals.append(bochner_residual(geo["spec"], geo["density"], h, p))
+    worst = max([0.0, *residuals])
+    rep.write_csv("bochner.csv", ["point_" + c for c in geo["spec"].coords()] + ["residual"],
+                  np.column_stack((pts, residuals)).tolist(),
                   extra_header=[f"tolerance: {BOCHNER_TOL:g}",
                                 "sample box: manifest grid clipped to |r| <= 3"])
     print(f"bochner: {count} random fields, max residual {worst:.3g}")

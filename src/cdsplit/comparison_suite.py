@@ -47,6 +47,7 @@ from .chart_core import (
     scaled,
     simpson,
     stencil_values,
+    with_rows,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
 from .warped_products import SplitSpaceSpec
@@ -102,6 +103,17 @@ def comparison_bound(f_samples, n: int, r: float) -> float:
 # radial models on flat space
 # ---------------------------------------------------------------------------
 
+def _norms(P: np.ndarray) -> np.ndarray:
+    """|p| of each row: ``np.linalg.norm`` of a row is the square root of
+    its BLAS dot product, which ``np.vecdot`` runs on each row."""
+    return np.sqrt(np.vecdot(P, P))
+
+
+def _outers(P: np.ndarray) -> np.ndarray:
+    """``np.outer(p, p)`` of each row."""
+    return P[:, :, None] * P[:, None, :]
+
+
 @dataclass(frozen=True)
 class RadialModel:
     """Flat R^n with a rotationally symmetric density f(rho), rho = |x|.
@@ -121,21 +133,49 @@ class RadialModel:
         return MetricSpec(dim=n, jet=flat_jet(n), name=self.name)
 
     def density(self) -> ScalarField:
+        """f(rho) with its gradient and Hessian.  When f, f' and f'' have
+        block forms (a manifest's expressions), so do the three fields
+        (``with_rows``): rho of each row is the BLAS dot product that
+        ``np.linalg.norm`` takes on one row, f, f' and f'' come from their
+        ``field_rows``, and the rest is the per-row arithmetic, elementwise."""
+        f, df, d2f, eye = self.f, self.df, self.d2f, np.eye(self.n)
+
         def value(p: Point) -> float:
-            return self.f(float(np.linalg.norm(p)))
+            return f(float(np.linalg.norm(p)))
 
         def grad(p: Point) -> np.ndarray:
             rho = float(np.linalg.norm(p))
-            return self.df(rho) * p / rho
+            return df(rho) * p / rho
 
         def hess(p: Point) -> np.ndarray:
             rho = float(np.linalg.norm(p))
             rr = np.outer(p, p) / (rho * rho)
-            return self.d2f(rho) * rr + self.df(rho) / rho * (np.eye(self.n) - rr)
+            return d2f(rho) * rr + df(rho) / rho * (eye - rr)
 
-        return ScalarField(value=value, grad=grad, hess=hess)
+        if not all(hasattr(fn, "rows") for fn in (f, df, d2f)):
+            return ScalarField(value=value, grad=grad, hess=hess)
+
+        def value_rows(P: np.ndarray) -> np.ndarray:
+            return field_rows(f, _norms(P))
+
+        def grad_rows(P: np.ndarray) -> np.ndarray:
+            rho = _norms(P)
+            return field_rows(df, rho)[:, None] * P / rho[:, None]
+
+        def hess_rows(P: np.ndarray) -> np.ndarray:
+            rho = _norms(P)
+            rr = _outers(P) / (rho * rho)[:, None, None]
+            return (field_rows(d2f, rho)[:, None, None] * rr
+                    + (field_rows(df, rho) / rho)[:, None, None] * (eye - rr))
+
+        return ScalarField(value=with_rows(value, value_rows), grad=with_rows(grad, grad_rows),
+                           hess=with_rows(hess, hess_rows))
 
     def r_field(self) -> ScalarField:
+        """The distance function rho = |x| with its gradient and Hessian,
+        each with a block form (see ``density``)."""
+        eye = np.eye(self.n)
+
         def value(p: Point) -> float:
             return float(np.linalg.norm(p))
 
@@ -144,9 +184,17 @@ class RadialModel:
 
         def hess(p: Point) -> np.ndarray:
             rho = float(np.linalg.norm(p))
-            return (np.eye(self.n) - np.outer(p, p) / (rho * rho)) / rho
+            return (eye - np.outer(p, p) / (rho * rho)) / rho
 
-        return ScalarField(value=value, grad=grad, hess=hess)
+        def grad_rows(P: np.ndarray) -> np.ndarray:
+            return P / _norms(P)[:, None]
+
+        def hess_rows(P: np.ndarray) -> np.ndarray:
+            rho = _norms(P)[:, None, None]
+            return (eye - _outers(P) / (rho * rho)) / rho
+
+        return ScalarField(value=with_rows(value, _norms), grad=with_rows(grad, grad_rows),
+                           hess=with_rows(hess, hess_rows))
 
     def lap_f_r(self, rho: float) -> float:
         """Weighted Laplacian of the distance function: (n-1)/rho - f'(rho)."""

@@ -15,10 +15,13 @@ Each RK4 stage evaluates the acceleration -Gamma^k_ij u^i u^j at one point
 takes the chart's point formulas at a single row, and one solve with the
 metric; it never forms the Christoffel symbols.  After each step, the
 finite check, the velocity guard and the domain margin test read the new
-state as Python floats.  The passes over a finished trace (speed drift,
+state as Python floats, and those of the samples inside a step read the
+samples' extremes.  The passes over a finished trace (speed drift,
 f_gamma, the conserved quantity) evaluate the metric (a jet of order 0),
-density gradient or fiber metric of ``BLOCK_POINTS`` samples as one stack
-(``in_blocks``), and their quadratic forms and pairings as stacked products
+density gradient, fiber metric and warp of ``BLOCK_POINTS`` samples as one
+stack (``in_blocks``), each field through its block form (``field_rows``; a
+radial model's density has one too), the warp as ``math.exp`` of phi's
+block, and their quadratic forms and pairings as stacked products
 (``chart_core._forms``), which a test checks bit for bit against evaluating each
 sample alone.  A failing block is run
 again through the same pass one sample at a time, so the first failing
@@ -52,6 +55,7 @@ from .chart_core import (
     _lengths,
     as_point,
     cumulative_simpson,
+    field_rows,
     gamma_evaluator,
     in_blocks,
     in_domain,
@@ -174,8 +178,9 @@ def _next_multiple(m: int, ratio: float, cap: int) -> int:
 def _estimate(H: float, u4: np.ndarray, u1: np.ndarray, a4: np.ndarray,
               a1: np.ndarray) -> float:
     """The local error estimate of an RK4 step of length H: the largest entry
-    of (H/6)(u4 - u1) and (H/6)(a4 - a1) (see ``geodesic_integrate``)."""
-    return H / 6.0 * float(np.max(np.abs(np.concatenate((u4 - u1, a4 - a1)))))
+    of (H/6)(u4 - u1) and (H/6)(a4 - a1) (see ``geodesic_integrate``), NaN
+    where an entry is NaN."""
+    return H / 6.0 * float(np.maximum.reduce(np.abs(np.concatenate((u4 - u1, a4 - a1)))))
 
 
 def _march(spec: MetricSpec, stage, p0: Point, v0: np.ndarray, nsteps: int, dt: float,
@@ -183,9 +188,8 @@ def _march(spec: MetricSpec, stage, p0: Point, v0: np.ndarray, nsteps: int, dt: 
     """The samples 0..k of a geodesic, and whether it was truncated, its
     accepted and rejected steps and the sum of their error estimates, from
     steps of dt only, or from error-controlled steps when ``adaptive``."""
-    margin = scaled(p0, 4.0 * H2)
-    margins = margin.tolist()
-    bases: dict[int, np.ndarray] = {}
+    margins = scaled(p0, 4.0 * H2).tolist()
+    bases: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     xs = np.empty((nsteps + 1, spec.dim))
     us = np.empty((nsteps + 1, spec.dim))
     xs[0], us[0] = p0, v0
@@ -208,13 +212,19 @@ def _march(spec: MetricSpec, stage, p0: Point, v0: np.ndarray, nsteps: int, dt: 
                           or not in_domain(spec, xl, margins))
                 if not failed and err <= GEODESIC_STEP_TOL * H:
                     if h not in bases:
-                        bases[h] = _hermite_rows(h, dt)
-                    inner = bases[h] @ np.array((x1 - x, u, a, u1, a1))
+                        bases[h] = _hermite_rows(h, dt), np.zeros(2 * (h - 1) * spec.dim)
+                    basis, zeros = bases[h]
+                    inner = basis @ np.array((x1 - x, u, a, u1, a1))
                     X, U = x + inner[:h - 1], inner[h - 1:]
-                    failed = (not np.isfinite(inner).all() or np.abs(U).max() >= VELOCITY_GUARD
-                              or spec.domain is not None
-                              and (np.any(X - margin < spec.domain[:, 0])
-                                   or np.any(X + margin > spec.domain[:, 1])))
+                    # the samples' guards, as the state's: the dot product with
+                    # zeros is NaN exactly when an entry is not finite, and the
+                    # box around every sample lies in the domain exactly when
+                    # the boxes around the lowest and the highest coordinates
+                    # do, as x - r and x + r round monotonically in x
+                    failed = (not math.isfinite(inner.ravel().dot(zeros))
+                              or np.maximum.reduce(np.abs(U), axis=None) >= VELOCITY_GUARD
+                              or not in_domain(spec, np.minimum.reduce(X).tolist(), margins)
+                              or not in_domain(spec, np.maximum.reduce(X).tolist(), margins))
             except (CdsplitError, ValueError, ArithmeticError, np.linalg.LinAlgError):
                 failed = True
             if failed:
@@ -350,16 +360,19 @@ class ClairautReport:
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
     """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace:
     the squared fiber speeds of each block of samples from the fiber metrics
-    of the block (the fiber's jet of order 0), and the warp sample by sample
-    (``split.warp``)."""
+    of the block (the fiber's jet of order 0), and the warps of the block
+    from phi's block form (``field_rows``), each raised as ``split.warp``
+    does, with ``math.exp``, and to the fourth power with Python's ``**``:
+    numpy's exp and power round differently on some inputs."""
     if len(trace) == 0:
         raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
-    P, UY = trace.positions, trace.velocities[:, 1:]
+    P, UY, m = trace.positions, trace.velocities[:, 1:], split.n - 1
 
     def stacked(s: slice) -> np.ndarray:
         (H,) = split.fiber.jet(P[s, 1:], 0)
         q = _forms(UY[s], H, UY[s])
-        return np.array([split.warp(p) ** 4 for p in P[s]]) * q
+        phi = field_rows(split.phi.value, P[s]).tolist()
+        return np.array([math.exp(v / m) ** 4 for v in phi]) * q
 
     vals = in_blocks(len(trace), BLOCK_POINTS, stacked)
     c0 = float(vals[0])
@@ -492,4 +505,4 @@ def write_trace_csv(trace: GeodesicTrace, path, clairaut: np.ndarray | None = No
         if values is not None:
             cols.append(name)
             data.append(values)
-    write_csv(path, header_lines, cols, (row.tolist() for row in np.column_stack(data)))
+    write_csv(path, header_lines, cols, np.column_stack(data).tolist())

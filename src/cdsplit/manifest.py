@@ -885,6 +885,10 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         lo, hi = nums[sec_name][low], nums[sec_name][high]
         if lo is not None and hi is not None and lo >= hi:
             raise ValidationError(f"{low} must be below {high}", key=f"[{sec_name}] {low}")
+        # a width beyond the float range leaves no grid or sample to take there
+        if lo is not None and hi is not None and not math.isfinite(hi - lo):
+            raise ValidationError(f"{high} - {low} is beyond the float range",
+                                  key=f"[{sec_name}] {low}")
     grid, numeric = nums["grid"], nums["numeric"]
     if (grid["y_min"] is None) != (grid["y_max"] is None):
         lone = "y_min" if grid["y_max"] is None else "y_max"

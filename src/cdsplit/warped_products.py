@@ -81,9 +81,10 @@ class FlatFiber:
         return np.zeros((self.dim,) * 3)
 
     def point(self, y: np.ndarray, order: int):
-        """``metric``, and for order 1 ``partials``, at the one point y."""
-        h = self.metric(y)
-        return (h,) if order == 0 else (h, self.partials(y))
+        """``metric``, and for order 1 ``partials``, at the one point y, in
+        diagonal form (``SphereFiber.point``)."""
+        h = (np.diagonal(_flat_metric(self.periods)).tolist(), 0.0)
+        return (h,) if order == 0 else (h, [([0.0] * self.dim, 0.0)] * self.dim)
 
     def jet(self, Y: np.ndarray, order: int):
         """``metric``, and for order 1 ``partials``, at each row of Y, stacked."""
@@ -130,20 +131,35 @@ class SphereFiber:
         return (self.dim - 1) / self.einstein_constant
 
     def metric(self, y: np.ndarray) -> np.ndarray:
-        return self.point(y, 0)[0]
+        return self.jet(y[None], 0)[0][0]
 
     def partials(self, y: np.ndarray) -> np.ndarray:
-        return self.point(y, 1)[1]
+        return self.jet(y[None], 1)[1][0]
 
     def point(self, y: np.ndarray, order: int):
-        """``metric``, and for order 1 ``partials``, at the one point y,
-        with |y|^2 taken once for both."""
-        R2, eye = self.radius_sq, _identity(self.dim)
-        s = R2 + float(y @ y)
-        h = 4.0 * R2 ** 2 / (s * s) * eye
+        """``metric``, and for order 1 ``partials``, at the one point y, in
+        diagonal form, with |y|^2 taken once for both.
+
+        Both fibers' metrics and partials are diagonal matrices in their
+        charts, so at one point each is the pair (diagonal, off) of the list
+        of its diagonal entries and the value of every entry off the
+        diagonal, as Python floats: here the conformal factor c and the
+        partials dc_k of c, with c * 0.0 and dc_k * 0.0, the entries of
+        ``c * eye`` and ``dc_k * eye`` (``jet``).  The partials are one pair
+        per coordinate.  Python's float operations round as numpy's
+        elementwise ones, and ``y.dot(y)`` is the BLAS dot product that
+        ``jet`` takes of each row."""
+        R2, m = self.radius_sq, self.dim
+        s = R2 + float(y.dot(y))
+        c = 4.0 * R2 ** 2 / (s * s)
+        h = ([c] * m, c * 0.0)
         if order == 0:
             return (h,)
-        return h, (-16.0 * R2 ** 2 * y / s ** 3)[:, None, None] * eye
+        k, s3, dh = -16.0 * R2 ** 2, s ** 3, []
+        for v in y.tolist():
+            dc = k * v / s3
+            dh.append(([dc] * m, dc * 0.0))
+        return h, dh
 
     def jet(self, Y: np.ndarray, order: int):
         """``metric``, and for order 1 ``partials``, at each row of Y,
@@ -214,33 +230,60 @@ def _require_partials(field: ScalarField, what: str) -> None:
         raise ValueError(f"{what} needs an analytic gradient and Hessian")
 
 
+@cache
+def _gather_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each entry of g (1, n, n) and of D (1, n, n, n) of a product
+    chart sits in the list of their distinct values that its one-row jet
+    builds: for g, 0.0, 1.0, the m = n - 1 diagonal entries of the fiber
+    block and its off-diagonal entry; for D, 0.0, then the same m + 1
+    values of the fiber block of each D[k]."""
+    m = n - 1
+    block = np.where(np.eye(m, dtype=bool), np.arange(m)[:, None], m)
+    g = np.zeros((1, n, n), dtype=np.intp)
+    g[0, 0, 0] = 1
+    g[0, 1:, 1:] = 2 + block
+    D = np.zeros((1, n, n, n), dtype=np.intp)
+    D[0, :, 1:, 1:] = 1 + (m + 1) * np.arange(n)[:, None, None] + block
+    g.flags.writeable = D.flags.writeable = False
+    return g, D
+
+
 def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str) -> MetricSpec:
     c = 1.0 / (n - 1)
-
-    G1 = np.zeros((1, n, n))
-    G1[0, 0, 0] = 1.0
-    D1 = np.zeros((1, n, n, n))
-    G1.flags.writeable = D1.flags.writeable = False
+    c2 = 2.0 * c
+    g_index, D_index = _gather_index(n)
 
     def point(p: Point, order: int):
-        # one row: psi, the warp and one pass of the fiber's point form,
-        # which cost less than a stacked call at one row; g and D are
-        # copies of the read-only templates above
-        w = math.exp(2.0 * c * float(psi.value(p)))
-        h, *dh = fiber.point(p[1:], order)
-        G = G1.copy()
-        G[0, 1:, 1:] = w * h
+        # one row, in Python floats: psi, the warp and the fiber's diagonal
+        # point form, then each distinct entry of g and of D from the
+        # products and sums of the stacked jet below, in their order, and
+        # g and D gathered from them (``_gather_index``), which costs less
+        # than assembling small arrays.  A flat fiber's zero partials are
+        # added too, which turns a -0.0 into the +0.0 of the stacked sum
+        w = math.exp(c2 * float(psi.value(p)))
+        (hd, hz), *dh = fiber.point(p[1:], order)
+        values = [0.0, 1.0]
+        for x in hd:
+            values.append(w * x)
+        values.append(w * hz)
+        G = np.array(values).take(g_index)
         if order == 0:
             return (G,)
-        # the fiber block of D, summed in a contiguous array: an in-place sum
-        # into a strided slice of D costs several times more.  A flat fiber's
-        # zero partials are added too, which turns a -0.0 into the +0.0 of
-        # the stacked sum
-        Dh = (2.0 * c * psi.grad(p) * w)[:, None, None] * h
-        Dh[1:] += w * dh[0]
-        D = D1.copy()
-        D[0, :, 1:, 1:] = Dh
-        return G, D
+        # D[0] = a_0 h, D[k] = a_k h + w dh[k - 1], a = 2 c dpsi w; plain
+        # loops cost less than comprehensions at these few entries
+        values = [0.0]
+        for k, g in enumerate(psi.grad(p).tolist()):
+            a = c2 * g * w
+            if k == 0:
+                for x in hd:
+                    values.append(a * x)
+                values.append(a * hz)
+            else:
+                dd, dz = dh[0][k - 1]
+                for x, y in zip(hd, dd):
+                    values.append(a * x + w * y)
+                values.append(a * hz + w * dz)
+        return G, np.array(values).take(D_index)
 
     def jet(P: np.ndarray, order: int):
         if len(P) == 1:
@@ -447,7 +490,9 @@ def split_cd_threshold(split: SplitSpaceSpec, r_range: tuple[float, float],
     def q(r: float) -> float:
         p[0] = r
         try:
-            val = phi.hess(p)[0, 0] * math.exp(2.0 * phi.value(p) / (n - 1)) / (n - 1)
+            # a Python float product overflows to inf without a warning, and
+            # the finite check below names it
+            val = float(phi.hess(p)[0, 0]) * math.exp(2.0 * phi.value(p) / (n - 1)) / (n - 1)
         except OverflowError as exc:
             raise NonFinite(f"threshold objective overflows at r = {r}") from exc
         if not math.isfinite(val):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdsplit import cli
+from cdsplit import chart_core, cli
 from cdsplit.cli import main, run
 from cdsplit.comparison_suite import rigidity_check
 
@@ -562,6 +562,31 @@ def test_threshold_far_out_on_r_ends_within_its_budget(tmp_path):
     assert 1e7 <= r_at <= 2e7
 
 
+def test_threshold_objective_overflow_is_one_error_line(tmp_path, capsys):
+    # phi'' e^{2 phi / (n - 1)} overflows past r = 1.88: a Python float
+    # product turns inf without numpy's warning line, and the finite check
+    # names the radius
+    path = tmp_path / "m.cdm"
+    path.write_text(SPLIT_FAST.format(lam=0.5).replace("expr = sin(r)", "expr = exp(exp(r))")
+                    .replace("r_min = -10", "r_min = 0.5").replace("r_max = 10", "r_max = 2.5")
+                    .replace("r_count = 101", "r_count = 201"))
+    assert run("threshold", path, tmp_path / "out") == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: threshold objective non-finite at r = 1.8800000000000001\n"
+
+
+@pytest.mark.parametrize("name", ["sphere_example", "twisted_flat", "polar_general",
+                                  "radial_log"])
+def test_geodesic_takes_no_per_row_field_evaluation(tmp_path, monkeypatch, name):
+    # every field the geodesic passes evaluate on a shipped manifest has a
+    # block form: the metric, the density gradient, phi for the warp
+    def per_row(fn, pts):
+        raise AssertionError(f"per-row evaluation of {fn!r} at {len(pts)} rows")
+
+    monkeypatch.setattr(chart_core, "_each_row", per_row)
+    assert run("geodesic", MANIFESTS / f"{name}.cdm", tmp_path / "out") == 0
+
+
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
 @pytest.mark.parametrize("subcommand", ["bochner", "curvature", "verify-cd", "geodesic"])
 def test_seed_outside_u64_is_a_usage_error(tmp_path, capsys, subcommand, seed):
@@ -751,6 +776,16 @@ def _usage_errors():
     yield _case("compare-section-on-split", "threshold",
                 _shipped("sphere_example") + "\n[compare]\nrho_min = 0.5\ncount = 7\n",
                 "error: [compare] rho_min: kind 'split' does not accept section [compare]")
+    # a range no float grid spans: its width overflows (rho_min > 0 keeps
+    # [compare] inside the float range)
+    for subcommand in ("threshold", "verify-cd"):
+        yield _case(f"r-range-beyond-the-float-range-{subcommand}", subcommand,
+                    _shipped("sphere_example"),
+                    "error: [grid] r_min: r_max - r_min is beyond the float range",
+                    grid_overrides=["r_min=-1e308", "r_max=1e308"])
+    yield _case("y-range-beyond-the-float-range", "verify-cd", _shipped("sphere_example"),
+                "error: [grid] y_min: y_max - y_min is beyond the float range",
+                grid_overrides=["y_min=-1e308", "y_max=1e308"])
     yield _case("euclidean-fiber-periods", "riccati",
                 _shipped("twisted_flat").replace("type = euclidean\n",
                                                  "type = euclidean\nperiods = 1, 1\n"),

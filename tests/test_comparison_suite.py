@@ -1,12 +1,14 @@
 """Bochner identities, comparison bound, comparison ODE, rigidity."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cdsplit import catalog
-from cdsplit.chart_core import ScalarField, VectorField, weighted_laplacian
+from cdsplit.chart_core import ScalarField, VectorField, field_rows, weighted_laplacian
 from cdsplit.comparison_suite import (
     RadialModel,
     bochner_inequality_margin,
@@ -23,7 +25,9 @@ from cdsplit.errors import (
     ZeroRadius,
 )
 from cdsplit.geodesic_flow import geodesic_integrate
-from cdsplit.manifest import box_grid, inset_box, sample_box
+from cdsplit.manifest import box_grid, inset_box, parse_manifest, sample_box
+
+RADIAL_LOG = Path(__file__).resolve().parent.parent / "manifests" / "radial_log.cdm"
 
 
 def ray(rho_min, rho_max, count):
@@ -112,6 +116,58 @@ class TestRadialComparison:
             p = np.array([rho, 0.0, 0.0])
             assert weighted_laplacian(spec, density, r_field, p) == pytest.approx(
                 model.lap_f_r(rho), abs=1e-6)
+
+
+def _radial_points():
+    """400 seeded points of R^3, with coordinates of exactly 0.0 and -0.0,
+    negative ones, and a few far out, none at the origin."""
+    pts = np.random.default_rng(27).uniform(-12.0, 12.0, (400, 3))
+    pts[:40, 0] = 0.0
+    pts[40:80, 1] = -0.0
+    pts[80:100, 1:] = [0.0, -0.0]
+    pts[100:110] *= 1e5
+    return pts
+
+
+def _radial_fields():
+    model = parse_manifest(RADIAL_LOG).geometry["model"]
+    return {"density": model.density(), "r": model.r_field()}
+
+
+@pytest.mark.parametrize("which", ["density", "r"])
+@pytest.mark.parametrize("part", ["value", "grad", "hess"])
+def test_radial_block_forms_are_the_per_row_forms_bit_for_bit(which, part):
+    # a manifest's radial model gives its density and distance function block
+    # forms, which the geodesic, compare and Bochner passes take; each row is
+    # the per-row form's row to the last bit, signed zeros included
+    fn = getattr(_radial_fields()[which], part)
+    assert callable(getattr(fn, "rows", None))
+    pts = _radial_points()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = field_rows(fn, pts)
+    want = np.array([fn(p) for p in pts], dtype=float)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_radial_block_with_the_origin_warns_as_each_row():
+    # a block that meets a floating-point condition is evaluated again row
+    # by row, so it gives the per-row values and warnings
+    grad = _radial_fields()["density"].grad
+    pts = np.vstack([_radial_points()[:5], np.zeros(3), _radial_points()[5:9]])
+    with warnings.catch_warnings(record=True) as block_warnings:
+        warnings.simplefilter("always")
+        got = field_rows(grad, pts)
+    with warnings.catch_warnings(record=True) as row_warnings:
+        warnings.simplefilter("always")
+        want = np.array([grad(p) for p in pts])
+    assert [str(w.message) for w in block_warnings] == [str(w.message) for w in row_warnings]
+    assert row_warnings and got.tobytes() == want.tobytes()
+
+
+def test_plain_callable_radial_density_has_no_block_form():
+    density = catalog.radial_log_model(3).density()
+    assert not any(hasattr(fn, "rows") for fn in (density.value, density.grad, density.hess))
 
 
 class TestBochnerResidual:

@@ -191,6 +191,21 @@ class TestClairaut:
             rep = clairaut_constant(split, trace)
             assert rep.max_drift <= 1e-8
 
+    @pytest.mark.parametrize("case", ["sphere_example", "sphere5"])
+    def test_block_warp_is_split_warp_per_sample(self, tmp_path, case):
+        # the warps of a block come from phi's block form, raised as
+        # split.warp(p) ** 4 is, with math.exp and Python's power
+        path = tmp_path / "m.cdm"
+        path.write_text(STEP_RULE_CASES[case])
+        manifest = parse_manifest(path)
+        split, params = manifest.geometry["split"], manifest.extras["geodesic"]
+        trace = geodesic_integrate(split.metric_spec(), params["start"], params["velocity"],
+                                   params["T"], manifest.numeric["dt"])
+        P, UY = trace.positions, trace.velocities[:, 1:]
+        (H,) = split.fiber.jet(P[:, 1:], 0)
+        want = np.array([split.warp(p) ** 4 for p in P]) * _forms(UY, H, UY)
+        assert clairaut_constant(split, trace).values.tobytes() == want.tobytes()
+
     def test_empty_trace_rejected(self):
         split = catalog.split_sin_sphere(0.5)
         from cdsplit.geodesic_flow import GeodesicTrace
