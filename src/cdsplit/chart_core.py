@@ -85,14 +85,16 @@ and once more at the step's end, where the value serves the step's error
 estimate and is the next step's first stage.  ``in_blocks`` walks samples
 in blocks of ``BLOCK_POINTS`` and re-runs a failing block through the same
 stacked pass, one sample at a time, as blocks of one; ``cd_verify``, the
-geodesic post-passes and ``geometry_field`` evaluate through it and have no
-per-sample code.  ``simpson`` and ``cumulative_simpson`` are the composite
-Simpson rules of ``scipy.integrate``, with its operations in its order, and
-``rk4_step`` is the one RK4 step, which the geodesic and the obstruction ODE
-share: it takes a first stage the caller already has, and returns the last
-stage beside the new state, from which the geodesic estimates the step's
-error (``GEODESIC_STEP_TOL``); the obstruction ODE takes fixed steps and
-reads the new state alone.
+sample points of ``curvature`` and ``bochner``, the rigidity check, the
+cross-check of ``compare``, the geodesic post-passes and ``geometry_field``
+evaluate through it and have no per-sample code.  ``simpson`` and
+``cumulative_simpson`` are the composite Simpson rules of
+``scipy.integrate``, with its operations in its order, and ``rk4_step`` is
+the one RK4 step, which the geodesic and the obstruction ODE share: it
+takes a first stage the caller already has, and returns the last stage
+beside the new state, from which the geodesic estimates the step's error
+(``GEODESIC_STEP_TOL``); the obstruction ODE takes fixed steps and reads
+the new state alone.
 
 Results are bit-identical to evaluating every tensor at one point on its
 own.  Only elementwise array operations, numpy's stacked LAPACK calls

@@ -15,9 +15,11 @@ warnings among them) one ``warning:`` line.
 model, which takes no [grid] key); ``parse_manifest`` applies
 it before validation and builds the geometry the subcommands get from
 ``build_geometry``.  The grids and sample points every subcommand checks
-come from the grid section of ``manifest``.  Given the same manifest and
-seed the written reports are byte-identical across runs (no timestamps,
-17-significant-digit floats, LF line endings).
+come from the grid section of ``manifest``; ``verify-cd`` walks its grid,
+and ``curvature`` and ``bochner`` their sample points, in blocks of
+``BLOCK_POINTS`` (``chart_core.in_blocks``), with no per-point code.  Given
+the same manifest and seed the written reports are byte-identical across
+runs (no timestamps, 17-significant-digit floats, LF line endings).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chart_core import H1, H2, H3, BlockGeometry, ScalarField
+from .chart_core import BLOCK_POINTS, H1, H2, H3, BlockGeometry, ScalarField, in_blocks
 from .comparison_suite import (
     bochner_residual,
     radial_comparison_check,
@@ -134,26 +136,34 @@ def _cmd_curvature(manifest, geo, rep: Reporter) -> int:
         cols += ["closed_form_max_abs_diff"]
     if manifest.cd:
         cols += [f"ricN_{i + 1}{j + 1}" for i in range(n) for j in range(i, n)]
-    rows = []
-    agreement = 0.0
-    upper = np.triu_indices(n)  # (i, j) with i <= j, row by row
-    for p in pts:
-        at = BlockGeometry.at(spec, p)
-        ric = at.ricci[0]
-        row = p.tolist() + ric[upper].tolist()
+    i, j = np.triu_indices(n)  # (i, j) with i <= j, row by row
+
+    def stacked(s: slice) -> np.ndarray:
+        # each point's dump: the upper triangle of its Ricci tensor, the
+        # largest deviation of the closed form, the upper triangle of its
+        # generalized Ricci tensor, taken in this order at a point alone
+        at = BlockGeometry(spec, pts[s])
+        ric = at.ricci
+        parts = [ric[:, i, j]]
         if closed_form is not None:
-            diff = float(np.max(np.abs(ric - twisted_ricci_analytic(closed_form, p))))
-            agreement = max(agreement, diff / max(1.0, float(np.max(np.abs(ric)))))
-            row.append(diff)
+            analytic = np.array([twisted_ricci_analytic(closed_form, p) for p in at.pts])
+            parts.append(np.max(np.abs(ric - analytic), axis=(1, 2))[:, None])
         if manifest.cd:
-            form = generalized_ricci_at(at, geo["density"], manifest.cd["N"])[0]
-            row += form[upper].tolist()
-        rows.append(row)
-    rep.write_csv("curvature.csv", cols, rows)
-    if closed_form is not None and agreement > CURVATURE_AGREEMENT_TOL:
-        print(f"curvature: closed-form vs numeric relative disagreement {agreement:.3g}")
-        return 1
-    print(f"curvature: wrote {len(rows)} tensor dumps")
+            parts.append(generalized_ricci_at(at, geo["density"], manifest.cd["N"])[:, i, j])
+        return np.hstack(parts)
+
+    dumps = in_blocks(len(pts), BLOCK_POINTS, stacked)
+    rep.write_csv("curvature.csv", cols, np.column_stack((pts, dumps)).tolist())
+    if closed_form is not None:
+        # a Ricci tensor is symmetric bit for bit, so its largest entry is
+        # in its upper triangle
+        m = len(i)
+        scale = np.maximum(1.0, np.max(np.abs(dumps[:, :m]), axis=1))
+        agreement = max([0.0, *(dumps[:, m] / scale).tolist()])
+        if agreement > CURVATURE_AGREEMENT_TOL:
+            print(f"curvature: closed-form vs numeric relative disagreement {agreement:.3g}")
+            return 1
+    print(f"curvature: wrote {len(pts)} tensor dumps")
     return 0
 
 
@@ -282,11 +292,21 @@ def _cmd_bochner(manifest, geo, rep: Reporter) -> int:
     count = manifest.extras["bochner"]["points"]
     rng = np.random.default_rng(rep.seed)
     pts = sample_points(manifest, count, rep.seed + 1, r_limit=BOCHNER_R_LIMIT)
-    residuals = []
-    for p in pts:
-        h = _random_cubic_field(rng, manifest.dim)
-        residuals.append(bochner_residual(geo["spec"], geo["density"], h, p))
-    worst = max([0.0, *residuals])
+    drawn = {}  # the random field of each point of the block being walked
+
+    def stacked(s: slice) -> np.ndarray:
+        # in_blocks walks the blocks in order and re-runs a block inside it,
+        # so drawing a block's fields when it starts keeps the draws in the
+        # points' order, and only one block's fields are held
+        if s.start not in drawn:
+            drawn.clear()
+            drawn.update((k, _random_cubic_field(rng, manifest.dim))
+                         for k in range(s.start, s.stop))
+        fields = [drawn[k] for k in range(s.start, s.stop)]
+        return bochner_residual(geo["spec"], geo["density"], fields, pts[s])
+
+    residuals = in_blocks(len(pts), BLOCK_POINTS, stacked)
+    worst = max([0.0, *residuals.tolist()])
     rep.write_csv("bochner.csv", ["point_" + c for c in geo["spec"].coords()] + ["residual"],
                   np.column_stack((pts, residuals)).tolist(),
                   extra_header=[f"tolerance: {BOCHNER_TOL:g}",

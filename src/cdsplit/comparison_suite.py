@@ -14,6 +14,9 @@ geodesics.
 
 The Bochner checks difference derived fields (|grad h|^2, Lap_f h), each
 stencil's rows evaluated as one ``BlockGeometry`` (``geometry_field``).
+``bochner_residual`` takes a block of points, each with its own field: the
+points are one geometry, and each derived field's stencils, stacked point
+by point, one more; ``bochner`` walks its points through ``in_blocks``.
 
 Distance functions are supplied analytically (radial models, split-space r);
 no boundary-value solving happens here.  Sub-level barrier arguments have no
@@ -37,6 +40,7 @@ from .chart_core import (
     MetricSpec,
     Point,
     ScalarField,
+    _forms,
     as_scalar_field,
     field_rows,
     first_difference,
@@ -246,45 +250,86 @@ def radial_comparison_check(model: RadialModel, grid: GridSpec):
 # Bochner identity and inequality
 # ---------------------------------------------------------------------------
 
-def _coarse_lap_f_grad_sq(at: BlockGeometry, density: DensitySpec, h: ScalarField) -> float:
-    """Lap_f |grad h|^2 at the point of ``at``, differenced at step H3."""
+def _coarse_lap_f_grad_sq(at: BlockGeometry, density: DensitySpec, h: ScalarField) -> np.ndarray:
+    """Lap_f |grad h|^2 at the points of ``at``, differenced at step H3."""
     grad_sq = geometry_field(at.spec, lambda g: g.grad_norm_squared(h), 0)
-    return float(at.weighted_laplacian(density, grad_sq, H3)[0])
+    return at.weighted_laplacian(density, grad_sq, H3)
 
 
 def _coarse_gradient(at: BlockGeometry, of) -> np.ndarray:
-    """The partials at the point of ``at``, differenced at step H3, of the
+    """The partials at the points of ``at``, differenced at step H3, of the
     ``geometry_field`` of ``of``, which needs the metric partials."""
     steps = scaled(at.pts, H3)
     field = geometry_field(at.spec, of, 1)
-    return first_difference(stencil_values(field, at.pts, steps, 1), steps)[0]
+    return first_difference(stencil_values(field, at.pts, steps, 1), steps)
 
 
-def bochner_residual(spec: MetricSpec, density: DensitySpec, h, p: Point) -> float:
-    """|LHS - RHS| of the weighted Bochner identity at p:
+def _per_point(forms) -> Callable:
+    """One form for a block of points from ``forms``, one per point: its
+    ``rows(P)`` splits P into ``len(forms)`` equal consecutive groups, one
+    per point in order, as the stencils of a block are stacked, and takes
+    each row with its point's own form.  A row count that is not a multiple
+    of the number of points is refused: the rows of a single stencil row's
+    re-run (``geometry_field``) belong to no one point, so the block fails
+    and ``in_blocks`` re-runs it one point at a time."""
+    k = len(forms)
+
+    def rows(P: np.ndarray) -> np.ndarray:
+        if len(P) % k:
+            raise ValueError(f"{len(P)} rows do not split among {k} points")
+        m = len(P) // k
+        return np.array([forms[r // m](p) for r, p in enumerate(P)], dtype=float)
+
+    def value(p: Point):
+        return rows(p[None])[0]
+
+    value.rows = rows
+    return value
+
+
+def _per_point_field(fields) -> ScalarField:
+    """The fields of a block's points, one per point, as one ScalarField
+    whose every form is ``_per_point``.  The fields must all have, or all
+    lack, each of the gradient and the Hessian."""
+    fields = [as_scalar_field(h) for h in fields]
+    forms = {}
+    for name in ("value", "grad", "hess"):
+        given = [getattr(h, name) for h in fields]
+        if any(fn is None for fn in given) and any(fn is not None for fn in given):
+            raise ValueError(f"some of the fields have a {name} form and some do not")
+        forms[name] = None if given[0] is None else _per_point(given)
+    return ScalarField(**forms)
+
+
+def bochner_residual(spec: MetricSpec, density: DensitySpec, fields, pts) -> np.ndarray:
+    """|LHS - RHS| of the weighted Bochner identity at each row p of ``pts``,
+    for its own field h of ``fields``:
 
         (1/2) Lap_f |grad h|^2
             = |Hess h|^2 + Ric_f^inf(grad h, grad h) + g(grad h, grad Lap_f h),
 
     with Lap_f and Ric_f^inf built from the density (scalar or vector
     variant).  Derived fields are differenced at the coarse step to keep the
-    third-derivative noise inside the 1e-4 budget.
+    third-derivative noise inside the 1e-4 budget.  The points are one
+    ``BlockGeometry``, and each derived field's stencil rows one more, with
+    each point's field taken at its own rows (``_per_point_field``); every
+    residual is bit for bit the residual at its point alone.
     """
-    h = as_scalar_field(h)
-    at = BlockGeometry.at(spec, p)
+    h = _per_point_field(fields)
+    at = BlockGeometry(spec, pts)
     lhs = 0.5 * _coarse_lap_f_grad_sq(at, density, h)
 
-    H = at.hessian(h)[0]
-    ginv = at.ginv[0]
-    hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))
+    H = at.hessian(h)
+    ginv = at.ginv
+    hess_sq = np.einsum("bik,bjl,bij,bkl->b", ginv, ginv, H, H)
 
-    gradv = at.gradient_vector(h)[0]
-    ric_term = float(gradv @ generalized_ricci_at(at, density, math.inf)[0] @ gradv)
+    gradv = at.gradient_vector(h)
+    ric_term = _forms(gradv, generalized_ricci_at(at, density, math.inf), gradv)
 
     dq = _coarse_gradient(at, lambda g: g.weighted_laplacian(density, h))
-    last = float(gradv @ dq)
+    last = np.vecdot(gradv, dq)
 
-    return abs(lhs - (hess_sq + ric_term + last))
+    return np.abs(lhs - (hess_sq + ric_term + last))
 
 
 def bochner_inequality_margin(spec: MetricSpec, density: DensitySpec, K: float, m: int,
@@ -313,14 +358,14 @@ def bochner_inequality_margin(spec: MetricSpec, density: DensitySpec, K: float, 
     def v2(q: Point) -> float:
         return math.exp(2.0 * float(density.value(q)) / m)
 
-    lhs = 0.5 * v2(p) * _coarse_lap_f_grad_sq(at, density, h)
+    lhs = 0.5 * v2(p) * float(_coarse_lap_f_grad_sq(at, density, h)[0])
 
     lap_f_h = float(at.weighted_laplacian(density, h)[0])
     rhs = v2(p) * (lap_f_h ** 2 / m + K * gn ** 2)
 
     dq = _coarse_gradient(
         at, lambda g: np.array([v2(x) for x in g.pts]) * g.weighted_laplacian(density, h))
-    rhs += float(at.gradient_vector(h)[0] @ dq)
+    rhs += float(at.gradient_vector(h)[0] @ dq[0])
     return lhs - rhs
 
 

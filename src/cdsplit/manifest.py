@@ -239,10 +239,12 @@ def eval_ast(expr: "Expression | ExpressionArray", values):
 
 
 def _power(a, b):
-    """``a ** b`` in the point form.  On Python floats, ``**`` returns a
-    complex number for a negative base and a fractional exponent, which has
-    no real value."""
-    x = a ** b
+    """``a ** b`` in the point form, taken on Python floats, as the block
+    form takes it: a point's coordinates are ``numpy.float64``, whose power
+    gives NaN and a warning where a Python float's ``**`` raises.  On Python
+    floats, ``**`` returns a complex number for a negative base and a
+    fractional exponent, which has no real value."""
+    x = float(a) ** float(b)
     if type(x) is complex:
         raise ValueError("a negative number to a fractional power is complex")
     return x

@@ -136,14 +136,14 @@ def test_criterion_05_bochner_residual():
         np.asarray(h_quad.grad(q)) @ np.asarray(h_quad.grad(q))))
     lhs = 0.5 * weighted_laplacian(flat, zero, s_field, p, step=1e-3)
     hand_ok = abs(lhs - n) <= 1e-4
-    worst = max(worst, bochner_residual(flat, zero, h_quad, p))
+    worst = max(worst, bochner_residual(flat, zero, [h_quad], [p])[0])
 
     a = np.array([0.7, -0.3, 0.2])
     f_lin = ScalarField(value=lambda q: float(a @ q), grad=lambda q: a.copy(),
                         hess=lambda q: np.zeros((n, n)))
     lhs = 0.5 * weighted_laplacian(flat, f_lin, s_field, p, step=1e-3)
     hand_ok = hand_ok and abs(lhs - (n - float(a @ p))) <= 1e-4
-    worst = max(worst, bochner_residual(flat, f_lin, h_quad, p))
+    worst = max(worst, bochner_residual(flat, f_lin, [h_quad], [p])[0])
     total += 2
 
     # randomized triples on flat and warped charts
@@ -163,7 +163,7 @@ def test_criterion_05_bochner_residual():
         for _ in range(33):
             h = _random_cubic_field(rng, dim)
             f = _random_cubic_field(rng, dim, scale=0.3)
-            res = bochner_residual(spec, f, h, sampler())
+            res = bochner_residual(spec, f, [h], [sampler()])[0]
             worst = max(worst, res)
             total += 1
     ok = hand_ok and worst <= 1e-4 and total >= 100

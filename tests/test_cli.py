@@ -575,6 +575,25 @@ def test_threshold_objective_overflow_is_one_error_line(tmp_path, capsys):
     assert captured.err == "error: threshold objective non-finite at r = 1.8800000000000001\n"
 
 
+def _sqrt_phi(start):
+    """The shipped sphere manifest with phi = (r - 1)^0.5 on r in [0.5, 2.5],
+    which has no real value below r = 1, and the geodesic ``start``."""
+    return (_shipped("sphere_example").replace("expr = sin(r)", "expr = (r - 1)^0.5")
+            .replace("r_min = -10", "r_min = 0.5").replace("r_max = 10", "r_max = 2.5")
+            .replace("start = 0.0, 0.4, 0.2", f"start = {start}"))
+
+
+def test_threshold_objective_with_no_real_value_is_one_error_line(tmp_path, capsys):
+    # phi's point form takes its power on Python floats, so r = 0.5 raises
+    # the expression's own error, not numpy's NaN and warning line
+    path = tmp_path / "m.cdm"
+    path.write_text(_sqrt_phi("1.5, 0.4, 0.2"))
+    assert run("threshold", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "error: d/dr(d/dr((r - 1)^0.5)) has no finite real value at r = 0.5, y1 = 0.0, "
+        "y2 = 0.0 (a negative number to a fractional power is complex)\n")
+
+
 @pytest.mark.parametrize("name", ["sphere_example", "twisted_flat", "polar_general",
                                   "radial_log"])
 def test_geodesic_takes_no_per_row_field_evaluation(tmp_path, monkeypatch, name):
@@ -585,6 +604,19 @@ def test_geodesic_takes_no_per_row_field_evaluation(tmp_path, monkeypatch, name)
 
     monkeypatch.setattr(chart_core, "_each_row", per_row)
     assert run("geodesic", MANIFESTS / f"{name}.cdm", tmp_path / "out") == 0
+
+
+@pytest.mark.parametrize("subcommand", ["curvature", "bochner"])
+@pytest.mark.parametrize("name", ["sphere_example", "twisted_flat", "polar_general",
+                                  "radial_log"])
+def test_sampled_reports_take_no_per_point_geometry(tmp_path, monkeypatch, subcommand, name):
+    # curvature and bochner walk their points in blocks (in_blocks), and
+    # build no geometry at one point on its own
+    def per_point(spec, p):
+        raise AssertionError(f"a geometry at the one point {p}")
+
+    monkeypatch.setattr(chart_core.BlockGeometry, "at", per_point)
+    assert run(subcommand, MANIFESTS / f"{name}.cdm", tmp_path / "out") == 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -736,6 +768,10 @@ def _usage_errors():
         yield _case(f"empty-bochner-range-{subcommand}", subcommand, _shipped("sphere_example"),
                     "[grid] r_min: the sampled range is empty", grid_overrides=["r_min=4"])
     yield _case("radial-start-at-origin", "geodesic", origin, "[geodesic] start: is the origin")
+    for subcommand in ("curvature", "verify-cd", "bochner"):
+        yield _case(f"start-where-phi-has-no-real-value-{subcommand}", subcommand,
+                    _sqrt_phi("0.0, 0.4, 0.2"),
+                    "error: [geodesic] start: (r - 1)^0.5 has no finite real value at r = 0.0")
     # a radial model's grid is its [compare] radii, so a [grid] key is refused,
     # in the file or as an override, beside a [numeric] override or not
     yield _case("radial-grid-key", "verify-cd", _shipped("radial_log") + "\n[grid]\nr_min = 3\n",

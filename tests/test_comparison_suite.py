@@ -176,7 +176,7 @@ class TestBochnerResidual:
         h = ScalarField(value=lambda p: p[0] + 2.0 * p[1],
                         grad=lambda p: np.array([1.0, 2.0, 0.0]),
                         hess=lambda p: np.zeros((3, 3)))
-        res = bochner_residual(spec, ScalarField.constant(0.0), h, np.array([0.2, 0.1, 0.5]))
+        res = bochner_residual(spec, ScalarField.constant(0.0), [h], [[0.2, 0.1, 0.5]])[0]
         assert res < 1e-10
 
     def test_flat_quadratic_value_n(self):
@@ -186,7 +186,7 @@ class TestBochnerResidual:
             h = ScalarField(value=lambda p: 0.5 * float(p @ p), grad=lambda p: p.copy(),
                             hess=lambda p, n=n: np.eye(n))
             p = np.full(n, 0.4)
-            res = bochner_residual(spec, ScalarField.constant(0.0), h, p)
+            res = bochner_residual(spec, ScalarField.constant(0.0), [h], [p])[0]
             assert res <= 1e-4
 
     def test_flat_linear_density_quadratic_field(self):
@@ -199,7 +199,7 @@ class TestBochnerResidual:
         h = ScalarField(value=lambda p: 0.5 * float(p @ p), grad=lambda p: p.copy(),
                         hess=lambda p: np.eye(n))
         p = np.array([0.3, -0.6, 1.0])
-        res = bochner_residual(spec, f, h, p)
+        res = bochner_residual(spec, f, [h], [p])[0]
         assert res <= 1e-4
 
     def test_randomized_cubics_on_flat_and_warped(self):
@@ -210,7 +210,7 @@ class TestBochnerResidual:
                 h = random_cubic(rng, 3)
                 f = random_cubic(rng, 3, scale=0.4)
                 p = np.concatenate([[rng.uniform(-1, 1)], rng.uniform(-0.8, 0.8, 2)])
-                assert bochner_residual(spec, f, h, p) <= 1e-4
+                assert bochner_residual(spec, f, [h], [p])[0] <= 1e-4
 
     def test_vector_density_variant(self):
         # gradient density as a vector field gives the same residual scale
@@ -220,7 +220,7 @@ class TestBochnerResidual:
         X = catalog.gradient_as_vector_field(spec, f)
         h = random_cubic(rng, 3)
         p = rng.uniform(-1, 1, 3)
-        assert bochner_residual(spec, X, h, p) <= 1e-4
+        assert bochner_residual(spec, X, [h], [p])[0] <= 1e-4
 
     def test_nongradient_field_identity(self):
         spec, X = catalog.nongradient_example(n=4, einstein_constant=1.0, amplitude=0.05)
@@ -229,7 +229,7 @@ class TestBochnerResidual:
         for _ in range(3):
             h = random_cubic(rng, 4, scale=0.6)
             p = np.concatenate([[rng.uniform(-1, 1)], rng.uniform(-0.7, 0.7, 3)])
-            assert bochner_residual(mspec, X, h, p) <= 1e-4
+            assert bochner_residual(mspec, X, [h], [p])[0] <= 1e-4
 
 
 def random_cubic(rng, n, scale=1.0):

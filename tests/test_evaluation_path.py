@@ -1,8 +1,8 @@
 """The evaluation path: exact sphere witness, no error text on success,
-failing stencil points still named, the block walk of ``cd_verify``
-bit-equal to evaluating its points one at a time, checks that take every
-quantity at a point from one geometry, and difference quotients taken over
-a block of stencil rows."""
+failing stencil points still named, the block walks of ``cd_verify``,
+``curvature`` and ``bochner`` bit-equal to evaluating their points one at a
+time, checks that take every quantity at a point from one geometry, and
+difference quotients taken over a block of stencil rows."""
 
 import dataclasses
 import math
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cdsplit import catalog, chart_core, comparison_suite, manifest, weighted_curvature
+from cdsplit import catalog, chart_core, cli, comparison_suite, manifest, weighted_curvature
 from cdsplit.chart_core import (
     H3,
     BlockGeometry,
@@ -38,8 +38,9 @@ from cdsplit.manifest import (
     inset_box,
     parse_manifest,
     sample_box,
+    sample_points,
 )
-from cdsplit.warped_products import SplitSpaceSpec
+from cdsplit.warped_products import SplitSpaceSpec, twisted_ricci_analytic
 from cdsplit.weighted_curvature import (
     BLOCK_POINTS,
     GridSpec,
@@ -419,7 +420,7 @@ def test_bochner_residual_evaluates_the_metric_at_most_twice(monkeypatch):
     # once for the geometry at Q, and once in the stencil rows of
     # |grad h|^2, Q among them, which are one geometry
     split, spec, calls = _counted_split(monkeypatch)
-    assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
+    assert bochner_residual(spec, split.density(), [H_FIELD], [Q])[0] < 1e-4
     assert _at_Q(calls) == 2
 
 
@@ -433,7 +434,7 @@ def test_ricci_reuses_the_partials_at_the_point(monkeypatch, check):
     if check == "rigidity":
         assert rigidity_check(split, [Q]).passes()
     else:
-        assert bochner_residual(spec, split.density(), H_FIELD, Q) < 1e-4
+        assert bochner_residual(spec, split.density(), [H_FIELD], [Q])[0] < 1e-4
     assert _at_Q(calls) == 1
 
 
@@ -454,7 +455,7 @@ def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
     split = catalog.split_sin_sphere(0.3)
     spec, density = split.metric_spec(), split.density()
     if check == "residual":
-        assert bochner_residual(spec, density, H_FIELD, Q) < 1e-4
+        assert bochner_residual(spec, density, [H_FIELD], [Q])[0] < 1e-4
     else:
         bochner_inequality_margin(spec, density, 0.0, 1, r_coordinate_field(3), Q)
     assert built == [(1, 1), (25, 0), (6, 1)]
@@ -473,13 +474,14 @@ def test_bochner_evaluates_each_derived_field_row_once(monkeypatch):
 
     monkeypatch.setattr(BlockGeometry, "grad_norm_squared", counted)
     split = catalog.split_sin_sphere(0.3)
-    assert bochner_residual(split.metric_spec(), split.density(), H_FIELD, Q) < 1e-4
+    assert bochner_residual(split.metric_spec(), split.density(), [H_FIELD], [Q])[0] < 1e-4
     assert len(rows) == len(set(rows)) == 25
 
 
 def test_curvature_builds_one_ricci_stencil_per_point(monkeypatch, tmp_path):
     # the numeric Ricci tensor and the generalized Ricci tensor of each
-    # curvature dump share one stencil of 2n + 1 = 7 rows
+    # curvature dump share one stencil of 2n + 1 = 7 rows, and the 9 dumps'
+    # stencils are one stack
     stencils = []
     solve = chart_core._christoffel_rows
 
@@ -489,7 +491,193 @@ def test_curvature_builds_one_ricci_stencil_per_point(monkeypatch, tmp_path):
 
     monkeypatch.setattr(chart_core, "_christoffel_rows", counted)
     assert run("curvature", MANIFESTS / "sphere_example.cdm", tmp_path) == 0
-    assert stencils == [7] * 9
+    assert stencils == [63]
+
+
+SHIPPED = ("sphere_example", "twisted_flat", "polar_general", "radial_log")
+
+
+def test_bochner_block_builds_four_geometries(monkeypatch):
+    # a block of 3 points is one geometry, and each derived field's stencil
+    # rows, 3 x 25 and 3 x 6, one more each
+    built = []
+    init = BlockGeometry.__init__
+
+    def counted(self, spec, pts, order=1):
+        built.append((len(pts), order))
+        init(self, spec, pts, order)
+
+    monkeypatch.setattr(BlockGeometry, "__init__", counted)
+    split = catalog.split_sin_sphere(0.3)
+    res = bochner_residual(split.metric_spec(), split.density(), [H_FIELD] * 3,
+                           [Q, 0.5 * Q, -Q])
+    assert built == [(3, 1), (75, 0), (18, 1)]
+    assert np.all(res < 1e-4)
+
+
+def _bochner_inputs(name, seed):
+    """A bochner run's geometry, points and fields, one per point, drawn
+    from the seeded generator in the points' order."""
+    m = parse_manifest(MANIFESTS / f"{name}.cdm")
+    pts = sample_points(m, m.extras["bochner"]["points"], seed + 1,
+                        r_limit=cli.BOCHNER_R_LIMIT)
+    rng = np.random.default_rng(seed)
+    return build_geometry(m), pts, [cli._random_cubic_field(rng, m.dim) for _ in pts]
+
+
+def _bochner_at_one_point(spec, density, h, p):
+    """The Bochner residual at p alone, with the products of one point: the
+    oracle of the stacked residual."""
+    at = BlockGeometry.at(spec, p)
+    grad_sq = chart_core.geometry_field(spec, lambda g: g.grad_norm_squared(h), 0)
+    lhs = 0.5 * float(at.weighted_laplacian(density, grad_sq, H3)[0])
+    H, ginv = at.hessian(h)[0], at.ginv[0]
+    hess_sq = float(np.einsum("ik,jl,ij,kl->", ginv, ginv, H, H))
+    gradv = at.gradient_vector(h)[0]
+    ric = float(gradv @ weighted_curvature.generalized_ricci_at(at, density, math.inf)[0] @ gradv)
+    steps = chart_core.scaled(at.pts, H3)
+    lap = chart_core.geometry_field(spec, lambda g: g.weighted_laplacian(density, h), 1)
+    dq = chart_core.first_difference(chart_core.stencil_values(lap, at.pts, steps, 1), steps)
+    return abs(lhs - (hess_sq + ric + float(gradv @ dq[0])))
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("seed", [42, 54])
+def test_bochner_block_is_its_points_alone(name, seed):
+    geo, pts, fields = _bochner_inputs(name, seed)
+    spec, density = geo["spec"], geo["density"]
+    block = bochner_residual(spec, density, fields, pts)
+    alone = [bochner_residual(spec, density, fields[k:k + 1], pts[k:k + 1])
+             for k in range(len(pts))]
+    oracle = [_bochner_at_one_point(spec, density, h, p) for h, p in zip(fields, pts)]
+    assert block.shape == (len(pts),)
+    assert block.tobytes() == np.concatenate(alone).tobytes() == np.array(oracle).tobytes()
+    if (name, seed) == ("sphere_example", 54):
+        # the known defect: one residual above the 1e-4 tolerance
+        assert block.max() == 1.1940976094138023e-4
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stacked_hessian_norm_is_the_per_point_einsum(n):
+    # |Hess h|^2 = g^ik g^jl H_ij H_kl of a block is one einsum with a batch
+    # axis, bit for bit the einsum at each point
+    rng = np.random.default_rng(n)
+    for B in (1, 2, 7, 256, 257):
+        G = rng.normal(size=(B, n, n))
+        G = G + G.swapaxes(1, 2)
+        H = rng.normal(size=(B, n, n)) * 10.0 ** rng.uniform(-3, 3, (B, 1, 1))
+        H = H + H.swapaxes(1, 2)
+        block = np.einsum("bik,bjl,bij,bkl->b", G, G, H, H)
+        alone = [np.einsum("ik,jl,ij,kl->", g, g, h, h) for g, h in zip(G, H)]
+        assert block.tobytes() == np.array(alone).tobytes()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+@pytest.mark.parametrize("subcommand, seed", [("curvature", 42), ("curvature", 7),
+                                              ("bochner", 42), ("bochner", 54)])
+def test_sampled_reports_are_their_points_alone(tmp_path, monkeypatch, capsys, name,
+                                                subcommand, seed):
+    # a walk in blocks of one evaluates each point alone
+    path = MANIFESTS / f"{name}.cdm"
+    code = run(subcommand, path, tmp_path / "block", seed=seed)
+    block = capsys.readouterr()
+    monkeypatch.setattr(cli, "BLOCK_POINTS", 1)
+    assert run(subcommand, path, tmp_path / "alone", seed=seed) == code
+    assert capsys.readouterr() == block
+    report = f"{subcommand}.csv"
+    assert (tmp_path / "block" / report).read_bytes() == (tmp_path / "alone" / report).read_bytes()
+    assert code == (1 if (subcommand, name, seed) == ("bochner", "sphere_example", 54) else 0)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_curvature_dumps_are_the_per_point_tensors(tmp_path, name):
+    # each row of curvature.csv is its point's Ricci tensor, closed-form
+    # deviation and generalized Ricci tensor, each taken at the point alone
+    m = parse_manifest(MANIFESTS / f"{name}.cdm")
+    geo = build_geometry(m)
+    assert run("curvature", MANIFESTS / f"{name}.cdm", tmp_path, seed=7) == 0
+    closed = geo.get("twisted") or (geo["split"].as_twisted() if "split" in geo else None)
+    upper = np.triu_indices(m.dim)
+    rows = []
+    for p in np.vstack([manifest.grid_center(m)[None], sample_points(m, 8, 7)]):
+        at = BlockGeometry.at(geo["spec"], p)
+        ric = at.ricci[0]
+        row = p.tolist() + ric[upper].tolist()
+        if closed is not None:
+            row.append(float(np.max(np.abs(ric - twisted_ricci_analytic(closed, p)))))
+        if m.cd:
+            row += weighted_curvature.generalized_ricci_at(at, geo["density"], m.cd["N"])[0][
+                upper].tolist()
+        rows.append(row)
+    lines = [line for line in (tmp_path / "curvature.csv").read_text().splitlines()
+             if not line.startswith("#")][1:]
+    assert lines == [",".join(f"{x:.17g}" for x in row) for row in rows]
+
+
+def _residuals(path):
+    lines = [line for line in path.read_text().splitlines() if not line.startswith("#")]
+    return [float(line.rpartition(",")[2]) for line in lines[1:]]
+
+
+def test_bochner_walks_more_points_than_a_block(tmp_path):
+    # 300 points are a block of BLOCK_POINTS and one of 44; each residual is
+    # its point's alone, with the fields drawn one per point in order
+    count = cli.BLOCK_POINTS + 44
+    path = tmp_path / "m.cdm"
+    path.write_text((MANIFESTS / "polar_general.cdm").read_text()
+                    .replace("points = 8", f"points = {count}"))
+    assert run("bochner", path, tmp_path / "out", seed=7) == 0
+    m = parse_manifest(path)
+    geo = build_geometry(m)
+    pts = sample_points(m, count, 8, r_limit=cli.BOCHNER_R_LIMIT)
+    rng = np.random.default_rng(7)
+    alone = [bochner_residual(geo["spec"], geo["density"],
+                              [cli._random_cubic_field(rng, m.dim)], p[None])[0] for p in pts]
+    assert _residuals(tmp_path / "out" / "bochner.csv") == alone
+
+
+@pytest.mark.parametrize("plant", ["raise", "warn"])
+def test_failing_field_in_a_bochner_block_is_its_point_alone(tmp_path, monkeypatch, capsys,
+                                                             plant):
+    # the third point's field raises, or overflows with numpy's warning, at
+    # the stencil rows around its point, and not at the point: the block's
+    # |grad h|^2 rows fail, then their re-run one row at a time (a single
+    # row does not split among the points), and the point-by-point re-run
+    # prints that point's own lines
+    path = MANIFESTS / "sphere_example.cdm"
+    point = sample_points(parse_manifest(path), 10, 43, r_limit=cli.BOCHNER_R_LIMIT)[2]
+    drawn = []
+    draw = cli._random_cubic_field
+
+    def planted(rng, dim):
+        h = draw(rng, dim)
+        drawn.append(h)
+        if len(drawn) != 3:
+            return h
+
+        def grad(q):
+            if np.array_equal(q, point):
+                return h.grad(q)
+            if plant == "raise":
+                raise NonFinite(f"planted at {q}")
+            return h.grad(q) * np.float64(1e308) * 10.0
+
+        return ScalarField(value=h.value, grad=grad, hess=h.hess)
+
+    monkeypatch.setattr(cli, "_random_cubic_field", planted)
+    assert run("bochner", path, tmp_path / "block") == 1
+    block = capsys.readouterr()
+    assert len(drawn) == 10
+    drawn.clear()
+    monkeypatch.setattr(cli, "BLOCK_POINTS", 1)
+    assert run("bochner", path, tmp_path / "alone") == 1
+    assert capsys.readouterr() == block
+    assert block.out == ""
+    lines = block.err.splitlines()
+    assert lines[-1].startswith("error: " + ("planted at" if plant == "raise"
+                                             else "non-finite values in gradient at"))
+    assert lines[:-1] == ([] if plant == "raise"
+                          else ["warning: RuntimeWarning: overflow encountered in multiply"])
 
 
 @pytest.mark.parametrize("build", [_fd_spec, _vector_spec], ids=["fd-partials", "vector"])
@@ -548,7 +736,7 @@ def test_bochner_residual_evaluates_a_vector_density_point_form_once(monkeypatch
     monkeypatch.setattr(manifest, "eval_ast", counted)
     h = ScalarField(value=lambda q: float(q @ q), grad=lambda q: 2.0 * q,
                     hess=lambda q: 2.0 * np.eye(2))
-    assert bochner_residual(spec, density, h, np.array([1.3, 0.2])) < 1e-4
+    assert bochner_residual(spec, density, [h], [[1.3, 0.2]])[0] < 1e-4
     assert len(calls) == 1
 
 
@@ -606,4 +794,4 @@ def test_failing_stencil_row_named_as_pointwise(plants, row):
     field = ScalarField(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
                         hess=lambda x: 2.0 * np.eye(2))
     with pytest.raises(SingularMetric, match=f"^{re.escape(message)}$"):
-        bochner_residual(spec, ScalarField.constant(0.0), field, p)
+        bochner_residual(spec, ScalarField.constant(0.0), [field], [p])
