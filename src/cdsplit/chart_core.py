@@ -43,9 +43,9 @@ vector-density passes).  The Ricci tensor takes ``g`` and ``D`` at the 2n
 first-order stencil rows of every point from one more jet call, with the
 point's own ``g`` and ``D`` as row 0, and the Christoffel symbols from one
 ``np.linalg.solve`` over the stack (``_christoffel_rows``).  A field derived
-from the calculus (``geometry_field``, such as |grad h|^2) evaluates its
-stencil rows as one ``BlockGeometry``; a value-only Hessian's gradient at
-the same step reads the +-h rows of its own stencil.
+from the calculus (``geometry_field``, such as |grad h|^2) is the
+``block_field`` of one ``BlockGeometry`` of its stencil rows; a value-only
+Hessian's gradient at the same step reads the +-h rows of its own stencil.
 
 A jet selects its path by the number of rows.  A single row goes through
 the chart's point formulas, and more rows through its stacked forms (a
@@ -61,10 +61,26 @@ one-row jet took the fiber's point form once, gave the one-row jet 12.9,
 9.4 and 1.9 us.  ``cd_verify`` and the stencils evaluate blocks, and the
 RK4 stage one row; on a product chart the one-row jet evaluates psi, the
 warp and the fiber's point form once for both g and D, in Python floats,
-and gathers g and D from their distinct entries.  A field is evaluated at
-a block through its block form when it has one (``field_rows``): a
-manifest expression's ``rows``, or one given with ``with_rows``, such as a
-radial model's density; other callables go row by row.
+and gathers g and D from their distinct entries.
+
+A field is evaluated at a block through its block form when it has one
+(``field_rows``); a catalog chart's plain callables go row by row
+(``_each_row``).  Every field in the package is one block form: a manifest
+expression's ``rows``, a radial model's density and distance function, a
+split density with a fiber density, the r coordinate and every field
+derived from the calculus are ``block_field``s, whose value at a point is
+its block of one.  The single-row shortcuts above (a manifest expression's
+point form, ``point_jet``'s single row, the product chart's one-row jet and
+``SphereFiber.point``) stay beside their block forms for the RK4 stage.
+
+One rule decides how a stacked pass fails over.  It runs with the
+floating-point conditions of ``raising`` raising: those numpy is set to
+report.  When it raises, or, for a field of more than one row
+(``stacked_rows``), has a value that is not finite, it is run again one
+sample at a time, so the first failing sample raises, and warns, as it does
+alone.  ``in_blocks``, ``stacked_rows`` and the error-controlled pass of
+``geodesic_flow.geodesic_integrate`` take the rule from ``raising``, and no
+other module reads numpy's settings.
 
 All linear algebra is numpy's LAPACK, and every call runs on a stack of
 matrices: the Cholesky factors of a block are one ``np.linalg.cholesky``
@@ -86,9 +102,9 @@ estimate and is the next step's first stage.  ``in_blocks`` walks samples
 in blocks of ``BLOCK_POINTS`` and re-runs a failing block through the same
 stacked pass, one sample at a time, as blocks of one; ``cd_verify``, the
 sample points of ``curvature`` and ``bochner``, the rigidity check, the
-cross-check of ``compare``, the geodesic post-passes and ``geometry_field``
-evaluate through it and have no per-sample code.  ``simpson`` and
-``cumulative_simpson`` are the composite Simpson rules of
+cross-check of ``compare``, the geodesic post-passes and every
+``block_field`` evaluate through it and have no per-sample code.
+``simpson`` and ``cumulative_simpson`` are the composite Simpson rules of
 ``scipy.integrate``, with its operations in its order, and ``rk4_step`` is
 the one RK4 step, which the geodesic and the obstruction ODE share: it
 takes a first stage the caller already has, and returns the last stage
@@ -224,10 +240,11 @@ class ScalarField:
 
 def r_coordinate_field(n: int, sign: float = 1.0) -> ScalarField:
     """``sign`` times the first coordinate of an n-dimensional chart (the
-    r of a product chart), with its constant partials."""
-    e0 = np.eye(n)[0]
-    return ScalarField(value=lambda q: sign * q[0], grad=lambda q: sign * e0,
-                       hess=lambda q: np.zeros((n, n)))
+    r of a product chart), with its constant partials, as block forms."""
+    de = sign * np.eye(n)[0]
+    return ScalarField(value=block_field(lambda P: sign * P[:, 0]),
+                       grad=block_field(lambda P: np.tile(de, (len(P), 1))),
+                       hess=block_field(lambda P: np.zeros((len(P), n, n))))
 
 
 @dataclass(frozen=True)
@@ -406,8 +423,8 @@ def point_jet(g: Callable[[Point], np.ndarray], partials: Callable[[Point], np.n
 
 def field_rows(fn, pts: np.ndarray) -> np.ndarray:
     """``fn`` at each row of ``pts``, stacked: in one call of ``fn.rows``
-    when the callable has one (a manifest expression's, ``with_rows``),
-    else row by row (``_each_row``)."""
+    when the callable has one (a manifest expression's, a ``block_field``),
+    else row by row (``_each_row``), as a catalog chart's plain callables."""
     rows = getattr(fn, "rows", None)
     if rows is not None:
         return rows(pts)
@@ -417,31 +434,6 @@ def field_rows(fn, pts: np.ndarray) -> np.ndarray:
 def _each_row(fn, pts: np.ndarray) -> np.ndarray:
     """``fn`` at each row of ``pts``, one call per row, stacked."""
     return np.array([fn(p) for p in pts], dtype=float)
-
-
-def with_rows(point: Callable, block: Callable) -> Callable:
-    """``point`` with ``block`` as its ``rows`` (``field_rows``); ``block``
-    must give ``point`` at each row of a (k, n) array, bit for bit.
-
-    ``block`` runs with the floating-point conditions numpy reports raising.
-    A single row, and a block that raises or has a value that is not
-    finite, go through ``point`` row by row (``_each_row``), so the first
-    failing row raises, and warns, as it does alone."""
-
-    def rows(P: np.ndarray) -> np.ndarray:
-        if len(P) > 1:
-            reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
-            try:
-                with np.errstate(**reported):
-                    out = block(P)
-                if np.isfinite(out).all():
-                    return out
-            except Exception:
-                pass
-        return _each_row(point, P)
-
-    point.rows = rows
-    return point
 
 
 @lru_cache(maxsize=None)
@@ -494,6 +486,13 @@ def _lengths(q: np.ndarray) -> np.ndarray:
 # block geometry
 # ---------------------------------------------------------------------------
 
+def raising() -> dict[str, str]:
+    """The floating-point conditions a stacked pass raises, as ``np.errstate``
+    keywords: those numpy is set to report.  A pass that raises one is run
+    again one sample at a time, and the warning comes from that re-run."""
+    return {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+
+
 def in_blocks(count: int, size: int, stacked) -> np.ndarray:
     """The values of samples 0 .. count-1, evaluated in blocks of ``size``.
 
@@ -502,10 +501,9 @@ def in_blocks(count: int, size: int, stacked) -> np.ndarray:
     it is evaluated again by ``stacked(slice(i, i + 1))``, one sample at a
     time and in order, as blocks of one (``BlockGeometry``), so the first
     failing sample raises the error, and emits the numpy warnings, it does
-    alone.  Floating-point conditions the caller has numpy report become
-    errors in a stacked pass, so their warnings come from that re-run.
+    alone.  A stacked pass runs with the conditions of ``raising``.
     """
-    reported = {kind: "raise" for kind, mode in np.geterr().items() if mode != "ignore"}
+    reported = raising()
     blocks = []
     for start in range(0, count, size):
         s = slice(start, min(start + size, count))
@@ -517,25 +515,46 @@ def in_blocks(count: int, size: int, stacked) -> np.ndarray:
             # than a sample-by-sample walk, so any failure, from a check or
             # from a spec itself, is left to the re-run to raise
             blocks += [stacked(slice(i, i + 1)) for i in range(s.start, s.stop)]
-    return np.concatenate(blocks)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+
+def stacked_rows(block, P: np.ndarray, one=None) -> np.ndarray:
+    """``block(P)``, the values at the rows of the (k, n) array P, run as one
+    ``in_blocks`` pass, which also fails when it has a value that is not
+    finite; a failed pass is run again one row at a time.  A single row is
+    ``one`` of that row when given (a faster point form), else the block of
+    that row alone, so each row raises, and warns, as it does alone."""
+
+    def stacked(s: slice) -> np.ndarray:
+        k = s.stop - s.start
+        if k == 1 and one is not None:
+            return np.array([one(P[s.start])], dtype=float)
+        out = block(P[s])
+        if k > 1 and not np.isfinite(out).all():
+            raise NonFinite("a stacked pass has non-finite values")
+        return out
+
+    return stacked(slice(0, len(P))) if len(P) < 2 else in_blocks(len(P), len(P), stacked)
+
+
+def block_field(block) -> Callable[[Point], np.ndarray]:
+    """The field of the block form ``block`` (``stacked_rows``): its
+    ``rows(P)`` evaluates P, and a point is its block of one."""
+
+    def value(p: Point) -> np.ndarray:
+        return stacked_rows(block, np.asarray(p, dtype=float)[None])[0]
+
+    value.rows = lambda P: stacked_rows(block, P)
+    return value
 
 
 def geometry_field(spec: MetricSpec, of, order: int) -> Callable[[Point], np.ndarray]:
     """The field with values ``of(geometry)`` at a ``BlockGeometry``'s points,
     such as |grad h|^2, whose geometries take the chart's jet of ``order``:
     0 for a field that needs only g and what follows from it, 1 for one that
-    needs the partials.  ``rows(P)`` evaluates P as one geometry, re-run one
-    row at a time when it fails (``in_blocks``), so the first failing row
-    raises, and warns, as that point alone."""
-
-    def rows(P: np.ndarray) -> np.ndarray:
-        return in_blocks(len(P), len(P), lambda s: of(BlockGeometry(spec, P[s], order)))
-
-    def value(p: Point) -> np.ndarray:
-        return rows(as_point(p, spec.dim)[None])[0]
-
-    value.rows = rows
-    return value
+    needs the partials.  It is the ``block_field`` of one geometry of the
+    rows it is given."""
+    return block_field(lambda P: of(BlockGeometry(spec, P, order)))
 
 
 class BlockGeometry:

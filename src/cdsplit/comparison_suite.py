@@ -12,6 +12,8 @@ bound; the scalar lambda = v^2 * (weighted Laplacian of r) then obeys the
 comparison ODE inequality lambda' <= -lambda^2 / (v^2 (n-1)) along radial
 geodesics.
 
+A radial model's density and distance function are block forms alone
+(``chart_core.block_field``), whose value at a point is its block of one.
 The Bochner checks difference derived fields (|grad h|^2, Lap_f h), each
 stencil's rows evaluated as one ``BlockGeometry`` (``geometry_field``).
 ``bochner_residual`` takes a block of points, each with its own field: the
@@ -42,6 +44,7 @@ from .chart_core import (
     ScalarField,
     _forms,
     as_scalar_field,
+    block_field,
     field_rows,
     first_difference,
     flat_jet,
@@ -51,7 +54,6 @@ from .chart_core import (
     scaled,
     simpson,
     stencil_values,
-    with_rows,
 )
 from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
 from .warped_products import SplitSpaceSpec
@@ -137,68 +139,43 @@ class RadialModel:
         return MetricSpec(dim=n, jet=flat_jet(n), name=self.name)
 
     def density(self) -> ScalarField:
-        """f(rho) with its gradient and Hessian.  When f, f' and f'' have
-        block forms (a manifest's expressions), so do the three fields
-        (``with_rows``): rho of each row is the BLAS dot product that
+        """f(rho) with its gradient and Hessian, as block forms
+        (``block_field``): rho of each row is the BLAS dot product that
         ``np.linalg.norm`` takes on one row, f, f' and f'' come from their
-        ``field_rows``, and the rest is the per-row arithmetic, elementwise."""
+        ``field_rows`` (a manifest's expressions have block forms), and the
+        rest is the per-row arithmetic, elementwise."""
         f, df, d2f, eye = self.f, self.df, self.d2f, np.eye(self.n)
 
-        def value(p: Point) -> float:
-            return f(float(np.linalg.norm(p)))
-
-        def grad(p: Point) -> np.ndarray:
-            rho = float(np.linalg.norm(p))
-            return df(rho) * p / rho
-
-        def hess(p: Point) -> np.ndarray:
-            rho = float(np.linalg.norm(p))
-            rr = np.outer(p, p) / (rho * rho)
-            return d2f(rho) * rr + df(rho) / rho * (eye - rr)
-
-        if not all(hasattr(fn, "rows") for fn in (f, df, d2f)):
-            return ScalarField(value=value, grad=grad, hess=hess)
-
-        def value_rows(P: np.ndarray) -> np.ndarray:
+        def value(P: np.ndarray) -> np.ndarray:
             return field_rows(f, _norms(P))
 
-        def grad_rows(P: np.ndarray) -> np.ndarray:
+        def grad(P: np.ndarray) -> np.ndarray:
             rho = _norms(P)
             return field_rows(df, rho)[:, None] * P / rho[:, None]
 
-        def hess_rows(P: np.ndarray) -> np.ndarray:
+        def hess(P: np.ndarray) -> np.ndarray:
             rho = _norms(P)
             rr = _outers(P) / (rho * rho)[:, None, None]
             return (field_rows(d2f, rho)[:, None, None] * rr
                     + (field_rows(df, rho) / rho)[:, None, None] * (eye - rr))
 
-        return ScalarField(value=with_rows(value, value_rows), grad=with_rows(grad, grad_rows),
-                           hess=with_rows(hess, hess_rows))
+        return ScalarField(value=block_field(value), grad=block_field(grad),
+                           hess=block_field(hess))
 
     def r_field(self) -> ScalarField:
-        """The distance function rho = |x| with its gradient and Hessian,
-        each with a block form (see ``density``)."""
+        """The distance function rho = |x| with its gradient and Hessian, as
+        block forms (see ``density``)."""
         eye = np.eye(self.n)
 
-        def value(p: Point) -> float:
-            return float(np.linalg.norm(p))
-
-        def grad(p: Point) -> np.ndarray:
-            return p / float(np.linalg.norm(p))
-
-        def hess(p: Point) -> np.ndarray:
-            rho = float(np.linalg.norm(p))
-            return (eye - np.outer(p, p) / (rho * rho)) / rho
-
-        def grad_rows(P: np.ndarray) -> np.ndarray:
+        def grad(P: np.ndarray) -> np.ndarray:
             return P / _norms(P)[:, None]
 
-        def hess_rows(P: np.ndarray) -> np.ndarray:
+        def hess(P: np.ndarray) -> np.ndarray:
             rho = _norms(P)[:, None, None]
             return (eye - _outers(P) / (rho * rho)) / rho
 
-        return ScalarField(value=with_rows(value, _norms), grad=with_rows(grad, grad_rows),
-                           hess=with_rows(hess, hess_rows))
+        return ScalarField(value=block_field(_norms), grad=block_field(grad),
+                           hess=block_field(hess))
 
     def lap_f_r(self, rho: float) -> float:
         """Weighted Laplacian of the distance function: (n-1)/rho - f'(rho)."""
@@ -265,13 +242,13 @@ def _coarse_gradient(at: BlockGeometry, of) -> np.ndarray:
 
 
 def _per_point(forms) -> Callable:
-    """One form for a block of points from ``forms``, one per point: its
-    ``rows(P)`` splits P into ``len(forms)`` equal consecutive groups, one
-    per point in order, as the stencils of a block are stacked, and takes
-    each row with its point's own form.  A row count that is not a multiple
-    of the number of points is refused: the rows of a single stencil row's
-    re-run (``geometry_field``) belong to no one point, so the block fails
-    and ``in_blocks`` re-runs it one point at a time."""
+    """One form for a block of points from ``forms``, one per point: the
+    ``block_field`` that splits its rows P into ``len(forms)`` equal
+    consecutive groups, one per point in order, as the stencils of a block
+    are stacked, and takes each row with its point's own form.  A row count
+    that is not a multiple of the number of points is refused: the rows of a
+    re-run one row at a time belong to no one point, so the block fails and
+    ``in_blocks`` re-runs it one point at a time."""
     k = len(forms)
 
     def rows(P: np.ndarray) -> np.ndarray:
@@ -280,11 +257,7 @@ def _per_point(forms) -> Callable:
         m = len(P) // k
         return np.array([forms[r // m](p) for r, p in enumerate(P)], dtype=float)
 
-    def value(p: Point):
-        return rows(p[None])[0]
-
-    value.rows = rows
-    return value
+    return block_field(rows)
 
 
 def _per_point_field(fields) -> ScalarField:

@@ -19,11 +19,10 @@ state as Python floats, and those of the samples inside a step read the
 samples' extremes.  The passes over a finished trace (speed drift,
 f_gamma, the conserved quantity) evaluate the metric (a jet of order 0),
 density gradient, fiber metric and warp of ``BLOCK_POINTS`` samples as one
-stack (``in_blocks``), each field through its block form (``field_rows``; a
-radial model's density has one too), the warp as ``math.exp`` of phi's
-block, and their quadratic forms and pairings as stacked products
-(``chart_core._forms``), which a test checks bit for bit against evaluating each
-sample alone.  A failing block is run
+stack (``in_blocks``), each field through its block form (``field_rows``),
+the warp as ``math.exp`` of phi's block, and their quadratic forms and
+pairings as stacked products (``chart_core._forms``), which a test checks
+bit for bit against evaluating each sample alone.  A failing block is run
 again through the same pass one sample at a time, so the first failing
 sample raises its own error; a non-finite vector density, or an f_gamma
 beyond the float range, is an error, never a NaN or inf f_gamma.  The
@@ -60,6 +59,7 @@ from .chart_core import (
     in_blocks,
     in_domain,
     metric_at,
+    raising,
     rk4_step,
     scaled,
 )
@@ -309,11 +309,10 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
     meets a floating-point condition, or a state or a sample is non-finite,
     at or over the velocity guard or outside the domain margin, is taken
     again one spacing at a time, and those steps decide truncation.  The
-    error-controlled pass runs with every floating-point condition that
-    would warn raising; where it raises, or meets such a condition, the
-    integration runs again from t = 0 in steps of dt, the classical RK4 of
-    fixed step, which raises the error, or warns, at the state where the
-    fixed steps do.
+    error-controlled pass runs with the conditions of ``chart_core.raising``
+    raising; where it raises, or meets such a condition, the integration
+    runs again from t = 0 in steps of dt, the classical RK4 of fixed step,
+    which raises the error, or warns, at the state where the fixed steps do.
     """
     p0 = as_point(p0, spec.dim)
     v0 = np.asarray(v0, dtype=float)
@@ -338,9 +337,8 @@ def geodesic_integrate(spec: MetricSpec, p0, v0, T: float, dt: float = 1e-3) -> 
                              truncated=truncated, steps=accepted, rejected=rejected,
                              stage_calls=stages, local_error=error_sum)
 
-    raising = {c: "raise" for c, mode in np.geterr().items() if mode != "ignore"}
     try:
-        with np.errstate(**raising):
+        with np.errstate(**raising()):
             return integrate(adaptive=True)
     except (CdsplitError, ValueError, ArithmeticError, np.linalg.LinAlgError):
         return integrate(adaptive=False)

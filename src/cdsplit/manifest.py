@@ -10,16 +10,18 @@ symbolically, so manifest-built geometries carry analytic partials.
 An Expression, and an ``ExpressionArray`` of several (the gradients,
 Hessians, vector densities and metrics), is evaluated by Python source
 generated from its AST and compiled once, on first use, in two forms.  The
-point form evaluates one point through ``eval_ast``; it computes one
+point form evaluates one point through ``eval_ast``, on Python floats,
+which raise on a zero divisor where numpy's scalars warn; it computes one
 temporary per node, equal subtrees once, in the left-first order of a walk
 of each tree, and fills constant entries from a template.  The block form,
 ``ExpressionArray.rows``, evaluates a (k, n) array of points: ``+ - * /``
 and negation are numpy array operations, while every function call and
 every ``^`` runs per element through the point form's scalar call, because
 numpy's ufuncs round some results differently from ``math`` and ``**``.
-A block that raises, or that gives a non-finite value, is evaluated again
-row by row through the point form, and a single row always is, so each row
-rounds, warns and fails as it does alone.  The generated source holds only
+It is a ``chart_core.stacked_rows`` pass with the point form as its single
+row: a block that raises, with a zero divisor raising too, or that gives a
+non-finite value, is evaluated again row by row through the point form, so
+each row rounds and fails as it does alone.  The generated source holds only
 temporaries, the constants as names, variables read by index and the names
 of ``_FUNCTIONS``; no manifest text reaches it.  A value with no real
 result at a point (``sqrt(-1)``, ``exp(1000)``, ``(-1)^0.5``) is NonFinite,
@@ -71,6 +73,7 @@ from .chart_core import (
     in_domain,
     metric_at,
     point_jet,
+    stacked_rows,
 )
 from .comparison_suite import QUAD_POINTS, RadialModel
 from .errors import NonFinite, ParseError, ValidationError
@@ -228,23 +231,28 @@ def eval_ast(expr: "Expression | ExpressionArray", values):
     finite real result (``sqrt`` or ``log`` of a negative number, ``exp``
     beyond the float range, a Python float divided by 0, a negative number
     to a fractional power) is NonFinite, naming the expression (the first
-    entry of an array that fails) and the point."""
+    entry of an array that fails) and the point.  The values are taken as
+    Python floats, whose operators raise where numpy's scalars warn."""
+    try:
+        # a point array, as on the RK4 stage's path, where this costs less
+        # than a type test
+        values = values.tolist()
+    except AttributeError:
+        values = [float(v) for v in values]
     try:
         return expr.code(values)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         if isinstance(expr, ExpressionArray):
             expr, exc = expr.failing(values)
-        at = ", ".join(f"{v} = {float(x)!r}" for v, x in zip(expr.variables, values))
+        at = ", ".join(f"{v} = {x!r}" for v, x in zip(expr.variables, values))
         raise NonFinite(f"{expr.text} has no finite real value at {at} ({exc})") from None
 
 
 def _power(a, b):
-    """``a ** b`` in the point form, taken on Python floats, as the block
-    form takes it: a point's coordinates are ``numpy.float64``, whose power
-    gives NaN and a warning where a Python float's ``**`` raises.  On Python
-    floats, ``**`` returns a complex number for a negative base and a
-    fractional exponent, which has no real value."""
-    x = float(a) ** float(b)
+    """``a ** b`` of two Python floats in the point form.  ``**`` returns a
+    complex number for a negative base and a fractional exponent, which has
+    no real value."""
+    x = a ** b
     if type(x) is complex:
         raise ValueError("a negative number to a fractional power is complex")
     return x
@@ -568,8 +576,8 @@ class ExpressionArray:
         return eval_ast(self, p)
 
     def failing(self, values):
-        """The first distinct entry whose point form raises at ``values``,
-        with its exception."""
+        """The first distinct entry whose point form raises at ``values``
+        (Python floats, as ``eval_ast`` passes them), with its exception."""
         for e in self.entries:
             try:
                 e.code(values)
@@ -579,31 +587,26 @@ class ExpressionArray:
 
     def rows(self, P) -> np.ndarray:
         """The values at each row of the (k, n) array P, shape (k, *shape),
-        bit for bit the point form's row by row.
+        bit for bit the point form's row by row: the block form's
+        ``stacked_rows``, with the point form as its single row.
 
-        The block form runs with numpy's floating-point conditions raising
-        (underflow only when it is reported, as the point form's numpy
-        scalars report it).  On any exception, and on any non-finite value,
-        every row is evaluated again through the point form, in order, so
-        the first failing row raises, and warns, as it does alone.  A single
-        row always goes through the point form."""
-        P = np.asarray(P, dtype=float)
+        A point form's Python floats raise on every zero divisor, which
+        numpy flags as a division by zero (x / 0) or an invalid value
+        (0 / 0), so the block form raises these two whatever numpy is set to
+        report; a failing block is evaluated again row by row, and the first
+        failing row raises as it does alone."""
+        with np.errstate(divide="raise", invalid="raise"):
+            return stacked_rows(self._block_rows, np.asarray(P, dtype=float), self)
+
+    def _block_rows(self, P: np.ndarray) -> np.ndarray:
+        """The block form's columns, and the template's constants, as the
+        (k, *shape) values at the rows of P."""
         k = len(P)
-        if k > 1:
-            raising = {c: "raise" for c, mode in np.geterr().items()
-                       if c != "under" or mode != "ignore"}
-            try:
-                with np.errstate(**raising):
-                    columns = self.block(P)
-                out = np.empty((k, self.template.size))
-                out[:] = self.template.ravel()
-                for column, slots in zip(columns, self.slots):
-                    out[:, slots] = column[:, None]
-                if np.isfinite(out).all():
-                    return out.reshape((k, *self.shape))
-            except (ArithmeticError, ValueError, TypeError):
-                pass
-        return np.array([eval_ast(self, p) for p in P])
+        out = np.empty((k, self.template.size))
+        out[:] = self.template.ravel()
+        for column, slots in zip(self.block(P), self.slots):
+            out[:, slots] = column[:, None]
+        return out.reshape((k, *self.shape))
 
 
 def expression_scalar_field(expr: Expression) -> ScalarField:

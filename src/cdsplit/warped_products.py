@@ -27,6 +27,7 @@ from .chart_core import (
     Point,
     ScalarField,
     as_point,
+    block_field,
     field_rows,
     rk4_step,
 )
@@ -363,25 +364,27 @@ class SplitSpaceSpec:
 
     def density(self) -> ScalarField:
         """The split density f(r, y) = phi(r) + f_L(y): ``phi`` itself when
-        there is no fiber density."""
+        there is no fiber density, else block forms (``block_field``) of
+        phi's and f_L's ``field_rows``, f_L's at the fiber coordinates."""
         phi, fL = self.phi, self.f_L
         if fL is None:
             return phi
 
-        def value(p: Point) -> float:
-            return phi.value(p) + float(fL.value(p[1:]))
+        def value(P: np.ndarray) -> np.ndarray:
+            return field_rows(phi.value, P) + field_rows(fL.value, P[:, 1:])
 
-        def grad(p: Point) -> np.ndarray:
-            out = np.array(phi.grad(p), dtype=float)
-            out[1:] = fL.grad(p[1:])
+        def grad(P: np.ndarray) -> np.ndarray:
+            out = np.array(field_rows(phi.grad, P), dtype=float)
+            out[:, 1:] = field_rows(fL.grad, P[:, 1:])
             return out
 
-        def hess(p: Point) -> np.ndarray:
-            out = np.array(phi.hess(p), dtype=float)
-            out[1:, 1:] = fL.hess(p[1:])
+        def hess(P: np.ndarray) -> np.ndarray:
+            out = np.array(field_rows(phi.hess, P), dtype=float)
+            out[:, 1:, 1:] = field_rows(fL.hess, P[:, 1:])
             return out
 
-        return ScalarField(value=value, grad=grad, hess=hess)
+        return ScalarField(value=block_field(value), grad=block_field(grad),
+                           hess=block_field(hess))
 
     def fiber_basepoint(self) -> np.ndarray:
         box = self.fiber.safe_box

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from cdsplit.chart_core import (
     point_jet,
     ricci_numeric,
     simpson,
+    stacked_rows,
     weighted_laplacian,
 )
 from cdsplit.errors import ChartDomain, NonFinite, SingularMetric
@@ -429,3 +431,54 @@ def test_block_reductions_are_per_point_products_bit_for_bit(n, count):
     same(at.weighted_laplacian(psi, h),
          [a - float(b @ gi @ d) for a, b, gi, d in zip(lap, df, ginv, dh)])
     same(at.weighted_laplacian(X, h), [a - float(x @ d) for a, x, d in zip(lap, Xv, dh)])
+
+
+def _recorded_block(values):
+    """A block form that returns ``values`` at its rows, and the list of the
+    row counts it was called with."""
+    calls = []
+
+    def block(P):
+        calls.append(len(P))
+        return values[P[:, 0].astype(int)]
+
+    return block, calls
+
+
+def test_stacked_rows_runs_a_failed_pass_again_row_by_row():
+    P = np.arange(4.0)[:, None]
+    values = np.array([1.0, np.inf, 2.0, 3.0])
+    block, calls = _recorded_block(values)
+    # a pass of more than one row with a value that is not finite fails, and
+    # each row is run again alone: through ``one`` when given, else as its
+    # block of one, which keeps its non-finite value
+    got = stacked_rows(block, P, one=lambda p: -values[int(p[0])])
+    assert calls == [4] and got.tolist() == [-1.0, -np.inf, -2.0, -3.0]
+    calls.clear()
+    assert stacked_rows(block, P).tolist() == values.tolist() and calls == [4, 1, 1, 1, 1]
+    # a single row is ``one`` alone, or the block of that row
+    calls.clear()
+    assert stacked_rows(block, P[1:2], one=lambda p: 7.0).tolist() == [7.0] and calls == []
+    assert stacked_rows(block, P[1:2]).tolist() == [np.inf] and calls == [1]
+
+
+def test_stacked_rows_raises_as_the_first_failing_row_alone():
+    def block(P):
+        if len(P) > 1:
+            raise ArithmeticError("a stacked pass fails as a whole")
+        return np.sqrt(P[:, 0] - 2.0)
+
+    P = np.arange(5.0)[:, None]
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        got = stacked_rows(block, P[1:4])
+    assert [str(w.message) for w in seen] == ["invalid value encountered in sqrt"]
+    assert np.isnan(got[0]) and got[1:].tolist() == [0.0, 1.0]
+
+    def one(p):
+        if p[0] == 1.0:
+            raise NonFinite(f"no value at {p[0]}")
+        return p[0]
+
+    with pytest.raises(NonFinite, match="^no value at 1.0$"):
+        stacked_rows(block, P, one)

@@ -1,5 +1,6 @@
 """Subcommand dispatch, exit codes, report determinism."""
 
+import importlib.util
 import math
 import re
 import signal
@@ -13,6 +14,10 @@ from cdsplit.cli import main, run
 from cdsplit.comparison_suite import rigidity_check
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+_TOOL = importlib.util.spec_from_file_location(
+    "report_diff", Path(__file__).resolve().parent.parent / "tools" / "report_diff.py")
+report_diff = importlib.util.module_from_spec(_TOOL)
+_TOOL.loader.exec_module(report_diff)
 
 SPLIT_FAST = """
 [manifold]
@@ -594,16 +599,69 @@ def test_threshold_objective_with_no_real_value_is_one_error_line(tmp_path, caps
         "y2 = 0.0 (a negative number to a fractional power is complex)\n")
 
 
-@pytest.mark.parametrize("name", ["sphere_example", "twisted_flat", "polar_general",
-                                  "radial_log"])
-def test_geodesic_takes_no_per_row_field_evaluation(tmp_path, monkeypatch, name):
-    # every field the geodesic passes evaluate on a shipped manifest has a
-    # block form: the metric, the density gradient, phi for the warp
+def test_threshold_objective_division_by_zero_is_one_error_line(tmp_path, capsys):
+    # a point form divides Python floats, so phi = 1 / (r - 1) at r = 1
+    # raises the expression's own error, not numpy's warning lines
+    path = tmp_path / "m.cdm"
+    path.write_text(_shipped("sphere_example").replace("expr = sin(r)", "expr = 1 / (r - 1)")
+                    .replace("r_min = -10", "r_min = 0.5").replace("r_max = 10", "r_max = 2.5")
+                    .replace("start = 0.0, 0.4, 0.2", "start = 1.5, 0.4, 0.2"))
+    assert run("threshold", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "error: d/dr(d/dr(1 / (r - 1))) has no finite real value at r = 1.0, y1 = 0.0, "
+        "y2 = 0.0 (float division by zero)\n")
+
+
+def _manifest_path(tmp_path, name):
+    """A shipped manifest, or the split space with a fiber density that
+    ``tools/report_diff.py`` runs (``F_L_MANIFEST``)."""
+    if name != "sphere_f_L":
+        return MANIFESTS / f"{name}.cdm"
+    path = tmp_path / f"{name}.cdm"
+    path.write_text(report_diff.F_L_MANIFEST)
+    return path
+
+
+def _reports(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _runs_without_per_row_evaluation(tmp_path, monkeypatch, capsys, subcommand, name):
+    """Run ``subcommand`` on ``name`` with ``chart_core._each_row`` patched to
+    raise, and check its exit code, reports and output against a run
+    without the patch."""
+    path = _manifest_path(tmp_path, name)
+    code = run(subcommand, path, tmp_path / "plain")
+    output = capsys.readouterr()
+
     def per_row(fn, pts):
         raise AssertionError(f"per-row evaluation of {fn!r} at {len(pts)} rows")
 
     monkeypatch.setattr(chart_core, "_each_row", per_row)
-    assert run("geodesic", MANIFESTS / f"{name}.cdm", tmp_path / "out") == 0
+    assert run(subcommand, path, tmp_path / "out") == code
+    assert capsys.readouterr() == output
+    assert _reports(tmp_path / "out") == _reports(tmp_path / "plain")
+
+
+SHIPPED_AND_F_L = ["sphere_example", "twisted_flat", "polar_general", "radial_log",
+                   "sphere_f_L"]
+
+
+@pytest.mark.parametrize("name", SHIPPED_AND_F_L)
+def test_geodesic_takes_no_per_row_field_evaluation(tmp_path, monkeypatch, capsys, name):
+    # every field the geodesic passes evaluate on a shipped manifest has a
+    # block form: the metric, the density gradient, phi for the warp
+    _runs_without_per_row_evaluation(tmp_path, monkeypatch, capsys, "geodesic", name)
+
+
+@pytest.mark.parametrize("subcommand", ["verify-cd", "suite"])
+@pytest.mark.parametrize("name", SHIPPED_AND_F_L)
+def test_grid_runs_take_no_per_row_field_evaluation(tmp_path, monkeypatch, capsys,
+                                                    subcommand, name):
+    # the grid, the rigidity check and the comparison radii take every field
+    # through a block form too: a split density with f_L, the r coordinate,
+    # a radial model's density and distance function
+    _runs_without_per_row_evaluation(tmp_path, monkeypatch, capsys, subcommand, name)
 
 
 @pytest.mark.parametrize("subcommand", ["curvature", "bochner"])

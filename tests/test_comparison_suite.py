@@ -129,45 +129,125 @@ def _radial_points():
     return pts
 
 
-def _radial_fields():
-    model = parse_manifest(RADIAL_LOG).geometry["model"]
-    return {"density": model.density(), "r": model.r_field()}
+def _per_row_radial(model):
+    """The per-point formulas of a radial model's density and distance
+    function, with rho taken as ``float(np.linalg.norm(p))``: the oracle of
+    their block forms."""
+    f, df, d2f, eye = model.f, model.df, model.d2f, np.eye(model.n)
+
+    def norm(p):
+        return float(np.linalg.norm(p))
+
+    def density_hess(p):
+        rho = norm(p)
+        rr = np.outer(p, p) / (rho * rho)
+        return d2f(rho) * rr + df(rho) / rho * (eye - rr)
+
+    def r_hess(p):
+        rho = norm(p)
+        return (eye - np.outer(p, p) / (rho * rho)) / rho
+
+    return {"density": {"value": lambda p: f(norm(p)),
+                        "grad": lambda p: df(norm(p)) * p / norm(p),
+                        "hess": density_hess},
+            "r": {"value": norm, "grad": lambda p: p / norm(p), "hess": r_hess}}
 
 
-@pytest.mark.parametrize("which", ["density", "r"])
-@pytest.mark.parametrize("part", ["value", "grad", "hess"])
-def test_radial_block_forms_are_the_per_row_forms_bit_for_bit(which, part):
-    # a manifest's radial model gives its density and distance function block
-    # forms, which the geodesic, compare and Bochner passes take; each row is
-    # the per-row form's row to the last bit, signed zeros included
-    fn = getattr(_radial_fields()[which], part)
+def _manifest_model():
+    return parse_manifest(RADIAL_LOG).geometry["model"]
+
+
+def _check_radial_block_form(model, which, part):
+    """A radial model's density (``which`` "density") or distance function
+    ("r"), the form ``part``: its rows, and each point as its block of one,
+    bit for bit the per-point formula's, on ``_radial_points`` with
+    warnings as errors."""
+    fields = {"density": model.density(), "r": model.r_field()}
+    fn = getattr(fields[which], part)
+    oracle = _per_row_radial(model)[which][part]
     assert callable(getattr(fn, "rows", None))
     pts = _radial_points()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = field_rows(fn, pts)
-    want = np.array([fn(p) for p in pts], dtype=float)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        one = np.array([fn(p) for p in pts], dtype=float)
+    want = np.array([oracle(p) for p in pts], dtype=float)
+    assert got.shape == want.shape == one.shape
+    assert got.tobytes() == want.tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("which", ["density", "r"])
+@pytest.mark.parametrize("part", ["value", "grad", "hess"])
+def test_radial_block_forms_are_the_per_row_forms_bit_for_bit(which, part):
+    # a radial model's density and distance function are block forms alone,
+    # which the geodesic, compare and Bochner passes take; each row is the
+    # per-point formula's value to the last bit, signed zeros included
+    _check_radial_block_form(_manifest_model(), which, part)
+
+
+@pytest.mark.parametrize("which", ["density", "r"])
+@pytest.mark.parametrize("part", ["value", "grad", "hess"])
+def test_plain_callable_radial_forms_are_the_per_row_forms_bit_for_bit(which, part):
+    # a catalog model's f, f' and f'' are plain callables, taken row by row
+    # inside the same block forms
+    _check_radial_block_form(catalog.radial_log_model(3), which, part)
 
 
 def test_radial_block_with_the_origin_warns_as_each_row():
     # a block that meets a floating-point condition is evaluated again row
     # by row, so it gives the per-row values and warnings
-    grad = _radial_fields()["density"].grad
+    model = _manifest_model()
+    grad, oracle = model.density().grad, _per_row_radial(model)["density"]["grad"]
     pts = np.vstack([_radial_points()[:5], np.zeros(3), _radial_points()[5:9]])
     with warnings.catch_warnings(record=True) as block_warnings:
         warnings.simplefilter("always")
         got = field_rows(grad, pts)
     with warnings.catch_warnings(record=True) as row_warnings:
         warnings.simplefilter("always")
-        want = np.array([grad(p) for p in pts])
+        want = np.array([oracle(p) for p in pts])
     assert [str(w.message) for w in block_warnings] == [str(w.message) for w in row_warnings]
     assert row_warnings and got.tobytes() == want.tobytes()
 
 
-def test_plain_callable_radial_density_has_no_block_form():
-    density = catalog.radial_log_model(3).density()
-    assert not any(hasattr(fn, "rows") for fn in (density.value, density.grad, density.hess))
+def _per_row_split_density(split):
+    """The per-point formulas of a split density phi(r) + f_L(y): the oracle
+    of its block forms."""
+    phi, fL = split.phi, split.f_L
+
+    def grad(p):
+        out = np.array(phi.grad(p), dtype=float)
+        out[1:] = fL.grad(p[1:])
+        return out
+
+    def hess(p):
+        out = np.array(phi.hess(p), dtype=float)
+        out[1:, 1:] = fL.hess(p[1:])
+        return out
+
+    return {"value": lambda p: phi.value(p) + float(fL.value(p[1:])), "grad": grad,
+            "hess": hess}
+
+
+@pytest.mark.parametrize("part", ["value", "grad", "hess"])
+def test_split_density_block_forms_are_the_per_row_forms_bit_for_bit(part):
+    # with a fiber density, the split density is a block form of phi's and
+    # f_L's block forms; each row, and each point as its block of one, is
+    # the per-point formula's value to the last bit, signed zeros included
+    split = catalog.split_sin_sphere(0.5, f_L=catalog.bounded_fiber_density())
+    fn, oracle = getattr(split.density(), part), _per_row_split_density(split)[part]
+    assert callable(getattr(fn, "rows", None))
+    pts = np.random.default_rng(29).uniform(-3.0, 3.0, (300, 3))
+    pts[:30, 0] = 0.0
+    pts[30:60, 1] = -0.0
+    pts[60:90, 1:] = [0.0, -0.0]
+    pts[90:100, 0] = -0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = field_rows(fn, pts)
+        one = np.array([fn(p) for p in pts], dtype=float)
+    want = np.array([oracle(p) for p in pts], dtype=float)
+    assert got.shape == want.shape == one.shape
+    assert got.tobytes() == want.tobytes() == one.tobytes()
 
 
 class TestBochnerResidual:

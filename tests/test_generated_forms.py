@@ -3,6 +3,7 @@ tree of closures kept here as the oracle; and what manifest text may reach
 the generated source."""
 
 import io
+import itertools
 import operator
 import re
 import tokenize
@@ -18,14 +19,15 @@ from cdsplit.manifest import _FUNCTIONS, compile_expression, ExpressionArray
 NAMES = ("r", "y1", "y2")
 BLOCK_SIZES = (1, 2, 255, 256, 257)
 
-_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
-           "^": lambda a, b: float(a) ** float(b)}
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+           "/": lambda a, b: float(a) / float(b), "^": lambda a, b: float(a) ** float(b)}
 
 
 def closures(ast, variables):
     """The AST as nested closures over ``math``, evaluated left operand
-    first, keeping the values' own types, except that a power is taken on
-    Python floats: a tree walk of the expression."""
+    first, keeping the values' own types, except that a quotient and a
+    power are taken on Python floats, which raise on a zero divisor: a tree
+    walk of the expression."""
     op = ast[0]
     if op == "num":
         v = ast[1]
@@ -157,6 +159,50 @@ def test_complex_power_is_non_finite_in_both_forms():
     with pytest.raises(NonFinite, match=re.escape("sin(r)^0.5 has no finite real value at "
                                                   "r = -1.0 (a negative number")):
         grid.rows(np.array([[1.0], [-1.0], [2.0]]))
+
+
+def _outcome(fn):
+    """fn()'s value, or its NonFinite message, with the numpy warnings it
+    emitted."""
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        try:
+            value = bits(fn())
+        except NonFinite as exc:
+            value = str(exc)
+    return value, [str(w.message) for w in seen]
+
+
+def _rows_alone(arr, P):
+    """The outcome of each row of P evaluated alone, in order: their values,
+    or the first failing row's error, with the warnings emitted until then."""
+    values, emitted = [], []
+    for p in P:
+        value, seen = _outcome(lambda: arr(p))
+        emitted += seen
+        if type(value) is str:
+            return value, emitted
+        values.append(np.frombuffer(value).reshape(arr.shape))
+    return bits(values), emitted
+
+
+@pytest.mark.parametrize("ignore", [False, True], ids=["default", "all ignored"])
+def test_block_raises_as_its_rows_alone(ignore):
+    # one rule decides which conditions a block raises (chart_core.raising),
+    # and a point form's Python floats raise on any zero divisor, which numpy
+    # flags as divide (x / 0) or invalid (0 / 0) whatever it is set to
+    # report: rows that divide by zero (where exp(-inf) would hide numpy's
+    # -inf as 0.0) and a row that overflows to inf give, in any block, what
+    # the rows give alone
+    arr = ExpressionArray([compile_expression(t, NAMES)
+                           for t in ("exp(-1 / r^2)", "y1 * 1e308", "(r - 2) / (y2 - 3)")])
+    divides, zero_by_zero, overflows = (0.0, 1.0, 1.0), (2.0, 1.0, 3.0), (1.0, 10.0, 2.0)
+    fine = [(1.5, 1.0, 1.0), (-1.5, 2.0, -1.0)]
+    with np.errstate(all="ignore") if ignore else np.errstate():
+        for k in (2, 3):
+            for rows in itertools.permutations([divides, zero_by_zero, overflows, *fine], k):
+                P = np.array(rows)
+                assert _outcome(lambda: arr.rows(P)) == _rows_alone(arr, P)
 
 
 @pytest.mark.parametrize("text", [

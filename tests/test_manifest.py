@@ -311,13 +311,14 @@ class TestBuiltGeometry:
             assert source.count("sin(") == 1 and source.count("cos(") == 1
 
     def test_signed_zeros_are_not_shared(self):
-        # 0.0 == -0.0, so equal AST tuples do not mean equal values
-        e1 = compile_expression("1/(r/0)", ("r",))
-        e2 = compile_expression("1/(r/-0)", ("r",))
-        p = np.array([1.0])
-        with np.errstate(divide="ignore"):
-            alone = ExpressionArray([e2])(p)
-            both = ExpressionArray([e1, e2])(p)
+        # 0.0 == -0.0, so equal AST tuples do not mean equal values: a zero
+        # to an odd power keeps its sign
+        e1 = compile_expression("0^r", ("r",))
+        e2 = compile_expression("(-0)^r", ("r",))
+        assert e1.ast == e2.ast
+        p = np.array([3.0])
+        alone = ExpressionArray([e2])(p)
+        both = ExpressionArray([e1, e2])(p)
         assert repr(alone.tolist()) == "[-0.0]"
         assert repr(both.tolist()) == "[0.0, -0.0]"
 

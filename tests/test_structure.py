@@ -2,8 +2,9 @@
 is visible at the top of each module, and the graph has no cycle; the command
 line imports no scipy module; every function the benchmark's tracer
 patches by name exists; every other public function has a caller in the
-package; no subcommand decides a usage error; and only the grid section of
-manifest builds a grid or draws sample points."""
+package; no subcommand decides a usage error; only the grid section of
+manifest builds a grid or draws sample points; and only chart_core reads
+numpy's floating-point settings."""
 
 import ast
 import functools
@@ -176,3 +177,15 @@ def test_only_manifest_builds_grids_and_samples():
                 if name in GRID_BUILDERS:
                     found.append(f"{path.stem}:{node.lineno} {name}")
     assert not found, "grids or samples built outside manifest: " + ", ".join(found)
+
+
+def test_only_chart_core_reads_the_floating_point_settings():
+    # chart_core.raising is the one rule for which floating-point conditions
+    # a stacked pass raises, so no other module reads np.geterr
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "chart_core.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "geterr"
+    ]
+    assert not found, "np.geterr outside chart_core: " + ", ".join(found)
