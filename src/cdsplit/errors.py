@@ -42,10 +42,6 @@ class StepOverflow(CdsplitError):
     """An ODE state escaped the overflow guard before detection completed."""
 
 
-class NotDistanceFunction(CdsplitError):
-    """A field expected to have unit gradient norm does not."""
-
-
 class CDViolation(CdsplitError):
     """A curvature-dimension precondition failed on the sampling grid."""
 

@@ -38,13 +38,13 @@ keys, with the default and bound of each numeric one, the kinds that
 accept the section and the kinds that require it; ``_FIBER_KEYS`` says
 which ``[fiber]`` keys each fiber type reads.  ``parse_manifest`` rejects
 what they do not allow (a section a kind does not accept, empty or not,
-among it), a grid, sample set or step count larger than ``MAX_POINTS``, a
-metric entry given as both g_ij and g_ji, and a geodesic start outside the
-chart's domain, at a radial model's origin or where the metric is not
-positive definite, so a run refuses a bad manifest before it writes a
-report.  It builds the geometry of the manifest's kind once
-(``build_geometry`` returns it), evaluates it at the grid center, and
-normalizes the geodesic's velocity.  An expression, and each derivative
+among it, and a ``dim`` above ``MAX_DIM``), a grid, sample set or step
+count larger than ``MAX_POINTS``, a metric entry given as both g_ij and
+g_ji, and a geodesic start outside the chart's domain, at a radial model's
+origin or where the metric is not positive definite, so a run refuses a bad
+manifest before it writes a report.  It builds the geometry of the
+manifest's kind once (``build_geometry`` returns it), evaluates it at the
+grid center, and normalizes the geodesic's velocity.  An expression, and each derivative
 taken of it, nests at most ``MAX_DEPTH`` levels; a derivative has at most
 ``MAX_DERIVATIVE_NODES`` nodes.
 
@@ -100,6 +100,11 @@ MAX_DERIVATIVE_NODES = 10_000
 #: and the README take 32,481 grid points and 10,000 steps; a size far
 #: beyond that cannot be held in memory or run at desk scale.
 MAX_POINTS = 10 ** 6
+#: Largest ``[manifold] dim``.  Each point of a Ricci stencil holds
+#: (2n + 1) n^3 metric partials, so memory grows as n^4: one ``verify-cd``
+#: block of 256 points peaks near 320 MB at dim 12, 900 MB at dim 16 and
+#: 2.1 GB at dim 20.  The shipped manifests and the tests go up to dim 6.
+MAX_DIM = 12
 _TOO_DEEP = f"nests deeper than {MAX_DEPTH} levels"
 
 _FUNCTIONS = {
@@ -668,11 +673,13 @@ KINDS = ("general", "split", "twisted", "radial_model")
 
 
 class _Number(NamedTuple):
-    """A numeric manifest key: its default (None when unset) and lower bound."""
+    """A numeric manifest key: its default (None when unset), lower bound
+    and upper bound."""
 
     default: float | int | None
     bound: str = ""      # "> x" or ">= x"; empty when unbounded
     whole: bool = False  # whole numbers only
+    most: int | None = None  # the largest value allowed; None when unbounded
 
 
 class _Section(NamedTuple):
@@ -689,7 +696,8 @@ _PRODUCTS = ("split", "twisted")
 
 # Every section a manifest may hold.  All numeric values must be finite.
 _SECTIONS = {
-    "manifold": _Section({"name": None, "kind": None, "dim": _Number(None, ">= 2", whole=True)},
+    "manifold": _Section({"name": None, "kind": None,
+                          "dim": _Number(None, ">= 2", whole=True, most=MAX_DIM)},
                          requires=KINDS),
     "phi": _Section({"expr": None}, ("split",), ("split",)),
     "psi": _Section({"expr": None}, ("twisted",), ("twisted",)),
@@ -782,6 +790,8 @@ def _numbers(sections, section) -> dict:
             op, low = spec.bound.split()
             if not (value > float(low) if op == ">" else value >= float(low)):
                 raise ValidationError(f"must be {spec.bound}, got {text!r}", key=name)
+        if spec.most is not None and value > spec.most:
+            raise ValidationError(f"must be <= {spec.most}, got {text!r}", key=name)
         values[key] = value
     return values
 

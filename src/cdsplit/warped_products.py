@@ -231,6 +231,17 @@ def _require_partials(field: ScalarField, what: str) -> None:
         raise ValueError(f"{what} needs an analytic gradient and Hessian")
 
 
+#: The largest x whose ``math.exp`` is finite; above it, it raises OverflowError.
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+def _exp(x: float) -> float:
+    """``math.exp``, but inf above ``_LOG_MAX``, as numpy's exp gives, so
+    that a warp beyond the float range meets the finite checks on the
+    metric, which name its point."""
+    return math.inf if x > _LOG_MAX else math.exp(x)
+
+
 @cache
 def _gather_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Where each entry of g (1, n, n) and of D (1, n, n, n) of a product
@@ -261,7 +272,7 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str) 
         # g and D gathered from them (``_gather_index``), which costs less
         # than assembling small arrays.  A flat fiber's zero partials are
         # added too, which turns a -0.0 into the +0.0 of the stacked sum
-        w = math.exp(c2 * float(psi.value(p)))
+        w = _exp(c2 * float(psi.value(p)))
         (hd, hz), *dh = fiber.point(p[1:], order)
         values = [0.0, 1.0]
         for x in hd:
@@ -293,7 +304,7 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str) 
         # they have them, then the warp once per row with the same scalar
         # call and the fiber's stacked jet; g and D are built by broadcasting
         k = len(P)
-        w = np.array([math.exp(2.0 * c * v) for v in field_rows(psi.value, P).tolist()])
+        w = np.array([_exp(2.0 * c * v) for v in field_rows(psi.value, P).tolist()])
         dpsi = field_rows(psi.grad, P) if order else None
         h, *dh = fiber.jet(P[:, 1:], order)
         G = np.zeros((k, n, n))

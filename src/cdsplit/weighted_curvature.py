@@ -113,21 +113,31 @@ def _factors(a: np.ndarray) -> bool:
     return True
 
 
-def _min_relative_eigenvalues(forms: np.ndarray, chol: np.ndarray) -> np.ndarray:
+def _finite_problem(x: np.ndarray, pts) -> None:
+    """Raise SingularMetric unless every matrix of the stack x is finite,
+    naming the point of ``pts`` of the first one that is not, when there are
+    points.  The point is formatted only when the error is raised, as
+    ``chart_core._finite_rows`` does."""
+    if not np.all(np.isfinite(x)):
+        i = int(np.argmin(np.isfinite(x).all(axis=(1, 2))))
+        raise SingularMetric("non-finite generalized eigenproblem"
+                             + ("" if pts is None else f" at {pts[i]}"))
+
+
+def _min_relative_eigenvalues(forms: np.ndarray, chol: np.ndarray, pts=None) -> np.ndarray:
     """The smallest relative eigenvalue of each form of a stack against the
     metric whose lower Cholesky factor L is the same entry of ``chol``: the
     smallest eigenvalue of C = L^-1 A L^-T, with A the symmetrized form,
     from two stacked solves (``_solve``) and one stacked
     ``np.linalg.eigvalsh``, the reduction the symmetric-definite generalized
-    eigensolver makes.  A non-finite A or C and an eigensolve that does not
-    converge raise SingularMetric."""
+    eigensolver makes.  A non-finite A or C, named by its row of ``pts``
+    when given, and an eigensolve that does not converge raise
+    SingularMetric."""
     a = 0.5 * (forms + forms.swapaxes(1, 2))
-    if not np.all(np.isfinite(a)):
-        raise SingularMetric("non-finite generalized eigenproblem")
+    _finite_problem(a, pts)
     # L^-1 A, and then L^-1 (L^-1 A)^T = L^-1 A L^-T, as A is symmetric
     C = _solve(chol, _solve(chol, a).swapaxes(1, 2))
-    if not np.all(np.isfinite(C)):
-        raise SingularMetric("non-finite generalized eigenproblem")
+    _finite_problem(C, pts)
     try:
         return np.linalg.eigvalsh(C)[:, 0]
     except np.linalg.LinAlgError as exc:
@@ -195,7 +205,7 @@ def cd_verify(spec: MetricSpec, density: DensitySpec, lam: float, N: float,
     def stacked(s: slice) -> np.ndarray:
         at = BlockGeometry(spec, pts[s])
         forms = generalized_ricci_at(at, density, N) - lam * at.g
-        return _min_relative_eigenvalues(forms, at.chol)
+        return _min_relative_eigenvalues(forms, at.chol, at.pts)
 
     mins = in_blocks(pts.shape[0], BLOCK_POINTS, stacked)
 

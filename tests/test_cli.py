@@ -350,14 +350,41 @@ class TestDeterminism:
 def test_overflowing_lambda_is_one_error_line(tmp_path, capsys):
     # symmetrizing form - lambda * g overflows to -inf: the block pass and then
     # the point-by-point re-run, which reports numpy's warning as one line,
-    # refuse the non-finite eigenproblem with SingularMetric
+    # refuse the non-finite eigenproblem with SingularMetric, naming the
+    # first grid point, where it fails first
     path = tmp_path / "m.cdm"
     text = (MANIFESTS / "twisted_flat.cdm").read_text()
     path.write_text(with_entries(text, "cd", {"lambda": "1e308"}))
     assert run("verify-cd", path, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == ("warning: RuntimeWarning: overflow encountered in add\n"
-                   "error: non-finite generalized eigenproblem\n")
+                   "error: non-finite generalized eigenproblem at [-5.   -2.88 -2.88]\n")
+
+
+@pytest.mark.parametrize("subcommand", ["verify-cd", "compare"])
+def test_overflowing_density_names_its_eigenproblem_point(tmp_path, capsys, subcommand):
+    # f = exp(exp(r)): the df (x) df term of Ric_f^1 overflows first at
+    # rho = 5.9, inside a block of the radial grid; the point-by-point re-run
+    # names that radius
+    path = tmp_path / "m.cdm"
+    path.write_text((MANIFESTS / "radial_log.cdm").read_text().replace(
+        "f = log(1 + r^2)", "f = exp(exp(r))"))
+    assert run(subcommand, path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "warning: RuntimeWarning: overflow encountered in multiply\n"
+        "error: non-finite generalized eigenproblem at [5.9 0.  0. ]\n")
+
+
+def test_overflowing_warp_is_one_error_line(tmp_path, capsys):
+    # phi = r^1000 is finite along the trace, but the warp e^{2 phi/(n-1)}
+    # leaves the float range, where math.exp would raise OverflowError: the
+    # warp is inf there, and the geodesic's checks name the point
+    path = tmp_path / "m.cdm"
+    path.write_text((MANIFESTS / "sphere_example.cdm").read_text().replace(
+        "expr = sin(r)", "expr = r^1000"))
+    assert run("geodesic", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "error: Christoffel symbols at [ 1.55451769  0.91032599 -0.13691391]\n")
 
 
 OVERFLOWING_DENSITY = """
@@ -837,6 +864,12 @@ def _usage_errors():
     yield _case("radial-grid-override", "verify-cd", _shipped("radial_log"),
                 "error: [grid] r_count: kind 'radial_model' does not accept section [grid]",
                 grid_overrides=["r_count=5", "r_min=3", "dt=0.01"])
+    # a dim above MAX_DIM, whose stencils could not be held in memory,
+    # refused before any key that depends on dim is read
+    for subcommand, dim in (("curvature", "13"), ("verify-cd", "100"), ("suite", "1e18")):
+        yield _case(f"dim-{dim}-{subcommand}", subcommand,
+                    _shipped("radial_log").replace("dim = 3", f"dim = {dim}"),
+                    f"error: [manifold] dim: must be <= 12, got '{dim}'")
     # sizes above MAX_POINTS, decided from the manifest's numbers alone
     yield _case("oversized-grid", "verify-cd", _shipped("twisted_flat"),
                 "error: [grid] r_count: the verify-cd grid's r_count x fiber_count^2 = "

@@ -8,24 +8,28 @@ import numpy as np
 import pytest
 
 from cdsplit import catalog
-from cdsplit.chart_core import ScalarField, VectorField, field_rows, weighted_laplacian
+from cdsplit.chart_core import (
+    BlockGeometry,
+    ScalarField,
+    block_field,
+    field_rows,
+    r_coordinate_field,
+    weighted_laplacian,
+)
 from cdsplit.comparison_suite import (
     RadialModel,
-    bochner_inequality_margin,
     bochner_residual,
     comparison_bound,
     radial_comparison_check,
-    riccati_comparison_trace,
     rigidity_check,
 )
 from cdsplit.errors import (
     CDViolation,
     EmptySamples,
-    NotDistanceFunction,
     ZeroRadius,
 )
-from cdsplit.geodesic_flow import geodesic_integrate
 from cdsplit.manifest import box_grid, inset_box, parse_manifest, sample_box
+from cdsplit.weighted_curvature import GridSpec, cd_verify, generalized_ricci_at
 
 RADIAL_LOG = Path(__file__).resolve().parent.parent / "manifests" / "radial_log.cdm"
 
@@ -333,104 +337,48 @@ def random_cubic(rng, n, scale=1.0):
     return ScalarField(value=value, grad=grad, hess=hess)
 
 
-class TestBochnerMargin:
-    def test_flat_point_distance_equality(self):
-        # distance to the origin in flat R^3 at |x| = 2 with m = 2: the two
-        # nonzero Hessian eigenvalues are equal, so the margin vanishes
-        model = catalog.unweighted_model(3)
-        spec = model.metric_spec()
-        p = np.array([2.0, 0.0, 0.0])
-        margin = bochner_inequality_margin(spec, ScalarField.constant(0.0), 0.0, 2,
-                                           model.r_field(), p)
-        assert -1e-6 <= margin <= 0.5
+class TestCheckedQuantities:
+    """The distance-function Bochner inequality and the comparison ODE, on
+    the quantities the reports check: on a radial model with h = rho and
+    m = n - 1 their margins are +-v^2 Ric_f^1(d_rho, d_rho), whose form
+    compare's CD(0,1) gate checks; and Lap_f (-r) = -Lap_f r, the identity
+    behind rigidity's one weighted Laplacian per block."""
 
-    def test_split_space_equality_case(self):
-        for split in (catalog.split_sin_sphere(0.5),
-                      catalog.split_sin_sphere(0.5, f_L=catalog.bounded_fiber_density())):
-            spec = split.metric_spec()
-            n = split.n
-            r_field = ScalarField(value=lambda q: q[0], grad=lambda q: np.eye(n)[0],
-                                  hess=lambda q: np.zeros((n, n)))
-            for p in (np.array([0.4, 0.2, -0.3]), np.array([-1.0, 0.6, 0.4])):
-                margin = bochner_inequality_margin(spec, split.density(), 0.0, n - 1,
-                                                   r_field, p)
-                assert abs(margin) <= 1e-4
-
-    def test_unequal_eigenvalues_strict_margin(self):
-        # distance to the x3-axis: one nonzero Hessian eigenvalue, m = 2
-        spec = catalog.flat(3)
-
-        def rho(p):
-            return math.hypot(p[0], p[1])
-
-        field = ScalarField(
-            value=lambda p: rho(p),
-            grad=lambda p: np.array([p[0], p[1], 0.0]) / rho(p),
-            hess=lambda p: _axis_distance_hessian(p),
-        )
-        p = np.array([1.2, 0.9, 0.4])
-        margin = bochner_inequality_margin(spec, ScalarField.constant(0.0), 0.0, 2,
-                                           field, p)
-        want = 1.0 / (2.0 * rho(p) ** 2)  # closed form for this configuration
-        assert margin == pytest.approx(want, abs=1e-6)
-        assert margin > 0.05
-
-    def test_log_model_margin_closed_form(self):
-        # r_field = |x|, m = n-1: both nonzero Hessian eigenvalues equal, so
-        # the margin reduces to v^2 * radial generalized Ricci = 2/(1+rho^2)
+    def test_log_model_radial_ricci_is_the_closed_form_margin(self):
+        # v^2 = e^{2 f/(n-1)}; the margin's closed form is 2/(1 + rho^2), and
+        # cd_verify's minimum at a radius is at most the radial entry
         model = catalog.radial_log_model(3)
-        spec = model.metric_spec()
+        spec, density = model.metric_spec(), model.density()
         for rho in (0.5, 1.0, 3.0):
-            p = np.array([rho, 0.0, 0.0])
-            margin = bochner_inequality_margin(spec, model.density(), 0.0, 2,
-                                               model.r_field(), p)
-            assert margin == pytest.approx(2.0 / (1.0 + rho ** 2), abs=1e-4)
-            assert margin >= -1e-4
+            at = BlockGeometry(spec, np.array([[rho, 0.0, 0.0]]))
+            radial = generalized_ricci_at(at, density, 1.0)[0, 0, 0]
+            v2 = math.exp(2.0 * model.f(rho) / (model.n - 1))
+            assert v2 * radial == pytest.approx(2.0 / (1.0 + rho ** 2), abs=1e-6)
+            rep = cd_verify(spec, density, 0.0, 1.0, GridSpec(at.pts, f"rho = {rho}"))
+            assert rep.min_eigenvalue <= radial + 1e-12
 
-    def test_non_unit_gradient_rejected(self):
-        spec = catalog.flat(2)
-        bad = ScalarField(value=lambda p: 2.0 * p[0], grad=lambda p: np.array([2.0, 0.0]),
-                          hess=lambda p: np.zeros((2, 2)))
-        with pytest.raises(NotDistanceFunction):
-            bochner_inequality_margin(spec, ScalarField.constant(0.0), 0.0, 1, bad,
-                                      np.array([1.0, 0.0]))
-
-    def test_vector_density_unsupported(self):
-        spec = catalog.flat(2)
-        X = VectorField(value=lambda p: np.zeros(2))
-        field = ScalarField(value=lambda p: p[0], grad=lambda p: np.array([1.0, 0.0]),
-                            hess=lambda p: np.zeros((2, 2)))
-        with pytest.raises(TypeError):
-            bochner_inequality_margin(spec, X, 0.0, 1, field, np.zeros(2))
-
-
-def _axis_distance_hessian(p):
-    rho2 = p[0] ** 2 + p[1] ** 2
-    rho = math.sqrt(rho2)
-    H = np.zeros((3, 3))
-    H[0, 0] = p[1] ** 2 / rho ** 3
-    H[1, 1] = p[0] ** 2 / rho ** 3
-    H[0, 1] = H[1, 0] = -p[0] * p[1] / rho ** 3
-    return H
-
-
-class TestComparisonODE:
-    def test_flat_unweighted_zero_residual(self):
-        model = catalog.unweighted_model(3)
-        spec = model.metric_spec()
-        trace = geodesic_integrate(spec, np.array([0.1, 0.0, 0.0]),
-                                   np.array([1.0, 0.0, 0.0]), T=5.0, dt=1e-3)
-        rep = riccati_comparison_trace(model, trace)
-        assert rep.max_residual <= 1e-6
-
-    def test_log_model_residual_nonpositive(self):
-        model = catalog.radial_log_model(3)
-        spec = model.metric_spec()
-        trace = geodesic_integrate(spec, np.array([0.1, 0.0, 0.0]),
-                                   np.array([1.0, 0.0, 0.0]), T=8.0, dt=1e-3)
-        rep = riccati_comparison_trace(model, trace)
-        assert rep.max_residual <= 1e-3
-        assert np.all(rep.residuals <= 1e-3)
+    @pytest.mark.parametrize("split", [
+        catalog.split_sin_sphere(0.7),
+        catalog.split_sin_sphere(0.7, f_L=catalog.bounded_fiber_density()),
+        catalog.split_sin_torus(3),
+        catalog.hyperbolic_split(3),
+        catalog.split_sin_euclidean(3, amplitude=0.0),
+    ], ids=["sphere", "sphere-f_L", "torus", "hyperbolic", "product"])
+    def test_weighted_laplacian_of_a_negated_field_is_the_negation(self, split):
+        # negation is exact and commutes with rounding, so each term of
+        # Lap_f (-h) is the negated term of Lap_f h; only an exact zero may
+        # come out with the other sign, which |.| drops, as rigidity does
+        spec, density = split.metric_spec(), split.density()
+        rng = np.random.default_rng(30)
+        box = np.vstack([(-5.0, 5.0), inset_box(split.fiber.safe_box, 0.05)])
+        for h in (r_coordinate_field(split.n), random_cubic(rng, split.n)):
+            minus_h = ScalarField(*(block_field(lambda P, fn=fn: -field_rows(fn, P))
+                                    for fn in (h.value, h.grad, h.hess)))
+            for seed in range(3):
+                at = BlockGeometry(spec, sample_box(box, 32, seed))
+                lap, lap_minus = (at.weighted_laplacian(density, k) for k in (h, minus_h))
+                assert np.array_equal(lap_minus, -lap)
+                assert np.abs(lap_minus).tobytes() == np.abs(lap).tobytes()
 
 
 class TestRigidity:
@@ -441,7 +389,6 @@ class TestRigidity:
         assert rep.lap_f_r_dev < 1e-12
         assert rep.hess_proportionality_dev < 1e-12
         assert rep.radial_ricci_dev < 1e-10
-        assert rep.busemann_pair_dev < 1e-12
         assert rep.passes()
 
     def test_sphere_fiber_within_tolerance(self):

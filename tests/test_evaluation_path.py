@@ -28,7 +28,7 @@ from cdsplit.chart_core import (
     weighted_laplacian,
 )
 from cdsplit.cli import run
-from cdsplit.comparison_suite import bochner_inequality_margin, bochner_residual, rigidity_check
+from cdsplit.comparison_suite import bochner_residual, rigidity_check
 from cdsplit.errors import NonFinite, SingularMetric
 from cdsplit.geodesic_flow import geodesic_integrate, normalize_velocity
 from cdsplit.manifest import (
@@ -390,23 +390,30 @@ def test_rigidity_point_evaluates_the_metric_once(monkeypatch):
 
 def test_rigidity_builds_one_geometry_per_block(monkeypatch):
     # one in_blocks walk over the 40 points, in blocks of 16, whose maxima
-    # are bit-equal to the maxima of the points checked one at a time
+    # are bit-equal to the maxima of the points checked one at a time; each
+    # block takes one weighted Laplacian, that of r, as that of -r is its
+    # negation
     split = catalog.split_sin_sphere(0.3)
     points = sample_box(np.vstack([(-5.0, 5.0), inset_box(split.fiber.safe_box, 0.05)]), 40, 0)
     singles = [rigidity_check(split, [p]) for p in points]
-    built = []
-    init = BlockGeometry.__init__
+    built, laplacians = [], []
+    init, laplacian = BlockGeometry.__init__, BlockGeometry.weighted_laplacian
 
     def counted(self, spec, pts):
         built.append(len(pts))
         init(self, spec, pts)
 
+    def counted_laplacian(self, *args):
+        laplacians.append(len(self.pts))
+        return laplacian(self, *args)
+
     monkeypatch.setattr(BlockGeometry, "__init__", counted)
+    monkeypatch.setattr(BlockGeometry, "weighted_laplacian", counted_laplacian)
     monkeypatch.setattr(comparison_suite, "BLOCK_POINTS", 16)
     report = rigidity_check(split, points)
-    assert built == [16, 16, 8]
+    assert built == laplacians == [16, 16, 8]
     for name in ("grad_norm_dev", "lap_f_r_dev", "hess_proportionality_dev",
-                 "radial_ricci_dev", "busemann_pair_dev"):
+                 "radial_ricci_dev"):
         assert getattr(report, name) == max(getattr(one, name) for one in singles)
     assert report.passes()
 
@@ -438,11 +445,10 @@ def test_ricci_reuses_the_partials_at_the_point(monkeypatch, check):
     assert _at_Q(calls) == 1
 
 
-@pytest.mark.parametrize("check", ["residual", "margin"])
-def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
+def test_bochner_builds_at_most_four_geometries(monkeypatch):
     # the point's geometry, then one per stencil of a derived field: the
     # second-order stencil of |grad h|^2, whose +-h rows also give its
-    # gradient, and the first-order stencil of (v^2) Lap_f h.  |grad h|^2
+    # gradient, and the first-order stencil of Lap_f h.  |grad h|^2
     # needs only g, so its geometry takes the jet of order 0
     built = []
     init = BlockGeometry.__init__
@@ -454,10 +460,7 @@ def test_bochner_builds_at_most_four_geometries(monkeypatch, check):
     monkeypatch.setattr(BlockGeometry, "__init__", counted)
     split = catalog.split_sin_sphere(0.3)
     spec, density = split.metric_spec(), split.density()
-    if check == "residual":
-        assert bochner_residual(spec, density, [H_FIELD], [Q])[0] < 1e-4
-    else:
-        bochner_inequality_margin(spec, density, 0.0, 1, r_coordinate_field(3), Q)
+    assert bochner_residual(spec, density, [H_FIELD], [Q])[0] < 1e-4
     assert built == [(1, 1), (25, 0), (6, 1)]
 
 

@@ -164,6 +164,13 @@ expr = sin(r)
             parse_manifest(write_manifest(tmp_path, MINIMAL_SPLIT.replace("dim = 3",
                                                                           "dim = 1")))
 
+    def test_dimension_ceiling(self, tmp_path):
+        at_most = MINIMAL_SPLIT.replace("dim = 3", f"dim = {manifest_module.MAX_DIM}")
+        assert parse_manifest(write_manifest(tmp_path, at_most)).dim == manifest_module.MAX_DIM
+        above = MINIMAL_SPLIT.replace("dim = 3", f"dim = {manifest_module.MAX_DIM + 1}")
+        with pytest.raises(ValidationError, match=r"^\[manifold\] dim: must be <= "):
+            parse_manifest(write_manifest(tmp_path, above))
+
     def test_parse_error_carries_line(self, tmp_path):
         text = "[manifold]\nkind split\n"
         with pytest.raises(ParseError) as exc:

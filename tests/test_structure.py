@@ -110,8 +110,6 @@ def test_traced_functions_resolve():
 
 #: public functions that may lack a caller in the package, each with its reason
 UNCALLED_BY_DESIGN = {
-    "bochner_inequality_margin": "no report prints it yet; wiring it into bochner is open",
-    "riccati_comparison_trace": "no report prints it yet; wiring it into compare is open",
     "completeness_diagnostic": "waits for the geodesic ensemble that suite will run",
     "partials_discrepancy": "the tests' cross-check of every chart's analytic partials",
     "run": "the programmatic entry point of the command line",

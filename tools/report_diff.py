@@ -47,7 +47,12 @@ X1, X2 that is not a gradient: the runs that difference a vector density's
 Jacobian and take the Bochner stencils of a vector density.  Then
 ``geodesic`` on ``SPHERE5_MANIFEST``, a 5-dimensional split space over a
 4-dimensional sphere fiber, the one run whose RK4 stages solve 5 x 5
-systems and whose speed-drift pass factors 5 x 5 metrics.  The
+systems and whose speed-drift pass factors 5 x 5 metrics.  Last,
+``verify-cd`` on ``EXP_EXP_MANIFEST``, a radial model whose density
+``exp(exp(r))`` overflows the df (x) df term at rho = 5.9, inside the first
+block of its 100 radii: the one run whose eigenproblem is refused inside a
+block, so its re-run names the point.  That makes 58 runs and 274 files a
+side.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -334,6 +339,19 @@ N = inf
 [bochner]
 points = 6
 """
+EXP_EXP_MANIFEST = """\
+[manifold]
+name = radial-exp-exp
+kind = radial_model
+dim = 3
+
+[density]
+f = exp(exp(r))
+
+[cd]
+lambda = 0.0
+N = 1
+"""
 SPHERE5_MANIFEST = """\
 [manifold]
 name = sphere5-split
@@ -360,7 +378,7 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "flat_sqrt_density": SQRT_MANIFEST, "twisted_all_functions": TWISTED_ALL_MANIFEST,
            "radial_complex_power": COMPLEX_POWER_MANIFEST,
            "plane_indefinite": INDEFINITE_MANIFEST, "polar_vector_density": VECTOR_MANIFEST,
-           "sphere5_split": SPHERE5_MANIFEST}
+           "sphere5_split": SPHERE5_MANIFEST, "radial_exp_exp": EXP_EXP_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -377,7 +395,7 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("curvature", "radial_complex_power", 42, ()),
            ("geodesic", "plane_indefinite", 42, ())]
         + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")]
-        + [("geodesic", "sphere5_split", 42, ())])
+        + [("geodesic", "sphere5_split", 42, ()), ("verify-cd", "radial_exp_exp", 42, ())])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
