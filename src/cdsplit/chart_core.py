@@ -102,10 +102,12 @@ estimate and is the next step's first stage.  ``in_blocks`` walks samples
 in blocks of ``BLOCK_POINTS`` and re-runs a failing block through the same
 stacked pass, one sample at a time, as blocks of one; ``cd_verify``, the
 sample points of ``curvature`` and ``bochner``, the rigidity check, the
-cross-check of ``compare``, the geodesic post-passes and every
-``block_field`` evaluate through it and have no per-sample code.
+cross-check and the quadrature of ``compare``, the geodesic post-passes
+and every ``block_field`` evaluate through it and have no per-sample code.
 ``simpson`` and ``cumulative_simpson`` are the composite Simpson rules of
-``scipy.integrate``, with its operations in its order, and ``rk4_step`` is
+``scipy.integrate``, with its operations in its order (``simpson`` along
+the last axis of a stack of rows, each summed over a C-contiguous array,
+so each row's integral is that row's alone), and ``rk4_step`` is
 the one RK4 step, which the geodesic and the obstruction ODE share: it
 takes a first stage the caller already has, and returns the last stage
 beside the new state, from which the geodesic estimates the step's error
@@ -883,32 +885,38 @@ def weighted_laplacian(spec: MetricSpec, density: DensitySpec, h, p: Point,
 # ``cumulative_simpson(y, x=x, initial=0.0)``.
 
 def _simpson_pairs(y: np.ndarray, h: np.ndarray, stop: int):
-    """Simpson's rule over the interval pairs of y[:stop + 2] with spacings h."""
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    """Simpson's rule over the interval pairs of y[..., :stop + 2] with
+    spacings h, along the last axis.  Each row's sum runs over a C-contiguous
+    array, so it adds its terms in the order of a 1-d sum: over the rows of
+    a column-major array numpy adds them one by one, which rounds otherwise."""
+    h0, h1 = h[..., 0:stop:2], h[..., 1:stop + 1:2]
     hsum = h0 + h1
     hprod = h0 * h1
     h0divh1 = np.true_divide(h0, h1, out=np.zeros_like(h0), where=h1 != 0)
     tmp = hsum / 6.0 * (
-        y[0:stop:2] * (2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1),
-                                            where=h0divh1 != 0))
-        + y[1:stop + 1:2] * (hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum),
-                                                   where=hprod != 0))
-        + y[2:stop + 2:2] * (2.0 - h0divh1))
-    return np.sum(tmp)
+        y[..., 0:stop:2] * (2.0 - np.true_divide(1.0, h0divh1, out=np.zeros_like(h0divh1),
+                                                 where=h0divh1 != 0))
+        + y[..., 1:stop + 1:2] * (hsum * np.true_divide(hsum, hprod, out=np.zeros_like(hsum),
+                                                        where=hprod != 0))
+        + y[..., 2:stop + 2:2] * (2.0 - h0divh1))
+    return np.sum(np.ascontiguousarray(tmp), axis=-1)
 
 
-def simpson(y: np.ndarray, x: np.ndarray) -> float:
+def simpson(y: np.ndarray, x: np.ndarray):
     """Integral of the samples y at the points x by the composite Simpson
-    rule; an even count of samples ends with Cartwright's correction for the
-    last interval, two samples with the trapezoid."""
-    N = len(y)
+    rule, along the last axis; an even count of samples ends with
+    Cartwright's correction for the last interval, two samples with the
+    trapezoid.  A stack of rows (with x one row for all, or a row each) is
+    one pass, and each row's integral is bit for bit that row's alone: each
+    sum runs over a C-contiguous array (``_simpson_pairs``)."""
+    N = y.shape[-1]
     if N % 2 == 1:
         return _simpson_pairs(y, np.diff(x), N - 2)
     if N == 2:
-        return 0.0 + 0.5 * (x[-1] - x[-2]) * (y[-1] + y[-2])
+        return 0.0 + 0.5 * (x[..., -1] - x[..., -2]) * (y[..., -1] + y[..., -2])
     result = _simpson_pairs(y, np.diff(x), N - 3)
     diffs = np.float64(np.diff(x))
-    h0, h1 = np.squeeze(diffs[-2:-1]), np.squeeze(diffs[-1:])
+    h0, h1 = diffs[..., -2], diffs[..., -1]
     den = 6 * (h1 + h0)
     alpha = np.true_divide(2 * h1 ** 2 + 3 * h0 * h1, den, out=np.zeros_like(den),
                            where=den != 0)
@@ -917,7 +925,7 @@ def simpson(y: np.ndarray, x: np.ndarray) -> float:
                           where=den != 0)
     den = 6 * h0 * (h0 + h1)
     eta = np.true_divide(1 * h1 ** 3, den, out=np.zeros_like(den), where=den != 0)
-    result += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    result += alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3]
     return result + 0.0
 
 

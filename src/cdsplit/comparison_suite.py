@@ -64,6 +64,9 @@ from .weighted_curvature import GridSpec, cd_verify, generalized_ricci_at
 
 #: Samples of the quadrature behind each comparison bound of a radial model.
 QUAD_POINTS = 401
+#: Radii per stacked quadrature pass of ``radial_comparison_check``: a block
+#: holds a few (QUAD_BLOCK, QUAD_POINTS) arrays at once.
+QUAD_BLOCK = 32
 #: Relative tolerance of the closed-form weighted Laplacian of a radial
 #: model against the chart machinery.
 CROSS_CHECK_TOL = 1e-6
@@ -87,25 +90,38 @@ class ComparisonSample:
     v_integral: float
 
 
-def comparison_bound(f_samples, n: int, r: float) -> float:
+def comparison_bound(f_samples, n: int, r):
     """(n-1) / (v^2(r) int_0^r v^{-2}) from samples (t, f(gamma(t))) on [0, r].
 
-    The integrand is normalized by f(r) so constant densities cancel exactly
-    rather than to quadrature accuracy.
+    ``f_samples`` is a (k, 2) array of samples for the one radius r, or an
+    (R, k, 2) stack of them for the R radii of the array r, whose bounds
+    are one row-wise ``simpson`` pass, each row summed over a C-contiguous
+    array, so each is bit for bit its radius's alone; one radius is its
+    block of one.  Where a stack has samples past its radii, each radius
+    is its block of one.  The integrand is normalized by f(r) so constant
+    densities cancel exactly rather than to quadrature accuracy.
     """
-    if r <= 0:
-        raise ZeroRadius(f"comparison radius must be positive, got {r}")
     arr = np.asarray(f_samples, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
+    if arr.ndim == 2:
+        return float(comparison_bound(arr[None], n, np.array([r], dtype=float))[0])
+    rs = np.asarray(r, dtype=float)
+    if np.any(rs <= 0):
+        raise ZeroRadius(f"comparison radius must be positive, got {rs[np.argmax(rs <= 0)]}")
+    if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[1] < 3:
         raise EmptySamples("need at least 3 (t, f) samples")
-    ts, fs = arr[:, 0], arr[:, 1]
-    if ts[0] > 1e-12 or ts[-1] < r - 1e-9 * max(1.0, r):
-        raise ValueError(f"samples must cover [0, {r}], got [{ts[0]}, {ts[-1]}]")
-    mask = ts <= r + 1e-12
-    ts, fs = ts[mask], fs[mask]
-    integrand = np.exp(-2.0 * (fs - fs[-1]) / (n - 1))
-    integral = float(simpson(integrand, ts))
-    return (n - 1) / integral
+    ts, fs = arr[..., 0], arr[..., 1]
+    short = (ts[:, 0] > 1e-12) | (ts[:, -1] < rs - 1e-9 * np.maximum(1.0, rs))
+    if short.any():
+        i = int(np.argmax(short))
+        raise ValueError(f"samples must cover [0, {rs[i]}], got [{ts[i, 0]}, {ts[i, -1]}]")
+    keep = ts <= rs[:, None] + 1e-12
+    if not keep.all():
+        if len(arr) > 1:
+            return np.concatenate([comparison_bound(arr[i:i + 1], n, rs[i:i + 1])
+                                   for i in range(len(arr))])
+        ts, fs = ts[keep][None], fs[keep][None]
+    integrand = np.exp(-2.0 * (fs - fs[:, -1:]) / (n - 1))
+    return (n - 1) / simpson(integrand, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +209,12 @@ def radial_comparison_check(model: RadialModel, grid: GridSpec):
 
     Refuses (CDViolation) when cd_verify fails CD(0,1) on the grid; each
     analytic Laplacian is cross-checked against the chart machinery at its
-    point, all radii walked once in blocks (``in_blocks``); f is taken at
-    every radius's quadrature samples in one ``field_rows`` call.
+    point, all radii walked once in blocks (``in_blocks``).  The bounds and
+    v^-2 integrals walk the radii in blocks of ``QUAD_BLOCK``: f at a
+    block's quadrature samples is one ``field_rows`` call, and each
+    integral one row-wise ``simpson`` pass over the block's radii, summed
+    over C-contiguous rows, so every value is bit for bit its radius's
+    alone; a block that fails runs again one radius at a time.
     """
     spec, density, rho_grid = model.metric_spec(), model.density(), grid.points[:, 0]
     rep = cd_verify(spec, density, 0.0, 1.0, grid)
@@ -207,21 +227,25 @@ def radial_comparison_check(model: RadialModel, grid: GridSpec):
     def stacked(s: slice) -> np.ndarray:
         return BlockGeometry(spec, grid.points[s]).weighted_laplacian(density, r_field)
 
-    nums = in_blocks(len(rho_grid), BLOCK_POINTS, stacked)
-    quad_ts = np.linspace(0.0, rho_grid, QUAD_POINTS, axis=1)
-    quad_fs = field_rows(model.f, quad_ts.ravel()).reshape(quad_ts.shape)
+    nums = in_blocks(len(rho_grid), BLOCK_POINTS, stacked).tolist()
+
+    def quadrature(s: slice) -> np.ndarray:
+        rho = rho_grid[s]
+        ts = np.linspace(0.0, rho, QUAD_POINTS, axis=1)
+        fs = field_rows(model.f, ts.ravel()).reshape(ts.shape)
+        bounds = comparison_bound(np.stack([ts, fs], axis=-1), model.n, rho)
+        v_ints = simpson(np.exp(-2.0 * fs / (model.n - 1)), ts)
+        return np.stack([bounds, v_ints], axis=1)
+
+    quad = in_blocks(len(rho_grid), QUAD_BLOCK, quadrature).tolist()
     samples = []
-    for rho, num, ts, fs in zip(rho_grid, nums, quad_ts, quad_fs):
-        ts_f = np.stack([ts, fs], axis=-1)
-        bound = comparison_bound(ts_f, model.n, float(rho))
-        lap = model.lap_f_r(float(rho))
+    for rho, num, (bound, v_int) in zip(rho_grid.tolist(), nums, quad):
+        lap = model.lap_f_r(rho)
         if abs(num - lap) > CROSS_CHECK_TOL * max(1.0, abs(lap)):
             raise CDViolation(
                 f"numeric weighted Laplacian {num:.9g} disagrees with the "
                 f"closed form {lap:.9g} at rho = {rho:.6g}")
-        integrand = np.exp(-2.0 * fs / (model.n - 1))
-        v_int = float(simpson(integrand, ts))
-        samples.append(ComparisonSample(r=float(rho), lap_f_r=lap, bound=bound,
+        samples.append(ComparisonSample(r=rho, lap_f_r=lap, bound=bound,
                                         slack=bound - lap, v_integral=v_int))
     return samples
 

@@ -355,13 +355,24 @@ class ClairautReport:
     max_drift: float  # relative to the initial value, absolute when it vanishes
 
 
+def _exp_fourth(x: float) -> float:
+    """``math.exp(x) ** 4``, and inf where the power leaves the float range,
+    as numpy's would: Python's float power raises there."""
+    try:
+        return math.exp(x) ** 4
+    except OverflowError:
+        return math.inf
+
+
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
     """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace:
     the squared fiber speeds of each block of samples from the fiber metrics
     of the block (the fiber's jet of order 0), and the warps of the block
     from phi's block form (``field_rows``), each raised as ``split.warp``
     does, with ``math.exp``, and to the fourth power with Python's ``**``:
-    numpy's exp and power round differently on some inputs."""
+    numpy's exp and power round differently on some inputs.  A fourth power
+    beyond the float range is inf (``_exp_fourth``), and a value that is not
+    finite is refused, naming its sample."""
     if len(trace) == 0:
         raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
     P, UY, m = trace.positions, trace.velocities[:, 1:], split.n - 1
@@ -370,9 +381,13 @@ def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautRe
         (H,) = split.fiber.jet(P[s, 1:], 0)
         q = _forms(UY[s], H, UY[s])
         phi = field_rows(split.phi.value, P[s]).tolist()
-        return np.array([math.exp(v / m) ** 4 for v in phi]) * q
+        try:
+            warps = [math.exp(v / m) ** 4 for v in phi]
+        except OverflowError:
+            warps = [_exp_fourth(v / m) for v in phi]
+        return np.array(warps) * q
 
-    vals = in_blocks(len(trace), BLOCK_POINTS, stacked)
+    vals = _finite_rows(in_blocks(len(trace), BLOCK_POINTS, stacked), "conserved quantity", P)
     c0 = float(vals[0])
     dev = float(np.max(np.abs(vals - c0)))
     drift = dev / abs(c0) if abs(c0) > 1e-14 else dev

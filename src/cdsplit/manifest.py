@@ -73,6 +73,7 @@ from .chart_core import (
     in_domain,
     metric_at,
     point_jet,
+    raising,
     stacked_rows,
 )
 from .comparison_suite import QUAD_POINTS, RadialModel
@@ -904,6 +905,11 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
         if lo is not None and hi is not None and not math.isfinite(hi - lo):
             raise ValidationError(f"{high} - {low} is beyond the float range",
                                   key=f"[{sec_name}] {low}")
+    # and so is the fiber's safe box [-box, box]
+    box = nums["fiber"]["box"]
+    if box is not None and not math.isfinite(2.0 * box):
+        raise ValidationError("the box's width 2 * box is beyond the float range",
+                              key="[fiber] box")
     grid, numeric = nums["grid"], nums["numeric"]
     if (grid["y_min"] is None) != (grid["y_max"] is None):
         lone = "y_min" if grid["y_max"] is None else "y_max"
@@ -1087,13 +1093,16 @@ def _trial_evaluate(manifest: ManifoldManifest) -> None:
     non-finite results and structurally bad metrics early."""
     center = grid_center(manifest)
     try:
-        if not np.linalg.eigvalsh(metric_at(manifest.geometry["spec"], center))[0] > 0:
-            raise ValidationError(
-                f"metric is not positive definite at the grid center {center}",
-                key="[metric]")
-        if not np.all(np.isfinite(manifest.geometry["density"].value(center))):
-            raise ValidationError(f"density evaluates non-finite at {center}",
-                                  key="[density]")
+        # the conditions numpy reports raise here, so that a refusal is one
+        # error line with no warning line before it
+        with np.errstate(**raising()):
+            if not np.linalg.eigvalsh(metric_at(manifest.geometry["spec"], center))[0] > 0:
+                raise ValidationError(
+                    f"metric is not positive definite at the grid center {center}",
+                    key="[metric]")
+            if not np.all(np.isfinite(manifest.geometry["density"].value(center))):
+                raise ValidationError(f"density evaluates non-finite at {center}",
+                                      key="[density]")
     except ValidationError:
         raise
     except Exception as exc:

@@ -552,8 +552,13 @@ class RiccatiReport:
 
 
 def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: float):
+    exp, cap = math.exp, EXP_CAP
+
     def acc(y: float, v: float) -> float:
-        return -a * math.exp(min(-2.0 * y, EXP_CAP))
+        # min(e, EXP_CAP) is EXP_CAP if EXP_CAP < e else e, NaN included:
+        # the conditional spares the stage a builtin call
+        e = -2.0 * y
+        return -a * exp(cap if cap < e else e)
 
     ts, ys, vs = [0.0], [y0], [y0p]
     y, v = y0, y0p

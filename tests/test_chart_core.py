@@ -409,6 +409,34 @@ def test_simpson_rules_match_scipy_bit_for_bit(n, spacing):
         assert cumulative_simpson(y, x).tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("rows", [1, 2, 3, 257, 5000])
+def test_stacked_simpson_is_each_row_alone_bit_for_bit(rows, order):
+    # np.linspace(..., axis=1) gives column-major rows, over which a sum
+    # along the last axis adds each row's terms one by one
+    rng = np.random.default_rng(rows)
+    x = np.linspace(0.0, rng.uniform(0.1, 10.0, rows), 401, axis=1)
+    y = np.exp(-np.sin(3.0 * x) * rng.uniform(0.5, 3.0, (rows, 1)))
+    x, y = np.asarray(x, order=order), np.asarray(y, order=order)
+    got = simpson(y, x)
+    assert got.shape == (rows,)
+    want = np.array([scipy.integrate.simpson(y[i], x=x[i]) for i in range(rows)])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 400])
+def test_stacked_simpson_of_any_count_is_each_row_alone_bit_for_bit(n):
+    # odd and even sample counts, column-major rows with abscissae of their
+    # own, or one row of abscissae for all
+    rng = np.random.default_rng(n)
+    x = np.asfortranarray(np.cumsum(rng.uniform(0.05, 1.0, (7, n)), axis=1))
+    y = rng.standard_normal((7, n))
+    for xs in (x, x[0]):
+        want = np.array([scipy.integrate.simpson(y[i], x=x[i] if xs is x else xs)
+                         for i in range(7)])
+        assert simpson(y, xs).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("count", [1, 97])
 @pytest.mark.parametrize("n", range(3, 7))
 def test_block_reductions_are_per_point_products_bit_for_bit(n, count):

@@ -387,6 +387,19 @@ def test_overflowing_warp_is_one_error_line(tmp_path, capsys):
         "error: Christoffel symbols at [ 1.55451769  0.91032599 -0.13691391]\n")
 
 
+def test_overflowing_fourth_power_is_one_error_line(tmp_path, capsys):
+    # the warp e^phi of phi = 354 + sin(r) is finite, but the conserved
+    # quantity's e^{phi/2} ** 4, where Python's power would raise
+    # OverflowError, leaves the float range where sin r > 0.89: it is inf
+    # there, and the conserved quantity's check names the first such sample
+    path = tmp_path / "m.cdm"
+    path.write_text((MANIFESTS / "sphere_example.cdm").read_text().replace(
+        "expr = sin(r)", "expr = 354 + sin(r)"))
+    assert run("geodesic", path, tmp_path / "out") == 1
+    assert capsys.readouterr().err == (
+        "error: non-finite values in conserved quantity at [1.10082071 0.4        0.2       ]\n")
+
+
 OVERFLOWING_DENSITY = """
 [manifold]
 name = flat-overflowing-density
@@ -913,6 +926,17 @@ def _usage_errors():
     yield _case("y-range-beyond-the-float-range", "verify-cd", _shipped("sphere_example"),
                 "error: [grid] y_min: y_max - y_min is beyond the float range",
                 grid_overrides=["y_min=-1e308", "y_max=1e308"])
+    # nor does the fiber's safe box [-box, box] of a width beyond it
+    for subcommand in ("curvature", "verify-cd", "bochner", "suite"):
+        yield _case(f"box-beyond-the-float-range-{subcommand}", subcommand,
+                    _shipped("twisted_flat").replace("box = 3.0", "box = 1e308"),
+                    "error: [fiber] box: the box's width 2 * box is beyond the float range")
+    # |x|^2 of the grid center 5e307 * e_1 overflows: a refusal, not a warning
+    for subcommand in ("curvature", "compare"):
+        yield _case(f"grid-center-norm-overflows-{subcommand}", subcommand,
+                    _shipped("radial_log").replace("rho_max = 10.0", "rho_max = 1e308"),
+                    "error: [manifold]: trial evaluation at grid center failed: "
+                    "overflow encountered in vecdot")
     yield _case("euclidean-fiber-periods", "riccati",
                 _shipped("twisted_flat").replace("type = euclidean\n",
                                                  "type = euclidean\nperiods = 1, 1\n"),

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from cdsplit import catalog
 from cdsplit.chart_core import (
@@ -17,6 +18,8 @@ from cdsplit.chart_core import (
     weighted_laplacian,
 )
 from cdsplit.comparison_suite import (
+    QUAD_BLOCK,
+    QUAD_POINTS,
     RadialModel,
     bochner_residual,
     comparison_bound,
@@ -82,6 +85,28 @@ class TestComparisonBound:
         with pytest.raises(ValueError):
             comparison_bound(arr, 3, 2.0)
 
+    @pytest.mark.parametrize("k", [3, 4, 400, 401])
+    def test_stack_is_each_radius_alone_bit_for_bit(self, k):
+        # the rows of a stack come from linspace(..., axis=1), column-major,
+        # and the second stack's samples run past most of its radii, so each
+        # of its radii keeps its own count of samples
+        rs = np.random.default_rng(k).uniform(0.05, 12.0, 70)
+        for stop in (rs, 1.1 * rs):
+            ts = np.linspace(0.0, stop, k, axis=1)
+            stack = np.stack([ts, 3.0 * np.log1p(ts ** 2) + np.sin(5.0 * ts)], axis=-1)
+            got = comparison_bound(stack, 3, rs)
+            want = np.array([comparison_bound(stack[i], 3, rs[i]) for i in range(len(rs))])
+            assert got.tobytes() == want.tobytes()
+            assert type(comparison_bound(stack[0], 3, rs[0])) is float
+
+    def test_stack_refuses_as_its_first_failing_radius(self):
+        ts = np.linspace(0.0, [1.0, 2.0, 3.0], 9, axis=1)
+        stack = np.stack([ts, np.zeros_like(ts)], axis=-1)
+        with pytest.raises(ZeroRadius, match="got -1.0"):
+            comparison_bound(stack, 3, np.array([1.0, -1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"cover \[0, 2.5\], got \[0.0, 2.0\]"):
+            comparison_bound(stack, 3, np.array([1.0, 2.5, 3.5]))
+
 
 class TestRadialComparison:
     def test_unweighted_equality(self):
@@ -113,6 +138,35 @@ class TestRadialComparison:
         with pytest.raises(CDViolation):
             radial_comparison_check(model, ray(0.1, 3.0, 10))
 
+    @pytest.mark.parametrize("count", [1, QUAD_BLOCK - 1, QUAD_BLOCK, QUAD_BLOCK + 1, 257])
+    @pytest.mark.parametrize("which", ["unweighted", "log", "manifest"])
+    def test_samples_are_the_per_radius_oracle_bit_for_bit(self, comparison_models, count,
+                                                           which):
+        # radius counts on either side of a quadrature block edge, and 257,
+        # whose last radius is a block of its own in both of compare's passes
+        model = comparison_models[which]
+        grid = ray(0.1, 10.0, count)
+        got = radial_comparison_check(model, grid)
+        want = _per_radius_comparison(model, grid)
+        assert [_sample_bytes(s) for s in got] == [_sample_bytes(s) for s in want]
+
+    def test_overflowing_quadrature_warns_as_the_per_radius_oracle(self, comparison_models):
+        # exp(f(rho) - f(t)) overflows beyond rho = 5.8, so the quadrature
+        # blocks from there on run again one radius at a time
+        model = comparison_models["steep"]
+        grid = ray(0.1, 10.0, 100)
+        with warnings.catch_warnings(record=True) as got_warnings:
+            warnings.simplefilter("always")
+            got = radial_comparison_check(model, grid)
+        with warnings.catch_warnings(record=True) as want_warnings:
+            warnings.simplefilter("always")
+            want = _per_radius_comparison(model, grid)
+        assert [_sample_bytes(s) for s in got] == [_sample_bytes(s) for s in want]
+        assert any(s.bound == 0.0 for s in got)
+        assert want_warnings
+        assert ([(w.category, str(w.message)) for w in got_warnings]
+                == [(w.category, str(w.message)) for w in want_warnings])
+
     def test_numeric_cross_check(self):
         model = catalog.radial_log_model(3)
         spec, density, r_field = model.metric_spec(), model.density(), model.r_field()
@@ -120,6 +174,46 @@ class TestRadialComparison:
             p = np.array([rho, 0.0, 0.0])
             assert weighted_laplacian(spec, density, r_field, p) == pytest.approx(
                 model.lap_f_r(rho), abs=1e-6)
+
+
+@pytest.fixture(scope="module")
+def comparison_models(tmp_path_factory):
+    """Radial models on R^3 for compare: two of the catalog, and two of a
+    manifest, whose f is an expression with a block form."""
+    def manifest_model(name, f):
+        path = tmp_path_factory.mktemp("compare") / f"{name}.cdm"
+        path.write_text(RADIAL_LOG.read_text().replace("f = log(1 + r^2)", f"f = {f}"))
+        return parse_manifest(path).geometry["model"]
+
+    return {"unweighted": catalog.unweighted_model(3), "log": catalog.radial_log_model(3),
+            "manifest": manifest_model("two_log", "2 * log(1 + r^2)"),
+            "steep": manifest_model("steep_log", "200 * log(1 + r^2)")}
+
+
+def _per_radius_comparison(model, grid):
+    """radial_comparison_check radius by radius: the weighted Laplacian of
+    r at the radius's point alone, and two 1-d Simpson rules of scipy on its
+    QUAD_POINTS samples of [0, rho]."""
+    n, samples = model.n, []
+    for p in grid.points:
+        rho = float(p[0])
+        num = weighted_laplacian(model.metric_spec(), model.density(), model.r_field(), p)
+        ts = np.linspace(0.0, rho, QUAD_POINTS)
+        fs = field_rows(model.f, ts)
+        integral = scipy.integrate.simpson(np.exp(-2.0 * (fs - fs[-1]) / (n - 1)), x=ts)
+        bound = (n - 1) / float(integral)
+        lap = model.lap_f_r(rho)
+        assert abs(num - lap) <= 1e-6 * max(1.0, abs(lap))
+        v_int = float(scipy.integrate.simpson(np.exp(-2.0 * fs / (n - 1)), x=ts))
+        samples.append((rho, lap, bound, bound - lap, v_int))
+    return samples
+
+
+def _sample_bytes(sample):
+    """The bytes of a sample's floats, with each one's type."""
+    values = sample if isinstance(sample, tuple) else (
+        sample.r, sample.lap_f_r, sample.bound, sample.slack, sample.v_integral)
+    return [(type(v), np.float64(v).tobytes()) for v in values]
 
 
 def _radial_points():

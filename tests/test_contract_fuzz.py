@@ -128,6 +128,13 @@ def _reports(out):
 @example(case=("radial_log", "compare", (("f", "exp(exp(r))"),)))
 # phi = r^1000 is finite along the geodesic, but its warp overflows
 @example(case=("sphere_example", "geodesic", (("expr", "r^1000"),)))
+# the fiber's safe box [-1e308, 1e308] is wider than the float range
+@example(case=("twisted_flat", "curvature", (("box", "1e308"),)))
+# the warp e^phi of phi = 400 + sin(r) is finite, but the conserved
+# quantity's fourth power of e^{phi/2} is not
+@example(case=("sphere_example", "geodesic", (("expr", "400 + sin(r)"),)))
+# |x|^2 of the grid center 5e307 * e_1 overflows in the trial evaluation
+@example(case=("radial_log", "curvature", (("rho_max", "1e308"),)))
 def test_mutated_manifests_keep_the_exit_code_contract(case):
     name, subcommand, entries = case
     overrides = _overrides(name, entries)

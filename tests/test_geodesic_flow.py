@@ -206,6 +206,31 @@ class TestClairaut:
         want = np.array([split.warp(p) ** 4 for p in P]) * _forms(UY, H, UY)
         assert clairaut_constant(split, trace).values.tobytes() == want.tobytes()
 
+    def test_fourth_power_beyond_the_float_range_names_its_sample(self, tmp_path):
+        # phi = 354 + sin(r): the warp e^phi is finite on the trace, and
+        # math.exp(phi / 2) ** 4 raises OverflowError from some sample on; the
+        # conserved quantity is inf there, refused naming the first such sample
+        path = tmp_path / "m.cdm"
+        path.write_text((MANIFESTS / "sphere_example.cdm").read_text().replace(
+            "expr = sin(r)", "expr = 354 + sin(r)"))
+        manifest = parse_manifest(path)
+        split, params = manifest.geometry["split"], manifest.extras["geodesic"]
+        trace = geodesic_integrate(split.metric_spec(), params["start"], params["velocity"],
+                                   params["T"], manifest.numeric["dt"])
+
+        def overflows(p):
+            try:
+                math.exp(float(split.phi.value(p)) / 2) ** 4
+            except OverflowError:
+                return True
+            return False
+
+        first = next(i for i, p in enumerate(trace.positions) if overflows(p))
+        assert first > 0
+        with pytest.raises(NonFinite, match=re.escape(
+                f"non-finite values in conserved quantity at {trace.positions[first]}")):
+            clairaut_constant(split, trace)
+
     def test_empty_trace_rejected(self):
         split = catalog.split_sin_sphere(0.5)
         from cdsplit.geodesic_flow import GeodesicTrace

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import struct
 import tempfile
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from cdsplit.chart_core import (
     metric_at,
     point_jet,
     ricci_numeric,
+    rk4_step,
 )
 from cdsplit.errors import (
     DimensionClash,
@@ -31,7 +33,9 @@ from cdsplit.manifest import (
     expression_scalar_field,
     parse_manifest,
 )
+from cdsplit import warped_products
 from cdsplit.warped_products import (
+    EXP_CAP,
     FlatFiber,
     SphereFiber,
     SplitSpaceSpec,
@@ -344,6 +348,28 @@ class TestRiccatiObstruction:
         rep = riccati_obstruction(1.0, 0.0, -5.0, 10.0, dt=1e-3)
         assert rep.blow_up
         assert 0.0 < rep.blow_up_time < 1.0
+
+    def test_stage_clamps_as_min_bit_for_bit(self, monkeypatch):
+        # the stage clamps its exponent e = -2y with a conditional, which
+        # must be min(e, EXP_CAP) itself: NaN stays NaN, and signed zeros,
+        # infinities and EXP_CAP's neighbours keep their bits
+        stages = []
+
+        def spy(acc, *args):
+            stages.append(acc)
+            return rk4_step(acc, *args)
+
+        monkeypatch.setattr(warped_products, "rk4_step", spy)
+        a = 1.3
+        riccati_obstruction(a, 0.0, 0.0, 0.01)
+        acc = stages[0]
+        for e in (math.nan, math.inf, -math.inf, 0.0, -0.0, EXP_CAP,
+                  math.nextafter(EXP_CAP, math.inf), math.nextafter(EXP_CAP, -math.inf),
+                  -EXP_CAP, 1e308, -1e308):
+            y = e / -2.0  # exact, so -2.0 * y is e again
+            assert struct.pack("<d", -2.0 * y) == struct.pack("<d", e)
+            want = -a * math.exp(min(e, EXP_CAP))
+            assert struct.pack("<d", acc(y, 0.0)) == struct.pack("<d", want), e
 
     def test_larger_coefficient_scales_time(self):
         # y'' = -a e^{-2y} with zero data escapes sooner for larger a

@@ -51,8 +51,14 @@ systems and whose speed-drift pass factors 5 x 5 metrics.  Last,
 ``verify-cd`` on ``EXP_EXP_MANIFEST``, a radial model whose density
 ``exp(exp(r))`` overflows the df (x) df term at rho = 5.9, inside the first
 block of its 100 radii: the one run whose eigenproblem is refused inside a
-block, so its re-run names the point.  That makes 58 runs and 274 files a
-side.  The
+block, so its re-run names the point.  Then ``compare`` on two more radial
+models, both CD(0,1): ``TWO_LOG_MANIFEST``, ``f = 2 * log(1 + r^2)`` at
+257 radii, which ``compare``'s quadrature walks in blocks of 32 and its
+cross-check in blocks of 256, so the last radius is a block of its own in
+both; and ``STEEP_LOG_MANIFEST``, ``f = 200 * log(1 + r^2)``, whose
+comparison integrand exp(f(rho) - f(t)) overflows beyond rho = 5.8, so
+the quadrature blocks from there on are re-run one radius at a time.  That
+makes 60 runs and 282 files a side.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -352,6 +358,37 @@ f = exp(exp(r))
 lambda = 0.0
 N = 1
 """
+TWO_LOG_MANIFEST = """\
+[manifold]
+name = radial-two-log
+kind = radial_model
+dim = 3
+
+[density]
+f = 2 * log(1 + r^2)
+
+[cd]
+lambda = 0.0
+N = 1
+
+[compare]
+rho_min = 0.1
+rho_max = 10.0
+count = 257
+"""
+STEEP_LOG_MANIFEST = """\
+[manifold]
+name = radial-steep-log
+kind = radial_model
+dim = 3
+
+[density]
+f = 200 * log(1 + r^2)
+
+[cd]
+lambda = 0.0
+N = 1
+"""
 SPHERE5_MANIFEST = """\
 [manifold]
 name = sphere5-split
@@ -378,7 +415,8 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "flat_sqrt_density": SQRT_MANIFEST, "twisted_all_functions": TWISTED_ALL_MANIFEST,
            "radial_complex_power": COMPLEX_POWER_MANIFEST,
            "plane_indefinite": INDEFINITE_MANIFEST, "polar_vector_density": VECTOR_MANIFEST,
-           "sphere5_split": SPHERE5_MANIFEST, "radial_exp_exp": EXP_EXP_MANIFEST}
+           "sphere5_split": SPHERE5_MANIFEST, "radial_exp_exp": EXP_EXP_MANIFEST,
+           "radial_two_log": TWO_LOG_MANIFEST, "radial_steep_log": STEEP_LOG_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -395,7 +433,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("curvature", "radial_complex_power", 42, ()),
            ("geodesic", "plane_indefinite", 42, ())]
         + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")]
-        + [("geodesic", "sphere5_split", 42, ()), ("verify-cd", "radial_exp_exp", 42, ())])
+        + [("geodesic", "sphere5_split", 42, ()), ("verify-cd", "radial_exp_exp", 42, ())]
+        + [("compare", man, 42, ()) for man in ("radial_two_log", "radial_steep_log")])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
