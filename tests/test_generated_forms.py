@@ -19,15 +19,26 @@ from cdsplit.manifest import _FUNCTIONS, compile_expression, ExpressionArray
 NAMES = ("r", "y1", "y2")
 BLOCK_SIZES = (1, 2, 255, 256, 257)
 
+
+def _real(x) -> float:
+    """x as a Python float, raising TypeError on any complex x as ``float``
+    does on a Python complex: on a numpy complex (the sum of a numpy float
+    and a complex is one) ``float`` and ``math`` would drop the imaginary
+    part with only a warning."""
+    if isinstance(x, complex):
+        raise TypeError(f"{x!r} is complex")
+    return float(x)
+
+
 _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-           "/": lambda a, b: float(a) / float(b), "^": lambda a, b: float(a) ** float(b)}
+           "/": lambda a, b: _real(a) / _real(b), "^": lambda a, b: _real(a) ** _real(b)}
 
 
 def closures(ast, variables):
     """The AST as nested closures over ``math``, evaluated left operand
-    first, keeping the values' own types, except that a quotient and a
-    power are taken on Python floats, which raise on a zero divisor: a tree
-    walk of the expression."""
+    first, keeping the values' own types, except that a quotient, a power
+    and a function's argument are taken on Python floats, which raise on a
+    zero divisor and on a complex value: a tree walk of the expression."""
     op = ast[0]
     if op == "num":
         v = ast[1]
@@ -40,7 +51,7 @@ def closures(ast, variables):
         return lambda env: -a(env)
     if op == "call":
         fn, a = _FUNCTIONS[ast[1]], closures(ast[2], variables)
-        return lambda env: fn(a(env))
+        return lambda env: fn(_real(a(env)))
     fn = _BINARY[op]
     a, b = closures(ast[1], variables), closures(ast[2], variables)
     return lambda env: fn(a(env), b(env))
@@ -118,6 +129,7 @@ def _check_rows(arr, fns, P):
 @example(["sin(r) ^ 0.5 + y2"], [(1.0, 2.0, 0.0), (-1.0, 0.5, 0.0)], 255, 0)
 @example(["1 / (r / (-0))", "y1 ^ r"], [(1.0, -0.0, 0.0), (0.0, -2.0, 0.5)], 2, 0)
 @example(["(r + (cos(r) ^ 0.5))"], [(0.0, 0.0, 0.0)], 2, 0)
+@example(["cos((r + (r ^ r)))"], [(0.0, 0.0, 0.0)], 2, 0)
 def test_both_forms_match_the_closure_oracle(texts, rows, size, seed):
     exprs = _compiled(texts)
     # seeded points, with the drawn rows (special values) spread among them
