@@ -42,7 +42,7 @@ caller needs nothing else (``metric_at``, the geodesic speed-drift and
 vector-density passes).  The Ricci tensor takes ``g`` and ``D`` at the 2n
 first-order stencil rows of every point from one more jet call, with the
 point's own ``g`` and ``D`` as row 0, and the Christoffel symbols from one
-``np.linalg.solve`` over the stack (``_christoffel_rows``).  A field derived
+``_solve`` over the stack (``_christoffel_rows``).  A field derived
 from the calculus (``geometry_field``, such as |grad h|^2) is the
 ``block_field`` of one ``BlockGeometry`` of its stencil rows; a value-only
 Hessian's gradient at the same step reads the +-h rows of its own stencil.
@@ -130,6 +130,15 @@ in ``BlockGeometry``, g^-1 df (``np.matmul``), |df|^2 and g(df, dh)
 not numpy ufuncs, which round differently on some inputs.  The minimum of
 the shipped sphere grid is a four-way exact tie a few ulps below its
 neighbours, so any change in rounding can move the reported witness.
+
+A grid repeats its values: most rows of a block share their r, and so
+their phi(r), with many others.  So a per-row scalar call that depends on
+one value alone runs once per distinct value, by bit pattern
+(``bit_groups``, which keeps +0.0 and -0.0 apart), and its results are
+gathered to the rows: a manifest expression array whose entries read one
+column of a block of more than one column, the warp of a product chart's
+stacked jet and a sphere fiber's ``s ** 3``.  Each row's value is the same
+call on the same bits, so every result keeps its bits.
 
 Everything here is a pure function of immutable specs and is safe to call
 concurrently; a ``BlockGeometry`` belongs to the one call that made it.
@@ -436,6 +445,18 @@ def field_rows(fn, pts: np.ndarray) -> np.ndarray:
 def _each_row(fn, pts: np.ndarray) -> np.ndarray:
     """``fn`` at each row of ``pts``, one call per row, stacked."""
     return np.array([fn(p) for p in pts], dtype=float)
+
+
+def bit_groups(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the 1-d float array x grouped by bit pattern: the
+    index of each group's first entry, and the group of each entry, so that
+    ``x[first][inverse]`` is x bit for bit.  The groups are those of x's
+    int64 view, so +0.0 and -0.0 stay apart.  A value that depends on its
+    entry's bits alone, computed once per group at ``x[first]`` and gathered
+    by ``inverse``, is that value at each entry, bit for bit."""
+    _, first, inverse = np.unique(np.asarray(x, dtype=float).view(np.int64),
+                                  return_index=True, return_inverse=True)
+    return first, inverse
 
 
 @lru_cache(maxsize=None)
@@ -779,20 +800,17 @@ class BlockGeometry:
 def _christoffel_rows(pts: np.ndarray, gs: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Christoffel symbols from raw g and D at each row of ``pts``, shape (k, n, n, n).
 
-    All rows go through one ``np.linalg.solve`` over the (k, n, n) stack.
-    numpy runs the same LAPACK call on each matrix of a stack, so every slice
-    is bit-identical to a solve at that point alone.  When the solve fails or
-    gives a non-finite result, the first failing row is named, as a
-    point-by-point sweep would name it.
+    All rows go through one ``_solve`` over the (k, n, n) stack, the ``gesv``
+    gufunc of ``np.linalg.solve``.  numpy runs the same LAPACK call on each
+    matrix of a stack, so every slice is bit-identical to a solve at that
+    point alone.  A singular matrix gives NaN there; when the result is not
+    finite, the rows are solved again one at a time, and the first failing
+    row is named, as a point-by-point sweep would name it.
     """
     k, n = pts.shape
     M = _lowered(D)
-    try:
-        out = 0.5 * np.linalg.solve(gs, M)
-        ok = bool(np.all(np.isfinite(out)))
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
+    out = 0.5 * _solve(gs, M)
+    if not np.isfinite(out).all():
         for q, g, m in zip(pts, gs, M):
             try:
                 sol = 0.5 * np.linalg.solve(g, m)

@@ -34,7 +34,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chart_core import BLOCK_POINTS, H1, H2, H3, BlockGeometry, ScalarField, in_blocks
+from .chart_core import (
+    BLOCK_POINTS,
+    H1,
+    H2,
+    H3,
+    BlockGeometry,
+    ScalarField,
+    bit_groups,
+    in_blocks,
+)
 from .comparison_suite import (
     bochner_residual,
     radial_comparison_check,
@@ -77,6 +86,13 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _formatted(x: np.ndarray) -> list[str]:
+    """Each entry of the 1-d array x at 17 significant digits, as the float
+    format of ``write_csv`` writes it, each distinct value formatted once."""
+    first, inverse = bit_groups(x)
+    return np.array(["%.17g" % v for v in x[first].tolist()], dtype=object)[inverse].tolist()
+
+
 def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -105,9 +121,9 @@ class Reporter:
         lines.extend(extra)
         return lines
 
-    def write_csv(self, name: str, columns, rows, extra_header=()) -> Path:
+    def write_csv(self, name: str, columns, rows, extra_header=(), formats=None) -> Path:
         path = self.out / name
-        write_csv(path, self.header(extra_header), columns, rows)
+        write_csv(path, self.header(extra_header), columns, rows, formats)
         return path
 
     def write_text(self, name: str, body_lines, extra_header=()) -> Path:
@@ -183,9 +199,13 @@ def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
         f"caveat: {report.caveat}",
     ]
     rep.write_text("cd_report.txt", body)
+    # a grid repeats each coordinate value many times, so each column's
+    # distinct values are formatted once and gathered (``bit_groups``)
+    coords = [_formatted(column) for column in report.points.T]
     rep.write_csv("cd_samples.csv",
                   ["point_" + c for c in geo["spec"].coords()] + ["min_eigenvalue"],
-                  np.column_stack((report.points, report.eigenvalues)).tolist())
+                  zip(*coords, report.eigenvalues.tolist()),
+                  formats=["%s"] * len(coords) + ["%.17g"])
     print(f"verify-cd: {report.verdict} (min eigenvalue {report.min_eigenvalue:.6g} "
           f"at {np.array2string(report.witness, precision=4)})")
     return 0 if report.passed else 1

@@ -10,6 +10,11 @@ round sphere (``SphereFiber``).
 The module provides the closed-form Ricci tensor of such charts, the
 supremum criterion deciding when a split space satisfies the CD(0,1)
 inequality, and the blow-up obstruction ODE behind that criterion.
+
+A product chart's stacked jet takes the warp e^{2 psi/(n-1)}, and a sphere
+fiber's stacked jet the cube of R^2 + |y|^2, with one Python call per
+distinct value, by bit pattern (``chart_core.bit_groups``), gathered to the
+rows: on a grid, most rows repeat a value of psi and of |y|^2.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .chart_core import (
     Point,
     ScalarField,
     as_point,
+    bit_groups,
     block_field,
     field_rows,
     rk4_step,
@@ -170,7 +176,8 @@ class SphereFiber:
         product that ``y @ y`` calls on a single row; a row sum, an einsum or
         ``y1*y1 + y2*y2`` rounds differently, as that dot product fuses its
         multiply-adds.  ``s * s`` is elementwise; ``s ** 3`` stays one Python
-        power per row, as ``np.power`` rounds differently on some inputs."""
+        power per distinct value of s (``bit_groups``), as ``np.power`` rounds
+        differently on some inputs."""
         R2 = self.radius_sq
         s = R2 + np.vecdot(Y, Y)
         conf = 4.0 * R2 ** 2 / (s * s)
@@ -178,7 +185,9 @@ class SphereFiber:
         h = conf[:, None, None] * eye
         if order == 0:
             return (h,)
-        dc = -16.0 * R2 ** 2 * Y / np.array([si ** 3 for si in s.tolist()])[:, None]
+        first, inverse = bit_groups(s)
+        s3 = np.array([si ** 3 for si in s[first].tolist()])[inverse]
+        dc = -16.0 * R2 ** 2 * Y / s3[:, None]
         return h, dc[:, :, None, None] * eye
 
     def christoffel(self, y: np.ndarray) -> np.ndarray:
@@ -301,10 +310,13 @@ def _product_metric_spec(n: int, psi: ScalarField, fiber: FiberSpec, name: str) 
         if len(P) == 1:
             return point(P[0], order)
         # psi (and its gradient) stacked, through their block forms when
-        # they have them, then the warp once per row with the same scalar
-        # call and the fiber's stacked jet; g and D are built by broadcasting
+        # they have them, then the warp with the same scalar call once per
+        # distinct value of psi (``bit_groups``), and the fiber's stacked
+        # jet; g and D are built by broadcasting
         k = len(P)
-        w = np.array([_exp(2.0 * c * v) for v in field_rows(psi.value, P).tolist()])
+        v = field_rows(psi.value, P)
+        first, inverse = bit_groups(v)
+        w = np.array([_exp(2.0 * c * x) for x in v[first].tolist()])[inverse]
         dpsi = field_rows(psi.grad, P) if order else None
         h, *dh = fiber.jet(P[:, 1:], order)
         G = np.zeros((k, n, n))
@@ -591,13 +603,26 @@ def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
     finite time, so the obstruction is detected forward or backward.  A
     forward escape is reported with positive time, a backward one with
     negative time; when both escape the forward time is reported.
+
+    At y0p = 0 (either sign) the backward problem is the forward one, and
+    the forward run serves both.  The two runs then differ in their first
+    velocity alone, y0p against -y0p, which the joined samples drop: every
+    stage adds a velocity increment to that signed zero, and each
+    increment is at least (dt / 6) a e^{-2 y0} in size, as y'' < 0 and y
+    only falls during the first step.  When that bound rounds to zero (y0
+    above about 368 at a = 1 and dt = 1e-3, or a subnormal a), an increment
+    may be a zero too, and the sign of the first velocity would reach the
+    samples, so both runs are taken.
     """
     if not a > 0:
         raise ValueError("a must be positive")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     tf, yf, vf, hit_f = _integrate_obstruction(a, y0, y0p, t_max, dt)
-    tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt)
+    if y0p == 0.0 and (dt / 6.0) * (a * math.exp(min(-2.0 * y0, EXP_CAP))) != 0.0:
+        tb, yb, vb, hit_b = tf, yf, vf, hit_f
+    else:
+        tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt)
 
     ts = np.concatenate([-tb[::-1][:-1], tf])
     ys = np.concatenate([yb[::-1][:-1], yf])

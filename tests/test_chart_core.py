@@ -18,6 +18,7 @@ from cdsplit.chart_core import (
     ScalarField,
     VectorField,
     as_point,
+    bit_groups,
     cumulative_simpson,
     hessian_scalar,
     metric_at,
@@ -510,3 +511,16 @@ def test_stacked_rows_raises_as_the_first_failing_row_alone():
 
     with pytest.raises(NonFinite, match="^no value at 1.0$"):
         stacked_rows(block, P, one)
+
+
+def test_bit_groups_keep_each_bit_pattern_apart():
+    # +0.0 and -0.0 compare equal, and so do no two NaNs, but each bit
+    # pattern is a group of its own; a strided column is grouped as it is
+    other_nan = np.frombuffer(np.int64(0x7FF8000000000001).tobytes())[0]
+    x = np.array([2.0, -0.0, 0.0, 2.0, np.nan, other_nan, -0.0, 5e-324, 2.0, np.nan])
+    for column in (x, np.column_stack([-x, x])[:, 1]):
+        first, inverse = bit_groups(column)
+        assert sorted(first.tolist()) == [0, 1, 2, 4, 5, 7]
+        assert column[first][inverse].tobytes() == x.tobytes()
+        # each group's first index is its first entry
+        assert first.tolist() == [np.flatnonzero(inverse == g)[0] for g in range(len(first))]

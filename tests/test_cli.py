@@ -1,5 +1,6 @@
 """Subcommand dispatch, exit codes, report determinism."""
 
+import dataclasses
 import importlib.util
 import math
 import re
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdsplit import chart_core, cli
+from cdsplit import chart_core, cli, warped_products
 from cdsplit.cli import main, run
 from cdsplit.comparison_suite import rigidity_check
 
@@ -715,6 +716,58 @@ def test_sampled_reports_take_no_per_point_geometry(tmp_path, monkeypatch, subco
 
     monkeypatch.setattr(chart_core.BlockGeometry, "at", per_point)
     assert run(subcommand, MANIFESTS / f"{name}.cdm", tmp_path / "out") == 0
+
+
+def test_stacked_warp_takes_each_distinct_psi_once(tmp_path, monkeypatch, capsys):
+    # on the sphere grid most stacked rows repeat a value of psi = phi(r):
+    # each stacked jet call of the product chart takes the warp's _exp at
+    # most once per distinct psi, by bit pattern, and the run's exit code,
+    # output and reports are those of a run without the counting
+    path = MANIFESTS / "sphere_example.cdm"
+    code = run("verify-cd", path, tmp_path / "plain")
+    output = capsys.readouterr()
+    calls = []  # per stacked jet call: (rows, the bits of psi there, _exp's arguments)
+    current = {}
+    make_spec, field_rows, exp = (warped_products._product_metric_spec,
+                                  warped_products.field_rows, warped_products._exp)
+
+    def product_metric_spec(*args):
+        spec = make_spec(*args)
+
+        def jet(P, order):
+            if len(P) == 1:
+                return spec.jet(P, order)
+            current.update(psi=None, args=[])
+            try:
+                return spec.jet(P, order)
+            finally:
+                calls.append((len(P), current["psi"], current.pop("args")))
+
+        return dataclasses.replace(spec, jet=jet)
+
+    def rows(fn, P):
+        out = field_rows(fn, P)
+        if "args" in current and out.ndim == 1:  # psi's values
+            current["psi"] = set(out.view(np.int64).tolist())
+        return out
+
+    def counted(x):
+        if "args" in current:
+            current["args"].append(x)
+        return exp(x)
+
+    monkeypatch.setattr(warped_products, "_product_metric_spec", product_metric_spec)
+    monkeypatch.setattr(warped_products, "field_rows", rows)
+    monkeypatch.setattr(warped_products, "_exp", counted)
+    assert run("verify-cd", path, tmp_path / "out") == code
+    assert capsys.readouterr() == output
+    assert _reports(tmp_path / "out") == _reports(tmp_path / "plain")
+    assert calls and all(len(args) <= len(psi) for _, psi, args in calls)
+    # the 16,281 grid points and their 6 Ricci stencil rows each are
+    # 113,967 rows in all, whose psi = sin(r) takes 1,056 distinct values
+    # over the 128 stacked calls
+    total = sum(k for k, _, _ in calls)
+    assert total == 16_281 * 7 and sum(len(args) for _, _, args in calls) < total / 100
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
