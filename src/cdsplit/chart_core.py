@@ -133,12 +133,11 @@ neighbours, so any change in rounding can move the reported witness.
 
 A grid repeats its values: most rows of a block share their r, and so
 their phi(r), with many others.  So a per-row scalar call that depends on
-one value alone runs once per distinct value, by bit pattern
-(``bit_groups``, which keeps +0.0 and -0.0 apart), and its results are
-gathered to the rows: a manifest expression array whose entries read one
-column of a block of more than one column, the warp of a product chart's
-stacked jet and a sphere fiber's ``s ** 3``.  Each row's value is the same
-call on the same bits, so every result keeps its bits.
+one value alone can run once per distinct value, by bit pattern
+(``bit_groups``, which keeps +0.0 and -0.0 apart), with its results
+gathered to the rows: the warp of a product chart's stacked jet and a
+sphere fiber's ``s ** 3`` do.  Each row's value is the same call on the
+same bits, so every result keeps its bits.
 
 Everything here is a pure function of immutable specs and is safe to call
 concurrently; a ``BlockGeometry`` belongs to the one call that made it.

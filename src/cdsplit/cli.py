@@ -86,11 +86,18 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _formatted(x: np.ndarray) -> list[str]:
-    """Each entry of the 1-d array x at 17 significant digits, as the float
-    format of ``write_csv`` writes it, each distinct value formatted once."""
-    first, inverse = bit_groups(x)
-    return np.array(["%.17g" % v for v in x[first].tolist()], dtype=object)[inverse].tolist()
+def _csv_lines(columns, points: np.ndarray, values: np.ndarray) -> list[str]:
+    """The column names, then each row of ``points`` and ``values`` at 17
+    significant digits: the body ``write_csv`` writes for those rows.  A
+    grid repeats each coordinate value many times, so each column of
+    ``points`` formats its distinct values once (``bit_groups``) and
+    gathers them."""
+    def formatted(x):
+        first, inverse = bit_groups(x)
+        return np.array(["%.17g" % v for v in x[first].tolist()], dtype=object)[inverse].tolist()
+
+    cells = [formatted(x) for x in points.T] + [["%.17g" % v for v in values.tolist()]]
+    return [",".join(columns)] + [",".join(row) for row in zip(*cells)]
 
 
 def _sha256(text: str) -> str:
@@ -121,9 +128,9 @@ class Reporter:
         lines.extend(extra)
         return lines
 
-    def write_csv(self, name: str, columns, rows, extra_header=(), formats=None) -> Path:
+    def write_csv(self, name: str, columns, rows, extra_header=()) -> Path:
         path = self.out / name
-        write_csv(path, self.header(extra_header), columns, rows, formats)
+        write_csv(path, self.header(extra_header), columns, rows)
         return path
 
     def write_text(self, name: str, body_lines, extra_header=()) -> Path:
@@ -199,13 +206,9 @@ def _cmd_verify_cd(manifest, geo, rep: Reporter) -> int:
         f"caveat: {report.caveat}",
     ]
     rep.write_text("cd_report.txt", body)
-    # a grid repeats each coordinate value many times, so each column's
-    # distinct values are formatted once and gathered (``bit_groups``)
-    coords = [_formatted(column) for column in report.points.T]
-    rep.write_csv("cd_samples.csv",
-                  ["point_" + c for c in geo["spec"].coords()] + ["min_eigenvalue"],
-                  zip(*coords, report.eigenvalues.tolist()),
-                  formats=["%s"] * len(coords) + ["%.17g"])
+    rep.write_text("cd_samples.csv", _csv_lines(
+        ["point_" + c for c in geo["spec"].coords()] + ["min_eigenvalue"],
+        report.points, report.eigenvalues))
     print(f"verify-cd: {report.verdict} (min eigenvalue {report.min_eigenvalue:.6g} "
           f"at {np.array2string(report.witness, precision=4)})")
     return 0 if report.passed else 1

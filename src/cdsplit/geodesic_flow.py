@@ -497,12 +497,10 @@ def completeness_diagnostic(spec: MetricSpec, density: DensitySpec, y,
 # CSV export
 # ---------------------------------------------------------------------------
 
-def write_csv(path, header_lines, columns, rows, formats=None) -> None:
+def write_csv(path, header_lines, columns, rows) -> None:
     """Write a report CSV: each header line as ``# line``, the column names,
-    then each row of numbers at 17 significant digits; LF line endings.
-    ``formats`` gives each column's ``%`` format, ``%.17g`` by default; a
-    column of strings already formatted as ``%.17g`` takes ``%s``."""
-    line = ",".join(formats or ["%.17g"] * len(columns)) + "\n"
+    then each row of numbers at 17 significant digits; LF line endings."""
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", newline="\n") as fh:
         fh.writelines(f"# {h}\n" for h in header_lines)
         fh.write(",".join(columns) + "\n")

@@ -21,14 +21,9 @@ numpy's ufuncs round some results differently from ``math`` and ``**``.
 It is a ``chart_core.stacked_rows`` pass with the point form as its single
 row: a block that raises, with a zero divisor raising too, or that gives a
 non-finite value, is evaluated again row by row through the point form, so
-each row rounds and fails as it does alone.  When the entries of an array
-read exactly one variable and P has more than one column, the block form
-runs once per distinct value of that column, by bit pattern
-(``chart_core.bit_groups``), and the rows are gathered from those: on a
-grid, phi(r) and a density of r alone repeat each value at many rows.  A
-P of one column, such as ``compare``'s samples, is taken as it is.  The
-generated source holds only temporaries, the constants as names, variables
-read by index and the names of ``_FUNCTIONS``; no manifest text reaches it.  A value with no real
+each row rounds and fails as it does alone.  The generated source holds only
+temporaries, the constants as names, variables read by index and the names
+of ``_FUNCTIONS``; no manifest text reaches it.  A value with no real
 result at a point (``sqrt(-1)``, ``exp(1000)``, ``(-1)^0.5``) is NonFinite,
 naming the expression and the point.
 ``expression_scalar_field`` is the one way an analytic scalar field is
@@ -75,7 +70,6 @@ from .chart_core import (
     MetricSpec,
     ScalarField,
     VectorField,
-    bit_groups,
     in_domain,
     metric_at,
     point_jet,
@@ -307,7 +301,6 @@ class _Source:
         self.load = "env[{}]" if arg == "env" else "P[:, {}]"
         self.lines: list[str] = []
         self.constants: list[float] = []
-        self.reads: list[int] = []  # the index of each variable read, in order
         self.names: dict = {}  # node key -> name
         self.seen: dict = {}   # id(node) -> name, for subtrees shared between trees
 
@@ -339,7 +332,6 @@ class _Source:
             return f"c{len(self.constants) - 1}"
         if op == "var":
             i = self.variables.index(node[1])
-            self.reads.append(i)
             self.lines.append(f"v{i} = {self.load.format(i)}")
             return f"v{i}"
         if op == "neg":
@@ -581,13 +573,10 @@ class ExpressionArray:
     @cached_property
     def block(self) -> Callable:
         """The block form, ``P -> [column of each distinct entry]`` for a
-        (B, n) array P; its ``reads`` are the indices of the columns of P it
-        reads."""
+        (B, n) array P."""
         src = _Source(self.variables, "P")
         names = [src.name(e.ast) for e in self.entries]
-        fn = src.function([f"return [{', '.join(names)}]"], _BLOCK_NAMES)
-        fn.reads = src.reads
-        return fn
+        return src.function([f"return [{', '.join(names)}]"], _BLOCK_NAMES)
 
     def __call__(self, p):
         return eval_ast(self, p)
@@ -617,24 +606,13 @@ class ExpressionArray:
 
     def _block_rows(self, P: np.ndarray) -> np.ndarray:
         """The block form's columns, and the template's constants, as the
-        (k, *shape) values at the rows of P.
-
-        When the entries read one column of a P that has more than one, the
-        block form runs once per distinct value of that column, by bit
-        pattern (``bit_groups``), and the rows are gathered from those: a
-        row's values depend on the bits of that one value alone.  A P of one
-        column, such as ``compare``'s samples of rho, is taken as it is."""
-        block, inverse = self.block, None
-        if len(block.reads) == 1 and P.shape[1] > 1:
-            first, inverse = bit_groups(P[:, block.reads[0]])
-            P = P[first]
+        (k, *shape) values at the rows of P."""
         k = len(P)
         out = np.empty((k, self.template.size))
         out[:] = self.template.ravel()
-        for column, slots in zip(block(P), self.slots):
+        for column, slots in zip(self.block(P), self.slots):
             out[:, slots] = column[:, None]
-        out = out.reshape((k, *self.shape))
-        return out if inverse is None else out[inverse]
+        return out.reshape((k, *self.shape))
 
 
 def expression_scalar_field(expr: Expression) -> ScalarField:

@@ -603,26 +603,13 @@ def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
     finite time, so the obstruction is detected forward or backward.  A
     forward escape is reported with positive time, a backward one with
     negative time; when both escape the forward time is reported.
-
-    At y0p = 0 (either sign) the backward problem is the forward one, and
-    the forward run serves both.  The two runs then differ in their first
-    velocity alone, y0p against -y0p, which the joined samples drop: every
-    stage adds a velocity increment to that signed zero, and each
-    increment is at least (dt / 6) a e^{-2 y0} in size, as y'' < 0 and y
-    only falls during the first step.  When that bound rounds to zero (y0
-    above about 368 at a = 1 and dt = 1e-3, or a subnormal a), an increment
-    may be a zero too, and the sign of the first velocity would reach the
-    samples, so both runs are taken.
     """
     if not a > 0:
         raise ValueError("a must be positive")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
     tf, yf, vf, hit_f = _integrate_obstruction(a, y0, y0p, t_max, dt)
-    if y0p == 0.0 and (dt / 6.0) * (a * math.exp(min(-2.0 * y0, EXP_CAP))) != 0.0:
-        tb, yb, vb, hit_b = tf, yf, vf, hit_f
-    else:
-        tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt)
+    tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt)
 
     ts = np.concatenate([-tb[::-1][:-1], tf])
     ys = np.concatenate([yb[::-1][:-1], yf])

@@ -13,6 +13,7 @@ import pytest
 from cdsplit import chart_core, cli, warped_products
 from cdsplit.cli import main, run
 from cdsplit.comparison_suite import rigidity_check
+from cdsplit.manifest import parse_manifest
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 _TOOL = importlib.util.spec_from_file_location(
@@ -768,6 +769,21 @@ def test_stacked_warp_takes_each_distinct_psi_once(tmp_path, monkeypatch, capsys
     # over the 128 stacked calls
     total = sum(k for k, _, _ in calls)
     assert total == 16_281 * 7 and sum(len(args) for _, _, args in calls) < total / 100
+
+
+def test_formatted_sample_lines_write_the_float_call_bytes(tmp_path):
+    # cd_samples.csv formats each distinct grid coordinate once and writes
+    # the lines as text: the bytes write_csv writes for the float rows
+    rep = cli.Reporter(parse_manifest(MANIFESTS / "sphere_example.cdm"), tmp_path, 42)
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 5e-324, 1e308, -1.0 / 3.0, math.inf, -math.inf, math.nan]
+    points = np.column_stack([rng.permutation(np.repeat(special, 3)),
+                              np.repeat([2.5, -2.5, 1e-17], 8)])
+    values = rng.standard_normal(24)
+    columns = ["a", "b", "c"]
+    rep.write_csv("float.csv", columns, np.column_stack((points, values)).tolist())
+    rep.write_text("text.csv", cli._csv_lines(columns, points, values))
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

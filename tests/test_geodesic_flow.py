@@ -11,7 +11,7 @@ import pytest
 import scipy.integrate
 from hypothesis import example, given, settings, strategies as st
 
-from cdsplit import catalog, cli
+from cdsplit import catalog
 from cdsplit.chart_core import (
     H2,
     BlockGeometry,
@@ -38,7 +38,6 @@ from cdsplit.geodesic_flow import (
     geodesic_integrate,
     normalize_velocity,
     sample_unit_directions,
-    write_csv,
     write_trace_csv,
 )
 from cdsplit.manifest import compile_expression, expression_scalar_field, parse_manifest
@@ -410,19 +409,6 @@ class TestTraceExport:
         assert float(row[1]) == pytest.approx(0.0)
         # 17 significant digits round-trip
         assert float(lines[3].split(",")[1]) == trace.positions[1, 0]
-
-    def test_formatted_columns_write_the_float_call_bytes(self, tmp_path):
-        # cd_samples.csv formats each distinct grid coordinate once and
-        # writes the strings with %s: the bytes of the float call
-        rng = np.random.default_rng(3)
-        special = [0.0, -0.0, 5e-324, 1e308, -1.0 / 3.0, math.inf, -math.inf, math.nan]
-        data = np.column_stack([rng.permutation(np.repeat(special, 3)),
-                                np.repeat([2.5, -2.5, 1e-17], 8), rng.standard_normal(24)])
-        write_csv(tmp_path / "float.csv", ["h"], ["a", "b", "c"], data.tolist())
-        strings = [cli._formatted(column) for column in data[:, :2].T]
-        write_csv(tmp_path / "str.csv", ["h"], ["a", "b", "c"],
-                  zip(*strings, data[:, 2].tolist()), formats=["%s", "%s", "%.17g"])
-        assert (tmp_path / "str.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------

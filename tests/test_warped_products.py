@@ -371,34 +371,6 @@ class TestRiccatiObstruction:
             want = -a * math.exp(min(e, EXP_CAP))
             assert struct.pack("<d", acc(y, 0.0)) == struct.pack("<d", want), e
 
-    @pytest.mark.parametrize("a", [1.0, 0.3, 7.5, 1e-3, 5e-324])
-    @pytest.mark.parametrize("y0", [0.0, -0.0, 1.2, -3.0, 40.0, 400.0])
-    @pytest.mark.parametrize("y0p", [0.0, -0.0, 0.5])
-    def test_one_integration_when_backward_is_forward(self, monkeypatch, a, y0, y0p):
-        # at y0p = 0 of either sign the forward run serves both directions,
-        # bit for bit the two integrations, unless the first step's
-        # velocity increments may round to zero (e^{-2 y0} = 0 at y0 = 400,
-        # or a subnormal a), where the sign of the first velocity reaches
-        # the samples and both runs are taken
-        integrate = warped_products._integrate_obstruction
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return integrate(*args)
-
-        monkeypatch.setattr(warped_products, "_integrate_obstruction", counted)
-        rep = riccati_obstruction(a, y0, y0p, 2.0)
-        (tf, yf, vf, hit_f), (tb, yb, vb, hit_b) = (integrate(a, y0, s * y0p, 2.0, 1e-3)
-                                                    for s in (1.0, -1.0))
-        assert rep.ts.tobytes() == np.concatenate([-tb[::-1][:-1], tf]).tobytes()
-        assert rep.ys.tobytes() == np.concatenate([yb[::-1][:-1], yf]).tobytes()
-        assert rep.yps.tobytes() == np.concatenate([-vb[::-1][:-1], vf]).tobytes()
-        assert rep.blow_up_time == (hit_f if hit_f is not None
-                                    else None if hit_b is None else -hit_b)
-        one = y0p == 0.0 and a > 1e-300 and y0 < 400.0
-        assert len(calls) == (1 if one else 2)
-
     def test_larger_coefficient_scales_time(self):
         # y'' = -a e^{-2y} with zero data escapes sooner for larger a
         t1 = riccati_obstruction(1.0, 0.0, 0.0, 5.0).blow_up_time

@@ -57,12 +57,8 @@ models, both CD(0,1): ``TWO_LOG_MANIFEST``, ``f = 2 * log(1 + r^2)`` at
 cross-check in blocks of 256, so the last radius is a block of its own in
 both; and ``STEEP_LOG_MANIFEST``, ``f = 200 * log(1 + r^2)``, whose
 comparison integrand exp(f(rho) - f(t)) overflows beyond rho = 5.8, so
-the quadrature blocks from there on are re-run one radius at a time.
-Then ``verify-cd`` on ``Y1_MANIFEST``, the ``general`` chart
-dr^2 + dy1^2 + cosh(y1)^2 dy2^2 with density 0.1 y1^2, whose metric and
-density read y1 alone, a coordinate other than the first: their block
-forms run once per distinct y1 of their rows.  That makes 61 runs and 287
-files a side.  The
+the quadrature blocks from there on are re-run one radius at a time.  That
+makes 60 runs and 282 files a side.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -393,35 +389,6 @@ f = 200 * log(1 + r^2)
 lambda = 0.0
 N = 1
 """
-Y1_MANIFEST = """\
-[manifold]
-name = line-times-hyperbolic-plane
-kind = general
-dim = 3
-
-[metric]
-g11 = 1
-g12 = 0
-g13 = 0
-g22 = 1
-g23 = 0
-g33 = cosh(y1)^2
-
-[density]
-f = 0.1 * y1^2
-
-[grid]
-r_min = -1
-r_max = 1
-r_count = 11
-y_min = -1.5
-y_max = 1.5
-fiber_count = 9
-
-[cd]
-lambda = -1.5
-N = inf
-"""
 SPHERE5_MANIFEST = """\
 [manifold]
 name = sphere5-split
@@ -449,8 +416,7 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "radial_complex_power": COMPLEX_POWER_MANIFEST,
            "plane_indefinite": INDEFINITE_MANIFEST, "polar_vector_density": VECTOR_MANIFEST,
            "sphere5_split": SPHERE5_MANIFEST, "radial_exp_exp": EXP_EXP_MANIFEST,
-           "radial_two_log": TWO_LOG_MANIFEST, "radial_steep_log": STEEP_LOG_MANIFEST,
-           "line_times_hyperbolic_plane": Y1_MANIFEST}
+           "radial_two_log": TWO_LOG_MANIFEST, "radial_steep_log": STEEP_LOG_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -468,8 +434,7 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
            ("geodesic", "plane_indefinite", 42, ())]
         + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")]
         + [("geodesic", "sphere5_split", 42, ()), ("verify-cd", "radial_exp_exp", 42, ())]
-        + [("compare", man, 42, ()) for man in ("radial_two_log", "radial_steep_log")]
-        + [("verify-cd", "line_times_hyperbolic_plane", 42, ())])
+        + [("compare", man, 42, ()) for man in ("radial_two_log", "radial_steep_log")])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
