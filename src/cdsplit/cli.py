@@ -42,6 +42,7 @@ from .chart_core import (
     BlockGeometry,
     ScalarField,
     bit_groups,
+    block_field,
     in_blocks,
 )
 from .comparison_suite import (
@@ -86,17 +87,26 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _csv_lines(columns, points: np.ndarray, values: np.ndarray) -> list[str]:
-    """The column names, then each row of ``points`` and ``values`` at 17
-    significant digits: the body ``write_csv`` writes for those rows.  A
-    grid repeats each coordinate value many times, so each column of
-    ``points`` formats its distinct values once (``bit_groups``) and
-    gathers them."""
+def _csv_lines(columns, grouped: np.ndarray, values=None) -> list[str]:
+    """The column names, then each row of the columns of ``grouped`` and,
+    when given, of the column ``values`` at 17 significant digits: the body
+    ``write_csv`` writes for those rows.  A grid repeats each coordinate
+    value many times, and a mirrored trace each magnitude twice, so each
+    column of ``grouped`` formats each of its distinct magnitudes once
+    (``bit_groups``) and gathers them: a negative value is ``-`` and its
+    magnitude's text, as ``%.17g`` writes it, and a NaN of either sign
+    ``nan``.  ``values``, which seldom repeat, are formatted value by
+    value."""
     def formatted(x):
-        first, inverse = bit_groups(x)
-        return np.array(["%.17g" % v for v in x[first].tolist()], dtype=object)[inverse].tolist()
+        magnitude = np.abs(x)
+        first, inverse = bit_groups(magnitude)
+        texts = np.array(["%.17g" % v for v in magnitude[first].tolist()], dtype=object)
+        negative = np.signbit(x) & ~np.isnan(x)
+        return np.concatenate((texts, "-" + texts))[inverse + len(texts) * negative].tolist()
 
-    cells = [formatted(x) for x in points.T] + [["%.17g" % v for v in values.tolist()]]
+    cells = [formatted(x) for x in grouped.T]
+    if values is not None:
+        cells.append(["%.17g" % v for v in values.tolist()])
     return [",".join(columns)] + [",".join(row) for row in zip(*cells)]
 
 
@@ -242,8 +252,8 @@ def _cmd_riccati(manifest, geo, rep: Reporter) -> int:
         f"threshold: {out.threshold_used:g}",
     ]
     rep.write_text("riccati.txt", body)
-    rep.write_csv("riccati.csv", ["t", "y", "yp"],
-                  np.column_stack((out.ts, out.ys, out.yps)).tolist())
+    rep.write_text("riccati.csv", _csv_lines(["t", "y", "yp"],
+                                             np.column_stack((out.ts, out.ys, out.yps))))
     if out.blow_up:
         print(f"riccati: escape detected at t = {out.blow_up_time:.6g}")
     else:
@@ -291,6 +301,13 @@ def _cmd_compare(manifest, geo, rep: Reporter) -> int:
 
 
 def _random_cubic_field(rng, dim: int, scale: float = 0.5) -> ScalarField:
+    """A random cubic h = scale (C(p, p, p) + p.A.p / 2 + b.p) with symmetric
+    C and A, drawn from ``rng``: one of ``bochner``'s test fields.  Its
+    gradient and Hessian are block forms (``block_field``), an einsum with a
+    batch axis and a stacked ``matmul``, so a point's group of stencil rows
+    is one call and a point is its block of one; each row is bit for bit
+    the per-point formula, which the tests keep as their oracle.  The
+    value, which the Bochner residual never takes, stays a point form."""
     A = rng.uniform(-0.5, 0.5, (dim, dim))
     A = 0.5 * (A + A.T)
     b = rng.uniform(-1.0, 1.0, dim)
@@ -302,13 +319,14 @@ def _random_cubic_field(rng, dim: int, scale: float = 0.5) -> ScalarField:
         return scale * (float(np.einsum("ijk,i,j,k->", C, p, p, p))
                         + 0.5 * float(p @ A @ p) + float(b @ p))
 
-    def grad(p):
-        return scale * (3.0 * np.einsum("ijk,j,k->i", C, p, p) + A @ p + b)
+    def grads(P):
+        return scale * (3.0 * np.einsum("ijk,bj,bk->bi", C, P, P)
+                        + np.matmul(A, P[:, :, None])[:, :, 0] + b)
 
-    def hess(p):
-        return scale * (6.0 * np.einsum("ijk,k->ij", C, p) + A)
+    def hessians(P):
+        return scale * (6.0 * np.einsum("ijk,bk->bij", C, P) + A)
 
-    return ScalarField(value=value, grad=grad, hess=hess)
+    return ScalarField(value=value, grad=block_field(grads), hess=block_field(hessians))
 
 
 def _cmd_bochner(manifest, geo, rep: Reporter) -> int:

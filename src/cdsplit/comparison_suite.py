@@ -258,9 +258,11 @@ def _per_point(forms) -> Callable:
     """One form for a block of points from ``forms``, one per point: the
     ``block_field`` that splits its rows P into ``len(forms)`` equal
     consecutive groups, one per point in order, as the stencils of a block
-    are stacked, and takes each row with its point's own form.  A row count
-    that is not a multiple of the number of points is refused: the rows of a
-    re-run one row at a time belong to no one point, so the block fails and
+    are stacked, and takes each group in one ``field_rows`` call of its
+    point's own form: one call of a block form (``bochner``'s random cubic
+    fields), a plain callable row by row.  A row count that is not a
+    multiple of the number of points is refused: the rows of a re-run one
+    row at a time belong to no one point, so the block fails and
     ``in_blocks`` re-runs it one point at a time."""
     k = len(forms)
 
@@ -268,7 +270,8 @@ def _per_point(forms) -> Callable:
         if len(P) % k:
             raise ValueError(f"{len(P)} rows do not split among {k} points")
         m = len(P) // k
-        return np.array([forms[r // m](p) for r, p in enumerate(P)], dtype=float)
+        return np.concatenate([field_rows(form, P[i * m:(i + 1) * m])
+                               for i, form in enumerate(forms)])
 
     return block_field(rows)
 

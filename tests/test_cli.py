@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from cdsplit import chart_core, cli, warped_products
+from cdsplit.chart_core import ScalarField
 from cdsplit.cli import main, run
 from cdsplit.comparison_suite import rigidity_check
 from cdsplit.manifest import parse_manifest
@@ -719,6 +720,48 @@ def test_sampled_reports_take_no_per_point_geometry(tmp_path, monkeypatch, subco
     assert run(subcommand, MANIFESTS / f"{name}.cdm", tmp_path / "out") == 0
 
 
+@pytest.mark.parametrize("name", ["sphere_example", "twisted_flat", "polar_general",
+                                  "radial_log"])
+def test_bochner_takes_no_per_row_random_field_call(tmp_path, monkeypatch, capsys, name):
+    # each point's random cubic field takes its group of stencil rows in one
+    # call of its block form: the point forms of its value, gradient and
+    # Hessian are never called, and the run's code, output and report are
+    # those of a run without the counting
+    path = MANIFESTS / f"{name}.cdm"
+    code = run("bochner", path, tmp_path / "plain")
+    output = capsys.readouterr()
+    draw = cli._random_cubic_field
+    point_calls, block_calls = [], []
+
+    def counted(form, label):
+        def point(p):
+            point_calls.append(label)
+            return form(p)
+
+        def rows(P):
+            block_calls.append(label)
+            return form.rows(P)
+
+        if hasattr(form, "rows"):
+            point.rows = rows
+        return point
+
+    def wrapped(rng, dim):
+        h = draw(rng, dim)
+        return ScalarField(value=counted(h.value, "value"), grad=counted(h.grad, "grad"),
+                           hess=counted(h.hess, "hess"))
+
+    monkeypatch.setattr(cli, "_random_cubic_field", wrapped)
+    assert run("bochner", path, tmp_path / "out") == code == 0
+    assert capsys.readouterr() == output
+    assert _reports(tmp_path / "out") == _reports(tmp_path / "plain")
+    assert point_calls == []
+    # per point: the gradient at the rows of |grad h|^2's stencil, of
+    # Lap_f h's and at the point, the Hessian at the last two
+    points = parse_manifest(path).extras["bochner"]["points"]
+    assert sorted(block_calls) == ["grad"] * 3 * points + ["hess"] * 2 * points
+
+
 def test_stacked_warp_takes_each_distinct_psi_once(tmp_path, monkeypatch, capsys):
     # on the sphere grid most stacked rows repeat a value of psi = phi(r):
     # each stacked jet call of the product chart takes the warp's _exp at
@@ -784,6 +827,37 @@ def test_formatted_sample_lines_write_the_float_call_bytes(tmp_path):
     rep.write_csv("float.csv", columns, np.column_stack((points, values)).tolist())
     rep.write_text("text.csv", cli._csv_lines(columns, points, values))
     assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+    # mirrored columns, as riccati.csv's: each value beside its negation,
+    # so a column holds both signs of each magnitude; -nan is written nan
+    mirrored = [-math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e308, -1.0 / 3.0, 2.5]
+    x = rng.permutation(np.repeat(mirrored, 3))
+    assert np.signbit(x[np.isnan(x)]).all()
+    points = np.column_stack([x, -x, rng.permutation(-x)])
+    rep.write_csv("float.csv", columns, points.tolist())
+    rep.write_text("text.csv", cli._csv_lines(columns, points))
+    assert (tmp_path / "text.csv").read_bytes() == (tmp_path / "float.csv").read_bytes()
+    assert "-nan" not in (tmp_path / "text.csv").read_text()
+
+
+@pytest.mark.parametrize("y0, y0p", [("0.0", "0.0"), ("0.0", "0.7"), ("-0.0", "-0.0")])
+def test_riccati_csv_is_the_float_call_bytes(tmp_path, y0, y0p):
+    # riccati.csv formats each distinct magnitude of t, y and y' once: the
+    # bytes write_csv writes for the float rows of the same integration, at
+    # a symmetric start, one whose two halves differ, and signed zeros
+    path = tmp_path / "m.cdm"
+    path.write_text(_shipped("sphere_example").replace("y0 = 0.0", f"y0 = {y0}")
+                    .replace("y0p = 0.0", f"y0p = {y0p}"))
+    m = parse_manifest(path)
+    assert (m.extras["riccati"]["y0"], m.extras["riccati"]["y0p"]) == (float(y0), float(y0p))
+    assert run("riccati", path, tmp_path / "out") == 0
+    params = m.extras["riccati"]
+    out = warped_products.riccati_obstruction(params["a"], params["y0"], params["y0p"],
+                                              params["t_max"], dt=m.numeric["dt"])
+    rep = cli.Reporter(m, tmp_path / "float", 42)
+    rep.write_csv("riccati.csv", ["t", "y", "yp"],
+                  np.column_stack((out.ts, out.ys, out.yps)).tolist())
+    assert ((tmp_path / "out" / "riccati.csv").read_bytes()
+            == (tmp_path / "float" / "riccati.csv").read_bytes())
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])

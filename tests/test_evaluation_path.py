@@ -560,6 +560,44 @@ def test_bochner_block_is_its_points_alone(name, seed):
         assert block.max() == 1.1940976094138023e-4
 
 
+def _cubic_oracle(rng, dim, scale):
+    """The per-point gradient and Hessian formulas of the random cubic field
+    ``cli._random_cubic_field`` draws from ``rng``, drawn as it draws them:
+    the oracle of its block forms."""
+    A = rng.uniform(-0.5, 0.5, (dim, dim))
+    A = 0.5 * (A + A.T)
+    b = rng.uniform(-1.0, 1.0, dim)
+    C = rng.uniform(-0.15, 0.15, (dim, dim, dim))
+    C = (C + C.transpose(1, 0, 2) + C.transpose(2, 1, 0) + C.transpose(0, 2, 1)
+         + C.transpose(1, 2, 0) + C.transpose(2, 0, 1)) / 6.0
+
+    def grad(p):
+        return scale * (3.0 * np.einsum("ijk,j,k->i", C, p, p) + A @ p + b)
+
+    def hess(p):
+        return scale * (6.0 * np.einsum("ijk,k->ij", C, p) + A)
+
+    return grad, hess
+
+
+@pytest.mark.parametrize("dim", range(1, manifest.MAX_DIM + 1))
+def test_random_cubic_block_forms_are_the_per_point_formulas(dim):
+    # bochner's test fields take a block of stencil rows in one call; each
+    # row, and each point as its block of one, is the per-point formula
+    for seed, scale in ((dim, 0.5), (100 + dim, 0.3)):
+        drawn, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        h = cli._random_cubic_field(drawn, dim, scale)
+        grad, hess = _cubic_oracle(oracle_rng, dim, scale)
+        assert drawn.bit_generator.state == oracle_rng.bit_generator.state
+        rng = np.random.default_rng(seed + 1)
+        for B in (1, 2, 7, 25, 256):
+            P = rng.uniform(-3.0, 3.0, (B, dim)) * 10.0 ** rng.uniform(-3.0, 2.0, (B, 1))
+            for form, oracle in ((h.grad, grad), (h.hess, hess)):
+                expected = np.array([oracle(p) for p in P])
+                assert chart_core.field_rows(form, P).tobytes() == expected.tobytes()
+                assert np.array([form(p) for p in P]).tobytes() == expected.tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_stacked_hessian_norm_is_the_per_point_einsum(n):
     # |Hess h|^2 = g^ik g^jl H_ij H_kl of a block is one einsum with a batch

@@ -57,8 +57,13 @@ models, both CD(0,1): ``TWO_LOG_MANIFEST``, ``f = 2 * log(1 + r^2)`` at
 cross-check in blocks of 256, so the last radius is a block of its own in
 both; and ``STEEP_LOG_MANIFEST``, ``f = 200 * log(1 + r^2)``, whose
 comparison integrand exp(f(rho) - f(t)) overflows beyond rho = 5.8, so
-the quadrature blocks from there on are re-run one radius at a time.  That
-makes 60 runs and 282 files a side.  The
+the quadrature blocks from there on are re-run one radius at a time.
+Then ``riccati`` on two more starts of the obstruction ODE, whose CSV
+formats each distinct magnitude of a column once: ``RICCATI_SLOPE_MANIFEST``,
+``y0p = 0.7``, where the two halves of the trace differ and only |t|
+repeats, and ``RICCATI_SIGNED_ZERO_MANIFEST``, ``y0 = -0.0`` and
+``y0p = -0.0``, which put signed zeros in the t = 0 row.  That makes 62
+runs and 292 files a side.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -407,6 +412,44 @@ start = 0.0, 0.4, 0.2, -0.3, 0.1
 velocity = 1.0, 0.5, -0.3, 0.2, 0.4
 T = 2.0
 """
+RICCATI_SLOPE_MANIFEST = """\
+[manifold]
+name = riccati-slope
+kind = split
+dim = 3
+
+[phi]
+expr = sin(r)
+
+[fiber]
+type = sphere
+einstein_constant = 0.5
+
+[riccati]
+a = 1.0
+y0 = 0.0
+y0p = 0.7
+t_max = 3.0
+"""
+RICCATI_SIGNED_ZERO_MANIFEST = """\
+[manifold]
+name = riccati-signed-zero
+kind = split
+dim = 3
+
+[phi]
+expr = sin(r)
+
+[fiber]
+type = sphere
+einstein_constant = 0.5
+
+[riccati]
+a = 1.0
+y0 = -0.0
+y0p = -0.0
+t_max = 3.0
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
@@ -416,7 +459,9 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "radial_complex_power": COMPLEX_POWER_MANIFEST,
            "plane_indefinite": INDEFINITE_MANIFEST, "polar_vector_density": VECTOR_MANIFEST,
            "sphere5_split": SPHERE5_MANIFEST, "radial_exp_exp": EXP_EXP_MANIFEST,
-           "radial_two_log": TWO_LOG_MANIFEST, "radial_steep_log": STEEP_LOG_MANIFEST}
+           "radial_two_log": TWO_LOG_MANIFEST, "radial_steep_log": STEEP_LOG_MANIFEST,
+           "riccati_slope": RICCATI_SLOPE_MANIFEST,
+           "riccati_signed_zero": RICCATI_SIGNED_ZERO_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -434,7 +479,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
            ("geodesic", "plane_indefinite", 42, ())]
         + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")]
         + [("geodesic", "sphere5_split", 42, ()), ("verify-cd", "radial_exp_exp", 42, ())]
-        + [("compare", man, 42, ()) for man in ("radial_two_log", "radial_steep_log")])
+        + [("compare", man, 42, ()) for man in ("radial_two_log", "radial_steep_log")]
+        + [("riccati", man, 42, ()) for man in ("riccati_slope", "riccati_signed_zero")])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
