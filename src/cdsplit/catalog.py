@@ -17,7 +17,7 @@ from .chart_core import (
     point_jet,
 )
 from .comparison_suite import RadialModel
-from .manifest import compile_expression, expression_scalar_field
+from .expr import compile_expression, expression_scalar_field
 from .warped_products import (
     FlatFiber,
     SphereFiber,

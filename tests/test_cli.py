@@ -991,6 +991,16 @@ def _usage_errors():
     yield _case("out-under-file", "threshold", _shipped("sphere_example"), "taken",
                 out="taken/sub")
     yield _case("parse-error", "verify-cd", "[manifold]\nkind split\n", "cannot parse line")
+    # a constant beyond the float range, folded or a literal, is refused
+    # naming its key, as one with no real value (exp(1000)) is
+    beyond = "the number 1e400 is beyond the float range"
+    for case_id, phi, refusal in (
+            ("folded", "sin(r) + 1e308 * 10", "a constant part has no finite value (inf)"),
+            ("literal", "sin(r) + 1e400", beyond),
+            ("literal-times-0", "sin(r) + 1e400 * 0", beyond)):
+        yield _case(f"constant-beyond-the-float-range-{case_id}", "riccati",
+                    _shipped("sphere_example").replace("expr = sin(r)", f"expr = {phi}"),
+                    f"error: [phi] expr: {refusal}\n")
     yield _case("bad-override", "verify-cd", _shipped("sphere_example"),
                 "error: zoom=2: an override sets a [grid] key or [numeric] dt, not 'zoom'",
                 grid_overrides=["zoom=2"])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cdsplit import catalog, chart_core, cli, comparison_suite, manifest, weighted_curvature
+from cdsplit import catalog, chart_core, cli, comparison_suite, expr, manifest, weighted_curvature
 from cdsplit.chart_core import (
     H3,
     BlockGeometry,
@@ -767,14 +767,14 @@ def test_bochner_residual_evaluates_a_vector_density_point_form_once(monkeypatch
     # through the block form, one call per stencil
     spec, density, _ = _manifest_vector_spec(tmp_path)
     calls = []
-    eval_ast = manifest.eval_ast
+    eval_ast = expr.eval_ast
 
-    def counted(expr, values):
-        if expr is density.value:
+    def counted(e, values):
+        if e is density.value:
             calls.append(values)
-        return eval_ast(expr, values)
+        return eval_ast(e, values)
 
-    monkeypatch.setattr(manifest, "eval_ast", counted)
+    monkeypatch.setattr(expr, "eval_ast", counted)
     h = ScalarField(value=lambda q: float(q @ q), grad=lambda q: 2.0 * q,
                     hess=lambda q: 2.0 * np.eye(2))
     assert bochner_residual(spec, density, [h], [[1.3, 0.2]])[0] < 1e-4

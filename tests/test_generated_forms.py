@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from cdsplit.errors import NonFinite, ParseError, ValidationError
-from cdsplit.manifest import _FUNCTIONS, compile_expression, ExpressionArray
+from cdsplit.expr import _FUNCTIONS, compile_expression, ExpressionArray
 
 NAMES = ("r", "y1", "y2")
 BLOCK_SIZES = (1, 2, 255, 256, 257)

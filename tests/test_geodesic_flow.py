@@ -40,7 +40,8 @@ from cdsplit.geodesic_flow import (
     sample_unit_directions,
     write_trace_csv,
 )
-from cdsplit.manifest import compile_expression, expression_scalar_field, parse_manifest
+from cdsplit.expr import compile_expression, expression_scalar_field
+from cdsplit.manifest import parse_manifest
 from cdsplit.warped_products import SphereFiber, TwistedProductSpec
 
 ROOT = Path(__file__).resolve().parent.parent

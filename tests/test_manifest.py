@@ -9,21 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdsplit import expr
 from cdsplit import manifest as manifest_module
 from cdsplit.errors import NonFinite, ParseError, ValidationError
-from cdsplit.manifest import (
+from cdsplit.expr import (
     MAX_DEPTH,
     MAX_DERIVATIVE_NODES,
-    MAX_POINTS,
-    build_geometry,
-    cd_grid,
     compile_expression,
     ExpressionArray,
     expression_scalar_field,
-    grid_center,
-    parse_manifest,
+    partials,
     simplify,
 )
+from cdsplit.manifest import MAX_POINTS, build_geometry, cd_grid, grid_center, parse_manifest
 
 MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
 
@@ -85,6 +83,27 @@ class TestExpressions:
         assert exc.value.line == 7
         assert exc.value.column is not None
 
+    @pytest.mark.parametrize(("text", "column"), [
+        ("sin(r) +   foo", 12), ("sin(r) + $", 10), ("  sin(r) + $", 12), ("(r", 3)])
+    def test_parse_error_column_is_the_token_start(self, text, column):
+        # counted from the token itself, not from the whitespace before it
+        with pytest.raises(ParseError) as exc:
+            compile_expression(text, ("r",), 10)
+        assert (exc.value.line, exc.value.column) == (10, column)
+        assert str(exc.value).endswith(f"(line 10, column {column})")
+
+    @pytest.mark.parametrize(("line", "column"), [
+        ("expr = sin(r) + $", 17), ("expr =   sin(r) +   foo", 21),
+        ("   expr=sin(r) + $", 18), ("\texpr = sin(r) + foo  # a comment", 18)])
+    def test_parse_error_column_is_in_the_manifest_line(self, tmp_path, line, column):
+        # the column of the manifest text: the value's offset in its line,
+        # leading spaces included, plus the token's in the value
+        text = MINIMAL_SPLIT.replace("expr = sin(r)", line)
+        with pytest.raises(ParseError) as exc:
+            parse_manifest(write_manifest(tmp_path, text))
+        assert (exc.value.line, exc.value.column) == (8, column)
+        assert text.splitlines()[7][column - 1] in "$f"
+
     def test_derivatives(self):
         e = compile_expression("sin(r) * exp(2*r)", ("r",))
         d = e.derivative("r")
@@ -100,7 +119,7 @@ class TestExpressions:
             fd = (e(r + h) - e(r - h)) / (2 * h)
             assert d(r) == pytest.approx(fd, rel=1e-6)
 
-    def test_scalar_field_partials(self):
+    def test_scalar_field_partials(self, tmp_path, monkeypatch):
         e = compile_expression("sin(r) * cos(y1) + y1^3", ("r", "y1"))
         field = expression_scalar_field(e)
         p = np.array([0.4, -0.7])
@@ -109,6 +128,46 @@ class TestExpressions:
         assert g[1] == pytest.approx(-math.sin(0.4) * math.sin(-0.7) + 3 * 0.49, rel=1e-12)
         H = field.hess(p)
         assert H[0, 1] == pytest.approx(-math.cos(0.4) * math.sin(-0.7), rel=1e-12)
+        # the two orders of differentiation of sin(r * y1) give different
+        # ASTs, so both off-diagonal entries are one expression, their mean
+        e = compile_expression("sin(r * y1)", ("r", "y1"))
+        grads = [e.derivative(v) for v in e.variables]
+        a, b = grads[1].derivative("r"), grads[0].derivative("y1")
+        assert repr(a.ast) != repr(b.ast)
+        value, grad, hess = partials(e, 2)
+        assert value is e and [d.ast for d in grad] == [d.ast for d in grads]
+        assert hess[0][1] is hess[1][0]
+        assert hess[0][1].text == f"0.5 * (({a.text}) + ({b.text}))"
+        assert [hess[0][0].ast, hess[1][1].ast] == [grads[0].derivative("r").ast,
+                                                    grads[1].derivative("y1").ast]
+        field = expression_scalar_field(e)
+        P = np.array([[0.4, -0.7], [1.3, 2.1], [-0.2, 0.9]])
+        at_points = np.stack([field.hess(p) for p in P])
+        assert field.hess.rows(P).tobytes() == at_points.tobytes()
+        for H in at_points:
+            assert H[0, 1].tobytes() == H[1, 0].tobytes()
+        r, y = P[0]
+        assert field.hess(P[0])[0, 1] == pytest.approx(math.cos(r * y) - r * y * math.sin(r * y),
+                                                       rel=1e-12)
+        # a general metric entry's partials are the derivative in each
+        # variable, by AST
+        text = (MANIFESTS / "polar_general.cdm").read_text().replace(
+            "g12 = 0", "g21 = 0.1 * sin(r * y1) + y1^2 / (1 + r^2)")
+        geo = build_geometry(parse_manifest(write_manifest(tmp_path, text)))
+        arrays = []
+        original = expr.eval_ast
+        monkeypatch.setattr(expr, "eval_ast", lambda e, q: arrays.append(e) or original(e, q))
+        geo["spec"].jet(np.array([[2.0, 0.5]]), 1)
+        D = arrays[-1]
+        names = ("r", "y1")
+        for i, j, entry in [(0, 0, "1"), (0, 1, "0.1 * sin(r * y1) + y1^2 / (1 + r^2)"),
+                            (1, 1, "r^2")]:
+            e = compile_expression(entry, names)
+            (_, grad), by_hand = partials(e, 1), [e.derivative(v) for v in names]
+            assert [repr(d.ast) for d in grad] == [repr(d.ast) for d in by_hand]
+            for k, d in enumerate(by_hand):
+                assert repr(D.flat[(k * 2 + i) * 2 + j].ast) == repr(d.ast)
+                assert repr(D.flat[(k * 2 + j) * 2 + i].ast) == repr(d.ast)
 
 
 class TestManifestParsing:
@@ -238,7 +297,7 @@ def _expression_text(depth):
     inner = _expression_text(depth - 1)
     return st.one_of(
         leaf,
-        st.tuples(st.sampled_from(sorted(manifest_module._FUNCTIONS)), inner)
+        st.tuples(st.sampled_from(sorted(expr._FUNCTIONS)), inner)
         .map(lambda t: f"{t[0]}({t[1]})"),
         inner.map(lambda a: f"-({a})"),
         st.tuples(inner, st.sampled_from("+-*/^"), inner).map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
@@ -295,9 +354,9 @@ class TestBuiltGeometry:
         geo = build_geometry(parse_manifest(MANIFESTS / "polar_general.cdm"))
         p = np.array([2.0, 0.5])
         calls = []
-        original = manifest_module.eval_ast
+        original = expr.eval_ast
         # one point-form call per array, which evaluates its distinct entries
-        monkeypatch.setattr(manifest_module, "eval_ast",
+        monkeypatch.setattr(expr, "eval_ast",
                             lambda e, q: calls.append(e) or original(e, q))
         (g,), = geo["spec"].jet(p[None], 0)
         assert g.tolist() == [[1.0, 0.0], [0.0, 4.0]]

@@ -3,8 +3,9 @@ is visible at the top of each module, and the graph has no cycle; the command
 line imports no scipy module; every function the benchmark's tracer
 patches by name exists; every other public function has a caller in the
 package; no subcommand decides a usage error; only the grid section of
-manifest builds a grid or draws sample points; and only chart_core reads
-numpy's floating-point settings."""
+manifest builds a grid or draws sample points; only expr runs generated
+source or takes a symbolic derivative, and catalog imports nothing from
+manifest; and only chart_core reads numpy's floating-point settings."""
 
 import ast
 import functools
@@ -175,6 +176,29 @@ def test_only_manifest_builds_grids_and_samples():
                 if name in GRID_BUILDERS:
                     found.append(f"{path.stem}:{node.lineno} {name}")
     assert not found, "grids or samples built outside manifest: " + ", ".join(found)
+
+
+def test_only_expr_compiles_and_differentiates_expressions():
+    # the expression language is one module: only expr runs generated source
+    # (the builtins exec and compile) or takes a symbolic derivative (through
+    # partials), and catalog builds its fields without the manifest parser
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id in ("exec", "compile")
+                        or isinstance(func, ast.Attribute) and func.attr == "derivative"):
+                    found.append(f"{path.stem}:{node.lineno}")
+    assert not found, "exec, compile or .derivative( outside expr: " + ", ".join(found)
+    assert "manifest" not in _imports(PACKAGE / "catalog.py")[0]
+    # the names the benchmark traces in manifest are expr's own objects, so
+    # the tracer patches them in both modules
+    expr, manifest = (importlib.import_module(f"cdsplit.{m}") for m in ("expr", "manifest"))
+    assert manifest.eval_ast is expr.eval_ast
+    assert manifest.compile_expression is expr.compile_expression
 
 
 def test_only_chart_core_reads_the_floating_point_settings():

@@ -27,12 +27,8 @@ from cdsplit.errors import (
     StepOverflow,
     ValidationError,
 )
-from cdsplit.manifest import (
-    build_geometry,
-    compile_expression,
-    expression_scalar_field,
-    parse_manifest,
-)
+from cdsplit.expr import compile_expression, expression_scalar_field
+from cdsplit.manifest import build_geometry, parse_manifest
 from cdsplit import warped_products
 from cdsplit.warped_products import (
     EXP_CAP,

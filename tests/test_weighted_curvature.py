@@ -17,7 +17,8 @@ from cdsplit.chart_core import (
     ricci_numeric,
 )
 from cdsplit.errors import DimensionClash, EmptyGrid, SingularMetric
-from cdsplit.manifest import box_grid, compile_expression, expression_scalar_field, inset_box
+from cdsplit.expr import compile_expression, expression_scalar_field
+from cdsplit.manifest import box_grid, inset_box
 from cdsplit.weighted_curvature import (
     GridSpec,
     cd_verify,
