@@ -49,16 +49,20 @@ class CDViolation(CdsplitError):
 class ParseError(CdsplitError):
     """Manifest text could not be parsed.
 
-    Carries 1-based ``line`` and ``column`` attributes when known.
+    Carries 1-based ``line`` and ``column`` attributes when known, and
+    ``key`` names the manifest entry whose expression it is in.
     """
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None, column: int | None = None,
+                 key: str | None = None):
+        self.message = message
         self.line = line
         self.column = column
+        self.key = key
         where = ""
         if line is not None:
             where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__((message if key is None else f"{key}: {message}") + where)
 
 
 class ValidationError(CdsplitError):

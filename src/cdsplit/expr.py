@@ -169,6 +169,8 @@ class _Parser:
             lhs = ("neg", self.expr(6))
         elif (kind, val) == ("op", "+"):
             lhs = self.expr(6)
+        elif kind == "end":
+            self.fail("unexpected end of expression", col)
         else:
             self.fail(f"unexpected token {val!r}", col)
         while True:

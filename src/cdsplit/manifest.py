@@ -392,9 +392,12 @@ def parse_manifest(path, overrides=()) -> ManifoldManifest:
 @contextmanager
 def _naming(key: str):
     """Re-raise a key-less ValidationError, a constructor's ValueError or an
-    evaluation's NonFinite as a ValidationError naming ``key``."""
+    evaluation's NonFinite as a ValidationError naming ``key``, and an
+    expression's ParseError as one naming ``key`` at the same position."""
     try:
         yield
+    except ParseError as exc:
+        raise ParseError(exc.message, exc.line, exc.column, key=key) from None
     except ValidationError as exc:
         if exc.key is not None:
             raise

@@ -563,8 +563,23 @@ class RiccatiReport:
     threshold_used: float
 
 
-def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: float):
-    exp, cap = math.exp, EXP_CAP
+def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: float,
+                           meet=((), (), (), None)):
+    """Fixed-step RK4 for y'' = -a e^{-2y} from (y0, y0p): the samples t, y
+    and y' as lists, and the bracket midpoint of the step that reached
+    ``BLOW_UP_THRESHOLD``, or None.
+
+    ``meet`` is an earlier run's result for the same a, t_max and dt.  From
+    the first step k after which this run's state (y, y') holds the same bits
+    as that run's after step k, signed zeros kept apart, this run takes that
+    run's remaining samples and its hit instead of stepping on.  That is
+    exact: the step is an autonomous recurrence in (y, y') with a fixed dt,
+    and the threshold stop, the velocity guard, the finite check and
+    t = k dt read only the state and k, so two runs that hold the same state
+    at the same k go on identically.  A non-finite state raises before the
+    comparison, so NaN never reaches it.
+    """
+    exp, cap, sign = math.exp, EXP_CAP, math.copysign
 
     def acc(y: float, v: float) -> float:
         # min(e, EXP_CAP) is EXP_CAP if EXP_CAP < e else e, NaN included:
@@ -572,6 +587,8 @@ def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: fl
         e = -2.0 * y
         return -a * exp(cap if cap < e else e)
 
+    mts, mys, mvs, mhit = meet
+    last = len(mys) - 1
     ts, ys, vs = [0.0], [y0], [y0p]
     y, v = y0, y0p
     nsteps = int(round(t_max / dt))
@@ -584,6 +601,10 @@ def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: fl
         ts.append(t)
         ys.append(y)
         vs.append(v)
+        if (k < last and y == mys[k + 1] and v == mvs[k + 1]
+                and sign(1.0, y) == sign(1.0, mys[k + 1])
+                and sign(1.0, v) == sign(1.0, mvs[k + 1])):
+            return ts + mts[k + 2:], ys + mys[k + 2:], vs + mvs[k + 2:], mhit
         if y <= BLOW_UP_THRESHOLD:
             # event happened inside the last step: report the bracket midpoint
             hit = t - 0.5 * dt
@@ -592,7 +613,7 @@ def _integrate_obstruction(a: float, y0: float, y0p: float, t_max: float, dt: fl
             raise StepOverflow(f"velocity guard {VELOCITY_GUARD:.3g} exceeded at t = {t:.6g}")
         # a velocity below -VELOCITY_GUARD cannot recover (y'' < 0 throughout),
         # so keep stepping: the next step lands below the detection threshold
-    return np.array(ts), np.array(ys), np.array(vs), hit
+    return ts, ys, vs, hit
 
 
 def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
@@ -603,17 +624,27 @@ def riccati_obstruction(a: float, y0: float, y0p: float, t_max: float,
     finite time, so the obstruction is detected forward or backward.  A
     forward escape is reported with positive time, a backward one with
     negative time; when both escape the forward time is reported.
+
+    The backward half runs from (y0, -y0p) and is handed the forward half's
+    samples: from the first step where its state equals the forward state
+    at the same step, bit for bit, it takes the forward samples and hit
+    (see ``_integrate_obstruction``).  At y0p = 0 the halves meet after one
+    step, so the trajectory is integrated once, unless every velocity
+    increment rounds to zero (a = 1 with y0 >= 370, or a subnormal a) and
+    each half keeps the signed zero it started with.  Where the halves never
+    meet, the backward half costs one comparison per step more.
     """
     if not a > 0:
         raise ValueError("a must be positive")
     if not t_max > 0:
         raise ValueError("t_max must be positive")
-    tf, yf, vf, hit_f = _integrate_obstruction(a, y0, y0p, t_max, dt)
-    tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt)
+    forward = _integrate_obstruction(a, y0, y0p, t_max, dt)
+    tb, yb, vb, hit_b = _integrate_obstruction(a, y0, -y0p, t_max, dt, forward)
+    tf, yf, vf, hit_f = forward
 
-    ts = np.concatenate([-tb[::-1][:-1], tf])
-    ys = np.concatenate([yb[::-1][:-1], yf])
-    yps = np.concatenate([-vb[::-1][:-1], vf])
+    ts = np.concatenate([np.negative(tb[:0:-1]), tf])
+    ys = np.concatenate([yb[:0:-1], yf])
+    yps = np.concatenate([np.negative(vb[:0:-1]), vf])
 
     if hit_f is not None:
         blow_time = hit_f

@@ -1001,6 +1001,16 @@ def _usage_errors():
         yield _case(f"constant-beyond-the-float-range-{case_id}", "riccati",
                     _shipped("sphere_example").replace("expr = sin(r)", f"expr = {phi}"),
                     f"error: [phi] expr: {refusal}\n")
+    # a parse error in an expression names its key, at its line and column
+    for case_id, phi, refusal in (
+            ("unknown-name", "sin(r) + foo",
+             "unknown name 'foo' (variables: ['r']) (line 10, column 17)"),
+            ("bad-character", "sin(r) @ 2",
+             "unexpected character '@' in expression (line 10, column 15)"),
+            ("trailing-operator", "sin(r) +", "unexpected end of expression (line 10, column 16)")):
+        yield _case(f"expression-parse-error-{case_id}", "riccati",
+                    _shipped("sphere_example").replace("expr = sin(r)", f"expr = {phi}"),
+                    f"error: [phi] expr: {refusal}\n")
     yield _case("bad-override", "verify-cd", _shipped("sphere_example"),
                 "error: zoom=2: an override sets a [grid] key or [numeric] dt, not 'zoom'",
                 grid_overrides=["zoom=2"])

@@ -104,6 +104,16 @@ class TestExpressions:
         assert (exc.value.line, exc.value.column) == (8, column)
         assert text.splitlines()[7][column - 1] in "$f"
 
+    @pytest.mark.parametrize(("text", "column"), [
+        ("sin(r) +", 9), ("sin(r) +   ", 12), ("-", 2), ("", 1), ("r * (", 6)])
+    def test_trailing_operator_is_an_unexpected_end(self, text, column):
+        # the end token is no token: the message names the end of the text,
+        # at the column after its last character
+        with pytest.raises(ParseError) as exc:
+            compile_expression(text, ("r",), 10)
+        assert exc.value.message == "unexpected end of expression"
+        assert (exc.value.line, exc.value.column) == (10, column)
+
     def test_derivatives(self):
         e = compile_expression("sin(r) * exp(2*r)", ("r",))
         d = e.derivative("r")

@@ -374,6 +374,66 @@ class TestRiccatiObstruction:
         assert t4 < t1
 
 
+def _riccati_in_full(a, y0, y0p, t_max, dt):
+    """``riccati_obstruction``'s samples and escape time with both halves
+    integrated in full, neither handed the other's samples."""
+    tf, yf, vf, hit_f = warped_products._integrate_obstruction(a, y0, y0p, t_max, dt)
+    tb, yb, vb, hit_b = warped_products._integrate_obstruction(a, y0, -y0p, t_max, dt)
+    ts = np.array([-t for t in reversed(tb[1:])] + tf)
+    ys = np.array(list(reversed(yb[1:])) + yf)
+    yps = np.array([-v for v in reversed(vb[1:])] + vf)
+    blow = hit_f if hit_f is not None else None if hit_b is None else -hit_b
+    return ts, ys, yps, blow, len(tf) - 1, len(tb) - 1
+
+
+# (a, y0, y0p): zero data with every sign of zero; increments that round to
+# zero at y0 = 400, 369 and a subnormal or tiny a, where the velocities stay
+# signed zeros; and slopes whose halves never meet
+_RICCATI_STARTS = [
+    (1.0, 0.0, 0.0), (1.0, -0.0, -0.0), (1.0, 0.0, -0.0), (1.0, 0.3, 0.0), (4.0, 0.0, 0.0),
+    (1.0, 400.0, 0.0), (1.0, 400.0, -0.0), (1.0, 369.0, 0.0),
+    (5e-324, 0.0, 0.0), (5e-324, -0.0, 0.0), (5e-324, 0.0, -0.0), (5e-324, -0.0, -0.0),
+    (1e-300, 0.0, 0.0), (1.0, 0.0, 0.7), (1.0, 0.0, -5.0),
+]
+
+
+@pytest.mark.parametrize("a, y0, y0p", _RICCATI_STARTS)
+def test_riccati_is_the_full_integration_bit_for_bit(a, y0, y0p):
+    ts, ys, yps, blow, _, _ = _riccati_in_full(a, y0, y0p, 3.0, 1e-3)
+    rep = riccati_obstruction(a, y0, y0p, 3.0, dt=1e-3)
+    assert rep.ts.tobytes() == ts.tobytes()
+    assert rep.ys.tobytes() == ys.tobytes()
+    assert rep.yps.tobytes() == yps.tobytes()
+    assert rep.blow_up_time == blow
+    assert rep.blow_up == (blow is not None)
+
+
+@pytest.mark.parametrize("y0p, half", [(2e8, "forward"), (-2e8, "backward")])
+def test_a_half_that_overflows_raises_as_before(y0p, half):
+    with pytest.raises(StepOverflow) as full:
+        _riccati_in_full(1.0, 0.0, y0p, 1.0, 1e-3)
+    with pytest.raises(StepOverflow) as merged:
+        riccati_obstruction(1.0, 0.0, y0p, 1.0, dt=1e-3)
+    assert str(merged.value) == str(full.value), half
+
+
+@pytest.mark.parametrize("y0p, most", [(0.0, 2), (0.7, None)])
+def test_backward_half_steps_only_until_the_halves_meet(monkeypatch, y0p, most):
+    *_, forward_steps, backward_steps = _riccati_in_full(1.0, 0.0, y0p, 3.0, 1e-3)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return rk4_step(*args)
+
+    monkeypatch.setattr(warped_products, "rk4_step", counting)
+    riccati_obstruction(1.0, 0.0, y0p, 3.0, dt=1e-3)
+    if most is None:  # the halves never meet: the backward half takes all its steps
+        assert len(calls) == forward_steps + backward_steps
+    else:
+        assert len(calls) - forward_steps <= most < backward_steps
+
+
 def radial_identity(split, N, r):
     """The (r, r) component of the generalized Ricci tensor of a split space
     at (r, fiber basepoint): the closed form ((N-1)/((n-1)(n-N))) phi'(r)^2,

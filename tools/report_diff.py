@@ -62,8 +62,12 @@ Then ``riccati`` on two more starts of the obstruction ODE, whose CSV
 formats each distinct magnitude of a column once: ``RICCATI_SLOPE_MANIFEST``,
 ``y0p = 0.7``, where the two halves of the trace differ and only |t|
 repeats, and ``RICCATI_SIGNED_ZERO_MANIFEST``, ``y0 = -0.0`` and
-``y0p = -0.0``, which put signed zeros in the t = 0 row.  That makes 62
-runs and 292 files a side.  The
+``y0p = -0.0``, which put signed zeros in the t = 0 row.  Last, ``riccati``
+on ``RICCATI_STILL_MANIFEST``, ``y0 = 400``, and on
+``RICCATI_SUBNORMAL_MANIFEST``, ``a = 5e-324``, where every increment of
+the velocity rounds to zero: it stays the signed zero it started as, so
+the forward and backward halves never hold the same state and each is
+integrated in full.  That makes 64 runs and 302 files a side.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -412,9 +416,11 @@ start = 0.0, 0.4, 0.2, -0.3, 0.1
 velocity = 1.0, 0.5, -0.3, 0.2, 0.4
 T = 2.0
 """
-RICCATI_SLOPE_MANIFEST = """\
+# a split manifest whose [riccati] section starts the obstruction ODE at a,
+# y0 and y0p
+RICCATI_MANIFEST = """\
 [manifold]
-name = riccati-slope
+name = {name}
 kind = split
 dim = 3
 
@@ -426,30 +432,19 @@ type = sphere
 einstein_constant = 0.5
 
 [riccati]
-a = 1.0
-y0 = 0.0
-y0p = 0.7
+a = {a}
+y0 = {y0}
+y0p = {y0p}
 t_max = 3.0
 """
-RICCATI_SIGNED_ZERO_MANIFEST = """\
-[manifold]
-name = riccati-signed-zero
-kind = split
-dim = 3
-
-[phi]
-expr = sin(r)
-
-[fiber]
-type = sphere
-einstein_constant = 0.5
-
-[riccati]
-a = 1.0
-y0 = -0.0
-y0p = -0.0
-t_max = 3.0
-"""
+RICCATI_SLOPE_MANIFEST = RICCATI_MANIFEST.format(name="riccati-slope", a="1.0", y0="0.0",
+                                                 y0p="0.7")
+RICCATI_SIGNED_ZERO_MANIFEST = RICCATI_MANIFEST.format(name="riccati-signed-zero", a="1.0",
+                                                       y0="-0.0", y0p="-0.0")
+RICCATI_STILL_MANIFEST = RICCATI_MANIFEST.format(name="riccati-still", a="1.0", y0="400.0",
+                                                 y0p="0.0")
+RICCATI_SUBNORMAL_MANIFEST = RICCATI_MANIFEST.format(name="riccati-subnormal", a="5e-324",
+                                                     y0="0.0", y0p="0.0")
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
@@ -461,7 +456,9 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "sphere5_split": SPHERE5_MANIFEST, "radial_exp_exp": EXP_EXP_MANIFEST,
            "radial_two_log": TWO_LOG_MANIFEST, "radial_steep_log": STEEP_LOG_MANIFEST,
            "riccati_slope": RICCATI_SLOPE_MANIFEST,
-           "riccati_signed_zero": RICCATI_SIGNED_ZERO_MANIFEST}
+           "riccati_signed_zero": RICCATI_SIGNED_ZERO_MANIFEST,
+           "riccati_still": RICCATI_STILL_MANIFEST,
+           "riccati_subnormal": RICCATI_SUBNORMAL_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -480,7 +477,9 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [(sub, "polar_vector_density", 42, ()) for sub in ("curvature", "verify-cd", "bochner")]
         + [("geodesic", "sphere5_split", 42, ()), ("verify-cd", "radial_exp_exp", 42, ())]
         + [("compare", man, 42, ()) for man in ("radial_two_log", "radial_steep_log")]
-        + [("riccati", man, 42, ()) for man in ("riccati_slope", "riccati_signed_zero")])
+        + [("riccati", man, 42, ())
+           for man in ("riccati_slope", "riccati_signed_zero", "riccati_still",
+                       "riccati_subnormal")])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
