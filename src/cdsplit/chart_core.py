@@ -64,14 +64,15 @@ warp and the fiber's point form once for both g and D, in Python floats,
 and gathers g and D from their distinct entries.
 
 A field is evaluated at a block through its block form when it has one
-(``field_rows``); a catalog chart's plain callables go row by row
-(``_each_row``).  Every field in the package is one block form: a manifest
-expression's ``rows``, a radial model's density and distance function, a
-split density with a fiber density, the r coordinate and every field
-derived from the calculus are ``block_field``s, whose value at a point is
-its block of one.  The single-row shortcuts above (a manifest expression's
-point form, ``point_jet``'s single row, the product chart's one-row jet and
-``SphereFiber.point``) stay beside their block forms for the RK4 stage.
+(``field_rows``); a plain callable, such as a test chart's point formula,
+goes row by row (``_each_row``).  Every field in the package is one block
+form: a manifest expression's ``rows``, a radial model's density and
+distance function, a split density with a fiber density, the r coordinate
+and every field derived from the calculus are ``block_field``s, whose value
+at a point is its block of one.  The single-row shortcuts above (a manifest
+expression's point form, ``point_jet``'s single row, the product chart's
+one-row jet and ``SphereFiber.point``) stay beside their block forms for
+the RK4 stage.
 
 One rule decides how a stacked pass fails over.  It runs with the
 floating-point conditions of ``raising`` raising: those numpy is set to
@@ -205,14 +206,14 @@ class MetricSpec:
     components at every row, ``(g,)`` for order 0 and ``(g, D)`` for order
     1, with g of shape (k, n, n) and the analytic partials
     ``D[b, k, i, j] = d_k g_ij`` of shape (k, n, n, n).  Every chart carries
-    its partials (manifests by symbolic differentiation), and
-    ``partials_discrepancy`` checks them against central differences of g.
-    A row of a block is bit for bit the jet of that row alone, and the g of
-    order 0 is bit for bit the g of order 1.  A chart given by point
-    formulas lifts them with ``point_jet``.  ``domain`` is an ``(n, 2)``
-    array of closed coordinate bounds; stencil points outside it raise
-    ChartDomain.  Every finite difference of a chart takes the module's
-    steps ``H1``, ``H2`` and ``H3``.
+    its partials (manifests by symbolic differentiation), and the tests
+    check them against central differences of g.  A row of a block is bit
+    for bit the jet of that row alone, and the g of order 0 is bit for bit
+    the g of order 1.  A chart given by point formulas lifts them with
+    ``point_jet``.  ``domain`` is an ``(n, 2)`` array of closed coordinate
+    bounds; stencil points outside it raise ChartDomain.  Every finite
+    difference of a chart takes the module's steps ``H1``, ``H2`` and
+    ``H3``.
     """
 
     dim: int
@@ -238,14 +239,6 @@ class ScalarField:
     value: Callable[[Point], float]
     grad: Callable[[Point], np.ndarray] | None = None
     hess: Callable[[Point], np.ndarray] | None = None
-
-    @staticmethod
-    def constant(c: float) -> "ScalarField":
-        return ScalarField(
-            value=lambda p: c,
-            grad=lambda p: np.zeros(p.size),
-            hess=lambda p: np.zeros((p.size, p.size)),
-        )
 
 
 def r_coordinate_field(n: int) -> ScalarField:
@@ -390,15 +383,6 @@ def metric_at(spec: MetricSpec, p: Point) -> np.ndarray:
     return BlockGeometry(spec, as_point(p, spec.dim)[None], order=0).g[0]
 
 
-def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
-    """Debug check: max |analytic - finite difference| over metric partials."""
-    pts = as_point(p, spec.dim)[None]
-    steps = scaled(pts, H1)
-    metric = geometry_field(spec, lambda at: at.g, 0)
-    fd = first_difference(stencil_values(metric, pts, steps, 1), steps)[0]
-    return float(np.max(np.abs(fd - spec.jet(pts, 1)[1][0])))
-
-
 def flat_jet(n: int):
     """The ``MetricSpec.jet`` of Cartesian coordinates on R^n: the identity
     and zero partials at every row.  A single row returns the same two
@@ -434,7 +418,7 @@ def point_jet(g: Callable[[Point], np.ndarray], partials: Callable[[Point], np.n
 def field_rows(fn, pts: np.ndarray) -> np.ndarray:
     """``fn`` at each row of ``pts``, stacked: in one call of ``fn.rows``
     when the callable has one (a manifest expression's, a ``block_field``),
-    else row by row (``_each_row``), as a catalog chart's plain callables."""
+    else row by row (``_each_row``), as a plain callable."""
     rows = getattr(fn, "rows", None)
     if rows is not None:
         return rows(pts)

@@ -1,6 +1,5 @@
-"""The expression language of manifests and of ``catalog``: scalar
-expressions, their symbolic partials, and the generated source that
-evaluates them.
+"""The expression language of manifests: scalar expressions, their
+symbolic partials, and the generated source that evaluates them.
 
 Grammar: ``+ - * / ^``, parentheses, the variables given at compile time
 (r and y1..y_{n-1} in a manifest), the functions sin cos exp log sqrt cosh
@@ -8,16 +7,16 @@ sinh, and numeric literals.  ``compile_expression`` parses a text into a
 simplified AST, with constants folded; a constant part with no finite real
 value (``1/0``, ``exp(1000)``, ``1e308 * 10``) and a literal beyond the
 float range are ValidationErrors.  A parse error carries the line and
-column of its token in the manifest text; a text with no manifest line,
-such as ``catalog``'s, counts its columns from 1.  An expression, and each
-derivative taken of it, nests at most ``MAX_DEPTH`` levels; a derivative
-has at most ``MAX_DERIVATIVE_NODES`` nodes.
+column of its token in the manifest text; a text with no manifest line
+counts its columns from 1.  An expression, and each derivative taken of it,
+nests at most ``MAX_DEPTH`` levels; a derivative has at most
+``MAX_DERIVATIVE_NODES`` nodes.
 
 ``partials(e, order)`` is the one way a symbolic derivative is taken: the
 expression with its first, or its first and second, partials, a mixed
 second partial whose two orders of differentiation differ being their mean.
 ``expression_scalar_field`` is the one way an analytic scalar field is
-built from an expression, in a manifest or in ``catalog``.
+built from an expression.
 
 An Expression, and an ``ExpressionArray`` of several (the gradients,
 Hessians, vector densities and metrics), is evaluated by Python source

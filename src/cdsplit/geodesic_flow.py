@@ -367,12 +367,12 @@ def _exp_fourth(x: float) -> float:
 def clairaut_constant(split: SplitSpaceSpec, trace: GeodesicTrace) -> ClairautReport:
     """Evaluate warp^4 * g_L(fiber velocity, fiber velocity) along the trace:
     the squared fiber speeds of each block of samples from the fiber metrics
-    of the block (the fiber's jet of order 0), and the warps of the block
-    from phi's block form (``field_rows``), each raised as ``split.warp``
-    does, with ``math.exp``, and to the fourth power with Python's ``**``:
-    numpy's exp and power round differently on some inputs.  A fourth power
-    beyond the float range is inf (``_exp_fourth``), and a value that is not
-    finite is refused, naming its sample."""
+    of the block (the fiber's jet of order 0), and the warps e^{phi/(n-1)}
+    of the block from phi's block form (``field_rows``), each with
+    ``math.exp``, and to the fourth power with Python's ``**``: numpy's exp
+    and power round differently on some inputs.  A fourth power beyond the
+    float range is inf (``_exp_fourth``), and a value that is not finite is
+    refused, naming its sample."""
     if len(trace) == 0:
         raise EmptyTrace("cannot evaluate the conserved quantity on an empty trace")
     P, UY, m = trace.positions, trace.velocities[:, 1:], split.n - 1

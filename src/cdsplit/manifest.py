@@ -21,8 +21,9 @@ which ``[fiber]`` keys each fiber type reads.  ``parse_manifest`` rejects
 what they do not allow (a section a kind does not accept, empty or not,
 among it, and a ``dim`` above ``MAX_DIM``), a grid, sample set or step
 count larger than ``MAX_POINTS``, a metric entry given as both g_ij and
-g_ji, and a geodesic start outside the chart's domain, at a radial model's
-origin or where the metric is not positive definite, so a run refuses a bad
+g_ji, a sphere fiber whose chart leaves the float range on its safe box,
+and a geodesic start outside the chart's domain, at a radial model's origin
+or where the metric is not positive definite, so a run refuses a bad
 manifest before it writes a report.  It builds the geometry of the
 manifest's kind once (``build_geometry`` returns it), evaluates it at the
 grid center, and normalizes the geodesic's velocity.
@@ -478,11 +479,39 @@ def _parse_fiber(sections, fiber_dim, numbers):
             lam = numbers["einstein_constant"]
             if lam is None:
                 raise ValidationError("missing required key", key="[fiber] einstein_constant")
-            return SphereFiber(dim=fiber_dim, einstein_constant=lam, **box)
+            fiber = SphereFiber(dim=fiber_dim, einstein_constant=lam, **box)
+            _check_sphere_range(fiber, "[fiber] box" if box else "[fiber] einstein_constant")
+            return fiber
         periods = _float_list(sections, "fiber", "periods")
         if len(periods) != fiber_dim:
             raise ValidationError(f"need {fiber_dim} periods", key="[fiber] periods")
         return FlatFiber(dim=fiber_dim, periods=periods, **box)
+
+
+def _cube(x: float) -> float:
+    """x ** 3 as Python takes it, inf where that raises OverflowError."""
+    try:
+        return x ** 3
+    except OverflowError:
+        return math.inf
+
+
+def _check_sphere_range(fiber: SphereFiber, box_key: str) -> None:
+    """Refuse a sphere fiber whose chart leaves the float range on its safe
+    box.  Its point form, which the RK4 stage runs, takes R^4, and s^2 and
+    s^3 for s = R^2 + |y|^2, as Python floats: a power beyond the float
+    range raises OverflowError, and a division by an s^3 that underflowed
+    to 0 raises ZeroDivisionError.  s is least at y = 0 and greatest at the
+    box's corners, |y|^2 = m box^2; when s^3 is a normal float at both, so
+    are R^4 and s^2.  ``box_key`` names the key that set the box."""
+    R2, m, finfo = fiber.radius_sq, fiber.dim, np.finfo(float)
+    if not finfo.tiny <= _cube(R2) <= finfo.max:
+        raise ValidationError(f"R^2 = (dim - 1) / einstein_constant = {R2:g}: the sphere "
+                              f"chart's (R^2 + |y|^2)^3 leaves the float range at y = 0",
+                              key="[fiber] einstein_constant")
+    if not _cube(R2 + m * fiber.box * fiber.box) <= finfo.max:
+        raise ValidationError(f"the sphere chart's (R^2 + |y|^2)^3 overflows at the corners "
+                              f"of the safe box, |y|^2 = {m} box^2", key=box_key)
 
 
 def _density(sections, variables):

@@ -84,17 +84,14 @@ class FlatFiber:
     def metric(self, y: np.ndarray) -> np.ndarray:
         return _flat_metric(self.periods)
 
-    def partials(self, y: np.ndarray) -> np.ndarray:
-        return np.zeros((self.dim,) * 3)
-
     def point(self, y: np.ndarray, order: int):
-        """``metric``, and for order 1 ``partials``, at the one point y, in
+        """``metric``, and for order 1 its partials, at the one point y, in
         diagonal form (``SphereFiber.point``)."""
         h = (np.diagonal(_flat_metric(self.periods)).tolist(), 0.0)
         return (h,) if order == 0 else (h, [([0.0] * self.dim, 0.0)] * self.dim)
 
     def jet(self, Y: np.ndarray, order: int):
-        """``metric``, and for order 1 ``partials``, at each row of Y, stacked."""
+        """``metric``, and for order 1 its partials, at each row of Y, stacked."""
         m, k = self.dim, len(Y)
         h = np.broadcast_to(_flat_metric(self.periods), (k, m, m))
         return (h,) if order == 0 else (h, np.zeros((k, m, m, m)))
@@ -108,10 +105,6 @@ class FlatFiber:
     @property
     def safe_box(self) -> np.ndarray:
         return np.array([[-self.box, self.box]] * self.dim)
-
-    def distance(self, y1: np.ndarray, y2: np.ndarray) -> float:
-        d = np.asarray(y2) - np.asarray(y1)
-        return math.sqrt(float(d * d @ np.diagonal(_flat_metric(self.periods))))
 
 
 @dataclass(frozen=True)
@@ -140,11 +133,8 @@ class SphereFiber:
     def metric(self, y: np.ndarray) -> np.ndarray:
         return self.jet(y[None], 0)[0][0]
 
-    def partials(self, y: np.ndarray) -> np.ndarray:
-        return self.jet(y[None], 1)[1][0]
-
     def point(self, y: np.ndarray, order: int):
-        """``metric``, and for order 1 ``partials``, at the one point y, in
+        """``metric``, and for order 1 its partials, at the one point y, in
         diagonal form, with |y|^2 taken once for both.
 
         Both fibers' metrics and partials are diagonal matrices in their
@@ -169,7 +159,7 @@ class SphereFiber:
         return h, dh
 
     def jet(self, Y: np.ndarray, order: int):
-        """``metric``, and for order 1 ``partials``, at each row of Y,
+        """``metric``, and for order 1 its partials, at each row of Y,
         stacked, bit for bit.
 
         |y|^2 of every row is one ``np.vecdot``, which reaches the BLAS dot
@@ -207,19 +197,6 @@ class SphereFiber:
     @property
     def safe_box(self) -> np.ndarray:
         return np.array([[-self.box, self.box]] * self.dim)
-
-    def embed(self, y: np.ndarray) -> np.ndarray:
-        """Chart point -> ambient sphere point in R^{dim+1}."""
-        y = np.asarray(y, dtype=float)
-        R2 = self.radius_sq
-        s = R2 + float(y @ y)
-        R = math.sqrt(R2)
-        return np.concatenate([2.0 * R2 * y / s, [R * (float(y @ y) - R2) / s]])
-
-    def distance(self, y1: np.ndarray, y2: np.ndarray) -> float:
-        R = math.sqrt(self.radius_sq)
-        cosang = float(self.embed(y1) @ self.embed(y2)) / self.radius_sq
-        return R * math.acos(min(1.0, max(-1.0, cosang)))
 
 
 FiberSpec = Union[FlatFiber, SphereFiber]
@@ -380,10 +357,6 @@ class SplitSpaceSpec:
 
     def metric_spec(self) -> MetricSpec:
         return self.as_twisted().metric_spec()
-
-    def warp(self, p: Point) -> float:
-        """Warping factor u = e^{phi/(n-1)} at the chart point p."""
-        return math.exp(self.phi.value(p) / (self.n - 1))
 
     def density(self) -> ScalarField:
         """The split density f(r, y) = phi(r) + f_L(y): ``phi`` itself when

@@ -1,5 +1,9 @@
-"""Built-in chart metrics, split spaces, and density models used by the
-test and report suites."""
+"""Charts, split spaces, density models and oracles of the tests.
+
+Their analytic scalar fields are built from expression text by
+``cdsplit.expr``, as a manifest's are, without the manifest parser.  The
+tests import this module by name, from the directory pytest puts on
+``sys.path`` for them."""
 
 from __future__ import annotations
 
@@ -7,18 +11,24 @@ import math
 
 import numpy as np
 
-from .chart_core import (
+from cdsplit.chart_core import (
+    H1,
     BlockGeometry,
     MetricSpec,
     Point,
     ScalarField,
     VectorField,
+    as_point,
+    first_difference,
     flat_jet,
+    geometry_field,
     point_jet,
+    scaled,
+    stencil_values,
 )
-from .comparison_suite import RadialModel
-from .expr import compile_expression, expression_scalar_field
-from .warped_products import (
+from cdsplit.comparison_suite import RadialModel
+from cdsplit.expr import compile_expression, expression_scalar_field
+from cdsplit.warped_products import (
     FlatFiber,
     SphereFiber,
     SplitSpaceSpec,
@@ -53,7 +63,7 @@ def sphere_chart(dim: int = 2, einstein_constant: float = 1.0) -> MetricSpec:
     fiber = SphereFiber(dim=dim, einstein_constant=einstein_constant)
     return MetricSpec(
         dim=dim,
-        jet=point_jet(fiber.metric, fiber.partials),
+        jet=point_jet(fiber.metric, lambda y: fiber.jet(y[None], 1)[1][0]),
         domain=fiber.safe_box,
         name=f"sphere{dim} (Einstein constant {einstein_constant:g})",
     )
@@ -63,6 +73,12 @@ def _field(text: str, variables) -> ScalarField:
     """The scalar field of expression ``text`` over ``variables``, with its
     partials derived symbolically, as for a manifest expression."""
     return expression_scalar_field(compile_expression(text, variables))
+
+
+def constant(c: float, n: int) -> ScalarField:
+    """The constant density c on an n-dimensional chart, as a manifest's
+    ``f = c`` builds it."""
+    return _field(repr(float(c)), tuple(f"x{i + 1}" for i in range(n)))
 
 
 def _split(n: int, phi: str, fiber, name: str,
@@ -167,6 +183,40 @@ def unweighted_model(n: int = 3) -> RadialModel:
     """Flat R^n with vanishing density (classical comparison, zero slack)."""
     return RadialModel(n=n, f=lambda rho: 0.0, df=lambda rho: 0.0,
                        d2f=lambda rho: 0.0, name=f"unweighted flat n={n}")
+
+
+def warp(split: SplitSpaceSpec, p: Point) -> float:
+    """The warping factor u = e^{phi/(n-1)} of a split space at the chart
+    point p, with ``math.exp``."""
+    return math.exp(split.phi.value(p) / (split.n - 1))
+
+
+def fiber_distance(fiber, y1: np.ndarray, y2: np.ndarray) -> float:
+    """The distance of two fiber points: on a flat fiber, the length of
+    their chart segment (a torus is not wrapped around); on a sphere, the
+    great-circle distance of their stereographic images."""
+    if isinstance(fiber, FlatFiber):
+        d = np.asarray(y2) - np.asarray(y1)
+        return math.sqrt(float(d * d @ np.diagonal(fiber.metric(y1))))
+    R2 = fiber.radius_sq
+
+    def embed(y):
+        y = np.asarray(y, dtype=float)
+        s = R2 + float(y @ y)
+        return np.concatenate([2.0 * R2 * y / s, [math.sqrt(R2) * (float(y @ y) - R2) / s]])
+
+    cosang = float(embed(y1) @ embed(y2)) / R2
+    return math.sqrt(R2) * math.acos(min(1.0, max(-1.0, cosang)))
+
+
+def partials_discrepancy(spec: MetricSpec, p: Point) -> float:
+    """The largest |analytic - central difference| over the chart's metric
+    partials at p: the oracle for every chart's jet of order 1."""
+    pts = as_point(p, spec.dim)[None]
+    steps = scaled(pts, H1)
+    metric = geometry_field(spec, lambda at: at.g, 0)
+    fd = first_difference(stencil_values(metric, pts, steps, 1), steps)[0]
+    return float(np.max(np.abs(fd - spec.jet(pts, 1)[1][0])))
 
 
 def builtin_product_charts() -> list[TwistedProductSpec]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from cdsplit import catalog
+import catalog
 from cdsplit.chart_core import ScalarField, ricci_numeric, weighted_laplacian
 from cdsplit.cli import run
 from cdsplit.comparison_suite import (
@@ -130,7 +130,7 @@ def test_criterion_05_bochner_residual():
     flat = catalog.flat(n)
     h_quad = ScalarField(value=lambda p: 0.5 * float(p @ p), grad=lambda p: p.copy(),
                          hess=lambda p: np.eye(n))
-    zero = ScalarField.constant(0.0)
+    zero = catalog.constant(0.0, n)
     p = np.array([0.4, -0.2, 0.9])
     s_field = ScalarField(value=lambda q: float(
         np.asarray(h_quad.grad(q)) @ np.asarray(h_quad.grad(q))))

@@ -1094,6 +1094,21 @@ def _usage_errors():
         yield _case(f"box-beyond-the-float-range-{subcommand}", subcommand,
                     _shipped("twisted_flat").replace("box = 3.0", "box = 1e308"),
                     "error: [fiber] box: the box's width 2 * box is beyond the float range")
+    # a sphere fiber whose chart scalars (R^2 + |y|^2)^3 leave the float range
+    # on its safe box: at the corners, or at y = 0, by overflow or underflow
+    for case_id, subcommand, fiber, refusal in (
+            ("box", "curvature", "einstein_constant = 0.19394\nbox = 1e60",
+             "error: [fiber] box: the sphere chart's (R^2 + |y|^2)^3 overflows at the corners "
+             "of the safe box, |y|^2 = 2 box^2\n"),
+            ("small-einstein-constant", "geodesic", "einstein_constant = 1e-104",
+             "error: [fiber] einstein_constant: R^2 = (dim - 1) / einstein_constant = 1e+104: "
+             "the sphere chart's (R^2 + |y|^2)^3 leaves the float range at y = 0\n"),
+            ("large-einstein-constant", "bochner", "einstein_constant = 1e150",
+             "error: [fiber] einstein_constant: R^2 = (dim - 1) / einstein_constant = 1e-150: "
+             "the sphere chart's (R^2 + |y|^2)^3 leaves the float range at y = 0\n")):
+        yield _case(f"sphere-chart-beyond-the-float-range-{case_id}", subcommand,
+                    _shipped("sphere_example").replace("einstein_constant = 0.19394", fiber),
+                    refusal)
     # |x|^2 of the grid center 5e307 * e_1 overflows: a refusal, not a warning
     for subcommand in ("curvature", "compare"):
         yield _case(f"grid-center-norm-overflows-{subcommand}", subcommand,

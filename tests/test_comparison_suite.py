@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from cdsplit import catalog
+import catalog
 from cdsplit.chart_core import (
     BlockGeometry,
     ScalarField,
@@ -354,7 +354,7 @@ class TestBochnerResidual:
         h = ScalarField(value=lambda p: p[0] + 2.0 * p[1],
                         grad=lambda p: np.array([1.0, 2.0, 0.0]),
                         hess=lambda p: np.zeros((3, 3)))
-        res = bochner_residual(spec, ScalarField.constant(0.0), [h], [[0.2, 0.1, 0.5]])[0]
+        res = bochner_residual(spec, catalog.constant(0.0, 3), [h], [[0.2, 0.1, 0.5]])[0]
         assert res < 1e-10
 
     def test_flat_quadratic_value_n(self):
@@ -364,7 +364,7 @@ class TestBochnerResidual:
             h = ScalarField(value=lambda p: 0.5 * float(p @ p), grad=lambda p: p.copy(),
                             hess=lambda p, n=n: np.eye(n))
             p = np.full(n, 0.4)
-            res = bochner_residual(spec, ScalarField.constant(0.0), [h], [p])[0]
+            res = bochner_residual(spec, catalog.constant(0.0, n), [h], [p])[0]
             assert res <= 1e-4
 
     def test_flat_linear_density_quadratic_field(self):

@@ -135,6 +135,12 @@ def _reports(out):
 @example(case=("sphere_example", "geodesic", (("expr", "400 + sin(r)"),)))
 # |x|^2 of the grid center 5e307 * e_1 overflows in the trial evaluation
 @example(case=("radial_log", "curvature", (("rho_max", "1e308"),)))
+# a sphere fiber whose chart scalars (R^2 + |y|^2)^3 overflow on the safe
+# box, or at y = 0, or underflow to 0 there; sphere_example sets no box, so
+# the first value carries a box line after the einstein_constant it keeps
+@example(case=("sphere_example", "curvature", (("einstein_constant", "0.19394\nbox = 1e60"),)))
+@example(case=("sphere_example", "geodesic", (("einstein_constant", "1e-104"),)))
+@example(case=("sphere_example", "bochner", (("einstein_constant", "1e150"),)))
 def test_mutated_manifests_keep_the_exit_code_contract(case):
     name, subcommand, entries = case
     overrides = _overrides(name, entries)

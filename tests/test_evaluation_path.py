@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from cdsplit import catalog, chart_core, cli, comparison_suite, expr, manifest, weighted_curvature
+import catalog
+from cdsplit import chart_core, cli, comparison_suite, expr, manifest, weighted_curvature
 from cdsplit.chart_core import (
     H3,
     BlockGeometry,
@@ -286,7 +287,7 @@ def test_failure_in_second_block_raises_as_pointwise(monkeypatch, plants, messag
     monkeypatch.setattr(weighted_curvature, "BLOCK_POINTS", 4)
     points = _box_points([[-1, 1], [-1, 1]])[:11]
     spec = _planted([(kind, points[i]) for kind, i in plants])
-    density = ScalarField.constant(0.0)
+    density = catalog.constant(0.0, 2)
     exact = f"^{re.escape(message)}$"
     with pytest.raises(SingularMetric, match=exact):
         _pointwise(spec, density, 0.0, math.inf, points)
@@ -312,7 +313,7 @@ def test_block_warnings_come_from_the_pointwise_rerun(monkeypatch):
     with np.errstate(all="warn"), warnings.catch_warnings(record=True) as seen, pytest.raises(
             SingularMetric, match=re.escape("metric at [-0.5 -1. ] is not positive definite")):
         warnings.simplefilter("always")
-        cd_verify(spec, ScalarField.constant(0.0), 0.0, math.inf,
+        cd_verify(spec, catalog.constant(0.0, 2), 0.0, math.inf,
                   GridSpec(_box_points([[-1, 1], [-1, 1]]), "pole"))
     assert seen == []
 
@@ -835,4 +836,4 @@ def test_failing_stencil_row_named_as_pointwise(plants, row):
     field = ScalarField(value=lambda x: float(x @ x), grad=lambda x: 2.0 * x,
                         hess=lambda x: 2.0 * np.eye(2))
     with pytest.raises(SingularMetric, match=f"^{re.escape(message)}$"):
-        bochner_residual(spec, ScalarField.constant(0.0), [field], [p])
+        bochner_residual(spec, catalog.constant(0.0, 2), [field], [p])

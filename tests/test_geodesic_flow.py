@@ -11,7 +11,7 @@ import pytest
 import scipy.integrate
 from hypothesis import example, given, settings, strategies as st
 
-from cdsplit import catalog
+import catalog
 from cdsplit.chart_core import (
     H2,
     BlockGeometry,
@@ -195,7 +195,7 @@ class TestClairaut:
     @pytest.mark.parametrize("case", ["sphere_example", "sphere5"])
     def test_block_warp_is_split_warp_per_sample(self, tmp_path, case):
         # the warps of a block come from phi's block form, raised as
-        # split.warp(p) ** 4 is, with math.exp and Python's power
+        # catalog.warp(split, p) ** 4 is, with math.exp and Python's power
         path = tmp_path / "m.cdm"
         path.write_text(STEP_RULE_CASES[case])
         manifest = parse_manifest(path)
@@ -204,7 +204,7 @@ class TestClairaut:
                                    params["T"], manifest.numeric["dt"])
         P, UY = trace.positions, trace.velocities[:, 1:]
         (H,) = split.fiber.jet(P[:, 1:], 0)
-        want = np.array([split.warp(p) ** 4 for p in P]) * _forms(UY, H, UY)
+        want = np.array([catalog.warp(split, p) ** 4 for p in P]) * _forms(UY, H, UY)
         assert clairaut_constant(split, trace).values.tobytes() == want.tobytes()
 
     def test_fourth_power_beyond_the_float_range_names_its_sample(self, tmp_path):
@@ -255,7 +255,8 @@ class TestMinimizingProjection:
             v0 = normalize_velocity(spec, p0, rng.standard_normal(3))
             trace = geodesic_integrate(spec, p0, v0, T=0.5, dt=1e-3)
             length = _fiber_oracles(split, trace)[1]
-            dist = split.fiber.distance(trace.positions[0, 1:], trace.positions[-1, 1:])
+            dist = catalog.fiber_distance(split.fiber, trace.positions[0, 1:],
+                                          trace.positions[-1, 1:])
             assert abs(length - dist) <= 1e-4
 
     def test_sphere_fiber_small_arcs(self):
@@ -267,7 +268,8 @@ class TestMinimizingProjection:
             v0 = normalize_velocity(spec, p0, rng.standard_normal(3))
             trace = geodesic_integrate(spec, p0, v0, T=0.4, dt=1e-3)
             length = _fiber_oracles(split, trace)[1]
-            dist = split.fiber.distance(trace.positions[0, 1:], trace.positions[-1, 1:])
+            dist = catalog.fiber_distance(split.fiber, trace.positions[0, 1:],
+                                          trace.positions[-1, 1:])
             assert abs(length - dist) <= 1e-4
 
     def test_radial_geodesic_zero_projection(self):
@@ -323,7 +325,7 @@ class TestDensityLineIntegral:
 class TestCompletenessDiagnostic:
     def test_unweighted_growth_is_linear(self):
         spec = catalog.flat(2)
-        table = completeness_diagnostic(spec, ScalarField.constant(0.0), np.zeros(2),
+        table = completeness_diagnostic(spec, catalog.constant(0.0, 2), np.zeros(2),
                                         R_max=5.0, n_checkpoints=5, dt=1e-3,
                                         n_directions=4, seed=1)
         for j, r in enumerate(table.checkpoints):
@@ -371,7 +373,7 @@ class TestCompletenessDiagnostic:
 
     def test_caveat_mentions_finite_range(self):
         spec = catalog.flat(2)
-        table = completeness_diagnostic(spec, ScalarField.constant(0.0), np.zeros(2),
+        table = completeness_diagnostic(spec, catalog.constant(0.0, 2), np.zeros(2),
                                         R_max=1.0, n_checkpoints=2, n_directions=2)
         assert "finite-range" in table.caveat
 
@@ -379,7 +381,7 @@ class TestCompletenessDiagnostic:
         # inward direction on the bounded polar chart exits the domain early
         spec = catalog.polar_plane(r_min=0.5)
         dirs = np.array([[-1.0, 0.0], [1.0, 0.0]])
-        table = completeness_diagnostic(spec, ScalarField.constant(0.0),
+        table = completeness_diagnostic(spec, catalog.constant(0.0, 2),
                                         np.array([1.0, 0.0]), directions=dirs,
                                         R_max=4.0, n_checkpoints=4, dt=1e-3)
         assert table.truncated[0] and not table.truncated[1]
@@ -628,7 +630,7 @@ def _fiber_oracles(split, trace):
     for p, u in zip(trace.positions, trace.velocities):
         uy = u[1:]
         gL = split.fiber.metric(p[1:])
-        clairaut.append(split.warp(p) ** 4 * float(uy @ gL @ uy))
+        clairaut.append(catalog.warp(split, p) ** 4 * float(uy @ gL @ uy))
         speeds.append(math.sqrt(max(0.0, float(uy @ gL @ uy))))
     return np.array(clairaut), float(_cumulative_oracle(speeds, trace.ts)[-1])
 

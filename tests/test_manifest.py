@@ -475,7 +475,7 @@ class TestShippedManifests:
     def test_polar_general_matches_builtin(self):
         man = parse_manifest(MANIFESTS / "polar_general.cdm")
         geo = build_geometry(man)
-        from cdsplit import catalog
+        import catalog
         from cdsplit.chart_core import BlockGeometry
 
         p = np.array([2.0, 0.5])

@@ -1,15 +1,18 @@
 """Package structure: every import sits at module level, so the import graph
 is visible at the top of each module, and the graph has no cycle; the command
 line imports no scipy module; every function the benchmark's tracer
-patches by name exists; every other public function has a caller in the
-package; no subcommand decides a usage error; only the grid section of
-manifest builds a grid or draws sample points; only expr runs generated
-source or takes a symbolic derivative, and catalog imports nothing from
-manifest; and only chart_core reads numpy's floating-point settings."""
+patches by name exists; the package holds what a command-line run enters:
+some run of tools/report_diff.py's RUNS enters each of its functions and
+methods, but those of a short allowlist, each named with its reason; no
+subcommand decides a usage error; only the grid section of manifest builds a
+grid or draws sample points; only expr runs generated source or takes a
+symbolic derivative; and only chart_core reads numpy's floating-point
+settings.  The charts and oracles of the tests live in tests/catalog.py."""
 
 import ast
 import functools
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -109,39 +112,90 @@ def test_traced_functions_resolve():
     assert spans and not missing, "traced functions not found: " + ", ".join(missing)
 
 
-#: public functions that may lack a caller in the package, each with its reason
-UNCALLED_BY_DESIGN = {
-    "completeness_diagnostic": "waits for the geodesic ensemble that suite will run",
-    "partials_discrepancy": "the tests' cross-check of every chart's analytic partials",
-    "run": "the programmatic entry point of the command line",
-    "main": "the console-script entry point (pyproject.toml)",
+#: functions and methods of the package that no run of ``report_diff.RUNS``
+#: enters, each with its reason and the ROADMAP item that removes it
+UNREACHED_BY_DESIGN = {
+    "chart_core.BlockGeometry.at": "the block of one of the per-point wrappers (item 2)",
+    **{name: "the benchmark's tracer patches it by name (item 2)" for name in (
+        "chart_core.ricci_numeric", "chart_core.hessian_scalar", "chart_core.weighted_laplacian",
+        "weighted_curvature.generalized_ricci", "weighted_curvature.min_relative_eigenvalue")},
+    "weighted_curvature._factors": "min_relative_eigenvalue's Cholesky test (item 2)",
+    "geodesic_flow.completeness_diagnostic": "suite will run it (item 5)",
+    "geodesic_flow.sample_unit_directions": "completeness_diagnostic's directions (item 5)",
+    "chart_core._each_row": "field_rows of the tests' point-formula charts (item 16)",
+    "cli.main": "the console script of pyproject.toml",
 }
 
+# Runs every entry of tools/report_diff.py's RUNS through cli.run in this
+# process, with a profile function set before cdsplit is imported, so that
+# a function run only at import counts, and prints the (file, first line)
+# of every code object entered in the package as JSON.
+_RECORD_ENTERED = """
+import contextlib, io, json, sys, tempfile
+from pathlib import Path
 
-def test_every_public_function_has_a_caller():
-    # a caller is a bare-name reference (ast.Name) or a ``from ... import``
-    # of the name in the package, so that a BlockGeometry method of the same
-    # name is not one; catalog.py (charts for tests and demos) and
-    # __init__.py (the exports) are skipped
-    defined, referenced = {}, set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name in ("catalog.py", "__init__.py"):
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defined[node.name] = path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                referenced.add(node.id)
-            elif isinstance(node, ast.ImportFrom):
-                referenced.update(alias.name for alias in node.names)
-    exempt = {point.attr for point in _spans()} | set(UNCALLED_BY_DESIGN)
-    uncalled = sorted(f"{module}:{name}" for name, module in defined.items()
-                      if name not in referenced and name not in exempt)
-    assert not uncalled, "public functions without a caller: " + ", ".join(uncalled)
-    stale = sorted(name for name in UNCALLED_BY_DESIGN if name not in defined)
-    assert not stale, "exempt names that no longer exist: " + ", ".join(stale)
+root, package = Path(sys.argv[1]), sys.argv[2]
+entered = set()
+
+
+def record(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(package):
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+
+sys.setprofile(record)
+from cdsplit import cli
+sys.path.insert(0, str(root / "tools"))
+import report_diff
+
+with tempfile.TemporaryDirectory() as tmp:
+    tmp = Path(tmp)
+    for name, text in report_diff.WRITTEN.items():
+        (tmp / f"{name}.cdm").write_text(text)
+    for sub, man, seed, overrides in report_diff.RUNS:
+        manifest = tmp / f"{man}.cdm" if man in report_diff.WRITTEN else (
+            root / "manifests" / f"{man}.cdm")
+        out = tmp / "_".join((sub, man, str(seed)) + overrides)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            cli.run(sub, manifest, out, seed, overrides)
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
+def _defs(path):
+    """The dotted name within its module and the first line of each function
+    and method defined at module or class level of ``path``: the line of its
+    first decorator, else of ``def``, as its code object's co_firstlineno."""
+    def walk(body, prefix):
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                lines = [d.lineno for d in node.decorator_list] + [node.lineno]
+                yield prefix + node.name, min(lines)
+            elif isinstance(node, ast.ClassDef):
+                yield from walk(node.body, f"{prefix}{node.name}.")
+
+    return walk(ast.parse(path.read_text(), filename=str(path)).body, "")
+
+
+def test_every_function_is_reached_by_a_run():
+    # src/ holds what a command-line run enters: every function and method of
+    # the package is entered by some run of report_diff's RUNS, or is named
+    # in UNREACHED_BY_DESIGN with its reason, and every name there is
+    # defined and unreached
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _RECORD_ENTERED, str(ROOT), str(PACKAGE)],
+                          env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    entered = {(file, line) for file, line in json.loads(proc.stdout)}
+    defined = {f"{path.stem}.{name}": (str(path), line)
+               for path in sorted(PACKAGE.glob("*.py")) for name, line in _defs(path)}
+    unreached = {name for name, where in defined.items() if where not in entered}
+    missed = sorted(unreached - set(UNREACHED_BY_DESIGN))
+    assert not missed, "functions that no run enters: " + ", ".join(missed)
+    stale = sorted(set(UNREACHED_BY_DESIGN) - unreached)
+    assert not stale, "allowlisted names that are reached or not defined: " + ", ".join(stale)
 
 
 def test_subcommands_decide_no_usage_error():
@@ -181,7 +235,7 @@ def test_only_manifest_builds_grids_and_samples():
 def test_only_expr_compiles_and_differentiates_expressions():
     # the expression language is one module: only expr runs generated source
     # (the builtins exec and compile) or takes a symbolic derivative (through
-    # partials), and catalog builds its fields without the manifest parser
+    # partials)
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "expr.py":
@@ -193,7 +247,6 @@ def test_only_expr_compiles_and_differentiates_expressions():
                         or isinstance(func, ast.Attribute) and func.attr == "derivative"):
                     found.append(f"{path.stem}:{node.lineno}")
     assert not found, "exec, compile or .derivative( outside expr: " + ", ".join(found)
-    assert "manifest" not in _imports(PACKAGE / "catalog.py")[0]
     # the names the benchmark traces in manifest are expr's own objects, so
     # the tracer patches them in both modules
     expr, manifest = (importlib.import_module(f"cdsplit.{m}") for m in ("expr", "manifest"))

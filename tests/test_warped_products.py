@@ -10,10 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from cdsplit import catalog
+import catalog
 from cdsplit.chart_core import (
     BlockGeometry,
-    MetricSpec,
     ScalarField,
     metric_at,
     point_jet,
@@ -60,8 +59,7 @@ class TestFibers:
     def test_sphere_einstein_constant_realized(self):
         # numerical Ricci of the chart metric equals lambda_E * g inside the box
         for lam in (0.2, 1.0, 2.5):
-            fiber = SphereFiber(dim=2, einstein_constant=lam)
-            spec = MetricSpec(dim=2, jet=point_jet(fiber.metric, fiber.partials))
+            spec = catalog.sphere_chart(2, lam)
             rng = np.random.default_rng(0)
             for _ in range(5):
                 y = rng.uniform(-2.5, 2.5, 2)
@@ -71,7 +69,7 @@ class TestFibers:
 
     def test_sphere_christoffel_matches_fd(self):
         fiber = SphereFiber(dim=3, einstein_constant=1.0)
-        spec = MetricSpec(dim=3, jet=point_jet(fiber.metric, fiber.partials))
+        spec = catalog.sphere_chart(3, 1.0)
         y = np.array([0.4, -1.1, 0.7])
         G = BlockGeometry.at(spec, y).christoffel[0]
         assert np.max(np.abs(G - fiber.christoffel(y))) < 1e-12
@@ -83,7 +81,7 @@ class TestFibers:
         d = np.array([1e-4, -2e-4])
         gl = fiber.metric(y)
         expected = math.sqrt(float(d @ gl @ d))
-        assert fiber.distance(y, y + d) == pytest.approx(expected, rel=1e-3)
+        assert catalog.fiber_distance(fiber, y, y + d) == pytest.approx(expected, rel=1e-3)
 
     def test_sphere_needs_dim_two(self):
         with pytest.raises(ValueError):
@@ -92,7 +90,8 @@ class TestFibers:
     def test_torus_metric(self):
         fiber = FlatFiber(dim=2, periods=(2 * math.pi, 4 * math.pi))
         assert np.allclose(fiber.metric(np.zeros(2)), np.diag([1.0, 4.0]))
-        assert fiber.distance(np.zeros(2), np.array([1.0, 1.0])) == pytest.approx(math.sqrt(5.0))
+        assert catalog.fiber_distance(fiber, np.zeros(2), np.array([1.0, 1.0])) == pytest.approx(
+            math.sqrt(5.0))
 
     def test_flat_fiber_default_is_the_identity(self):
         fiber = FlatFiber(3)
@@ -102,7 +101,7 @@ class TestFibers:
         G, D = fiber.jet(np.zeros((4, 3)), 1)
         assert G.tobytes() == np.stack([np.eye(3)] * 4).tobytes() and not D.any()
         assert fiber.jet(np.zeros((4, 3)), 0)[0].tobytes() == G.tobytes()
-        assert fiber.distance(np.zeros(3), np.array([1.0, 2.0, -2.0])) == 3.0
+        assert catalog.fiber_distance(fiber, np.zeros(3), np.array([1.0, 2.0, -2.0])) == 3.0
 
     def test_flat_fiber_needs_one_period_per_axis(self):
         with pytest.raises(ValueError, match="^one period per fiber dimension required$"):
@@ -115,7 +114,7 @@ class TestFibers:
     @pytest.mark.parametrize("missing", ["grad", "hess"])
     @pytest.mark.parametrize("role", ["psi", "phi", "f_L"])
     def test_potentials_need_analytic_partials(self, role, missing):
-        field = ScalarField.constant(0.0)
+        field = catalog.constant(0.0, 3)
         bare = dataclasses.replace(field, **{missing: None})
         fiber = FlatFiber(2)
         with pytest.raises(ValueError, match=f"^{role} needs an analytic gradient and Hessian$"):
@@ -152,7 +151,7 @@ def _product_reference(tw: TwistedProductSpec):
 
     def partials(p):
         w = math.exp(2.0 * c * float(psi.value(p)))
-        h, dh = fiber.metric(p[1:]), fiber.partials(p[1:])
+        h, dh = fiber.metric(p[1:]), fiber.jet(p[1:][None], 1)[1][0]
         dpsi = np.asarray(psi.grad(p), dtype=float)
         D = np.zeros((n, n, n))
         D[0, 1:, 1:] = 2.0 * c * dpsi[0] * w * h
@@ -202,7 +201,7 @@ def test_stacked_rows_are_g_and_partials_bit_for_bit(spec):
 
 class TestTwistedRicci:
     def test_constant_twist_flat_fiber_is_flat(self):
-        spec = TwistedProductSpec(n=3, psi=ScalarField.constant(0.7),
+        spec = TwistedProductSpec(n=3, psi=catalog.constant(0.7, 3),
                                   fiber=FlatFiber(2))
         ric = twisted_ricci_analytic(spec, np.array([0.3, 1.0, -1.0]))
         assert np.max(np.abs(ric)) < 1e-14

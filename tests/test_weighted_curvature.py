@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdsplit import catalog
+import catalog
 from cdsplit.chart_core import (
     BlockGeometry,
     MetricSpec,
@@ -55,7 +55,7 @@ class TestGeneralizedRicci:
 
         ric = ricci_numeric(spec, p)
         for N in (-2.0, 0.5, math.inf):
-            out = generalized_ricci(spec, ScalarField.constant(5.0), N, p)
+            out = generalized_ricci(spec, catalog.constant(5.0, 3), N, p)
             assert np.max(np.abs(out - ric)) < 1e-12
 
     def test_gaussian_density_identity_form(self):
@@ -76,7 +76,7 @@ class TestGeneralizedRicci:
     def test_dimension_clash(self):
         spec = catalog.flat(3)
         with pytest.raises(DimensionClash):
-            generalized_ricci(spec, ScalarField.constant(0.0), 3.0, np.zeros(3))
+            generalized_ricci(spec, catalog.constant(0.0, 3), 3.0, np.zeros(3))
         with pytest.raises(DimensionClash):
             generalized_ricci(spec, VectorField(value=lambda p: np.zeros(3)), 3, np.zeros(3))
 
@@ -156,7 +156,7 @@ class TestCDVerify:
     def test_flat_space_boundary_pass(self):
         spec = catalog.flat(2)
         grid = box_grid([[-2, 2], [-2, 2]], [5, 5])
-        rep = cd_verify(spec, ScalarField.constant(0.0), 0.0, math.inf, grid)
+        rep = cd_verify(spec, catalog.constant(0.0, 2), 0.0, math.inf, grid)
         assert rep.passed
         assert rep.verdict == "boundary"
         assert abs(rep.min_eigenvalue) < 1e-10
@@ -214,14 +214,14 @@ class TestCDVerify:
 
     def test_caveat_present(self):
         spec = catalog.flat(2)
-        rep = cd_verify(spec, ScalarField.constant(0.0), 0.0, math.inf,
+        rep = cd_verify(spec, catalog.constant(0.0, 2), 0.0, math.inf,
                         box_grid([[-1, 1], [-1, 1]], [3, 3]))
         assert "not" in rep.caveat and "sampl" in rep.caveat
 
     def test_caveat_follows_verdict(self):
         # flat R^2 with f = 0: Ric^N = 0, so lambda = 0 sits on the boundary
         # and lambda = 1 fails everywhere
-        spec, f = catalog.flat(2), ScalarField.constant(0.0)
+        spec, f = catalog.flat(2), catalog.constant(0.0, 2)
         grid = box_grid([[-1, 1], [-1, 1]], [3, 3])
         boundary = cd_verify(spec, f, 0.0, math.inf, grid)
         fail = cd_verify(spec, f, 1.0, math.inf, grid)
@@ -267,13 +267,13 @@ class TestWeightedMeanCurvature:
     def test_unweighted_product_zero(self):
         # phi = 0, f = 0: flat slices, H = 0 and H_f = 0
         split = catalog.split_sin_euclidean(3, amplitude=0.0)
-        zero = ScalarField.constant(0.0)
+        zero = catalog.constant(0.0, 3)
         assert slice_mean_curvature(split, 1.0, density=zero) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_warp_unweighted(self):
         # phi = 2r, n = 3, f = 0: H = phi' = 2, so H_f = H = 2
         split = catalog.hyperbolic_split(3)
-        zero = ScalarField.constant(0.0)
+        zero = catalog.constant(0.0, 3)
         assert slice_mean_curvature(split, 0.7, density=zero) == pytest.approx(2.0, abs=1e-10)
         # with the split density phi the drift cancels H entirely
         assert slice_mean_curvature(split, 0.7) == pytest.approx(0.0, abs=1e-10)

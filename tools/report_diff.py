@@ -67,7 +67,12 @@ on ``RICCATI_STILL_MANIFEST``, ``y0 = 400``, and on
 ``RICCATI_SUBNORMAL_MANIFEST``, ``a = 5e-324``, where every increment of
 the velocity rounds to zero: it stays the signed zero it started as, so
 the forward and backward halves never hold the same state and each is
-integrated in full.  That makes 64 runs and 302 files a side.  The
+integrated in full.  Last come two runs that end on an error path:
+``threshold`` on ``TRAILING_OPERATOR_MANIFEST``, whose ``[phi]`` expression
+``sin(r) +`` ends in an operator, a parse error (exit 2), and ``geodesic``
+on ``STEEP_WARP_MANIFEST``, ``phi = 400 + sin(r)``, whose conserved
+quantity's fourth power of e^{phi/2} is beyond the float range from the
+first sample on (exit 1).  That makes 66 runs and 308 files a side.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -445,6 +450,28 @@ RICCATI_STILL_MANIFEST = RICCATI_MANIFEST.format(name="riccati-still", a="1.0", 
                                                  y0p="0.0")
 RICCATI_SUBNORMAL_MANIFEST = RICCATI_MANIFEST.format(name="riccati-subnormal", a="5e-324",
                                                      y0="0.0", y0p="0.0")
+# a split manifest over a sphere fiber whose [phi] expr is {phi}
+SPHERE_PHI_MANIFEST = """\
+[manifold]
+name = {name}
+kind = split
+dim = 3
+
+[phi]
+expr = {phi}
+
+[fiber]
+type = sphere
+einstein_constant = 0.5
+
+[geodesic]
+start = 0.0, 0.4, 0.2
+velocity = 1.0, 0.5, -0.3
+T = 2.0
+"""
+TRAILING_OPERATOR_MANIFEST = SPHERE_PHI_MANIFEST.format(name="sphere-trailing-operator",
+                                                        phi="sin(r) +")
+STEEP_WARP_MANIFEST = SPHERE_PHI_MANIFEST.format(name="sphere-steep-warp", phi="400 + sin(r)")
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
@@ -458,7 +485,9 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "riccati_slope": RICCATI_SLOPE_MANIFEST,
            "riccati_signed_zero": RICCATI_SIGNED_ZERO_MANIFEST,
            "riccati_still": RICCATI_STILL_MANIFEST,
-           "riccati_subnormal": RICCATI_SUBNORMAL_MANIFEST}
+           "riccati_subnormal": RICCATI_SUBNORMAL_MANIFEST,
+           "sphere_trailing_operator": TRAILING_OPERATOR_MANIFEST,
+           "sphere_steep_warp": STEEP_WARP_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -479,7 +508,9 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("compare", man, 42, ()) for man in ("radial_two_log", "radial_steep_log")]
         + [("riccati", man, 42, ())
            for man in ("riccati_slope", "riccati_signed_zero", "riccati_still",
-                       "riccati_subnormal")])
+                       "riccati_subnormal")]
+        + [("threshold", "sphere_trailing_operator", 42, ()),
+           ("geodesic", "sphere_steep_warp", 42, ())])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
