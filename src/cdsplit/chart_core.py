@@ -42,7 +42,8 @@ caller needs nothing else (``metric_at``, the geodesic speed-drift and
 vector-density passes).  The Ricci tensor takes ``g`` and ``D`` at the 2n
 first-order stencil rows of every point from one more jet call, with the
 point's own ``g`` and ``D`` as row 0, and the Christoffel symbols from one
-``_solve`` over the stack (``_christoffel_rows``).  A field derived
+``_solve`` over the stack (``_christoffel_rows``), which takes a stack of
+diagonal metrics as a reciprocal multiply.  A field derived
 from the calculus (``geometry_field``, such as |grad h|^2) is the
 ``block_field`` of one ``BlockGeometry`` of its stencil rows; a value-only
 Hessian's gradient at the same step reads the +-h rows of its own stencil.
@@ -88,12 +89,18 @@ matrices: the Cholesky factors of a block are one ``np.linalg.cholesky``
 call, factored again one point at a time only to name a point that is not
 positive definite, and the inverse metrics two stacked triangular solves
 with the factor (``_solve``, the ``gesv`` gufunc of ``np.linalg.solve``).
-Error messages name their point, but format it only when they are raised.
+A stack of matrices whose off-diagonal entries are all zero, solved
+against two or more right-hand sides free of -0.0, is taken as b * (1 / d),
+with d the diagonals, which is bit for bit what that ``gesv`` computes for
+it (``_solve``); the paper's split spaces and every shipped chart have
+diagonal metrics, so most stacked solves of a run take this rule.  Error
+messages name their point, but format it only when they are raised.
 
 ``gamma_evaluator``, the acceleration closure of an RK4 stage, is the
 one-point case: one jet call of order 1 at the point, the partials
 contracted twice with the velocity, and one ``_solve`` call with a single
-right-hand side, the ``solve1`` gufunc ``np.linalg.solve`` runs on a vector;
+right-hand side, the ``solve1`` gufunc ``np.linalg.solve`` runs on a vector,
+which divides by a diagonal metric's pivots and so takes no reciprocal rule;
 it never forms the Christoffel symbols, and agrees with -Gamma(u, u) from
 that point's row of ``_christoffel_rows`` to round-off.  A non-finite
 acceleration is re-run through ``_christoffel_rows``, which raises the error
@@ -118,7 +125,8 @@ the new state alone.
 Results are bit-identical to evaluating every tensor at one point on its
 own.  Only elementwise array operations, numpy's stacked LAPACK calls
 (Cholesky, solve and symmetric eigenvalues, the same LAPACK call on each
-matrix of a stack), einsum contractions with a batch axis and stacked
+matrix of a stack, with ``_solve``'s diagonal stacks elementwise and
+``gesv``'s bits), einsum contractions with a batch axis and stacked
 matrix products (the same BLAS call per matrix) run across points, and a
 manifest expression's block form is made of such operations, with its
 calls and powers per element.  More stacked calls run across points, each
@@ -463,6 +471,14 @@ def _lowered(D: np.ndarray) -> np.ndarray:
     return (Df.take(i1, axis=1) + Df.take(i2, axis=1) - Df).reshape(k, n, n * n)
 
 
+@lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    """The flat indices of the off-diagonal entries of an (n, n) array."""
+    off = np.flatnonzero(~np.eye(n, dtype=bool))
+    off.flags.writeable = False
+    return off
+
+
 @np.errstate(all="ignore")
 def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """X with a X = b for each matrix of a stack, or x with a x = b for a
@@ -470,9 +486,30 @@ def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``np.linalg.solve`` runs on each matrix (``solve1`` for a 1-d b, as
     there), called directly to skip that wrapper's checks and conversions.
     A singular matrix gives NaN, and no floating-point condition of the
-    solve is reported; callers check the result."""
-    solve = _umath_linalg.solve1 if b.ndim == 1 else _umath_linalg.solve
-    return solve(a, b, signature="dd->d")
+    solve is reported; callers check the result.
+
+    A stack whose matrices have no nonzero off-diagonal entry, solved
+    against two or more right-hand sides, is taken as ``b * (1.0 / d)``
+    with d the diagonals, which is what ``gesv`` computes for it: with two
+    or more right-hand sides, OpenBLAS solves the factors through ``trsm``,
+    which multiplies by the inverted pivot, and every term the factors add
+    to an entry of b is a zero.  Adding such a zero changes only a -0.0 of
+    b, which may come out +0.0, so a b holding a -0.0 goes through ``gesv``;
+    so does a stack with any other matrix, or one for which the rule gives a
+    non-finite entry, as at a zero pivot or one whose reciprocal overflows.
+    Where the rule applies, every entry is ``gesv``'s bit for bit, signed
+    zeros included, so each matrix keeps the bits it has alone.  (For a
+    single right-hand side ``trsv`` divides by the pivot, so a 1-d b goes
+    to ``solve1`` as it is.)"""
+    if b.ndim == 1:
+        return _umath_linalg.solve1(a, b, signature="dd->d")
+    n = a.shape[-1]
+    if (b.shape[-1] > 1 and not a.reshape(-1, n * n)[:, _off_diagonal(n)].any()
+            and not (np.signbit(b) & (b == 0)).any()):
+        x = b * (1.0 / a.diagonal(axis1=-2, axis2=-1))[..., None]
+        if np.isfinite(x).all():
+            return x
+    return _umath_linalg.solve(a, b, signature="dd->d")
 
 
 def _forms(U: np.ndarray, G: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -783,12 +820,14 @@ class BlockGeometry:
 def _christoffel_rows(pts: np.ndarray, gs: np.ndarray, D: np.ndarray) -> np.ndarray:
     """Christoffel symbols from raw g and D at each row of ``pts``, shape (k, n, n, n).
 
-    All rows go through one ``_solve`` over the (k, n, n) stack, the ``gesv``
-    gufunc of ``np.linalg.solve``.  numpy runs the same LAPACK call on each
-    matrix of a stack, so every slice is bit-identical to a solve at that
-    point alone.  A singular matrix gives NaN there; when the result is not
-    finite, the rows are solved again one at a time, and the first failing
-    row is named, as a point-by-point sweep would name it.
+    All rows go through one ``_solve`` over the (k, n, n) stack against
+    their n * n right-hand sides: the ``gesv`` gufunc of
+    ``np.linalg.solve``, which runs the same LAPACK call on each matrix of a
+    stack, or for a stack of diagonal metrics the reciprocal multiply that
+    gives ``gesv``'s bits.  Either way every slice is bit-identical to a
+    solve at that point alone.  A singular matrix gives NaN there; when the
+    result is not finite, the rows are solved again one at a time, and the
+    first failing row is named, as a point-by-point sweep would name it.
     """
     k, n = pts.shape
     M = _lowered(D)

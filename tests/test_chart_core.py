@@ -3,18 +3,23 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.integrate
+from numpy.linalg import _umath_linalg
 from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf
 
 import catalog
+from cdsplit import chart_core, cli, weighted_curvature
 from cdsplit.chart_core import (
     BlockGeometry,
     MetricSpec,
+    _christoffel_rows,
     _lowered,
+    _solve,
     ScalarField,
     VectorField,
     as_point,
@@ -523,3 +528,120 @@ def test_bit_groups_keep_each_bit_pattern_apart():
         assert column[first][inverse].tobytes() == x.tobytes()
         # each group's first index is its first entry
         assert first.tolist() == [np.flatnonzero(inverse == g)[0] for g in range(len(first))]
+
+
+MANIFESTS = Path(__file__).resolve().parent.parent / "manifests"
+
+
+def _gesv(a, b):
+    with np.errstate(all="ignore"):
+        return _umath_linalg.solve(a, b, signature="dd->d")
+
+
+def _diagonal_stack(rng, k, n, magnitude):
+    """k diagonal n x n matrices with entries of both signs and magnitudes
+    up to 10^+-magnitude, and off-diagonals of +0.0 and -0.0."""
+    a = rng.choice([0.0, -0.0], (k, n, n))
+    a[:, range(n), range(n)] = rng.choice([-1.0, 1.0], (k, n)) * 10.0 ** rng.uniform(
+        -magnitude, magnitude, (k, n))
+    return a
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_diagonal_solve_is_gesv(n):
+    # _solve takes a diagonal stack against two or more right-hand sides as
+    # b * (1 / d).  Pivots of magnitude up to 1e+-200 and right-hand sides
+    # up to 1e+-100, a fifth of them +0.0, keep every quotient finite, so the
+    # rule gives these values, and they are gesv's bit for bit, signed zeros
+    # included.  A b holding a -0.0, which gesv may turn into +0.0, and a
+    # stack whose quotients overflow are gesv's whole.  This pins the LAPACK
+    # build numpy links (OpenBLAS, whose trsm multiplies by the inverted
+    # pivot); under another build the rule would fail here rather than
+    # drift silently
+    rng = np.random.default_rng(700 + n)
+    for m in (2, n, n * n):
+        a = _diagonal_stack(rng, 300, n, 200)
+        b = rng.choice([-1.0, 1.0], (300, n, m)) * 10.0 ** rng.uniform(-100, 100, (300, n, m))
+        b[rng.random(b.shape) < 0.2] = 0.0
+        x = _solve(a, b)
+        assert x.tobytes() == _gesv(a, b).tobytes()
+        assert x.tobytes() == (b * (1.0 / a.diagonal(axis1=1, axis2=2))[:, :, None]).tobytes()
+        assert np.signbit(x[x == 0]).any() and not np.signbit(x[x == 0]).all()
+        b[rng.random(b.shape) < 0.1] = -0.0
+        assert _solve(a, b).tobytes() == _gesv(a, b).tobytes()
+        b = 10.0 ** rng.uniform(-200, 200, (300, n, m))
+        assert _solve(a, b).tobytes() == _gesv(a, b).tobytes()
+
+
+def test_single_right_hand_side_is_gesv():
+    # trsv divides by the pivot, so a 1-d b and a single column are gesv's
+    rng = np.random.default_rng(710)
+    a = _diagonal_stack(rng, 50, 3, 200)
+    b = rng.standard_normal((50, 3, 1))
+    assert _solve(a, b).tobytes() == _gesv(a, b).tobytes()
+    assert _solve(a[0], b[0, :, 0]).tobytes() == np.linalg.solve(a[0], b[0, :, 0]).tobytes()
+
+
+def test_solve_of_a_mixed_block_is_each_row_alone():
+    # a block mixing diagonal rows, some with -0.0 off-diagonals, and
+    # positive definite rows that are not diagonal goes through gesv whole;
+    # each row has the bits it has in a block of its own, where a diagonal
+    # row takes the rule, against its own right-hand sides with +0.0 zeros
+    # and against the shared identity of BlockGeometry.ginv
+    rng = np.random.default_rng(720)
+    n, k = 3, 40
+    a = _diagonal_stack(rng, k, n, 3)
+    full = rng.random(k) < 0.5
+    A = rng.standard_normal((k, n, n))
+    a[full] = (A @ A.swapaxes(1, 2) + np.eye(n))[full]
+    assert 0 < full.sum() < k
+    B = rng.standard_normal((k, n, n * n))
+    B[rng.random(B.shape) < 0.2] = 0.0
+    for b in (B, np.eye(n)):
+        x = _solve(a, b)
+        rows = np.broadcast_to(b, (k, n, b.shape[-1]))
+        for i in range(k):
+            assert x[i].tobytes() == _solve(a[i:i + 1], rows[i:i + 1])[0].tobytes()
+            if full[i]:
+                assert x[i].tobytes() == _gesv(a[i], rows[i]).tobytes()
+
+
+@pytest.mark.parametrize("pivot, error, message", [
+    (0.0, SingularMetric, "metric at [6. 7. 8.] is not invertible"),
+    (1e-310, NonFinite, "Christoffel symbols at [6. 7. 8.]"),
+])
+def test_christoffel_rows_name_a_zero_or_subnormal_pivot(pivot, error, message):
+    # a diagonal metric with a zero or subnormal pivot in the third row of a
+    # block: the rule's quotient is not finite, the block goes through gesv,
+    # and the row-by-row re-run names that row's point
+    n = 3
+    pts = np.arange(12.0).reshape(4, n)
+    D = np.random.default_rng(730).standard_normal((4, n, n, n))
+    gs = np.tile(np.eye(n), (4, 1, 1))
+    gs[2, 1, 1] = pivot
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        _christoffel_rows(pts, gs, D + D.swapaxes(2, 3))
+
+
+@pytest.mark.parametrize("name", ["sphere_example", "twisted_flat"])
+def test_verify_cd_solves_are_gesv_bit_for_bit(name, tmp_path, monkeypatch):
+    # every stacked solve of a shipped verify-cd grid, the Christoffel rows,
+    # the inverse metrics and the relative eigenvalues' reduction, is gesv's
+    # in its int64 view, signed zeros included
+    solves = []
+
+    def spy(a, b):
+        x = _solve(a, b)
+        if b.ndim > 1:
+            solves.append(len(a))
+            assert x.view(np.int64).tobytes() == _gesv(a, b).view(np.int64).tobytes()
+        return x
+
+    monkeypatch.setattr(chart_core, "_solve", spy)
+    monkeypatch.setattr(weighted_curvature, "_solve", spy)
+    assert cli.run("verify-cd", MANIFESTS / f"{name}.cdm", tmp_path, 42, ()) == 0
+    # the 2n + 1 Christoffel rows of each grid point, and the two solves
+    # each of its inverse metric and its eigenproblem
+    lines = (tmp_path / "cd_samples.csv").read_text().splitlines()
+    points = sum(not line.startswith("#") for line in lines) - 1
+    assert sum(solves) == 11 * points

@@ -6,8 +6,9 @@ some run of tools/report_diff.py's RUNS enters each of its functions and
 methods, but those of a short allowlist, each named with its reason; no
 subcommand decides a usage error; only the grid section of manifest builds a
 grid or draws sample points; only expr runs generated source or takes a
-symbolic derivative; and only chart_core reads numpy's floating-point
-settings.  The charts and oracles of the tests live in tests/catalog.py."""
+symbolic derivative; only chart_core reads numpy's floating-point
+settings; and every LAPACK solve goes through chart_core._solve, but those
+of a short allowlist.  The charts and oracles of the tests live in tests/catalog.py."""
 
 import ast
 import functools
@@ -264,3 +265,37 @@ def test_only_chart_core_reads_the_floating_point_settings():
         if isinstance(node, ast.Attribute) and node.attr == "geterr"
     ]
     assert not found, "np.geterr outside chart_core: " + ", ".join(found)
+
+
+#: the functions of the package that call a LAPACK solve other than through
+#: ``chart_core._solve``, each with its reason
+OWN_SOLVES = {
+    "chart_core._solve": "the one stacked solve, with its rule for diagonal stacks",
+    "chart_core._christoffel_rows": "the row-by-row re-run that names the failing row",
+    "geodesic_flow.sample_unit_directions": "no run reaches it (UNREACHED_BY_DESIGN)",
+    "warped_products.twisted_ricci_analytic": "one fiber metric's inverse at one point, "
+                                              "whose singular metric raises LinAlgError",
+}
+
+
+def test_every_solve_goes_through_chart_core_solve():
+    # chart_core._solve takes a stack of diagonal matrices as a reciprocal
+    # multiply, bit for bit gesv's; a stacked solve that called
+    # np.linalg.solve, np.linalg.inv or _umath_linalg itself would skip it
+    found = set()
+
+    def walk(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("solve", "solve1", "inv")):
+                found.add(f"{module}.{scope}")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, module, f"{scope}.{child.name}" if scope else child.name)
+            else:
+                walk(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(), filename=str(path)), path.stem, "")
+    assert found == set(OWN_SOLVES), (
+        "LAPACK solves outside chart_core._solve: " + ", ".join(sorted(found - set(OWN_SOLVES)))
+        + "; allowlisted names without one: " + ", ".join(sorted(set(OWN_SOLVES) - found)))

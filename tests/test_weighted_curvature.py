@@ -1,6 +1,8 @@
 """Generalized Ricci tensors, relative eigenvalues, CD sampling verdicts."""
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from cdsplit.chart_core import (
 )
 from cdsplit.errors import DimensionClash, EmptyGrid, SingularMetric
 from cdsplit.expr import compile_expression, expression_scalar_field
-from cdsplit.manifest import box_grid, inset_box
+from cdsplit.manifest import box_grid, cd_grid, inset_box, parse_manifest
 from cdsplit.weighted_curvature import (
     GridSpec,
     cd_verify,
@@ -338,3 +340,24 @@ def test_eigenvalues_nondecreasing_in_N_below_n(case, N1, N2):
     low = _eigenvalues(split, split.density(), lo, points)
     high = _eigenvalues(split, split.density(), hi, points)
     assert np.all(high >= low - 1e-10 * (1.0 + np.abs(low) + np.abs(high)))
+
+
+def test_nil_ricci_eigenvalues_are_milnors(tmp_path):
+    # The Heisenberg group's left-invariant metric dx^2 + dy^2 + (dz - x dy)^2,
+    # the one report_diff chart with an off-diagonal metric entry: its Ricci
+    # tensor relative to g has the eigenvalues (-1/2, -1/2, 1/2) everywhere
+    # (J. Milnor, "Curvatures of left invariant metrics on Lie groups",
+    # Adv. Math. 21 (1976)).  The finite-difference Ricci tensor at its 525
+    # grid points is within 4.6e-12 of them; the bound leaves a margin of 20
+    tool = Path(__file__).resolve().parent.parent / "tools" / "report_diff.py"
+    spec = importlib.util.spec_from_file_location("report_diff", tool)
+    report_diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(report_diff)
+    path = tmp_path / "nil.cdm"
+    path.write_text(report_diff.NIL_MANIFEST)
+    manifest = parse_manifest(path)
+    at = BlockGeometry(manifest.geometry["spec"], cd_grid(manifest).points)
+    assert at.g[:, 1, 2].any() and len(at.pts) == 525
+    Linv = np.linalg.inv(at.chol)
+    eigenvalues = np.linalg.eigvalsh(Linv @ at.ricci @ Linv.swapaxes(1, 2))
+    assert np.max(np.abs(eigenvalues - [-0.5, -0.5, 0.5])) < 1e-10

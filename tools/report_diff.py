@@ -67,12 +67,18 @@ on ``RICCATI_STILL_MANIFEST``, ``y0 = 400``, and on
 ``RICCATI_SUBNORMAL_MANIFEST``, ``a = 5e-324``, where every increment of
 the velocity rounds to zero: it stays the signed zero it started as, so
 the forward and backward halves never hold the same state and each is
-integrated in full.  Last come two runs that end on an error path:
+integrated in full.  Then come two runs that end on an error path:
 ``threshold`` on ``TRAILING_OPERATOR_MANIFEST``, whose ``[phi]`` expression
 ``sin(r) +`` ends in an operator, a parse error (exit 2), and ``geodesic``
 on ``STEEP_WARP_MANIFEST``, ``phi = 400 + sin(r)``, whose conserved
 quantity's fourth power of e^{phi/2} is beyond the float range from the
-first sample on (exit 1).  That makes 66 runs and 308 files a side.  The
+first sample on (exit 1).  Last, ``verify-cd``, ``curvature`` and
+``bochner`` on ``NIL_MANIFEST``, the Heisenberg group's left-invariant
+metric dx^2 + dy^2 + (dz - x dy)^2 as a ``general`` chart, the one metric
+with an off-diagonal entry: its blocks mix diagonal stencil rows on r = 0,
+where g23 = -r is -0.0, with non-diagonal ones, so ``chart_core._solve``
+takes them through ``gesv`` rather than its diagonal rule.  That makes 69
+runs and 321 files a side.  The
 text of each of these manifests is written once into OUT_DIR, so both trees
 run the same file.  Each run gets its own subdirectory
 ``<side>/<subcommand>_<manifest>_<seed>[_<override>...]`` holding the
@@ -472,6 +478,35 @@ T = 2.0
 TRAILING_OPERATOR_MANIFEST = SPHERE_PHI_MANIFEST.format(name="sphere-trailing-operator",
                                                         phi="sin(r) +")
 STEEP_WARP_MANIFEST = SPHERE_PHI_MANIFEST.format(name="sphere-steep-warp", phi="400 + sin(r)")
+NIL_MANIFEST = """\
+[manifold]
+name = nil
+kind = general
+dim = 3
+
+[metric]
+g11 = 1
+g12 = 0
+g13 = 0
+g22 = 1 + r^2
+g23 = -r
+g33 = 1
+
+[density]
+f = 0
+
+[grid]
+r_min = -1.0
+r_max = 1.0
+r_count = 21
+y_min = -1.0
+y_max = 1.0
+fiber_count = 5
+
+[cd]
+lambda = 0
+N = inf
+"""
 # manifests written into OUT_DIR, by the name their runs use
 WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "torus_block_edge": EDGE_MANIFEST, "plane_degenerating": SINGULAR_MANIFEST,
@@ -487,7 +522,7 @@ WRITTEN = {F_L_NAME: F_L_MANIFEST, "sphere_exit": EXIT_MANIFEST,
            "riccati_still": RICCATI_STILL_MANIFEST,
            "riccati_subnormal": RICCATI_SUBNORMAL_MANIFEST,
            "sphere_trailing_operator": TRAILING_OPERATOR_MANIFEST,
-           "sphere_steep_warp": STEEP_WARP_MANIFEST}
+           "sphere_steep_warp": STEEP_WARP_MANIFEST, "nil": NIL_MANIFEST}
 # (subcommand, manifest, seed, --grid-override values)
 RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
         + [("bochner", "sphere_example", 54, ())]
@@ -510,7 +545,8 @@ RUNS = ([(sub, man, 42, ()) for man in MANIFESTS for sub in SUBCOMMANDS]
            for man in ("riccati_slope", "riccati_signed_zero", "riccati_still",
                        "riccati_subnormal")]
         + [("threshold", "sphere_trailing_operator", 42, ()),
-           ("geodesic", "sphere_steep_warp", 42, ())])
+           ("geodesic", "sphere_steep_warp", 42, ())]
+        + [(sub, "nil", 42, ()) for sub in ("verify-cd", "curvature", "bochner")])
 
 
 def write_reports(tree: Path, out: Path, written: Path) -> None:
